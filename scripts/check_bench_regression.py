@@ -1,27 +1,23 @@
 #!/usr/bin/env python
 """Fail CI when measured speedup ratios regress against committed baselines.
 
-Compares a freshly measured bench JSON (``BENCH_pr4.json`` from the
-``operators`` experiment, ``BENCH_pr5.json`` from the ``sort-topn``
-experiment or ``BENCH_pr7.json`` from the ``columnar`` experiment,
-typically at CI smoke scale) against the committed acceptance artifact.  Absolute times are machine-dependent, so the check is on the
-*ratio*: for every workload present in both files, the fresh "fast side"
-median must not be more than ``--tolerance`` slower than what the fresh
-"slow side" median and the committed speedup predict, i.e.::
+Compares a freshly measured bench JSON (typically at CI smoke scale)
+against the committed acceptance artifact.  Absolute times are
+machine-dependent, so the check is on the *ratio*: for every workload
+present in both files, the fresh "fast side" median must not be more than
+``--tolerance`` slower than what the fresh "slow side" median and the
+committed speedup predict, i.e.::
 
     fresh_fast <= (1 + tolerance) * fresh_slow / committed_speedup
 
 which is equivalent to ``fresh_speedup >= committed_speedup / (1 + tol)``.
 
-The slow/fast sides are whichever ratio pair the entry records: row-batched
-vs columnar execution (PR 7), streaming vs batched execution (PR 4), full
-sort vs Top-N (PR 5), or -- from the ``index`` experiment's
-``BENCH_pr10.json`` (PR 10) -- lazy-rebuild vs persisted-index cold opens
-and full scans vs index scans.  Workloads whose
-fresh slow-side median is below ``--min-seconds`` are skipped: at smoke
-scales a sub-millisecond query is scheduler noise, not a signal.  Workloads
-with committed speedup <= 1 (or no recorded speedup at all, such as the
-informational spill-path entries) are not gated.
+The slow/fast sides are the full sort vs Top-N pair of the ``sort-topn``
+experiment's ``BENCH_pr5.json``.  Workloads whose fresh slow-side median is
+below ``--min-seconds`` are skipped: at smoke scales a sub-millisecond
+query is scheduler noise, not a signal.  Workloads with committed speedup
+<= 1 (or no recorded speedup at all, such as the informational spill-path
+entries) are not gated.
 
 Entries recording a *cost* ratio rather than a speedup -- the
 ``recovery`` experiment's ``recovery_open_s / clean_open_s`` pair from
@@ -39,21 +35,9 @@ import argparse
 import json
 import sys
 
-#: ``(slow_key, fast_key)`` pairs an entry may record its ratio under, in
-#: lookup order: batched-vs-columnar (PR 7), streaming-vs-batched (PR 4),
-#: full-sort-vs-Top-N (PR 5) and the PR 10 index pairs
-#: (rebuild-vs-indexed cold opens, full-scan-vs-index-scan queries).
-#: The columnar pair comes first so PR 7
-#: entries -- which carry all of streaming_s/batched_s/columnar_s -- gate
-#: the ratio their recorded ``speedup`` describes (batched / columnar);
-#: PR 4/5 entries lack ``columnar_s`` and fall through.
-RATIO_KEY_PAIRS = (
-    ("batched_s", "columnar_s"),
-    ("streaming_s", "batched_s"),
-    ("full_sort_s", "topn_s"),
-    ("rebuild_open_s", "indexed_open_s"),
-    ("full_scan_s", "index_scan_s"),
-)
+#: ``(slow_key, fast_key)`` pairs an entry may record its ratio under:
+#: full-sort-vs-Top-N (``BENCH_pr5.json``).
+RATIO_KEY_PAIRS = (("full_sort_s", "topn_s"),)
 
 #: ``(cost_key, base_key)`` pairs gated as a *ceiling*: the fresh
 #: cost/base ratio must not exceed the committed ``ratio`` by more than
@@ -99,13 +83,13 @@ def main(argv: list[str] | None = None) -> int:
         "--tolerance",
         type=float,
         default=0.25,
-        help="allowed fractional regression of the batched median (default 0.25)",
+        help="allowed fractional regression of the fast-side median (default 0.25)",
     )
     parser.add_argument(
         "--min-seconds",
         type=float,
         default=0.002,
-        help="skip workloads whose streaming median is below this (noise floor)",
+        help="skip workloads whose slow-side median is below this (noise floor)",
     )
     args = parser.parse_args(argv)
     with open(args.fresh, encoding="utf-8") as handle:

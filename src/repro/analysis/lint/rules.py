@@ -41,25 +41,28 @@ WALL_CLOCK_CALLS = {
 
 
 class OperatorProtocolRule(LintRule):
-    """Every ``Operator`` subclass must define both ``__iter__`` and
-    ``batches``.
+    """Every ``Operator`` subclass must define ``column_batches`` and may not
+    define ``__iter__`` or ``batches``.
 
-    The engine picks the execution mode per plan by checking whether every
-    operator overrides :meth:`Operator.batches`; a subclass that only
-    implements ``__iter__`` silently drags whole plans out of batch mode,
-    and one that only implements ``batches`` breaks tuple-at-a-time
-    consumers (``count()`` paths, the result builder's fallback).
+    Queries have exactly one execution path: operators exchange
+    :class:`~repro.core.columns.ColumnBatch` streams.  A subclass without
+    its own ``column_batches`` raises mid-query, and a tuple-at-a-time
+    ``__iter__`` or row-list ``batches`` method reintroduces a second,
+    untested execution path beside the columnar one.
     """
 
     id = "REPRO001"
     rationale = (
-        "operators run in two modes; defining only one of __iter__/batches "
-        "silently degrades or breaks the other mode"
+        "operators run columnar only; a missing column_batches breaks "
+        "execution and an __iter__/batches method revives a deleted path"
     )
     fix_hint = (
-        "implement both __iter__ and batches() on the operator (batches may "
-        "delegate, but must be an explicit, native batch path)"
+        "implement column_batches() on the operator and drop any __iter__ "
+        "or batches method"
     )
+
+    #: Row-path consumption methods that no operator may define.
+    FORBIDDEN = ("__iter__", "batches")
 
     def check(self, module: SourceModule) -> list[Violation]:
         violations: list[Violation] = []
@@ -76,15 +79,19 @@ class OperatorProtocolRule(LintRule):
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
             }
-            missing = {"__iter__", "batches"} - defined
-            if missing and defined & {"__iter__", "batches", "count"}:
+            problems = []
+            if "column_batches" not in defined:
+                problems.append("does not define column_batches")
+            forbidden = [name for name in self.FORBIDDEN if name in defined]
+            if forbidden:
+                problems.append(f"defines {', '.join(forbidden)}")
+            if problems:
                 violations.append(
                     self.violation(
                         module,
                         node.lineno,
-                        f"Operator subclass {node.name} defines "
-                        f"{', '.join(sorted(defined & {'__iter__', 'batches', 'count'}))} "
-                        f"but not {', '.join(sorted(missing))}",
+                        f"Operator subclass {node.name} "
+                        f"{' and '.join(problems)}",
                     )
                 )
         return violations
@@ -378,15 +385,14 @@ class ColumnarBoundaryRule(LintRule):
     :meth:`ColumnBatch.to_records` / :meth:`ColumnBatch.rows` and the
     result builder in ``execute_plan``).  A ``Record(...)`` call inside an
     operator's ``column_batches`` method reintroduces per-row object
-    construction under a columnar facade -- the batch protocol keeps
-    reporting columnar-native while the hot loop quietly pays the row tax.
+    construction under a columnar facade -- the hot loop quietly pays the
+    row tax.
     """
 
     id = "REPRO008"
     rationale = (
         "Record construction inside a column_batches body pays the per-row "
-        "object cost the columnar mode exists to avoid, invisibly to the "
-        "mode selector"
+        "object cost the columnar path exists to avoid"
     )
     fix_hint = (
         "move whole columns (take/slice/extend), or cross the row boundary "

@@ -1,7 +1,7 @@
 """The plan verifier: static invariant checks over logical query plans.
 
 Every correctness bug the engine has had so far -- ORDER BY rejecting
-non-projected keys, empty-aggregate NULL handling, the batched count-path
+non-projected keys, empty-aggregate NULL handling, the count-path
 regression -- was a silently violated *contract* between plan nodes,
 operators, and engines.  :func:`verify_plan` makes those contracts
 machine-checked before a single row flows.  It walks an optimized logical
@@ -19,13 +19,6 @@ plan and enforces four invariant classes:
     filter terms) and join key pairs are type-compatible, so a mistyped
     literal fails at plan time instead of deep inside a batch fold.
 
-``mode-consistency``
-    The chosen execution mode is honoured by the whole operator tree: a
-    batched plan may not contain a node whose physical operator lacks a
-    native batch path, a columnar plan additionally requires a native
-    column-batch path on every node (no silent mid-pipeline fallback
-    either way), and every node carries an execution-mode EXPLAIN tag.
-
 ``rewrite-legality``
     Optimizer rewrites only appear in the shapes that produce them: a
     ``TopN`` exists only where the Limit-over-Sort fusion may place it, an
@@ -34,9 +27,9 @@ plan and enforces four invariant classes:
     column of a ``HEAD()`` scan.
 
 ``operator-protocol``
-    Every logical node maps onto a physical operator that implements the
-    iterator protocol, and count-path consumers can rely on ``count()``
-    resolving on that operator class.
+    Every logical node maps onto a physical operator that implements
+    ``column_batches`` natively, and count-path consumers can rely on
+    ``count()`` resolving on that operator class.
 
 Violations raise :class:`~repro.errors.PlanInvariantError` naming the rule
 and the offending node.  The verifier is wired into
@@ -51,7 +44,7 @@ import os
 from typing import Iterator
 
 from repro.core.operators import (
-    Aggregate as AggregateOp,
+    AGGREGATE_FOLDS,
     Operator,
     aggregate_output_column,
     join_schema,
@@ -162,13 +155,6 @@ def _columns_match(declared: Schema, expected: Schema) -> bool:
 
 def _check_pruned_scan(node: VersionScan) -> None:
     """A column-pruned scan must still cover its predicate and schema."""
-    if node.kind != "branch":
-        _fail(
-            "rewrite-legality",
-            node,
-            "projection pushdown applies to branch-head scans only; commit "
-            "scans decode full records",
-        )
     engine_names = node.engine.schema.column_names
     for name in node.columns:
         if name not in engine_names:
@@ -412,13 +398,13 @@ def _check_schema(node: LogicalNode) -> None:
         expected_columns: list[Column] = []
         for item, name in zip(node.items, node.output_names):
             if item.is_aggregate:
-                if item.function not in AggregateOp._FUNCTIONS:
+                if item.function not in AGGREGATE_FOLDS:
                     _fail(
                         "schema-propagation",
                         node,
                         f"aggregate function {item.function!r} has no "
                         "operator implementation (supported: "
-                        f"{', '.join(sorted(AggregateOp._FUNCTIONS))})",
+                        f"{', '.join(sorted(AGGREGATE_FOLDS))})",
                     )
                 if item.argument != "*" and (
                     item.argument not in child.schema.column_names
@@ -653,12 +639,12 @@ def _check_protocol(node: LogicalNode) -> None:
             "started flowing through sibling subtrees",
         )
         raise AssertionError("unreachable")  # pragma: no cover
-    if operator_cls.__iter__ is Operator.__iter__:
+    if operator_cls.column_batches is Operator.column_batches:
         _fail(
             "operator-protocol",
             node,
             f"physical operator {operator_cls.__name__} does not implement "
-            "__iter__; tuple-at-a-time execution would raise mid-query",
+            "column_batches(); execution would raise mid-query",
         )
     if not callable(getattr(operator_cls, "count", None)):
         _fail(
@@ -667,78 +653,14 @@ def _check_protocol(node: LogicalNode) -> None:
             f"physical operator {operator_cls.__name__} does not expose the "
             "count() protocol used by count-only consumers",
         )
-    if not callable(getattr(operator_cls, "batches", None)):
-        _fail(
-            "operator-protocol",
-            node,
-            f"physical operator {operator_cls.__name__} does not expose the "
-            "batches() protocol",
-        )
-    if not callable(getattr(operator_cls, "column_batches", None)):
-        _fail(
-            "operator-protocol",
-            node,
-            f"physical operator {operator_cls.__name__} does not expose the "
-            "column_batches() protocol",
-        )
 
 
-def _check_mode(plan: LogicalNode, mode: str | None) -> None:
-    """``mode-consistency``: the chosen mode is honoured by every node."""
-    from repro.query.optimizer import execution_mode_labels
-    from repro.query.physical import batch_native, columnar_native
-
-    labels = execution_mode_labels(plan)
-
-    def walk(node: LogicalNode) -> None:
-        if id(node) not in labels:
-            _fail(
-                "mode-consistency",
-                node,
-                "node carries no execution-mode EXPLAIN tag; every mode "
-                "decision must be visible in plan output",
-            )
-        if mode in ("batched", "columnar") and not batch_native(node):
-            _fail(
-                "mode-consistency",
-                node,
-                f"plan was selected for {mode} execution but this node's "
-                "physical operator has no native batch path; it would "
-                "silently degrade to tuple-at-a-time under a batch facade",
-            )
-        if mode == "columnar" and not columnar_native(node):
-            _fail(
-                "mode-consistency",
-                node,
-                "plan was selected for columnar execution but this node's "
-                "physical operator has no native column-batch path; it "
-                "would silently repackage row batches under a columnar "
-                "facade",
-            )
-        for child in node.children:
-            walk(child)
-
-    walk(plan)
-
-
-def verify_plan(
-    plan: LogicalNode,
-    *,
-    batched: bool | None = None,
-    mode: str | None = None,
-) -> None:
+def verify_plan(plan: LogicalNode) -> None:
     """Check every invariant class over ``plan``; raise on the first failure.
 
-    ``mode`` is the execution mode the caller intends to run the plan in
-    (``"columnar"``, ``"batched"`` or ``"streaming"``); the legacy
-    ``batched`` flag maps ``True``/``False`` onto the latter two.  With
-    neither given the mode-specific half of the consistency check is
-    skipped (e.g. for plans that are only rendered).  Raises
-    :class:`~repro.errors.PlanInvariantError`; returns ``None`` when the
-    plan is sound.
+    Raises :class:`~repro.errors.PlanInvariantError`; returns ``None`` when
+    the plan is sound.
     """
-    if mode is None and batched is not None:
-        mode = "batched" if batched else "streaming"
 
     def walk(node: LogicalNode, parent: LogicalNode | None) -> None:
         _check_protocol(node)
@@ -748,4 +670,3 @@ def verify_plan(
             walk(child, node)
 
     walk(plan, None)
-    _check_mode(plan, mode)

@@ -74,27 +74,9 @@ EXPERIMENTS = {
             workdir, update_fraction=0.5, scale=scale
         ),
     ),
-    "vectorized": (
-        "Batched vs tuple-at-a-time execution (writes BENCH_pr3.json)",
-        lambda workdir, scale, json_path=None: experiments.vectorized_batching(
-            workdir, scale=scale, json_path=json_path
-        ),
-    ),
-    "operators": (
-        "Whole-tree batch pipeline: GROUP BY/join + Q1-Q4 (writes BENCH_pr4.json)",
-        lambda workdir, scale, json_path=None: experiments.operators_batching(
-            workdir, scale=scale, json_path=json_path
-        ),
-    ),
     "sort-topn": (
         "Memory-bounded sort + Top-N rewrite (writes BENCH_pr5.json)",
         lambda workdir, scale, json_path=None: experiments.sort_topn(
-            workdir, scale=scale, json_path=json_path
-        ),
-    ),
-    "columnar": (
-        "Columnar vs row-batched vs streaming execution (writes BENCH_pr7.json)",
-        lambda workdir, scale, json_path=None: experiments.columnar_execution(
             workdir, scale=scale, json_path=json_path
         ),
     ),
@@ -174,17 +156,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--scan-rows",
         type=int,
         default=100_000,
-        help="rows in the vectorized-scan microbenchmark (default: 100000)",
+        help="rows in the single-dataset microbenchmarks (default: 100000)",
     )
     parser.add_argument(
         "--bench-json",
         default=None,
         help=(
-            "where the vectorized/operators/sort-topn/columnar/recovery/"
-            "concurrency/index experiments write their JSON record (default: "
-            "BENCH_pr3.json / BENCH_pr4.json / BENCH_pr5.json / "
-            "BENCH_pr7.json / BENCH_pr8.json / BENCH_pr9.json / "
-            "BENCH_pr10.json inside the workdir)"
+            "where the sort-topn/recovery/concurrency/index experiments "
+            "write their JSON record (default: BENCH_pr5.json / "
+            "BENCH_pr8.json / BENCH_pr9.json / BENCH_pr10.json inside the "
+            "workdir)"
         ),
     )
     parser.add_argument(

@@ -271,11 +271,7 @@ def apply_tablewise_update(
     schema = engine.schema
     if column not in schema.column_names:
         raise BenchmarkError(f"unknown column {column!r} for table-wise update")
-    records = [
-        record
-        for batch in engine.scan_branch_batched(branch)
-        for record in batch
-    ]
+    records = list(engine.scan_branch(branch))
     for record in records:
         updated = record.replace(schema, **{column: record.value(schema, column) + delta})
         engine.update(branch, updated)

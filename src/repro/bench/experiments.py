@@ -35,13 +35,11 @@ from repro.bench.queries import (
     query2_positive_diff,
     query3_join,
     query4_head_scan,
-    query5_group_by,
     query6_order_by,
 )
 from repro.bench.report import ResultTable
 from repro.bench.strategies import make_strategy
 from repro.bitmap.base import BitmapOrientation
-from repro.core.predicates import non_selective_predicate
 from repro.errors import BenchmarkError
 from repro.gitlike.engine import GitRecordFormat, GitStorageLayout, GitVersionedStore
 from repro.storage.hybrid import HybridEngine
@@ -63,8 +61,9 @@ class ExperimentScale:
     commit_interval: int = 400
     num_columns: int = 10
     seed: int = 42
-    #: Rows in the vectorized-scan microbenchmark (the acceptance run uses
-    #: 100k; CI smoke runs pass something much smaller).
+    #: Rows in the single-dataset microbenchmarks (sort/Top-N, recovery,
+    #: serving, index); the acceptance runs use 100k, CI smoke runs may pass
+    #: something smaller.
     scan_rows: int = 100_000
 
 
@@ -242,20 +241,26 @@ def _per_strategy_query(
         ["strategy"] + [ENGINE_LABELS[e] for e in ENGINE_KINDS],
     )
     for strategy_name in ("deep", "flat", "science", "curation"):
-        row: list = [strategy_name]
-        for engine_kind in ENGINE_KINDS:
-            result = _load(
+        results = [
+            _load(
                 workdir,
                 strategy_name,
                 engine_kind,
                 scale,
                 label=f"{label_prefix.lower().replace(' ', '_')}_{strategy_name}_{engine_kind}",
             )
-            # Best-of-five keeps the per-strategy latency *shape* from being
-            # washed out by scheduler noise at test scales, where a single
-            # query runs only a few milliseconds.
-            row.append(min(runner(result) for _ in range(5)))
-        table.add_row(*row)
+            for engine_kind in ENGINE_KINDS
+        ]
+        # Best-of-five keeps the per-strategy latency *shape* from being
+        # washed out by scheduler noise at test scales, where a single query
+        # runs only a few milliseconds.  The engines take turns, so a slow
+        # spell of the machine lands on every engine's samples alike rather
+        # than on all five samples of one engine.
+        samples: list[list[float]] = [[] for _ in results]
+        for _ in range(5):
+            for engine_samples, result in zip(samples, results):
+                engine_samples.append(runner(result))
+        table.add_row(strategy_name, *(min(s) for s in samples))
     return table
 
 
@@ -781,327 +786,6 @@ def _median_query_seconds(runner, repetitions: int) -> float:
     return statistics.median(runner() for _ in range(repetitions))
 
 
-def vectorized_batching(
-    workdir: str,
-    scale: ExperimentScale | None = None,
-    json_path: str | None = None,
-) -> ResultTable:
-    """Batched versus tuple-at-a-time execution (the PR 3 vectorized path).
-
-    Part 1 is the acceptance microbenchmark: a single-branch
-    scan-with-predicate over ``scale.scan_rows`` tuples in the tuple-first
-    engine (built through the driver's flat strategy with one branch), run
-    through the full plan/optimize/execute pipeline with the batched path on
-    and off.  Part 2 runs the paper's Q1-Q4 per engine at benchmark scale in
-    both modes.  All runs are warm-cache (the comparison targets interpreter
-    overhead, not disk).  The microbench asserts the two modes return
-    identical record sequences and Q1-Q4 assert equal row counts
-    (record-level equivalence across modes is enforced by
-    ``tests/test_batched_scans.py``); the medians are written to
-    ``json_path``.
-    """
-    scale = scale or ExperimentScale()
-    if json_path is None:
-        # Default into the workdir so small-scale (smoke) runs cannot
-        # clobber a checked-in acceptance artifact in the CWD; the
-        # acceptance run passes an explicit path.
-        json_path = os.path.join(workdir, "BENCH_pr3.json")
-    table = ResultTable(
-        "Vectorized batch execution: tuple-at-a-time vs batched (seconds)",
-        ["workload", "engine", "tuple-at-a-time", "batched", "speedup"],
-    )
-    payload: dict = {
-        "benchmark": "vectorized batch execution (PR 3)",
-        "warm_cache": True,
-        "notes": [
-            "speedup = tuple-at-a-time vs batched mode on this code; "
-            "speedup_vs_baseline (added by scripts/bench_pr3_baseline.py) = "
-            "pre-PR code vs batched mode",
-            "Q4 'speedup' below 1.0 reflects the row-counting harness: "
-            "batch materialization buys nothing when downstream work is a "
-            "count; Q4's engine-level wins appear in speedup_vs_baseline",
-        ],
-        "scale": {
-            "scan_rows": scale.scan_rows,
-            "total_operations": scale.total_operations,
-            "num_branches": scale.num_branches,
-            "commit_interval": scale.commit_interval,
-            "num_columns": scale.num_columns,
-            "seed": scale.seed,
-        },
-    }
-
-    # -- part 1: the single-branch scan-with-predicate microbenchmark --------
-    micro_config = BenchmarkConfig(
-        strategy="flat",
-        engine="tuple-first",
-        num_branches=1,
-        total_operations=scale.scan_rows,
-        update_fraction=0.0,
-        commit_interval=max(scale.scan_rows // 4, 1),
-        num_columns=scale.num_columns,
-        seed=scale.seed,
-        # 64 KiB pages keep the 100k-row heap inside the default buffer
-        # pool, so the warm comparison times the execution paths rather
-        # than page eviction churn.
-        page_size=64 * 1024,
-    )
-    micro = load_dataset(micro_config, os.path.join(workdir, "vectorized_micro"))
-    engine = micro.engine
-    branch = micro.strategy.single_scan_branch(random.Random(0))
-    predicate = non_selective_predicate("c1", modulus=4)
-    unbatched_records = list(engine.scan_branch(branch, predicate))
-    batched_records = [
-        record
-        for batch in engine.scan_branch_batched(branch, predicate)
-        for record in batch
-    ]
-    if unbatched_records != batched_records:
-        raise BenchmarkError(
-            "batched scan does not reproduce the tuple-at-a-time scan"
-        )
-    repetitions = 9
-    slow = _median_query_seconds(
-        lambda: query1_single_scan(
-            engine, branch, predicate, cold=False, batched=False
-        ).seconds,
-        repetitions,
-    )
-    fast = _median_query_seconds(
-        lambda: query1_single_scan(
-            engine, branch, predicate, cold=False, batched=True
-        ).seconds,
-        repetitions,
-    )
-    speedup = slow / fast if fast > 0 else 0.0
-    table.add_row(
-        f"scan+predicate ({scale.scan_rows} rows)", "TF", slow, fast, speedup
-    )
-    payload["microbench"] = {
-        "workload": "single-branch scan with predicate (Query 1 pipeline)",
-        "engine": "tuple-first",
-        "rows": scale.scan_rows,
-        "rows_out": len(batched_records),
-        "predicate": "c1 % 4 != 0",
-        "repetitions": repetitions,
-        "tuple_at_a_time_s": slow,
-        "batched_s": fast,
-        "speedup": round(speedup, 2),
-        "identical_results": True,
-    }
-
-    # -- part 2: the four paper queries per engine ---------------------------
-    payload["queries"] = {}
-    for engine_kind in ENGINE_KINDS:
-        result = _load(
-            workdir,
-            "flat",
-            engine_kind,
-            scale,
-            label=f"vectorized_{engine_kind}",
-        )
-        loaded = result.engine
-        q1_target = result.strategy.single_scan_branch(random.Random(0))
-        pair_a, pair_b = result.strategy.multi_scan_pair(random.Random(1))
-        runners = {
-            "Q1": lambda batched: query1_single_scan(
-                loaded, q1_target, cold=False, batched=batched
-            ),
-            "Q2": lambda batched: query2_positive_diff(
-                loaded, pair_a, pair_b, cold=False, batched=batched
-            ),
-            "Q3": lambda batched: query3_join(
-                loaded, pair_a, pair_b, cold=False, batched=batched
-            ),
-            "Q4": lambda batched: query4_head_scan(
-                loaded, cold=False, batched=batched
-            ),
-        }
-        per_engine: dict[str, dict] = {}
-        for query_name, runner in runners.items():
-            rows_slow = runner(False).rows
-            rows_fast = runner(True).rows
-            if rows_slow != rows_fast:
-                raise BenchmarkError(
-                    f"{query_name} row counts differ between modes: "
-                    f"{rows_slow} vs {rows_fast}"
-                )
-            slow = _median_query_seconds(lambda: runner(False).seconds, 5)
-            fast = _median_query_seconds(lambda: runner(True).seconds, 5)
-            speedup = slow / fast if fast > 0 else 0.0
-            table.add_row(
-                query_name, ENGINE_LABELS[engine_kind], slow, fast, speedup
-            )
-            per_engine[query_name] = {
-                "rows": rows_fast,
-                "tuple_at_a_time_s": slow,
-                "batched_s": fast,
-                "speedup": round(speedup, 2),
-            }
-        payload["queries"][engine_kind] = per_engine
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    table.add_note(
-        "the microbench asserts identical record sequences and Q1-Q4 assert "
-        "equal row counts across modes (record-level equivalence is covered "
-        f"by tests/test_batched_scans.py); medians written to {json_path}"
-    )
-    return table
-
-
-def operators_batching(
-    workdir: str,
-    scale: ExperimentScale | None = None,
-    json_path: str | None = None,
-) -> ResultTable:
-    """Whole-tree batch execution (PR 4): streaming vs batched medians.
-
-    Part 1 measures the two operator-heavy workloads the batch pipeline now
-    covers end to end, on ``scale.scan_rows`` rows in the tuple-first engine:
-    a GROUP BY (grouped column extraction through ``GroupAggregate``) and a
-    primary-key join of two branches (batch build/probe ``HashJoin``).
-    Part 2 runs the paper's Q1-Q4 per engine at benchmark scale in both
-    modes; Q4's batched mode rides the count-only path.  All runs are
-    warm-cache.  Row counts are asserted equal across modes (record-level
-    equivalence is enforced by ``tests/test_batched_scans.py``); the medians
-    are written to ``json_path`` (``BENCH_pr4.json``).
-    """
-    scale = scale or ExperimentScale()
-    if json_path is None:
-        # Default into the workdir so small-scale (smoke) runs cannot
-        # clobber the checked-in acceptance artifact in the CWD.
-        json_path = os.path.join(workdir, "BENCH_pr4.json")
-    table = ResultTable(
-        "Whole-tree batch execution: streaming vs batched (seconds)",
-        ["workload", "engine", "streaming", "batched", "speedup"],
-    )
-    payload: dict = {
-        "benchmark": "whole-tree batch execution (PR 4)",
-        "warm_cache": True,
-        "notes": [
-            "speedup = streaming (tuple-at-a-time) vs batched mode on this "
-            "code; both modes run the same plan through the full "
-            "plan/optimize/execute pipeline",
-            "Q4 batched uses the count-only path (batch lengths off the "
-            "annotated page scans), fixing the batched-count regression "
-            "recorded in BENCH_pr3.json",
-        ],
-        "scale": {
-            "scan_rows": scale.scan_rows,
-            "total_operations": scale.total_operations,
-            "num_branches": scale.num_branches,
-            "commit_interval": scale.commit_interval,
-            "num_columns": scale.num_columns,
-            "seed": scale.seed,
-        },
-        "workloads": {},
-        "queries": {},
-    }
-    repetitions = 7
-
-    def measure(label, engine_label, runner, reps=repetitions) -> dict:
-        rows_slow = runner(False).rows
-        rows_fast = runner(True).rows
-        if rows_slow != rows_fast:
-            raise BenchmarkError(
-                f"{label} row counts differ between modes: "
-                f"{rows_slow} vs {rows_fast}"
-            )
-        slow = _median_query_seconds(lambda: runner(False).seconds, reps)
-        fast = _median_query_seconds(lambda: runner(True).seconds, reps)
-        speedup = slow / fast if fast > 0 else 0.0
-        table.add_row(label, engine_label, slow, fast, speedup)
-        return {
-            "rows": rows_fast,
-            "streaming_s": slow,
-            "batched_s": fast,
-            "speedup": round(speedup, 2),
-        }
-
-    # -- part 1: GROUP BY and join on scan_rows rows (tuple-first) -----------
-    workload_config = BenchmarkConfig(
-        strategy="flat",
-        engine="tuple-first",
-        num_branches=2,
-        total_operations=scale.scan_rows,
-        update_fraction=0.0,
-        commit_interval=max(scale.scan_rows // 4, 1),
-        num_columns=scale.num_columns,
-        seed=scale.seed,
-        # 64 KiB pages, as in the PR 3 microbench: the comparison targets
-        # execution-path overhead, not page eviction churn.
-        page_size=64 * 1024,
-    )
-    loaded = load_dataset(workload_config, os.path.join(workdir, "operators_data"))
-    engine = loaded.engine
-    branch_a, branch_b = loaded.strategy.multi_scan_pair(random.Random(1))
-    group_branch = loaded.strategy.single_scan_branch(random.Random(0))
-    payload["workloads"]["group_by"] = dict(
-        measure(
-            f"GROUP BY ({scale.scan_rows} ops)",
-            "TF",
-            lambda batched: query5_group_by(
-                engine, group_branch, cold=False, batched=batched
-            ),
-            reps=5,
-        ),
-        engine="tuple-first",
-        query="SELECT c1, count(*), sum(c2) FROM R GROUP BY c1",
-    )
-    payload["workloads"]["join"] = dict(
-        measure(
-            f"join ({scale.scan_rows} ops)",
-            "TF",
-            lambda batched: query3_join(
-                engine, branch_a, branch_b, cold=False, batched=batched
-            ),
-            reps=5,
-        ),
-        engine="tuple-first",
-        query="primary-key hash join of two branch heads, predicate on one side",
-    )
-
-    # -- part 2: the four paper queries per engine ---------------------------
-    for engine_kind in ENGINE_KINDS:
-        result = _load(
-            workdir,
-            "flat",
-            engine_kind,
-            scale,
-            label=f"operators_{engine_kind}",
-        )
-        per_engine_db = result.engine
-        q1_target = result.strategy.single_scan_branch(random.Random(0))
-        pair_a, pair_b = result.strategy.multi_scan_pair(random.Random(1))
-        runners = {
-            "Q1": lambda batched: query1_single_scan(
-                per_engine_db, q1_target, cold=False, batched=batched
-            ),
-            "Q2": lambda batched: query2_positive_diff(
-                per_engine_db, pair_a, pair_b, cold=False, batched=batched
-            ),
-            "Q3": lambda batched: query3_join(
-                per_engine_db, pair_a, pair_b, cold=False, batched=batched
-            ),
-            "Q4": lambda batched: query4_head_scan(
-                per_engine_db, cold=False, batched=batched
-            ),
-        }
-        payload["queries"][engine_kind] = {
-            query_name: measure(query_name, ENGINE_LABELS[engine_kind], runner, reps=5)
-            for query_name, runner in runners.items()
-        }
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    table.add_note(
-        "row counts asserted equal across modes (record-level equivalence is "
-        f"covered by tests/test_batched_scans.py); medians written to {json_path}"
-    )
-    return table
-
-
 def sort_topn(
     workdir: str,
     scale: ExperimentScale | None = None,
@@ -1111,7 +795,6 @@ def sort_topn(
 
     Part 1 measures, on ``scale.scan_rows`` rows in the tuple-first engine:
 
-    * the full ``ORDER BY`` (run-based sort) in both execution modes;
     * ``ORDER BY ... LIMIT k`` -- the optimizer's Top-N rewrite -- against
       the full sort it replaces, asserting the Top-N rows equal the full
       sort's prefix and that EXPLAIN-style plan rendering carries the
@@ -1143,7 +826,7 @@ def sort_topn(
         "warm_cache": True,
         "notes": [
             "top_n speedup = full ORDER BY vs ORDER BY ... LIMIT k through "
-            "the optimizer's bounded-heap TopN rewrite, batched mode",
+            "the optimizer's bounded-heap TopN rewrite",
             "order_by_spill is informational: the byte budget is set far "
             "below the input so the run-merge spill path is exercised; "
             "rows are asserted byte-identical to the in-memory sort",
@@ -1171,8 +854,8 @@ def sort_topn(
         commit_interval=max(scale.scan_rows // 4, 1),
         num_columns=scale.num_columns,
         seed=scale.seed,
-        # 64 KiB pages, as in the PR 3/4 microbenches: the comparison targets
-        # execution-path overhead, not page eviction churn.
+        # 64 KiB pages: the comparison targets execution-path overhead, not
+        # page eviction churn.
         page_size=64 * 1024,
     )
     micro = load_dataset(micro_config, os.path.join(workdir, "sort_topn_data"))
@@ -1202,47 +885,26 @@ def sort_topn(
     if topn_rows != full_rows[:top_k]:
         raise BenchmarkError("TopN rows differ from the full sort's prefix")
 
-    full_streaming = _median_query_seconds(
-        lambda: query6_order_by(engine, branch, cold=False, batched=False).seconds,
+    full_seconds = _median_query_seconds(
+        lambda: query6_order_by(engine, branch, cold=False).seconds,
         repetitions,
     )
-    full_batched = _median_query_seconds(
-        lambda: query6_order_by(engine, branch, cold=False, batched=True).seconds,
-        repetitions,
-    )
-    speedup = full_streaming / full_batched if full_batched > 0 else 0.0
-    table.add_row(
-        f"ORDER BY ({scale.scan_rows} rows), streaming vs batched",
-        "TF",
-        full_streaming,
-        full_batched,
-        speedup,
-    )
-    payload["workloads"]["order_by_full"] = {
-        "rows": len(full_rows),
-        "streaming_s": full_streaming,
-        "batched_s": full_batched,
-        "speedup": round(speedup, 2),
-    }
-
     topn_seconds = _median_query_seconds(
-        lambda: query6_order_by(
-            engine, branch, limit=top_k, cold=False, batched=True
-        ).seconds,
+        lambda: query6_order_by(engine, branch, limit=top_k, cold=False).seconds,
         repetitions,
     )
-    speedup = full_batched / topn_seconds if topn_seconds > 0 else 0.0
+    speedup = full_seconds / topn_seconds if topn_seconds > 0 else 0.0
     table.add_row(
         f"ORDER BY LIMIT {top_k} (Top-N rewrite)",
         "TF",
-        full_batched,
+        full_seconds,
         topn_seconds,
         speedup,
     )
     payload["workloads"]["top_n"] = {
         "k": top_k,
         "rows": len(topn_rows),
-        "full_sort_s": full_batched,
+        "full_sort_s": full_seconds,
         "topn_s": topn_seconds,
         "speedup": round(speedup, 2),
     }
@@ -1251,9 +913,7 @@ def sort_topn(
     spill_budget = 256 * 1024
     spill_operator = build_physical(optimize(order_plan(budget_bytes=spill_budget)))
     spilled_rows = [
-        record.values
-        for batch in spill_operator.batches()
-        for record in batch
+        row for batch in spill_operator.column_batches() for row in batch.rows()
     ]
     if spilled_rows != full_rows:
         raise BenchmarkError(
@@ -1262,7 +922,7 @@ def sort_topn(
     spilled_runs = spill_operator.spilled_runs
     spill_seconds = _median_query_seconds(
         lambda: query6_order_by(
-            engine, branch, budget_bytes=spill_budget, cold=False, batched=True
+            engine, branch, budget_bytes=spill_budget, cold=False
         ).seconds,
         repetitions,
     )
@@ -1270,14 +930,14 @@ def sort_topn(
         f"ORDER BY with {spill_budget // 1024} KiB budget "
         f"({spilled_runs} spilled runs)",
         "TF",
-        full_batched,
+        full_seconds,
         spill_seconds,
-        full_batched / spill_seconds if spill_seconds > 0 else 0.0,
+        full_seconds / spill_seconds if spill_seconds > 0 else 0.0,
     )
     payload["workloads"]["order_by_spill"] = {
         "budget_bytes": spill_budget,
         "spilled_runs": spilled_runs,
-        "in_memory_s": full_batched,
+        "in_memory_s": full_seconds,
         "spill_s": spill_seconds,
         "identical_rows": True,
     }
@@ -1294,14 +954,12 @@ def sort_topn(
         loaded = result.engine
         target = result.strategy.single_scan_branch(random.Random(0))
         full = _median_query_seconds(
-            lambda: query6_order_by(
-                loaded, target, cold=False, batched=True
-            ).seconds,
+            lambda: query6_order_by(loaded, target, cold=False).seconds,
             repetitions,
         )
         topn = _median_query_seconds(
             lambda: query6_order_by(
-                loaded, target, limit=top_k, cold=False, batched=True
+                loaded, target, limit=top_k, cold=False
             ).seconds,
             repetitions,
         )
@@ -1322,140 +980,6 @@ def sort_topn(
         "Top-N rows asserted equal to the full sort's prefix and spilled "
         "sorts asserted byte-identical to in-memory sorts; medians written "
         f"to {json_path}"
-    )
-    return table
-
-
-def columnar_execution(
-    workdir: str,
-    scale: ExperimentScale | None = None,
-    json_path: str | None = None,
-) -> ResultTable:
-    """Columnar batch execution (PR 7): typed column arrays end to end.
-
-    Runs four representative workloads -- a predicate scan, a GROUP BY, a
-    primary-key join and a Top-N -- over ``scale.scan_rows`` rows on each of
-    the three storage engines, in all three execution modes: streaming
-    (tuple iterators), row-batched and columnar.  All runs are **cold-cache**
-    (``drop_caches`` before every execution): the columnar win is skipping
-    per-row :class:`~repro.core.record.Record` construction at page decode,
-    which only shows when pages are actually decoded.  Row counts are
-    asserted equal across the three modes (full result equivalence is
-    enforced by ``tests/test_columnar_pipeline.py``); best-of-three
-    latencies are written to ``json_path`` (``BENCH_pr7.json``) with
-    ``speedup`` = batched / columnar.
-    """
-    scale = scale or ExperimentScale()
-    if json_path is None:
-        # Default into the workdir so small-scale (smoke) runs cannot
-        # clobber the checked-in acceptance artifact in the CWD.
-        json_path = os.path.join(workdir, "BENCH_pr7.json")
-    table = ResultTable(
-        "Columnar execution: streaming vs row-batched vs columnar (seconds)",
-        ["workload", "engine", "streaming", "batched", "columnar", "speedup"],
-    )
-    top_k = 10
-    modes = ("streaming", "batched", "columnar")
-    payload: dict = {
-        "benchmark": "columnar batch execution (PR 7)",
-        "cold_cache": True,
-        "notes": [
-            "speedup = row-batched vs columnar mode on this code; all three "
-            "modes run the same plan through the full "
-            "plan/optimize/execute pipeline",
-            "runs are cold-cache (drop_caches before every execution): the "
-            "columnar path decodes pages straight into typed column arrays, "
-            "so its win is largest when page decode is actually on the path",
-        ],
-        "scale": {
-            "scan_rows": scale.scan_rows,
-            "total_operations": scale.total_operations,
-            "num_branches": scale.num_branches,
-            "commit_interval": scale.commit_interval,
-            "num_columns": scale.num_columns,
-            "seed": scale.seed,
-        },
-        "top_k": top_k,
-        "queries": {},
-    }
-    repetitions = 3
-    predicate = non_selective_predicate("c1", modulus=4)
-    for engine_kind in ENGINE_KINDS:
-        config = BenchmarkConfig(
-            strategy="flat",
-            engine=engine_kind,
-            num_branches=2,
-            total_operations=scale.scan_rows,
-            update_fraction=0.0,
-            commit_interval=max(scale.scan_rows // 4, 1),
-            num_columns=scale.num_columns,
-            seed=scale.seed,
-            # 64 KiB pages, as in the PR 3/4/5 microbenches: fewer, larger
-            # batch decodes per scan, the shape the paper's 4 MB pages imply.
-            page_size=64 * 1024,
-        )
-        result = load_dataset(
-            config, os.path.join(workdir, f"columnar_{engine_kind}")
-        )
-        loaded = result.engine
-        branch = result.strategy.single_scan_branch(random.Random(0))
-        pair_a, pair_b = result.strategy.multi_scan_pair(random.Random(1))
-        runners = {
-            "predicate_scan": lambda mode: query1_single_scan(
-                loaded, branch, predicate, cold=True, mode=mode
-            ),
-            "group_by": lambda mode: query5_group_by(
-                loaded, branch, cold=True, mode=mode
-            ),
-            "join": lambda mode: query3_join(
-                loaded, pair_a, pair_b, cold=True, mode=mode
-            ),
-            "top_n": lambda mode: query6_order_by(
-                loaded, branch, limit=top_k, cold=True, mode=mode
-            ),
-        }
-        per_engine: dict[str, dict] = {}
-        for workload, runner in runners.items():
-            row_counts = {mode: runner(mode).rows for mode in modes}
-            if len(set(row_counts.values())) != 1:
-                raise BenchmarkError(
-                    f"{engine_kind}/{workload} row counts differ across "
-                    f"modes: {row_counts}"
-                )
-            # Best-of-three cold runs, as in figures 6/7: a single cold run
-            # is easily washed out by scheduler and writeback noise.
-            seconds = {
-                mode: min(runner(mode).seconds for _ in range(repetitions))
-                for mode in modes
-            }
-            speedup = (
-                seconds["batched"] / seconds["columnar"]
-                if seconds["columnar"] > 0
-                else 0.0
-            )
-            table.add_row(
-                workload,
-                ENGINE_LABELS[engine_kind],
-                seconds["streaming"],
-                seconds["batched"],
-                seconds["columnar"],
-                speedup,
-            )
-            per_engine[workload] = {
-                "rows": row_counts["columnar"],
-                "streaming_s": seconds["streaming"],
-                "batched_s": seconds["batched"],
-                "columnar_s": seconds["columnar"],
-                "speedup": round(speedup, 2),
-            }
-        payload["queries"][engine_kind] = per_engine
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    table.add_note(
-        "row counts asserted equal across the three modes (full result "
-        "equivalence is covered by tests/test_columnar_pipeline.py); "
-        f"best-of-{repetitions} cold latencies written to {json_path}"
     )
     return table
 

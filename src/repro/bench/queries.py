@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.core.predicates import Predicate, non_selective_predicate
 from repro.query.logical import (
-    Aggregate,
     HeadScan,
     Join,
     Limit,
@@ -26,7 +25,6 @@ from repro.query.logical import (
     VersionScan,
 )
 from repro.query.optimizer import optimize
-from repro.query.parser import SelectItem
 from repro.query.physical import build_physical
 from repro.storage.base import VersionedStorageEngine
 
@@ -55,41 +53,18 @@ def _record_bytes(engine: VersionedStorageEngine, rows: int) -> int:
     return rows * (engine.schema.record_width + 1)
 
 
-def _run(
-    plan: LogicalNode,
-    batched: bool = True,
-    count_only: bool = False,
-    mode: str | None = None,
-) -> tuple[int, object]:
+def _run(plan: LogicalNode, count_only: bool = False) -> tuple[int, object]:
     """Optimize and execute a plan; returns (row count, physical root).
 
-    ``mode`` picks the execution mode explicitly (``"streaming"``,
-    ``"batched"`` or ``"columnar"``); when it is ``None`` the legacy
-    ``batched`` flag selects between streaming and row-batched execution.
-    Row counts (and rows) are identical across modes.  ``count_only=True``
-    consumes batch-mode plans through the count-only protocol
+    ``count_only=True`` consumes the plan through the count-only protocol
     (:meth:`Operator.count`), so cardinality-only measurements do not pay
-    for materializing output records.
+    for materializing output columns.
     """
-    if mode is None:
-        mode = "batched" if batched else "streaming"
-    operator = build_physical(
-        optimize(plan),
-        batched=mode != "streaming",
-        columnar=mode == "columnar",
-    )
-    if mode == "columnar":
-        if count_only:
-            rows = operator.count()
-        else:
-            rows = sum(batch.num_rows for batch in operator.column_batches())
-    elif mode == "batched":
-        if count_only:
-            rows = operator.count()
-        else:
-            rows = sum(len(batch) for batch in operator.batches())
+    operator = build_physical(optimize(plan))
+    if count_only:
+        rows = operator.count()
     else:
-        rows = sum(1 for _ in operator)
+        rows = sum(batch.num_rows for batch in operator.column_batches())
     return rows, operator
 
 
@@ -98,8 +73,6 @@ def query1_single_scan(
     branch: str,
     predicate: Predicate | None = None,
     cold: bool = True,
-    batched: bool = True,
-    mode: str | None = None,
 ) -> QueryMeasurement:
     """Query 1: scan and emit the active records in a single branch."""
     if cold:
@@ -108,7 +81,7 @@ def query1_single_scan(
         engine, BENCH_RELATION, BENCH_RELATION, "branch", branch, predicate
     )
     start = time.perf_counter()
-    rows, _ = _run(plan, batched, mode=mode)
+    rows, _ = _run(plan)
     elapsed = time.perf_counter() - start
     return QueryMeasurement(
         query="Q1", seconds=elapsed, rows=rows, bytes_touched=_record_bytes(engine, rows)
@@ -120,8 +93,6 @@ def query2_positive_diff(
     branch_a: str,
     branch_b: str,
     cold: bool = True,
-    batched: bool = True,
-    mode: str | None = None,
 ) -> QueryMeasurement:
     """Query 2: emit the records in ``branch_a`` that do not appear in ``branch_b``.
 
@@ -141,7 +112,7 @@ def query2_positive_diff(
         include_modified=True,
     )
     start = time.perf_counter()
-    rows, operator = _run(plan, batched, mode=mode)
+    rows, operator = _run(plan)
     elapsed = time.perf_counter() - start
     return QueryMeasurement(
         query="Q2",
@@ -157,8 +128,6 @@ def query3_join(
     branch_b: str,
     predicate: Predicate | None = None,
     cold: bool = True,
-    batched: bool = True,
-    mode: str | None = None,
 ) -> QueryMeasurement:
     """Query 3: primary-key join of two branches under a predicate.
 
@@ -181,7 +150,7 @@ def query3_join(
     )
     scanned_before = engine.stats.records_scanned
     start = time.perf_counter()
-    rows, _ = _run(plan, batched, mode=mode)
+    rows, _ = _run(plan)
     elapsed = time.perf_counter() - start
     scanned = engine.stats.records_scanned - scanned_before
     return QueryMeasurement(
@@ -196,8 +165,6 @@ def query4_head_scan(
     engine: VersionedStorageEngine,
     predicate: Predicate | None = None,
     cold: bool = True,
-    batched: bool = True,
-    mode: str | None = None,
 ) -> QueryMeasurement:
     """Query 4: scan all branch heads, emitting records with their branches.
 
@@ -210,12 +177,10 @@ def query4_head_scan(
         predicate = non_selective_predicate("c1", modulus=10)
     plan = HeadScan(engine, BENCH_RELATION, BENCH_RELATION, predicate)
     start = time.perf_counter()
-    # The row-counting harness only needs cardinality, so the batched mode
-    # rides the count-only path: batch lengths straight off the engine's
-    # annotated page scans, no branch-column records materialized.  (This is
-    # the fix for the batched-Q4 harness regression recorded in
-    # BENCH_pr3.json.)
-    rows, _ = _run(plan, batched, count_only=True, mode=mode)
+    # The row-counting harness only needs cardinality, so Q4 rides the
+    # count-only path: batch lengths straight off the engine's annotated
+    # page scans, no branch-column rows materialized.
+    rows, _ = _run(plan, count_only=True)
     elapsed = time.perf_counter() - start
     return QueryMeasurement(
         query="Q4", seconds=elapsed, rows=rows, bytes_touched=_record_bytes(engine, rows)
@@ -230,8 +195,6 @@ def query6_order_by(
     limit: int | None = None,
     budget_bytes: int | None = None,
     cold: bool = True,
-    batched: bool = True,
-    mode: str | None = None,
 ) -> QueryMeasurement:
     """Query 6 (PR 5): ORDER BY over one branch head, optionally limited.
 
@@ -252,49 +215,10 @@ def query6_order_by(
     if limit is not None:
         plan = Limit(plan, limit)
     start = time.perf_counter()
-    rows, _ = _run(plan, batched, mode=mode)
+    rows, _ = _run(plan)
     elapsed = time.perf_counter() - start
     return QueryMeasurement(
         query="Q6",
-        seconds=elapsed,
-        rows=rows,
-        bytes_touched=_record_bytes(engine, rows),
-    )
-
-
-def query5_group_by(
-    engine: VersionedStorageEngine,
-    branch: str,
-    group_column: str = "c1",
-    value_column: str = "c2",
-    cold: bool = True,
-    batched: bool = True,
-    mode: str | None = None,
-) -> QueryMeasurement:
-    """Query 5 (PR 4): grouped aggregation over one branch head.
-
-    ``SELECT group, count(*), sum(value) ... GROUP BY group`` through the
-    full plan/optimize/execute pipeline.  In batched mode the
-    :class:`~repro.core.operators.GroupAggregate` operator slices the group
-    and value columns out of each scan batch once and folds them with
-    precompiled accumulators; in streaming mode it groups record-at-a-time.
-    """
-    if cold:
-        engine.drop_caches()
-    plan = Aggregate(
-        VersionScan(engine, BENCH_RELATION, BENCH_RELATION, "branch", branch, None),
-        [group_column],
-        [
-            SelectItem(column=group_column),
-            SelectItem(function="count", argument="*"),
-            SelectItem(function="sum", argument=value_column),
-        ],
-    )
-    start = time.perf_counter()
-    rows, _ = _run(plan, batched, mode=mode)
-    elapsed = time.perf_counter() - start
-    return QueryMeasurement(
-        query="Q5",
         seconds=elapsed,
         rows=rows,
         bytes_touched=_record_bytes(engine, rows),

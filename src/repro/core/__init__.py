@@ -4,7 +4,7 @@ This subpackage stands in for the MIT SimpleDB engine that the original
 Decibel prototype was built on.  It provides the pieces the versioned storage
 engines need: schemas and fixed-width record encoding, slotted pages, heap
 files, a buffer pool with pinning and LRU eviction, a two-phase-locking lock
-manager, a minimal write-ahead log, and iterator-style query operators.
+manager, a minimal write-ahead log, and columnar query operators.
 """
 
 from repro.core.schema import Column, ColumnType, Schema
@@ -21,8 +21,8 @@ from repro.core.predicates import (
     TruePredicate,
 )
 from repro.core.operators import (
-    Aggregate,
     Filter,
+    GroupAggregate,
     HashJoin,
     Limit,
     Project,
@@ -54,7 +54,7 @@ __all__ = [
     "Filter",
     "Project",
     "HashJoin",
-    "Aggregate",
+    "GroupAggregate",
     "Limit",
     "Catalog",
     "RelationInfo",

@@ -1,22 +1,23 @@
-"""Iterator-style query operators.
+"""Columnar query operators.
 
 Decibel delegates general SQL processing (joins, aggregates) to the query
 layer of the host database while its storage engines expose iterators over
 single versions of a dataset (paper Section 2.1).  These operators mirror
-that split: each takes child iterators of :class:`~repro.core.record.Record`
-objects and produces records lazily, so benchmark queries and the small SQL
-executor can be composed out of them regardless of which storage engine the
-records came from.
+that split: each consumes its children's :class:`~repro.core.columns.ColumnBatch`
+streams -- typed column arrays fed by the engines' column scans -- and
+produces column batches lazily, so benchmark queries and the SQL executor
+compose out of them regardless of which storage engine the data came from.
+There is one execution path: rows exist only at the declared boundaries
+(join output assembly, sort runs, the result builder).
 """
 
 from __future__ import annotations
 
 import heapq
 
-from collections import Counter, defaultdict
+from collections import Counter
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
-
-from operator import itemgetter
 
 from repro.core.columns import ColumnBatch
 from repro.core.predicates import (
@@ -24,34 +25,13 @@ from repro.core.predicates import (
     compile_column_filter,
     compile_predicate,
 )
-from repro.core.record import Record
 from repro.core.schema import Column, ColumnType, Schema
 from repro.core.sort import ExternalRunSorter, make_sort_key, make_values_sort_key
 from repro.core.cancel import checkpoint
 from repro.errors import QueryError
 
-#: Records per batch moved between batch-aware operators.
+#: Rows per batch moved between operators.
 DEFAULT_BATCH_SIZE = 1024
-
-
-def chunk_iterable(items: Iterable, batch_size: int) -> Iterator[list]:
-    """Group an iterable into lists of at most ``batch_size`` items.
-
-    The shared fallback used wherever a tuple-at-a-time source must present
-    the batch protocol; flattening the chunks reproduces the iteration
-    exactly.
-    """
-    batch: list = []
-    append = batch.append
-    for item in items:
-        append(item)
-        if len(batch) >= batch_size:
-            checkpoint()
-            yield batch
-            batch = []
-            append = batch.append
-    if batch:
-        yield batch
 
 
 def join_schema(left: Schema, right: Schema) -> Schema:
@@ -104,120 +84,65 @@ def aggregate_output_column(
 
 
 class Operator:
-    """Base class: an operator is an iterable of records with a schema.
+    """Base class: an operator is a stream of column batches with a schema.
 
-    Operators expose two equivalent consumption modes: :meth:`__iter__`
-    yields records one at a time (the original Volcano-style contract), and
-    :meth:`batches` yields the same records, in the same order, grouped into
-    lists.  Every operator overrides :meth:`batches` with a native
-    batch-at-a-time implementation, so whole record lists move through the
-    pipeline and per-record interpreter overhead is paid only where the
-    semantics require it (hash probes, group folds).
-
-    :meth:`count` is the count-only consumption mode: it returns the number
-    of records the operator would produce without requiring the consumer to
-    materialize them, so ``COUNT(*)``-shaped work can ride on batch lengths
-    (and, at the scan layer, bitmap popcounts) instead of record lists.
+    :meth:`column_batches` yields the operator's output as
+    :class:`ColumnBatch`es; every operator implements it natively, moving
+    typed column arrays rather than row objects.  :meth:`count` is the
+    count-only consumption mode: it returns the number of rows the operator
+    would produce without requiring the consumer to materialize them, so
+    ``COUNT(*)``-shaped work can ride on batch lengths (and, at the scan
+    layer, bitmap popcounts).
     """
 
     schema: Schema
 
-    def __iter__(self) -> Iterator[Record]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        """Yield the operator's output as lists of records.
-
-        The default implementation chunks :meth:`__iter__`; flattening the
-        batches always reproduces the per-record iteration exactly.
-        """
-        yield from chunk_iterable(self, batch_size)
-
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
-    ) -> Iterator[ColumnBatch]:
-        """Yield the operator's output as :class:`ColumnBatch`es.
-
-        The third consumption mode: the same rows, in the same order, carried
-        as typed column arrays.  The default adapts :meth:`batches` at the
-        declared row/column boundary; operators with a native columnar path
-        override it to move whole columns without building row objects, and
-        the optimizer only selects columnar execution for plans where every
-        operator has such an override (see
-        ``repro.query.optimizer.select_execution_mode``).
-        """
-        schema = self.schema
-        for batch in self.batches(batch_size):
-            yield ColumnBatch.from_records(schema, batch)
+    ) -> Iterator[ColumnBatch]:  # pragma: no cover - interface
+        """Yield the operator's output rows as :class:`ColumnBatch`es of
+        about ``batch_size`` rows."""
+        raise NotImplementedError
 
     def count(self) -> int:
-        """Number of records this operator produces (cardinality only).
+        """Number of rows this operator produces (cardinality only).
 
-        The default sums batch lengths.  Operators that can answer without
-        running their full pipeline (projections, sorts, scans with an
-        engine-side counter) override this.
+        The default sums batch row counts.  Operators that can answer
+        without running their full pipeline (projections, sorts, scans with
+        an engine-side counter) override this.
         """
-        return sum(len(batch) for batch in self.batches())
+        return sum(batch.num_rows for batch in self.column_batches())
 
 
 class SeqScan(Operator):
-    """Sequential scan over any iterable of records (e.g. a branch scan).
+    """Sequential scan over an engine column scan.
 
-    ``batch_source`` may supply an iterable of record *lists* (such as a
-    storage engine's ``scan_branch_batched``); it feeds :meth:`batches`
-    directly and is flattened for :meth:`__iter__`.  ``column_source`` may
-    supply an iterable of :class:`ColumnBatch`es (an engine's
-    ``scan_branch_columns``) feeding :meth:`column_batches` the same way.
-    Exactly one of the sources is consumed per execution, and like the plain
-    record iterator each is single-shot.  ``count_source`` optionally
-    supplies an engine-side cardinality shortcut (e.g. a bitmap popcount)
-    used by :meth:`count` instead of consuming the scan.
+    ``source`` is an iterable of :class:`ColumnBatch`es -- an engine's
+    ``scan_branch_columns`` or ``scan_commit_columns`` -- and, like the
+    engine scan, is single-shot.  ``count_source`` optionally supplies an
+    engine-side cardinality shortcut (e.g. a bitmap popcount) used by
+    :meth:`count` instead of consuming the scan.
     """
 
     def __init__(
         self,
-        source: Iterable[Record] | None,
+        source: Iterable[ColumnBatch],
         schema: Schema,
-        batch_source: Iterable[list[Record]] | None = None,
         count_source: Callable[[], int] | None = None,
-        column_source: Iterable[ColumnBatch] | None = None,
     ):
         self.source = source
         self.schema = schema
-        self.batch_source = batch_source
         self.count_source = count_source
-        self.column_source = column_source
-
-    def __iter__(self) -> Iterator[Record]:
-        if self.batch_source is not None:
-            for batch in self.batch_source:
-                checkpoint()
-                yield from batch
-            return
-        yield from self.source
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        # The scan is where all data enters the operator tree, so a
-        # cancellation checkpoint per batch here bounds a cancelled query's
-        # remaining work to one batch in every execution mode.
-        if self.batch_source is not None:
-            for batch in self.batch_source:
-                checkpoint()
-                yield batch
-            return
-        yield from super().batches(batch_size)
 
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
-        """Engine column scans pass through; record sources pivot at the
-        scan, which is the columnar pipeline's declared source boundary."""
-        if self.column_source is not None:
-            for column_batch in self.column_source:
-                checkpoint()
-                yield column_batch
-            return
-        yield from super().column_batches(batch_size)
+        # The scan is where all data enters the operator tree, so a
+        # cancellation checkpoint per batch here bounds a cancelled query's
+        # remaining work to one batch.
+        for column_batch in self.source:
+            checkpoint()
+            yield column_batch
 
     def count(self) -> int:
         if self.count_source is not None:
@@ -226,26 +151,12 @@ class SeqScan(Operator):
 
 
 class Filter(Operator):
-    """Emit only the child records satisfying a predicate."""
+    """Emit only the child rows satisfying a predicate."""
 
     def __init__(self, child: Operator, predicate: Predicate):
         self.child = child
         self.predicate = predicate
         self.schema = child.schema
-
-    def __iter__(self) -> Iterator[Record]:
-        schema = self.schema
-        predicate = self.predicate
-        for record in self.child:
-            if predicate.evaluate(record, schema):
-                yield record
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        matches = compile_predicate(self.predicate, self.schema)
-        for batch in self.child.batches(batch_size):
-            kept = [record for record in batch if matches(record.values)]
-            if kept:
-                yield kept
 
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
@@ -298,28 +209,13 @@ def project_schema(child_schema: Schema, columns: Sequence[str]) -> Schema:
 
 
 class Project(Operator):
-    """Project child records onto a subset of columns (duplicates allowed)."""
+    """Project child rows onto a subset of columns (duplicates allowed)."""
 
     def __init__(self, child: Operator, columns: list[str]):
         self.child = child
         self.columns = list(columns)
         self._indexes = [child.schema.index_of(name) for name in self.columns]
         self.schema = project_schema(child.schema, self.columns)
-
-    def __iter__(self) -> Iterator[Record]:
-        for record in self.child:
-            yield Record(tuple(record.values[i] for i in self._indexes))
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        indexes = self._indexes
-        if len(indexes) == 1:
-            only = indexes[0]
-            for batch in self.child.batches(batch_size):
-                yield [Record((record.values[only],)) for record in batch]
-            return
-        pick = itemgetter(*indexes)
-        for batch in self.child.batches(batch_size):
-            yield [Record(pick(record.values)) for record in batch]
 
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
@@ -331,12 +227,12 @@ class Project(Operator):
             yield batch.select_columns(indexes, schema)
 
     def count(self) -> int:
-        # Projection never changes cardinality; skip building output records.
+        # Projection never changes cardinality; skip the column reshuffle.
         return self.child.count()
 
 
 class Limit(Operator):
-    """Emit at most ``n`` child records."""
+    """Emit at most ``n`` child rows."""
 
     def __init__(self, child: Operator, n: int):
         if n < 0:
@@ -344,28 +240,6 @@ class Limit(Operator):
         self.child = child
         self.n = n
         self.schema = child.schema
-
-    def __iter__(self) -> Iterator[Record]:
-        remaining = self.n
-        if remaining == 0:
-            return
-        for record in self.child:
-            yield record
-            remaining -= 1
-            if remaining == 0:
-                return
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        remaining = self.n
-        if remaining == 0:
-            return
-        for batch in self.child.batches(batch_size):
-            if len(batch) < remaining:
-                yield batch
-                remaining -= len(batch)
-            else:
-                yield batch[:remaining]
-                return
 
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
@@ -418,71 +292,6 @@ class HashJoin(Operator):
             raise QueryError("join requires at least one key column")
         self.schema = join_schema(left.schema, right.schema)
 
-    def __iter__(self) -> Iterator[Record]:
-        build_indexes = [self.left.schema.index_of(c) for c in self.left_columns]
-        probe_indexes = [self.right.schema.index_of(c) for c in self.right_columns]
-        table: dict[tuple, list[Record]] = defaultdict(list)
-        for record in self.left:
-            key = tuple(record.values[i] for i in build_indexes)
-            table[key].append(record)
-        for probe in self.right:
-            key = tuple(probe.values[i] for i in probe_indexes)
-            for match in table.get(key, ()):
-                yield Record(match.values + probe.values)
-
-    def _build_table(self, batch_size: int) -> dict:
-        """Build the hash table from whole left-side batches.
-
-        Single-column joins key the table on the bare value (no per-record
-        tuple allocation); composite joins key on the value tuple.
-        """
-        build_indexes = [self.left.schema.index_of(c) for c in self.left_columns]
-        table: dict = {}
-        if len(build_indexes) == 1:
-            only = build_indexes[0]
-            for batch in self.left.batches(batch_size):
-                for record in batch:
-                    key = record.values[only]
-                    bucket = table.get(key)
-                    if bucket is None:
-                        table[key] = [record]
-                    else:
-                        bucket.append(record)
-            return table
-        pick = itemgetter(*build_indexes)
-        for batch in self.left.batches(batch_size):
-            for record in batch:
-                key = pick(record.values)
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = [record]
-                else:
-                    bucket.append(record)
-        return table
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        """Batch build, batch probe: one pass over each probe-side batch."""
-        probe_indexes = [self.right.schema.index_of(c) for c in self.right_columns]
-        table = self._build_table(batch_size)
-        get_bucket = table.get
-        if len(probe_indexes) == 1:
-            only = probe_indexes[0]
-            key_of = lambda values: values[only]  # noqa: E731
-        else:
-            key_of = itemgetter(*probe_indexes)
-        out: list[Record] = []
-        for batch in self.right.batches(batch_size):
-            for probe in batch:
-                values = probe.values
-                bucket = get_bucket(key_of(values))
-                if bucket:
-                    out.extend(Record(match.values + values) for match in bucket)
-            if len(out) >= batch_size:
-                yield out
-                out = []
-        if out:
-            yield out
-
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
@@ -524,7 +333,7 @@ class HashJoin(Operator):
 
 
 class HashAntiJoin(Operator):
-    """Anti semi-join: outer records whose key has no match in the inner side.
+    """Anti semi-join: outer rows whose key has no match in the inner side.
 
     This is the generic fallback for the ``NOT IN`` query shape when the
     optimizer cannot rewrite it to a storage-engine ``diff``: the inner side
@@ -543,30 +352,6 @@ class HashAntiJoin(Operator):
         self.outer_column = outer_column
         self.inner_column = inner_column
         self.schema = outer.schema
-
-    def __iter__(self) -> Iterator[Record]:
-        inner_index = self.inner.schema.index_of(self.inner_column)
-        outer_index = self.outer.schema.index_of(self.outer_column)
-        inner_keys = {record.values[inner_index] for record in self.inner}
-        for record in self.outer:
-            if record.values[outer_index] not in inner_keys:
-                yield record
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        """Build the inner key set from whole batches; filter outer batches."""
-        inner_index = self.inner.schema.index_of(self.inner_column)
-        outer_index = self.outer.schema.index_of(self.outer_column)
-        inner_keys: set = set()
-        for batch in self.inner.batches(batch_size):
-            inner_keys.update(record.values[inner_index] for record in batch)
-        for batch in self.outer.batches(batch_size):
-            kept = [
-                record
-                for record in batch
-                if record.values[outer_index] not in inner_keys
-            ]
-            if kept:
-                yield kept
 
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
@@ -621,23 +406,6 @@ class OrderBy(Operator):
         self.spilled_runs = 0
         self._key = make_sort_key(self.schema, self.keys)
 
-    def _merged(self, batch_size: int) -> Iterator[Record]:
-        sorter = ExternalRunSorter(self._key, budget_bytes=self.budget_bytes)
-        try:
-            for batch in self.child.batches(batch_size):
-                sorter.add_batch(batch)
-            self.spilled_runs = sorter.spilled_runs
-            yield from sorter.merged()
-        finally:
-            sorter.close()
-
-    def __iter__(self) -> Iterator[Record]:
-        yield from self._merged(DEFAULT_BATCH_SIZE)
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        """Sorted runs under the byte budget, merged and re-batched."""
-        yield from chunk_iterable(self._merged(batch_size), batch_size)
-
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
@@ -651,7 +419,8 @@ class OrderBy(Operator):
                 sorter.add_batch(batch.to_records())
             self.spilled_runs = sorter.spilled_runs
             schema = self.schema
-            for chunk in chunk_iterable(sorter.merged(), batch_size):
+            merged = sorter.merged()
+            while chunk := list(islice(merged, batch_size)):
                 yield ColumnBatch.from_records(schema, chunk)
         finally:
             sorter.close()
@@ -662,7 +431,7 @@ class OrderBy(Operator):
 
 
 class TopN(Operator):
-    """The first ``n`` records of the child's sort order, via a bounded heap.
+    """The first ``n`` rows of the child's sort order, via a bounded heap.
 
     Substituted by the optimizer for ``Limit`` over ``OrderBy``: instead of
     sorting the full input and discarding all but ``n`` rows, a heap of at
@@ -680,40 +449,22 @@ class TopN(Operator):
         self.keys = [(column, bool(descending)) for column, descending in keys]
         self.n = n
         self.schema = child.schema
-        self._key = make_sort_key(self.schema, self.keys)
-
-    def __iter__(self) -> Iterator[Record]:
-        if self.n == 0:
-            return
-        yield from heapq.nsmallest(self.n, self.child, key=self._key)
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        if self.n == 0:
-            return
-        records = (
-            record
-            for batch in self.child.batches(batch_size)
-            for record in batch
-        )
-        top = heapq.nsmallest(self.n, records, key=self._key)
-        for start in range(0, len(top), batch_size):
-            yield top[start : start + batch_size]
+        self._key = make_values_sort_key(self.schema, self.keys)
 
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
         """The bounded heap orders bare value tuples (via
-        :func:`make_values_sort_key`, the same key encoding as row mode, so
-        ties break identically) -- no record objects anywhere."""
+        :func:`make_values_sort_key`, the same key encoding ``OrderBy`` uses,
+        so ties break identically) -- no record objects anywhere."""
         if self.n == 0:
             return
-        key = make_values_sort_key(self.schema, self.keys)
         rows = (
             values
             for batch in self.child.column_batches(batch_size)
             for values in batch.rows()
         )
-        top = heapq.nsmallest(self.n, rows, key=key)
+        top = heapq.nsmallest(self.n, rows, key=self._key)
         schema = self.schema
         for start in range(0, len(top), batch_size):
             yield ColumnBatch.from_rows(schema, top[start : start + batch_size])
@@ -729,27 +480,6 @@ class Distinct(Operator):
     def __init__(self, child: Operator):
         self.child = child
         self.schema = child.schema
-
-    def __iter__(self) -> Iterator[Record]:
-        seen: set[tuple] = set()
-        for record in self.child:
-            if record.values not in seen:
-                seen.add(record.values)
-                yield record
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        seen: set[tuple] = set()
-        seen_add = seen.add
-        for batch in self.child.batches(batch_size):
-            kept: list[Record] = []
-            keep = kept.append
-            for record in batch:
-                values = record.values
-                if values not in seen:
-                    seen_add(values)
-                    keep(record)
-            if kept:
-                yield kept
 
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
@@ -773,14 +503,12 @@ class Distinct(Operator):
                 yield batch.take(selection)
 
 
-# -- batch aggregation folds ---------------------------------------------------
+# -- aggregation folds ---------------------------------------------------------
 #
-# Grouped aggregation in batch mode slices the group-key column and each
-# aggregate's input column out of a batch once, then folds the parallel lists
-# into per-group running states with one of these precompiled accumulators.
-# Compared to the per-record path (dict-of-record-lists, then one function
-# call per group) this touches each record's values tuple at most twice and
-# never materializes per-group record lists.
+# Grouped aggregation takes the group-key column and each aggregate's input
+# column straight off a batch, then folds the parallel arrays into per-group
+# running states with one of these precompiled accumulators; no per-group
+# row lists are ever materialized.
 
 _MISSING = object()
 
@@ -829,8 +557,9 @@ def _fold_avg(state: dict, keys: list, values: list) -> None:
             pair[1] += 1
 
 
-#: Batch fold per aggregate function; the fold mutates a per-group state dict.
-_BATCH_FOLDS: dict[str, Callable[[dict, list, list | None], None]] = {
+#: Fold per supported aggregate function; the fold mutates a per-group state
+#: dict.  Its keys are the aggregate functions the query layer accepts.
+AGGREGATE_FOLDS: dict[str, Callable[[dict, list, list | None], None]] = {
     "count": _fold_count,
     "sum": _fold_sum,
     "min": _fold_min,
@@ -840,223 +569,26 @@ _BATCH_FOLDS: dict[str, Callable[[dict, list, list | None], None]] = {
 
 #: Converts a fold state into the aggregate's output value (identity when
 #: absent -- only ``avg`` keeps a compound state).
-_BATCH_FINALIZERS: dict[str, Callable] = {
+_FINALIZERS: dict[str, Callable] = {
     "avg": lambda pair: pair[0] / pair[1],
 }
-
-
-def _scalar_aggregate(
-    batches: Iterable[list[Record]], function: str, value_index: int
-):
-    """Fold one ungrouped aggregate over record batches.
-
-    Empty input follows SQL semantics: ``count`` is 0, every other function
-    is NULL (``None``).
-    """
-    if function == "count":
-        return sum(len(batch) for batch in batches)
-    if function in ("min", "max"):
-        pick = min if function == "min" else max
-        best = _MISSING
-        for batch in batches:
-            if batch:
-                candidate = pick(record.values[value_index] for record in batch)
-                best = candidate if best is _MISSING else pick(best, candidate)
-        return None if best is _MISSING else best
-    total = 0
-    n = 0
-    for batch in batches:
-        total += sum(record.values[value_index] for record in batch)
-        n += len(batch)
-    if function == "avg":
-        return total / n if n else None
-    return total if n else None
-
-
-def _scalar_aggregate_columns(
-    batches: Iterable[ColumnBatch], function: str, value_index: int
-):
-    """Fold one ungrouped aggregate over column batches.
-
-    The array-backed accumulator path: ``sum``/``min``/``max`` reduce the
-    typed value arrays directly with the C-implemented builtins -- no value
-    is ever lifted into a row.  Empty input follows SQL semantics (``count``
-    is 0, everything else NULL), as in :func:`_scalar_aggregate`.
-    """
-    if function == "count":
-        return sum(batch.num_rows for batch in batches)
-    if function in ("min", "max"):
-        pick = min if function == "min" else max
-        best = _MISSING
-        for batch in batches:
-            if batch.num_rows:
-                candidate = pick(batch.columns[value_index])
-                best = candidate if best is _MISSING else pick(best, candidate)
-        return None if best is _MISSING else best
-    total = 0
-    n = 0
-    for batch in batches:
-        total += sum(batch.columns[value_index])
-        n += batch.num_rows
-    if function == "avg":
-        return total / n if n else None
-    return total if n else None
-
-
-class Aggregate(Operator):
-    """Grouped aggregation over one column.
-
-    Supports ``count``, ``sum``, ``min``, ``max`` and ``avg``.  With no
-    grouping column the whole input forms a single group.  Output records are
-    ``(group, value)`` pairs (or ``(value,)`` when ungrouped).  Empty input
-    follows SQL semantics: ``count`` is 0, everything else is NULL
-    (``None``).
-    """
-
-    _FUNCTIONS: dict[str, Callable[[list], object]] = {
-        "count": len,
-        "sum": sum,
-        "min": min,
-        "max": max,
-        "avg": lambda values: sum(values) / len(values) if values else None,
-    }
-
-    def __init__(
-        self,
-        child: Operator,
-        function: str,
-        column: str,
-        group_by: str | None = None,
-    ):
-        function = function.lower()
-        if function not in self._FUNCTIONS:
-            raise QueryError(f"unsupported aggregate function: {function!r}")
-        self.child = child
-        self.function = function
-        self.column = column
-        self.group_by = group_by
-        out_columns = []
-        if group_by is not None:
-            # The group key inherits the type of the grouping column, so
-            # string-keyed groups carry a correctly typed schema.
-            source = child.schema.column(group_by)
-            out_columns.append(Column("group_key", source.type, source.width))
-        out_columns.append(
-            aggregate_output_column("agg_value", function, column, child.schema)
-        )
-        # Derived: aggregate outputs are never stored, and a FLOAT agg_value
-        # (avg) cannot satisfy the stored-schema integer-key requirement.
-        self.schema = Schema.derived(tuple(out_columns))
-
-    def __iter__(self) -> Iterator[Record]:
-        child_schema = self.child.schema
-        value_index = child_schema.index_of(self.column)
-        func = self._FUNCTIONS[self.function]
-        if self.group_by is None:
-            values = [record.values[value_index] for record in self.child]
-            # SQL empty-input semantics: count() is 0, the rest are NULL.
-            result = (
-                func(values)
-                if (values or self.function == "count")
-                else None
-            )
-            yield Record((result,))
-            return
-        group_index = child_schema.index_of(self.group_by)
-        groups: dict[object, list] = defaultdict(list)
-        for record in self.child:
-            groups[record.values[group_index]].append(record.values[value_index])
-        for key in sorted(groups):
-            yield Record((key, func(groups[key])))
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        """Batch fold: slice the key/input columns per batch, fold, emit once."""
-        child_schema = self.child.schema
-        value_index = child_schema.index_of(self.column)
-        function = self.function
-        if self.group_by is None:
-            yield [
-                Record(
-                    (
-                        _scalar_aggregate(
-                            self.child.batches(batch_size), function, value_index
-                        ),
-                    )
-                )
-            ]
-            return
-        group_index = child_schema.index_of(self.group_by)
-        fold = _BATCH_FOLDS[function]
-        finalize = _BATCH_FINALIZERS.get(function)
-        state: dict = _fold_state(function)
-        for batch in self.child.batches(batch_size):
-            keys = [record.values[group_index] for record in batch]
-            if function == "count":
-                fold(state, keys, None)
-            else:
-                fold(state, keys, [record.values[value_index] for record in batch])
-        rows = [
-            Record((key, finalize(state[key]) if finalize else state[key]))
-            for key in sorted(state)
-        ]
-        for start in range(0, len(rows), batch_size):
-            yield rows[start : start + batch_size]
-
-    def column_batches(
-        self, batch_size: int = DEFAULT_BATCH_SIZE
-    ) -> Iterator[ColumnBatch]:
-        """Columnar fold: group keys and aggregate inputs are the child's
-        column arrays themselves, and the output is built column-wise."""
-        child_schema = self.child.schema
-        value_index = child_schema.index_of(self.column)
-        function = self.function
-        schema = self.schema
-        if self.group_by is None:
-            result = _scalar_aggregate_columns(
-                self.child.column_batches(batch_size), function, value_index
-            )
-            yield ColumnBatch.from_rows(schema, [(result,)])
-            return
-        group_index = child_schema.index_of(self.group_by)
-        fold = _BATCH_FOLDS[function]
-        finalize = _BATCH_FINALIZERS.get(function)
-        state: dict = _fold_state(function)
-        for batch in self.child.column_batches(batch_size):
-            fold(
-                state,
-                batch.columns[group_index],
-                None if function == "count" else batch.columns[value_index],
-            )
-        group_keys = sorted(state)
-        out_values = [
-            finalize(state[key]) if finalize else state[key]
-            for key in group_keys
-        ]
-        out = ColumnBatch(schema, (group_keys, out_values))
-        if out.num_rows <= batch_size:
-            if out.num_rows:
-                yield out
-            return
-        for start in range(0, out.num_rows, batch_size):
-            yield out.slice(start, start + batch_size)
 
 
 class GroupAggregate(Operator):
     """Grouped aggregation over any number of keys and aggregate expressions.
 
     ``group_by`` names zero or more grouping columns; ``aggregates`` is a
-    sequence of ``(output_name, function, argument)`` where ``argument`` is a
-    child column name, or ``"*"`` for ``count(*)``.  The output schema is the
-    grouping columns (inheriting their child types) followed by one column
-    per aggregate (typed by :func:`aggregate_output_column`).
+    sequence of ``(output_name, function, argument)`` where ``function`` is
+    one of :data:`AGGREGATE_FOLDS` and ``argument`` is a child column name,
+    or ``"*"`` for ``count(*)``.  The output schema is the grouping columns
+    (inheriting their child types) followed by one column per aggregate
+    (typed by :func:`aggregate_output_column`).
 
     With no grouping columns the whole input forms a single group and exactly
     one row is emitted; for empty input that row follows SQL semantics --
-    ``count`` columns are 0, every other aggregate is NULL (``None``), as in
-    :class:`Aggregate`.  Groups are emitted in sorted key order.
+    ``count`` columns are 0, every other aggregate is NULL (``None``).
+    Groups are emitted in sorted key order.
     """
-
-    _FUNCTIONS = Aggregate._FUNCTIONS
 
     def __init__(
         self,
@@ -1071,7 +603,7 @@ class GroupAggregate(Operator):
             for name, function, argument in aggregates
         ]
         for name, function, argument in self.aggregates:
-            if function not in self._FUNCTIONS:
+            if function not in AGGREGATE_FOLDS:
                 raise QueryError(f"unsupported aggregate function: {function!r}")
             if argument == "*" and function != "count":
                 raise QueryError(f"{function}(*) is not supported; use a column")
@@ -1085,141 +617,20 @@ class GroupAggregate(Operator):
             )
         self.schema = Schema.derived(tuple(out_columns))
 
-    def __iter__(self) -> Iterator[Record]:
-        child_schema = self.child.schema
-        group_indexes = [child_schema.index_of(c) for c in self.group_by]
-        agg_indexes = [
-            None if argument == "*" else child_schema.index_of(argument)
-            for _, _, argument in self.aggregates
-        ]
-        groups: dict[tuple, list[Record]] = defaultdict(list)
-        for record in self.child:
-            key = tuple(record.values[i] for i in group_indexes)
-            groups[key].append(record)
-        if not self.group_by and not groups:
-            groups[()] = []
-        for key in sorted(groups):
-            rows = groups[key]
-            values = list(key)
-            for (name, function, argument), index in zip(
-                self.aggregates, agg_indexes
-            ):
-                func = self._FUNCTIONS[function]
-                inputs = (
-                    [1] * len(rows)
-                    if index is None
-                    else [record.values[index] for record in rows]
-                )
-                # SQL empty-input semantics: count() is 0, the rest are NULL.
-                values.append(
-                    func(inputs) if (inputs or function == "count") else None
-                )
-            yield Record(tuple(values))
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        """Grouped column extraction: per batch, slice the group-key column
-        and each aggregate's input column out once, then fold the parallel
-        lists with the precompiled accumulators.  Output is identical to
-        :meth:`__iter__` (groups in sorted key order)."""
-        rows = self._folded_rows(batch_size)
-        for start in range(0, len(rows), batch_size):
-            yield rows[start : start + batch_size]
-
-    def _agg_specs(self) -> tuple[list[tuple], list[dict]]:
-        """Per-aggregate ``(fold, finalize, input_index)`` specs and fresh
-        fold states, shared by the row-batch and columnar fold loops."""
-        child_schema = self.child.schema
-        specs: list[tuple] = []
-        states: list[dict] = []
-        for _, function, argument in self.aggregates:
-            index = None if argument == "*" else child_schema.index_of(argument)
-            specs.append(
-                (_BATCH_FOLDS[function], _BATCH_FINALIZERS.get(function), index)
-            )
-            states.append(_fold_state(function))
-        return specs, states
-
-    def _empty_row(self) -> tuple:
-        """The one output row for empty ungrouped input: SQL empty-input
-        results (count -> 0, others -> NULL), as in __iter__."""
-        return tuple(
-            0 if function == "count" else None
-            for _, function, _ in self.aggregates
-        )
-
-    def _finalized_columns(
-        self, specs: list[tuple], states: list[dict], seen: set
-    ) -> tuple[list, list[list]]:
-        """Sorted group keys plus one finalized output column per aggregate.
-
-        Column-wise emission shared by both batch modes: one finalized list
-        per aggregate, aligned with the sorted keys (no per-row state
-        probing).  Every fold sees every record, so any one state holds all
-        group keys (``seen`` covers the no-aggregates case).
-        """
-        group_keys = sorted(states[0]) if states else sorted(seen)
-        agg_columns: list[list] = []
-        for (_, finalize, _), state in zip(specs, states):
-            if finalize is None:
-                agg_columns.append([state[key] for key in group_keys])
-            else:
-                agg_columns.append([finalize(state[key]) for key in group_keys])
-        return group_keys, agg_columns
-
-    def _folded_rows(self, batch_size: int) -> list[Record]:
-        child_schema = self.child.schema
-        group_indexes = [child_schema.index_of(c) for c in self.group_by]
-        specs, states = self._agg_specs()
-        single = len(group_indexes) == 1
-        if single:
-            group_index = group_indexes[0]
-        elif group_indexes:
-            pick_key = itemgetter(*group_indexes)
-        seen: set = set()  # group keys when there are no aggregates to fold
-        for batch in self.child.batches(batch_size):
-            if single:
-                keys = [record.values[group_index] for record in batch]
-            elif group_indexes:
-                keys = [pick_key(record.values) for record in batch]
-            else:
-                keys = [()] * len(batch)
-            if not states:
-                seen.update(keys)
-                continue
-            columns: dict[int, list] = {}
-            for (fold, _, index), state in zip(specs, states):
-                if index is None:
-                    fold(state, keys, None)
-                else:
-                    column = columns.get(index)
-                    if column is None:
-                        column = [record.values[index] for record in batch]
-                        columns[index] = column
-                    fold(state, keys, column)
-        group_keys, agg_columns = self._finalized_columns(specs, states, seen)
-        if not self.group_by and not group_keys:
-            return [Record(self._empty_row())]
-        if single:
-            return [Record(values) for values in zip(group_keys, *agg_columns)]
-        if not group_indexes:
-            # Exactly one (ungrouped) row; its key contributes no columns.
-            return [Record(tuple(column[0] for column in agg_columns))]
-        return [
-            Record(key + tuple(aggs))
-            for key, *aggs in zip(group_keys, *agg_columns)
-        ]
-
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
         """Columnar grouped fold: the group-key and aggregate-input columns
-        are the child's column arrays themselves (zero extraction work --
-        the array-backed accumulator path carried over from the row-batch
-        fold), and the output is assembled column-wise.  Groups emit in
-        sorted key order, identical to the other modes."""
+        are the child's column arrays themselves (zero extraction work), and
+        the output is assembled column-wise in sorted group-key order."""
         child_schema = self.child.schema
         group_indexes = [child_schema.index_of(c) for c in self.group_by]
-        specs, states = self._agg_specs()
+        specs: list[tuple] = []
+        states: list[dict] = []
+        for _, function, argument in self.aggregates:
+            index = None if argument == "*" else child_schema.index_of(argument)
+            specs.append((AGGREGATE_FOLDS[function], _FINALIZERS.get(function), index))
+            states.append(_fold_state(function))
         single = len(group_indexes) == 1
         seen: set = set()  # group keys when there are no aggregates to fold
         for batch in self.child.column_batches(batch_size):
@@ -1235,10 +646,28 @@ class GroupAggregate(Operator):
                 continue
             for (fold, _, index), state in zip(specs, states):
                 fold(state, keys, None if index is None else columns[index])
-        group_keys, agg_columns = self._finalized_columns(specs, states, seen)
+        # Every fold sees every row, so any one state holds all group keys
+        # (``seen`` covers the no-aggregates case).
+        group_keys = sorted(states[0]) if states else sorted(seen)
+        agg_columns = [
+            [
+                state[key] if finalize is None else finalize(state[key])
+                for key in group_keys
+            ]
+            for (_, finalize, _), state in zip(specs, states)
+        ]
         schema = self.schema
         if not self.group_by and not group_keys:
-            yield ColumnBatch.from_rows(schema, [self._empty_row()])
+            # SQL empty-input semantics: count() is 0, the rest are NULL.
+            yield ColumnBatch.from_rows(
+                schema,
+                [
+                    tuple(
+                        0 if function == "count" else None
+                        for _, function, _ in self.aggregates
+                    )
+                ],
+            )
             return
         if not group_keys:
             return
@@ -1257,8 +686,3 @@ class GroupAggregate(Operator):
             return
         for start in range(0, out.num_rows, batch_size):
             yield out.slice(start, start + batch_size)
-
-
-def materialize(operator: Operator) -> list[Record]:
-    """Run an operator tree to completion and return all output records."""
-    return [record for batch in operator.batches() for record in batch]

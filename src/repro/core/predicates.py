@@ -52,30 +52,19 @@ class Predicate(ABC):
         """
         return lambda values: self.evaluate(Record(values), schema)
 
-    def _expr(self, schema: Schema, values: str, constants: list) -> str | None:
-        """A Python expression equivalent to :meth:`evaluate`, or ``None``.
-
-        ``values`` is the source text of the values tuple; constants are
-        appended to ``constants`` and referenced as ``_c[i]`` (never
-        ``repr``-ed into the source, so arbitrary objects are safe).  The
-        batch filter compiler inlines this expression into a list
-        comprehension, removing the per-record function call entirely.
-        ``None`` means "not expressible" and falls back to the closure.
-        """
-        return None
-
     def _column_expr(
         self, schema: Schema, constants: list, used: "set[int]"
     ) -> str | None:
         """A column-vector expression equivalent to :meth:`evaluate`.
 
         References the row-``_i`` value of column ``j`` as ``_cols[j][_i]``
-        and records every touched column index in ``used``; constants bind
-        through ``_c[i]`` exactly as in :meth:`_expr`.  The columnar filter
-        compiler inlines this into an index-selection comprehension over
-        whole column arrays.  ``None`` means "not expressible" -- columnar
-        callers then fall back to row-at-a-time evaluation at the batch
-        boundary.
+        and records every touched column index in ``used``; constants are
+        appended to ``constants`` and referenced as ``_c[i]`` (never
+        ``repr``-ed into the source, so arbitrary objects are safe).  The
+        columnar filter compiler inlines this into an index-selection
+        comprehension over whole column arrays.  ``None`` means "not
+        expressible" -- columnar callers then fall back to row-at-a-time
+        evaluation at the batch boundary.
         """
         return None
 
@@ -108,20 +97,6 @@ def _compile_cached(schema: Schema, predicate: Predicate) -> CompiledPredicate:
 
 
 @lru_cache(maxsize=512)
-def _compile_batch_cached(schema: Schema, predicate: Predicate):
-    constants: list = []
-    expr = predicate._expr(schema, "record.values", constants)
-    if expr is None:
-        return None
-    source = f"lambda records, _c: [record for record in records if {expr}]"
-    # The source is assembled only from validated operator symbols, integer
-    # column indexes and ``_c[i]`` references, never from value reprs.
-    filter_fn = eval(source, {"__builtins__": {}}, {})  # noqa: S307
-    bound = tuple(constants)
-    return lambda records: filter_fn(records, bound)
-
-
-@lru_cache(maxsize=512)
 def _compile_column_cached(schema: Schema, predicate: Predicate):
     constants: list = []
     used: set[int] = set()
@@ -139,8 +114,8 @@ def _compile_column_cached(schema: Schema, predicate: Predicate):
         )
     else:
         source = f"lambda _cols, _n, _c: [_i for _i in range(_n) if {expr}]"
-    # As with the batch filter, the source is assembled only from validated
-    # operator symbols, integer column indexes and ``_c[i]`` references.
+    # The source is assembled only from validated operator symbols, integer
+    # column indexes and ``_c[i]`` references, never from value reprs.
     select_fn = eval(  # noqa: S307
         source,
         {"__builtins__": {"enumerate": enumerate, "range": range}},
@@ -199,23 +174,6 @@ def compile_column_filter(predicate: Predicate | None, schema: Schema):
         return None
 
 
-def compile_batch_filter(predicate: Predicate | None, schema: Schema):
-    """Compile ``predicate`` into a whole-list filter over records.
-
-    Returns a callable ``filter(records) -> list[Record]`` whose predicate
-    expression is inlined into the comprehension, so matching costs no
-    per-record Python function call.  Returns ``None`` when ``predicate``
-    is ``None`` or not expressible (custom predicate classes) -- callers
-    then fall back to the per-record :func:`compile_predicate` closure.
-    """
-    if predicate is None:
-        return None
-    try:
-        return _compile_batch_cached(schema, predicate)
-    except TypeError:  # unhashable constant: skip the cache
-        return None
-
-
 def compile_predicate(
     predicate: Predicate | None, schema: Schema
 ) -> CompiledPredicate | None:
@@ -244,9 +202,6 @@ class TruePredicate(Predicate):
 
     def _compile(self, schema: Schema) -> CompiledPredicate:
         return lambda values: True
-
-    def _expr(self, schema: Schema, values: str, constants: list) -> str | None:
-        return "True"
 
     def _column_expr(
         self, schema: Schema, constants: list, used: "set[int]"
@@ -286,12 +241,6 @@ class ColumnPredicate(Predicate):
         constant = self.value
         return lambda values: compare(values[index], constant)
 
-    def _expr(self, schema: Schema, values: str, constants: list) -> str | None:
-        index = schema.index_of(self.column)
-        constants.append(self.value)
-        symbol = _OPERATOR_SOURCE[self.op]
-        return f"({values}[{index}] {symbol} _c[{len(constants) - 1}])"
-
     def _column_expr(
         self, schema: Schema, constants: list, used: "set[int]"
     ) -> str | None:
@@ -318,13 +267,6 @@ class And(Predicate):
         left = self.left._compile(schema)
         right = self.right._compile(schema)
         return lambda values: left(values) and right(values)
-
-    def _expr(self, schema: Schema, values: str, constants: list) -> str | None:
-        left = self.left._expr(schema, values, constants)
-        right = self.right._expr(schema, values, constants)
-        if left is None or right is None:
-            return None
-        return f"({left} and {right})"
 
     def _column_expr(
         self, schema: Schema, constants: list, used: "set[int]"
@@ -353,13 +295,6 @@ class Or(Predicate):
         right = self.right._compile(schema)
         return lambda values: left(values) or right(values)
 
-    def _expr(self, schema: Schema, values: str, constants: list) -> str | None:
-        left = self.left._expr(schema, values, constants)
-        right = self.right._expr(schema, values, constants)
-        if left is None or right is None:
-            return None
-        return f"({left} or {right})"
-
     def _column_expr(
         self, schema: Schema, constants: list, used: "set[int]"
     ) -> str | None:
@@ -382,12 +317,6 @@ class Not(Predicate):
     def _compile(self, schema: Schema) -> CompiledPredicate:
         inner = self.inner._compile(schema)
         return lambda values: not inner(values)
-
-    def _expr(self, schema: Schema, values: str, constants: list) -> str | None:
-        inner = self.inner._expr(schema, values, constants)
-        if inner is None:
-            return None
-        return f"(not {inner})"
 
     def _column_expr(
         self, schema: Schema, constants: list, used: "set[int]"
@@ -442,11 +371,6 @@ class ModuloPredicate(Predicate):
         index = schema.index_of(self.column)
         modulus = self.modulus
         return lambda values: values[index] % modulus != 0
-
-    def _expr(self, schema: Schema, values: str, constants: list) -> str | None:
-        index = schema.index_of(self.column)
-        constants.append(self.modulus)
-        return f"({values}[{index}] % _c[{len(constants) - 1}] != 0)"
 
     def _column_expr(
         self, schema: Schema, constants: list, used: "set[int]"

@@ -12,7 +12,7 @@ another version), multi-version self-joins, and head scans
 Execution is a three-stage pipeline: :mod:`repro.query.logical` lowers the
 parsed AST into a logical plan, :mod:`repro.query.optimizer` applies
 rule-based rewrites (predicate pushdown, ``NOT IN`` -> engine ``diff``), and
-:mod:`repro.query.physical` maps the optimized plan onto the iterator
+:mod:`repro.query.physical` maps the optimized plan onto the columnar
 operators of :mod:`repro.core.operators`.
 """
 

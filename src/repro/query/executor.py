@@ -5,9 +5,10 @@ Every SQL query runs through three explicit stages:
 1. :mod:`repro.query.logical` lowers the parsed AST into a logical plan
    (version scans, diffs, joins, filters, aggregation, ordering);
 2. :mod:`repro.query.optimizer` applies rule-based rewrites -- predicate
-   pushdown into engine scans and recognition of the ``NOT IN`` shape as the
-   engine's bitmap ``diff`` primitive;
-3. :mod:`repro.query.physical` maps the optimized plan onto the iterator
+   pushdown into engine scans, recognition of the ``NOT IN`` shape as the
+   engine's bitmap ``diff`` primitive, index-scan selection, Top-N fusion
+   and projection pushdown;
+3. :mod:`repro.query.physical` maps the optimized plan onto the columnar
    operators of :mod:`repro.core.operators` and assembles the result.
 
 :func:`explain_query` returns the optimized plan as indented text, which is
@@ -19,12 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.query.logical import LogicalNode, lower_query, render_plan
-from repro.query.optimizer import (
-    execution_mode_labels,
-    optimize,
-    rewrite_labels,
-    select_execution_mode,
-)
+from repro.query.optimizer import optimize, rewrite_labels
 from repro.query.parser import parse_query
 from repro.query.physical import QueryResult, execute_plan
 
@@ -40,25 +36,16 @@ def plan_query(db: "Decibel", sql: str) -> LogicalNode:
 
 
 def execute_query(db: "Decibel", sql: str) -> QueryResult:
-    """Parse and execute ``sql`` against the relations registered in ``db``.
-
-    The execution mode is selected per plan: columnar whenever the whole
-    operator tree is column-native (the normal case), batched when it is
-    only batch-native, tuple-at-a-time otherwise -- never a silent
-    mid-pipeline fallback.
-    """
-    plan = plan_query(db, sql)
-    return execute_plan(plan, mode=select_execution_mode(plan))
+    """Parse and execute ``sql`` against the relations registered in ``db``."""
+    return execute_plan(plan_query(db, sql))
 
 
 def explain_query(db: "Decibel", sql: str) -> str:
     """The optimized plan for ``sql``, rendered as an indented tree.
 
-    Each node carries its execution-mode tag (``[columnar]``, ``[batched]``
-    or ``[tuple]``), so any fallback out of columnar or batch mode is
-    visible per node; optimizer substitutions add their own tags
-    (``[top-n k=n]`` for the Limit-over-Sort rewrite), so no rewrite is
-    silent.
+    Optimizer substitutions carry tags (``[top-n k=n]`` for the
+    Limit-over-Sort rewrite, ``[index]`` for index scans, ``[project]`` for
+    column-pruned scans), so no rewrite is silent.
 
     Explained plans are always run through the plan verifier
     (:func:`repro.analysis.plan_check.verify_plan`): EXPLAIN is the
@@ -68,10 +55,5 @@ def explain_query(db: "Decibel", sql: str) -> str:
     from repro.analysis.plan_check import verify_plan
 
     plan = plan_query(db, sql)
-    verify_plan(plan, mode=select_execution_mode(plan))
-    annotations: dict[int, list[str]] = {
-        node_id: [tag] for node_id, tag in rewrite_labels(plan).items()
-    }
-    for node_id, mode in execution_mode_labels(plan).items():
-        annotations.setdefault(node_id, []).append(mode)
-    return render_plan(plan, annotations)
+    verify_plan(plan)
+    return render_plan(plan, rewrite_labels(plan))

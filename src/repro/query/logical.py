@@ -6,7 +6,7 @@ produces a tree of logical nodes.  The tree says *what* to compute --
 version-bound scans, diffs, joins, filters, aggregation, ordering -- without
 fixing *how*; :mod:`repro.query.optimizer` rewrites it (predicate pushdown,
 ``NOT IN`` -> engine ``diff``) and :mod:`repro.query.physical` maps the
-optimized tree onto the iterator operators of :mod:`repro.core.operators`.
+optimized tree onto the columnar operators of :mod:`repro.core.operators`.
 
 Plans can also be built directly against a storage engine (no SQL, no
 facade), which is how :mod:`repro.bench.queries` routes the paper's four
@@ -520,24 +520,20 @@ def result_columns(plan: LogicalNode) -> list[str]:
 
 def render_plan(
     plan: LogicalNode,
-    annotations: dict[int, str | list[str]] | None = None,
+    annotations: dict[int, str] | None = None,
 ) -> str:
     """Render a plan as an indented tree, one node per line.
 
-    ``annotations`` optionally maps ``id(node)`` to a short tag -- or a list
-    of tags -- each rendered as ``[tag]`` after the node's label (EXPLAIN
-    uses this to show each node's rewrites and execution mode).
+    ``annotations`` optionally maps ``id(node)`` to a short tag rendered as
+    ``[tag]`` after the node's label (EXPLAIN uses this to show each node's
+    optimizer rewrite).
     """
     lines: list[str] = []
 
     def _walk(node: LogicalNode, depth: int) -> None:
         label = node.label()
-        if annotations is not None:
-            tags = annotations.get(id(node))
-            if tags:
-                if isinstance(tags, str):
-                    tags = [tags]
-                label += "".join(f" [{tag}]" for tag in tags)
+        if annotations is not None and id(node) in annotations:
+            label += f" [{annotations[id(node)]}]"
         lines.append("  " * depth + label)
         for child in node.children:
             _walk(child, depth + 1)

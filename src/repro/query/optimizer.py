@@ -68,69 +68,6 @@ def optimize(plan: LogicalNode) -> LogicalNode:
     return plan
 
 
-# -- execution-mode selection -------------------------------------------------
-
-
-def select_execution_mode(plan: LogicalNode) -> str:
-    """Choose the execution mode for an optimized plan.
-
-    Returns ``"columnar"``, ``"batched"`` or ``"streaming"``.  The choice is
-    made for the *whole* operator tree, never per node: columnar execution
-    is selected when every node's physical operator carries both a native
-    batch path and a native column-batch path (the normal case -- every node
-    the planner currently produces qualifies); plans that are only
-    batch-native everywhere run batched; anything else falls back to
-    tuple-at-a-time streaming *explicitly*.  The fallback is visible per
-    node in ``EXPLAIN`` output (:func:`execution_mode_labels`) rather than
-    silently degrading mid-pipeline.
-    """
-    from repro.query.physical import batch_native, columnar_native
-
-    def batch_covered(node: LogicalNode) -> bool:
-        return batch_native(node) and all(
-            batch_covered(child) for child in node.children
-        )
-
-    def columnar_covered(node: LogicalNode) -> bool:
-        return (
-            batch_native(node)
-            and columnar_native(node)
-            and all(columnar_covered(child) for child in node.children)
-        )
-
-    if columnar_covered(plan):
-        return "columnar"
-    if batch_covered(plan):
-        return "batched"
-    return "streaming"
-
-
-def execution_mode_labels(plan: LogicalNode) -> dict[int, str]:
-    """Per-node execution-mode annotations for EXPLAIN, keyed by ``id(node)``.
-
-    When the whole plan qualifies for columnar execution every node is
-    labeled ``columnar`` (the mode is a whole-plan decision); otherwise each
-    node is labeled ``batched`` or ``tuple`` individually, so a plan that
-    cannot run fully batched shows exactly where the pipeline drops out of
-    batch mode.
-    """
-    from repro.query.physical import batch_native
-
-    labels: dict[int, str] = {}
-    plan_columnar = select_execution_mode(plan) == "columnar"
-
-    def walk(node: LogicalNode) -> None:
-        if plan_columnar:
-            labels[id(node)] = "columnar"
-        else:
-            labels[id(node)] = "batched" if batch_native(node) else "tuple"
-        for child in node.children:
-            walk(child)
-
-    walk(plan)
-    return labels
-
-
 # -- rule: Limit over Sort -> Top-N --------------------------------------------
 
 
@@ -252,22 +189,19 @@ def select_index_scans(plan: LogicalNode) -> LogicalNode:
 
 
 def prune_scan_columns(plan: LogicalNode) -> LogicalNode:
-    """Push the plan's column requirements down into branch scans.
+    """Push the plan's column requirements down into version scans.
 
-    Runs last, and only when the whole plan executes columnar (the pruned
-    decode path lives in ``scan_branch_columns``).  Each branch-head
-    :class:`VersionScan` whose ancestors reference a proper subset of the
-    relation's columns gets ``scan.columns`` set -- predicate columns
-    included, schema order preserved -- and its output schema projected, so
-    the page decode skips every unreferenced column.  Nodes that need their
-    child's full schema (joins, diffs, head scans) stop the pruning.
+    Runs last.  Each :class:`VersionScan` (branch head or commit) whose
+    ancestors reference a proper subset of the relation's columns gets
+    ``scan.columns`` set -- predicate columns included, schema order
+    preserved -- and its output schema projected, so the engine's column
+    scan skips every unreferenced column.  Nodes that need their child's
+    full schema (joins, diffs, head scans) stop the pruning.
     """
-    if select_execution_mode(plan) != "columnar":
-        return plan
 
     def walk(node: LogicalNode, needed: set[str] | None) -> None:
         if isinstance(node, VersionScan):
-            if needed is None or node.kind != "branch":
+            if needed is None:
                 return
             all_names = node.engine.schema.column_names
             keep = set(needed)

@@ -1,9 +1,12 @@
 """Physical execution: stage three of the query pipeline.
 
-:func:`build_physical` maps an optimized logical plan onto the iterator
-operators of :mod:`repro.core.operators`; :func:`execute_plan` runs the
-operator tree and assembles a :class:`QueryResult`.  Every query -- the four
-paper benchmark queries included -- flows through this one code path.
+:func:`build_physical` maps an optimized logical plan onto the columnar
+operators of :mod:`repro.core.operators`, fed by the engines' column scans
+(``scan_branch_columns`` for branch heads, ``scan_commit_columns`` for
+commits); :func:`execute_plan` runs the operator tree and assembles a
+:class:`QueryResult`, materializing rows only at that result boundary.
+Every query -- the four paper benchmark queries included -- flows through
+this one code path.
 
 Head scans thread the set of branches each record is live in through the
 operator tree as a hidden trailing column
@@ -86,20 +89,6 @@ class HeadScanExec(Operator):
         self.node = node
         self.schema = node.schema
 
-    def __iter__(self) -> Iterator[Record]:
-        for record, branches in self.node.engine.scan_heads(self.node.predicate):
-            yield Record(record.values + (branches,))
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        annotated = self.node.engine.scan_heads_batched(
-            self.node.predicate, batch_size=batch_size
-        )
-        for pairs in annotated:
-            checkpoint()
-            yield [
-                Record(record.values + (branches,)) for record, branches in pairs
-            ]
-
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
@@ -154,14 +143,6 @@ class VersionDiffExec(Operator):
             if record.values[key_index] not in modified
         ]
 
-    def __iter__(self) -> Iterator[Record]:
-        yield from self._positive_records()
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        positive = self._positive_records()
-        for start in range(0, len(positive), batch_size):
-            yield positive[start : start + batch_size]
-
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
@@ -201,14 +182,6 @@ class IndexScanExec(Operator):
             return records
         return [record for record in records if matches(record.values)]
 
-    def __iter__(self) -> Iterator[Record]:
-        yield from self._records()
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        records = self._records()
-        for start in range(0, len(records), batch_size):
-            yield records[start : start + batch_size]
-
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
@@ -235,33 +208,6 @@ class AnnotatedDistinct(Operator):
         self.hidden_index = hidden_index
         self.schema = child.schema
 
-    def __iter__(self) -> Iterator[Record]:
-        for batch in self.batches():
-            yield from batch
-
-    def batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[list[Record]]:
-        h = self.hidden_index
-        merged: dict[tuple, set] = {}
-        order: list[tuple] = []
-        for batch in self.child.batches(batch_size):
-            for record in batch:
-                values = record.values
-                visible = values[:h] + values[h + 1 :]
-                branches = merged.get(visible)
-                if branches is None:
-                    merged[visible] = branches = set()
-                    order.append(visible)
-                branches.update(values[h])
-        out: list[Record] = []
-        for visible in order:
-            branches = frozenset(merged[visible])
-            out.append(Record(visible[:h] + (branches,) + visible[h:]))
-            if len(out) >= batch_size:
-                yield out
-                out = []
-        if out:
-            yield out
-
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
@@ -287,66 +233,32 @@ class AnnotatedDistinct(Operator):
             yield ColumnBatch.from_rows(self.schema, out_rows)
 
 
-def build_physical(
-    plan: LogicalNode, *, batched: bool = True, columnar: bool = False
-) -> Operator:
-    """Map an optimized logical plan onto an iterator operator tree.
+def build_physical(plan: LogicalNode) -> Operator:
+    """Map an optimized logical plan onto a columnar operator tree.
 
-    With ``batched=True`` (the default) branch scans are fed from the
-    engine's vectorized ``scan_branch_batched`` path, so batch-aware
-    operators move whole record lists; ``columnar=True`` additionally feeds
-    them from ``scan_branch_columns``, so column-native operators move typed
-    column arrays; ``batched=False`` forces the original tuple-at-a-time
-    scan everywhere.  All modes produce bit-for-bit identical results.
+    Branch scans are fed from the engine's ``scan_branch_columns`` and commit
+    scans from ``scan_commit_columns``, each with the pruned column list of
+    projection pushdown and the engine's count-only shortcut.
     """
     if isinstance(plan, VersionScan):
         engine = plan.engine
         if plan.kind == "branch":
-            if batched:
-                count_source = lambda: engine.count_branch(  # noqa: E731
+            return SeqScan(
+                engine.scan_branch_columns(
+                    plan.version, plan.predicate, columns=plan.columns
+                ),
+                plan.schema,
+                count_source=lambda: engine.count_branch(
                     plan.version, plan.predicate
-                )
-                if columnar:
-                    return SeqScan(
-                        None,
-                        plan.schema,
-                        column_source=engine.scan_branch_columns(
-                            plan.version, plan.predicate, columns=plan.columns
-                        ),
-                        count_source=count_source,
-                    )
-                batch_source = engine.scan_branch_batched(
-                    plan.version, plan.predicate
-                )
-                if plan.columns is not None:
-                    # The pruned decode path lives in scan_branch_columns;
-                    # row modes project here so every mode stays exact.
-                    positions = [
-                        engine.schema.index_of(name) for name in plan.columns
-                    ]
-                    batch_source = (
-                        [
-                            Record(tuple(record.values[p] for p in positions))
-                            for record in batch
-                        ]
-                        for batch in batch_source
-                    )
-                return SeqScan(
-                    None,
-                    plan.schema,
-                    batch_source=batch_source,
-                    count_source=count_source,
-                )
-            records = engine.scan_branch(plan.version, plan.predicate)
-        else:
-            records = engine.scan_commit(plan.version, plan.predicate)
-        if plan.columns is not None:
-            positions = [engine.schema.index_of(name) for name in plan.columns]
-            records = (
-                Record(tuple(record.values[p] for p in positions))
-                for record in records
+                ),
             )
-        return SeqScan(records, plan.schema)
+        return SeqScan(
+            engine.scan_commit_columns(
+                plan.version, plan.predicate, columns=plan.columns
+            ),
+            plan.schema,
+            count_source=lambda: engine.count_commit(plan.version, plan.predicate),
+        )
     if isinstance(plan, HeadScan):
         return HeadScanExec(plan)
     if isinstance(plan, IndexScan):
@@ -355,8 +267,8 @@ def build_physical(
         return VersionDiffExec(plan)
     if isinstance(plan, AntiJoin):
         return HashAntiJoin(
-            build_physical(plan.outer, batched=batched, columnar=columnar),
-            build_physical(plan.inner, batched=batched, columnar=columnar),
+            build_physical(plan.outer),
+            build_physical(plan.inner),
             plan.outer_column,
             plan.inner_column,
         )
@@ -364,8 +276,8 @@ def build_physical(
         left_columns = [left for left, _ in plan.conditions]
         right_columns = [right for _, right in plan.conditions]
         return HashJoin(
-            build_physical(plan.left, batched=batched, columnar=columnar),
-            build_physical(plan.right, batched=batched, columnar=columnar),
+            build_physical(plan.left),
+            build_physical(plan.right),
             left_columns,
             right_columns,
         )
@@ -374,10 +286,10 @@ def build_physical(
         for term in plan.terms:
             clause = ColumnPredicate(term.column, term.op, term.value)
             predicate = clause if predicate is None else (predicate & clause)
-        return FilterOp(build_physical(plan.child, batched=batched, columnar=columnar), predicate)
+        return FilterOp(build_physical(plan.child), predicate)
     if isinstance(plan, Aggregate):
         grouped = GroupAggregate(
-            build_physical(plan.child, batched=batched, columnar=columnar),
+            build_physical(plan.child),
             plan.group_by,
             [
                 (expr.name, expr.function, expr.argument)
@@ -388,35 +300,28 @@ def build_physical(
             return grouped
         return ProjectOp(grouped, plan.output_names)
     if isinstance(plan, Project):
-        return ProjectOp(
-            build_physical(plan.child, batched=batched, columnar=columnar), plan.physical_columns
-        )
+        return ProjectOp(build_physical(plan.child), plan.physical_columns)
     if isinstance(plan, Distinct):
-        child = build_physical(plan.child, batched=batched, columnar=columnar)
+        child = build_physical(plan.child)
         names = plan.schema.column_names
         if BRANCH_COLUMN in names:
             return AnnotatedDistinct(child, names.index(BRANCH_COLUMN))
         return DistinctOp(child)
     if isinstance(plan, Sort):
         return OrderBy(
-            build_physical(plan.child, batched=batched, columnar=columnar),
-            plan.keys,
-            budget_bytes=plan.budget_bytes,
+            build_physical(plan.child), plan.keys, budget_bytes=plan.budget_bytes
         )
     if isinstance(plan, TopN):
-        return TopNOp(
-            build_physical(plan.child, batched=batched, columnar=columnar), plan.keys, plan.n
-        )
+        return TopNOp(build_physical(plan.child), plan.keys, plan.n)
     if isinstance(plan, Limit):
-        return LimitOp(build_physical(plan.child, batched=batched, columnar=columnar), plan.n)
+        return LimitOp(build_physical(plan.child), plan.n)
     raise QueryError(f"no physical mapping for plan node {type(plan).__name__}")
 
 
-#: Logical node type -> the physical operator class that executes it.  Used
-#: by the optimizer's execution-mode selection and by EXPLAIN annotations to
-#: report, per node, whether execution moves record batches natively.
+#: Logical node type -> the physical operator class that executes it.  The
+#: plan verifier's operator-protocol rule checks every plan node against it.
 #: ``Distinct`` maps to :class:`DistinctOp`; the head-scan variant
-#: (:class:`AnnotatedDistinct`) is batch-native too, so the entry is
+#: (:class:`AnnotatedDistinct`) implements the same protocol, so the entry is
 #: representative for both.
 NODE_OPERATORS: dict[type, type[Operator]] = {
     VersionScan: SeqScan,
@@ -435,111 +340,43 @@ NODE_OPERATORS: dict[type, type[Operator]] = {
 }
 
 
-def batch_native(plan: LogicalNode) -> bool:
-    """True if ``plan``'s physical operator has a native ``batches`` path.
-
-    "Native" means the operator class overrides :meth:`Operator.batches`
-    rather than inheriting the chunk-the-iterator fallback -- i.e. running it
-    in batched mode moves whole record lists instead of silently degrading to
-    tuple-at-a-time iteration under a batch facade.
-    """
-    operator = NODE_OPERATORS.get(type(plan))
-    if operator is None:
-        return False
-    return operator.batches is not Operator.batches
-
-
-def columnar_native(plan: LogicalNode) -> bool:
-    """True if ``plan``'s physical operator has a native ``column_batches``
-    path -- it overrides :meth:`Operator.column_batches` rather than
-    inheriting the pivot-each-record-batch adapter, so running it in
-    columnar mode moves typed column arrays instead of repackaging row
-    batches under a columnar facade."""
-    operator = NODE_OPERATORS.get(type(plan))
-    if operator is None:
-        return False
-    return operator.column_batches is not Operator.column_batches
-
-
-def _resolve_mode(batched: bool, mode: str | None) -> str:
-    if mode is None:
-        return "batched" if batched else "streaming"
-    if mode not in ("columnar", "batched", "streaming"):
-        raise QueryError(f"unknown execution mode {mode!r}")
-    return mode
-
-
-def execute_plan(
-    plan: LogicalNode,
-    *,
-    batched: bool = True,
-    mode: str | None = None,
-    verify: bool | None = None,
-) -> QueryResult:
+def execute_plan(plan: LogicalNode, *, verify: bool | None = None) -> QueryResult:
     """Run an optimized plan to completion and assemble the result.
 
-    ``mode`` selects the execution mode for the whole tree: ``"columnar"``
-    consumes the operators' ``column_batches`` protocol and materializes
-    rows only here, at the result boundary; ``"batched"`` moves record
-    lists; ``"streaming"`` iterates tuple-at-a-time.  With ``mode=None``
-    the legacy ``batched`` flag picks between the latter two.
-
-    ``verify`` runs the plan through the static invariant checks of
-    :mod:`repro.analysis.plan_check` before execution, raising
-    :class:`~repro.errors.PlanInvariantError` on a violated contract.
-    ``None`` defers to :func:`repro.analysis.plan_check.default_verify`
-    (on in the test suites, off otherwise).
+    The operator tree's column batches are materialized into rows only here,
+    at the result boundary.  ``verify`` runs the plan through the static
+    invariant checks of :mod:`repro.analysis.plan_check` before execution,
+    raising :class:`~repro.errors.PlanInvariantError` on a violated
+    contract.  ``None`` defers to
+    :func:`repro.analysis.plan_check.default_verify` (on in the test suites,
+    off otherwise).
     """
-    mode = _resolve_mode(batched, mode)
     if verify or verify is None:
         from repro.analysis import plan_check
 
         if verify or plan_check.default_verify():
-            plan_check.verify_plan(plan, mode=mode)
-    operator = build_physical(
-        plan, batched=mode != "streaming", columnar=mode == "columnar"
-    )
+            plan_check.verify_plan(plan)
+    operator = build_physical(plan)
     result = QueryResult(columns=result_columns(plan))
     schema_names = plan.schema.column_names
     rows = result.rows
-    if BRANCH_COLUMN in schema_names:
-        hidden = schema_names.index(BRANCH_COLUMN)
-        annotations = result.branch_annotations
-        if mode == "columnar":
-            for column_batch in operator.column_batches():
-                checkpoint()
-                annotations.extend(column_batch.columns[hidden])
-                visible = [
-                    values
-                    for i, values in enumerate(column_batch.columns)
-                    if i != hidden
-                ]
-                if visible:
-                    rows.extend(zip(*visible))
-                else:  # pragma: no cover - plans always keep a visible column
-                    rows.extend(() for _ in range(column_batch.num_rows))
-            return result
-        source = (
-            operator.batches()
-            if mode == "batched"
-            else ([record] for record in operator)
-        )
-        for batch in source:
-            checkpoint()
-            for record in batch:
-                values = record.values
-                rows.append(values[:hidden] + values[hidden + 1 :])
-                annotations.append(values[hidden])
-        return result
-    if mode == "columnar":
+    if BRANCH_COLUMN not in schema_names:
         for column_batch in operator.column_batches():
             checkpoint()
             rows.extend(column_batch.rows())
         return result
-    if mode == "streaming":
-        result.rows = [record.values for record in operator]
-        return result
-    for batch in operator.batches():
+    hidden = schema_names.index(BRANCH_COLUMN)
+    annotations = result.branch_annotations
+    for column_batch in operator.column_batches():
         checkpoint()
-        rows.extend(record.values for record in batch)
+        annotations.extend(column_batch.columns[hidden])
+        visible = [
+            values
+            for i, values in enumerate(column_batch.columns)
+            if i != hidden
+        ]
+        if visible:
+            rows.extend(zip(*visible))
+        else:  # pragma: no cover - plans always keep a visible column
+            rows.extend(() for _ in range(column_batch.num_rows))
     return result

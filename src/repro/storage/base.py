@@ -23,16 +23,15 @@ import shutil
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 from repro.core.buffer_pool import BufferPool
 from repro.core.columns import ColumnBatch, regroup_column_batches
-from repro.core.operators import chunk_iterable
 from repro.core.page import DEFAULT_PAGE_SIZE, PAGE_HEADER_SIZE
 from repro.core.predicates import (
     Predicate,
     column_filter_columns,
-    compile_batch_filter,
     compile_column_filter,
     compile_predicate,
 )
@@ -101,7 +100,7 @@ class MergeResult:
 #: A "changed record" map: primary key -> new record, or None for a delete.
 ChangeMap = dict[int, "Record | None"]
 
-#: Records per batch yielded by the engines' batched scan paths.
+#: Rows per batch yielded by the engines' column and multi-branch scans.
 DEFAULT_SCAN_BATCH_SIZE = 1024
 
 
@@ -145,78 +144,6 @@ def regroup_chunks(chunks, batch_size: int):
         yield batch
 
 
-def scan_heap_bitmap_batched(
-    heap,
-    bitmap,
-    schema: Schema,
-    predicate: Predicate | None,
-    batch_size: int,
-    stats: EngineStats,
-):
-    """Batched scan of one heap file's live ordinals (shared hot path).
-
-    The bitmap is consumed page-mask-at-a-time: each page's liveness word is
-    sliced out of the bitmap bytes.  A zero word skips the page entirely
-    (never touching the buffer pool); a fully-live word streams the page's
-    record array straight through the compiled predicate in one list pass;
-    only partially-live pages fall back to per-bit mask stripping.  The
-    record sequence is identical to the tuple-at-a-time scan of the same
-    bitmap.
-    """
-    yield from regroup_chunks(
-        _heap_bitmap_page_hits(heap, bitmap, schema, predicate, stats), batch_size
-    )
-
-
-def _heap_bitmap_page_hits(heap, bitmap, schema, predicate, stats):
-    """Per-page lists of matching records for :func:`scan_heap_bitmap_batched`."""
-    matches = compile_predicate(predicate, schema)
-    page_filter = compile_batch_filter(predicate, schema)
-    per_page = heap.records_per_page
-    # A one-pass scan of a heap bigger than the whole pool bypasses pool
-    # admission so it cannot evict the hot set (scan-resistant reads).
-    transient = heap.scan_exceeds_pool()
-    data = bitmap.to_bytes()
-    total_bits = len(data) * 8
-    page_mask = (1 << per_page) - 1
-    # Each page's liveness word is sliced from the byte range covering its
-    # bit span (bits of the neighbouring pages are shifted/masked off), so
-    # the whole extraction is O(total bits) rather than the O(pages x bits)
-    # a rolling whole-bitmap shift would cost.
-    for page_number in range((total_bits + per_page - 1) // per_page):
-        start = page_number * per_page
-        chunk = int.from_bytes(
-            data[start >> 3 : (start + per_page + 7) >> 3], "little"
-        )
-        live = (chunk >> (start & 7)) & page_mask
-        if live:
-            records = heap.page(page_number, transient=transient).records_view()
-            stats.records_scanned += live.bit_count()
-            if live == (1 << len(records)) - 1:
-                # Every slot on the page is live: one pass over the array,
-                # with the predicate expression inlined into the filter
-                # comprehension when possible (no per-record calls at all).
-                if matches is None:
-                    hits = list(records)
-                elif page_filter is not None:
-                    hits = page_filter(records)
-                else:
-                    hits = [
-                        record for record in records if matches(record.values)
-                    ]
-            else:
-                hits = []
-                keep = hits.append
-                while live:
-                    low = live & -live
-                    record = records[low.bit_length() - 1]
-                    live ^= low
-                    if matches is None or matches(record.values):
-                        keep(record)
-            if hits:
-                yield hits
-
-
 def scan_heap_bitmap_columns(
     heap,
     bitmap,
@@ -228,12 +155,14 @@ def scan_heap_bitmap_columns(
 ):
     """Columnar scan of one heap file's live ordinals (shared hot path).
 
-    The columnar sibling of :func:`scan_heap_bitmap_batched`: pages decode
-    straight into typed column arrays (:meth:`Page.columns_view`, no record
-    object is ever constructed), fully-live unfiltered pages pass their
-    column containers through zero-copy, and predicates run as compiled
-    column selections.  Flattening the batches row-wise reproduces the
-    record scan of the same bitmap exactly.
+    The bitmap is consumed page-mask-at-a-time: each page's liveness word is
+    sliced out of the bitmap bytes, and a zero word skips the page entirely
+    (never touching the buffer pool).  Pages decode straight into typed
+    column arrays (:meth:`Page.columns_view`, no record object is ever
+    constructed), fully-live unfiltered pages pass their column containers
+    through zero-copy, and predicates run as compiled column selections.
+    Flattening the batches row-wise reproduces the record scan of the same
+    bitmap exactly.
 
     With ``columns`` (projection pushdown) only the named columns appear in
     the output batches -- and on the raw late-materialization path, only
@@ -262,6 +191,8 @@ def _heap_bitmap_page_column_hits(
     codec = heap.codec
     record_size = codec.record_size
     per_page = heap.records_per_page
+    # A one-pass scan of a heap bigger than the whole pool bypasses pool
+    # admission so it cannot evict the hot set (scan-resistant reads).
     transient = heap.scan_exceeds_pool()
     if out_schema is None:
         out_positions = list(range(len(schema.columns)))
@@ -275,6 +206,10 @@ def _heap_bitmap_page_column_hits(
     data = bitmap.to_bytes()
     total_bits = len(data) * 8
     page_mask = (1 << per_page) - 1
+    # Each page's liveness word is sliced from the byte range covering its
+    # bit span (bits of the neighbouring pages are shifted/masked off), so
+    # the whole extraction is O(total bits) rather than the O(pages x bits)
+    # a rolling whole-bitmap shift would cost.
     for page_number in range((total_bits + per_page - 1) // per_page):
         start = page_number * per_page
         chunk = int.from_bytes(
@@ -379,6 +314,27 @@ def _heap_bitmap_page_column_hits(
             yield page_batch
         else:
             yield page_batch.take(selection)
+
+
+def _record_column_batches(
+    schema: Schema,
+    records: Iterable[Record],
+    batch_size: int,
+    columns: tuple[str, ...] | None = None,
+) -> Iterator[ColumnBatch]:
+    """Pivot a record scan into column batches of ``batch_size`` rows,
+    keeping only ``columns`` when given (the engines' default column scan)."""
+    rows = iter(records)
+    if columns is None:
+        while chunk := list(islice(rows, batch_size)):
+            yield ColumnBatch.from_records(schema, chunk)
+        return
+    positions = [schema.index_of(name) for name in columns]
+    out_schema = schema.project(list(columns))
+    while chunk := list(islice(rows, batch_size)):
+        yield ColumnBatch.from_records(schema, chunk).select_columns(
+            positions, out_schema
+        )
 
 
 class VersionedStorageEngine(ABC):
@@ -690,21 +646,6 @@ class VersionedStorageEngine(ABC):
     ) -> Iterator[Record]:
         """Yield the live records of ``branch``'s head (benchmark Query 1)."""
 
-    def scan_branch_batched(
-        self,
-        branch: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[Record]]:
-        """Yield ``scan_branch``'s records grouped into lists.
-
-        Flattening the batches always reproduces :meth:`scan_branch` exactly
-        (same records, same order).  This default chunks the tuple-at-a-time
-        scan; the concrete engines override it with genuinely vectorized
-        page-batch paths.
-        """
-        yield from chunk_iterable(self.scan_branch(branch, predicate), batch_size)
-
     def scan_branch_columns(
         self,
         branch: str,
@@ -717,34 +658,25 @@ class VersionedStorageEngine(ABC):
         Row-flattening the batches always reproduces :meth:`scan_branch`
         exactly (same rows, same order).  With ``columns`` (projection
         pushdown) only the named columns appear in the output batches.
-        This default pivots the batched record scan at the declared
-        boundary; the concrete engines override it with page-decode
-        columnar paths that never build records and decode only the
-        projected columns.
+        This default pivots the row scan; the concrete engines override it
+        with page-decode columnar paths that never build records and decode
+        only the projected columns.
         """
-        schema = self.schema
-        if columns is None:
-            for batch in self.scan_branch_batched(branch, predicate, batch_size):
-                yield ColumnBatch.from_records(schema, batch)
-            return
-        positions = [schema.index_of(name) for name in columns]
-        out_schema = schema.project(list(columns))
-        for batch in self.scan_branch_batched(branch, predicate, batch_size):
-            yield ColumnBatch.from_records(schema, batch).select_columns(
-                positions, out_schema
-            )
+        return _record_column_batches(
+            self.schema, self.scan_branch(branch, predicate), batch_size, columns
+        )
 
     def count_branch(self, branch: str, predicate: Predicate | None = None) -> int:
         """Number of live records of ``branch`` matching ``predicate``.
 
-        The count-only companion of :meth:`scan_branch`: with no predicate
-        the concrete engines answer from their index structures (bitmap
-        popcounts, primary-key index sizes) without touching record data;
-        with a predicate this default sums batch lengths of the vectorized
-        scan, never materializing a combined record list.
+        The count-only companion of :meth:`scan_branch_columns`: with no
+        predicate the concrete engines answer from their index structures
+        (bitmap popcounts, primary-key index sizes) without touching record
+        data; with a predicate this default sums the column scan's batch
+        lengths.
         """
         return sum(
-            len(batch) for batch in self.scan_branch_batched(branch, predicate)
+            batch.num_rows for batch in self.scan_branch_columns(branch, predicate)
         )
 
     @abstractmethod
@@ -753,37 +685,30 @@ class VersionedStorageEngine(ABC):
     ) -> Iterator[Record]:
         """Yield the records of a historical commit."""
 
-    def scan_commit_batched(
-        self,
-        commit_id: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[Record]]:
-        """Yield ``scan_commit``'s records grouped into lists.
-
-        Flattening the batches reproduces :meth:`scan_commit` exactly.  The
-        bitmap engines override this with the same vectorized page-batch
-        path branch scans use, applied to the commit's recorded bitmap --
-        snapshot-isolated readers go through here, so the override keeps
-        pinned-snapshot reads as fast as head reads.
-        """
-        yield from chunk_iterable(self.scan_commit(commit_id, predicate), batch_size)
-
     def scan_commit_columns(
         self,
         commit_id: str,
         predicate: Predicate | None = None,
         batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
+        columns: tuple[str, ...] | None = None,
     ) -> Iterator[ColumnBatch]:
-        """Yield ``scan_commit``'s rows as :class:`ColumnBatch`es."""
-        schema = self.schema
-        for batch in self.scan_commit_batched(commit_id, predicate, batch_size):
-            yield ColumnBatch.from_records(schema, batch)
+        """Yield ``scan_commit``'s rows as :class:`ColumnBatch`es.
+
+        Row-flattening the batches reproduces :meth:`scan_commit` exactly;
+        ``columns`` prunes the output as in :meth:`scan_branch_columns`.
+        This default pivots the row scan; the concrete engines override it
+        with the column scan their branch heads use, applied to the
+        commit's recorded state.
+        """
+        return _record_column_batches(
+            self.schema, self.scan_commit(commit_id, predicate), batch_size, columns
+        )
 
     def count_commit(self, commit_id: str, predicate: Predicate | None = None) -> int:
         """Number of records of a historical commit matching ``predicate``."""
         return sum(
-            len(batch) for batch in self.scan_commit_batched(commit_id, predicate)
+            batch.num_rows
+            for batch in self.scan_commit_columns(commit_id, predicate)
         )
 
     @abstractmethod
@@ -805,11 +730,11 @@ class VersionedStorageEngine(ABC):
         """Yield ``scan_branches``'s annotated records grouped into lists.
 
         Flattening the batches reproduces :meth:`scan_branches` exactly; the
-        bitmap engines override this with page-batch paths.
+        concrete engines override this with page-batch paths.
         """
-        yield from chunk_iterable(
-            self.scan_branches(branches, predicate), batch_size
-        )
+        pairs = self.scan_branches(branches, predicate)
+        while batch := list(islice(pairs, batch_size)):
+            yield batch
 
     def scan_heads(
         self, predicate: Predicate | None = None, active_only: bool = False

@@ -41,7 +41,6 @@ from repro.storage.base import (
     VersionedStorageEngine,
     fetch_bitmap_ordinals,
     regroup_chunks,
-    scan_heap_bitmap_batched,
     scan_heap_bitmap_columns,
 )
 from repro.storage.pk_index import PrimaryKeyIndex
@@ -432,19 +431,6 @@ class HybridEngine(VersionedStorageEngine):
         for segment_id, bitmap in self._branch_segment_bitmaps(branch).items():
             yield from self._scan_segment_bitmap(segment_id, bitmap, predicate)
 
-    def scan_branch_batched(
-        self,
-        branch: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[Record]]:
-        """Vectorized :meth:`scan_branch`: per-segment page-batch reads."""
-        for segment_id, bitmap in self._branch_segment_bitmaps(branch).items():
-            segment = self.segments.get(segment_id)
-            yield from scan_heap_bitmap_batched(
-                segment.heap, bitmap, self.schema, predicate, batch_size, self.stats
-            )
-
     def scan_branch_columns(
         self,
         branch: str,
@@ -495,31 +481,24 @@ class HybridEngine(VersionedStorageEngine):
         for segment_id, bitmap in self._commit_segment_bitmaps(commit_id):
             yield from self._scan_segment_bitmap(segment_id, bitmap, predicate)
 
-    def scan_commit_batched(
-        self,
-        commit_id: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[Record]]:
-        """Vectorized :meth:`scan_commit`: per-segment page-batch reads over
-        the commit's recorded bitmaps."""
-        for segment_id, bitmap in self._commit_segment_bitmaps(commit_id):
-            segment = self.segments.get(segment_id)
-            yield from scan_heap_bitmap_batched(
-                segment.heap, bitmap, self.schema, predicate, batch_size, self.stats
-            )
-
     def scan_commit_columns(
         self,
         commit_id: str,
         predicate: Predicate | None = None,
         batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
+        columns: tuple[str, ...] | None = None,
     ) -> Iterator[ColumnBatch]:
         """Columnar :meth:`scan_commit` over the commit's recorded bitmaps."""
         for segment_id, bitmap in self._commit_segment_bitmaps(commit_id):
             segment = self.segments.get(segment_id)
             yield from scan_heap_bitmap_columns(
-                segment.heap, bitmap, self.schema, predicate, batch_size, self.stats
+                segment.heap,
+                bitmap,
+                self.schema,
+                predicate,
+                batch_size,
+                self.stats,
+                columns=columns,
             )
 
     def count_commit(self, commit_id: str, predicate: Predicate | None = None) -> int:

@@ -34,7 +34,6 @@ from repro.storage.base import (
     VersionedStorageEngine,
     fetch_bitmap_ordinals,
     regroup_chunks,
-    scan_heap_bitmap_batched,
     scan_heap_bitmap_columns,
 )
 from repro.storage.pk_index import PrimaryKeyIndex
@@ -226,18 +225,6 @@ class TupleFirstEngine(VersionedStorageEngine):
         bitmap = self.bitmap_index.branch_bitmap(branch)
         yield from self._scan_bitmap(bitmap, predicate)
 
-    def scan_branch_batched(
-        self,
-        branch: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[Record]]:
-        """Vectorized :meth:`scan_branch`: page-batch reads, word-level bitmap."""
-        bitmap = self.bitmap_index.branch_bitmap(branch)
-        yield from scan_heap_bitmap_batched(
-            self.heap, bitmap, self.schema, predicate, batch_size, self.stats
-        )
-
     def scan_branch_columns(
         self,
         branch: str,
@@ -270,29 +257,23 @@ class TupleFirstEngine(VersionedStorageEngine):
     ) -> Iterator[Record]:
         yield from self._scan_bitmap(self._bitmap_at_commit(commit_id), predicate)
 
-    def scan_commit_batched(
-        self,
-        commit_id: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[Record]]:
-        """Vectorized :meth:`scan_commit`: the branch-scan page-batch path
-        applied to the commit's recorded bitmap."""
-        bitmap = self._bitmap_at_commit(commit_id)
-        yield from scan_heap_bitmap_batched(
-            self.heap, bitmap, self.schema, predicate, batch_size, self.stats
-        )
-
     def scan_commit_columns(
         self,
         commit_id: str,
         predicate: Predicate | None = None,
         batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
+        columns: tuple[str, ...] | None = None,
     ) -> Iterator[ColumnBatch]:
         """Columnar :meth:`scan_commit` over the commit's recorded bitmap."""
         bitmap = self._bitmap_at_commit(commit_id)
         yield from scan_heap_bitmap_columns(
-            self.heap, bitmap, self.schema, predicate, batch_size, self.stats
+            self.heap,
+            bitmap,
+            self.schema,
+            predicate,
+            batch_size,
+            self.stats,
+            columns=columns,
         )
 
     def count_commit(self, commit_id: str, predicate: Predicate | None = None) -> int:

@@ -17,7 +17,7 @@ external structure (paper Section 3.3, *Commit*).
 from __future__ import annotations
 
 import os
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.buffer_pool import BufferPool
 from repro.core.columns import (
@@ -83,7 +83,7 @@ class VersionFirstEngine(VersionedStorageEngine):
         #: ``(segment id, ordinal)`` of its newest copy, maintained
         #: incrementally on every write.  An in-memory acceleration structure,
         #: not part of the on-disk layout (the paper's version-first design
-        #: has no index): it lets multi-branch locate passes and batched
+        #: has no index): it lets multi-branch locate passes and columnar
         #: single-branch scans become bulk index probes instead of
         #: per-record chain walks, while :meth:`scan_branch` remains the
         #: chain-walking reference implementation.  Owned by the index
@@ -393,46 +393,6 @@ class VersionFirstEngine(VersionedStorageEngine):
         segment_id = self._head_segment[branch]
         yield from self._scan_chain(segment_id, None, predicate)
 
-    def scan_branch_batched(
-        self,
-        branch: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[Record]]:
-        """Batched :meth:`scan_branch`, driven by the primary-key index.
-
-        The index already knows each live key's newest ``(segment, ordinal)``
-        location, so the key-shadowing chain walk collapses to one bulk index
-        probe plus a tight per-segment gather: segments are visited in chain
-        order (leaf to root) and each segment's located ordinals are read
-        newest-first, which reproduces :meth:`scan_branch`'s record order
-        exactly while touching only live records (shadowed copies and
-        tombstones are never decoded against the predicate).
-        """
-
-        def segment_hits() -> Iterator[list[Record]]:
-            matches = compile_predicate(predicate, self.schema)
-            by_segment = self._branch_segment_ordinals(branch)
-            for seg_id, _ in self._chain(self._head_segment[branch], None):
-                ordinals = by_segment.get(seg_id)
-                if not ordinals:
-                    continue
-                records = self._segment_records(seg_id, None)
-                ordinals.sort(reverse=True)
-                self.stats.records_scanned += len(ordinals)
-                if matches is None:
-                    hits = [records[ordinal] for ordinal in ordinals]
-                else:
-                    hits = [
-                        record
-                        for ordinal in ordinals
-                        if matches((record := records[ordinal]).values)
-                    ]
-                if hits:
-                    yield hits
-
-        yield from regroup_chunks(segment_hits(), batch_size)
-
     def _segment_columns(self, segment_id: str) -> tuple:
         """One segment's values as per-column containers, ordinal-indexed.
 
@@ -468,15 +428,62 @@ class VersionFirstEngine(VersionedStorageEngine):
         batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
         columns: tuple[str, ...] | None = None,
     ) -> Iterator[ColumnBatch]:
-        """Columnar :meth:`scan_branch_batched`: bulk index probe, column gather.
+        """Columnar :meth:`scan_branch`: bulk index probe, column gather.
 
-        Visits segments in chain order and gathers each segment's live
-        ordinals (newest-first, reproducing the row scan's record order)
-        straight out of the cached per-segment column containers
-        (:meth:`_segment_columns`); no :class:`Record` is ever built.
-        Predicates run as compiled column selections where possible.  With
-        ``columns`` (projection pushdown) only the named columns are
-        gathered into the output batches.
+        The primary-key index already knows each live key's newest
+        ``(segment, ordinal)`` location, so the key-shadowing chain walk
+        collapses to one bulk index probe: segments are visited in chain
+        order and each segment's located ordinals are gathered newest-first,
+        which reproduces :meth:`scan_branch`'s row order while touching only
+        live records (shadowed copies and tombstones are never read).
+        """
+
+        def located() -> Iterator[tuple[str, list[int]]]:
+            by_segment = self._branch_segment_ordinals(branch)
+            for seg_id, _ in self._chain(self._head_segment[branch], None):
+                ordinals = by_segment.get(seg_id)
+                if ordinals:
+                    ordinals.sort(reverse=True)
+                    self.stats.records_scanned += len(ordinals)
+                    yield seg_id, ordinals
+
+        return self._gather_columns(located(), predicate, batch_size, columns)
+
+    def scan_commit_columns(
+        self,
+        commit_id: str,
+        predicate: Predicate | None = None,
+        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
+        columns: tuple[str, ...] | None = None,
+    ) -> Iterator[ColumnBatch]:
+        """Columnar :meth:`scan_commit`: the commit's chain walk locates each
+        live key's newest copy (visiting, and counting, the same records the
+        row scan does), then the located ordinals gather out of the cached
+        segment columns in the row scan's order."""
+
+        def located() -> Iterator[tuple[str, list[int]]]:
+            segment_id, offset = self._commit_location(commit_id)
+            by_segment: dict[str, list[int]] = {}
+            for seg_id, ordinal, _ in self._locate_chain(segment_id, offset):
+                by_segment.setdefault(seg_id, []).append(ordinal)
+            yield from by_segment.items()
+
+        return self._gather_columns(located(), predicate, batch_size, columns)
+
+    def _gather_columns(
+        self,
+        located: Iterable[tuple[str, list[int]]],
+        predicate: Predicate | None,
+        batch_size: int,
+        columns: tuple[str, ...] | None = None,
+    ) -> Iterator[ColumnBatch]:
+        """Gather ``(segment id, live ordinals)`` runs into column batches.
+
+        Ordinals are read straight out of the cached per-segment column
+        containers (:meth:`_segment_columns`) in the order given; no
+        :class:`Record` is ever built.  Predicates run as compiled column
+        selections where possible.  With ``columns`` (projection pushdown)
+        only the named columns are gathered into the output batches.
         """
         schema = self.schema
         if columns is None:
@@ -493,14 +500,8 @@ class VersionFirstEngine(VersionedStorageEngine):
                 if select is None
                 else None
             )
-            by_segment = self._branch_segment_ordinals(branch)
-            for seg_id, _ in self._chain(self._head_segment[branch], None):
-                ordinals = by_segment.get(seg_id)
-                if not ordinals:
-                    continue
+            for seg_id, ordinals in located:
                 containers = self._segment_columns(seg_id)
-                ordinals.sort(reverse=True)
-                self.stats.records_scanned += len(ordinals)
                 segment_batch = ColumnBatch(schema, containers)
                 if select is not None:
                     # Run the compiled selection over the full cached segment
@@ -529,7 +530,7 @@ class VersionFirstEngine(VersionedStorageEngine):
                         [containers[position] for position in out_positions],
                     ).take(hits)
 
-        yield from regroup_column_batches(segment_hits(), batch_size, out_schema)
+        return regroup_column_batches(segment_hits(), batch_size, out_schema)
 
     def drop_caches(self) -> None:
         """Drop page caches and the per-segment column cache."""

@@ -49,8 +49,8 @@ class SnapshotEngineView:
     ``graph``, the branch/commit/head scan families, ``diff``), mapping
     every ``scan_branch*`` call for a pinned branch onto the engine's
     ``scan_commit*`` path for that branch's pinned commit.  Plans built
-    against the view keep their ``kind == "branch"`` scans, so the
-    vectorized and columnar execution paths are preserved unchanged.
+    against the view keep their ``kind == "branch"`` scans, so they run
+    through the same columnar execution path as head reads.
     """
 
     def __init__(self, engine: "VersionedStorageEngine", pins: dict[str, str]):
@@ -78,16 +78,6 @@ class SnapshotEngineView:
     ) -> Iterator[Record]:
         return self._engine.scan_commit(self._pin(branch), predicate)
 
-    def scan_branch_batched(
-        self,
-        branch: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[Record]]:
-        return self._engine.scan_commit_batched(
-            self._pin(branch), predicate, batch_size
-        )
-
     def scan_branch_columns(
         self,
         branch: str,
@@ -95,17 +85,8 @@ class SnapshotEngineView:
         batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
         columns: tuple[str, ...] | None = None,
     ) -> Iterator[ColumnBatch]:
-        batches = self._engine.scan_commit_columns(
-            self._pin(branch), predicate, batch_size
-        )
-        if columns is None:
-            return batches
-        # Commit-addressed decodes have no pruned page path; project the
-        # full batches at the view boundary instead.
-        positions = [self.schema.index_of(name) for name in columns]
-        out_schema = self.schema.project(list(columns))
-        return (
-            batch.select_columns(positions, out_schema) for batch in batches
+        return self._engine.scan_commit_columns(
+            self._pin(branch), predicate, batch_size, columns
         )
 
     def count_branch(self, branch: str, predicate: Predicate | None = None) -> int:
@@ -117,6 +98,20 @@ class SnapshotEngineView:
         self, commit_id: str, predicate: Predicate | None = None
     ) -> Iterator[Record]:
         return self._engine.scan_commit(commit_id, predicate)
+
+    def scan_commit_columns(
+        self,
+        commit_id: str,
+        predicate: Predicate | None = None,
+        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
+        columns: tuple[str, ...] | None = None,
+    ) -> Iterator[ColumnBatch]:
+        return self._engine.scan_commit_columns(
+            commit_id, predicate, batch_size, columns
+        )
+
+    def count_commit(self, commit_id: str, predicate: Predicate | None = None) -> int:
+        return self._engine.count_commit(commit_id, predicate)
 
     # -- multi-branch reads over the pinned branch set -------------------------
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.analysis.plan_check import set_default_verify
 from repro.core.buffer_pool import BufferPool
-from repro.core.columns import set_debug_validation
+from repro.core.columns import ColumnBatch, set_debug_validation
+from repro.core.operators import DEFAULT_BATCH_SIZE, Operator, SeqScan
 from repro.core.record import Record
 from repro.core.schema import Column, ColumnType, Schema
 from repro.storage.hybrid import HybridEngine
@@ -61,6 +62,28 @@ def make_records(count: int, start: int = 0, payload: int = 7) -> list[Record]:
     return [
         Record((key, key * 10, key * 100, payload))
         for key in range(start, start + count)
+    ]
+
+
+def scan_of(
+    records: list[Record], schema: Schema, batch_size: int = DEFAULT_BATCH_SIZE
+) -> SeqScan:
+    """A scan operator over ``records``, in column batches of ``batch_size``."""
+    return SeqScan(
+        [
+            ColumnBatch.from_records(schema, records[start : start + batch_size])
+            for start in range(0, len(records), batch_size)
+        ],
+        schema,
+    )
+
+
+def rows(operator: Operator, batch_size: int = DEFAULT_BATCH_SIZE) -> list[tuple]:
+    """Run ``operator`` to completion; its output rows as value tuples."""
+    return [
+        row
+        for batch in operator.column_batches(batch_size)
+        for row in batch.rows()
     ]
 
 

@@ -1,28 +1,17 @@
-"""Equivalence suite for the vectorized batch execution path.
+"""Batched multi-branch scans and the query pipeline, against an oracle.
 
-Every test asserts the batched paths produce *identical* record sequences to
-the tuple-at-a-time paths they shadow: engine ``scan_branch_batched`` versus
-``scan_branch`` (all three engines, multi-branch datasets, post-merge
-states), operator ``batches()`` versus ``__iter__``, and the query pipeline
-with ``batched=True`` versus ``batched=False``.
+The engines' ``scan_branches_batched`` (Query 4's source) must reproduce
+``scan_branches`` exactly, and every query-pipeline shape -- scans, commit
+scans, diffs, joins, head scans, grouping, ordering, distinct, anti-joins --
+must return what plain Python computes from the reference row scans
+(``scan_branch`` / ``scan_commit`` / ``scan_heads``), on all three engines,
+over multi-branch, post-merge datasets.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.operators import (
-    Aggregate as AggregateOp,
-    Distinct as DistinctOp,
-    Filter,
-    GroupAggregate,
-    HashAntiJoin,
-    HashJoin,
-    Limit,
-    OrderBy,
-    Project,
-    SeqScan,
-)
 from repro.core.predicates import And, ColumnPredicate, ModuloPredicate
 from repro.core.record import Record
 from repro.query.logical import (
@@ -35,15 +24,11 @@ from repro.query.logical import (
     VersionDiff,
     VersionScan,
 )
-from repro.query.optimizer import (
-    execution_mode_labels,
-    optimize,
-    select_execution_mode,
-)
+from repro.query.optimizer import optimize
 from repro.query.parser import SelectItem
 from repro.query.physical import build_physical, execute_plan
 
-from tests.conftest import make_records
+from tests.conftest import engine_factory, make_records, rows
 
 
 def flatten(batches):
@@ -80,56 +65,29 @@ def branched_engine(engine):
     return engine
 
 
-class TestEngineBatchedScans:
-    @pytest.mark.parametrize("predicate", PREDICATES)
-    def test_batched_scan_matches_tuple_at_a_time(self, branched_engine, predicate):
-        for branch in ("master", "dev", "feature"):
-            expected = list(branched_engine.scan_branch(branch, predicate))
-            got = flatten(branched_engine.scan_branch_batched(branch, predicate))
-            assert got == expected
-
-    @pytest.mark.parametrize("batch_size", [1, 3, 1000])
-    def test_batch_size_only_changes_grouping(self, branched_engine, batch_size):
-        # batch_size is a flush threshold, not an exact size: small sizes
-        # produce at least as many (smaller) batches, and flattening always
-        # reproduces the tuple-at-a-time scan.
-        expected = list(branched_engine.scan_branch("master"))
-        batches = list(
-            branched_engine.scan_branch_batched("master", batch_size=batch_size)
-        )
-        assert flatten(batches) == expected
-        # A huge threshold can still produce one batch per storage unit
-        # (hybrid scans each segment independently), but never more batches
-        # than a tiny threshold does.
-        few_batches = list(
-            branched_engine.scan_branch_batched("master", batch_size=10**9)
-        )
-        assert flatten(few_batches) == expected
-        assert len(batches) >= len(few_batches) >= 1
-
-    def test_scan_stats_match(self, engine_kind, schema, tmp_path):
-        from tests.conftest import engine_factory
-
+class TestEngineScans:
+    def test_column_scan_stats_match_row_scan(self, engine_kind, schema, tmp_path):
         plain = engine_factory(engine_kind, schema, str(tmp_path / "plain"))
-        batched = engine_factory(engine_kind, schema, str(tmp_path / "batched"))
-        for target in (plain, batched):
+        columnar = engine_factory(engine_kind, schema, str(tmp_path / "columnar"))
+        for target in (plain, columnar):
             target.init(make_records(25), message="seed")
             target.create_branch("dev", from_branch="master")
             target.delete("dev", 4)
             target.commit("dev", "work")
         predicate = ModuloPredicate("c1", 2)
         list(plain.scan_branch("dev", predicate))
-        flatten(batched.scan_branch_batched("dev", predicate))
+        list(columnar.scan_branch_columns("dev", predicate))
         if engine_kind == "version-first":
-            # The index-driven batched scan touches only live records;
-            # the chain walk also visits shadowed copies and tombstones.
-            assert 0 < batched.stats.records_scanned <= plain.stats.records_scanned
+            # The index-driven column scan touches only live records; the
+            # chain walk also visits shadowed copies and tombstones.
+            assert 0 < columnar.stats.records_scanned <= plain.stats.records_scanned
         else:
-            assert batched.stats.records_scanned == plain.stats.records_scanned
+            assert columnar.stats.records_scanned == plain.stats.records_scanned
 
     def test_empty_branch_scans_clean(self, engine):
         engine.init([], message="empty")
-        assert flatten(engine.scan_branch_batched("master")) == []
+        assert list(engine.scan_branch_columns("master")) == []
+        assert engine.count_branch("master") == 0
 
     @pytest.mark.parametrize("predicate", PREDICATES)
     def test_scan_branches_batched_matches_tuple_at_a_time(
@@ -164,223 +122,66 @@ class TestEngineBatchedScans:
             }
 
 
-class TestOperatorBatches:
-    def test_default_batches_chunk_iteration(self):
-        from repro.core.schema import Schema
-
-        schema = Schema.of_ints(4)
-        records = make_records(10)
-        scan = SeqScan(iter(records), schema)
-        assert flatten(scan.batches(batch_size=3)) == records
-
-    def test_filter_project_limit_batches(self):
-        from repro.core.schema import Schema
-
-        schema = Schema.of_ints(4)
-        records = make_records(50)
-        predicate = ColumnPredicate("c1", ">=", 100)
-
-        def pipeline():
-            return Limit(
-                Project(
-                    Filter(SeqScan(iter(records), schema), predicate),
-                    ["c2", "id", "id"],
-                ),
-                17,
-            )
-
-        assert flatten(pipeline().batches(batch_size=5)) == list(pipeline())
-
-    def test_seqscan_batch_source_flattens_for_iter(self):
-        from repro.core.schema import Schema
-
-        schema = Schema.of_ints(4)
-        records = make_records(7)
-        batches = [records[:3], records[3:]]
-        assert list(SeqScan(None, schema, batch_source=iter(batches))) == records
-        assert list(
-            SeqScan(None, schema, batch_source=iter(batches)).batches()
-        ) == batches
-
-    def _scan(self, records):
-        from repro.core.schema import Schema
-
-        return SeqScan(iter(records), Schema.of_ints(4))
-
-    def test_hash_join_batches_match_iteration(self):
-        records = make_records(40)
-        right = [Record((r.values[0], r.values[1] + 1, 0, 0)) for r in records[5:]]
-
-        def pipeline():
-            return HashJoin(self._scan(records), self._scan(right), "id", "id")
-
-        assert flatten(pipeline().batches(batch_size=7)) == list(pipeline())
-
-    def test_hash_join_composite_key_batches(self):
-        records = make_records(30)
-
-        def pipeline():
-            return HashJoin(
-                self._scan(records),
-                self._scan(records),
-                ["id", "c1"],
-                ["id", "c1"],
-            )
-
-        assert flatten(pipeline().batches(batch_size=4)) == list(pipeline())
-
-    def test_hash_anti_join_batches_match_iteration(self):
-        outer = make_records(25)
-        inner = make_records(10, start=5)
-
-        def pipeline():
-            return HashAntiJoin(self._scan(outer), self._scan(inner), "id", "id")
-
-        assert flatten(pipeline().batches(batch_size=6)) == list(pipeline())
-
-    def test_order_by_batches_match_iteration(self):
-        records = make_records(31)[::-1]
-
-        def pipeline():
-            return OrderBy(self._scan(records), [("c2", False), ("id", True)])
-
-        assert flatten(pipeline().batches(batch_size=5)) == list(pipeline())
-
-    def test_distinct_batches_match_iteration(self):
-        records = make_records(12) + make_records(12) + make_records(3, start=6)
-
-        def pipeline():
-            return DistinctOp(self._scan(records))
-
-        assert flatten(pipeline().batches(batch_size=5)) == list(pipeline())
-
-    @pytest.mark.parametrize("function", ["count", "sum", "min", "max", "avg"])
-    @pytest.mark.parametrize("group_by", [None, "c2"])
-    def test_aggregate_batches_match_iteration(self, function, group_by):
-        records = [
-            Record((key, key * 3, key % 4, key % 2)) for key in range(37)
-        ]
-
-        def pipeline():
-            return AggregateOp(
-                self._scan(records), function, "c1", group_by=group_by
-            )
-
-        assert flatten(pipeline().batches(batch_size=8)) == list(pipeline())
-
-    @pytest.mark.parametrize(
-        "group_by, aggregates",
-        [
-            ([], [("n", "count", "*")]),
-            (["c2"], [("n", "count", "*"), ("total", "sum", "c1")]),
-            (["c2", "c3"], [("lo", "min", "c1"), ("hi", "max", "c1"),
-                            ("mean", "avg", "c1")]),
-            (["c2"], []),  # grouping with no aggregates (DISTINCT-like)
-        ],
-    )
-    def test_group_aggregate_batches_match_iteration(self, group_by, aggregates):
-        records = [
-            Record((key, key * 7, key % 5, key % 3)) for key in range(53)
-        ]
-
-        def pipeline():
-            return GroupAggregate(self._scan(records), group_by, aggregates)
-
-        assert flatten(pipeline().batches(batch_size=9)) == list(pipeline())
-
-    def test_group_aggregate_empty_input(self):
-        for group_by in ([], ["c2"]):
-            def pipeline(g=group_by):
-                return GroupAggregate(self._scan([]), g, [("n", "count", "*")])
-
-            assert flatten(pipeline().batches()) == list(pipeline())
-
-    def test_count_matches_materialized_length(self):
-        records = make_records(40)
-
-        def pipeline():
-            return OrderBy(
-                Project(
-                    Filter(self._scan(records), ColumnPredicate("c1", ">=", 100)),
-                    ["id", "c2"],
-                ),
-                [("id", True)],
-            )
-
-        assert pipeline().count() == len(list(pipeline()))
-
-    def test_seqscan_count_source_short_circuits(self):
-        from repro.core.schema import Schema
-
-        schema = Schema.of_ints(4)
-
-        def poisoned_batches():
-            raise AssertionError("batch source must not be consumed")
-            yield  # pragma: no cover
-
-        scan = SeqScan(
-            None, schema, batch_source=poisoned_batches(), count_source=lambda: 123
-        )
-        assert scan.count() == 123
+def branch_rows(engine, branch, predicate=None):
+    """The reference scan of one branch head, as value tuples."""
+    return [record.values for record in engine.scan_branch(branch, predicate)]
 
 
-class TestQueryPipelineEquivalence:
-    def _rows(self, plan, batched):
-        operator = build_physical(optimize(plan), batched=batched)
-        return [record.values for batch in operator.batches() for record in batch]
+class TestQueryPipelineOracle:
+    def _rows(self, plan):
+        return rows(build_physical(optimize(plan)))
 
     @pytest.mark.parametrize("predicate", PREDICATES)
     def test_version_scan(self, branched_engine, predicate):
         for branch in ("master", "dev"):
-            plans = [
-                VersionScan(branched_engine, "R", "R", "branch", branch, predicate)
-                for _ in range(2)
-            ]
-            assert self._rows(plans[0], True) == self._rows(plans[1], False)
+            plan = VersionScan(branched_engine, "R", "R", "branch", branch, predicate)
+            assert self._rows(plan) == branch_rows(branched_engine, branch, predicate)
 
     def test_commit_scan(self, branched_engine):
         commit = branched_engine.graph.head("dev")
-        plans = [
-            VersionScan(branched_engine, "R", "R", "commit", commit, None)
-            for _ in range(2)
+        plan = VersionScan(branched_engine, "R", "R", "commit", commit, None)
+        assert self._rows(plan) == [
+            record.values for record in branched_engine.scan_commit(commit)
         ]
-        assert self._rows(plans[0], True) == self._rows(plans[1], False)
 
     def test_version_diff(self, branched_engine):
         key = branched_engine.schema.primary_key
-        results = []
-        for batched in (True, False):
-            plan = VersionDiff(
-                branched_engine,
-                "R",
-                ("branch", "dev"),
-                ("branch", "master"),
-                key,
-                include_modified=True,
-            )
-            results.append(self._rows(plan, batched))
-        assert results[0] == results[1]
+        plan = VersionDiff(
+            branched_engine,
+            "R",
+            ("branch", "dev"),
+            ("branch", "master"),
+            key,
+            include_modified=True,
+        )
+        master = set(branch_rows(branched_engine, "master"))
+        expected = [
+            row for row in branch_rows(branched_engine, "dev") if row not in master
+        ]
+        assert sorted(self._rows(plan)) == sorted(expected)
 
     def test_join(self, branched_engine):
         key = branched_engine.schema.primary_key
         predicate = ModuloPredicate("c1", 4)
-        results = []
-        for batched in (True, False):
-            plan = Join(
-                VersionScan(branched_engine, "R", "a", "branch", "dev", predicate),
-                VersionScan(branched_engine, "R", "b", "branch", "master", None),
-                [(key, key)],
-            )
-            results.append(self._rows(plan, batched))
-        assert results[0] == results[1]
+        plan = Join(
+            VersionScan(branched_engine, "R", "a", "branch", "dev", predicate),
+            VersionScan(branched_engine, "R", "b", "branch", "master", None),
+            [(key, key)],
+        )
+        expected = [
+            a + b
+            for a in branch_rows(branched_engine, "dev", predicate)
+            for b in branch_rows(branched_engine, "master")
+            if a[0] == b[0]
+        ]
+        assert sorted(self._rows(plan)) == sorted(expected)
 
     def test_head_scan_rows_and_annotations(self, branched_engine):
-        results = []
-        for batched in (True, False):
-            plan = HeadScan(branched_engine, "R", "R", ModuloPredicate("c1", 5))
-            results.append(execute_plan(plan, batched=batched))
-        assert results[0].rows == results[1].rows
-        assert results[0].branch_annotations == results[1].branch_annotations
+        predicate = ModuloPredicate("c1", 5)
+        result = execute_plan(HeadScan(branched_engine, "R", "R", predicate))
+        pairs = list(branched_engine.scan_heads(predicate))
+        assert result.rows == [record.values for record, _ in pairs]
+        assert result.branch_annotations == [members for _, members in pairs]
 
     def _group_by_plan(self, engine, branch):
         return Aggregate(
@@ -397,47 +198,61 @@ class TestQueryPipelineEquivalence:
 
     def test_group_by(self, branched_engine):
         for branch in ("master", "dev"):
-            plans = [
-                self._group_by_plan(branched_engine, branch) for _ in range(2)
+            groups: dict[int, list[tuple]] = {}
+            for row in branch_rows(branched_engine, branch):
+                groups.setdefault(row[3], []).append(row)
+            expected = [
+                (
+                    c3,
+                    len(group),
+                    sum(row[1] for row in group),
+                    min(row[2] for row in group),
+                    sum(row[1] for row in group) / len(group),
+                )
+                for c3, group in sorted(groups.items())
             ]
-            assert self._rows(plans[0], True) == self._rows(plans[1], False)
+            plan = self._group_by_plan(branched_engine, branch)
+            assert self._rows(plan) == expected
 
     def test_order_by(self, branched_engine):
-        results = []
-        for batched in (True, False):
-            plan = Sort(
-                VersionScan(branched_engine, "R", "R", "branch", "dev", None),
-                [("c3", True), ("id", False)],
-            )
-            results.append(self._rows(plan, batched))
-        assert results[0] == results[1]
+        plan = Sort(
+            VersionScan(branched_engine, "R", "R", "branch", "dev", None),
+            [("c3", True), ("id", False)],
+        )
+        expected = sorted(
+            branch_rows(branched_engine, "dev"), key=lambda row: (-row[3], row[0])
+        )
+        assert self._rows(plan) == expected
 
     def test_distinct(self, branched_engine):
-        results = []
-        for batched in (True, False):
-            plan = Distinct(
-                VersionScan(branched_engine, "R", "R", "branch", "master", None)
-            )
-            results.append(self._rows(plan, batched))
-        assert results[0] == results[1]
+        plan = Distinct(
+            VersionScan(branched_engine, "R", "R", "branch", "master", None)
+        )
+        expected = list(dict.fromkeys(branch_rows(branched_engine, "master")))
+        assert self._rows(plan) == expected
 
     def test_anti_join(self, branched_engine):
         key = branched_engine.schema.primary_key
-        results = []
-        for batched in (True, False):
-            # The inner-side predicate keeps the optimizer from rewriting
-            # this shape to an engine diff, so HashAntiJoin itself runs.
-            plan = AntiJoin(
-                VersionScan(branched_engine, "R", "a", "branch", "dev", None),
-                VersionScan(
-                    branched_engine, "R", "b", "branch", "master",
-                    ModuloPredicate("c1", 2),
-                ),
-                key,
-                key,
-            )
-            results.append(self._rows(plan, batched))
-        assert results[0] == results[1]
+        inner_predicate = ModuloPredicate("c1", 2)
+        # The inner-side predicate keeps the optimizer from rewriting this
+        # shape to an engine diff, so HashAntiJoin itself runs.
+        plan = AntiJoin(
+            VersionScan(branched_engine, "R", "a", "branch", "dev", None),
+            VersionScan(
+                branched_engine, "R", "b", "branch", "master", inner_predicate
+            ),
+            key,
+            key,
+        )
+        inner_keys = {
+            row[0] for row in branch_rows(branched_engine, "master", inner_predicate)
+        }
+        expected = [
+            row
+            for row in branch_rows(branched_engine, "dev")
+            if row[0] not in inner_keys
+        ]
+        assert self._rows(plan) == expected
 
     @pytest.mark.parametrize("predicate", PREDICATES)
     def test_count_only_path_matches_row_counts(self, branched_engine, predicate):
@@ -455,11 +270,8 @@ class TestQueryPipelineEquivalence:
             lambda: self._group_by_plan(branched_engine, "master"),
         ]
         for make_plan in plans:
-            operator = build_physical(optimize(make_plan()), batched=True)
-            counted = operator.count()
-            operator = build_physical(optimize(make_plan()), batched=True)
-            materialized = sum(len(batch) for batch in operator.batches())
-            assert counted == materialized
+            counted = build_physical(optimize(make_plan())).count()
+            assert counted == len(self._rows(make_plan()))
 
     def test_engine_count_branch_matches_scan(self, branched_engine):
         for branch in ("master", "dev", "feature"):
@@ -470,51 +282,3 @@ class TestQueryPipelineEquivalence:
                 assert (
                     branched_engine.count_branch(branch, predicate) == expected
                 )
-
-
-class TestExecutionModeSelection:
-    def test_whole_tree_is_batched(self, branched_engine):
-        key = branched_engine.schema.primary_key
-        plan = optimize(
-            Sort(
-                Aggregate(
-                    Join(
-                        VersionScan(
-                            branched_engine, "R", "a", "branch", "dev",
-                            ModuloPredicate("c1", 3),
-                        ),
-                        VersionScan(
-                            branched_engine, "R", "b", "branch", "master", None
-                        ),
-                        [(key, key)],
-                    ),
-                    ["c3"],
-                    [
-                        SelectItem(column="c3"),
-                        SelectItem(function="count", argument="*"),
-                    ],
-                ),
-                [("c3", False)],
-            )
-        )
-        assert select_execution_mode(plan) == "columnar"
-        labels = execution_mode_labels(plan)
-        assert labels and set(labels.values()) == {"columnar"}
-
-    def test_explain_marks_every_node_batched(self, tmp_path):
-        from repro.db.database import Decibel
-        from repro.core.schema import Schema
-
-        db = Decibel(str(tmp_path / "db"), engine="hybrid")
-        relation = db.create_relation("R", Schema.of_ints(4))
-        relation.init(make_records(20))
-        for sql in (
-            "SELECT c1, count(*) FROM R WHERE R.Version = 'master' "
-            "GROUP BY c1 ORDER BY count(*) DESC LIMIT 3",
-            "SELECT a.id, b.c2 FROM R a, R b WHERE a.id = b.id AND "
-            "a.Version = 'master' AND b.Version = 'master'",
-        ):
-            explained = db.explain(sql)
-            lines = explained.splitlines()
-            assert lines and all("[columnar]" in line for line in lines)
-            assert "[tuple]" not in explained

@@ -69,7 +69,7 @@ class TestExperimentRunnersSmoke:
         tiny_scale.scan_rows = 2000
         json_path = str(tmp_path / "BENCH_pr5.json")
         table = sort_topn(str(tmp_path), scale=tiny_scale, json_path=json_path)
-        assert len(table.rows) == 6  # three micro workloads + three engines
+        assert len(table.rows) == 5  # two micro workloads + three engines
         with open(json_path, encoding="utf-8") as handle:
             payload = json.load(handle)
         # The Limit-over-Sort rewrite must be recorded, never silent.

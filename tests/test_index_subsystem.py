@@ -35,7 +35,6 @@ from repro.query.logical import IndexScan
 from repro.query.optimizer import (
     INDEX_SELECTIVITY_THRESHOLD,
     index_selection_enabled,
-    select_execution_mode,
     set_index_selection,
 )
 
@@ -388,7 +387,7 @@ class TestVerifierCoverage:
             "SELECT * FROM R WHERE R.Version = 'master' AND R.c1 < 2",
         ):
             plan, _ = self._index_plan(db, sql)
-            verify_plan(plan, mode=select_execution_mode(plan))
+            verify_plan(plan)
 
     def test_scan_on_non_indexed_column_rejected(self, db):
         plan, node = self._index_plan(

@@ -65,43 +65,59 @@ class TestRuleMetadata:
 
 
 class TestOperatorProtocolRule:
-    def test_iter_only_operator_flagged(self):
+    def test_iter_method_flagged(self):
+        # A seeded revival of the deleted tuple-at-a-time path.
         violations = check(
             OperatorProtocolRule(),
             "repro/core/operators.py",
             """
-            class Broken(Operator):
+            class Revived(Operator):
                 def __iter__(self):
                     return iter(())
-            """,
-        )
-        assert len(violations) == 1
-        assert "batches" in violations[0].message
-        assert "Broken" in violations[0].message
-
-    def test_batches_only_operator_flagged(self):
-        violations = check(
-            OperatorProtocolRule(),
-            "repro/core/operators.py",
-            """
-            class Broken(Operator):
-                def batches(self, batch_size=1024):
-                    yield []
+                def column_batches(self, batch_size=1024):
+                    yield from ()
             """,
         )
         assert len(violations) == 1
         assert "__iter__" in violations[0].message
+        assert "Revived" in violations[0].message
 
-    def test_full_protocol_clean(self):
+    def test_batches_method_flagged(self):
+        violations = check(
+            OperatorProtocolRule(),
+            "repro/query/physical.py",
+            """
+            class Revived(Operator):
+                def batches(self, batch_size=1024):
+                    yield []
+                def column_batches(self, batch_size=1024):
+                    yield from ()
+            """,
+        )
+        assert len(violations) == 1
+        assert "batches" in violations[0].message
+
+    def test_missing_column_batches_flagged(self):
+        violations = check(
+            OperatorProtocolRule(),
+            "repro/core/operators.py",
+            """
+            class Broken(Operator):
+                def count(self):
+                    return 0
+            """,
+        )
+        assert len(violations) == 1
+        assert "does not define column_batches" in violations[0].message
+
+    def test_columnar_operator_clean(self):
         violations = check(
             OperatorProtocolRule(),
             "repro/core/operators.py",
             """
             class Fine(Operator):
-                def __iter__(self):
-                    return iter(())
-                def batches(self, batch_size=1024):
-                    yield []
+                def column_batches(self, batch_size=1024):
+                    yield from ()
                 def count(self):
                     return 0
             """,
@@ -398,9 +414,10 @@ class TestColumnarBoundaryRule:
                         selection = [i for i in range(batch.num_rows)]
                         yield batch.take(selection)
 
-                def batches(self, batch_size=1024):
-                    # Row-mode paths may build records freely.
-                    yield [Record(()) for _ in range(2)]
+                def _records(self):
+                    # Helpers outside column_batches (e.g. an index fetch)
+                    # may build records freely.
+                    return [Record(()) for _ in range(2)]
             """,
         )
         assert violations == []

@@ -36,7 +36,6 @@ from repro.query.logical import (
     VersionDiff,
     VersionScan,
 )
-from repro.query.optimizer import select_execution_mode
 from repro.query.parser import ColumnComparison
 from repro.query.physical import LimitOp, execute_plan
 
@@ -63,7 +62,7 @@ def find(plan: LogicalNode, node_type: type) -> LogicalNode:
 
 
 class TestCleanPlans:
-    """Representative query shapes verify without error in both modes."""
+    """Representative query shapes verify without error."""
 
     @pytest.mark.parametrize(
         "sql",
@@ -80,10 +79,7 @@ class TestCleanPlans:
         ],
     )
     def test_planner_output_verifies(self, db, sql):
-        plan = plan_query(db, sql)
-        assert select_execution_mode(plan) == "columnar"
-        verify_plan(plan, mode=select_execution_mode(plan))
-        verify_plan(plan, batched=None)
+        verify_plan(plan_query(db, sql))
 
 
 class TestSchemaPropagation:
@@ -171,29 +167,6 @@ class TestTypeCompat:
         assert "Filter" in exc.value.node
 
 
-class TestModeConsistency:
-    def test_batched_plan_with_non_native_node(self, db, monkeypatch):
-        plan = plan_query(
-            db, "SELECT id FROM R WHERE R.Version = 'master' LIMIT 3"
-        )
-        # Simulate an operator losing its native batch path (e.g. a refactor
-        # deleting the override): batched execution of this plan would
-        # silently chunk the tuple iterator under a batch facade.
-        monkeypatch.setattr(LimitOp, "batches", Operator.batches)
-        with pytest.raises(PlanInvariantError) as exc:
-            verify_plan(plan, batched=True)
-        assert exc.value.rule == "mode-consistency"
-        assert "native batch path" in str(exc.value)
-
-    def test_tuple_mode_accepts_non_native_node(self, db, monkeypatch):
-        plan = plan_query(
-            db, "SELECT id FROM R WHERE R.Version = 'master' LIMIT 3"
-        )
-        monkeypatch.setattr(LimitOp, "batches", Operator.batches)
-        verify_plan(plan, batched=False)
-        assert select_execution_mode(plan) == "streaming"
-
-
 class TestRewriteLegality:
     def test_top_n_under_filter_rejected(self, db):
         plan = plan_query(
@@ -270,6 +243,19 @@ class TestOperatorProtocol:
         assert "NODE_OPERATORS" in str(exc.value)
         assert exc.value.node == "Mystery()"
 
+    def test_operator_without_column_batches_rejected(self, db, monkeypatch):
+        plan = plan_query(
+            db, "SELECT id FROM R WHERE R.Version = 'master' LIMIT 3"
+        )
+        # Simulate a refactor deleting an operator's column_batches: the
+        # plan would raise after rows started flowing through its children.
+        monkeypatch.setattr(LimitOp, "column_batches", Operator.column_batches)
+        with pytest.raises(PlanInvariantError) as exc:
+            verify_plan(plan)
+        assert exc.value.rule == "operator-protocol"
+        assert "column_batches" in str(exc.value)
+        assert exc.value.node.startswith("Limit")
+
 
 class TestWiring:
     def test_default_on_under_pytest(self):
@@ -292,11 +278,10 @@ class TestWiring:
         # EXPLAIN runs the verifier even when the ambient default is off.
         set_default_verify(False)
         try:
-            monkeypatch.setattr(LimitOp, "batches", Operator.batches)
-            out = db.explain(
-                "SELECT id FROM R WHERE R.Version = 'master' LIMIT 3"
-            )
-            assert "[tuple]" in out
+            monkeypatch.setattr(LimitOp, "column_batches", Operator.column_batches)
+            with pytest.raises(PlanInvariantError) as exc:
+                db.explain("SELECT id FROM R WHERE R.Version = 'master' LIMIT 3")
+            assert exc.value.rule == "operator-protocol"
         finally:
             set_default_verify(True)
 

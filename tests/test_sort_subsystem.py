@@ -3,7 +3,7 @@
 Covers the run/spill/merge machinery in ``repro.core.sort``, the rewritten
 ``OrderBy`` and new ``TopN`` operators, the optimizer's Limit-over-Sort
 fusion (with its EXPLAIN tags), and end-to-end equivalence across all three
-storage engines in both execution modes.
+storage engines.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.operators import OrderBy, SeqScan, TopN as TopNOp, materialize
+from repro.core.operators import OrderBy, TopN as TopNOp
 from repro.core.record import Record
 from repro.core.schema import Column, ColumnType, Schema
 from repro.core.sort import (
@@ -30,15 +30,10 @@ from repro.query.logical import (
     VersionScan,
     render_plan,
 )
-from repro.query.optimizer import (
-    fuse_top_n,
-    optimize,
-    rewrite_labels,
-    select_execution_mode,
-)
+from repro.query.optimizer import fuse_top_n, optimize, rewrite_labels
 from repro.query.physical import build_physical, execute_plan
 
-from tests.conftest import make_records
+from tests.conftest import make_records, rows, scan_of
 
 
 def reference_sort(records, keys, schema):
@@ -48,6 +43,10 @@ def reference_sort(records, keys, schema):
         index = schema.index_of(column)
         out.sort(key=lambda r, i=index: r.values[i], reverse=descending)
     return out
+
+
+def values_of(records):
+    return [record.values for record in records]
 
 
 # -- key compilation ----------------------------------------------------------
@@ -156,31 +155,22 @@ class TestOrderBySpill:
     def _records(self):
         return [Record(((i * 37) % 100, i % 7, -i, 7)) for i in range(700)]
 
-    def test_batched_spill_path_matches_in_memory(self, schema):
-        unbounded = materialize(
-            OrderBy(SeqScan(self._records(), schema), self.KEYS)
-        )
+    def test_spill_path_matches_in_memory(self, schema):
+        unbounded = rows(OrderBy(scan_of(self._records(), schema), self.KEYS))
         spilled = OrderBy(
-            SeqScan(self._records(), schema), self.KEYS, budget_bytes=2_000
+            scan_of(self._records(), schema), self.KEYS, budget_bytes=2_000
         )
-        assert materialize(spilled) == unbounded
-        assert spilled.spilled_runs > 0
-
-    def test_iter_spill_path_matches_in_memory(self, schema):
-        unbounded = list(OrderBy(SeqScan(self._records(), schema), self.KEYS))
-        spilled = OrderBy(
-            SeqScan(self._records(), schema), self.KEYS, budget_bytes=2_000
-        )
-        assert list(spilled) == unbounded
+        assert rows(spilled, batch_size=64) == unbounded
         assert spilled.spilled_runs > 0
 
     def test_matches_legacy_semantics(self, schema):
         records = self._records()
-        rows = materialize(OrderBy(SeqScan(list(records), schema), self.KEYS))
-        assert rows == reference_sort(records, self.KEYS, schema)
+        assert rows(OrderBy(scan_of(records, schema), self.KEYS)) == values_of(
+            reference_sort(records, self.KEYS, schema)
+        )
 
     def test_count_skips_sort(self, schema):
-        op = OrderBy(SeqScan(make_records(25), schema), [("id", False)])
+        op = OrderBy(scan_of(make_records(25), schema), [("id", False)])
         assert op.count() == 25
 
 
@@ -191,36 +181,36 @@ class TestTopNOperator:
     def test_equals_full_sort_prefix(self, schema):
         records = [Record(((i * 13) % 40, i, 0, 0)) for i in range(200)]
         keys = [("id", True)]
-        full = materialize(OrderBy(SeqScan(list(records), schema), keys))
-        top = materialize(TopNOp(SeqScan(list(records), schema), keys, 9))
+        full = rows(OrderBy(scan_of(records, schema), keys))
+        top = rows(TopNOp(scan_of(records, schema), keys, 9))
         assert top == full[:9]
 
     def test_zero_k_emits_nothing(self, schema):
-        op = TopNOp(SeqScan(make_records(10), schema), [("id", False)], 0)
-        assert materialize(op) == [] and list(op) == []
+        op = TopNOp(scan_of(make_records(10), schema), [("id", False)], 0)
+        assert rows(op) == []
 
     def test_k_beyond_cardinality_is_full_sort(self, schema):
         keys = [("c1", True), ("id", False)]
         records = make_records(15)[::-1]
-        top = materialize(TopNOp(SeqScan(list(records), schema), keys, 99))
-        assert top == reference_sort(records, keys, schema)
+        top = rows(TopNOp(scan_of(records, schema), keys, 99))
+        assert top == values_of(reference_sort(records, keys, schema))
 
     def test_stability_on_ties(self, schema):
         records = [Record((i, 1, 0, 0)) for i in range(20)]
-        top = materialize(TopNOp(SeqScan(records, schema), [("c1", False)], 5))
-        assert [r.values[0] for r in top] == [0, 1, 2, 3, 4]
+        top = rows(TopNOp(scan_of(records, schema), [("c1", False)], 5))
+        assert [row[0] for row in top] == [0, 1, 2, 3, 4]
 
     def test_count_caps_at_k(self, schema):
-        op = TopNOp(SeqScan(make_records(30), schema), [("id", False)], 4)
+        op = TopNOp(scan_of(make_records(30), schema), [("id", False)], 4)
         assert op.count() == 4
 
     def test_negative_k_rejected(self, schema):
         with pytest.raises(QueryError):
-            TopNOp(SeqScan([], schema), [("id", False)], -1)
+            TopNOp(scan_of([], schema), [("id", False)], -1)
 
     def test_empty_keys_rejected(self, schema):
         with pytest.raises(QueryError):
-            TopNOp(SeqScan([], schema), [], 5)
+            TopNOp(scan_of([], schema), [], 5)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -234,13 +224,9 @@ class TestTopNOperator:
         schema = Schema.of_ints(4)
         records = [Record((i, v, 0, 0)) for i, v in enumerate(values)]
         keys = [("c1", descending)]
-        expected = reference_sort(records, keys, schema)[:k]
-        top = TopNOp(SeqScan(list(records), schema), keys, k)
-        flattened = [
-            record for batch in top.batches(batch_size) for record in batch
-        ]
-        assert flattened == expected
-        assert list(TopNOp(SeqScan(list(records), schema), keys, k)) == expected
+        expected = values_of(reference_sort(records, keys, schema)[:k])
+        top = TopNOp(scan_of(records, schema, batch_size), keys, k)
+        assert rows(top, batch_size) == expected
 
 
 # -- optimizer fusion ---------------------------------------------------------
@@ -293,77 +279,64 @@ class TestTopNFusion:
         rendered = render_plan(plan, labels)
         assert "[top-n k=7]" in rendered
 
-    def test_top_n_plan_is_batch_native(self, seeded_engine):
-        plan = optimize(Limit(Sort(_scan(seeded_engine), [("c1", True)]), 7))
-        assert select_execution_mode(plan) == "columnar"
 
-
-# -- pipeline equivalence across engines and modes ----------------------------
+# -- pipeline equivalence across engines ---------------------------------------
 
 
 class TestPipelineEquivalence:
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_top_n_equals_full_sort_prefix(self, seeded_engine, batched):
+    def test_top_n_equals_full_sort_prefix(self, seeded_engine):
         keys = [("c1", True), ("id", False)]
-        full = execute_plan(
-            optimize(Sort(_scan(seeded_engine), keys)), batched=batched
-        )
-        top = execute_plan(
-            optimize(Limit(Sort(_scan(seeded_engine), keys), 8)),
-            batched=batched,
-        )
+        full = execute_plan(optimize(Sort(_scan(seeded_engine), keys)))
+        top = execute_plan(optimize(Limit(Sort(_scan(seeded_engine), keys), 8)))
         assert top.rows == full.rows[:8]
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_spill_budget_is_byte_identical(self, seeded_engine, batched):
-        keys = [("c2", True)]
-        unbounded = execute_plan(
-            optimize(Sort(_scan(seeded_engine), keys)), batched=batched
+    def test_full_sort_matches_reference(self, seeded_engine):
+        keys = [("c2", True), ("id", False)]
+        result = execute_plan(optimize(Sort(_scan(seeded_engine), keys)))
+        expected = reference_sort(
+            list(seeded_engine.scan_branch("master")), keys, seeded_engine.schema
         )
+        assert result.rows == values_of(expected)
+
+    def test_spill_budget_is_byte_identical(self, seeded_engine):
+        keys = [("c2", True)]
+        unbounded = execute_plan(optimize(Sort(_scan(seeded_engine), keys)))
         spilled_plan = optimize(
             Sort(_scan(seeded_engine), keys, budget_bytes=500)
         )
-        spilled = execute_plan(spilled_plan, batched=batched)
+        spilled = execute_plan(spilled_plan)
         assert spilled.rows == unbounded.rows
 
     def test_spill_budget_reaches_physical_operator(self, seeded_engine):
         operator = build_physical(
             Sort(_scan(seeded_engine), [("c2", False)], budget_bytes=500)
         )
-        rows = materialize(operator)
+        out = rows(operator)
         assert operator.spilled_runs > 0
-        assert [r.values for r in rows] == sorted(
-            (r.values for r in rows), key=lambda v: v[2]
-        )
+        assert out == sorted(out, key=lambda v: v[2])
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_order_by_then_project_matches_project_then_sort(
-        self, seeded_engine, batched
-    ):
+    def test_order_by_then_project_matches_project_then_sort(self, seeded_engine):
         # The lowered shape for ORDER BY on a non-projected column.
         threaded = execute_plan(
             optimize(
                 Project(Sort(_scan(seeded_engine), [("c1", True)]), ["id"])
-            ),
-            batched=batched,
+            )
         )
         reference = execute_plan(
             optimize(
                 Project(
                     Sort(_scan(seeded_engine), [("c1", True)]), ["id", "c1"]
                 )
-            ),
-            batched=batched,
+            )
         )
         assert threaded.rows == [(row[0],) for row in reference.rows]
 
-    @pytest.mark.parametrize("batched", [True, False])
     @pytest.mark.parametrize("limit", [0, 5, 1000])
-    def test_limit_edges_through_top_n(self, seeded_engine, batched, limit):
+    def test_limit_edges_through_top_n(self, seeded_engine, limit):
         plan = optimize(
             Limit(Sort(_scan(seeded_engine), [("id", True)]), limit)
         )
-        result = execute_plan(plan, batched=batched)
+        result = execute_plan(plan)
         assert len(result.rows) == min(limit, 60)
         ids = [row[0] for row in result.rows]
         assert ids == sorted(ids, reverse=True)[: len(ids)]

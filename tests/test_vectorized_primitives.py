@@ -14,7 +14,6 @@ from repro.core.predicates import (
     Not,
     Or,
     TruePredicate,
-    compile_batch_filter,
     compile_predicate,
 )
 from repro.core.record import Record, RecordCodec
@@ -223,45 +222,6 @@ class TestCompiledPredicates:
         for values in rows:
             record = Record(values)
             assert compiled(record.values) == predicate.evaluate(record, int_schema)
-
-    @given(
-        payload_predicates,
-        st.lists(
-            st.tuples(
-                st.integers(-60, 60),
-                st.integers(-60, 60),
-                st.integers(-60, 60),
-                st.integers(-60, 60),
-            ),
-            max_size=30,
-        ),
-    )
-    def test_batch_filter_matches_evaluate(self, predicate, rows):
-        page_filter = compile_batch_filter(predicate, int_schema)
-        assert page_filter is not None
-        records = [Record(values) for values in rows]
-        expected = [
-            record
-            for record in records
-            if predicate.evaluate(record, int_schema)
-        ]
-        assert page_filter(records) == expected
-
-    def test_batch_filter_unknown_predicate_falls_back(self):
-        from repro.core.predicates import Predicate
-
-        class Odd(Predicate):
-            def evaluate(self, record, schema):
-                return record.values[0] % 2 == 1
-
-            def __hash__(self):
-                return 1
-
-            def __eq__(self, other):
-                return isinstance(other, Odd)
-
-        assert compile_batch_filter(Odd(), int_schema) is None
-        assert compile_batch_filter(None, int_schema) is None
 
     def test_compile_is_memoized(self):
         predicate = ColumnPredicate("c1", ">", 3)

@@ -106,13 +106,11 @@ def _assert_index_matches_chain(engine: VersionFirstEngine, branches) -> None:
                 f"branch {branch} key {key}: index location holds "
                 f"{record.values}, chain walk found {expected[key]}"
             )
-        # The index-driven batched scan reproduces the chain walk exactly.
-        batched = [
-            record
-            for batch in engine.scan_branch_batched(branch)
-            for record in batch
+        # The index-driven column scan reproduces the chain walk exactly.
+        columnar = [
+            row for batch in engine.scan_branch_columns(branch) for row in batch.rows()
         ]
-        assert batched == list(engine.scan_branch(branch))
+        assert columnar == [record.values for record in engine.scan_branch(branch)]
         # And the count-only path agrees with both.
         assert engine.count_branch(branch) == len(expected)
 
