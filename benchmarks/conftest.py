@@ -1,10 +1,11 @@
 """Shared configuration for the benchmark suite.
 
 Every benchmark regenerates one table or figure from the paper's Section 5 at
-a scaled-down dataset size (see DESIGN.md for the substitution rationale) and
-prints the corresponding result table so the output can be read side by side
-with the paper.  The scale can be raised with the ``REPRO_BENCH_OPS`` and
-``REPRO_BENCH_BRANCHES`` environment variables.
+a scaled-down dataset size (about 1/1000 of the paper's, since a pure-Python
+engine cannot drive its 100 GB configuration) and prints the corresponding
+result table so the output can be read side by side with the paper.  The
+scale can be raised with the ``REPRO_BENCH_OPS`` and ``REPRO_BENCH_BRANCHES``
+environment variables.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ def test_fig8_query2(benchmark, workdir, scale):
     # Version-first is the slowest engine where ancestry is deep or merge
     # heavy (deep chains / curation), the cases the paper's discussion centres
     # on.  (At this CPU-bound scale its cached chain scans can beat
-    # tuple-first on the shallow flat strategy; see EXPERIMENTS.md.)
+    # tuple-first on the shallow flat strategy.)
     assert rows["curation"][0] >= max(rows["curation"][1:]) * 0.8
     assert rows["deep"][0] >= rows["deep"][2] * 0.8
     # Aggregate shape across strategies: hybrid is the overall winner.

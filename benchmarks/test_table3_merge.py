@@ -21,8 +21,8 @@ def test_table3_merge_throughput(benchmark, workdir, scale):
         assert two_way > 0 and three_way > 0
 
     # Shape: hybrid's three-way merge stays competitive (the paper has it
-    # fastest by 2-3x; at this CPU-bound scale the gap narrows, see
-    # EXPERIMENTS.md), and version-first gains little from the three-way
+    # fastest by 2-3x; at this CPU-bound scale the gap narrows), and
+    # version-first gains little from the three-way
     # mode -- its extra full LCA scan caps it near its two-way rate.  At the
     # few-millisecond merge durations of the test scale, per-merge fixed
     # overhead dominates the LCA-scan cost the paper measures, so the bound

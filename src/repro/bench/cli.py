@@ -6,14 +6,14 @@ Runs any subset of the paper's experiments without pytest::
     python -m repro.bench fig7 table3 --operations 3000 --branches 8
     python -m repro.bench all --workdir /tmp/decibel-bench
 
-Each experiment prints the result table corresponding to its paper artefact
-(see DESIGN.md for the experiment index).
+Each experiment prints the result table corresponding to its paper artefact;
+``--list`` names them.  Performance of the system itself is measured by the
+repo benchmark under ``perf/`` (see ``BENCHMARK.json``), not here.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import tempfile
 
@@ -74,33 +74,6 @@ EXPERIMENTS = {
             workdir, update_fraction=0.5, scale=scale
         ),
     ),
-    "sort-topn": (
-        "Memory-bounded sort + Top-N rewrite (writes BENCH_pr5.json)",
-        lambda workdir, scale, json_path=None: experiments.sort_topn(
-            workdir, scale=scale, json_path=json_path
-        ),
-    ),
-    "recovery": (
-        "Crash recovery: open-to-first-query, clean vs after-crash "
-        "(writes BENCH_pr8.json)",
-        lambda workdir, scale, json_path=None: experiments.recovery_open(
-            workdir, scale=scale, json_path=json_path
-        ),
-    ),
-    "concurrency": (
-        "Serving layer: latency percentiles at 1/4/16 clients "
-        "(writes BENCH_pr9.json)",
-        lambda workdir, scale, json_path=None: experiments.serving_concurrency(
-            workdir, scale=scale, json_path=json_path
-        ),
-    ),
-    "index": (
-        "Index subsystem: persisted pk cold opens + index vs full scans "
-        "(writes BENCH_pr10.json)",
-        lambda workdir, scale, json_path=None: experiments.index_subsystem(
-            workdir, scale=scale, json_path=json_path
-        ),
-    ),
     "ablation-orientation": (
         "Ablation: branch- vs tuple-oriented bitmaps (tuple-first)",
         lambda workdir, scale: experiments.ablation_bitmap_orientation(
@@ -153,22 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--columns", type=int, default=10, help="columns per record (default: 10)"
     )
     parser.add_argument(
-        "--scan-rows",
-        type=int,
-        default=100_000,
-        help="rows in the single-dataset microbenchmarks (default: 100000)",
-    )
-    parser.add_argument(
-        "--bench-json",
-        default=None,
-        help=(
-            "where the sort-topn/recovery/concurrency/index experiments "
-            "write their JSON record (default: BENCH_pr5.json / "
-            "BENCH_pr8.json / BENCH_pr9.json / BENCH_pr10.json inside the "
-            "workdir)"
-        ),
-    )
-    parser.add_argument(
         "--markdown",
         action="store_true",
         help="print tables as markdown instead of fixed-width text",
@@ -208,23 +165,13 @@ def main(argv: list[str] | None = None) -> int:
         num_branches=args.branches,
         commit_interval=args.commit_interval,
         num_columns=args.columns,
-        scan_rows=args.scan_rows,
     )
     workdir = args.workdir or tempfile.mkdtemp(prefix="decibel-bench-")
     print(f"datasets under {workdir}")
-    # Options forwarded to any runner whose signature declares them, so the
-    # dispatch loop stays uniform as option-taking experiments come and go.
-    options = {"json_path": args.bench_json}
     for name in names:
         description, runner = EXPERIMENTS[name]
         print(f"\n== {name}: {description}")
-        supported = inspect.signature(runner).parameters
-        kwargs = {
-            option: value
-            for option, value in options.items()
-            if option in supported
-        }
-        _print_tables(runner(workdir, scale, **kwargs), markdown=args.markdown)
+        _print_tables(runner(workdir, scale), markdown=args.markdown)
     return 0
 
 

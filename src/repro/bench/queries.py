@@ -18,9 +18,7 @@ from repro.core.predicates import Predicate, non_selective_predicate
 from repro.query.logical import (
     HeadScan,
     Join,
-    Limit,
     LogicalNode,
-    Sort,
     VersionDiff,
     VersionScan,
 )
@@ -186,40 +184,3 @@ def query4_head_scan(
         query="Q4", seconds=elapsed, rows=rows, bytes_touched=_record_bytes(engine, rows)
     )
 
-
-def query6_order_by(
-    engine: VersionedStorageEngine,
-    branch: str,
-    order_column: str = "c2",
-    descending: bool = True,
-    limit: int | None = None,
-    budget_bytes: int | None = None,
-    cold: bool = True,
-) -> QueryMeasurement:
-    """Query 6 (PR 5): ORDER BY over one branch head, optionally limited.
-
-    ``SELECT * ... ORDER BY order_column [LIMIT k]`` through the full
-    plan/optimize/execute pipeline.  With a ``limit`` the optimizer fuses the
-    Limit-over-Sort shape into the bounded-heap
-    :class:`~repro.core.operators.TopN` operator; without one the
-    memory-bounded :class:`~repro.core.operators.OrderBy` runs, spilling
-    sorted runs to disk whenever ``budget_bytes`` is exceeded.
-    """
-    if cold:
-        engine.drop_caches()
-    plan: LogicalNode = Sort(
-        VersionScan(engine, BENCH_RELATION, BENCH_RELATION, "branch", branch, None),
-        [(order_column, descending), (engine.schema.primary_key, False)],
-        budget_bytes=budget_bytes,
-    )
-    if limit is not None:
-        plan = Limit(plan, limit)
-    start = time.perf_counter()
-    rows, _ = _run(plan)
-    elapsed = time.perf_counter() - start
-    return QueryMeasurement(
-        query="Q6",
-        seconds=elapsed,
-        rows=rows,
-        bytes_touched=_record_bytes(engine, rows),
-    )

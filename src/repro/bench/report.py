@@ -2,8 +2,8 @@
 
 Every experiment produces a :class:`ResultTable`: named columns plus rows of
 values, printable in a fixed-width layout so the benchmark output can be read
-next to the corresponding table or figure in the paper.  ``EXPERIMENTS.md``
-is written from these tables.
+next to the corresponding table or figure in the paper, or as markdown via
+``python -m repro.bench all --markdown``.
 """
 
 from __future__ import annotations

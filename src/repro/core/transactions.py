@@ -13,9 +13,12 @@ Durability protocol (redo-only logging):
    as WRITE records carrying the full logical write (values or key), so they
    can be redone from the log alone.
 2. A COMMIT record is appended and fsynced -- this is the commit point.
-   Nothing the engine has touched so far is durably visible: visibility is
-   governed by the branch bitmaps / segment offsets captured at the last
-   engine-level commit.
+   It is the transaction's only WAL fsync: BEGIN, WRITE, APPLIED and ABORT
+   records are buffered, and the COMMIT fsync (shared by every transaction
+   committing at the same moment, :meth:`WriteAheadLog.append_group`) makes
+   them durable with it.  Nothing the engine has touched so far is durably
+   visible: visibility is governed by the branch bitmaps / segment offsets
+   captured at the last engine-level commit.
 3. ``engine.commit`` then makes the changes durable on each touched branch
    (flushing storage, recording the commit snapshot, persisting the graph).
 4. An APPLIED record marks the application complete.
@@ -144,13 +147,12 @@ class Transaction:
         engine = self.manager.engine
         wal = self.manager.wal
         relation = self.manager.relation
-        # Group commit: BEGIN/WRITE/APPLIED records are buffered (ordered but
-        # not fsynced) and the COMMIT record rides a shared batch fsync with
-        # other concurrently committing sessions.  The commit point semantics
-        # are identical -- fsyncing the COMMIT record makes every earlier
-        # buffered record for this transaction durable too, and APPLIED is
-        # advisory (redo is idempotent, so losing it only costs redo work).
-        group = self.manager.group_commit
+        # BEGIN/WRITE/APPLIED records are buffered (ordered but not fsynced)
+        # and the COMMIT record rides a batch fsync shared with any other
+        # concurrently committing transaction.  Fsyncing the COMMIT record
+        # makes every earlier buffered record for this transaction durable
+        # too, and APPLIED is advisory (redo is idempotent, so losing it only
+        # costs redo work).
         try:
             # Last chance to observe a deadline before any work is applied;
             # past the commit point the transaction always runs to completion.
@@ -159,8 +161,7 @@ class Transaction:
                 wal.append(
                     LogRecord(
                         LogRecordType.BEGIN, self.transaction_id, relation=relation
-                    ),
-                    sync=not group,
+                    )
                 )
                 for write in self._writes:
                     # Apply first so a validation failure (duplicate key,
@@ -178,20 +179,15 @@ class Transaction:
                             branch=write.branch,
                             payload=write.payload(),
                             relation=relation,
-                        ),
-                        sync=not group,
+                        )
                     )
             # The fsynced COMMIT record is the commit point: from here the
             # transaction's effects must survive a crash (via redo).  It is
             # appended *outside* the engine write mutex so concurrent
             # committers can share one batch fsync.
-            commit_record = LogRecord(
-                LogRecordType.COMMIT, self.transaction_id, relation=relation
+            wal.append_group(
+                LogRecord(LogRecordType.COMMIT, self.transaction_id, relation=relation)
             )
-            if group:
-                wal.append_group(commit_record)
-            else:
-                wal.append(commit_record)
             self.state = TransactionState.COMMITTED
             commits = {}
             with engine.write_mutex:
@@ -200,8 +196,7 @@ class Transaction:
             wal.append(
                 LogRecord(
                     LogRecordType.APPLIED, self.transaction_id, relation=relation
-                ),
-                sync=not group,
+                )
             )
             return commits
         except InjectedCrash:
@@ -268,15 +263,11 @@ class TransactionManager:
         wal: WriteAheadLog | None = None,
         lock_manager: LockManager | None = None,
         relation: str | None = None,
-        group_commit: bool = False,
     ):
         self.engine = engine
         self.wal = wal if wal is not None else WriteAheadLog.in_memory()
         self.lock_manager = lock_manager if lock_manager is not None else LockManager()
         self.relation = relation
-        #: When True, COMMIT records share batch fsyncs across concurrently
-        #: committing sessions (the serving layer turns this on).
-        self.group_commit = group_commit
         self._ids = itertools.count(self.wal.max_transaction_id() + 1)
         self._ids_lock = threading.Lock()
 

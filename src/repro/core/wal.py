@@ -26,10 +26,14 @@ default) a corrupt record *followed by* readable data still raises -- only a
 clean tail tear is ever repaired silently.
 
 Transactions write BEGIN / WRITE / COMMIT / APPLIED / ABORT records through
-the log.  The COMMIT record, fsynced before the storage engine applies
-anything durable, is the commit point; the APPLIED record marks that the
-engine finished applying, so recovery (:func:`WriteAheadLog.replay`) can tell
-which committed transactions still need their WRITE records redone.
+the log.  Only the COMMIT record is fsynced: :meth:`WriteAheadLog.append`
+buffers a record without an fsync, and :meth:`WriteAheadLog.append_group`
+makes the COMMIT record -- and every record buffered before it -- durable
+with one fsync shared by all concurrently committing transactions.  That
+fsync, taken before the storage engine applies anything durable, is the
+commit point; the APPLIED record marks that the engine finished applying, so
+recovery (:func:`WriteAheadLog.replay`) can tell which committed transactions
+still need their WRITE records redone.
 """
 
 from __future__ import annotations
@@ -153,8 +157,9 @@ class WriteAheadLog:
         self._written_seq = 0
         self._synced_seq = 0
         self._sync_leader_active = False
-        #: Number of fsync() calls issued on the log file, and how many of
-        #: them were group-commit batch syncs (covering >= 1 waiting commit).
+        #: Number of fsync() calls issued on the log file, and how many
+        #: group-commit batches (each covering >= 1 waiting commit) they
+        #: made.  Every log fsync is a batch fsync, so the two stay equal.
         self.fsync_count = 0
         self.group_batches = 0
         if path is not None and os.path.exists(path):
@@ -262,24 +267,16 @@ class WriteAheadLog:
 
     # -- writing --------------------------------------------------------------
 
-    def append(self, record: LogRecord, *, sync: bool = True) -> None:
-        """Append a record; when ``sync`` (the default) fsync it immediately.
+    def append(self, record: LogRecord) -> None:
+        """Append a record without an fsync.
 
-        ``sync=False`` leaves the record in the OS page cache: it is ordered
-        before any later record but not yet durable.  A subsequent fsync on
-        the file -- an ordinary ``sync=True`` append or a group commit --
-        makes every buffered record before it durable too, which is what
-        lets BEGIN/WRITE records ride the COMMIT record's fsync for free.
+        The record sits in the OS page cache: it is ordered before any later
+        record but not yet durable.  The next :meth:`append_group` fsync on
+        the file makes every buffered record before it durable too, which is
+        what lets BEGIN/WRITE records ride the COMMIT record's fsync for free.
         """
         check_crashed()
-        seq = self._write_record(record)
-        if sync and self.path is not None:
-            with self._mutex:
-                with open(self.path, "ab") as handle:
-                    crashpoint("wal-append-pre-fsync", path=self.path)
-                    os.fsync(handle.fileno())
-                self.fsync_count += 1
-            self._mark_synced(seq)
+        self._write_record(record)
 
     def append_group(self, record: LogRecord) -> None:
         """Append a record and make it durable via a *group* fsync.
@@ -338,12 +335,6 @@ class WriteAheadLog:
             self._written_seq += 1
             return self._written_seq
 
-    def _mark_synced(self, seq: int) -> None:
-        """Record that an fsync has covered every record up to ``seq``."""
-        with self._sync_cond:
-            self._synced_seq = max(self._synced_seq, seq)
-            self._sync_cond.notify_all()
-
     def checkpoint(self) -> None:
         """Write a checkpoint record and drop everything before it.
 
@@ -357,7 +348,10 @@ class WriteAheadLog:
             if self.path is not None:
                 atomic_write(self.path, checkpoint.encode(), label="wal-checkpoint")
             self._records = [checkpoint]
-        self._mark_synced(self._written_seq)
+        # The rename made the whole log durable.
+        with self._sync_cond:
+            self._synced_seq = self._written_seq
+            self._sync_cond.notify_all()
 
     # -- reading --------------------------------------------------------------
 

@@ -25,9 +25,10 @@ The robustness envelope, in one place:
   :class:`~repro.versioning.snapshots.Snapshot`, never the live heads, so
   readers see pre-commit or post-commit states only and never block
   writers.
-* **Group commit** -- session transactions run with
-  ``TransactionManager.group_commit`` enabled, so concurrent committers
-  share WAL fsyncs (leader syncs the batch, followers wait).
+* **Group commit** -- every transaction's COMMIT record goes through
+  :meth:`~repro.core.wal.WriteAheadLog.append_group`, so concurrent
+  session committers share WAL fsyncs (leader syncs the batch, followers
+  wait).
 * **Graceful drain** -- shutdown stops admitting, waits for in-flight
   requests up to ``drain_timeout_s``, cancels stragglers, then flushes
   and checkpoints.
@@ -617,10 +618,7 @@ class DecibelServer:
     def _session_transaction(self, session: _Session, relation: str) -> Any:
         txn = session.transactions.get(relation)
         if txn is None:
-            manager = self.db.transactions(relation)
-            # Server-side committers share fsyncs (leader/follower batching).
-            manager.group_commit = True
-            txn = manager.begin()
+            txn = self.db.transactions(relation).begin()
             session.transactions[relation] = txn
         return txn
 

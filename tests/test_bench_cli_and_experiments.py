@@ -5,8 +5,6 @@ at a tiny scale to cover the plumbing (dataset construction, measurement,
 table assembly) inside the regular test suite.
 """
 
-import json
-
 import pytest
 
 from repro.bench.cli import EXPERIMENTS, build_parser, main
@@ -16,7 +14,6 @@ from repro.bench.experiments import (
     figure6_scaling,
     figure8_query2,
     git_comparison,
-    sort_topn,
     table3_merge_throughput,
 )
 from repro.bench.report import ResultTable
@@ -65,23 +62,6 @@ class TestExperimentRunnersSmoke:
         table = ablation_commit_layers(str(tmp_path), scale=tiny_scale)
         assert [row[0] for row in table.rows] == [0, 4, 8, 16]
 
-    def test_sort_topn_structure(self, tmp_path, tiny_scale):
-        tiny_scale.scan_rows = 2000
-        json_path = str(tmp_path / "BENCH_pr5.json")
-        table = sort_topn(str(tmp_path), scale=tiny_scale, json_path=json_path)
-        assert len(table.rows) == 5  # two micro workloads + three engines
-        with open(json_path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        # The Limit-over-Sort rewrite must be recorded, never silent.
-        assert "top-n k=10" in payload["explain"]
-        workloads = payload["workloads"]
-        assert workloads["top_n"]["rows"] == 10
-        assert workloads["order_by_spill"]["identical_rows"] is True
-        assert workloads["order_by_spill"]["spilled_runs"] > 0
-        assert set(payload["queries"]) == {
-            "version-first", "tuple-first", "hybrid"
-        }
-
 
 class TestBenchmarkCLI:
     def test_every_registered_experiment_has_a_runner(self):
@@ -90,6 +70,13 @@ class TestBenchmarkCLI:
             assert callable(runner)
 
     def test_list_mode(self, capsys):
+        # The CLI runs the paper's figures, tables and ablations only; the
+        # system's own performance is measured by the repo benchmark.
+        assert set(EXPERIMENTS) == {
+            "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+            "table2", "table3", "table5", "table6", "table7",
+            "ablation-orientation", "ablation-layers",
+        }
         assert main(["--list"]) == 0
         output = capsys.readouterr().out
         for name in EXPERIMENTS:
@@ -108,6 +95,12 @@ class TestBenchmarkCLI:
         assert args.experiments == ["fig7"]
         assert args.operations == 500
         assert args.branches == 8
+        assert args.commit_interval == 300
+        assert args.columns == 10
+        assert args.workdir is None
+        assert not args.markdown
+        for removed in ("scan_rows", "bench_json"):
+            assert not hasattr(args, removed)
 
     def test_runs_one_experiment_end_to_end(self, tmp_path, capsys):
         code = main(

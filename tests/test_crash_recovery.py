@@ -26,9 +26,9 @@ from repro.query.executor import explain_query
 from repro.testing.faults import FaultSchedule, InjectedCrash, inject
 
 #: Every named crashpoint the durable write paths register, spanning the WAL
-#: append, metadata atomic-writes, and commit-history appends.
+#: COMMIT fsync, metadata atomic-writes, and commit-history appends.
 CRASHPOINTS = [
-    "wal-append-pre-fsync",
+    "wal-group-commit-pre-fsync",
     "graph-persist-mid-write",
     "graph-persist-pre-rename",
     "segment-meta-mid-write",
@@ -215,7 +215,9 @@ class TestRecoveryDetails:
         txn = db.transactions("t").begin()
         txn.insert("master", record(700, 7))
         with pytest.raises(InjectedCrash):
-            with inject(FaultSchedule("wal-append-pre-fsync", hit=2)):
+            # BEGIN and WRITE are already in the log when the COMMIT fsync
+            # dies, so reopen must resume ids past this transaction's.
+            with inject(FaultSchedule("wal-group-commit-pre-fsync")):
                 txn.commit("loser")
         reopened = Decibel.open(str(tmp_path), engine=engine)
         new_txn = reopened.transactions("t").begin()

@@ -46,7 +46,7 @@ def write_log(path, count=3):
                 payload={"kind": "insert", "values": [txn, 0]},
             )
         )
-        wal.append(LogRecord(LogRecordType.COMMIT, txn))
+        wal.append_group(LogRecord(LogRecordType.COMMIT, txn))
     return wal
 
 
@@ -82,9 +82,9 @@ class TestWalTornTail:
         """The harness's torn-write mode produces a recoverable log."""
         path = str(tmp_path / "wal.log")
         wal = write_log(path, count=2)
-        with inject(FaultSchedule("wal-append-pre-fsync", torn_bytes=4)):
+        with inject(FaultSchedule("wal-group-commit-pre-fsync", torn_bytes=4)):
             with pytest.raises(InjectedCrash):
-                wal.append(LogRecord(LogRecordType.BEGIN, 99))
+                wal.append_group(LogRecord(LogRecordType.COMMIT, 99))
         reopened = WriteAheadLog(path)
         assert 99 not in {r.transaction_id for r in reopened.records()}
         report = reopened.replay()

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.locks import LockManager
 from repro.core.record import Record
+from repro.core.schema import Schema
 from repro.core.transactions import TransactionManager, TransactionState
+from repro.db.database import Decibel
 from repro.errors import TransactionError
 
 from tests.conftest import make_records
@@ -93,3 +95,17 @@ class TestTransaction:
         txn.insert("master", Record((901, 0, 0, 0)))
         txn.abort()
         assert manager.wal.records()[-1].type.value == "abort"
+
+
+@pytest.mark.parametrize("engine", ["tuple-first", "version-first", "hybrid"])
+def test_embedded_commit_fsyncs_the_wal_once(tmp_path, engine):
+    """A 10-write embedded transaction costs one WAL fsync: its COMMIT."""
+    db = Decibel(str(tmp_path), engine=engine)
+    db.create_relation("t", Schema.of_ints(4)).init(make_records(10))
+    txn = db.transactions("t").begin()
+    for record in make_records(10, start=1000):
+        txn.insert("master", record)
+    before = db.wal.fsync_count
+    txn.commit("ten inserts")
+    assert db.wal.fsync_count == before + 1
+    db.close()
