@@ -435,29 +435,39 @@ DIRECT_WRITE_ALLOWED = (
     "repro/core/heapfile.py",  # empty-file create; page writes use "r+b"
 )
 
+#: Modules allowed to open files in append mode.  Everything else appends
+#: through ``append_framed`` (CRC framing, fsync, directory fsync).
+DIRECT_APPEND_ALLOWED = (
+    "repro/core/durable.py",  # append_framed itself
+    # The WAL buffers framed records without an fsync and makes them
+    # durable with one group-commit fsync, which reopens the file.
+    "repro/core/wal.py",
+)
+
 #: Subtrees exempt from REPRO009: benchmark result files and the git-baseline
 #: comparison code are not engine-durable state.
 DIRECT_WRITE_ALLOWED_PREFIXES = ("repro/bench/", "repro/gitlike/")
 
 
 class DurableWriteRule(LintRule):
-    """Durable files must be written via ``atomic_write``, never ``open(w)``.
+    """Durable files must be written via ``atomic_write``/``append_framed``.
 
     A truncating ``open(path, "w")`` destroys the old contents before the new
     ones are durable: a crash between the truncate and the final fsync leaves
-    a torn or empty file where complete metadata used to be.  Every durable
-    write path in the engine goes through
-    :func:`repro.core.durable.atomic_write` (write-temp / fsync / atomic
-    rename / dir fsync) or :func:`repro.core.durable.append_framed`
-    (checksummed fsynced appends); a direct write-mode ``open`` anywhere else
-    is a crash-consistency hole waiting for a power failure.
+    a torn or empty file where complete metadata used to be.  A raw
+    ``open(path, "a")`` append carries no checksum, so a torn or bit-flipped
+    record reads back as data.  Every durable write path in the engine goes
+    through :func:`repro.core.durable.atomic_write` (write-temp / fsync /
+    atomic rename / dir fsync) or :func:`repro.core.durable.append_framed`
+    (checksummed fsynced appends); a direct write- or append-mode ``open``
+    anywhere else is a crash-consistency hole waiting for a power failure.
     """
 
     id = "REPRO009"
     rationale = (
-        'open(path, "w") truncates before the replacement is durable; a '
-        "crash in that window destroys metadata that atomic_write would "
-        "have preserved"
+        'open(path, "w") truncates before the replacement is durable, and '
+        'open(path, "a") appends unchecksummed bytes; a crash destroys or '
+        "tears state that atomic_write / append_framed would have preserved"
     )
     fix_hint = (
         "write through repro.core.durable.atomic_write / dump_json_atomic "
@@ -478,8 +488,6 @@ class DurableWriteRule(LintRule):
         return None
 
     def check(self, module: SourceModule) -> list[Violation]:
-        if module.relpath in DIRECT_WRITE_ALLOWED:
-            return []
         if module.relpath.startswith(DIRECT_WRITE_ALLOWED_PREFIXES):
             return []
         violations: list[Violation] = []
@@ -489,15 +497,23 @@ class DurableWriteRule(LintRule):
             if not (isinstance(node.func, ast.Name) and node.func.id == "open"):
                 continue
             mode = self._write_mode(node)
-            if mode is not None and ("w" in mode or "x" in mode):
-                violations.append(
-                    self.violation(
-                        module,
-                        node.lineno,
-                        f"direct open(..., {mode!r}) of a durable file; "
-                        "truncating writes must go through atomic_write",
-                    )
+            if mode is None:
+                continue
+            if ("w" in mode or "x" in mode) and (
+                module.relpath not in DIRECT_WRITE_ALLOWED
+            ):
+                message = "truncating writes must go through atomic_write"
+            elif "a" in mode and module.relpath not in DIRECT_APPEND_ALLOWED:
+                message = "appends must go through append_framed"
+            else:
+                continue
+            violations.append(
+                self.violation(
+                    module,
+                    node.lineno,
+                    f"direct open(..., {mode!r}) of a durable file; {message}",
                 )
+            )
         return violations
 
 

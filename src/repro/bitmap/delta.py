@@ -9,6 +9,11 @@ replays deltas from the start of the file.  To bound replay length the history
 keeps a second "layer" of composite deltas, each the XOR-aggregate of a run of
 base deltas, so checkout skips ahead composite-by-composite and finishes with
 at most ``layer_interval - 1`` base deltas.
+
+On disk each entry is one CRC-checked frame of the shared log format
+(:func:`repro.core.durable.append_framed`), so a torn final entry is
+truncated on load and a flipped byte anywhere else raises
+:class:`~repro.errors.CorruptionError` instead of replaying a wrong delta.
 """
 
 from __future__ import annotations
@@ -19,22 +24,19 @@ from dataclasses import dataclass
 
 from repro.bitmap.bitmap import Bitmap
 from repro.bitmap.rle import rle_decode, rle_encode
-from repro.core.durable import add_recovery_note, atomic_write, fsync_dir
+from repro.core.durable import (
+    FRAME_HEADER_SIZE,
+    add_recovery_note,
+    append_framed,
+    atomic_write,
+    frame,
+    read_framed,
+)
 from repro.errors import CommitNotFoundError, CorruptionError, StorageError
-from repro.testing.faults import check_crashed, crashpoint
 
-_ENTRY_HEADER = struct.Struct("<BII")  # kind, commit index, payload length
-
-#: Per-entry trailer: logical bit length and set-bit count of the delta.
-_ENTRY_COUNTS = struct.Struct("<II")
-
-#: File magic prefixing histories that store per-entry popcounts.  Older
-#: files start directly with an entry header whose first byte is a kind
-#: (0 or 1), so the magic is unambiguous and legacy files stay readable.
-_FORMAT_MAGIC = b"DCH2"
-
-#: Legacy (pre-popcount) per-entry trailer: logical bit length only.
-_LEGACY_ENTRY_COUNTS = struct.Struct("<I")
+#: Entry header inside each frame: kind, commit index, logical bit length
+#: and set-bit count of the delta; the RLE payload follows.
+_ENTRY_HEADER = struct.Struct("<BIII")
 
 _KIND_BASE = 0
 _KIND_COMPOSITE = 1
@@ -181,9 +183,9 @@ class CommitHistory:
     # -- sizes ----------------------------------------------------------------
 
     def size_bytes(self) -> int:
-        """Total bytes of compressed delta payloads (base and composite)."""
+        """Bytes of every framed entry (base and composite), as on disk."""
         return sum(
-            _ENTRY_HEADER.size + _ENTRY_COUNTS.size + len(entry.payload)
+            FRAME_HEADER_SIZE + _ENTRY_HEADER.size + len(entry.payload)
             for entry in self._entries
         )
 
@@ -199,76 +201,28 @@ class CommitHistory:
 
     def _entry_bytes(self, entry: _Entry) -> bytes:
         return (
-            _ENTRY_HEADER.pack(entry.kind, entry.index, len(entry.payload))
-            + _ENTRY_COUNTS.pack(entry.num_bits, entry.popcount)
+            _ENTRY_HEADER.pack(
+                entry.kind, entry.index, entry.num_bits, entry.popcount
+            )
             + entry.payload
         )
 
     def _append_to_disk(self, entry: _Entry) -> None:
-        if self.path is None:
-            return
-        check_crashed()
-        created = not os.path.exists(self.path)
-        with open(self.path, "ab") as handle:
-            if handle.tell() == 0:
-                handle.write(_FORMAT_MAGIC)
-            handle.write(self._entry_bytes(entry))
-            handle.flush()
-            crashpoint("history-append-pre-fsync", path=self.path)
-            os.fsync(handle.fileno())
-        if created:
-            fsync_dir(os.path.dirname(os.path.abspath(self.path)))
+        if self.path is not None:
+            append_framed(
+                self.path, self._entry_bytes(entry), label="history-append"
+            )
 
     def _load(self) -> None:
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        # Files written before the popcount trailer carry no magic (their
-        # first byte is an entry kind); parse them with the legacy trailer
-        # and compute each entry's popcount from its payload once.
-        legacy = not data.startswith(_FORMAT_MAGIC)
-        offset = 0 if legacy else len(_FORMAT_MAGIC)
-        counts = _LEGACY_ENTRY_COUNTS if legacy else _ENTRY_COUNTS
-        torn_at: int | None = None
-        while offset < len(data):
-            start = offset
-            if start + _ENTRY_HEADER.size + counts.size > len(data):
-                torn_at = start
-                break
-            kind, index, length = _ENTRY_HEADER.unpack_from(data, offset)
-            offset += _ENTRY_HEADER.size
-            if kind not in (_KIND_BASE, _KIND_COMPOSITE):
-                torn_at = start
-                break
-            if legacy:
-                (num_bits,) = counts.unpack_from(data, offset)
-                popcount = None
-            else:
-                num_bits, popcount = counts.unpack_from(data, offset)
-            offset += counts.size
-            if offset + length > len(data):
-                torn_at = start
-                break
-            payload = data[offset : offset + length]
-            offset += length
-            if popcount is None:
-                popcount = int.from_bytes(rle_decode(payload), "little").bit_count()
+        # A torn final entry (a crash mid-append) is truncated by the reader:
+        # the graph is persisted after the history append succeeds, so the
+        # snapshot it carried was never referenced.
+        for raw in read_framed(self.path, "commit-history"):
+            kind, index, num_bits, popcount = _ENTRY_HEADER.unpack_from(raw)
+            payload = raw[_ENTRY_HEADER.size :]
             self._entries.append(_Entry(kind, index, payload, num_bits, popcount))
             if kind == _KIND_BASE:
                 self._num_bits_history.append(num_bits)
-        if torn_at is not None:
-            # A crash mid-append left a torn final entry.  The snapshot it
-            # carried was never referenced (the graph is persisted after the
-            # history append succeeds), so dropping it loses nothing durable.
-            error = CorruptionError(
-                self.path,
-                "torn commit-history entry at end of file",
-                offset=torn_at,
-                actual=len(data) - torn_at,
-            )
-            os.truncate(self.path, torn_at)
-            with open(self.path, "rb") as handle:
-                os.fsync(handle.fileno())
-            add_recovery_note(f"truncated torn commit-history tail: {error}")
         # Commit ids are placeholders until the engine re-registers them from
         # the version graph via rebind_commit_ids.
         num_base = len(self._num_bits_history)
@@ -309,9 +263,12 @@ class CommitHistory:
         corruption and raises.
         """
         if len(commit_ids) > len(self._commit_ids):
-            raise StorageError(
+            raise CorruptionError(
+                self.path or "<memory>",
                 "version graph references more commits than this history "
-                f"recorded ({len(commit_ids)} > {len(self._commit_ids)})"
+                "recorded",
+                expected=len(commit_ids),
+                actual=len(self._commit_ids),
             )
         if len(commit_ids) < len(self._commit_ids):
             self._discard_orphans(len(commit_ids))
@@ -330,9 +287,7 @@ class CommitHistory:
         self._num_bits_history = self._num_bits_history[:count]
         self._recompute_derived()
         if self.path is not None:
-            blob = _FORMAT_MAGIC + b"".join(
-                self._entry_bytes(e) for e in self._entries
-            )
+            blob = b"".join(frame(self._entry_bytes(e)) for e in self._entries)
             atomic_write(self.path, blob, label="history-rewrite")
         add_recovery_note(
             f"discarded {orphans} orphan commit snapshot(s) from "

@@ -1,8 +1,8 @@
-"""Crash-safe file primitives: atomic replace and CRC-stamped payloads.
+"""Crash-safe file primitives: atomic replace, CRC-framed logs, CRC-stamped JSON.
 
 Every durable metadata file in the system (version graph, segment metadata,
-commit locations, catalog, persisted pk indexes) is written through
-:func:`atomic_write`, which follows the classic safe-replace protocol:
+commit locations, catalog) is written through :func:`atomic_write`, which
+follows the classic safe-replace protocol:
 
 1. write the full payload to a temporary sibling file,
 2. ``fsync`` the temporary file so its bytes are on the platter,
@@ -13,6 +13,12 @@ A crash at any step leaves either the old complete file or the new complete
 file -- never a torn mixture.  Named crashpoints (``{label}-mid-write``,
 ``{label}-pre-rename``) are registered at the two interesting interruption
 windows so the fault-injection harness can prove that property.
+
+Append-only logs (the WAL, commit histories, hybrid commit metadata) share
+one record framing, :func:`frame`: CRC32 of the payload and its length,
+then the payload.  :func:`read_framed` is the one reader for all of them;
+it truncates a torn tail and raises on corruption followed by readable
+records.
 
 JSON metadata is additionally wrapped in a CRC envelope
 (``{"crc32": ..., "data": ...}``) by :func:`dump_checked_json`;
@@ -37,8 +43,16 @@ from repro.errors import CorruptionError
 from repro.testing.faults import check_crashed, crashpoint
 
 #: Framing header for append-only record logs: CRC32 of the payload, then the
-#: payload length, little-endian (the same framing the WAL uses).
+#: payload length, little-endian.
 _FRAME = struct.Struct("<II")
+
+#: Bytes :func:`frame` adds in front of every payload.
+FRAME_HEADER_SIZE = _FRAME.size
+
+
+def frame(payload: bytes) -> bytes:
+    """``payload`` behind its CRC32 + length header (one log record)."""
+    return _FRAME.pack(zlib.crc32(payload), len(payload)) + payload
 
 
 def fsync_dir(directory: str) -> None:
@@ -90,7 +104,7 @@ def append_framed(path: str, payload: bytes, label: str | None = None) -> None:
     name = label if label is not None else "framed-append"
     created = not os.path.exists(path)
     with open(path, "ab") as handle:
-        handle.write(_FRAME.pack(zlib.crc32(payload), len(payload)) + payload)
+        handle.write(frame(payload))
         handle.flush()
         crashpoint(f"{name}-pre-fsync", path=path)
         os.fsync(handle.fileno())

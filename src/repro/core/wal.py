@@ -10,20 +10,22 @@ checkpoint.
 On-disk format
 --------------
 
-Each record is length-prefixed and checksummed::
+Each record is length-prefixed and checksummed with the shared framing of
+:func:`repro.core.durable.frame`::
 
     +----------------+----------------+------------------------+
     | crc32  (4B LE) | length (4B LE) | payload (JSON, length) |
     +----------------+----------------+------------------------+
 
-The CRC covers the payload bytes.  On open the log is scanned record by
-record; a tail that is torn (truncated header or payload) or corrupt (CRC
-mismatch) is *truncated away* rather than crashing the very recovery that is
-supposed to fix things.  Every truncation is surfaced as a structured
-:class:`~repro.errors.CorruptionError` in :attr:`WriteAheadLog.recovery_notes`
-so it is visible, and in strict mode (``REPRO_STRICT_RECOVERY=1``, the
-default) a corrupt record *followed by* readable data still raises -- only a
-clean tail tear is ever repaired silently.
+The CRC covers the payload bytes.  On open the log is read through
+:func:`repro.core.durable.read_framed`: a tail that is torn (truncated header
+or payload) or corrupt (CRC mismatch) is *truncated away* rather than
+crashing the very recovery that is supposed to fix things.  Every truncation
+is recorded once, as a recovery note that
+:meth:`repro.db.database.Decibel.recover` drains into its report, and in
+strict mode (``REPRO_STRICT_RECOVERY=1``, the default) a corrupt record
+*followed by* readable data still raises -- only a clean tail tear is ever
+repaired.
 
 Transactions write BEGIN / WRITE / COMMIT / APPLIED / ABORT records through
 the log.  Only the COMMIT record is fsynced: :meth:`WriteAheadLog.append`
@@ -41,22 +43,11 @@ from __future__ import annotations
 import enum
 import json
 import os
-import struct
 import threading
-import zlib
 from dataclasses import dataclass, field
 
-from repro.core.durable import (
-    add_recovery_note,
-    atomic_write,
-    fsync_dir,
-    strict_recovery,
-)
-from repro.errors import CorruptionError
+from repro.core.durable import atomic_write, frame, fsync_dir, read_framed
 from repro.testing.faults import check_crashed, crashpoint
-
-#: Per-record header: CRC32 of the payload, then payload length, little-endian.
-_HEADER = struct.Struct("<II")
 
 
 class LogRecordType(enum.Enum):
@@ -111,11 +102,6 @@ class LogRecord:
             relation=raw.get("relation"),
         )
 
-    def encode(self) -> bytes:
-        """Binary framing: CRC + length header followed by the JSON payload."""
-        payload = self.to_json().encode("utf-8")
-        return _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
-
 
 @dataclass
 class RecoveryReport:
@@ -144,9 +130,6 @@ class WriteAheadLog:
     def __init__(self, path: str | None = None):
         self.path = path
         self._records: list[LogRecord] = []
-        #: Human-readable notes about repairs made while opening the log
-        #: (torn-tail truncations); drained into the recovery report.
-        self.recovery_notes: list[str] = []
         # Concurrency: _mutex serializes file appends and _records mutation;
         # _sync_cond coordinates group commit (followers wait on it until the
         # leader's fsync covers their record).  Sequence numbers count
@@ -176,94 +159,8 @@ class WriteAheadLog:
     # -- loading --------------------------------------------------------------
 
     def _load(self, path: str) -> None:
-        with open(path, "rb") as handle:
-            data = handle.read()
-        offset = 0
-        error: CorruptionError | None = None
-        while offset < len(data):
-            if offset + _HEADER.size > len(data):
-                error = CorruptionError(
-                    path,
-                    "torn record header at end of log",
-                    offset=offset,
-                    expected=_HEADER.size,
-                    actual=len(data) - offset,
-                )
-                break
-            crc, length = _HEADER.unpack_from(data, offset)
-            body_start = offset + _HEADER.size
-            if body_start + length > len(data):
-                error = CorruptionError(
-                    path,
-                    "torn record payload at end of log",
-                    offset=offset,
-                    expected=length,
-                    actual=len(data) - body_start,
-                )
-                break
-            payload = data[body_start : body_start + length]
-            actual_crc = zlib.crc32(payload)
-            if actual_crc != crc:
-                error = CorruptionError(
-                    path,
-                    "record CRC32 mismatch",
-                    offset=offset,
-                    expected=crc,
-                    actual=actual_crc,
-                )
-                break
+        for payload in read_framed(path, "WAL"):
             self._records.append(LogRecord.from_json(payload.decode("utf-8")))
-            offset = body_start + length
-        if error is not None:
-            self._truncate_tail(path, offset, error)
-
-    def _truncate_tail(self, path: str, offset: int, error: CorruptionError) -> None:
-        """Drop everything from ``offset`` on; the tail is torn or corrupt.
-
-        A corrupt record makes the framing of everything after it unreliable,
-        so recovery keeps the longest verifiable prefix.  In strict mode a
-        mid-log corruption (bad record followed by bytes that still parse as
-        further records) raises instead of being thrown away.
-        """
-        salvageable = os.path.getsize(path) - offset
-        if strict_recovery() and self._parses_beyond(path, offset):
-            raise CorruptionError(
-                path,
-                f"corrupt record with {salvageable} readable bytes after it "
-                f"({error})",
-                offset=offset,
-                expected=error.expected,
-                actual=error.actual,
-            )
-        os.truncate(path, offset)
-        with open(path, "rb") as handle:
-            os.fsync(handle.fileno())
-        note = f"truncated torn WAL tail: {error}"
-        self.recovery_notes.append(note)
-        add_recovery_note(note)
-
-    def _parses_beyond(self, path: str, offset: int) -> bool:
-        """True if any complete, checksummed record exists after ``offset``.
-
-        Distinguishes a clean tail tear (garbage to end of file -- safe to
-        truncate) from mid-log corruption (valid records after the bad one --
-        data would be lost).  Scans every alignment since framing is broken.
-        """
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            data = handle.read()
-        for start in range(len(data) - _HEADER.size):
-            crc, length = _HEADER.unpack_from(data, start)
-            if length == 0 or start + _HEADER.size + length > len(data):
-                continue
-            payload = data[start + _HEADER.size : start + _HEADER.size + length]
-            if zlib.crc32(payload) == crc:
-                try:
-                    LogRecord.from_json(payload.decode("utf-8"))
-                except (ValueError, KeyError, UnicodeDecodeError):
-                    continue
-                return True
-        return False
 
     # -- writing --------------------------------------------------------------
 
@@ -303,16 +200,18 @@ class WriteAheadLog:
             # This thread is now the leader: fsync once for the whole batch.
             # ``synced_to`` stays 0 unless the fsync actually completed, so a
             # crash injected before the fsync never marks records durable.
+            # The fsync runs outside ``_mutex`` so other committers keep
+            # appending meanwhile; the next leader's fsync covers them all.
             synced_to = 0
             try:
                 with self._mutex:
                     target = self._written_seq
-                    with open(self.path, "ab") as handle:
-                        crashpoint("wal-group-commit-pre-fsync", path=self.path)
-                        os.fsync(handle.fileno())
-                    self.fsync_count += 1
-                    self.group_batches += 1
-                    synced_to = target
+                    crashpoint("wal-group-commit-pre-fsync", path=self.path)
+                with open(self.path, "ab") as handle:
+                    os.fsync(handle.fileno())
+                self.fsync_count += 1
+                self.group_batches += 1
+                synced_to = target
             finally:
                 with self._sync_cond:
                     self._sync_leader_active = False
@@ -325,7 +224,7 @@ class WriteAheadLog:
             if self.path is not None:
                 created = not os.path.exists(self.path)
                 with open(self.path, "ab") as handle:
-                    handle.write(record.encode())
+                    handle.write(frame(record.to_json().encode("utf-8")))
                     handle.flush()
                 if created:
                     # First append creates the file; fsync the directory so
@@ -346,7 +245,11 @@ class WriteAheadLog:
         checkpoint = LogRecord(LogRecordType.CHECKPOINT, transaction_id=0)
         with self._mutex:
             if self.path is not None:
-                atomic_write(self.path, checkpoint.encode(), label="wal-checkpoint")
+                atomic_write(
+                    self.path,
+                    frame(checkpoint.to_json().encode("utf-8")),
+                    label="wal-checkpoint",
+                )
             self._records = [checkpoint]
         # The rename made the whole log durable.
         with self._sync_cond:
@@ -365,8 +268,13 @@ class WriteAheadLog:
         return max((r.transaction_id for r in self._records), default=0)
 
     def replay(self) -> RecoveryReport:
-        """Classify every transaction seen in the log."""
-        report = RecoveryReport(notes=list(self.recovery_notes))
+        """Classify every transaction seen in the log.
+
+        The report carries no notes of its own: a torn tail repaired while
+        opening the log is a recovery note like any other durable file's,
+        which :meth:`repro.db.database.Decibel.recover` adds once.
+        """
+        report = RecoveryReport()
         for record in self._records:
             txn = record.transaction_id
             if record.type is LogRecordType.BEGIN:

@@ -4,32 +4,24 @@ Every storage engine owns one :class:`IndexMaintenance` instance (its
 ``index_hook`` attribute -- lint rule REPRO011 checks that every mutation
 path notifies it).  The facade owns:
 
-- the in-memory :class:`~repro.storage.pk_index.PrimaryKeyIndex` (branches
-  hydrate lazily on first touch, from the persisted store when its epoch
-  matches the branch's commit head, otherwise by rebuilding from storage),
-- the durable :class:`~repro.index.store.PrimaryKeyIndexStore` written
-  inside the commit protocol (delta per commit, snapshot on clean close or
-  compaction),
+- the in-memory :class:`~repro.storage.pk_index.PrimaryKeyIndex`.  A pk
+  map is derived data -- the branch's live records determine it -- so it is
+  never persisted: a reopened branch registers lazily and rebuilds its map
+  from storage on first touch, through the engine's ``rebuild_branch``
+  callback,
 - the declared :class:`~repro.index.secondary.SecondaryIndex` set, built
   lazily per branch and maintained incrementally afterwards,
 - the planner-facing API (:meth:`has_index`, :meth:`match_fraction`,
   :meth:`lookup_keys`) behind :class:`~repro.query.logical.IndexScan`.
-
-Durability ordering: the engine calls :meth:`committed` *after* recording
-commit state but *before* persisting the version graph.  A crash anywhere
-in between leaves the index chain's epoch out of step with the graph head,
-which the loader detects -- the index is then rebuilt, never served stale.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Iterable
 
 from repro.core.schema import ColumnType, Schema
 from repro.errors import SchemaError
 from repro.index.secondary import SUPPORTED_OPS, SecondaryIndex
-from repro.index.store import COMPACTION_FRAME_LIMIT, PrimaryKeyIndexStore
 from repro.storage.pk_index import PrimaryKeyIndex
 
 #: Column types a secondary index may be declared on.
@@ -37,19 +29,14 @@ INDEXABLE_TYPES = (ColumnType.INT, ColumnType.INT32, ColumnType.STRING)
 
 
 class IndexMaintenance:
-    """Owns one engine's primary and secondary indexes, memory and disk."""
+    """Owns one engine's in-memory primary and secondary indexes."""
 
-    def __init__(self, directory: str, schema: Schema):
+    def __init__(self, schema: Schema):
         self.schema = schema
         self.pk: PrimaryKeyIndex = PrimaryKeyIndex()
-        self.store = PrimaryKeyIndexStore(os.path.join(directory, "index"))
         self.secondary: dict[str, SecondaryIndex] = {}
-        #: branch -> {key -> location or None (= delete)} accumulated since
-        #: the branch's last commit; drained into one delta frame per commit.
-        self._pending: dict[str, dict[int, object]] = {}
         self._rebuild_branch: Callable[[str], dict[int, object]] | None = None
         self._scan_branch: Callable[[str], Iterable] | None = None
-        self._head: Callable[[str], str | None] | None = None
 
     # -- engine wiring --------------------------------------------------------
 
@@ -57,47 +44,27 @@ class IndexMaintenance:
         self,
         rebuild_branch: Callable[[str], dict[int, object]],
         scan_branch: Callable[[str], Iterable],
-        head: Callable[[str], str | None],
-        *,
-        encode: Callable[[object], object] | None = None,
-        decode: Callable[[object], object] | None = None,
     ) -> None:
         """Install the engine callbacks the hook needs.
 
         ``rebuild_branch`` derives a branch's full pk map from storage
         without touching the pk index (no reentrancy); ``scan_branch``
-        yields the branch's live records (for secondary builds); ``head``
-        resolves a branch to its current commit id.
+        yields the branch's live records (for secondary builds).
         """
         self._rebuild_branch = rebuild_branch
         self._scan_branch = scan_branch
-        self._head = head
-        if encode is not None:
-            self.store._encode = encode
-        if decode is not None:
-            self.store._decode = decode
 
     def attach_lazy(self, branches: Iterable[str]) -> None:
-        """Register known branches for on-first-touch hydration (cold open)."""
-        self.pk.register_lazy(branches, self._hydrate)
-
-    def _hydrate(self, branch: str) -> dict[int, object]:
-        expected = self._head(branch) if self._head is not None else None
-        persisted = self.store.load_branch(branch, expected)
-        if persisted is not None:
-            return persisted
+        """Register known branches for on-first-touch rebuilds (cold open)."""
         if self._rebuild_branch is None:  # pragma: no cover - engine bug
             raise RuntimeError("index hook has no rebuild callback bound")
-        # Stale/corrupt files are already forgotten; the rebuilt map gets
-        # re-persisted on the next commit or clean close.
-        return self._rebuild_branch(branch)
+        self.pk.register_lazy(branches, self._rebuild_branch)
 
     # -- mutation notifications ----------------------------------------------
 
     def applied(self, branch: str, key: int, location: object, record) -> None:
         """An insert or update landed ``key`` at ``location`` in ``branch``."""
         self.pk.put(branch, key, location)
-        self._pending.setdefault(branch, {})[key] = location
         for index in self.secondary.values():
             if index.has_branch(branch):
                 index.put(branch, key, record.values[index.position])
@@ -105,7 +72,6 @@ class IndexMaintenance:
     def removed(self, branch: str, key: int) -> None:
         """A delete dropped ``key`` from ``branch``."""
         self.pk.remove(branch, key)
-        self._pending.setdefault(branch, {})[key] = None
         for index in self.secondary.values():
             if index.has_branch(branch):
                 index.remove(branch, key)
@@ -113,8 +79,6 @@ class IndexMaintenance:
     def branch_created(self, branch: str, clone_from: str | None = None) -> None:
         """A new branch forked at its parent's head (or empty for master)."""
         self.pk.add_branch(branch, clone_from=clone_from)
-        self.store.forget(branch)
-        self._pending.pop(branch, None)
         for index in self.secondary.values():
             if clone_from is not None and index.has_branch(clone_from):
                 index.add_branch(branch, clone_from=clone_from)
@@ -124,65 +88,14 @@ class IndexMaintenance:
     def branch_rebuilt(self, branch: str, entries: dict[int, object]) -> None:
         """A branch was materialized wholesale (historical checkout)."""
         self.pk.replace_branch(branch, entries)
-        self.store.forget(branch)
-        self._pending.pop(branch, None)
         for index in self.secondary.values():
             index.drop_branch(branch)
-
-    def branch_dropped(self, branch: str) -> None:
-        """A branch was removed entirely."""
-        if self.pk.has_branch(branch):
-            self.pk.drop_branch(branch)
-        self.store.forget(branch)
-        self._pending.pop(branch, None)
-        for index in self.secondary.values():
-            index.drop_branch(branch)
-
-    # -- durability hooks -----------------------------------------------------
 
     def committed(
         self, branch: str, commit_id: str, previous_commit_id: str | None
     ) -> None:
-        """Advance ``branch``'s durable index chain to ``commit_id``.
-
-        Called inside the engine's commit protocol, after commit state is
-        recorded and before the version graph persists.  Writes either a
-        first full snapshot (new chain) or one delta frame, then compacts
-        when the log has grown past :data:`COMPACTION_FRAME_LIMIT`.
-        """
-        pending = self._pending.pop(branch, {})
-        loaded = self.pk.branch_loaded(branch)
-        if self.store.epoch(branch) is None and not self.store.has_files(branch):
-            # No durable chain yet: start one with a full snapshot, which
-            # needs the in-memory map -- hydrating just to persist would
-            # defeat lazy opens, so an unloaded branch stays unpersisted
-            # until first touched.
-            if loaded:
-                self.store.write_snapshot(
-                    branch, commit_id, self.pk.entries(branch)
-                )
-            return
-        puts = {key: loc for key, loc in pending.items() if loc is not None}
-        deletes = [key for key, loc in pending.items() if loc is None]
-        self.store.append_delta(
-            branch, previous_commit_id, commit_id, puts, deletes
-        )
-        if loaded and self.store.frames(branch) > COMPACTION_FRAME_LIMIT:
-            self.store.write_snapshot(branch, commit_id, self.pk.entries(branch))
-
-    def save(self) -> None:
-        """Snapshot every loaded branch whose chain is stale (clean close)."""
-        if self._head is None:
-            return
-        for branch in self.pk.loaded_branches():
-            head = self._head(branch)
-            if head is None:
-                continue
-            if (
-                self.store.epoch(branch) != head
-                or not os.path.exists(self.store.snapshot_path(branch))
-            ):
-                self.store.write_snapshot(branch, head, self.pk.entries(branch))
+        # Kept only because perf/trace.py patches it by name; nothing calls it.
+        return None
 
     # -- secondary index declaration and use ----------------------------------
 

@@ -1,232 +1,14 @@
-"""Durable per-branch primary-key index files.
+"""Former home of the durable per-branch pk-index files.
 
-Each branch's index persists as two files inside the engine's ``index/``
-subdirectory:
-
-- ``pk_<branch>_<crc>.json`` -- a CRC-enveloped snapshot of the full
-  ``{key -> location}`` map, written through
-  :func:`repro.core.durable.dump_json_atomic` (crashpoints
-  ``index-mid-write`` / ``index-pre-rename``), stamped with the commit id
-  (*epoch*) it reflects;
-- ``pk_<branch>_<crc>.log`` -- a framed append-only delta log
-  (:func:`repro.core.durable.append_framed`, crashpoint
-  ``index-delta-pre-fsync``) of per-commit changes, each frame chaining
-  ``base`` epoch -> ``epoch``.
-
-Loading replays the snapshot plus every delta frame whose ``base`` matches
-the running epoch (stale pre-compaction frames simply fail to chain and are
-skipped), then demands that the final epoch equal the branch's commit-graph
-head.  Any mismatch, torn frame, or checksum failure makes the loader
-*forget* the files and report a miss -- the index is derived data, so the
-caller rebuilds from storage instead of ever serving a stale map.  That
-degrade-and-rebuild policy applies even under strict recovery mode.
+Primary-key maps are derived data and are no longer persisted: each branch
+rebuilds its map from storage on first touch (see
+:mod:`repro.index.maintenance`).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import zlib
-from typing import Callable
-
-from repro.core.durable import (
-    add_recovery_note,
-    append_framed,
-    dump_json_atomic,
-    load_checked_json,
-    read_framed,
-)
-from repro.errors import CorruptionError
-
-#: Delta frames accumulated on a loaded branch before the maintenance layer
-#: compacts them into a fresh snapshot.
-COMPACTION_FRAME_LIMIT = 32
-
-
-def _safe_stem(branch: str) -> str:
-    """A filesystem-safe, collision-resistant stem for ``branch``."""
-    cleaned = "".join(
-        ch if ch.isalnum() or ch in "-_" else "_" for ch in branch[:40]
-    )
-    return f"pk_{cleaned}_{zlib.crc32(branch.encode('utf-8')) & 0xFFFFFFFF:08x}"
-
 
 class PrimaryKeyIndexStore:
-    """Reads and writes the per-branch snapshot + delta-log file pairs.
-
-    ``encode``/``decode`` convert between the engine's location type and a
-    JSON-safe representation (the segment engines use tuples, which JSON
-    round-trips as lists).
-    """
-
-    def __init__(
-        self,
-        directory: str,
-        *,
-        encode: Callable[[object], object] | None = None,
-        decode: Callable[[object], object] | None = None,
-    ):
-        self.directory = directory
-        self._encode = encode or (lambda location: location)
-        self._decode = decode or (lambda location: location)
-        #: branch -> epoch its on-disk chain currently ends at (tracked for
-        #: branches this process has loaded or written).
-        self._epochs: dict[str, str] = {}
-        #: branch -> delta frames appended since the last snapshot.
-        self._frames: dict[str, int] = {}
-
-    # -- paths ----------------------------------------------------------------
-
-    def snapshot_path(self, branch: str) -> str:
-        return os.path.join(self.directory, _safe_stem(branch) + ".json")
-
-    def delta_path(self, branch: str) -> str:
-        return os.path.join(self.directory, _safe_stem(branch) + ".log")
-
-    def has_files(self, branch: str) -> bool:
-        """True if any persisted state for ``branch`` exists on disk."""
-        return os.path.exists(self.snapshot_path(branch)) or os.path.exists(
-            self.delta_path(branch)
-        )
-
-    # -- write path -----------------------------------------------------------
-
-    def write_snapshot(
-        self, branch: str, epoch: str, entries: dict[int, object]
-    ) -> None:
-        """Persist the full key map of ``branch`` as of commit ``epoch``."""
-        os.makedirs(self.directory, exist_ok=True)
-        payload = {
-            "branch": branch,
-            "epoch": epoch,
-            "entries": [
-                [key, self._encode(location)] for key, location in entries.items()
-            ],
-        }
-        dump_json_atomic(self.snapshot_path(branch), payload, label="index")
-        # A crash between the snapshot rename and this unlink is benign: the
-        # leftover frames' ``base`` epochs no longer chain from the new
-        # snapshot, so the loader skips them.
-        try:
-            os.remove(self.delta_path(branch))
-        except FileNotFoundError:
-            pass
-        self._epochs[branch] = epoch
-        self._frames[branch] = 0
-
-    def append_delta(
-        self,
-        branch: str,
-        base_epoch: str | None,
-        epoch: str,
-        puts: dict[int, object],
-        deletes: list[int],
-    ) -> None:
-        """Append one commit's index changes, chaining ``base_epoch -> epoch``."""
-        os.makedirs(self.directory, exist_ok=True)
-        frame = {
-            "branch": branch,
-            "base": base_epoch,
-            "epoch": epoch,
-            "set": [[key, self._encode(location)] for key, location in puts.items()],
-            "del": list(deletes),
-        }
-        # Frames are CRC-guarded by the framing itself, so the payload is
-        # plain JSON (no second envelope).
-        append_framed(
-            self.delta_path(branch),
-            json.dumps(frame, sort_keys=True, separators=(",", ":")).encode("utf-8"),
-            label="index-delta",
-        )
-        self._epochs[branch] = epoch
-        self._frames[branch] = self._frames.get(branch, 0) + 1
-
-    # -- read path ------------------------------------------------------------
-
-    def load_branch(
-        self, branch: str, expected_epoch: str | None
-    ) -> dict[int, object] | None:
-        """The persisted key map of ``branch`` if it chains to ``expected_epoch``.
-
-        Returns ``None`` (after forgetting the on-disk files) when the files
-        are missing, corrupt, or end at any other epoch -- the caller must
-        then rebuild from storage.
-        """
-        snapshot_path = self.snapshot_path(branch)
-        if not os.path.exists(snapshot_path) or expected_epoch is None:
-            self.forget(branch)
-            return None
-        try:
-            payload = load_checked_json(snapshot_path)
-            entries = {
-                int(key): self._decode(location)
-                for key, location in payload["entries"]
-            }
-            epoch = payload["epoch"]
-            if payload.get("branch") != branch:
-                raise CorruptionError(
-                    f"index snapshot {snapshot_path} names branch "
-                    f"{payload.get('branch')!r}, expected {branch!r}"
-                )
-        except (CorruptionError, KeyError, TypeError, ValueError, OSError) as exc:
-            add_recovery_note(
-                f"index snapshot for branch {branch!r} unreadable "
-                f"({exc}); rebuilding from storage"
-            )
-            self.forget(branch)
-            return None
-        frames = 0
-        delta_path = self.delta_path(branch)
-        if os.path.exists(delta_path):
-            try:
-                raw_frames = read_framed(delta_path, "index delta log")
-                for raw in raw_frames:
-                    frame = json.loads(raw.decode("utf-8"))
-                    if frame.get("branch") != branch or frame.get("base") != epoch:
-                        # Stale pre-compaction leftovers fail to chain; skip.
-                        continue
-                    for key, location in frame.get("set", ()):
-                        entries[int(key)] = self._decode(location)
-                    for key in frame.get("del", ()):
-                        entries.pop(int(key), None)
-                    epoch = frame["epoch"]
-                    frames += 1
-            except (CorruptionError, KeyError, TypeError, ValueError, OSError) as exc:
-                add_recovery_note(
-                    f"index delta log for branch {branch!r} unreadable "
-                    f"({exc}); rebuilding from storage"
-                )
-                self.forget(branch)
-                return None
-        if epoch != expected_epoch:
-            add_recovery_note(
-                f"index for branch {branch!r} is at epoch {epoch}, head is "
-                f"{expected_epoch}; rebuilding from storage"
-            )
-            self.forget(branch)
-            return None
-        self._epochs[branch] = epoch
-        self._frames[branch] = frames
-        return entries
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def epoch(self, branch: str) -> str | None:
-        """The epoch this process last saw ``branch``'s on-disk chain at."""
-        return self._epochs.get(branch)
-
-    def frames(self, branch: str) -> int:
-        """Delta frames appended since the last snapshot of ``branch``."""
-        return self._frames.get(branch, 0)
-
-    def forget(self, branch: str) -> None:
-        """Drop all persisted state of ``branch`` (files and bookkeeping)."""
-        for path in (self.snapshot_path(branch), self.delta_path(branch)):
-            try:
-                os.remove(path)
-            except FileNotFoundError:
-                pass
-            except OSError:  # pragma: no cover - deletion is best-effort
-                pass
-        self._epochs.pop(branch, None)
-        self._frames.pop(branch, None)
+    # Kept only because perf/trace.py patches ``load_branch`` by name.
+    def load_branch(self, branch: str, expected_epoch: str | None) -> None:
+        return None

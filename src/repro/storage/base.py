@@ -144,6 +144,60 @@ def regroup_chunks(chunks, batch_size: int):
         yield batch
 
 
+def _live_page_masks(bitmap, per_page: int) -> Iterator[tuple[int, int]]:
+    """Yield ``(page number, liveness word)`` for every page with a set bit.
+
+    Bit ``i`` of the word is slot ``i`` of the page.  Each page's word is
+    sliced from the byte range covering its bit span (bits of the
+    neighbouring pages are shifted/masked off), so the whole extraction is
+    O(total bits) rather than the O(pages x bits) a rolling whole-bitmap
+    shift would cost, and a page with no live slot is never fetched.
+    """
+    data = bitmap.to_bytes()
+    page_mask = (1 << per_page) - 1
+    for page_number in range((len(data) * 8 + per_page - 1) // per_page):
+        start = page_number * per_page
+        chunk = int.from_bytes(
+            data[start >> 3 : (start + per_page + 7) >> 3], "little"
+        )
+        live = (chunk >> (start & 7)) & page_mask
+        if live:
+            yield page_number, live
+
+
+def live_pk_ordinals(
+    heap, bitmap, pk_position: int
+) -> Iterator[tuple[int, int]]:
+    """Yield ``(primary key, ordinal)`` for every set bit of ``bitmap``.
+
+    The pk-map rebuild shared by tuple-first and hybrid (cold opens and
+    branches forked from a historical commit).  Only the key column is
+    read: a page still in its on-disk image decodes that one column
+    (:meth:`RecordCodec.decode_column`), a page with an in-memory row array
+    (the heap tail, appended pages) reads it from the rows.  Nothing is
+    decoded into the page's caches, so a rebuild does not grow the buffer
+    pool's footprint.
+    """
+    per_page = heap.records_per_page
+    codec = heap.codec
+    transient = heap.scan_exceeds_pool()
+    for page_number, live in _live_page_masks(bitmap, per_page):
+        page = heap.page(page_number, transient=transient)
+        start = page_number * per_page
+        raw = page.raw_data()
+        if raw is not None:
+            keys = codec.decode_column(
+                raw, pk_position, PAGE_HEADER_SIZE, page.num_records
+            )
+        else:
+            keys = [record.values[pk_position] for record in page.records_view()]
+        while live:
+            low = live & -live
+            slot = low.bit_length() - 1
+            yield keys[slot], start + slot
+            live ^= low
+
+
 def scan_heap_bitmap_columns(
     heap,
     bitmap,
@@ -203,21 +257,7 @@ def _heap_bitmap_page_column_hits(
         # the page's decoded column list.
         return [containers[position] for position in out_positions]
 
-    data = bitmap.to_bytes()
-    total_bits = len(data) * 8
-    page_mask = (1 << per_page) - 1
-    # Each page's liveness word is sliced from the byte range covering its
-    # bit span (bits of the neighbouring pages are shifted/masked off), so
-    # the whole extraction is O(total bits) rather than the O(pages x bits)
-    # a rolling whole-bitmap shift would cost.
-    for page_number in range((total_bits + per_page - 1) // per_page):
-        start = page_number * per_page
-        chunk = int.from_bytes(
-            data[start >> 3 : (start + per_page + 7) >> 3], "little"
-        )
-        live = (chunk >> (start & 7)) & page_mask
-        if not live:
-            continue
+    for page_number, live in _live_page_masks(bitmap, per_page):
         page = heap.page(page_number, transient=transient)
         num_records = page.num_records
         stats.records_scanned += live.bit_count()
@@ -357,14 +397,10 @@ class VersionedStorageEngine(ABC):
         self.graph = VersionGraph()
         self.stats = EngineStats()
         #: The versioned index subsystem facade: every mutation path must
-        #: notify it (lint rule REPRO011); it owns the in-memory pk index,
-        #: its durable snapshot/delta files, and the declared secondary
-        #: indexes the optimizer plans :class:`IndexScan` nodes against.
-        self.index_hook = IndexMaintenance(directory, schema)
-        #: True while branch heads hold writes newer than their last commit.
-        #: Persisted indexes are only saved when this is False, so a saved
-        #: index always describes a state recovery can reproduce.
-        self._dirty_writes = False
+        #: notify it (lint rule REPRO011); it owns the in-memory pk index
+        #: and the declared secondary indexes the optimizer plans
+        #: :class:`IndexScan` nodes against.
+        self.index_hook = IndexMaintenance(schema)
         #: Serializes concurrent *physical* mutation of shared structures
         #: (heap tail pages, branch bitmaps, indexes).  Branch locks give
         #: logical isolation; this mutex only makes interleaved apply phases
@@ -411,7 +447,6 @@ class VersionedStorageEngine(ABC):
             os.path.join(self.directory, "version_graph.json")
         )
         self._load_storage()
-        self._dirty_writes = False
 
     def flush(self) -> None:
         """Persist any buffered pages and metadata."""
@@ -419,10 +454,8 @@ class VersionedStorageEngine(ABC):
         self._persist_graph()
 
     def close(self) -> None:
-        """Flush, persist rebuildable indexes, and release cached pages."""
+        """Flush and release cached pages."""
         self.flush()
-        if not self._dirty_writes:
-            self._save_indexes()
         self.buffer_pool.clear()
 
     def drop_caches(self) -> None:
@@ -483,22 +516,16 @@ class VersionedStorageEngine(ABC):
            cache;
         2. record the commit snapshot (fsynced history append / commit
            location);
-        3. advance the branch's durable pk-index chain (snapshot or delta
-           frame) -- the index is derived data stamped with commit epochs,
-           so an index written for a commit the graph never acknowledges is
-           simply off-chain and rebuilt on next touch;
-        4. atomically persist the version graph -- the graph is the root of
-           truth, so a crash between 2/3 and 4 leaves an orphan snapshot or
-           index epoch that reload discards, never a graph naming state
-           that is missing.
+        3. atomically persist the version graph -- the graph is the root of
+           truth, so a crash between 2 and 3 leaves an orphan snapshot that
+           reload discards, never a graph naming state that is missing.
+
+        Indexes take no part: pk maps are derived data, rebuilt from the
+        recovered storage on first touch after a reopen.
         """
         self._flush_storage()
         self._record_commit_state(branch, commit_id)
-        commit = self.graph.get_commit(commit_id)
-        previous = commit.parents[0] if commit.parents else None
-        self.index_hook.committed(branch, commit_id, previous)
         self.stats.commits += 1
-        self._dirty_writes = False
         self._persist_graph()
 
     def checkout(self, commit_id: str) -> list[Record]:
@@ -812,20 +839,11 @@ class VersionedStorageEngine(ABC):
 
         Called by :meth:`load_persistent_state` after the version graph is
         loaded; implementations restore every branch to its head-commit
-        snapshot and rebuild (or reload) their primary-key indexes.
+        snapshot and register their branches for lazy pk-map rebuilds.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support reopening from disk"
         )
-
-    def _save_indexes(self) -> None:
-        """Persist rebuildable index structures on clean close.
-
-        Snapshots every loaded branch of the pk index whose durable chain
-        is stale; branches never touched this process keep their (still
-        valid) persisted files untouched.
-        """
-        self.index_hook.save()
 
     # -- sizes ----------------------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.bitmap import CommitHistory
 from repro.bitmap.bitmap import Bitmap, union_member_pages
@@ -40,6 +40,7 @@ from repro.storage.base import (
     StorageEngineKind,
     VersionedStorageEngine,
     fetch_bitmap_ordinals,
+    live_pk_ordinals,
     regroup_chunks,
     scan_heap_bitmap_columns,
 )
@@ -85,14 +86,14 @@ class HybridEngine(VersionedStorageEngine):
         #: commit id -> segment ids whose bitmaps were snapshotted at that commit.
         self._commit_segments: dict[str, list[str]] = {}
         #: (branch, primary key) -> (segment id, ordinal) of the latest copy.
-        #: Owned by the index subsystem facade, which persists it per branch
-        #: and hydrates branches lazily on first touch.
+        #: Owned by the index subsystem facade; reopened branches rebuild it
+        #: lazily on first touch.
         self.pk_index: PrimaryKeyIndex[tuple[str, int]] = self.index_hook.pk
         self.index_hook.bind(
-            self._pk_entries_for_branch,
+            lambda branch: self._pk_entries(
+                self._branch_segment_bitmaps(branch).items()
+            ),
             self.scan_branch,
-            lambda branch: self.graph.head(branch),
-            decode=tuple,
         )
 
     # -- engine hooks --------------------------------------------------------------
@@ -158,8 +159,7 @@ class HybridEngine(VersionedStorageEngine):
                 f"commit {from_commit!r} has no recorded bitmap snapshots"
             )
         self._branch_segments[name] = set()
-        entries: dict[int, tuple[str, int]] = {}
-        pk_position = self.schema.primary_key_index
+        snapshots: list[tuple[str, Bitmap]] = []
         for segment_id in segment_ids:
             history = self._histories.get((parent_branch, segment_id))
             if history is None or from_commit not in history:
@@ -171,13 +171,10 @@ class HybridEngine(VersionedStorageEngine):
             local.restore_branch(name, snapshot)
             if snapshot.any():
                 self._branch_segments[name].add(segment_id)
-            segment = self.segments.get(segment_id)
-            for ordinal in snapshot.iter_set_bits():
-                record = segment.record_at(ordinal)
-                entries[record.values[pk_position]] = (segment_id, ordinal)
+            snapshots.append((segment_id, snapshot))
         child_head = self._new_head_segment(name, parents=())
         self._head_segment[name] = child_head.segment_id
-        return entries
+        return self._pk_entries(snapshots)
 
     def _record_commit_state(self, branch: str, commit_id: str) -> None:
         segment_ids = sorted(
@@ -310,20 +307,20 @@ class HybridEngine(VersionedStorageEngine):
                 local.restore_branch(branch, snapshot)
                 if snapshot.any():
                     self._branch_segments[branch].add(segment_id)
-        # Branch pk maps hydrate lazily on first touch, from the persisted
-        # index chain when current, otherwise via _pk_entries_for_branch.
+        # Branch pk maps are rebuilt lazily, on a branch's first touch.
         self.index_hook.attach_lazy(self.graph.branch_names())
 
-    def _pk_entries_for_branch(self, branch: str) -> dict[int, tuple[str, int]]:
-        """Derive a branch's pk -> (segment, ordinal) map from its bitmaps."""
+    def _pk_entries(
+        self, segment_bitmaps: Iterable[tuple[str, Bitmap]]
+    ) -> dict[int, tuple[str, int]]:
+        """The pk -> (segment, ordinal) map of the records live in the
+        given per-segment bitmaps."""
         pk_position = self.schema.primary_key_index
         entries: dict[int, tuple[str, int]] = {}
-        for segment_id in sorted(self._branch_segments.get(branch, ())):
-            local = self._local_bitmaps[segment_id]
-            segment = self.segments.get(segment_id)
-            for ordinal in local.branch_bitmap(branch).iter_set_bits():
-                record = segment.record_at(ordinal)
-                entries[record.values[pk_position]] = (segment_id, ordinal)
+        for segment_id, bitmap in segment_bitmaps:
+            heap = self.segments.get(segment_id).heap
+            for key, ordinal in live_pk_ordinals(heap, bitmap, pk_position):
+                entries[key] = (segment_id, ordinal)
         return entries
 
     def record_for_key(self, branch: str, key: int) -> Record | None:
@@ -386,7 +383,6 @@ class HybridEngine(VersionedStorageEngine):
         self.index_hook.applied(
             branch, record.key(self.schema), (segment_id, ordinal), record
         )
-        self._dirty_writes = True
         self.stats.records_inserted += 1
 
     def update(self, branch: str, record: Record) -> None:
@@ -406,7 +402,6 @@ class HybridEngine(VersionedStorageEngine):
         segment_id, ordinal = previous
         self._local_bitmaps[segment_id].clear(ordinal, branch)
         self.index_hook.removed(branch, key)
-        self._dirty_writes = True
         self.stats.records_deleted += 1
 
     def branch_contains_key(self, branch: str, key: int) -> bool:

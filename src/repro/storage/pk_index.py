@@ -22,8 +22,8 @@ class PrimaryKeyIndex(Generic[LocationT]):
 
     Branches registered through :meth:`register_lazy` hold no entries until
     first touched: the first key operation against such a branch invokes the
-    registered hydrator (which loads a persisted snapshot or rebuilds from
-    storage) and caches the result.  This keeps cold opens O(branches
+    registered hydrator (which rebuilds the map from storage) and caches the
+    result.  This keeps cold opens O(branches
     touched), not O(total data).
     """
 
@@ -64,10 +64,6 @@ class PrimaryKeyIndex(Generic[LocationT]):
     def branch_loaded(self, branch: str) -> bool:
         """True if ``branch``'s entries are materialized in memory."""
         return branch in self._branches
-
-    def loaded_branches(self) -> list[str]:
-        """Names of the branches whose entries are materialized."""
-        return list(self._branches)
 
     def drop_branch(self, branch: str) -> None:
         """Forget all entries of ``branch``."""

@@ -33,6 +33,7 @@ from repro.storage.base import (
     StorageEngineKind,
     VersionedStorageEngine,
     fetch_bitmap_ordinals,
+    live_pk_ordinals,
     regroup_chunks,
     scan_heap_bitmap_columns,
 )
@@ -68,9 +69,10 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.bitmap_index = make_bitmap_index(bitmap_orientation)
         self.pk_index: PrimaryKeyIndex[int] = self.index_hook.pk
         self.index_hook.bind(
-            self._pk_entries_for_branch,
+            lambda branch: self._pk_entries(
+                self.bitmap_index.branch_bitmap(branch)
+            ),
             self.scan_branch,
-            lambda branch: self.graph.head(branch),
         )
         self.commit_layer_interval = commit_layer_interval
         self._histories: dict[str, CommitHistory] = {}
@@ -100,12 +102,7 @@ class TupleFirstEngine(VersionedStorageEngine):
         snapshot = self._bitmap_at_commit(from_commit)
         self._add_branch_structures(name, clone_from=None)
         self.bitmap_index.restore_branch(name, snapshot)
-        entries: dict[int, int] = {}
-        pk_position = self.schema.primary_key_index
-        for ordinal in snapshot.iter_set_bits():
-            record = self.heap.record_by_ordinal(ordinal)
-            entries[record.values[pk_position]] = ordinal
-        self.index_hook.branch_rebuilt(name, entries)
+        self.index_hook.branch_rebuilt(name, self._pk_entries(snapshot))
 
     def _record_commit_state(self, branch: str, commit_id: str) -> None:
         snapshot = self.bitmap_index.branch_bitmap(branch)
@@ -140,19 +137,14 @@ class TupleFirstEngine(VersionedStorageEngine):
             self.bitmap_index.restore_branch(
                 branch, self._bitmap_at_commit(self.graph.head(branch))
             )
-        # Primary-key maps hydrate lazily on first touch: from the persisted
-        # per-branch index files when their epoch matches the recovered
-        # head, otherwise by the bitmap walk below.
+        # Primary-key maps are rebuilt lazily, on a branch's first touch.
         self.index_hook.attach_lazy(self.graph.branch_names())
 
-    def _pk_entries_for_branch(self, branch: str) -> dict[int, int]:
-        """Derive a branch's full pk map from its live bitmap (index rebuild)."""
-        pk_position = self.schema.primary_key_index
-        entries: dict[int, int] = {}
-        for ordinal in self.bitmap_index.branch_bitmap(branch).iter_set_bits():
-            record = self.heap.record_by_ordinal(ordinal)
-            entries[record.values[pk_position]] = ordinal
-        return entries
+    def _pk_entries(self, bitmap: Bitmap) -> dict[int, int]:
+        """The pk -> ordinal map of the tuples live in ``bitmap``."""
+        return dict(
+            live_pk_ordinals(self.heap, bitmap, self.schema.primary_key_index)
+        )
 
     # -- data operations --------------------------------------------------------
 
@@ -161,7 +153,6 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.bitmap_index.set(ordinal, branch)
         self.index_hook.applied(branch, record.key(self.schema), ordinal, record)
         self.stats.records_inserted += 1
-        self._dirty_writes = True
 
     def update(self, branch: str, record: Record) -> None:
         key = record.key(self.schema)
@@ -174,7 +165,6 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.bitmap_index.set(ordinal, branch)
         self.index_hook.applied(branch, key, ordinal, record)
         self.stats.records_updated += 1
-        self._dirty_writes = True
 
     def delete(self, branch: str, key: int) -> None:
         previous = self.pk_index.get(branch, key)
@@ -183,7 +173,6 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.bitmap_index.clear(previous, branch)
         self.index_hook.removed(branch, key)
         self.stats.records_deleted += 1
-        self._dirty_writes = True
 
     def branch_contains_key(self, branch: str, key: int) -> bool:
         return self.pk_index.contains(branch, key)

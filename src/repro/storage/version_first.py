@@ -87,15 +87,10 @@ class VersionFirstEngine(VersionedStorageEngine):
         #: single-branch scans become bulk index probes instead of
         #: per-record chain walks, while :meth:`scan_branch` remains the
         #: chain-walking reference implementation.  Owned by the index
-        #: subsystem facade, which also persists it per branch (snapshot +
-        #: delta log) and hydrates branches lazily on first touch.
+        #: subsystem facade; reopened branches rebuild it lazily on first
+        #: touch.
         self.pk_index: PrimaryKeyIndex[tuple[str, int]] = self.index_hook.pk
-        self.index_hook.bind(
-            self._pk_entries_for_branch,
-            self.scan_branch,
-            lambda branch: self.graph.head(branch),
-            decode=tuple,
-        )
+        self.index_hook.bind(self._pk_entries_for_branch, self.scan_branch)
         #: Columnar scan acceleration: segment id -> (record count at build
         #: time, per-column containers concatenated over the segment's pages
         #: in ordinal order).  Staleness-checked against the segment heap's
@@ -200,9 +195,8 @@ class VersionFirstEngine(VersionedStorageEngine):
             segment = self.segments.get(segment_id)
             if segment.record_count > floor:
                 segment.heap.truncate_records(floor)
-        # Primary-key maps hydrate lazily on first touch: from the persisted
-        # per-branch index files when their epoch matches the recovered
-        # head, otherwise by the chain walk below.
+        # Primary-key maps are rebuilt lazily, on a branch's first touch, by
+        # the chain walk below (which must see tombstones).
         self.index_hook.attach_lazy(self.graph.branch_names())
 
     def _pk_entries_for_branch(self, branch: str) -> dict[int, tuple[str, int]]:
@@ -225,7 +219,6 @@ class VersionFirstEngine(VersionedStorageEngine):
             branch, record.key(self.schema), (segment.segment_id, ordinal), record
         )
         self.stats.records_inserted += 1
-        self._dirty_writes = True
 
     def update(self, branch: str, record: Record) -> None:
         # Updates append a new copy with the same primary key; scans ignore
@@ -237,7 +230,6 @@ class VersionFirstEngine(VersionedStorageEngine):
             branch, record.key(self.schema), (segment.segment_id, ordinal), record
         )
         self.stats.records_updated += 1
-        self._dirty_writes = True
 
     def delete(self, branch: str, key: int) -> None:
         if not self.pk_index.contains(branch, key):
@@ -245,7 +237,6 @@ class VersionFirstEngine(VersionedStorageEngine):
         self._head(branch).append(Record.deleted(self.schema, key))
         self.index_hook.removed(branch, key)
         self.stats.records_deleted += 1
-        self._dirty_writes = True
 
     def branch_contains_key(self, branch: str, key: int) -> bool:
         return self.pk_index.contains(branch, key)

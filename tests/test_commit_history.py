@@ -1,10 +1,12 @@
 """Tests for delta-compressed commit histories."""
 
+import os
+
 import pytest
 
 from repro.bitmap.bitmap import Bitmap
 from repro.bitmap.delta import CommitHistory
-from repro.errors import CommitNotFoundError, StorageError
+from repro.errors import CommitNotFoundError, CorruptionError, StorageError
 
 
 def snapshots(count: int, stride: int = 5) -> list[Bitmap]:
@@ -150,33 +152,34 @@ class TestCommitHistory:
         assert history.checkout("c5") == snapshot
         assert len(decoded) == 1  # only the first (non-empty) delta
 
-    def test_legacy_format_without_popcounts_still_loads(self, tmp_path):
-        import struct
+    def test_flipped_byte_raises_corruption_error(self, tmp_path, monkeypatch):
+        """Every entry is CRC-framed: a flipped byte in an early entry is
+        reported, never replayed as a different delta."""
+        monkeypatch.setenv("REPRO_STRICT_RECOVERY", "1")
+        path = str(tmp_path / "history.hist")
+        history = CommitHistory(path=path, layer_interval=4)
+        for i, snapshot in enumerate(snapshots(6)):
+            history.record_commit(f"c{i}", snapshot)
+        with open(path, "r+b") as handle:
+            handle.seek(22)  # inside the first entry's RLE payload
+            byte = handle.read(1)
+            handle.seek(22)
+            handle.write(bytes([byte[0] ^ 0x01]))
+        with pytest.raises(CorruptionError) as info:
+            CommitHistory(path=path, layer_interval=4)
+        assert info.value.file == path
 
-        from repro.bitmap.delta import _ENTRY_HEADER
-        from repro.bitmap.rle import rle_encode
-
-        # Hand-write a pre-popcount history file: no magic, 4-byte
-        # num_bits-only trailer per entry.
-        series = snapshots(5)
-        path = str(tmp_path / "legacy.hist")
-        last = Bitmap()
-        with open(path, "wb") as handle:
-            for i, snapshot in enumerate(series):
-                delta = snapshot ^ last
-                payload = rle_encode(delta.to_bytes())
-                num_bits = max(len(snapshot), len(last))
-                handle.write(_ENTRY_HEADER.pack(0, i, len(payload)))
-                handle.write(struct.pack("<I", num_bits))
-                handle.write(payload)
-                last = snapshot.copy()
-        reloaded = CommitHistory(path=path, layer_interval=0)
-        reloaded.rebind_commit_ids([f"c{i}" for i in range(len(series))])
-        assert reloaded.latest_snapshot() == series[-1]
+    def test_torn_final_entry_is_truncated(self, tmp_path):
+        path = str(tmp_path / "history.hist")
+        history = CommitHistory(path=path, layer_interval=0)
+        series = snapshots(4)
         for i, snapshot in enumerate(series):
-            assert reloaded.checkout(f"c{i}") == snapshot
-        # Popcounts are recomputed from the payloads on load.
-        assert all(entry.popcount > 0 for entry in reloaded._entries)
+            history.record_commit(f"c{i}", snapshot)
+        os.truncate(path, os.path.getsize(path) - 2)
+        reloaded = CommitHistory(path=path, layer_interval=0)
+        assert len(reloaded) == 3
+        reloaded.rebind_commit_ids(["c0", "c1", "c2"])
+        assert reloaded.latest_snapshot() == series[2]
 
     def test_popcount_survives_persistence(self, tmp_path):
         path = str(tmp_path / "history.hist")

@@ -15,6 +15,8 @@ delete / branch mixes) and checks recovered state against an in-memory
 model.
 """
 
+import os
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.db.database import Decibel
-from repro.query.executor import explain_query
+from repro.errors import CorruptionError
 from repro.testing.faults import FaultSchedule, InjectedCrash, inject
 
 #: Every named crashpoint the durable write paths register, spanning the WAL
@@ -34,11 +36,18 @@ CRASHPOINTS = [
     "segment-meta-mid-write",
     "segment-meta-pre-rename",
     "history-append-pre-fsync",
+    "commit-locations-mid-write",
     "commit-locations-pre-rename",
     "hybrid-meta-pre-fsync",
-    "index-mid-write",
-    "index-pre-rename",
-    "index-delta-pre-fsync",
+]
+
+#: The crashpoints that guard an append to a live log (the WAL, commit
+#: histories, the hybrid segment-metadata log), where a crash can also leave
+#: a torn partial record behind.
+APPEND_CRASHPOINTS = [
+    "wal-group-commit-pre-fsync",
+    "history-append-pre-fsync",
+    "hybrid-meta-pre-fsync",
 ]
 
 ENGINES = ["tuple-first", "version-first", "hybrid"]
@@ -65,9 +74,21 @@ def live_keys(db, branch="master"):
     return {r.key(SCHEMA) for r in db.relation("t").scan(branch)}
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("point", CRASHPOINTS)
-class TestCrashMatrix:
+def assert_pk_index_agrees(db, branch="master"):
+    """The reopened branch's pk map (rebuilt from storage) matches a scan."""
+    storage = db.relation("t").engine
+    expected = {r.key(SCHEMA): r.values for r in storage.scan_branch(branch)}
+    assert sorted(storage.pk_index.keys(branch)) == sorted(expected)
+    for key, values in expected.items():
+        assert storage.record_for_key(branch, key).values == values
+
+
+class _CrashWorkloads:
+    """Workloads whose final commit dies at ``point``; subclasses pick the
+    crashpoints and whether the crash also tears the guarded file's tail."""
+
+    torn_bytes = 0
+
     def test_insert_crash(self, tmp_path, engine, point):
         db = seed_database(tmp_path, engine)
         txn = db.transactions("t").begin()
@@ -88,6 +109,7 @@ class TestCrashMatrix:
             assert rows[5] == 50, "uncommitted update leaked through recovery"
         else:
             assert rows[5] == 999, "committed update was lost"
+        assert_pk_index_agrees(reopened)
 
     def test_delete_crash(self, tmp_path, engine, point):
         db = seed_database(tmp_path, engine)
@@ -101,6 +123,7 @@ class TestCrashMatrix:
         else:
             assert 7 not in keys, "committed delete was resurrected"
         assert keys - {7} == (set(range(10)) | {100}) - {7}
+        assert_pk_index_agrees(reopened)
 
     def test_branch_workload_crash(self, tmp_path, engine, point):
         db = seed_database(tmp_path, engine)
@@ -117,13 +140,16 @@ class TestCrashMatrix:
             assert dev == set(range(10)) | {100}
         else:
             assert dev == (set(range(10)) | {100, 300}) - {3}
+        assert_pk_index_agrees(reopened, "master")
+        assert_pk_index_agrees(reopened, "dev")
 
     # -- helpers ----------------------------------------------------------
 
     def _crash(self, point, txn):
         """Commit under an armed crashpoint; True if the crash fired."""
         try:
-            with inject(FaultSchedule(point)) as injector:
+            schedule = FaultSchedule(point, torn_bytes=self.torn_bytes)
+            with inject(schedule) as injector:
                 txn.commit("under test")
         except InjectedCrash:
             assert injector.fired is not None
@@ -159,6 +185,23 @@ class TestCrashMatrix:
             "SELECT COUNT(*) FROM t WHERE t.Version = 'master'"
         ).rows[0][0]
         assert count == len(keys)
+        assert_pk_index_agrees(reopened)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("point", CRASHPOINTS)
+class TestCrashMatrix(_CrashWorkloads):
+    pass
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("point", APPEND_CRASHPOINTS)
+class TestTornAppendMatrix(_CrashWorkloads):
+    """The crash also tears the last 3 bytes off the log being appended,
+    as if the record only partly reached the disk: recovery must truncate
+    the torn frame and still land on the pre- or post-commit state."""
+
+    torn_bytes = 3
 
 
 class TestRecoveryDetails:
@@ -223,115 +266,41 @@ class TestRecoveryDetails:
         new_txn = reopened.transactions("t").begin()
         assert new_txn.transaction_id != txn.transaction_id
 
-
-class TestIndexCrash:
-    """Index files are derived data: a crash anywhere in their write path
-    must leave a database that rebuilds the index, never one serving a
-    stale or torn map.
-
-    The crashpoints fire at different commits: a branch's *first* chain
-    commit writes a full snapshot (``index-mid-write`` /
-    ``index-pre-rename``), later commits append delta frames
-    (``index-delta-pre-fsync``).  ``torn_bytes`` additionally truncates
-    the delta log's tail before dying, modelling a frame that only
-    partially reached the platter.
-    """
-
-    def _verify_index_agrees_with_scan(self, reopened, branch="master"):
-        """Every live key answers through the pk index; misses answer []."""
-        keys = live_keys(reopened, branch)
-        plan = explain_query(
-            reopened,
-            f"SELECT * FROM t WHERE t.Version = '{branch}' AND t.id = 0",
-        )
-        assert "[index]" in plan, "pk point query lost its index scan"
-        for key in sorted(keys):
-            rows = reopened.query(
-                f"SELECT * FROM t WHERE t.Version = '{branch}' AND t.id = {key}"
-            ).rows
-            assert len(rows) == 1 and rows[0][0] == key, (
-                f"index disagrees with scan for key {key} on {branch!r}"
-            )
-        return keys
-
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("point", ["index-mid-write", "index-pre-rename"])
-    def test_snapshot_crash_rebuilds(self, tmp_path, engine, point):
-        """Die writing a branch's first index snapshot; recovery rebuilds."""
-        db = seed_database(tmp_path, engine)
-        db.relation("t").branch("dev", from_branch="master")
-        txn = db.transactions("t").begin()
-        txn.insert("dev", record(200, 2))
-        crashed = False
-        try:
-            # Dev's first chain commit writes a full snapshot: the armed
-            # point fires inside that write.
-            with inject(FaultSchedule(point)) as injector:
-                txn.commit("dies writing the dev snapshot")
-        except InjectedCrash:
-            crashed = True
-            assert injector.fired is not None
-        assert crashed, f"{point} never fired during the first dev commit"
+    def test_torn_wal_tail_is_noted_once(self, tmp_path, engine):
+        seed_database(tmp_path, engine).close()
+        wal = tmp_path / "wal.log"
+        os.truncate(wal, os.path.getsize(wal) - 3)
         reopened = Decibel.open(str(tmp_path), engine=engine)
-        self._verify_index_agrees_with_scan(reopened, "master")
-        dev = self._verify_index_agrees_with_scan(reopened, "dev")
-        committed = txn.transaction_id in reopened.last_recovery.committed
-        if committed:
-            assert 200 in dev, "committed insert missing after index crash"
-        else:
-            rows = reopened.query(
-                "SELECT * FROM t WHERE t.Version = 'dev' AND t.id = 200"
-            ).rows
-            assert rows == [], "loser insert visible through the index"
+        torn = [
+            note
+            for note in reopened.last_recovery.notes
+            if "truncated torn WAL tail" in note
+        ]
+        assert len(torn) == 1, reopened.last_recovery.notes
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("torn_bytes", [0, 3], ids=["clean", "torn-tail"])
-    def test_delta_crash_rebuilds(self, tmp_path, engine, torn_bytes):
-        """Die appending a delta frame (optionally tearing its tail)."""
+    @pytest.mark.parametrize("engine", ["tuple-first", "hybrid"])
+    def test_flipped_commit_history_byte_is_detected(
+        self, tmp_path, engine, monkeypatch
+    ):
+        """A bit-flipped commit-history entry raises on open in strict mode
+        instead of restoring a wrong bitmap (and a wrong row count)."""
+        monkeypatch.setenv("REPRO_STRICT_RECOVERY", "1")
         db = seed_database(tmp_path, engine)
-        txn = db.transactions("t").begin()
-        txn.insert("master", record(200, 2))
-        txn.delete("master", 3)
-        crashed = False
-        try:
-            with inject(
-                FaultSchedule("index-delta-pre-fsync", torn_bytes=torn_bytes)
-            ) as injector:
-                txn.commit("dies appending the master delta frame")
-        except InjectedCrash:
-            crashed = True
-            assert injector.fired is not None
-        assert crashed, "index-delta-pre-fsync never fired"
-        reopened = Decibel.open(str(tmp_path), engine=engine)
-        keys = self._verify_index_agrees_with_scan(reopened, "master")
-        committed = txn.transaction_id in reopened.last_recovery.committed
-        if committed:
-            assert 200 in keys and 3 not in keys
-        else:
-            assert keys == set(range(10)) | {100}
-            rows = reopened.query(
-                "SELECT * FROM t WHERE t.Version = 'master' AND t.id = 200"
-            ).rows
-            assert rows == [], "loser insert visible through the index"
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_corrupt_snapshot_on_disk_is_rebuilt(self, tmp_path, engine):
-        """Flip bytes in a persisted snapshot; the loader must reject it."""
-        import glob
-
-        db = seed_database(tmp_path, engine)
+        manager = db.transactions("t")
+        for key in range(200, 206):
+            txn = manager.begin()
+            txn.insert("master", record(key, key))
+            txn.commit()
         db.close()
-        snapshots = glob.glob(
-            str(tmp_path / "t" / "index" / "pk_*.json")
-        )
-        assert snapshots, "clean close left no pk snapshot behind"
-        for path in snapshots:
-            with open(path, "r+b") as handle:
-                handle.seek(-8, 2)
-                handle.write(b"garbage!")
-        reopened = Decibel.open(str(tmp_path), engine=engine)
-        keys = self._verify_index_agrees_with_scan(reopened, "master")
-        assert keys == set(range(10)) | {100}
+        histories = sorted((tmp_path / "t").glob("commits_master*.hist"))
+        assert histories
+        for path in histories:
+            data = bytearray(path.read_bytes())
+            data[27] ^= 0x01  # inside the first entry's RLE payload
+            path.write_bytes(bytes(data))
+        with pytest.raises(CorruptionError):
+            Decibel.open(str(tmp_path), engine=engine)
 
 
 # -- hypothesis-driven matrix -------------------------------------------------

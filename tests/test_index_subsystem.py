@@ -6,10 +6,9 @@ Four layers under test:
   index-backed queries and full scans agree after arbitrary
   insert / update / delete / branch / merge interleavings, on all three
   engines (the index is an access path, never a second source of truth).
-* **Persistence** -- clean closes snapshot the pk index; cold opens load
-  the persisted chain instead of rebuilding, stale chains (head moved
-  while the files sat still) rebuild, and lazy registration means an
-  untouched branch costs nothing at open.
+* **Persistence** -- pk maps are derived data: nothing is written under
+  ``index/``, a reopened branch rebuilds its map on first touch, and lazy
+  registration means an untouched branch costs nothing at open.
 * **Planning** -- the optimizer rewrites selective scans to
   :class:`IndexScan` (visible as ``[index]`` in EXPLAIN) only when the
   index covers the driving term, and the rewrite is toggleable.
@@ -19,7 +18,7 @@ Four layers under test:
 
 from __future__ import annotations
 
-import shutil
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -107,7 +106,8 @@ def test_index_equals_scan_under_workloads(tmp_path_factory, engine, steps):
     Ground truth comes from :meth:`VersionedRelation.scan` (the raw engine
     scan, no query pipeline), so a bug shared by both query arms cannot
     hide: merge semantics themselves are covered by the engine-equivalence
-    and diff/conflict suites.
+    and diff/conflict suites.  The checks run after a close and reopen, so
+    every pk map they use is one rebuilt from storage.
     """
     directory = tmp_path_factory.mktemp("db")
     db = Decibel(str(directory), engine=engine)
@@ -140,6 +140,18 @@ def test_index_equals_scan_under_workloads(tmp_path_factory, engine, steps):
             txn.delete(branch, key)
         txn.commit()
 
+    # Reopen: every pk map below is rebuilt from storage on first touch and
+    # must match the engine's reference scan exactly.
+    db.close()
+    db = Decibel.open(str(directory), engine=engine)
+    rel = db.relation("R")
+    storage = rel.engine
+    for name in branches:
+        expected = {r.values[0]: r.values for r in storage.scan_branch(name)}
+        assert sorted(storage.pk_index.keys(name)) == sorted(expected)
+        for key, values in expected.items():
+            assert storage.record_for_key(name, key).values == values
+
     for name in branches:
         truth = {r.values[0]: tuple(r.values) for r in rel.scan(name)}
         # Primary-key point lookups: every live key answers exactly its
@@ -168,76 +180,78 @@ def test_index_equals_scan_under_workloads(tmp_path_factory, engine, steps):
             assert indexed == full == expected
 
 
-# -- persistence: snapshots, staleness, laziness ------------------------------
+# -- persistence: nothing persisted, lazy rebuilds ---------------------------
 
 class TestPersistence:
-    def _count_rebuilds(self, db):
-        """Wrap the hook's rebuild callback with a counter."""
-        hook = db.relation("R").engine.index_hook
-        counter = {"rebuilds": 0}
-        original = hook._rebuild_branch
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_reopen_writes_no_index_files(self, tmp_path, engine):
+        db = make_db(tmp_path, engine)
+        db.relation("R").branch("dev", from_branch="master")
+        txn = db.transactions("R").begin()
+        txn.insert("dev", record(500, 1, 1))
+        txn.commit("dev write")
+        db.close()
+        reopened = Decibel.open(str(tmp_path), engine=engine)
+        for branch, key, row in (
+            ("master", 7, (7, 7, 70)),
+            ("dev", 500, (500, 1, 1)),
+        ):
+            rows = reopened.query(
+                f"SELECT * FROM R WHERE R.Version = '{branch}' AND R.id = {key}"
+            ).rows
+            assert [tuple(r) for r in rows] == [row]
+        reopened.close()
+        Decibel.open(str(tmp_path), engine=engine).close()
+        assert not os.path.exists(tmp_path / "R" / "index")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_first_touch_rebuilds_once(self, tmp_path, engine):
+        db = make_db(tmp_path, engine)
+        db.relation("R").branch("dev", from_branch="master")
+        db.close()
+        reopened = Decibel.open(str(tmp_path), engine=engine)
+        pk = reopened.relation("R").engine.index_hook.pk
+        rebuilt = []
+        hydrate = pk._hydrator
 
         def counting(branch):
-            counter["rebuilds"] += 1
-            return original(branch)
+            rebuilt.append(branch)
+            return hydrate(branch)
 
-        hook._rebuild_branch = counting
-        return counter
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_cold_open_loads_persisted_chain(self, tmp_path, engine):
-        db = make_db(tmp_path, engine)
-        db.close()
-        reopened = Decibel.open(str(tmp_path), engine=engine)
-        counter = self._count_rebuilds(reopened)
-        rows = reopened.query(
-            "SELECT * FROM R WHERE R.Version = 'master' AND R.id = 7"
-        ).rows
-        assert [tuple(r) for r in rows] == [(7, 7, 70)]
-        assert counter["rebuilds"] == 0, (
-            "cold open fell back to a full-scan rebuild despite a valid "
-            "persisted snapshot"
-        )
+        pk._hydrator = counting
+        for key in (7, 8, 49):
+            rows = reopened.query(
+                f"SELECT * FROM R WHERE R.Version = 'master' AND R.id = {key}"
+            ).rows
+            assert [tuple(r) for r in rows] == [(key, key % 10, key * 10)]
+        assert rebuilt == ["master"], "the rebuilt map was not cached"
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_missing_files_trigger_rebuild(self, tmp_path, engine):
-        db = make_db(tmp_path, engine)
-        db.close()
-        shutil.rmtree(tmp_path / "R" / "index")
-        reopened = Decibel.open(str(tmp_path), engine=engine)
-        counter = self._count_rebuilds(reopened)
-        rows = reopened.query(
-            "SELECT * FROM R WHERE R.Version = 'master' AND R.id = 7"
-        ).rows
-        assert [tuple(r) for r in rows] == [(7, 7, 70)]
-        assert counter["rebuilds"] == 1
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_stale_epoch_triggers_rebuild(self, tmp_path, engine):
-        """Index files from a superseded head are rejected, then rebuilt."""
+    def test_leftover_index_files_are_ignored(self, tmp_path, engine):
+        """Index files left by an older layout never feed a pk map."""
         db = make_db(tmp_path, engine)
         db.close()
         index_dir = tmp_path / "R" / "index"
-        stale = tmp_path / "stale-index"
-        shutil.copytree(index_dir, stale)
-        # Move the branch head past the copied files' epoch...
-        db = Decibel.open(str(tmp_path), engine=engine)
-        txn = db.transactions("R").begin()
-        txn.insert("master", record(500, 1, 1))
-        txn.commit("moves the head")
-        db.close()
-        # ...then put the stale files back: their chain ends at the old head.
-        shutil.rmtree(index_dir)
-        shutil.copytree(stale, index_dir)
+        index_dir.mkdir()
+        leftovers = {
+            index_dir / "pk_master_0.json": b'{"entries": {"7": 0, "999": 1}}',
+            index_dir / "pk_master_0.log": b"garbage!",
+        }
+        for path, data in leftovers.items():
+            path.write_bytes(data)
         reopened = Decibel.open(str(tmp_path), engine=engine)
-        counter = self._count_rebuilds(reopened)
         rows = reopened.query(
-            "SELECT * FROM R WHERE R.Version = 'master' AND R.id = 500"
+            "SELECT * FROM R WHERE R.Version = 'master' AND R.id = 7"
         ).rows
-        assert [tuple(r) for r in rows] == [(500, 1, 1)], (
-            "a stale persisted index hid a committed row"
-        )
-        assert counter["rebuilds"] == 1
+        assert [tuple(r) for r in rows] == [(7, 7, 70)]
+        assert reopened.query(
+            "SELECT * FROM R WHERE R.Version = 'master' AND R.id = 999"
+        ).rows == []
+        storage = reopened.relation("R").engine
+        assert sorted(storage.pk_index.keys("master")) == list(range(50))
+        reopened.close()
+        for path, data in leftovers.items():
+            assert path.read_bytes() == data
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_open_does_not_hydrate_untouched_branches(self, tmp_path, engine):
@@ -343,14 +357,14 @@ class TestPlanning:
         with pytest.raises(SchemaError):
             db.create_index("R", "nope")
 
-    def test_unindexable_column_type_is_rejected(self, tmp_path):
+    def test_unindexable_column_type_is_rejected(self):
         from repro.core.schema import Column, ColumnType
         from repro.index.maintenance import IndexMaintenance
 
         schema = Schema(
             (Column("id", ColumnType.INT), Column("score", ColumnType.FLOAT))
         )
-        hook = IndexMaintenance(str(tmp_path), schema)
+        hook = IndexMaintenance(schema)
         with pytest.raises(SchemaError):
             hook.declare("score")
 

@@ -484,6 +484,24 @@ class TestDurableWriteRule:
         )
         assert violations == []
 
+    def test_append_open_outside_durable_layer_flagged(self):
+        # A seeded revival of the commit history's private unchecksummed
+        # append path.
+        violations = check(
+            DurableWriteRule(),
+            "repro/bitmap/delta.py",
+            """
+            def append(path, entry):
+                with open(path, "ab") as handle:
+                    handle.write(entry)
+            """,
+        )
+        assert len(violations) == 1
+        assert "append_framed" in violations[0].message
+        snippet = 'open("f", "ab")'
+        assert check(DurableWriteRule(), "repro/core/durable.py", snippet) == []
+        assert check(DurableWriteRule(), "repro/core/wal.py", snippet) == []
+
     def test_utility_and_bench_modules_exempt(self):
         snippet = 'open("f", "wb")'
         assert check(DurableWriteRule(), "repro/core/durable.py", snippet) == []
