@@ -453,35 +453,32 @@ def table3_merge_throughput(
         "Table 3: merge throughput (MB of diff per second)",
         ["engine", "two-way MB/s", "three-way MB/s", "merges"],
     )
-    for engine_kind in ENGINE_KINDS:
-        throughput = {}
-        merge_count = 0
-        for mode_label, three_way in (("two-way", False), ("three-way", True)):
-            # Best-of-three loads: merge timings at test scale are only a few
-            # milliseconds each, so a single load's throughput is dominated
-            # by scheduler noise rather than the engines' merge I/O shape.
-            best = 0.0
-            for attempt in range(3):
+    # Best-of-three loads: merge timings at test scale are only a few
+    # milliseconds each, so a single load's throughput is dominated by
+    # scheduler noise rather than the engines' merge I/O shape.  Each round
+    # loads every engine and mode once, so a burst of machine load slows
+    # them all alike rather than one engine's loads only.
+    best: dict[str, list[float]] = {kind: [0.0, 0.0, 0] for kind in ENGINE_KINDS}
+    for attempt in range(3):
+        for engine_kind in ENGINE_KINDS:
+            for mode, three_way in enumerate((False, True)):
                 result = _load(
                     workdir,
                     "curation",
                     engine_kind,
                     scale,
                     three_way_merges=three_way,
-                    label=f"table3_{engine_kind}_{mode_label}_{attempt}",
+                    label=f"table3_{engine_kind}_{mode}_{attempt}",
                 )
                 total_bytes = sum(m.diff_bytes for m in result.merge_timings)
                 total_seconds = sum(m.seconds for m in result.merge_timings)
-                merge_count = len(result.merge_timings)
+                row = best[engine_kind]
+                row[2] = len(result.merge_timings)
                 if total_seconds > 0:
-                    best = max(best, (total_bytes / (1024 * 1024)) / total_seconds)
-            throughput[mode_label] = best
-        table.add_row(
-            ENGINE_LABELS[engine_kind],
-            throughput["two-way"],
-            throughput["three-way"],
-            merge_count,
-        )
+                    mb_per_s = (total_bytes / (1024 * 1024)) / total_seconds
+                    row[mode] = max(row[mode], mb_per_s)
+    for engine_kind, row in best.items():
+        table.add_row(ENGINE_LABELS[engine_kind], *row)
     table.add_note(
         "paper: VF 14.2/9.6, TF 15.8/15.1, HY 26.5/33.2 MB/s -- hybrid fastest, "
         "version-first hit hardest by the three-way LCA scan"

@@ -1,8 +1,8 @@
 """Crash-safe file primitives: atomic replace, CRC-framed logs, CRC-stamped JSON.
 
-Every durable metadata file in the system (version graph, segment metadata,
-commit locations, catalog) is written through :func:`atomic_write`, which
-follows the classic safe-replace protocol:
+The durable metadata files that are rewritten whole (segment topology, the
+catalog, WAL checkpoints) go through :func:`atomic_write`, which follows the
+classic safe-replace protocol:
 
 1. write the full payload to a temporary sibling file,
 2. ``fsync`` the temporary file so its bytes are on the platter,
@@ -14,11 +14,13 @@ file -- never a torn mixture.  Named crashpoints (``{label}-mid-write``,
 ``{label}-pre-rename``) are registered at the two interesting interruption
 windows so the fault-injection harness can prove that property.
 
-Append-only logs (the WAL, commit histories, hybrid commit metadata) share
+Append-only logs (the WAL, commit histories, the version-graph log) share
 one record framing, :func:`frame`: CRC32 of the payload and its length,
-then the payload.  :func:`read_framed` is the one reader for all of them;
-it truncates a torn tail and raises on corruption followed by readable
-records.
+then the payload.  :func:`append_framed` writes one record with one fsync
+(crashpoint ``{label}-pre-fsync``), so the per-commit metadata costs
+O(delta), not a rewrite of the whole file.  :func:`read_framed` is the one
+reader for all of them; it truncates a torn tail and raises on corruption
+followed by readable records.
 
 JSON metadata is additionally wrapped in a CRC envelope
 (``{"crc32": ..., "data": ...}``) by :func:`dump_checked_json`;

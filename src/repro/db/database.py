@@ -246,19 +246,10 @@ class Decibel:
         return report
 
     def _verify_consistency(self) -> None:
-        """Cross-check catalog, version graphs, and index structures."""
+        """Cross-check each branch's primary-key index against its storage."""
         for name in self.relations():
             engine = self.relation(name).engine
-            if not engine.graph.initialized:
-                continue
             for branch in engine.graph.branch_names():
-                head = engine.graph.head(branch)
-                if head is not None and not engine.graph.has_commit(head):
-                    raise CorruptionError(
-                        os.path.join(engine.directory, "version_graph.json"),
-                        f"branch {branch!r} of relation {name!r} heads "
-                        f"unknown commit {head!r}",
-                    )
                 pk_index = getattr(engine, "pk_index", None)
                 if pk_index is None or not pk_index.branch_loaded(branch):
                     # Unloaded branches hydrate (and are verified against

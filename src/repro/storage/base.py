@@ -24,7 +24,7 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.core.buffer_pool import BufferPool
 from repro.core.columns import ColumnBatch, regroup_column_batches
@@ -430,7 +430,7 @@ class VersionedStorageEngine(ABC):
 
     def has_persistent_state(self) -> bool:
         """True if this engine's directory holds a persisted version graph."""
-        return os.path.exists(os.path.join(self.directory, "version_graph.json"))
+        return os.path.exists(self._graph_path())
 
     def load_persistent_state(self) -> None:
         """Reload the engine from disk (graph, storage, commit snapshots).
@@ -443,15 +443,15 @@ class VersionedStorageEngine(ABC):
         that were never committed are invisible or physically discarded,
         which is exactly the loser-rollback recovery needs.
         """
-        self.graph = VersionGraph.load(
-            os.path.join(self.directory, "version_graph.json")
-        )
+        self.graph = VersionGraph.load(self._graph_path())
         self._load_storage()
 
     def flush(self) -> None:
         """Persist any buffered pages and metadata."""
-        self._flush_storage()
-        self._persist_graph()
+        # Gated: a commit's graph event is never saved before its state is set.
+        with self.commit_gate:
+            self._flush_storage()
+            self._persist_graph()
 
     def close(self) -> None:
         """Flush and release cached pages."""
@@ -514,17 +514,21 @@ class VersionedStorageEngine(ABC):
         1. flush storage -- record data reaches the disk first, so a commit
            snapshot can never reference bytes that were lost with the page
            cache;
-        2. record the commit snapshot (fsynced history append / commit
-           location);
-        3. atomically persist the version graph -- the graph is the root of
-           truth, so a crash between 2 and 3 leaves an orphan snapshot that
-           reload discards, never a graph naming state that is missing.
+        2. record the commit snapshot (fsynced history appends); the state
+           the engine returns (a segment offset, segment ids) rides in the
+           commit's graph event;
+        3. append the version-graph frame -- the commit point.  A crash
+           before it leaves history tails that reload truncates
+           (``rebind_commit_ids``), never a graph naming state that is
+           missing.
 
         Indexes take no part: pk maps are derived data, rebuilt from the
         recovered storage on first touch after a reopen.
         """
         self._flush_storage()
-        self._record_commit_state(branch, commit_id)
+        self.graph.set_commit_state(
+            commit_id, self._record_commit_state(branch, commit_id)
+        )
         self.stats.commits += 1
         self._persist_graph()
 
@@ -827,8 +831,11 @@ class VersionedStorageEngine(ABC):
         """Create engine-side structures for a new branch."""
 
     @abstractmethod
-    def _record_commit_state(self, branch: str, commit_id: str) -> None:
-        """Snapshot whatever per-branch state a commit must preserve."""
+    def _record_commit_state(self, branch: str, commit_id: str) -> Any:
+        """Snapshot whatever per-branch state a commit must preserve.
+
+        Returns the JSON-serializable state the graph stores with the commit.
+        """
 
     @abstractmethod
     def _flush_storage(self) -> None:
@@ -857,8 +864,11 @@ class VersionedStorageEngine(ABC):
 
     # -- shared helpers ---------------------------------------------------------------------
 
+    def _graph_path(self) -> str:
+        return os.path.join(self.directory, "version_graph.log")
+
     def _persist_graph(self) -> None:
-        self.graph.save(os.path.join(self.directory, "version_graph.json"))
+        self.graph.save(self._graph_path())
 
     def _changes_between(
         self, ancestor_map: dict[int, Record], head_map: dict[int, Record]

@@ -14,12 +14,12 @@ segments are created, one for the parent and one for the child.
 
 Commits snapshot each (branch, segment) local bitmap into its own
 delta-compressed history file, which is why hybrid's commit metadata is split
-across many small files (paper Section 5.3).
+across many small files (paper Section 5.3).  Which segments a commit
+snapshotted is recorded with the commit itself, in its version-graph event.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Iterable, Iterator
 
@@ -30,7 +30,6 @@ from repro.core.buffer_pool import BufferPool
 from repro.core.columns import ColumnBatch
 from repro.core.page import DEFAULT_PAGE_SIZE
 from repro.core.predicates import Predicate, compile_predicate
-from repro.core.durable import add_recovery_note, append_framed, read_framed
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import CommitNotFoundError, CorruptionError, StorageError
@@ -83,8 +82,6 @@ class HybridEngine(VersionedStorageEngine):
         self._head_segment: dict[str, str] = {}
         #: (branch, segment id) -> commit history of that local bitmap column.
         self._histories: dict[tuple[str, str], CommitHistory] = {}
-        #: commit id -> segment ids whose bitmaps were snapshotted at that commit.
-        self._commit_segments: dict[str, list[str]] = {}
         #: (branch, primary key) -> (segment id, ordinal) of the latest copy.
         #: Owned by the index subsystem facade; reopened branches rebuild it
         #: lazily on first touch.
@@ -119,7 +116,7 @@ class HybridEngine(VersionedStorageEngine):
             self._branch_from_head(name, parent_branch)
             self.index_hook.branch_created(name, clone_from=parent_branch)
         else:
-            entries = self._branch_from_commit(name, parent_branch, from_commit)
+            entries = self._branch_from_commit(name, from_commit)
             self.index_hook.branch_rebuilt(name, entries)
 
     def _branch_from_head(self, name: str, parent_branch: str) -> None:
@@ -150,33 +147,30 @@ class HybridEngine(VersionedStorageEngine):
         self._head_segment[name] = child_head.segment_id
 
     def _branch_from_commit(
-        self, name: str, parent_branch: str, from_commit: str
+        self, name: str, from_commit: str
     ) -> dict[int, tuple[str, int]]:
         """Branch from a historical commit by restoring its bitmap snapshots."""
-        segment_ids = self._commit_segments.get(from_commit)
-        if segment_ids is None:
-            raise CommitNotFoundError(
-                f"commit {from_commit!r} has no recorded bitmap snapshots"
-            )
         self._branch_segments[name] = set()
-        snapshots: list[tuple[str, Bitmap]] = []
-        for segment_id in segment_ids:
-            history = self._histories.get((parent_branch, segment_id))
-            if history is None or from_commit not in history:
-                continue
-            snapshot = history.checkout(from_commit)
-            local = self._local_bitmaps[segment_id]
-            if not local.has_branch(name):
-                local.add_branch(name)
-            local.restore_branch(name, snapshot)
-            if snapshot.any():
-                self._branch_segments[name].add(segment_id)
-            snapshots.append((segment_id, snapshot))
+        snapshots = self._restore_branch(name, from_commit)
         child_head = self._new_head_segment(name, parents=())
         self._head_segment[name] = child_head.segment_id
         return self._pk_entries(snapshots)
 
-    def _record_commit_state(self, branch: str, commit_id: str) -> None:
+    def _restore_branch(
+        self, branch: str, commit_id: str
+    ) -> list[tuple[str, Bitmap]]:
+        """Set ``branch``'s local bitmaps to the snapshots of ``commit_id``."""
+        snapshots = list(self._commit_segment_bitmaps(commit_id))
+        for segment_id, snapshot in snapshots:
+            local = self._local_bitmaps[segment_id]
+            if not local.has_branch(branch):
+                local.add_branch(branch)
+            local.restore_branch(branch, snapshot)
+            if snapshot.any():
+                self._branch_segments[branch].add(segment_id)
+        return snapshots
+
+    def _record_commit_state(self, branch: str, commit_id: str) -> list[str]:
         segment_ids = sorted(
             self._branch_segments[branch] | {self._head_segment[branch]}
         )
@@ -189,42 +183,7 @@ class HybridEngine(VersionedStorageEngine):
                 else Bitmap()
             )
             history.record_commit(commit_id, snapshot)
-        self._commit_segments[commit_id] = segment_ids
-        # Persist the commit -> segments entry before the caller persists the
-        # graph: a crash in between leaves an orphan entry that reload skips.
-        append_framed(
-            self._hybrid_meta_path(),
-            json.dumps(
-                {"commit": commit_id, "segments": segment_ids},
-                separators=(",", ":"),
-            ).encode("utf-8"),
-            label="hybrid-meta",
-        )
-
-    def _hybrid_meta_path(self) -> str:
-        return os.path.join(self.directory, "hybrid_meta.log")
-
-    def _load_hybrid_meta(self) -> None:
-        """Rebuild the commit -> segments map from its append-only log.
-
-        Commit ids are sequential, so after a crash an orphan entry's id can
-        be reused by the next commit; entries are applied in log order and
-        the latest one for an id wins, which is always the live one (the
-        entry is appended before the graph learns the commit).
-        """
-        path = self._hybrid_meta_path()
-        if not os.path.exists(path):
-            return
-        for payload in read_framed(path, description="hybrid commit metadata"):
-            try:
-                entry = json.loads(payload.decode("utf-8"))
-            except ValueError as exc:
-                raise CorruptionError(
-                    path, f"hybrid metadata entry is not valid JSON: {exc}"
-                ) from exc
-            self._commit_segments[entry["commit"]] = [
-                str(s) for s in entry["segments"]
-            ]
+        return segment_ids
 
     def _load_storage(self) -> None:
         """Reload segments, local bitmaps, histories, and indexes from disk.
@@ -235,26 +194,13 @@ class HybridEngine(VersionedStorageEngine):
         references them, making them invisible to every scan.
         """
         self.segments.load_metadata()
-        self._load_hybrid_meta()
-        orphans = [
-            commit_id
-            for commit_id in self._commit_segments
-            if not self.graph.has_commit(commit_id)
-        ]
-        for commit_id in orphans:
-            del self._commit_segments[commit_id]
-        if orphans:
-            add_recovery_note(
-                f"discarded {len(orphans)} orphan commit snapshot entr"
-                f"{'y' if len(orphans) == 1 else 'ies'} from hybrid metadata"
-            )
         # Every segment gets an (initially empty) local bitmap index; head
         # segments are the non-frozen segment owned by each branch.
         for segment in self.segments.all():
             self._local_bitmaps[segment.segment_id] = BranchOrientedBitmapIndex()
             if not segment.frozen and segment.owner_branch is not None:
                 self._head_segment[segment.owner_branch] = segment.segment_id
-        branches = list(self.graph.branch_names())
+        branches = self.graph.branch_names()
         for branch in branches:
             self._branch_segments.setdefault(branch, set())
             if branch not in self._head_segment:
@@ -265,50 +211,36 @@ class HybridEngine(VersionedStorageEngine):
             head_local = self._local_bitmaps[self._head_segment[branch]]
             if not head_local.has_branch(branch):
                 head_local.add_branch(branch)
-        # Rebind every (branch, segment) history to the graph's committed
-        # prefix: entries past the graph's knowledge (from a crash between a
-        # history append and the graph persist) are discarded.
-        segment_ids = [segment.segment_id for segment in self.segments.all()]
-        for branch in branches:
-            branch_commits = [
-                commit.commit_id for commit in self.graph.commits_on_branch(branch)
-            ]
-            for segment_id in segment_ids:
-                path = os.path.join(
-                    self.directory, f"commits_{branch}_{segment_id}.hist"
+        # Rebind every (branch, segment) history file on disk to the commits
+        # whose recorded state names that segment, oldest first.  Entries past
+        # the graph's knowledge (a crash between a history append and the
+        # graph frame) are truncated; a history no committed state names is
+        # rebound to nothing, so a reused commit id never lands behind an
+        # orphan entry.
+        committed: dict[tuple[str, str], list[str]] = {}
+        for commit in self.graph.commits():
+            for segment_id in self.graph.commit_state(commit.commit_id) or ():
+                committed.setdefault((commit.branch, segment_id), []).append(
+                    commit.commit_id
                 )
-                if not os.path.exists(path):
-                    continue
-                history = self._history(branch, segment_id)
-                history.rebind_commit_ids(
-                    [
-                        commit_id
-                        for commit_id in branch_commits
-                        if segment_id in self._commit_segments.get(commit_id, ())
-                    ]
+        known = set(branches)
+        for name in os.listdir(self.directory):
+            if not (name.startswith("commits_") and name.endswith(".hist")):
+                continue
+            branch, _, segment_id = name[len("commits_") : -len(".hist")].rpartition(
+                "_"
+            )
+            if branch in known and segment_id in self.segments:
+                self._history(branch, segment_id).rebind_commit_ids(
+                    committed.get((branch, segment_id), [])
                 )
         # Restore each branch's local bitmaps at its head commit.  The head
         # commit may live on an ancestor branch (for a branch with no commits
-        # of its own), so the snapshots come from the owning branch's
-        # histories.
+        # of its own); the snapshots come from the owning branch's histories.
         for branch in branches:
-            head_commit = self.graph.head(branch)
-            if head_commit is None:
-                continue
-            owning = self.graph.get_commit(head_commit).branch
-            for segment_id in self._commit_segments.get(head_commit, ()):
-                history = self._histories.get((owning, segment_id))
-                if history is None or head_commit not in history:
-                    continue
-                snapshot = history.checkout(head_commit)
-                local = self._local_bitmaps[segment_id]
-                if not local.has_branch(branch):
-                    local.add_branch(branch)
-                local.restore_branch(branch, snapshot)
-                if snapshot.any():
-                    self._branch_segments[branch].add(segment_id)
+            self._restore_branch(branch, self.graph.head(branch))
         # Branch pk maps are rebuilt lazily, on a branch's first touch.
-        self.index_hook.attach_lazy(self.graph.branch_names())
+        self.index_hook.attach_lazy(branches)
 
     def _pk_entries(
         self, segment_bitmaps: Iterable[tuple[str, Bitmap]]
@@ -459,7 +391,7 @@ class HybridEngine(VersionedStorageEngine):
     def _commit_segment_bitmaps(self, commit_id: str) -> Iterator[tuple[str, Bitmap]]:
         """Yield ``(segment_id, recorded bitmap)`` for a historical commit."""
         branch = self.graph.get_commit(commit_id).branch
-        segment_ids = self._commit_segments.get(commit_id)
+        segment_ids = self.graph.commit_state(commit_id)
         if segment_ids is None:
             raise CommitNotFoundError(
                 f"commit {commit_id!r} has no recorded bitmap snapshots"
@@ -637,13 +569,7 @@ class HybridEngine(VersionedStorageEngine):
                 self.branch_record_map(source_branch),
             )
             return changed_target, changed_source, {}
-        lca_branch = self.graph.get_commit(lca_commit).branch
-        lca_segments = self._commit_segments.get(lca_commit, [])
-        lca_bitmaps: dict[str, Bitmap] = {}
-        for segment_id in lca_segments:
-            history = self._histories.get((lca_branch, segment_id))
-            if history is not None and lca_commit in history:
-                lca_bitmaps[segment_id] = history.checkout(lca_commit)
+        lca_bitmaps = dict(self._commit_segment_bitmaps(lca_commit))
 
         def changes_vs_lca(branch: str) -> ChangeMap:
             changes: ChangeMap = {}
@@ -752,15 +678,4 @@ class HybridEngine(VersionedStorageEngine):
         relevant (branch, segment) history replays its delta chain up to the
         commit, without touching any segment heap file.
         """
-        branch = self.graph.get_commit(commit_id).branch
-        segment_ids = self._commit_segments.get(commit_id)
-        if segment_ids is None:
-            raise CommitNotFoundError(
-                f"commit {commit_id!r} has no recorded bitmap snapshots"
-            )
-        snapshots: dict[str, Bitmap] = {}
-        for segment_id in segment_ids:
-            history = self._histories.get((branch, segment_id))
-            if history is not None and commit_id in history:
-                snapshots[segment_id] = history.checkout(commit_id)
-        return snapshots
+        return dict(self._commit_segment_bitmaps(commit_id))

@@ -16,7 +16,7 @@ whole life.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.buffer_pool import BufferPool
@@ -45,9 +45,6 @@ class Segment:
     owner_branch: str | None
     parents: tuple[ParentPointer, ...] = ()
     frozen: bool = False
-    #: Per-segment annotations used by the hybrid engine (local bitmaps are
-    #: kept by the engine itself; this dict persists lightweight metadata).
-    metadata: dict = field(default_factory=dict)
 
     @property
     def record_count(self) -> int:
@@ -180,7 +177,6 @@ class SegmentSet:
                         {"segment_id": p.segment_id, "limit": p.limit}
                         for p in segment.parents
                     ],
-                    "metadata": segment.metadata,
                 }
                 for segment in self.all()
             ],
@@ -224,5 +220,4 @@ class SegmentSet:
                     for p in entry["parents"]
                 ),
                 frozen=entry["frozen"],
-                metadata=entry.get("metadata", {}),
             )

@@ -121,24 +121,26 @@ class TupleFirstEngine(VersionedStorageEngine):
         stay invisible.  Commit histories whose tail was never referenced by
         the persisted graph are truncated by ``rebind_commit_ids``.
         """
-        for branch in self.graph.branch_names():
+        branches = self.graph.branch_names()
+        committed: dict[str, list[str]] = {branch: [] for branch in branches}
+        for commit in self.graph.commits():
+            committed[commit.branch].append(commit.commit_id)
+        for branch in branches:
             self.bitmap_index.add_branch(branch)
             history = CommitHistory(
                 path=os.path.join(self.directory, f"commits_{branch}.hist"),
                 layer_interval=self.commit_layer_interval,
             )
-            history.rebind_commit_ids(
-                [c.commit_id for c in self.graph.commits_on_branch(branch)]
-            )
+            history.rebind_commit_ids(committed[branch])
             self._histories[branch] = history
         # Second pass: a branch with no commits of its own checks out through
         # an ancestor's history, so all histories must be loaded first.
-        for branch in self.graph.branch_names():
+        for branch in branches:
             self.bitmap_index.restore_branch(
                 branch, self._bitmap_at_commit(self.graph.head(branch))
             )
         # Primary-key maps are rebuilt lazily, on a branch's first touch.
-        self.index_hook.attach_lazy(self.graph.branch_names())
+        self.index_hook.attach_lazy(branches)
 
     def _pk_entries(self, bitmap: Bitmap) -> dict[int, int]:
         """The pk -> ordinal map of the tuples live in ``bitmap``."""

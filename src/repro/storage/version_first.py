@@ -11,7 +11,8 @@ in-memory key tables, which is the weakness the evaluation exposes.
 
 Commits map a commit id to the byte position -- here, the record ordinal -- of
 the latest record active in the committing branch's segment file, stored in an
-external structure (paper Section 3.3, *Commit*).
+external structure (paper Section 3.3, *Commit*): the commit's own event in
+the version-graph log.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ from repro.core.predicates import (
     compile_column_filter,
     compile_predicate,
 )
-from repro.core.durable import (
-    add_recovery_note,
-    dump_json_atomic,
-    load_checked_json,
-    strict_recovery,
-)
+from repro.core.durable import add_recovery_note, strict_recovery
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import CommitNotFoundError, CorruptionError, StorageError
@@ -77,8 +73,6 @@ class VersionFirstEngine(VersionedStorageEngine):
         )
         #: branch name -> id of the segment the branch currently writes to.
         self._head_segment: dict[str, str] = {}
-        #: commit id -> (segment id, record-count offset at commit time).
-        self._commit_locations: dict[str, tuple[str, int]] = {}
         #: Per-branch primary-key index mapping each live key to the
         #: ``(segment id, ordinal)`` of its newest copy, maintained
         #: incrementally on every write.  An in-memory acceleration structure,
@@ -129,11 +123,11 @@ class VersionFirstEngine(VersionedStorageEngine):
         )
         self._head_segment[name] = segment.segment_id
 
-    def _record_commit_state(self, branch: str, commit_id: str) -> None:
+    def _record_commit_state(
+        self, branch: str, commit_id: str
+    ) -> tuple[str, int]:
         segment_id = self._head_segment[branch]
-        offset = self.segments.get(segment_id).record_count
-        self._commit_locations[commit_id] = (segment_id, offset)
-        self._persist_commit_locations()
+        return segment_id, self.segments.get(segment_id).record_count
 
     def _flush_storage(self) -> None:
         self.segments.flush()
@@ -151,19 +145,6 @@ class VersionFirstEngine(VersionedStorageEngine):
         itself never committed past them.
         """
         self.segments.load_metadata()
-        self._load_commit_locations()
-        orphans = [
-            commit_id
-            for commit_id in self._commit_locations
-            if not self.graph.has_commit(commit_id)
-        ]
-        for commit_id in orphans:
-            del self._commit_locations[commit_id]
-        if orphans:
-            add_recovery_note(
-                f"discarded {len(orphans)} orphan commit location(s) the "
-                f"version graph never referenced"
-            )
         for segment in self.segments.all():
             if segment.owner_branch is not None and not segment.frozen:
                 self._head_segment[segment.owner_branch] = segment.segment_id
@@ -184,8 +165,7 @@ class VersionFirstEngine(VersionedStorageEngine):
                     raise error
                 add_recovery_note(f"branch {branch!r} unrecoverable: {error}")
                 continue
-            head_commit = self.graph.head(branch)
-            location = self._commit_locations.get(head_commit)
+            location = self.graph.commit_state(self.graph.head(branch))
             committed = (
                 location[1]
                 if location is not None and location[0] == segment_id
@@ -711,42 +691,22 @@ class VersionFirstEngine(VersionedStorageEngine):
 
     def commit_metadata_bytes(self) -> int:
         return sum(
-            len(commit_id) + len(segment_id) + 8
-            for commit_id, (segment_id, _) in self._commit_locations.items()
+            len(commit.commit_id) + len(location[0]) + 8
+            for commit in self.graph.commits()
+            if (location := self.graph.commit_state(commit.commit_id))
         )
 
     def segment_count(self) -> int:
         """Number of segment files (exposed for tests and benchmarks)."""
         return len(self.segments)
 
-    # -- commit location persistence -------------------------------------------------------------------
+    # -- commit locations -----------------------------------------------------------------------------
 
     def _commit_location(self, commit_id: str) -> tuple[str, int]:
-        try:
-            return self._commit_locations[commit_id]
-        except KeyError:
+        location = self.graph.commit_state(commit_id)
+        if location is None:
             raise CommitNotFoundError(
                 f"commit {commit_id!r} has no recorded segment offset"
-            ) from None
-
-    def _persist_commit_locations(self) -> None:
-        dump_json_atomic(
-            os.path.join(self.directory, "commit_locations.json"),
-            {
-                commit_id: {"segment": segment_id, "offset": offset}
-                for commit_id, (segment_id, offset) in self._commit_locations.items()
-            },
-            label="commit-locations",
-        )
-
-    def _load_commit_locations(self) -> None:
-        path = os.path.join(self.directory, "commit_locations.json")
-        if not os.path.exists(path):
-            return
-        raw = load_checked_json(path)
-        if not isinstance(raw, dict):
-            raise CorruptionError(path, "commit locations payload is not an object")
-        self._commit_locations = {
-            commit_id: (entry["segment"], entry["offset"])
-            for commit_id, entry in raw.items()
-        }
+            )
+        segment_id, offset = location
+        return segment_id, offset

@@ -4,8 +4,8 @@ Durability code cannot be trusted until it has been crashed, on purpose, at
 every point where a real power failure could interrupt it.  This module gives
 the durable I/O paths named *crashpoints*: zero-cost markers such as
 ``wal-group-commit-pre-fsync`` (the WAL's one fsync, on a COMMIT record) or
-``graph-persist-pre-rename`` placed immediately before or after the system
-call whose interruption they simulate.  A test
+``graph-persist-pre-fsync`` (the version-graph log append) placed immediately
+before or after the system call whose interruption they simulate.  A test
 arms the harness with a :class:`FaultSchedule` (crashpoint name, which hit to
 fire on, and optionally how many trailing bytes to tear off the target file),
 runs a workload, and the matching crashpoint raises :class:`InjectedCrash` --

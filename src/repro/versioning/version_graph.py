@@ -4,17 +4,26 @@ The version-level provenance of a dataset is maintained as a directed acyclic
 graph whose nodes are versions (commits) and whose edges record derivation --
 by modification, branching or merging (paper Section 2.2.2).  All three
 storage engines consult the same graph for branch heads, ancestry and
-lowest-common-ancestor queries; the graph is persisted as JSON alongside the
-data files on every branch or commit operation, as in the paper
-(Section 3, preamble).
+lowest-common-ancestor queries.
+
+The graph is persisted as JSON alongside the data files on every branch or
+commit operation, as in the paper (Section 3, preamble), as a log of its own
+mutations: each mutator queues one JSON event naming itself and its
+arguments, :meth:`VersionGraph.save` appends the queued events to
+``version_graph.log`` as one CRC-framed record -- one write and one fsync,
+however large the graph -- and :meth:`VersionGraph.load` replays them through
+the same mutators.  A commit's event also carries the committing engine's
+state (:meth:`VersionGraph.set_commit_state`), so one frame commits both.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
+from typing import Any
 
-from repro.core.durable import dump_json_atomic, load_checked_json
+from repro.core.durable import append_framed, read_framed
 from repro.errors import (
     BranchExistsError,
     BranchNotFoundError,
@@ -26,6 +35,9 @@ from repro.errors import (
 #: Name of the branch created by ``init`` -- the authoritative branch of
 #: record for the dataset (paper Section 2.2.2).
 MASTER_BRANCH = "master"
+
+#: The mutators a version-graph log event may name.
+_LOGGED_OPS = ("init", "commit", "create_branch", "merge", "retire_branch")
 
 
 @dataclass(frozen=True)
@@ -71,6 +83,10 @@ class VersionGraph:
         self._commits: dict[str, Commit] = {}
         self._branches: dict[str, Branch] = {}
         self._sequence = 0
+        #: commit id -> the engine state recorded with that commit.
+        self._states: dict[str, Any] = {}
+        #: Mutation events not yet appended to the log by :meth:`save`.
+        self._pending: list[dict] = []
 
     # -- initialization -------------------------------------------------------
 
@@ -82,6 +98,7 @@ class VersionGraph:
         self._branches[MASTER_BRANCH] = Branch(
             name=MASTER_BRANCH, head=commit.commit_id, created_from=None
         )
+        self._log("init", commit, message=message)
         return commit
 
     @property
@@ -111,6 +128,7 @@ class VersionGraph:
         branch_obj = self.branch(branch)
         commit = self._new_commit(branch, parents=(branch_obj.head,), message=message)
         branch_obj.head = commit.commit_id
+        self._log("commit", commit, branch=branch, message=message)
         return commit
 
     def create_branch(
@@ -140,6 +158,12 @@ class VersionGraph:
             parent_branch=parent_branch,
         )
         self._branches[name] = branch
+        self._log(
+            "create_branch",
+            name=name,
+            from_commit=from_commit,
+            from_branch=parent_branch,
+        )
         return branch
 
     def merge(
@@ -164,11 +188,39 @@ class VersionGraph:
         first = precedence if precedence is not None else target_branch
         second = source_branch if first == target_branch else target_branch
         target.merge_precedence = (first, second)
+        self._log(
+            "merge",
+            commit,
+            target_branch=target_branch,
+            source_branch=source_branch,
+            message=message,
+            precedence=precedence,
+        )
         return commit
 
     def retire_branch(self, name: str) -> None:
         """Mark a branch inactive (science-pattern branches have lifetimes)."""
         self.branch(name).active = False
+        self._log("retire_branch", name=name)
+
+    def set_commit_state(self, commit_id: str, state: Any) -> None:
+        """Attach an engine's JSON-serializable state to an unsaved commit.
+
+        The state rides in the commit's own event, so it becomes durable in
+        the same log frame as the commit.  ``None`` records nothing.
+        """
+        if state is None:
+            return
+        for event in reversed(self._pending):
+            if event.get("id") == commit_id:
+                event["state"] = state
+                self._states[commit_id] = state
+                return
+        raise VersionError(f"commit {commit_id!r} is not awaiting a save")
+
+    def commit_state(self, commit_id: str) -> Any:
+        """The state recorded with ``commit_id`` (as JSON once reloaded)."""
+        return self._states.get(commit_id)
 
     # -- lookups ----------------------------------------------------------------
 
@@ -303,76 +355,67 @@ class VersionGraph:
 
     # -- persistence -----------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot of the whole graph."""
-        return {
-            "sequence": self._sequence,
-            "commits": [
-                {
-                    "id": commit.commit_id,
-                    "branch": commit.branch,
-                    "parents": list(commit.parents),
-                    "sequence": commit.sequence,
-                    "message": commit.message,
-                }
-                for commit in self.commits()
-            ],
-            "branches": [
-                {
-                    "name": branch.name,
-                    "head": branch.head,
-                    "created_from": branch.created_from,
-                    "active": branch.active,
-                    "parent_branch": branch.parent_branch,
-                    "merge_precedence": list(branch.merge_precedence),
-                }
-                for branch in self._branches.values()
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "VersionGraph":
-        """Rebuild a graph from :meth:`to_dict` output."""
-        graph = cls()
-        graph._sequence = raw["sequence"]
-        for entry in raw["commits"]:
-            graph._commits[entry["id"]] = Commit(
-                commit_id=entry["id"],
-                branch=entry["branch"],
-                parents=tuple(entry["parents"]),
-                sequence=entry["sequence"],
-                message=entry.get("message", ""),
-            )
-        for entry in raw["branches"]:
-            graph._branches[entry["name"]] = Branch(
-                name=entry["name"],
-                head=entry["head"],
-                created_from=entry.get("created_from"),
-                active=entry.get("active", True),
-                parent_branch=entry.get("parent_branch"),
-                merge_precedence=tuple(entry.get("merge_precedence", ())),
-            )
-        return graph
-
     def save(self, path: str) -> None:
-        """Persist the graph to ``path``, CRC-stamped and atomically replaced.
+        """Append the events queued since the last save to the log at ``path``.
 
-        The graph is the root of every engine's recoverable state, so it goes
-        through the full safe-replace protocol (crashpoints
-        ``graph-persist-mid-write`` / ``graph-persist-pre-rename``).
+        All of them go into one frame: one write and one fsync per save
+        (crashpoint ``graph-persist-pre-fsync``), and nothing at all when
+        the graph has not changed.  A batch that starts with ``init`` holds
+        the whole history, so it starts the log afresh.
         """
-        dump_json_atomic(path, self.to_dict(), label="graph-persist")
+        if not self._pending:
+            return
+        if self._pending[0]["op"] == "init" and os.path.exists(path):
+            os.remove(path)
+        payload = json.dumps(self._pending, separators=(",", ":"))
+        append_framed(path, payload.encode("utf-8"), label="graph-persist")
+        self._pending.clear()
 
     @classmethod
     def load(cls, path: str) -> "VersionGraph":
-        """Load a graph previously written by :meth:`save`.
+        """Rebuild a graph by replaying the log written by :meth:`save`.
 
-        Raises :class:`~repro.errors.CorruptionError` if the file fails its
-        checksum -- a bit-flipped graph must never be silently misread.
+        A torn final frame is truncated away (a crash mid-save: the graph
+        lands on the commit before it).  Raises
+        :class:`~repro.errors.CorruptionError` when a frame fails its
+        checksum with readable frames after it, or when an event does not
+        replay to the commit id it recorded (a lost or reordered frame).
         """
         if not os.path.exists(path):
             raise VersionError(f"no version graph at {path!r}")
-        raw = load_checked_json(path)
-        if not isinstance(raw, dict):
-            raise CorruptionError(path, "version graph payload is not an object")
-        return cls.from_dict(raw)
+        graph = cls()
+        for payload in read_framed(path, "version graph"):
+            try:
+                events = json.loads(payload)
+                for event in events:
+                    produced = graph._replay(event)
+                    if produced != event.get("id"):
+                        raise CorruptionError(
+                            path,
+                            f"{event['op']} event replayed to another commit",
+                            expected=event.get("id"),
+                            actual=produced,
+                        )
+                    if "state" in event:
+                        graph._states[produced] = event["state"]
+            except (ValueError, TypeError, KeyError, VersionError) as exc:
+                raise CorruptionError(
+                    path, f"version graph event does not replay: {exc}"
+                ) from exc
+            graph._pending.clear()
+        return graph
+
+    def _log(self, op: str, commit: Commit | None = None, **args: Any) -> None:
+        """Queue the event for mutator ``op`` called with ``args``."""
+        event = {"op": op, **args}
+        if commit is not None:
+            event["id"] = commit.commit_id
+        self._pending.append(event)
+
+    def _replay(self, event: dict) -> str | None:
+        """Apply one logged event; returns the id of the commit it made."""
+        if event["op"] not in _LOGGED_OPS:
+            raise ValueError(f"unknown version graph event {event['op']!r}")
+        args = {k: v for k, v in event.items() if k not in ("op", "id", "state")}
+        produced = getattr(self, event["op"])(**args)
+        return produced.commit_id if isinstance(produced, Commit) else None

@@ -1,9 +1,11 @@
 """End-to-end crash-recovery matrix: workloads x crashpoints x engines.
 
 Every test follows the same shape: run a workload through the transactional
-API, inject a crash at a named point inside the final transaction's commit,
-reopen the database directory with :meth:`Decibel.open`, and assert the two
-durability invariants:
+API, inject a crash at a named point inside the final transaction's commit
+(or inside a branch creation, a merge or a branch retirement), reopen the database directory with
+:meth:`Decibel.open`, and assert the two durability invariants.  Each matrix
+case arms only a crashpoint its workload reaches, and fails if it never
+fires:
 
 * **Committed is durable** -- every transaction whose COMMIT record reached
   the log is fully visible after recovery (redone if needed).
@@ -27,30 +29,76 @@ from repro.db.database import Decibel
 from repro.errors import CorruptionError
 from repro.testing.faults import FaultSchedule, InjectedCrash, inject
 
-#: Every named crashpoint the durable write paths register, spanning the WAL
-#: COMMIT fsync, metadata atomic-writes, and commit-history appends.
+ENGINES = ["tuple-first", "version-first", "hybrid"]
+
+#: Every named crashpoint the durable write paths register: the WAL COMMIT
+#: fsync, the version-graph log append, the segment-topology atomic write,
+#: and commit-history appends.
 CRASHPOINTS = [
     "wal-group-commit-pre-fsync",
-    "graph-persist-mid-write",
-    "graph-persist-pre-rename",
+    "graph-persist-pre-fsync",
     "segment-meta-mid-write",
     "segment-meta-pre-rename",
     "history-append-pre-fsync",
-    "commit-locations-mid-write",
-    "commit-locations-pre-rename",
-    "hybrid-meta-pre-fsync",
 ]
 
-#: The crashpoints that guard an append to a live log (the WAL, commit
-#: histories, the hybrid segment-metadata log), where a crash can also leave
-#: a torn partial record behind.
+#: The crashpoints that guard an append to a live log (the WAL, the
+#: version-graph log, commit histories), where a crash can also leave a
+#: torn partial record behind.
 APPEND_CRASHPOINTS = [
     "wal-group-commit-pre-fsync",
+    "graph-persist-pre-fsync",
     "history-append-pre-fsync",
-    "hybrid-meta-pre-fsync",
 ]
 
-ENGINES = ["tuple-first", "version-first", "hybrid"]
+
+def reaches_on_commit(engine, point):
+    """True if a transaction commit on ``engine`` passes ``point``.
+
+    Segment topology changes only when a branch is created, and
+    version-first keeps no commit histories.
+    """
+    if point.startswith("segment-meta"):
+        return False
+    return not (engine == "version-first" and point == "history-append-pre-fsync")
+
+
+def commit_cases(points):
+    return [
+        (point, engine)
+        for point in points
+        for engine in ENGINES
+        if reaches_on_commit(engine, point)
+    ]
+
+
+#: (point, engine, torn bytes) for a crash inside branch creation: the
+#: graph frame on every engine, torn or not, and the segment-topology write
+#: on the two segment engines.
+BRANCH_CASES = [
+    (point, engine, torn)
+    for point, torn in [
+        ("graph-persist-pre-fsync", 0),
+        ("graph-persist-pre-fsync", 3),
+        ("segment-meta-mid-write", 0),
+        ("segment-meta-pre-rename", 0),
+    ]
+    for engine in ENGINES
+    if engine != "tuple-first" or point.startswith("graph")
+]
+
+#: (point, engine, torn bytes) for a crash inside a merge's commit, and for
+#: a crash at the last arrival of a two-branch transaction's commit (after
+#: the first branch's commit is durable): the points an engine commit
+#: passes, torn or not.
+ENGINE_COMMIT_CASES = [
+    (point, engine, torn)
+    for point in ("graph-persist-pre-fsync", "history-append-pre-fsync")
+    for engine in ENGINES
+    for torn in (0, 3)
+    if reaches_on_commit(engine, point)
+]
+
 
 SCHEMA = Schema.of_ints(2)
 
@@ -72,6 +120,20 @@ def seed_database(directory, engine):
 
 def live_keys(db, branch="master"):
     return {r.key(SCHEMA) for r in db.relation("t").scan(branch)}
+
+
+def key_copies(db, branch, key):
+    """How many live rows of ``branch`` carry primary key ``key``."""
+    return sum(1 for r in db.relation("t").scan(branch) if r.key(SCHEMA) == key)
+
+
+def two_branch_transaction(db):
+    """An uncommitted transaction inserting key 300 on dev and 400 on master
+    (dev must exist); its commit makes one engine commit per branch."""
+    txn = db.transactions("t").begin()
+    txn.insert("dev", record(300, 3))
+    txn.insert("master", record(400, 4))
+    return txn
 
 
 def assert_pk_index_agrees(db, branch="master"):
@@ -99,13 +161,13 @@ class _CrashWorkloads:
         db = seed_database(tmp_path, engine)
         txn = db.transactions("t").begin()
         txn.update("master", record(5, 999))
-        crashed = self._crash(point, txn)
+        self._crash(point, txn)
         reopened = Decibel.open(str(tmp_path), engine=engine)
         assert live_keys(reopened) == set(range(10)) | {100}
         rows = {
             r.key(SCHEMA): r.values[1] for r in reopened.relation("t").scan("master")
         }
-        if crashed and not self._committed(reopened, txn):
+        if not self._committed(reopened, txn):
             assert rows[5] == 50, "uncommitted update leaked through recovery"
         else:
             assert rows[5] == 999, "committed update was lost"
@@ -115,10 +177,10 @@ class _CrashWorkloads:
         db = seed_database(tmp_path, engine)
         txn = db.transactions("t").begin()
         txn.delete("master", 7)
-        crashed = self._crash(point, txn)
+        self._crash(point, txn)
         reopened = Decibel.open(str(tmp_path), engine=engine)
         keys = live_keys(reopened)
-        if crashed and not self._committed(reopened, txn):
+        if not self._committed(reopened, txn):
             assert 7 in keys, "uncommitted delete survived the crash"
         else:
             assert 7 not in keys, "committed delete was resurrected"
@@ -131,30 +193,43 @@ class _CrashWorkloads:
         txn = db.transactions("t").begin()
         txn.insert("dev", record(300, 3))
         txn.delete("dev", 3)
-        crashed = self._crash(point, txn)
+        self._crash(point, txn)
         reopened = Decibel.open(str(tmp_path), engine=engine)
         # Master is untouched by the dev transaction either way.
         assert live_keys(reopened) == set(range(10)) | {100}
         dev = live_keys(reopened, "dev")
-        if crashed and not self._committed(reopened, txn):
+        if not self._committed(reopened, txn):
             assert dev == set(range(10)) | {100}
         else:
             assert dev == (set(range(10)) | {100, 300}) - {3}
         assert_pk_index_agrees(reopened, "master")
         assert_pk_index_agrees(reopened, "dev")
 
+    def test_two_branch_crash(self, tmp_path, engine, point):
+        """One transaction writes two branches: after the crash both of its
+        branch commits are visible, or neither is."""
+        db = seed_database(tmp_path, engine)
+        db.relation("t").branch("dev", from_branch="master")
+        txn = two_branch_transaction(db)
+        self._crash(point, txn)
+        reopened = Decibel.open(str(tmp_path), engine=engine)
+        baseline = set(range(10)) | {100}
+        if not self._committed(reopened, txn):
+            assert live_keys(reopened) == baseline
+            assert live_keys(reopened, "dev") == baseline
+        else:
+            assert live_keys(reopened) == baseline | {400}
+            assert live_keys(reopened, "dev") == baseline | {300}
+        assert_pk_index_agrees(reopened, "master")
+        assert_pk_index_agrees(reopened, "dev")
+
     # -- helpers ----------------------------------------------------------
 
     def _crash(self, point, txn):
-        """Commit under an armed crashpoint; True if the crash fired."""
-        try:
-            schedule = FaultSchedule(point, torn_bytes=self.torn_bytes)
-            with inject(schedule) as injector:
+        """Commit under an armed crashpoint, which must fire."""
+        with pytest.raises(InjectedCrash):
+            with inject(FaultSchedule(point, torn_bytes=self.torn_bytes)):
                 txn.commit("under test")
-        except InjectedCrash:
-            assert injector.fired is not None
-            return True
-        return False
 
     @staticmethod
     def _committed(db, txn):
@@ -167,12 +242,12 @@ class _CrashWorkloads:
         return txn.transaction_id in report.committed
 
     def _crash_and_verify(self, tmp_path, engine, point, txn, victim_key):
-        crashed = self._crash(point, txn)
+        self._crash(point, txn)
         reopened = Decibel.open(str(tmp_path), engine=engine)
         keys = live_keys(reopened)
         baseline = set(range(10)) | {100}
         assert baseline <= keys, "committed baseline data was lost"
-        if crashed and not self._committed(reopened, txn):
+        if not self._committed(reopened, txn):
             assert victim_key not in keys, "loser transaction is visible"
             assert keys == baseline
         else:
@@ -188,20 +263,172 @@ class _CrashWorkloads:
         assert_pk_index_agrees(reopened)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("point", CRASHPOINTS)
+@pytest.mark.parametrize(("point", "engine"), commit_cases(CRASHPOINTS))
 class TestCrashMatrix(_CrashWorkloads):
     pass
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("point", APPEND_CRASHPOINTS)
+@pytest.mark.parametrize(("point", "engine"), commit_cases(APPEND_CRASHPOINTS))
 class TestTornAppendMatrix(_CrashWorkloads):
     """The crash also tears the last 3 bytes off the log being appended,
     as if the record only partly reached the disk: recovery must truncate
     the torn frame and still land on the pre- or post-commit state."""
 
     torn_bytes = 3
+
+
+@pytest.mark.parametrize(("point", "engine", "torn_bytes"), BRANCH_CASES)
+def test_create_branch_crash(tmp_path, point, engine, torn_bytes):
+    """A crash inside branch creation leaves the branch absent or equal to
+    its parent, and the branch can be (re-)created and used afterwards."""
+    db = seed_database(tmp_path, engine)
+    baseline = set(range(10)) | {100}
+    with pytest.raises(InjectedCrash):
+        with inject(FaultSchedule(point, torn_bytes=torn_bytes)):
+            db.relation("t").branch("dev", from_branch="master")
+    reopened = Decibel.open(str(tmp_path), engine=engine)
+    rel = reopened.relation("t")
+    assert live_keys(reopened) == baseline
+    if not rel.graph.has_branch("dev"):
+        rel.branch("dev", from_branch="master")
+    assert live_keys(reopened, "dev") == baseline
+    manager = reopened.transactions("t")
+    for branch, key in (("dev", 300), ("master", 400)):
+        txn = manager.begin()
+        txn.insert(branch, record(key, key))
+        txn.commit()
+    again = Decibel.open(str(tmp_path), engine=engine)
+    assert live_keys(again) == baseline | {400}
+    assert live_keys(again, "dev") == baseline | {300}
+    assert_pk_index_agrees(again, "master")
+    assert_pk_index_agrees(again, "dev")
+
+
+@pytest.mark.parametrize(("point", "engine", "torn_bytes"), ENGINE_COMMIT_CASES)
+def test_two_branch_crash_at_last_commit(tmp_path, point, engine, torn_bytes):
+    """The crash hits the second branch's commit after the first one is
+    durable: recovery redoes what is missing, and only once."""
+    probe = seed_database(tmp_path / "probe", engine)
+    probe.relation("t").branch("dev", from_branch="master")
+    with inject() as injector:
+        two_branch_transaction(probe).commit()
+    last_hit = injector.counts[point]
+    assert last_hit >= 2
+
+    db = seed_database(tmp_path / "db", engine)
+    db.relation("t").branch("dev", from_branch="master")
+    txn = two_branch_transaction(db)
+    with pytest.raises(InjectedCrash):
+        with inject(FaultSchedule(point, hit=last_hit, torn_bytes=torn_bytes)):
+            txn.commit("under test")
+    reopened = Decibel.open(str(tmp_path / "db"), engine=engine)
+    assert txn.transaction_id in reopened.last_recovery.committed
+    baseline = set(range(10)) | {100}
+    assert live_keys(reopened) == baseline | {400}
+    assert live_keys(reopened, "dev") == baseline | {300}
+    assert key_copies(reopened, "master", 400) == 1
+    assert key_copies(reopened, "dev", 300) == 1
+    again = Decibel.open(str(tmp_path / "db"), engine=engine)
+    assert live_keys(again) == baseline | {400}
+    assert live_keys(again, "dev") == baseline | {300}
+    assert_pk_index_agrees(again, "master")
+    assert_pk_index_agrees(again, "dev")
+
+
+@pytest.mark.parametrize(("point", "engine", "torn_bytes"), ENGINE_COMMIT_CASES)
+def test_merge_crash(tmp_path, point, engine, torn_bytes):
+    """A crash inside a merge's commit leaves the target at its pre-merge
+    head or at the merged state, never in between; a lost merge can be run
+    again."""
+    db = seed_database(tmp_path, engine)
+    rel = db.relation("t")
+    rel.branch("dev", from_branch="master")
+    txn = db.transactions("t").begin()
+    txn.insert("dev", record(300, 3))
+    txn.delete("dev", 3)
+    txn.commit()
+    pre_merge_head = rel.graph.head("master")
+    with pytest.raises(InjectedCrash):
+        with inject(FaultSchedule(point, torn_bytes=torn_bytes)):
+            rel.merge("master", "dev")
+    reopened = Decibel.open(str(tmp_path), engine=engine)
+    rel = reopened.relation("t")
+    baseline = set(range(10)) | {100}
+    merged = (baseline | {300}) - {3}
+    assert live_keys(reopened, "dev") == merged
+    if rel.graph.head("master") == pre_merge_head:
+        assert live_keys(reopened) == baseline, "a lost merge leaked rows"
+        rel.merge("master", "dev")
+    else:
+        assert rel.graph.get_commit(rel.graph.head("master")).is_merge
+    assert live_keys(reopened) == merged
+    again = Decibel.open(str(tmp_path), engine=engine)
+    merge_head = again.relation("t").graph.head("master")
+    assert live_keys(again) == merged
+    assert {
+        r.key(SCHEMA) for r in again.relation("t").checkout(merge_head)
+    } == merged
+    assert_pk_index_agrees(again, "master")
+
+
+@pytest.mark.parametrize("torn_bytes", [0, 3])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_retire_branch_crash(tmp_path, engine, torn_bytes):
+    """Retiring a branch is one graph frame: a torn frame leaves the branch
+    active, an intact one retires it, and the data survives either way."""
+    db = seed_database(tmp_path, engine)
+    rel = db.relation("t")
+    rel.branch("dev", from_branch="master")
+    with pytest.raises(InjectedCrash):
+        with inject(FaultSchedule("graph-persist-pre-fsync", torn_bytes=torn_bytes)):
+            rel.graph.retire_branch("dev")
+            db.flush()
+    reopened = Decibel.open(str(tmp_path), engine=engine)
+    graph = reopened.relation("t").graph
+    assert graph.branch("dev").active is (torn_bytes > 0)
+    baseline = set(range(10)) | {100}
+    assert live_keys(reopened, "dev") == baseline
+    if graph.branch("dev").active:
+        graph.retire_branch("dev")
+    txn = reopened.transactions("t").begin()
+    txn.insert("master", record(400, 4))
+    txn.commit()
+    again = Decibel.open(str(tmp_path), engine=engine)
+    assert again.relation("t").graph.branch_names(active_only=True) == ["master"]
+    assert live_keys(again) == baseline | {400}
+    assert live_keys(again, "dev") == baseline
+
+
+#: (engine, crashpoint, torn bytes) at which recovery's own redo commit
+#: dies: the graph frame untorn (the torn case is
+#: ``test_double_crash_during_recovery``) and the history appends.
+REDO_CRASH_CASES = [("graph-persist-pre-fsync", engine, 0) for engine in ENGINES] + [
+    ("history-append-pre-fsync", engine, torn)
+    for engine in ("tuple-first", "hybrid")
+    for torn in (0, 3)
+]
+
+
+@pytest.mark.parametrize(("point", "engine", "torn_bytes"), REDO_CRASH_CASES)
+def test_crash_inside_redo_converges(tmp_path, point, engine, torn_bytes):
+    """A crash inside recovery's redo commit still converges on the next
+    open, with the redone insert present exactly once."""
+    db = seed_database(tmp_path, engine)
+    txn = db.transactions("t").begin()
+    txn.insert("master", record(600, 6))
+    with pytest.raises(InjectedCrash):
+        with inject(FaultSchedule("graph-persist-pre-fsync", torn_bytes=3)):
+            txn.commit("first crash")
+    with pytest.raises(InjectedCrash):
+        with inject(FaultSchedule(point, torn_bytes=torn_bytes)):
+            Decibel.open(str(tmp_path), engine=engine)
+    reopened = Decibel.open(str(tmp_path), engine=engine)
+    assert live_keys(reopened) == set(range(10)) | {100, 600}
+    assert key_copies(reopened, "master", 600) == 1
+    again = Decibel.open(str(tmp_path), engine=engine)
+    assert again.last_recovery.needs_redo == set()
+    assert live_keys(again) == set(range(10)) | {100, 600}
+    assert_pk_index_agrees(again)
 
 
 class TestRecoveryDetails:
@@ -212,9 +439,10 @@ class TestRecoveryDetails:
         txn = db.transactions("t").begin()
         txn.insert("master", record(500, 5))
         with pytest.raises(InjectedCrash):
-            # The graph persist happens inside engine.commit, after the WAL
-            # COMMIT record: the transaction is committed but not applied.
-            with inject(FaultSchedule("graph-persist-mid-write")):
+            # The graph frame is appended inside engine.commit, after the WAL
+            # COMMIT record; tearing it leaves the transaction committed but
+            # not applied.
+            with inject(FaultSchedule("graph-persist-pre-fsync", torn_bytes=3)):
                 txn.commit("will need redo")
         reopened = Decibel.open(str(tmp_path), engine=engine)
         report = reopened.last_recovery
@@ -226,6 +454,34 @@ class TestRecoveryDetails:
             if r.key(SCHEMA) == 500
         ]
         assert len(rows) == 1, "redo duplicated the insert"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_lost_first_commit_id_is_reused_cleanly(self, tmp_path, engine):
+        """A branch's first commit dies after its history appends but before
+        its graph frame.  The next commit reuses the lost id, and checking
+        it out shows the new state, not the lost one's leftovers."""
+        db = seed_database(tmp_path, engine)
+        rel = db.relation("t")
+        rel.branch("dev", from_branch="master")
+        rel.insert("dev", record(300, 3))
+        with pytest.raises(InjectedCrash):
+            with inject(FaultSchedule("graph-persist-pre-fsync", torn_bytes=3)):
+                rel.commit("dev")
+        lost = rel.graph.head("dev")
+        reopened = Decibel.open(str(tmp_path), engine=engine)
+        rel = reopened.relation("t")
+        baseline = set(range(10)) | {100}
+        assert live_keys(reopened, "dev") == baseline
+        rel.delete("dev", 3)
+        reused = rel.commit("dev")
+        assert reused == lost
+        again = Decibel.open(str(tmp_path), engine=engine)
+        assert again.relation("t").graph.head("dev") == reused
+        expected = baseline - {3}
+        assert live_keys(again, "dev") == expected
+        assert {
+            r.key(SCHEMA) for r in again.relation("t").checkout(reused)
+        } == expected
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_clean_reopen_has_no_work(self, tmp_path, engine):
@@ -242,12 +498,14 @@ class TestRecoveryDetails:
         db = seed_database(tmp_path, engine)
         txn = db.transactions("t").begin()
         txn.insert("master", record(600, 6))
+        # The first crash tears the commit's graph frame, so recovery has a
+        # redo (and a redo commit) to perform.
         with pytest.raises(InjectedCrash):
-            with inject(FaultSchedule("graph-persist-mid-write")):
+            with inject(FaultSchedule("graph-persist-pre-fsync", torn_bytes=3)):
                 txn.commit("first crash")
         # Second crash: die during the recovery's own redo commit.
         with pytest.raises(InjectedCrash):
-            with inject(FaultSchedule("graph-persist-mid-write")):
+            with inject(FaultSchedule("graph-persist-pre-fsync", torn_bytes=3)):
                 Decibel.open(str(tmp_path), engine=engine)
         reopened = Decibel.open(str(tmp_path), engine=engine)
         assert 600 in live_keys(reopened)

@@ -58,7 +58,7 @@ class TestRelationManagement:
         # Exiting flushed data files and the version graph to disk.
         import os
 
-        assert os.path.exists(os.path.join(data_dir, "version_graph.json"))
+        assert os.path.exists(os.path.join(data_dir, "version_graph.log"))
         assert any(
             name.endswith(".seg") or name.endswith(".heap")
             for root, _, files in os.walk(data_dir)

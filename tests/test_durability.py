@@ -1,7 +1,8 @@
 """Tests for the crash-safe durability layer.
 
 Covers the WAL's binary format and torn-tail repair, the atomic-write
-protocol for metadata files, CRC corruption detection (structured
+protocol for metadata files, the version-graph log (torn, corrupt and
+missing frames; one frame per commit), CRC corruption detection (structured
 :class:`CorruptionError`, never a silent misread), strict vs degraded
 recovery modes, and the fault-injection harness itself.
 """
@@ -13,14 +14,19 @@ import zlib
 import pytest
 
 from repro.core.durable import (
+    FRAME_HEADER_SIZE,
     append_framed,
     atomic_write,
     drain_recovery_notes,
     dump_json_atomic,
+    frame,
     load_checked_json,
     read_framed,
 )
+from repro.core.record import Record
+from repro.core.schema import Schema
 from repro.core.wal import LogRecord, LogRecordType, WriteAheadLog
+from repro.db.database import Decibel
 from repro.errors import CorruptionError
 from repro.testing.faults import FaultSchedule, InjectedCrash, crashpoint, inject
 from repro.versioning.version_graph import VersionGraph
@@ -189,20 +195,6 @@ class TestAtomicWrite:
             json.dump({"legacy": True}, handle)
         assert load_checked_json(path) == {"legacy": True}
 
-    def test_version_graph_corruption_detected(self, tmp_path):
-        path = str(tmp_path / "version_graph.json")
-        graph = VersionGraph()
-        graph.init(message="root")
-        graph.save(path)
-        with open(path, "r+b") as handle:
-            data = bytearray(handle.read())
-        index = data.index(b'"root"')
-        data[index + 1] = ord("x")
-        with open(path, "wb") as handle:
-            handle.write(bytes(data))
-        with pytest.raises(CorruptionError):
-            VersionGraph.load(path)
-
 
 class TestFramedLog:
     def test_round_trip(self, tmp_path):
@@ -228,6 +220,206 @@ class TestFramedLog:
             handle.write(b"\xff")
         with pytest.raises(CorruptionError):
             read_framed(path)
+
+
+def saved_graph(path):
+    """A version graph saved once per mutation: one log frame each."""
+    graph = VersionGraph()
+    graph.init()
+    graph.save(path)
+    graph.create_branch("dev")
+    graph.save(path)
+    for branch in ("dev", "master", "dev"):
+        graph.commit(branch)
+        graph.save(path)
+    return graph
+
+
+def rewrite_frames(path, transform):
+    """Rewrite the framed log at ``path`` as ``transform(payloads)``."""
+    payloads = transform(read_framed(path))
+    with open(path, "wb") as handle:
+        handle.write(b"".join(frame(payload) for payload in payloads))
+
+
+def flip_frame_byte(path, index):
+    """Flip one payload byte of frame ``index`` of the framed log at ``path``."""
+    start = sum(len(frame(payload)) for payload in read_framed(path)[:index])
+    with open(path, "r+b") as handle:
+        handle.seek(start + FRAME_HEADER_SIZE + 2)
+        byte = handle.read(1)
+        handle.seek(start + FRAME_HEADER_SIZE + 2)
+        handle.write(bytes([byte[0] ^ 0x01]))
+
+
+ENGINES = ["tuple-first", "version-first", "hybrid"]
+
+
+def checkouts(rel):
+    """Commit id -> the sorted rows a checkout of that commit returns."""
+    return {
+        commit.commit_id: sorted(r.values for r in rel.checkout(commit.commit_id))
+        for commit in rel.graph.commits()
+    }
+
+
+def committed_dataset(directory, engine):
+    """A closed relation ``t`` whose graph log holds one frame per step:
+    init (v000001), branch dev, then commits v000002 (master, key 200),
+    v000003 (dev, key 201) and v000004 (master, key 202).  Returns its
+    per-commit checkouts."""
+    db = Decibel(str(directory), engine=engine)
+    rel = db.create_relation("t", Schema.of_ints(2))
+    rel.init([Record((key, key)) for key in range(10)])
+    rel.branch("dev")
+    for branch, key in (("master", 200), ("dev", 201), ("master", 202)):
+        rel.insert(branch, (key, key))
+        rel.commit(branch)
+    result = checkouts(rel)
+    db.close()
+    return result
+
+
+def branch_rows(db, branch):
+    return sorted(r.values for r in db.relation("t").scan(branch))
+
+
+class TestVersionGraphLog:
+    def test_torn_final_frame_lands_on_previous_commit(self, tmp_path):
+        path = str(tmp_path / "version_graph.log")
+        graph = saved_graph(path)
+        before_last = graph.head("dev")
+        graph.commit("master")
+        graph.save(path)
+        os.truncate(path, os.path.getsize(path) - 3)
+        restored = VersionGraph.load(path)
+        assert restored.heads() == {"master": "v000003", "dev": before_last}
+        assert any("torn version graph" in n for n in drain_recovery_notes())
+
+    def test_flipped_byte_in_middle_frame_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STRICT_RECOVERY", "1")
+        path = str(tmp_path / "version_graph.log")
+        saved_graph(path)
+        first = len(frame(read_framed(path)[0]))
+        with open(path, "r+b") as handle:
+            handle.seek(first + FRAME_HEADER_SIZE + 2)
+            byte = handle.read(1)
+            handle.seek(first + FRAME_HEADER_SIZE + 2)
+            handle.write(bytes([byte[0] ^ 0x01]))
+        with pytest.raises(CorruptionError):
+            VersionGraph.load(path)
+
+    def test_dropped_middle_frame_raises_on_id_mismatch(self, tmp_path):
+        path = str(tmp_path / "version_graph.log")
+        saved_graph(path)
+        # Frame 2 is dev's first commit: without it, master's commit
+        # replays to that commit's id instead of its own.
+        rewrite_frames(path, lambda payloads: payloads[:2] + payloads[3:])
+        with pytest.raises(CorruptionError) as info:
+            VersionGraph.load(path)
+        assert info.value.expected == "v000003"
+        assert info.value.actual == "v000002"
+
+    @pytest.mark.parametrize("engine", ["tuple-first", "version-first", "hybrid"])
+    def test_commit_appends_one_frame_and_rewrites_nothing(self, tmp_path, engine):
+        db = Decibel(str(tmp_path), engine=engine)
+        rel = db.create_relation("t", Schema.of_ints(2))
+        rel.init([Record((key, key)) for key in range(10)])
+        rel.branch("dev")
+        with inject() as injector:
+            rel.insert("dev", (100, 1))
+            rel.commit("dev")
+        assert injector.counts["graph-persist-pre-fsync"] == 1
+        assert not [p for p in injector.counts if p.endswith("-pre-rename")]
+        names = set(os.listdir(tmp_path / "t"))
+        assert "version_graph.log" in names
+        assert not names & {
+            "version_graph.json",
+            "commit_locations.json",
+            "hybrid_meta.log",
+        }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_torn_final_frame_reverts_engine_to_previous_commit(
+        self, tmp_path, engine
+    ):
+        """The torn commit's data is invisible after reopen, and its id is
+        reused by the next commit without colliding with leftover state."""
+        before = committed_dataset(tmp_path, engine)
+        path = tmp_path / "t" / "version_graph.log"
+        os.truncate(path, os.path.getsize(path) - 3)
+        db = Decibel.open(str(tmp_path), engine=engine)
+        rel = db.relation("t")
+        assert rel.graph.heads() == {"master": "v000002", "dev": "v000003"}
+        assert branch_rows(db, "master") == before["v000002"]
+        assert any("torn version graph" in n for n in db.last_recovery.notes)
+        rel.insert("master", (203, 203))
+        assert rel.commit("master") == "v000004"
+        db.close()
+        again = Decibel.open(str(tmp_path), engine=engine)
+        assert branch_rows(again, "master") == sorted(
+            before["v000002"] + [(203, 203)]
+        )
+        assert branch_rows(again, "dev") == before["v000003"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_flipped_middle_frame_fails_open_in_strict_mode(
+        self, tmp_path, engine, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_STRICT_RECOVERY", "1")
+        committed_dataset(tmp_path, engine)
+        flip_frame_byte(tmp_path / "t" / "version_graph.log", 3)
+        with pytest.raises(CorruptionError):
+            Decibel.open(str(tmp_path), engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_flipped_middle_frame_degrades_to_the_prefix(
+        self, tmp_path, engine, monkeypatch
+    ):
+        """Degraded recovery cuts the log at the corrupt frame: every branch
+        lands on its last commit before it, storage included."""
+        monkeypatch.setenv("REPRO_STRICT_RECOVERY", "0")
+        before = committed_dataset(tmp_path, engine)
+        flip_frame_byte(tmp_path / "t" / "version_graph.log", 3)
+        db = Decibel.open(str(tmp_path), engine=engine)
+        assert db.relation("t").graph.heads() == {
+            "master": "v000002",
+            "dev": "v000001",
+        }
+        assert branch_rows(db, "master") == before["v000002"]
+        assert branch_rows(db, "dev") == before["v000001"]
+        assert any("version graph" in n for n in db.last_recovery.notes)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_dropped_middle_frame_fails_open(self, tmp_path, engine):
+        committed_dataset(tmp_path, engine)
+        # Frame 3 is dev's commit v000003: master's next commit then replays
+        # to that id instead of its own.
+        rewrite_frames(
+            tmp_path / "t" / "version_graph.log",
+            lambda payloads: payloads[:3] + payloads[4:],
+        )
+        with pytest.raises(CorruptionError):
+            Decibel.open(str(tmp_path), engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_commit_checks_out_the_same_after_reopen(self, tmp_path, engine):
+        """Each commit's engine state is read back from its own graph event,
+        including merge commits and a branch taken off a historical one."""
+        committed_dataset(tmp_path, engine)
+        db = Decibel.open(str(tmp_path), engine=engine)
+        rel = db.relation("t")
+        rel.merge("master", "dev")
+        rel.branch("old", from_commit="v000002")
+        rel.insert("old", (300, 300))
+        rel.commit("old")
+        before = checkouts(rel)
+        db.close()
+        rel = Decibel.open(str(tmp_path), engine=engine).relation("t")
+        assert checkouts(rel) == before
+        for commit in rel.graph.commits():
+            state = rel.graph.commit_state(commit.commit_id)
+            assert (state is None) == (engine == "tuple-first")
 
 
 class TestFaultHarness:

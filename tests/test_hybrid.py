@@ -1,5 +1,7 @@
 """Tests specific to the hybrid engine."""
 
+import os
+
 import pytest
 
 from repro.core.record import Record
@@ -101,6 +103,39 @@ class TestHybridCommits:
         assert keys == set(range(20))
         hy_loaded.insert("past", Record((501, 0, 0, 0)))
         assert hy_loaded.branch_contains_key("past", 501)
+
+    def test_reload_lists_histories_instead_of_probing_each_pair(
+        self, hy_loaded, schema, monkeypatch
+    ):
+        """Reload finds the history files with one directory listing, not an
+        ``exists`` probe per (branch, segment) pair (here 9 x 17), and
+        restores every branch at its head."""
+        for i in range(8):
+            hy_loaded.create_branch(f"b{i}", from_branch="master")
+            hy_loaded.insert(f"b{i}", Record((700 + i, 0, 0, 0)))
+            hy_loaded.commit(f"b{i}")
+        hy_loaded.close()
+        probes = []
+        exists = os.path.exists
+
+        def counting_exists(path):
+            if str(path).endswith(".hist"):
+                probes.append(path)
+            return exists(path)
+
+        monkeypatch.setattr(os.path, "exists", counting_exists)
+        reopened = HybridEngine(hy_loaded.directory, schema, page_size=SMALL_PAGE_SIZE)
+        reopened.load_persistent_state()
+        # Only the histories that exist are opened, each once.
+        histories = [
+            os.path.join(hy_loaded.directory, name)
+            for name in os.listdir(hy_loaded.directory)
+            if name.endswith(".hist")
+        ]
+        assert sorted(probes) == sorted(histories)
+        for i in range(8):
+            keys = {r.key(schema) for r in reopened.scan_branch(f"b{i}")}
+            assert keys == set(range(20)) | {700 + i}
 
 
 class TestHybridMergeSharing:

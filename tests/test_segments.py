@@ -81,7 +81,6 @@ class TestSegmentSet:
         child = segments.create(
             "dev", parents=(ParentPointer(parent.segment_id, 5),)
         )
-        child.metadata["note"] = "child segment"
         parent.freeze()
         segments.flush()
         segments.save_metadata()
@@ -92,7 +91,6 @@ class TestSegmentSet:
         restored_child = reloaded.get(child.segment_id)
         assert restored_child.parents[0].segment_id == parent.segment_id
         assert restored_child.parents[0].limit == 5
-        assert restored_child.metadata["note"] == "child segment"
         assert reloaded.get(parent.segment_id).frozen
         assert reloaded.get(parent.segment_id).record_count == 5
         # Id allocation continues after the highest existing id.

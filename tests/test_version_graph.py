@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.core.durable import append_framed
 from repro.errors import (
     BranchExistsError,
     BranchNotFoundError,
     CommitNotFoundError,
+    CorruptionError,
     VersionError,
 )
-from repro.versioning.version_graph import MASTER_BRANCH, VersionGraph
+from repro.versioning.version_graph import MASTER_BRANCH, Commit, VersionGraph
 
 
 @pytest.fixture
@@ -183,18 +185,49 @@ class TestAncestry:
         assert "dev" in lineage
 
 
+def assert_same_graph(restored, graph):
+    assert restored.heads() == graph.heads()
+    assert restored.commits() == graph.commits()
+    for head in graph.heads().values():
+        assert restored.lineage(head) == graph.lineage(head)
+    assert [
+        (b.name, b.active, b.created_from, b.parent_branch, b.merge_precedence)
+        for b in restored.branches()
+    ] == [
+        (b.name, b.active, b.created_from, b.parent_branch, b.merge_precedence)
+        for b in graph.branches()
+    ]
+    for commit in graph.commits():
+        assert restored.commit_state(commit.commit_id) == graph.commit_state(
+            commit.commit_id
+        )
+
+
 class TestPersistence:
-    def test_round_trip(self, graph, tmp_path):
-        graph.commit(MASTER_BRANCH, "first")
-        graph.create_branch("dev")
-        graph.commit("dev", "dev work")
-        graph.merge(MASTER_BRANCH, "dev", message="merge")
-        graph.retire_branch("dev")
-        path = str(tmp_path / "graph.json")
-        graph.save(path)
-        restored = VersionGraph.load(path)
-        assert restored.heads() == graph.heads()
-        assert len(restored) == len(graph)
+    def test_round_trip(self, tmp_path):
+        """Saving after every mutation and replaying the log reproduces the
+        graph, including each commit's recorded engine state."""
+        path = str(tmp_path / "version_graph.log")
+        graph = VersionGraph()
+        ops = [
+            lambda: graph.init("root"),
+            lambda: graph.commit(MASTER_BRANCH, "first"),
+            lambda: graph.create_branch("dev"),
+            lambda: graph.commit("dev", "dev work"),
+            lambda: graph.create_branch("old", from_commit="v000001"),
+            lambda: graph.merge(MASTER_BRANCH, "dev", message="merge"),
+            lambda: graph.merge("dev", MASTER_BRANCH, precedence=MASTER_BRANCH),
+            lambda: graph.retire_branch("dev"),
+        ]
+        for op in ops:
+            produced = op()
+            if isinstance(produced, Commit):
+                graph.set_commit_state(
+                    produced.commit_id, ["seg00000", produced.sequence]
+                )
+            graph.save(path)
+            restored = VersionGraph.load(path)
+            assert_same_graph(restored, graph)
         assert restored.branch("dev").active is False
         assert restored.branch(MASTER_BRANCH).merge_precedence == (
             MASTER_BRANCH,
@@ -202,10 +235,72 @@ class TestPersistence:
         )
         # Sequence counter continues without collisions after a reload.
         new_commit = restored.commit(MASTER_BRANCH)
-        assert not graph.has_commit(new_commit.commit_id) or new_commit.commit_id not in [
-            c.commit_id for c in graph.commits()
-        ][:-1]
+        assert not graph.has_commit(new_commit.commit_id)
+
+    def test_commit_appends_a_small_frame(self, graph, tmp_path):
+        """With 100 branches, one more commit appends under 200 bytes and
+        leaves every earlier byte of the log in place."""
+        path = tmp_path / "version_graph.log"
+        for i in range(100):
+            graph.create_branch(f"b{i:03d}")
+            commit = graph.commit(f"b{i:03d}", "work")
+            graph.set_commit_state(commit.commit_id, ["seg00001", i])
+        graph.save(str(path))
+        before = path.read_bytes()
+        commit = graph.commit("b050", "one more")
+        graph.set_commit_state(commit.commit_id, ["seg00001", 500])
+        graph.save(str(path))
+        after = path.read_bytes()
+        assert after.startswith(before)
+        assert len(after) - len(before) < 200
+        graph.save(str(path))  # nothing queued, nothing written
+        assert path.read_bytes() == after
+
+    def test_state_of_a_saved_commit_is_fixed(self, graph, tmp_path):
+        graph.save(str(tmp_path / "version_graph.log"))
+        with pytest.raises(VersionError):
+            graph.set_commit_state(graph.head(MASTER_BRANCH), ["seg00000", 1])
+
+    def test_reinit_starts_a_fresh_log(self, graph, tmp_path):
+        path = str(tmp_path / "version_graph.log")
+        graph.commit(MASTER_BRANCH)
+        graph.save(path)
+        fresh = VersionGraph()
+        fresh.init()
+        fresh.save(path)
+        assert len(VersionGraph.load(path)) == 1
+
+    def test_save_after_load_appends_only_new_events(self, graph, tmp_path):
+        path = tmp_path / "version_graph.log"
+        graph.create_branch("dev")
+        graph.commit("dev")
+        graph.save(str(path))
+        before = path.read_bytes()
+        restored = VersionGraph.load(str(path))
+        restored.save(str(path))  # replay queues nothing
+        assert path.read_bytes() == before
+        commit = restored.commit(MASTER_BRANCH, "after reload")
+        restored.save(str(path))
+        assert path.read_bytes().startswith(before)
+        assert VersionGraph.load(str(path)).head(MASTER_BRANCH) == commit.commit_id
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not json",
+            b'{"op":"init"}',
+            b'[{"op":"drop_branch","name":"master"}]',
+            b'[{"op":"commit","branch":"ghost","message":"","id":"v000002"}]',
+        ],
+        ids=["not-json", "not-a-list", "unknown-op", "unknown-branch"],
+    )
+    def test_event_that_does_not_replay_raises(self, graph, tmp_path, payload):
+        path = str(tmp_path / "version_graph.log")
+        graph.save(path)
+        append_framed(path, payload)
+        with pytest.raises(CorruptionError):
+            VersionGraph.load(path)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(VersionError):
-            VersionGraph.load(str(tmp_path / "missing.json"))
+            VersionGraph.load(str(tmp_path / "missing.log"))
