@@ -72,6 +72,11 @@ class BranchOrientedBitmapIndex(BitmapIndex):
         self._require_branch(branch)
         return self._bitmaps[branch].copy()
 
+    def live_count(self, branch: str) -> int:
+        """The branch bitmap's cached popcount, read in place (no copy)."""
+        self._require_branch(branch)
+        return self._bitmaps[branch].count()
+
     def restore_branch(self, branch: str, bitmap: Bitmap) -> None:
         self._require_branch(branch)
         self._bitmaps[branch] = bitmap.copy()

@@ -97,6 +97,14 @@ class TupleOrientedBitmapIndex(BitmapIndex):
             num_bits=self._num_tuples,
         )
 
+    def live_count(self, branch: str) -> int:
+        """Count the branch's bits in place, without assembling its bitmap."""
+        self._require_branch(branch)
+        slot = self._branch_slots[branch]
+        mask = 1 << (slot & 7)
+        column = self._rows[slot >> 3 :: self._row_bytes]
+        return sum(1 for byte in column if byte & mask)
+
     def restore_branch(self, branch: str, bitmap: Bitmap) -> None:
         self._require_branch(branch)
         slot = self._branch_slots[branch]

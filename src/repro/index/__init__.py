@@ -4,9 +4,10 @@ First-class indexing for the three Decibel storage engines:
 
 - :mod:`repro.index.maintenance` is the per-engine facade the engines
   notify on every mutation and the optimizer consults when planning
-  :class:`~repro.query.logical.IndexScan` nodes.  It owns the per-branch
-  primary-key maps, which are derived data: nothing is persisted, and a
-  branch's map is rebuilt from storage the first time it is touched.
+  :class:`~repro.query.logical.IndexScan` nodes.  Primary-key questions
+  it passes to the engine, whose pk index (:mod:`repro.storage.pk_index`)
+  is derived data: nothing is persisted, and it is rebuilt from storage
+  on first use after a reopen.
 - :mod:`repro.index.secondary` maintains in-memory secondary indexes on
   declared predicate columns (equality and range over INT/STRING).
 """

@@ -4,90 +4,69 @@ Every storage engine owns one :class:`IndexMaintenance` instance (its
 ``index_hook`` attribute -- lint rule REPRO011 checks that every mutation
 path notifies it).  The facade owns:
 
-- the in-memory :class:`~repro.storage.pk_index.PrimaryKeyIndex`.  A pk
-  map is derived data -- the branch's live records determine it -- so it is
-  never persisted: a reopened branch registers lazily and rebuilds its map
-  from storage on first touch, through the engine's ``rebuild_branch``
-  callback,
 - the declared :class:`~repro.index.secondary.SecondaryIndex` set, built
   lazily per branch and maintained incrementally afterwards,
 - the planner-facing API (:meth:`has_index`, :meth:`match_fraction`,
   :meth:`lookup_keys`) behind :class:`~repro.query.logical.IndexScan`.
+
+Primary-key questions go to the engine, which owns its pk index.  The
+paper keeps a pk map per branch (Section 3.2); here only version-first
+does (:class:`~repro.storage.pk_index.PrimaryKeyIndex`).  Tuple-first and
+hybrid answer from one branch-independent
+:class:`~repro.storage.pk_index.KeyCopyIndex` plus the branch's live
+bitmap, so forking a branch copies no pk entries.  Either way the pk index
+is derived data, never persisted, and rebuilt from storage after a reopen.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.schema import ColumnType, Schema
 from repro.errors import SchemaError
 from repro.index.secondary import SUPPORTED_OPS, SecondaryIndex
-from repro.storage.pk_index import PrimaryKeyIndex
+
+if TYPE_CHECKING:
+    from repro.storage.base import VersionedStorageEngine
 
 #: Column types a secondary index may be declared on.
 INDEXABLE_TYPES = (ColumnType.INT, ColumnType.INT32, ColumnType.STRING)
 
 
 class IndexMaintenance:
-    """Owns one engine's in-memory primary and secondary indexes."""
+    """Owns one engine's secondary indexes; asks the engine about keys."""
 
-    def __init__(self, schema: Schema):
+    def __init__(
+        self, schema: Schema, engine: "VersionedStorageEngine | None" = None
+    ):
         self.schema = schema
-        self.pk: PrimaryKeyIndex = PrimaryKeyIndex()
         self.secondary: dict[str, SecondaryIndex] = {}
-        self._rebuild_branch: Callable[[str], dict[int, object]] | None = None
-        self._scan_branch: Callable[[str], Iterable] | None = None
-
-    # -- engine wiring --------------------------------------------------------
-
-    def bind(
-        self,
-        rebuild_branch: Callable[[str], dict[int, object]],
-        scan_branch: Callable[[str], Iterable],
-    ) -> None:
-        """Install the engine callbacks the hook needs.
-
-        ``rebuild_branch`` derives a branch's full pk map from storage
-        without touching the pk index (no reentrancy); ``scan_branch``
-        yields the branch's live records (for secondary builds).
-        """
-        self._rebuild_branch = rebuild_branch
-        self._scan_branch = scan_branch
-
-    def attach_lazy(self, branches: Iterable[str]) -> None:
-        """Register known branches for on-first-touch rebuilds (cold open)."""
-        if self._rebuild_branch is None:  # pragma: no cover - engine bug
-            raise RuntimeError("index hook has no rebuild callback bound")
-        self.pk.register_lazy(branches, self._rebuild_branch)
+        self._engine = engine
 
     # -- mutation notifications ----------------------------------------------
 
-    def applied(self, branch: str, key: int, location: object, record) -> None:
-        """An insert or update landed ``key`` at ``location`` in ``branch``."""
-        self.pk.put(branch, key, location)
+    def applied(self, branch: str, key: int, record) -> None:
+        """An insert or update made ``record`` ``key``'s live row in ``branch``."""
         for index in self.secondary.values():
             if index.has_branch(branch):
                 index.put(branch, key, record.values[index.position])
 
     def removed(self, branch: str, key: int) -> None:
         """A delete dropped ``key`` from ``branch``."""
-        self.pk.remove(branch, key)
         for index in self.secondary.values():
             if index.has_branch(branch):
                 index.remove(branch, key)
 
     def branch_created(self, branch: str, clone_from: str | None = None) -> None:
         """A new branch forked at its parent's head (or empty for master)."""
-        self.pk.add_branch(branch, clone_from=clone_from)
         for index in self.secondary.values():
             if clone_from is not None and index.has_branch(clone_from):
                 index.add_branch(branch, clone_from=clone_from)
             else:
                 index.drop_branch(branch)
 
-    def branch_rebuilt(self, branch: str, entries: dict[int, object]) -> None:
+    def branch_rebuilt(self, branch: str) -> None:
         """A branch was materialized wholesale (historical checkout)."""
-        self.pk.replace_branch(branch, entries)
         for index in self.secondary.values():
             index.drop_branch(branch)
 
@@ -123,15 +102,13 @@ class IndexMaintenance:
         """The secondary index on ``column``, built for ``branch`` if needed."""
         index = self.secondary[column]
         if not index.has_branch(branch):
-            if self._scan_branch is None:  # pragma: no cover - engine bug
-                raise RuntimeError("index hook has no scan callback bound")
             key_position = self.schema.primary_key_index
             position = index.position
             index.build(
                 branch,
                 (
                     (record.values[key_position], record.values[position])
-                    for record in self._scan_branch(branch)
+                    for record in self._bound_engine().scan_branch(branch)
                 ),
             )
         return index
@@ -155,12 +132,13 @@ class IndexMaintenance:
 
         ``None`` means the index cannot estimate (unsupported op) and the
         optimizer must not pick it.  Secondary estimates are exact counts;
-        a pk equality probe matches at most one row.
+        a pk equality probe matches at most one row of the branch's live
+        count (the engine's index-only :meth:`count_branch`).
         """
         if column == self.schema.primary_key and column not in self.secondary:
             if op not in ("=", "=="):
                 return None
-            live = self.pk.live_count(branch)
+            live = self._bound_engine().count_branch(branch)
             return 1.0 / live if live else 0.0
         if column not in self.secondary or op not in SUPPORTED_OPS:
             return None
@@ -175,8 +153,15 @@ class IndexMaintenance:
     ) -> list[int]:
         """Primary keys in ``branch`` matching ``column op value``, sorted."""
         if column == self.schema.primary_key and column not in self.secondary:
-            if op in ("=", "==") and self.pk.contains(branch, value):
+            if op in ("=", "==") and self._bound_engine().branch_contains_key(
+                branch, value
+            ):
                 return [value]
             return []
         index = self.ensure_secondary(branch, column)
         return sorted(index.lookup(branch, op, value))
+
+    def _bound_engine(self) -> "VersionedStorageEngine":
+        if self._engine is None:  # pragma: no cover - engine bug
+            raise RuntimeError("index hook is not bound to an engine")
+        return self._engine

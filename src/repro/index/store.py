@@ -1,8 +1,7 @@
 """Former home of the durable per-branch pk-index files.
 
-Primary-key maps are derived data and are no longer persisted: each branch
-rebuilds its map from storage on first touch (see
-:mod:`repro.index.maintenance`).
+Primary-key indexes are derived data and are no longer persisted: they
+are rebuilt from storage on first use (see :mod:`repro.storage.pk_index`).
 """
 
 from __future__ import annotations

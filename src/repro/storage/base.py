@@ -165,25 +165,22 @@ def _live_page_masks(bitmap, per_page: int) -> Iterator[tuple[int, int]]:
             yield page_number, live
 
 
-def live_pk_ordinals(
-    heap, bitmap, pk_position: int
-) -> Iterator[tuple[int, int]]:
-    """Yield ``(primary key, ordinal)`` for every set bit of ``bitmap``.
+def stored_pk_ordinals(heap, pk_position: int) -> Iterator[tuple[int, int]]:
+    """Yield ``(primary key, ordinal)`` for every record stored in ``heap``.
 
-    The pk-map rebuild shared by tuple-first and hybrid (cold opens and
-    branches forked from a historical commit).  Only the key column is
-    read: a page still in its on-disk image decodes that one column
+    The key-copy index build shared by tuple-first and hybrid (the first
+    pk lookup after a reopen).  Only the key column is read: a page still
+    in its on-disk image decodes that one column
     (:meth:`RecordCodec.decode_column`), a page with an in-memory row array
     (the heap tail, appended pages) reads it from the rows.  Nothing is
-    decoded into the page's caches, so a rebuild does not grow the buffer
+    decoded into the page's caches, so a build does not grow the buffer
     pool's footprint.
     """
     per_page = heap.records_per_page
     codec = heap.codec
     transient = heap.scan_exceeds_pool()
-    for page_number, live in _live_page_masks(bitmap, per_page):
+    for page_number in range(heap.num_pages):
         page = heap.page(page_number, transient=transient)
-        start = page_number * per_page
         raw = page.raw_data()
         if raw is not None:
             keys = codec.decode_column(
@@ -191,11 +188,9 @@ def live_pk_ordinals(
             )
         else:
             keys = [record.values[pk_position] for record in page.records_view()]
-        while live:
-            low = live & -live
-            slot = low.bit_length() - 1
-            yield keys[slot], start + slot
-            live ^= low
+        start = page_number * per_page
+        for slot, key in enumerate(keys):
+            yield key, start + slot
 
 
 def scan_heap_bitmap_columns(
@@ -397,10 +392,10 @@ class VersionedStorageEngine(ABC):
         self.graph = VersionGraph()
         self.stats = EngineStats()
         #: The versioned index subsystem facade: every mutation path must
-        #: notify it (lint rule REPRO011); it owns the in-memory pk index
-        #: and the declared secondary indexes the optimizer plans
-        #: :class:`IndexScan` nodes against.
-        self.index_hook = IndexMaintenance(schema)
+        #: notify it (lint rule REPRO011); it owns the declared secondary
+        #: indexes and answers the optimizer's :class:`IndexScan` questions,
+        #: asking this engine about primary keys.
+        self.index_hook = IndexMaintenance(schema, self)
         #: Serializes concurrent *physical* mutation of shared structures
         #: (heap tail pages, branch bitmaps, indexes).  Branch locks give
         #: logical isolation; this mutex only makes interleaved apply phases
@@ -522,8 +517,8 @@ class VersionedStorageEngine(ABC):
            (``rebind_commit_ids``), never a graph naming state that is
            missing.
 
-        Indexes take no part: pk maps are derived data, rebuilt from the
-        recovered storage on first touch after a reopen.
+        Indexes take no part: pk indexes are derived data, rebuilt from the
+        recovered storage on first use after a reopen.
         """
         self._flush_storage()
         self.graph.set_commit_state(
@@ -846,7 +841,7 @@ class VersionedStorageEngine(ABC):
 
         Called by :meth:`load_persistent_state` after the version graph is
         loaded; implementations restore every branch to its head-commit
-        snapshot and register their branches for lazy pk-map rebuilds.
+        snapshot and leave their pk indexes to rebuild lazily.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support reopening from disk"

@@ -21,7 +21,7 @@ snapshotted is recorded with the commit itself, in its version-graph event.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.bitmap import CommitHistory
 from repro.bitmap.bitmap import Bitmap, union_member_pages
@@ -39,14 +39,18 @@ from repro.storage.base import (
     StorageEngineKind,
     VersionedStorageEngine,
     fetch_bitmap_ordinals,
-    live_pk_ordinals,
     regroup_chunks,
     scan_heap_bitmap_columns,
+    stored_pk_ordinals,
 )
-from repro.storage.pk_index import PrimaryKeyIndex
+from repro.storage.pk_index import KeyCopyIndex
 from repro.storage.segments import ParentPointer, Segment, SegmentSet
 from repro.versioning.diff import DiffResult
 from repro.versioning.version_graph import MASTER_BRANCH
+
+#: Low bits of a packed key-index location that hold the ordinal.
+_ORDINAL_BITS = 32
+_ORDINAL_MASK = (1 << _ORDINAL_BITS) - 1
 
 
 class HybridEngine(VersionedStorageEngine):
@@ -82,20 +86,22 @@ class HybridEngine(VersionedStorageEngine):
         self._head_segment: dict[str, str] = {}
         #: (branch, segment id) -> commit history of that local bitmap column.
         self._histories: dict[tuple[str, str], CommitHistory] = {}
-        #: (branch, primary key) -> (segment id, ordinal) of the latest copy.
-        #: Owned by the index subsystem facade; reopened branches rebuild it
-        #: lazily on first touch.
-        self.pk_index: PrimaryKeyIndex[tuple[str, int]] = self.index_hook.pk
-        self.index_hook.bind(
-            lambda branch: self._pk_entries(
-                self._branch_segment_bitmaps(branch).items()
-            ),
-            self.scan_branch,
+        #: Segments numbered in registration order, with their local
+        #: bitmaps.  The key index stores a copy at ``ordinal`` of segment
+        #: number ``n`` as the one int ``n << 32 | ordinal``, which takes a
+        #: third of the memory of a ``(segment id, ordinal)`` tuple.
+        self._numbered_segments: list[tuple[str, BranchOrientedBitmapIndex]] = []
+        self._segment_numbers: dict[str, int] = {}
+        #: Every stored copy of each key as a packed location, for all
+        #: branches; a branch's copy is the one live in its local bitmaps.
+        self.key_index: KeyCopyIndex[int] = KeyCopyIndex(
+            self._stored_copies, self.write_mutex
         )
 
     # -- engine hooks --------------------------------------------------------------
 
     def _prepare_master(self) -> None:
+        self.key_index.start_empty()
         segment = self._new_head_segment(MASTER_BRANCH, parents=())
         self._head_segment[MASTER_BRANCH] = segment.segment_id
         self._branch_segments[MASTER_BRANCH] = set()
@@ -105,9 +111,15 @@ class HybridEngine(VersionedStorageEngine):
         self, branch: str, parents: tuple[ParentPointer, ...]
     ) -> Segment:
         segment = self.segments.create(owner_branch=branch, parents=parents)
-        self._local_bitmaps[segment.segment_id] = BranchOrientedBitmapIndex()
-        self._local_bitmaps[segment.segment_id].add_branch(branch)
+        self._add_local_bitmaps(segment.segment_id).add_branch(branch)
         return segment
+
+    def _add_local_bitmaps(self, segment_id: str) -> BranchOrientedBitmapIndex:
+        """Create a segment's (empty) local bitmap index and number it."""
+        local = self._local_bitmaps[segment_id] = BranchOrientedBitmapIndex()
+        self._segment_numbers[segment_id] = len(self._numbered_segments)
+        self._numbered_segments.append((segment_id, local))
+        return local
 
     def _materialize_branch(
         self, name: str, parent_branch: str, from_commit: str, at_head: bool
@@ -116,8 +128,8 @@ class HybridEngine(VersionedStorageEngine):
             self._branch_from_head(name, parent_branch)
             self.index_hook.branch_created(name, clone_from=parent_branch)
         else:
-            entries = self._branch_from_commit(name, from_commit)
-            self.index_hook.branch_rebuilt(name, entries)
+            self._branch_from_commit(name, from_commit)
+            self.index_hook.branch_rebuilt(name)
 
     def _branch_from_head(self, name: str, parent_branch: str) -> None:
         """The paper's branch operation: freeze the parent head, fork bitmaps."""
@@ -146,29 +158,22 @@ class HybridEngine(VersionedStorageEngine):
         self._head_segment[parent_branch] = parent_new_head.segment_id
         self._head_segment[name] = child_head.segment_id
 
-    def _branch_from_commit(
-        self, name: str, from_commit: str
-    ) -> dict[int, tuple[str, int]]:
+    def _branch_from_commit(self, name: str, from_commit: str) -> None:
         """Branch from a historical commit by restoring its bitmap snapshots."""
         self._branch_segments[name] = set()
-        snapshots = self._restore_branch(name, from_commit)
+        self._restore_branch(name, from_commit)
         child_head = self._new_head_segment(name, parents=())
         self._head_segment[name] = child_head.segment_id
-        return self._pk_entries(snapshots)
 
-    def _restore_branch(
-        self, branch: str, commit_id: str
-    ) -> list[tuple[str, Bitmap]]:
+    def _restore_branch(self, branch: str, commit_id: str) -> None:
         """Set ``branch``'s local bitmaps to the snapshots of ``commit_id``."""
-        snapshots = list(self._commit_segment_bitmaps(commit_id))
-        for segment_id, snapshot in snapshots:
+        for segment_id, snapshot in self._commit_segment_bitmaps(commit_id):
             local = self._local_bitmaps[segment_id]
             if not local.has_branch(branch):
                 local.add_branch(branch)
             local.restore_branch(branch, snapshot)
             if snapshot.any():
                 self._branch_segments[branch].add(segment_id)
-        return snapshots
 
     def _record_commit_state(self, branch: str, commit_id: str) -> list[str]:
         segment_ids = sorted(
@@ -197,7 +202,7 @@ class HybridEngine(VersionedStorageEngine):
         # Every segment gets an (initially empty) local bitmap index; head
         # segments are the non-frozen segment owned by each branch.
         for segment in self.segments.all():
-            self._local_bitmaps[segment.segment_id] = BranchOrientedBitmapIndex()
+            self._add_local_bitmaps(segment.segment_id)
             if not segment.frozen and segment.owner_branch is not None:
                 self._head_segment[segment.owner_branch] = segment.segment_id
         branches = self.graph.branch_names()
@@ -239,24 +244,35 @@ class HybridEngine(VersionedStorageEngine):
         # of its own); the snapshots come from the owning branch's histories.
         for branch in branches:
             self._restore_branch(branch, self.graph.head(branch))
-        # Branch pk maps are rebuilt lazily, on a branch's first touch.
-        self.index_hook.attach_lazy(branches)
+        # The key index stays unbuilt: the first pk lookup reads it from
+        # the segments.
 
-    def _pk_entries(
-        self, segment_bitmaps: Iterable[tuple[str, Bitmap]]
-    ) -> dict[int, tuple[str, int]]:
-        """The pk -> (segment, ordinal) map of the records live in the
-        given per-segment bitmaps."""
+    def _stored_copies(self) -> Iterator[tuple[int, int]]:
+        """``(key, packed location)`` of every record of every segment."""
         pk_position = self.schema.primary_key_index
-        entries: dict[int, tuple[str, int]] = {}
-        for segment_id, bitmap in segment_bitmaps:
-            heap = self.segments.get(segment_id).heap
-            for key, ordinal in live_pk_ordinals(heap, bitmap, pk_position):
-                entries[key] = (segment_id, ordinal)
-        return entries
+        for segment in self.segments.all():
+            base = self._segment_numbers[segment.segment_id] << _ORDINAL_BITS
+            for key, ordinal in stored_pk_ordinals(segment.heap, pk_position):
+                yield key, base | ordinal
+
+    def key_location(self, branch: str, key: int) -> tuple[str, int] | None:
+        """The ``(segment id, ordinal)`` of ``key``'s copy live in ``branch``.
+
+        Walks the key's stored copies, newest first, and tests each one's
+        live bit in its segment's local bitmap in place; at most one copy of
+        a key is live in a branch.  The cost is the key's copy count, not
+        the number of segments the branch spans.
+        """
+        numbered = self._numbered_segments
+        for packed in reversed(self.key_index.copies(key)):
+            segment_id, local = numbered[packed >> _ORDINAL_BITS]
+            ordinal = packed & _ORDINAL_MASK
+            if local.has_branch(branch) and local.is_set(ordinal, branch):
+                return segment_id, ordinal
+        return None
 
     def record_for_key(self, branch: str, key: int) -> Record | None:
-        location = self.pk_index.get(branch, key)
+        location = self.key_location(branch, key)
         if location is None:
             return None
         segment_id, ordinal = location
@@ -268,7 +284,7 @@ class HybridEngine(VersionedStorageEngine):
         heaps: dict[str, object] = {}
         pages: dict[tuple[str, int], object] = {}
         for key in keys:
-            location = self.pk_index.get(branch, key)
+            location = self.key_location(branch, key)
             if location is None:
                 continue
             segment_id, ordinal = location
@@ -312,14 +328,16 @@ class HybridEngine(VersionedStorageEngine):
             local.add_branch(branch)
         local.set(ordinal, branch)
         self._branch_segments[branch].add(segment_id)
-        self.index_hook.applied(
-            branch, record.key(self.schema), (segment_id, ordinal), record
+        key = record.key(self.schema)
+        self.key_index.add(
+            key, self._segment_numbers[segment_id] << _ORDINAL_BITS | ordinal
         )
+        self.index_hook.applied(branch, key, record)
         self.stats.records_inserted += 1
 
     def update(self, branch: str, record: Record) -> None:
         key = record.key(self.schema)
-        previous = self.pk_index.get(branch, key)
+        previous = self.key_location(branch, key)
         if previous is not None:
             old_segment_id, old_ordinal = previous
             self._local_bitmaps[old_segment_id].clear(old_ordinal, branch)
@@ -328,7 +346,7 @@ class HybridEngine(VersionedStorageEngine):
         self.stats.records_updated += 1
 
     def delete(self, branch: str, key: int) -> None:
-        previous = self.pk_index.get(branch, key)
+        previous = self.key_location(branch, key)
         if previous is None:
             raise StorageError(f"key {key} is not live in branch {branch!r}")
         segment_id, ordinal = previous
@@ -337,7 +355,7 @@ class HybridEngine(VersionedStorageEngine):
         self.stats.records_deleted += 1
 
     def branch_contains_key(self, branch: str, key: int) -> bool:
-        return self.pk_index.contains(branch, key)
+        return self.key_location(branch, key) is not None
 
     # -- scans ---------------------------------------------------------------------------
 
@@ -381,10 +399,13 @@ class HybridEngine(VersionedStorageEngine):
 
     def count_branch(self, branch: str, predicate: Predicate | None = None) -> int:
         if predicate is None:
-            # Sum of per-segment local bitmap popcounts; no segment I/O.
+            # Sum of per-segment local bitmap popcounts, read in place (the
+            # planner asks on every pk point lookup); no segment I/O.
+            local_bitmaps = self._local_bitmaps
             return sum(
-                bitmap.count()
-                for bitmap in self._branch_segment_bitmaps(branch).values()
+                local_bitmaps[segment_id].live_count(branch)
+                for segment_id in self._branch_segments.get(branch, ())
+                if local_bitmaps[segment_id].has_branch(branch)
             )
         return super().count_branch(branch, predicate)
 
@@ -584,7 +605,9 @@ class HybridEngine(VersionedStorageEngine):
                 for ordinal in lca_bitmap.and_not(bitmap).iter_set_bits():
                     record = segment.record_at(ordinal)
                     key = record.values[pk_position]
-                    if key not in changes and not self.pk_index.contains(branch, key):
+                    if key not in changes and not self.branch_contains_key(
+                        branch, key
+                    ):
                         changes[key] = None
             return changes
 
@@ -626,17 +649,19 @@ class HybridEngine(VersionedStorageEngine):
             if self.branch_contains_key(target_branch, key):
                 self.delete(target_branch, key)
             return
-        target_location = self.pk_index.get(target_branch, key)
+        target_location = self.key_location(target_branch, key)
         if target_location is not None:
             segment_id, ordinal = target_location
             current = self.segments.get(segment_id).record_at(ordinal)
             if current.values == record.values:
                 return  # the target already holds the resolved record
-        source_location = self.pk_index.get(source_branch, key)
+        source_location = self.key_location(source_branch, key)
         if source_location is not None:
             segment_id, ordinal = source_location
             source_record = self.segments.get(segment_id).record_at(ordinal)
             if source_record.values == record.values:
+                # The shared copy is already in the key index; only the
+                # target's live bits move.
                 if target_location is not None:
                     old_segment, old_ordinal = target_location
                     self._local_bitmaps[old_segment].clear(old_ordinal, target_branch)
@@ -645,9 +670,7 @@ class HybridEngine(VersionedStorageEngine):
                     local.add_branch(target_branch)
                 local.set(ordinal, target_branch)
                 self._branch_segments[target_branch].add(segment_id)
-                self.index_hook.applied(
-                    target_branch, key, (segment_id, ordinal), record
-                )
+                self.index_hook.applied(target_branch, key, record)
                 return
         super()._apply_merge_change(target_branch, source_branch, key, record)
 

@@ -33,11 +33,11 @@ from repro.storage.base import (
     StorageEngineKind,
     VersionedStorageEngine,
     fetch_bitmap_ordinals,
-    live_pk_ordinals,
     regroup_chunks,
     scan_heap_bitmap_columns,
+    stored_pk_ordinals,
 )
-from repro.storage.pk_index import PrimaryKeyIndex
+from repro.storage.pk_index import KeyCopyIndex
 from repro.versioning.diff import DiffResult
 from repro.versioning.version_graph import MASTER_BRANCH
 
@@ -67,12 +67,11 @@ class TupleFirstEngine(VersionedStorageEngine):
             page_size=page_size,
         )
         self.bitmap_index = make_bitmap_index(bitmap_orientation)
-        self.pk_index: PrimaryKeyIndex[int] = self.index_hook.pk
-        self.index_hook.bind(
-            lambda branch: self._pk_entries(
-                self.bitmap_index.branch_bitmap(branch)
-            ),
-            self.scan_branch,
+        #: Every stored copy of each key as a heap ordinal, for all
+        #: branches; a branch's copy is the one live in its bitmap.
+        self.key_index: KeyCopyIndex[int] = KeyCopyIndex(
+            lambda: stored_pk_ordinals(self.heap, self.schema.primary_key_index),
+            self.write_mutex,
         )
         self.commit_layer_interval = commit_layer_interval
         self._histories: dict[str, CommitHistory] = {}
@@ -80,6 +79,7 @@ class TupleFirstEngine(VersionedStorageEngine):
     # -- engine hooks ---------------------------------------------------------
 
     def _prepare_master(self) -> None:
+        self.key_index.start_empty()
         self._add_branch_structures(MASTER_BRANCH, clone_from=None)
 
     def _add_branch_structures(self, branch: str, clone_from: str | None) -> None:
@@ -94,15 +94,16 @@ class TupleFirstEngine(VersionedStorageEngine):
         self, name: str, parent_branch: str, from_commit: str, at_head: bool
     ) -> None:
         if at_head:
-            # A branch is a straight clone of the parent's bitmap (and key map).
+            # A branch is a straight clone of the parent's bitmap.
             self._add_branch_structures(name, clone_from=parent_branch)
             return
         # Branching from a historical commit: restore that commit's bitmap
-        # from the parent's commit history, then rebuild the key map from it.
+        # from the parent's commit history.  The key index needs nothing:
+        # the restored bits pick the branch's copies.
         snapshot = self._bitmap_at_commit(from_commit)
         self._add_branch_structures(name, clone_from=None)
         self.bitmap_index.restore_branch(name, snapshot)
-        self.index_hook.branch_rebuilt(name, self._pk_entries(snapshot))
+        self.index_hook.branch_rebuilt(name)
 
     def _record_commit_state(self, branch: str, commit_id: str) -> None:
         snapshot = self.bitmap_index.branch_bitmap(branch)
@@ -139,37 +140,44 @@ class TupleFirstEngine(VersionedStorageEngine):
             self.bitmap_index.restore_branch(
                 branch, self._bitmap_at_commit(self.graph.head(branch))
             )
-        # Primary-key maps are rebuilt lazily, on a branch's first touch.
-        self.index_hook.attach_lazy(branches)
-
-    def _pk_entries(self, bitmap: Bitmap) -> dict[int, int]:
-        """The pk -> ordinal map of the tuples live in ``bitmap``."""
-        return dict(
-            live_pk_ordinals(self.heap, bitmap, self.schema.primary_key_index)
-        )
+        # The key index stays unbuilt: the first pk lookup reads it from
+        # the heap.
 
     # -- data operations --------------------------------------------------------
 
+    def key_location(self, branch: str, key: int) -> int | None:
+        """The heap ordinal of ``key``'s copy live in ``branch``, or None.
+
+        Walks the key's stored copies, newest first, and tests each one's
+        live bit in place; at most one copy of a key is live in a branch.
+        """
+        is_set = self.bitmap_index.is_set
+        for ordinal in reversed(self.key_index.copies(key)):
+            if is_set(ordinal, branch):
+                return ordinal
+        return None
+
     def insert(self, branch: str, record: Record) -> None:
-        ordinal = self._append(record)
+        key = record.key(self.schema)
+        ordinal = self._append(key, record)
         self.bitmap_index.set(ordinal, branch)
-        self.index_hook.applied(branch, record.key(self.schema), ordinal, record)
+        self.index_hook.applied(branch, key, record)
         self.stats.records_inserted += 1
 
     def update(self, branch: str, record: Record) -> None:
         key = record.key(self.schema)
-        previous = self.pk_index.get(branch, key)
+        previous = self.key_location(branch, key)
         if previous is not None:
             # The old copy stays in the heap (historical commits still see
             # it); only its live bit for this branch is cleared.
             self.bitmap_index.clear(previous, branch)
-        ordinal = self._append(record)
+        ordinal = self._append(key, record)
         self.bitmap_index.set(ordinal, branch)
-        self.index_hook.applied(branch, key, ordinal, record)
+        self.index_hook.applied(branch, key, record)
         self.stats.records_updated += 1
 
     def delete(self, branch: str, key: int) -> None:
-        previous = self.pk_index.get(branch, key)
+        previous = self.key_location(branch, key)
         if previous is None:
             raise StorageError(f"key {key} is not live in branch {branch!r}")
         self.bitmap_index.clear(previous, branch)
@@ -177,10 +185,10 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.stats.records_deleted += 1
 
     def branch_contains_key(self, branch: str, key: int) -> bool:
-        return self.pk_index.contains(branch, key)
+        return self.key_location(branch, key) is not None
 
     def record_for_key(self, branch: str, key: int) -> Record | None:
-        ordinal = self.pk_index.get(branch, key)
+        ordinal = self.key_location(branch, key)
         if ordinal is None:
             return None
         return self.heap.record_by_ordinal(ordinal)
@@ -192,7 +200,7 @@ class TupleFirstEngine(VersionedStorageEngine):
         heap = self.heap
         per_page = heap.records_per_page
         for key in keys:
-            ordinal = self.pk_index.get(branch, key)
+            ordinal = self.key_location(branch, key)
             if ordinal is None:
                 continue
             page_number, slot = divmod(ordinal, per_page)
@@ -204,9 +212,11 @@ class TupleFirstEngine(VersionedStorageEngine):
             out.append(page.record_at(slot))
         return out
 
-    def _append(self, record: Record) -> int:
-        record_id = self.heap.append(record)
-        return record_id.ordinal(self.heap.records_per_page)
+    def _append(self, key: int, record: Record) -> int:
+        """Append a new stored copy of ``key``; returns its heap ordinal."""
+        ordinal = self.heap.append(record).ordinal(self.heap.records_per_page)
+        self.key_index.add(key, ordinal)
+        return ordinal
 
     # -- scans --------------------------------------------------------------------
 
@@ -239,8 +249,9 @@ class TupleFirstEngine(VersionedStorageEngine):
 
     def count_branch(self, branch: str, predicate: Predicate | None = None) -> int:
         if predicate is None:
-            # Cardinality is the branch bitmap's popcount; no heap I/O at all.
-            return self.bitmap_index.branch_bitmap(branch).count()
+            # Cardinality is the branch bitmap's popcount, read in place; no
+            # heap I/O at all.
+            return self.bitmap_index.live_count(branch)
         return super().count_branch(branch, predicate)
 
     def scan_commit(
@@ -410,7 +421,7 @@ class TupleFirstEngine(VersionedStorageEngine):
                 if key not in changes:
                     # Live at the LCA but no longer live here and not
                     # re-inserted: the branch deleted it.
-                    if not self.pk_index.contains(branch, key):
+                    if not self.branch_contains_key(branch, key):
                         changes[key] = None
             return changes
 
@@ -448,19 +459,21 @@ class TupleFirstEngine(VersionedStorageEngine):
             if self.branch_contains_key(target_branch, key):
                 self.delete(target_branch, key)
             return
-        target_ordinal = self.pk_index.get(target_branch, key)
+        target_ordinal = self.key_location(target_branch, key)
         if target_ordinal is not None:
             current = self.heap.record_by_ordinal(target_ordinal)
             if current.values == record.values:
                 return  # the target already holds the resolved record
-        source_ordinal = self.pk_index.get(source_branch, key)
+        source_ordinal = self.key_location(source_branch, key)
         if source_ordinal is not None:
             source_record = self.heap.record_by_ordinal(source_ordinal)
             if source_record.values == record.values:
+                # The shared copy is already in the key index; only the
+                # target's live bits move.
                 if target_ordinal is not None:
                     self.bitmap_index.clear(target_ordinal, target_branch)
                 self.bitmap_index.set(source_ordinal, target_branch)
-                self.index_hook.applied(target_branch, key, source_ordinal, record)
+                self.index_hook.applied(target_branch, key, record)
                 return
         super()._apply_merge_change(target_branch, source_branch, key, record)
 

@@ -80,11 +80,11 @@ class VersionFirstEngine(VersionedStorageEngine):
         #: has no index): it lets multi-branch locate passes and columnar
         #: single-branch scans become bulk index probes instead of
         #: per-record chain walks, while :meth:`scan_branch` remains the
-        #: chain-walking reference implementation.  Owned by the index
-        #: subsystem facade; reopened branches rebuild it lazily on first
-        #: touch.
-        self.pk_index: PrimaryKeyIndex[tuple[str, int]] = self.index_hook.pk
-        self.index_hook.bind(self._pk_entries_for_branch, self.scan_branch)
+        #: chain-walking reference implementation.  Version-first has no
+        #: live bitmaps, so unlike tuple-first and hybrid it keeps the
+        #: paper's per-branch map; reopened branches rebuild it lazily on
+        #: first touch.
+        self.pk_index: PrimaryKeyIndex[tuple[str, int]] = PrimaryKeyIndex()
         #: Columnar scan acceleration: segment id -> (record count at build
         #: time, per-column containers concatenated over the segment's pages
         #: in ordinal order).  Staleness-checked against the segment heap's
@@ -96,6 +96,7 @@ class VersionFirstEngine(VersionedStorageEngine):
     def _prepare_master(self) -> None:
         segment = self.segments.create(owner_branch=MASTER_BRANCH)
         self._head_segment[MASTER_BRANCH] = segment.segment_id
+        self.pk_index.add_branch(MASTER_BRANCH)
         self.index_hook.branch_created(MASTER_BRANCH)
 
     def _materialize_branch(
@@ -106,6 +107,7 @@ class VersionFirstEngine(VersionedStorageEngine):
             limit = self.segments.get(parent_segment_id).record_count
             # Every parent location is visible through the branch point, so
             # the child's index is a straight clone.
+            self.pk_index.add_branch(name, clone_from=parent_branch)
             self.index_hook.branch_created(name, clone_from=parent_branch)
         else:
             parent_segment_id, limit = self._commit_location(from_commit)
@@ -116,7 +118,8 @@ class VersionFirstEngine(VersionedStorageEngine):
                     parent_segment_id, limit
                 )
             }
-            self.index_hook.branch_rebuilt(name, entries)
+            self.pk_index.replace_branch(name, entries)
+            self.index_hook.branch_rebuilt(name)
         segment = self.segments.create(
             owner_branch=name,
             parents=(ParentPointer(parent_segment_id, limit),),
@@ -177,7 +180,9 @@ class VersionFirstEngine(VersionedStorageEngine):
                 segment.heap.truncate_records(floor)
         # Primary-key maps are rebuilt lazily, on a branch's first touch, by
         # the chain walk below (which must see tombstones).
-        self.index_hook.attach_lazy(self.graph.branch_names())
+        self.pk_index.register_lazy(
+            self.graph.branch_names(), self._pk_entries_for_branch
+        )
 
     def _pk_entries_for_branch(self, branch: str) -> dict[int, tuple[str, int]]:
         """Derive a branch's full pk map by chain walk (index rebuild)."""
@@ -193,28 +198,31 @@ class VersionFirstEngine(VersionedStorageEngine):
     # -- data operations -------------------------------------------------------------
 
     def insert(self, branch: str, record: Record) -> None:
-        segment = self._head(branch)
-        ordinal = segment.append(record)
-        self.index_hook.applied(
-            branch, record.key(self.schema), (segment.segment_id, ordinal), record
-        )
+        key = self._append_live(branch, record)
+        self.index_hook.applied(branch, key, record)
         self.stats.records_inserted += 1
 
     def update(self, branch: str, record: Record) -> None:
         # Updates append a new copy with the same primary key; scans ignore
         # the earlier copy (paper Section 3.3, *Data Modification*).  The
         # index is repointed at the new copy.
+        key = self._append_live(branch, record)
+        self.index_hook.applied(branch, key, record)
+        self.stats.records_updated += 1
+
+    def _append_live(self, branch: str, record: Record) -> int:
+        """Append ``record`` to the branch head and point its key there."""
         segment = self._head(branch)
         ordinal = segment.append(record)
-        self.index_hook.applied(
-            branch, record.key(self.schema), (segment.segment_id, ordinal), record
-        )
-        self.stats.records_updated += 1
+        key = record.key(self.schema)
+        self.pk_index.put(branch, key, (segment.segment_id, ordinal))
+        return key
 
     def delete(self, branch: str, key: int) -> None:
         if not self.pk_index.contains(branch, key):
             raise StorageError(f"key {key} is not live in branch {branch!r}")
         self._head(branch).append(Record.deleted(self.schema, key))
+        self.pk_index.remove(branch, key)
         self.index_hook.removed(branch, key)
         self.stats.records_deleted += 1
 

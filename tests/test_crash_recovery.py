@@ -136,13 +136,22 @@ def two_branch_transaction(db):
     return txn
 
 
+#: Keys the workloads below insert, delete or never touch: every one that is
+#: not live in a branch must miss there.
+PROBE_KEYS = set(range(12)) | {100, 200, 300, 400, 500, 600, 700, 997}
+
+
 def assert_pk_index_agrees(db, branch="master"):
-    """The reopened branch's pk map (rebuilt from storage) matches a scan."""
+    """The reopened branch's pk lookups (index rebuilt from storage) agree
+    with a scan: every live key answers its row, every other key misses."""
     storage = db.relation("t").engine
     expected = {r.key(SCHEMA): r.values for r in storage.scan_branch(branch)}
-    assert sorted(storage.pk_index.keys(branch)) == sorted(expected)
     for key, values in expected.items():
+        assert storage.branch_contains_key(branch, key)
         assert storage.record_for_key(branch, key).values == values
+    for key in PROBE_KEYS - set(expected):
+        assert not storage.branch_contains_key(branch, key)
+        assert storage.record_for_key(branch, key) is None
 
 
 class _CrashWorkloads:
@@ -491,6 +500,32 @@ class TestRecoveryDetails:
         report = reopened.last_recovery
         assert report.needs_redo == set()
         assert live_keys(reopened) == set(range(10)) | {100}
+
+    @pytest.mark.parametrize("crash", ["loser-commit", "create-branch"])
+    @pytest.mark.parametrize("engine", ["tuple-first", "hybrid"])
+    def test_open_after_crash_builds_no_key_index(self, tmp_path, engine, crash):
+        """Recovery with nothing to redo leaves the key index unbuilt; the
+        first pk lookup builds it once."""
+        db = seed_database(tmp_path, engine)
+        if crash == "loser-commit":
+            txn = db.transactions("t").begin()
+            txn.insert("master", record(200, 2))
+            # The torn COMMIT record makes the transaction a loser.
+            with pytest.raises(InjectedCrash):
+                with inject(
+                    FaultSchedule("wal-group-commit-pre-fsync", torn_bytes=3)
+                ):
+                    txn.commit()
+        else:
+            with pytest.raises(InjectedCrash):
+                with inject(FaultSchedule("graph-persist-pre-fsync")):
+                    db.relation("t").branch("dev", from_branch="master")
+        reopened = Decibel.open(str(tmp_path), engine=engine)
+        assert reopened.last_recovery.needs_redo == set()
+        key_index = reopened.relation("t").engine.key_index
+        assert not key_index.built and key_index.builds == 0
+        assert_pk_index_agrees(reopened)
+        assert key_index.builds == 1
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_double_crash_during_recovery(self, tmp_path, engine):

@@ -148,8 +148,8 @@ class TestHybridMergeSharing:
         hy_loaded.merge("master", "dev")
         data_after = sum(s.record_count for s in hy_loaded.segments.all())
         assert data_after == data_before  # shared, not copied
-        location = hy_loaded.pk_index.get("master", 600)
-        assert location == hy_loaded.pk_index.get("dev", 600)
+        location = hy_loaded.key_location("master", 600)
+        assert location == hy_loaded.key_location("dev", 600)
 
     def test_bitmap_index_bytes(self, hy_loaded):
         assert hy_loaded.bitmap_index_bytes() > 0

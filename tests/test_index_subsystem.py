@@ -6,9 +6,11 @@ Four layers under test:
   index-backed queries and full scans agree after arbitrary
   insert / update / delete / branch / merge interleavings, on all three
   engines (the index is an access path, never a second source of truth).
-* **Persistence** -- pk maps are derived data: nothing is written under
-  ``index/``, a reopened branch rebuilds its map on first touch, and lazy
-  registration means an untouched branch costs nothing at open.
+* **Persistence** -- pk indexes are derived data: nothing is written under
+  ``index/`` and a cold open builds nothing.  Version-first rebuilds a
+  branch's map on its first touch; tuple-first and hybrid build one
+  key-copy index on the first pk lookup, whatever branch it names, holding
+  one entry per stored copy however many branches exist.
 * **Planning** -- the optimizer rewrites selective scans to
   :class:`IndexScan` (visible as ``[index]`` in EXPLAIN) only when the
   index covers the driving term, and the rewrite is toggleable.
@@ -19,6 +21,8 @@ Four layers under test:
 from __future__ import annotations
 
 import os
+import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -79,12 +83,31 @@ def make_db(directory, engine, *, rows=50, distinct=10, indexes=("c1",)):
 
 ENGINES = ["tuple-first", "version-first", "hybrid"]
 
+#: The engines that keep one key-copy index instead of per-branch pk maps.
+KEY_COPY_ENGINES = ["tuple-first", "hybrid"]
+
+
+def assert_lookups_match_scan(storage, branch, probes):
+    """Every live key of ``branch`` answers its scanned row through the pk
+    index (point and batch fetch); every other probe key misses."""
+    expected = {r.values[0]: r.values for r in storage.scan_branch(branch)}
+    for key, values in expected.items():
+        assert storage.branch_contains_key(branch, key)
+        assert storage.record_for_key(branch, key).values == values
+    for key in set(probes) - set(expected):
+        assert not storage.branch_contains_key(branch, key)
+        assert storage.record_for_key(branch, key) is None
+    fetched = storage.records_for_keys(branch, sorted(set(probes) | set(expected)))
+    assert sorted(r.values for r in fetched) == sorted(expected.values())
+
 
 # -- equivalence: index-backed answers == full scans --------------------------
 
 workload_steps = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "update", "delete", "branch", "merge"]),
+        st.sampled_from(
+            ["insert", "update", "delete", "branch", "branch-old", "merge"]
+        ),
         st.integers(min_value=0, max_value=24),
         st.integers(min_value=0, max_value=9),
     ),
@@ -106,24 +129,31 @@ def test_index_equals_scan_under_workloads(tmp_path_factory, engine, steps):
     Ground truth comes from :meth:`VersionedRelation.scan` (the raw engine
     scan, no query pipeline), so a bug shared by both query arms cannot
     hide: merge semantics themselves are covered by the engine-equivalence
-    and diff/conflict suites.  The checks run after a close and reopen, so
-    every pk map they use is one rebuilt from storage.
+    and diff/conflict suites.  Point lookups are checked against the scan
+    before and after a close and reopen, so both the incrementally
+    maintained index and the one rebuilt from storage are covered.
     """
     directory = tmp_path_factory.mktemp("db")
     db = Decibel(str(directory), engine=engine)
     rel = db.create_relation("R", SCHEMA, indexes=("c1",))
     rel.init([record(i, i % 4, i * 10) for i in range(10)])
     branches = ["master"]
+    commits = [rel.graph.head("master")]
     manager = db.transactions("R")
+    probes = set(range(25)) | {997}
 
     def present(branch, key):
         return any(r.values[0] == key for r in rel.scan(branch))
 
     for action, key, payload in steps:
         branch = branches[key % len(branches)]
-        if action == "branch":
+        if action in ("branch", "branch-old"):
             name = f"b{len(branches)}"
-            rel.branch(name, from_branch=branch)
+            if action == "branch":
+                rel.branch(name, from_branch=branch)
+            else:
+                # A historical commit: the restored-bitmap branch path.
+                rel.branch(name, from_commit=commits[payload % len(commits)])
             branches.append(name)
             continue
         if action == "merge":
@@ -139,18 +169,17 @@ def test_index_equals_scan_under_workloads(tmp_path_factory, engine, steps):
         elif action == "delete" and present(branch, key):
             txn.delete(branch, key)
         txn.commit()
+        commits.append(rel.graph.head(branch))
 
-    # Reopen: every pk map below is rebuilt from storage on first touch and
-    # must match the engine's reference scan exactly.
+    for name in branches:
+        assert_lookups_match_scan(rel.engine, name, probes)
+    # Reopen: every pk index below is rebuilt from storage and must match
+    # the engine's reference scan exactly.
     db.close()
     db = Decibel.open(str(directory), engine=engine)
     rel = db.relation("R")
-    storage = rel.engine
     for name in branches:
-        expected = {r.values[0]: r.values for r in storage.scan_branch(name)}
-        assert sorted(storage.pk_index.keys(name)) == sorted(expected)
-        for key, values in expected.items():
-            assert storage.record_for_key(name, key).values == values
+        assert_lookups_match_scan(rel.engine, name, probes)
 
     for name in branches:
         truth = {r.values[0]: tuple(r.values) for r in rel.scan(name)}
@@ -204,13 +233,13 @@ class TestPersistence:
         Decibel.open(str(tmp_path), engine=engine).close()
         assert not os.path.exists(tmp_path / "R" / "index")
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_first_touch_rebuilds_once(self, tmp_path, engine):
+    def test_first_touch_rebuilds_once(self, tmp_path):
+        engine = "version-first"
         db = make_db(tmp_path, engine)
         db.relation("R").branch("dev", from_branch="master")
         db.close()
         reopened = Decibel.open(str(tmp_path), engine=engine)
-        pk = reopened.relation("R").engine.index_hook.pk
+        pk = reopened.relation("R").engine.pk_index
         rebuilt = []
         hydrate = pk._hydrator
 
@@ -247,25 +276,172 @@ class TestPersistence:
         assert reopened.query(
             "SELECT * FROM R WHERE R.Version = 'master' AND R.id = 999"
         ).rows == []
-        storage = reopened.relation("R").engine
-        assert sorted(storage.pk_index.keys("master")) == list(range(50))
+        assert_lookups_match_scan(
+            reopened.relation("R").engine, "master", set(range(60)) | {999}
+        )
         reopened.close()
         for path, data in leftovers.items():
             assert path.read_bytes() == data
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_open_does_not_hydrate_untouched_branches(self, tmp_path, engine):
+    def test_open_does_not_hydrate_untouched_branches(self, tmp_path):
+        engine = "version-first"
         db = make_db(tmp_path, engine)
         db.relation("R").branch("dev", from_branch="master")
         db.close()
         reopened = Decibel.open(str(tmp_path), engine=engine)
-        hook = reopened.relation("R").engine.index_hook
-        assert not hook.pk.branch_loaded("master")
-        assert not hook.pk.branch_loaded("dev")
+        pk = reopened.relation("R").engine.pk_index
+        assert not pk.branch_loaded("master")
+        assert not pk.branch_loaded("dev")
         # Touching master hydrates master only.
         reopened.query("SELECT * FROM R WHERE R.Version = 'master' AND R.id = 1")
-        assert hook.pk.branch_loaded("master")
-        assert not hook.pk.branch_loaded("dev")
+        assert pk.branch_loaded("master")
+        assert not pk.branch_loaded("dev")
+
+    @pytest.mark.parametrize("engine", KEY_COPY_ENGINES)
+    def test_first_lookup_builds_key_index_once(self, tmp_path, engine):
+        """Open builds nothing; the first lookup builds the key index once,
+        and a lookup on another branch builds nothing new."""
+        db = make_db(tmp_path, engine)
+        db.relation("R").branch("dev", from_branch="master")
+        db.close()
+        reopened = Decibel.open(str(tmp_path), engine=engine)
+        key_index = reopened.relation("R").engine.key_index
+        assert not key_index.built and key_index.builds == 0
+        for key in (7, 8, 49):
+            rows = reopened.query(
+                f"SELECT * FROM R WHERE R.Version = 'master' AND R.id = {key}"
+            ).rows
+            assert [tuple(r) for r in rows] == [(key, key % 10, key * 10)]
+        assert key_index.builds == 1
+        rows = reopened.query(
+            "SELECT * FROM R WHERE R.Version = 'dev' AND R.id = 7"
+        ).rows
+        assert [tuple(r) for r in rows] == [(7, 7, 70)]
+        assert key_index.builds == 1
+        assert len(key_index) == 50
+
+
+# -- the key-copy index of tuple-first and hybrid -----------------------------
+
+def stored_copies(storage):
+    """Number of records physically stored by a tuple-first/hybrid engine."""
+    if hasattr(storage, "heap"):
+        return storage.heap.num_records
+    return sum(segment.record_count for segment in storage.segments.all())
+
+
+class TestKeyCopyIndex:
+    @pytest.mark.parametrize("engine", KEY_COPY_ENGINES)
+    def test_merged_copy_survives_source_update(self, tmp_path, engine):
+        """A merge shares the source's copy of key 60 with the target; the
+        source then updates 60 again, into the same head segment.  Each
+        branch must keep answering its own copy, before and after reopen."""
+        db = make_db(tmp_path, engine, indexes=())
+        rel = db.relation("R")
+        rel.branch("dev", from_branch="master")
+        manager = db.transactions("R")
+        txn = manager.begin()
+        txn.insert("dev", record(60, 1, 100))
+        txn.commit()
+        rel.merge("master", "dev")
+        shared = rel.engine.key_location("dev", 60)
+        assert rel.engine.key_location("master", 60) == shared
+        txn = manager.begin()
+        txn.update("dev", record(60, 2, 200))
+        txn.commit()
+        if engine == "hybrid":
+            assert rel.engine.key_location("dev", 60)[0] == shared[0]
+        for current in (db, None):
+            if current is None:
+                db.close()
+                current = Decibel.open(str(tmp_path), engine=engine)
+            for branch, row in (("master", (60, 1, 100)), ("dev", (60, 2, 200))):
+                rows = current.query(
+                    f"SELECT * FROM R WHERE R.Version = '{branch}' AND R.id = 60"
+                ).rows
+                assert [tuple(r) for r in rows] == [row]
+                assert current.relation("R").engine.record_for_key(
+                    branch, 60
+                ).values == row
+
+    @pytest.mark.parametrize("engine", KEY_COPY_ENGINES)
+    def test_one_entry_per_stored_copy(self, tmp_path, engine):
+        """Forks add no entries, and after a reopen that touches every one
+        of 64 branches the index holds exactly one entry per stored copy."""
+        db = make_db(tmp_path, engine, rows=2000, indexes=())
+        rel = db.relation("R")
+        key_index = rel.engine.key_index
+        assert len(key_index) == 2000
+        branches = [f"b{i}" for i in range(64)]
+        for name in branches:
+            rel.branch(name, from_branch="master")
+        assert len(key_index) == 2000
+        # Eight branches update key 0: eight more stored copies of one key.
+        for name in branches[:8]:
+            txn = db.transactions("R").begin()
+            txn.update(name, record(0, 1, -1))
+            txn.commit()
+        assert len(key_index) == stored_copies(rel.engine) == 2008
+        db.close()
+        reopened = Decibel.open(str(tmp_path), engine=engine)
+        storage = reopened.relation("R").engine
+        for i, name in enumerate(["master"] + branches):
+            key = i * 31
+            rows = reopened.query(
+                f"SELECT * FROM R WHERE R.Version = '{name}' AND R.id = {key}"
+            ).rows
+            assert [tuple(r) for r in rows] == [(key, key % 10, key * 10)]
+            assert storage.record_for_key(name, 0).values[2] == (
+                -1 if name in branches[:8] else 0
+            )
+        assert storage.key_index.builds == 1
+        assert len(storage.key_index) == stored_copies(storage) == 2008
+
+    @pytest.mark.parametrize("engine", KEY_COPY_ENGINES)
+    def test_lazy_build_races_writers(self, tmp_path, engine):
+        """Readers that trigger the first build while writers append (under
+        the engine's write mutex) never lose a copy."""
+        db = make_db(tmp_path, engine, rows=500, indexes=())
+        db.close()
+        db = Decibel.open(str(tmp_path), engine=engine)
+        storage = db.relation("R").engine
+        errors = []
+
+        def writer(base):
+            try:
+                for key in range(base, base + 40):
+                    with storage.write_mutex:
+                        storage.insert("master", record(key))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        def reader():
+            try:
+                for key in range(0, 500, 7):
+                    assert storage.branch_contains_key("master", key)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=writer, args=(1000 + 100 * i,))
+            for i in range(3)
+        ] + [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert storage.key_index.builds == 1
+        for i in range(3):
+            for key in range(1000 + 100 * i, 1040 + 100 * i):
+                assert storage.branch_contains_key("master", key)
+        assert len(storage.key_index) == stored_copies(storage) == 620
 
 
 # -- planning: the [index] rewrite and its gating -----------------------------

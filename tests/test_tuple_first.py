@@ -121,7 +121,7 @@ class TestTupleFirstMergeSharing:
         tf_engine.merge("master", "dev")
         # The merged-in record is shared via the bitmap, not copied.
         assert tf_engine.heap.num_records == heap_before
-        assert tf_engine.pk_index.get("master", 800) == tf_engine.pk_index.get(
+        assert tf_engine.key_location("master", 800) == tf_engine.key_location(
             "dev", 800
         )
 
