@@ -377,52 +377,78 @@ class EngineStatsParityRule(ProjectRule):
 
 
 class ColumnarBoundaryRule(LintRule):
-    """No per-row ``Record`` construction inside ``column_batches`` bodies.
+    """No per-row ``Record`` construction or row decode inside columnar bodies.
 
-    The columnar pipeline's whole speedup is that operators move typed
-    column arrays and never build per-row objects; rows exist only at the
-    declared boundaries (:meth:`ColumnBatch.from_records` /
+    The columnar pipeline's whole speedup is that operators and engine scans
+    move typed column arrays and never build per-row objects; rows exist
+    only at the declared boundaries (:meth:`ColumnBatch.from_records` /
     :meth:`ColumnBatch.to_records` / :meth:`ColumnBatch.rows` and the
-    result builder in ``execute_plan``).  A ``Record(...)`` call inside an
-    operator's ``column_batches`` method reintroduces per-row object
-    construction under a columnar facade -- the hot loop quietly pays the
-    row tax.
+    result builder in ``execute_plan``).  A ``Record(...)`` call, or a row
+    decode (a page's ``records_view()`` / ``record_at()``, a heap's
+    ``scan_records()`` / ``record_by_ordinal()``), inside an
+    operator's ``column_batches`` method or a storage engine's
+    ``scan_*_columns`` / ``scan_branches_batched`` body reintroduces
+    per-row object construction under a columnar facade -- the hot loop
+    quietly pays the row tax, also for rows the predicate then rejects.
     """
 
     id = "REPRO008"
     rationale = (
-        "Record construction inside a column_batches body pays the per-row "
-        "object cost the columnar path exists to avoid"
+        "Record construction or row decode inside a column_batches or "
+        "columnar scan body pays the per-row object cost the columnar path "
+        "exists to avoid"
     )
     fix_hint = (
-        "move whole columns (take/slice/extend), or cross the row boundary "
-        "explicitly via ColumnBatch.rows()/to_records()/from_records() "
-        "outside the batch loop"
+        "move whole columns (columns_view/take/slice/extend), or cross the "
+        "row boundary explicitly via ColumnBatch.rows()/to_records()/"
+        "from_records() outside the batch loop"
     )
 
+    #: Page and heap methods that decode rows into :class:`Record` objects.
+    ROW_DECODES = ("records_view", "record_at", "scan_records", "record_by_ordinal")
+
     @staticmethod
-    def _is_record_call(node: ast.Call) -> bool:
+    def _columnar_body(name: str, relpath: str) -> bool:
+        if name == "column_batches":
+            return True
+        if not relpath.startswith("repro/storage/"):
+            return False
+        return name == "scan_branches_batched" or (
+            name.startswith("scan_") and name.endswith("_columns")
+        )
+
+    @classmethod
+    def _row_call(cls, node: ast.Call) -> str | None:
         func = node.func
         if isinstance(func, ast.Name):
-            return func.id == "Record"
-        return isinstance(func, ast.Attribute) and func.attr == "Record"
+            return "Record construction" if func.id == "Record" else None
+        if not isinstance(func, ast.Attribute):
+            return None
+        if func.attr == "Record":
+            return "Record construction"
+        if func.attr in cls.ROW_DECODES:
+            return f"row decode ({func.attr})"
+        return None
 
     def check(self, module: SourceModule) -> list[Violation]:
         violations: list[Violation] = []
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if node.name != "column_batches":
+            if not self._columnar_body(node.name, module.relpath):
                 continue
             for inner in ast.walk(node):
-                if isinstance(inner, ast.Call) and self._is_record_call(inner):
+                if not isinstance(inner, ast.Call):
+                    continue
+                what = self._row_call(inner)
+                if what is not None:
                     violations.append(
                         self.violation(
                             module,
                             inner.lineno,
-                            "Record construction inside a column_batches "
-                            "body; rows may only materialize at the "
-                            "declared column/row boundaries",
+                            f"{what} inside {node.name}; rows may only "
+                            "materialize at the declared column/row "
+                            "boundaries",
                         )
                     )
         return violations

@@ -13,7 +13,7 @@ set bits works 64-bit-word-at-a-time, stripping the lowest set bit with
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 #: Bits per iteration word used by :meth:`Bitmap.iter_words`.
 WORD_BITS = 64
@@ -239,15 +239,6 @@ class Bitmap:
             if word:
                 yield num_full, word
 
-    def _word_list(self) -> list[int]:
-        """All 64-bit words (zeros included), low word first."""
-        data = self._bytes
-        num_full = len(data) >> 3
-        words = list(struct.unpack_from(f"<{num_full}Q", data)) if num_full else []
-        if len(data) & 7:
-            words.append(int.from_bytes(data[num_full << 3 :], "little"))
-        return words
-
     def iter_set_bits(self) -> Iterator[int]:
         """Yield the indices of set bits in ascending order, word-at-a-time.
 
@@ -286,103 +277,3 @@ class Bitmap:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Bitmap(bits={self._num_bits}, set={self.count()})"
-
-
-def union_member_pages(
-    bitmaps: Mapping[str, Bitmap], per_page: int
-) -> dict[int, list[tuple[int, frozenset]]]:
-    """Group the union's set bits by page: ``{page: [(slot, members), ...]}``.
-
-    This is the word-level membership pass used by multi-branch scans: for
-    every 64-bit word of the union, each named bitmap's word is fetched once
-    and individual bits are tested with shifts, instead of calling
-    ``Bitmap.get`` once per (name, bit) pair.  Member sets are memoized per
-    membership pattern, so each distinct branch combination allocates a single
-    shared ``frozenset``.  Slot lists are in ascending order within each page.
-    """
-    names = list(bitmaps)
-    pages: dict[int, list[tuple[int, frozenset]]] = {}
-    if not names:
-        return pages
-    word_lists = [bitmaps[name]._word_list() for name in names]
-    num_names = len(names)
-    max_words = max(len(words) for words in word_lists)
-    members_by_mask: dict[int, frozenset] = {}
-    current_page = -1
-    slots: list[tuple[int, frozenset]] = []
-
-    def lookup(mask: int) -> frozenset:
-        members = members_by_mask.get(mask)
-        if members is None:
-            members = frozenset(
-                names[j] for j in range(num_names) if (mask >> j) & 1
-            )
-            members_by_mask[mask] = members
-        return members
-
-    for word_index in range(max_words):
-        row = [
-            words[word_index] if word_index < len(words) else 0
-            for words in word_lists
-        ]
-        union = 0
-        for word in row:
-            union |= word
-        if not union:
-            continue
-        base = word_index << 6
-        # Fast path: when every named word is either empty or equal to the
-        # union, all 64 bits of this word share one membership pattern, so
-        # the per-bit branch probing collapses to one mask per word.  This
-        # is the common case -- contiguous insert runs are live in the same
-        # branch set.
-        uniform_mask = 0
-        for j in range(num_names):
-            word = row[j]
-            if word:
-                if word == union:
-                    uniform_mask |= 1 << j
-                else:
-                    uniform_mask = -1
-                    break
-        if uniform_mask >= 0:
-            members = lookup(uniform_mask)
-            while union:
-                low = union & -union
-                ordinal = base + low.bit_length() - 1
-                union ^= low
-                page_number = ordinal // per_page
-                if page_number != current_page:
-                    slots = pages.setdefault(page_number, [])
-                    current_page = page_number
-                slots.append((ordinal % per_page, members))
-            continue
-        while union:
-            low = union & -union
-            ordinal = base + low.bit_length() - 1
-            union ^= low
-            mask = 0
-            for j in range(num_names):
-                if row[j] & low:
-                    mask |= 1 << j
-            page_number = ordinal // per_page
-            if page_number != current_page:
-                slots = pages.setdefault(page_number, [])
-                current_page = page_number
-            slots.append((ordinal % per_page, lookup(mask)))
-    return pages
-
-
-def iter_union_members(
-    bitmaps: Mapping[str, Bitmap]
-) -> Iterator[tuple[int, frozenset]]:
-    """Yield ``(bit index, names whose bitmap has that bit)`` in ascending order.
-
-    A convenience wrapper over :func:`union_member_pages` with a single
-    page covering every bit.
-    """
-    pages = union_member_pages(bitmaps, 1 << 62)
-    for page_number in sorted(pages):
-        base = page_number << 62
-        for slot, members in pages[page_number]:
-            yield base + slot, members

@@ -33,11 +33,15 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.record import Record
-from repro.core.schema import ColumnType, Schema
+from repro.core.schema import Column, ColumnType, Schema
 from repro.errors import ColumnBatchError
 
 #: One column's container: a typed array for native numerics, a list otherwise.
 ColumnData = "array | list"
+
+#: Hidden column appended to multi-branch scan schemas; it carries the set of
+#: branches each record is live in, and is stripped from query results.
+BRANCH_COLUMN = "_branches"
 
 #: Environment flag that turns on per-construction validation.
 ENV_FLAG = "REPRO_VALIDATE_COLUMNS"
@@ -56,6 +60,14 @@ def set_debug_validation(enabled: bool | None) -> None:
     """Force debug validation on/off; ``None`` re-reads the environment."""
     global _debug_validation
     _debug_validation = enabled
+
+
+def branch_annotated_schema(schema: Schema) -> Schema:
+    """``schema`` plus the trailing :data:`BRANCH_COLUMN` (a list column)."""
+    return Schema(
+        schema.columns + (Column(BRANCH_COLUMN, ColumnType.INT),),
+        primary_key=schema.primary_key,
+    )
 
 
 def column_container(column_type: ColumnType) -> "array | list":
@@ -277,8 +289,7 @@ def regroup_column_batches(
 ) -> Iterator[ColumnBatch]:
     """Regroup variable-size column chunks into ~``batch_size``-row batches.
 
-    The columnar sibling of :func:`repro.storage.base.regroup_chunks`: chunks
-    at or above *half* the target that arrive on an empty buffer pass
+    Chunks at or above *half* the target that arrive on an empty buffer pass
     through untouched (zero copy -- the common full- or mostly-full-page
     case; ``batch_size`` is a target, not a contract, and re-copying a
     near-target array chunk costs a real memcpy per column), smaller chunks

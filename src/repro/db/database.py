@@ -119,10 +119,6 @@ class VersionedRelation:
         """Iterate the live records of ``branch``."""
         return self.engine.scan_branch(branch, predicate)
 
-    def scan_heads(self, predicate: Predicate | None = None):
-        """Iterate ``(record, branches)`` pairs over all branch heads."""
-        return self.engine.scan_heads(predicate)
-
     def _coerce(self, record: Record | tuple) -> Record:
         if isinstance(record, Record):
             return record

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.columns import BRANCH_COLUMN, branch_annotated_schema
 from repro.core.operators import (
     aggregate_output_column,
     join_schema,
@@ -30,7 +31,7 @@ from repro.core.predicates import (
     Or,
     Predicate,
 )
-from repro.core.schema import Column, ColumnType, Schema
+from repro.core.schema import Column, Schema
 from repro.errors import QueryError
 from repro.query.parser import (
     ColumnComparison,
@@ -43,10 +44,6 @@ from repro.query.parser import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Decibel
     from repro.storage.base import VersionedStorageEngine
-
-#: Hidden column appended to head-scan schemas; it carries the set of
-#: branches each record is live in, and is stripped from query results.
-BRANCH_COLUMN = "_branches"
 
 #: Aggregate functions the planner accepts in a select list.
 AGGREGATE_FUNCTIONS = ("count", "sum", "min", "max", "avg")
@@ -179,8 +176,7 @@ class HeadScan(LogicalNode):
         alias: str,
         predicate: Predicate | None = None,
     ):
-        columns = engine.schema.columns + (Column(BRANCH_COLUMN, ColumnType.INT),)
-        super().__init__([], Schema(columns, primary_key=engine.schema.primary_key))
+        super().__init__([], branch_annotated_schema(engine.schema))
         self.engine = engine
         self.relation = relation
         self.alias = alias

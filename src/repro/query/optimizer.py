@@ -12,8 +12,9 @@ Two families of rewrites run over the logical plan, bottom-up:
 
 * **Predicate pushdown** -- column comparisons held in
   :class:`~repro.query.logical.Filter` nodes are pushed into the scans they
-  apply to, so they are evaluated inside ``scan_branch``/``scan_commit``/
-  ``scan_heads`` during the single pass over the data.  A filter whose terms
+  apply to, so they are evaluated inside the engines' column scans
+  (``scan_branch_columns``/``scan_commit_columns``/``scan_branches_batched``)
+  during the single pass over the data.  A filter whose terms
   are all pushed disappears (Filter-over-Scan collapse); terms that cannot
   be pushed (e.g. residual predicates above a diff) stay behind.
 """

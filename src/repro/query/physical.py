@@ -83,7 +83,8 @@ class QueryResult:
 
 
 class HeadScanExec(Operator):
-    """Scan all branch heads, appending the branch set as a hidden column."""
+    """Every branch head's distinct records, passed through from the engine's
+    multi-branch scan with its hidden branch-set column."""
 
     def __init__(self, node: HeadScan):
         self.node = node
@@ -92,24 +93,15 @@ class HeadScanExec(Operator):
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
     ) -> Iterator[ColumnBatch]:
-        # The hidden branch-set column holds frozensets, which no typed
-        # array can carry, so the annotated rows pivot into list columns at
-        # this boundary.
-        annotated = self.node.engine.scan_heads_batched(
-            self.node.predicate, batch_size=batch_size
+        batches = self.node.engine.scan_branches_batched(
+            None, self.node.predicate, batch_size
         )
-        for pairs in annotated:
+        for batch in batches:
             checkpoint()
-            yield ColumnBatch.from_rows(
-                self.schema,
-                [record.values + (branches,) for record, branches in pairs],
-            )
+            yield batch
 
     def count(self) -> int:
-        # Count-only consumers need neither the annotation-carrying records
-        # nor the hidden-column concatenation: batch lengths suffice.
-        annotated = self.node.engine.scan_heads_batched(self.node.predicate)
-        return sum(len(pairs) for pairs in annotated)
+        return sum(batch.num_rows for batch in self.column_batches())
 
 
 class VersionDiffExec(Operator):

@@ -22,12 +22,18 @@ import os
 import shutil
 import threading
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress
 from typing import Any, Iterable, Iterator
 
+from repro.bitmap.bitmap import Bitmap
 from repro.core.buffer_pool import BufferPool
-from repro.core.columns import ColumnBatch, regroup_column_batches
+from repro.core.columns import (
+    ColumnBatch,
+    branch_annotated_schema,
+    regroup_column_batches,
+)
 from repro.core.page import DEFAULT_PAGE_SIZE, PAGE_HEADER_SIZE
 from repro.core.predicates import (
     Predicate,
@@ -37,7 +43,7 @@ from repro.core.predicates import (
 )
 from repro.core.record import Record
 from repro.core.schema import Schema
-from repro.errors import VersionError
+from repro.errors import BranchNotFoundError, VersionError
 from repro.index.maintenance import IndexMaintenance
 from repro.versioning.conflicts import (
     MergePolicy,
@@ -105,43 +111,34 @@ DEFAULT_SCAN_BATCH_SIZE = 1024
 
 
 def fetch_bitmap_ordinals(heap, bitmap, out: list, stats: EngineStats) -> None:
-    """Append the records at the bitmap's set ordinals, page at a time.
+    """Append the records at the bitmap's set ordinals, page at a time
+    (the diff-path record fetch)."""
+    records = list(live_heap_records(heap, bitmap))
+    stats.records_scanned += len(records)
+    out.extend(records)
 
-    Ascending ordinals mostly share pages, so the page is fetched once per
-    run instead of once per record (the diff-path record fetch).
+
+def drop_identical_pairs(result: DiffResult, pk_position: int) -> None:
+    """Remove each positive/negative pair with the same key and values.
+
+    A bitmap diff compares stored copies, so a record both branches wrote
+    identically (two copies, one content) lands on both sides; by content
+    it is no difference at all.  A branch holds at most one copy of a key,
+    so each side has at most one record per key.
     """
-    per_page = heap.records_per_page
-    current_page = -1
-    records: list = []
-    append = out.append
-    for ordinal in bitmap.iter_set_bits():
-        page_number = ordinal // per_page
-        if page_number != current_page:
-            records = heap.page(page_number).records_view()
-            current_page = page_number
-        append(records[ordinal % per_page])
-        stats.records_scanned += 1
-
-
-def regroup_chunks(chunks, batch_size: int):
-    """Regroup an iterator of lists (e.g. per-page hits) into batches.
-
-    Batches are at least ``batch_size`` long when enough input remains --
-    ``batch_size`` is a flush threshold, not an exact size -- and no element
-    is ever copied more than once (no slicing).  Flattening the output
-    reproduces the input order exactly.
-    """
-    batch: list = []
-    for chunk in chunks:
-        if not batch and len(chunk) >= batch_size:
-            yield chunk
-            continue
-        batch.extend(chunk)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    negative = {r.values[pk_position]: r.values for r in result.negative}
+    same = {
+        key
+        for r in result.positive
+        if negative.get(key := r.values[pk_position]) == r.values
+    }
+    if same:
+        result.positive = [
+            r for r in result.positive if r.values[pk_position] not in same
+        ]
+        result.negative = [
+            r for r in result.negative if r.values[pk_position] not in same
+        ]
 
 
 def _live_page_masks(bitmap, per_page: int) -> Iterator[tuple[int, int]]:
@@ -193,6 +190,22 @@ def stored_pk_ordinals(heap, pk_position: int) -> Iterator[tuple[int, int]]:
             yield key, start + slot
 
 
+def live_heap_records(heap, bitmap) -> Iterator[Record]:
+    """The records at a bitmap's set ordinals, page by page.
+
+    The engines' reference row scans.  A bitmap-governed heap interleaves
+    many branches' tuples, so a branch scan visits every page holding one
+    of its live tuples -- typically all of them, the behaviour the paper's
+    Query 1 measurements expose for tuple-first.
+    """
+    for page_number, live in _live_page_masks(bitmap, heap.records_per_page):
+        page = heap.page(page_number)
+        while live:
+            low = live & -live
+            live ^= low
+            yield page.record_at(low.bit_length() - 1)
+
+
 def scan_heap_bitmap_columns(
     heap,
     bitmap,
@@ -221,19 +234,109 @@ def scan_heap_bitmap_columns(
     if columns is not None:
         out_positions = [schema.index_of(name) for name in columns]
         out_schema = schema.project(list(columns))
+    hits = _heap_page_column_hits(
+        heap,
+        _live_page_masks(bitmap, heap.records_per_page),
+        schema,
+        predicate,
+        stats,
+        out_positions,
+        out_schema,
+    )
     yield from regroup_column_batches(
-        _heap_bitmap_page_column_hits(
-            heap, bitmap, schema, predicate, stats, out_positions, out_schema
-        ),
+        (batch for batch, _ in hits),
         batch_size,
         out_schema if out_schema is not None else schema,
     )
 
 
-def _heap_bitmap_page_column_hits(
-    heap, bitmap, schema, predicate, stats, out_positions=None, out_schema=None
+def scan_heap_member_columns(
+    heap,
+    bitmaps: dict[str, Bitmap],
+    schema: Schema,
+    predicate: Predicate | None,
+    stats: EngineStats,
+) -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
+    """``(batch, members)`` of the copies live in any of ``bitmaps``.
+
+    The multi-branch sibling of :func:`scan_heap_bitmap_columns`: one pass
+    over the pages the branch bitmaps touch, with the same page filter and
+    late materialization.  ``members`` lists, row for row, the branches of
+    ``bitmaps`` whose bitmap holds the copy, one shared frozenset per
+    membership pattern.  Membership comes from each branch's liveness word
+    of the page: a page whose live slots all share one pattern (the common
+    case, since runs of inserts are live in the same branches) costs one
+    lookup, and otherwise only selected rows are resolved.
+    """
+    per_page = heap.records_per_page
+    names = list(bitmaps)
+    words: dict[int, list[int]] = {}
+    for index, name in enumerate(names):
+        for page_number, live in _live_page_masks(bitmaps[name], per_page):
+            words.setdefault(page_number, [0] * len(names))[index] = live
+    # Per page, its union liveness word and the membership mask all its
+    # live slots share, or None when they differ.
+    pages: dict[int, tuple[int, int | None]] = {}
+    for page_number, row in words.items():
+        union = 0
+        for word in row:
+            union |= word
+        mask = 0
+        for index, word in enumerate(row):
+            if word == union:
+                mask |= 1 << index
+            elif word:
+                pages[page_number] = (union, None)
+                break
+        else:
+            pages[page_number] = (union, mask)
+    held_by: dict[int, frozenset] = {}
+
+    def members(mask: int) -> frozenset:
+        held = held_by.get(mask)
+        if held is None:
+            held = held_by[mask] = frozenset(
+                name for index, name in enumerate(names) if mask >> index & 1
+            )
+        return held
+
+    def member_of(ordinal: int) -> frozenset:
+        page_number, slot = divmod(ordinal, per_page)
+        shared = pages[page_number][1]
+        if shared is not None:
+            return members(shared)
+        mask = 0
+        for index, word in enumerate(words[page_number]):
+            if word >> slot & 1:
+                mask |= 1 << index
+        return members(mask)
+
+    live_pages = ((number, pages[number][0]) for number in sorted(pages))
+    for batch, ordinals in _heap_page_column_hits(
+        heap, live_pages, schema, predicate, stats
+    ):
+        if isinstance(ordinals, range):
+            shared = pages[ordinals.start // per_page][1]
+            if shared is not None:
+                yield batch, [members(shared)] * batch.num_rows
+                continue
+        yield batch, [member_of(ordinal) for ordinal in ordinals]
+
+
+def _heap_page_column_hits(
+    heap, live_pages, schema, predicate, stats, out_positions=None, out_schema=None
 ):
-    """Per-page :class:`ColumnBatch`es for :func:`scan_heap_bitmap_columns`."""
+    """The page loop of the heap column scans.
+
+    ``live_pages`` yields ``(page number, liveness word)``.  This yields
+    ``(batch, ordinals)``, where ``ordinals`` iterates the heap ordinals of
+    the batch's rows in order (a ``range`` when the batch is one whole
+    page).  The records a predicate selects from cold pages are gathered as
+    raw bytes and decoded together, a page's worth at a time, so a
+    selective scan of wide rows pays one decode per page's worth of
+    selected records rather than one per page, and no decode holds more
+    values than a whole-page decode does.
+    """
     select = compile_column_filter(predicate, schema)
     matches = compile_predicate(predicate, schema) if select is None else None
     needed = column_filter_columns(predicate, schema)
@@ -246,32 +349,35 @@ def _heap_bitmap_page_column_hits(
     if out_schema is None:
         out_positions = list(range(len(schema.columns)))
         out_schema = schema
+    #: Selected raw records waiting to be decoded, and their ordinals.
+    gathered: list[bytes] = []
+    gathered_ordinals: list[int] = []
 
     def project(containers):
         # Zero-copy column pruning: pick the requested containers out of
         # the page's decoded column list.
         return [containers[position] for position in out_positions]
 
-    for page_number, live in _live_page_masks(bitmap, per_page):
+    def decode_gathered() -> tuple[ColumnBatch, list[int]]:
+        data = b"".join(gathered)
+        count = len(gathered_ordinals)
+        if len(out_positions) < len(schema.columns):
+            columns = [
+                codec.decode_column(data, index, 0, count) for index in out_positions
+            ]
+        else:
+            columns = codec.decode_batch_columns(data, 0, count)
+        hit = ColumnBatch(out_schema, columns, count), gathered_ordinals.copy()
+        gathered.clear()
+        gathered_ordinals.clear()
+        return hit
+
+    for page_number, live in live_pages:
         page = heap.page(page_number, transient=transient)
         num_records = page.num_records
+        base = page_number * per_page
         stats.records_scanned += live.bit_count()
         fully_live = live == (1 << num_records) - 1
-        if predicate is None:
-            page_batch = ColumnBatch(
-                out_schema, project(page.columns_view()), num_records
-            )
-            if fully_live:
-                yield page_batch
-                continue
-            ordinals = []
-            keep = ordinals.append
-            while live:
-                low = live & -live
-                keep(low.bit_length() - 1)
-                live ^= low
-            yield page_batch.take(ordinals)
-            continue
         raw = (
             page.raw_data()
             if select is not None and page.cached_columns is None
@@ -280,9 +386,8 @@ def _heap_bitmap_page_column_hits(
         if raw is not None:
             # Late materialization: decode only the predicate's columns
             # (one padded batch unpack each), run the compiled selection,
-            # then decode just the selected records' bytes -- and of those,
-            # only the projected columns; everything else never becomes a
-            # Python value at all.
+            # and gather just the selected records' bytes; of those, only
+            # the projected columns are ever decoded.
             predicate_columns = {
                 index: codec.decode_column(
                     raw, index, PAGE_HEADER_SIZE, num_records
@@ -292,84 +397,115 @@ def _heap_bitmap_page_column_hits(
             selection = select(predicate_columns, num_records)
             if not fully_live:
                 selection = [i for i in selection if live >> i & 1]
-            if not selection:
+            if len(selection) < num_records:
+                for slot in selection:
+                    offset = PAGE_HEADER_SIZE + slot * record_size
+                    gathered.append(raw[offset : offset + record_size])
+                    gathered_ordinals.append(base + slot)
+                if len(gathered_ordinals) >= per_page:
+                    yield decode_gathered()
                 continue
-            if len(selection) == num_records:
-                yield ColumnBatch(
-                    out_schema, project(page.columns_view()), num_records
-                )
-                continue
-            filtered = b"".join(
-                [
-                    raw[
-                        PAGE_HEADER_SIZE
-                        + ordinal * record_size : PAGE_HEADER_SIZE
-                        + (ordinal + 1) * record_size
-                    ]
-                    for ordinal in selection
-                ]
-            )
-            if len(out_positions) < len(schema.columns):
-                yield ColumnBatch(
-                    out_schema,
-                    [
-                        codec.decode_column(filtered, index, 0, len(selection))
-                        for index in out_positions
-                    ],
-                    len(selection),
-                )
-            else:
-                yield ColumnBatch(
-                    out_schema,
-                    codec.decode_batch_columns(filtered, 0, len(selection)),
-                    len(selection),
-                )
+        if gathered_ordinals:
+            yield decode_gathered()
+        if raw is not None or (predicate is None and fully_live):
+            yield ColumnBatch(
+                out_schema, project(page.columns_view()), num_records
+            ), range(base, base + num_records)
             continue
-        # Evaluate the predicate over the whole page, then intersect with
-        # the live mask: dead slots hold well-typed decoded values, so
-        # running the selection on them is safe, and a partially-live page
-        # costs one gather instead of two.
         containers = page.columns_view()
-        if select is not None:
-            selection = select(containers, num_records)
+        if predicate is None:
+            selection = []
+            keep = selection.append
+            while live:
+                low = live & -live
+                keep(low.bit_length() - 1)
+                live ^= low
         else:
-            selection = [
-                i
-                for i, values in enumerate(
-                    ColumnBatch(schema, containers, num_records).rows()
-                )
-                if matches(values)
-            ]
-        if not fully_live:
-            selection = [i for i in selection if live >> i & 1]
+            # Evaluate the predicate over the whole page, then intersect
+            # with the live mask: dead slots hold well-typed decoded values,
+            # so running the selection on them is safe, and a
+            # partially-live page costs one gather instead of two.
+            if select is not None:
+                selection = select(containers, num_records)
+            else:
+                selection = [
+                    i
+                    for i, values in enumerate(
+                        ColumnBatch(schema, containers, num_records).rows()
+                    )
+                    if matches(values)
+                ]
+            if not fully_live:
+                selection = [i for i in selection if live >> i & 1]
         if not selection:
             continue
         page_batch = ColumnBatch(out_schema, project(containers), num_records)
         if len(selection) == num_records:
-            yield page_batch
+            yield page_batch, range(base, base + num_records)
         else:
-            yield page_batch.take(selection)
+            yield page_batch.take(selection), map(base.__add__, selection)
+    if gathered_ordinals:
+        yield decode_gathered()
 
 
-def _record_column_batches(
+def merge_branch_copies(
     schema: Schema,
-    records: Iterable[Record],
+    copies: Iterable[tuple[ColumnBatch, list[frozenset]]],
     batch_size: int,
-    columns: tuple[str, ...] | None = None,
 ) -> Iterator[ColumnBatch]:
-    """Pivot a record scan into column batches of ``batch_size`` rows,
-    keeping only ``columns`` when given (the engines' default column scan)."""
-    rows = iter(records)
-    if columns is None:
-        while chunk := list(islice(rows, batch_size)):
-            yield ColumnBatch.from_records(schema, chunk)
-        return
-    positions = [schema.index_of(name) for name in columns]
-    out_schema = schema.project(list(columns))
-    while chunk := list(islice(rows, batch_size)):
-        yield ColumnBatch.from_records(schema, chunk).select_columns(
-            positions, out_schema
-        )
+    """Query 4's content merge over an engine's annotated stored copies.
+
+    ``copies`` yields ``(batch, members)``: selected stored copies and, row
+    for row, the requested branches holding each.  Two stored copies can
+    hold one record (two branches wrote the same values independently, or
+    a merge copied a row), so copies are grouped by primary key, and value
+    tuples are built only for keys that occur more than once: equal ones
+    collapse into the first copy, annotated with the union of their
+    branches.  The copies are buffered; the result is materialized anyway.
+    Batches carry the schema plus the trailing
+    :data:`~repro.core.columns.BRANCH_COLUMN`.
+    """
+    chunks = [(batch, members) for batch, members in copies if batch.num_rows]
+    pk_position = schema.primary_key_index
+    counts: Counter = Counter()
+    for batch, _ in chunks:
+        counts.update(batch.columns[pk_position])
+    if sum(batch.num_rows for batch, _ in chunks) > len(counts):
+        shared = {key for key, count in counts.items() if count > 1}
+        chunks = _collapse_equal_copies(chunks, shared, pk_position)
+    out_schema = branch_annotated_schema(schema)
+    return regroup_column_batches(
+        (
+            ColumnBatch(out_schema, batch.columns + (members,), batch.num_rows)
+            for batch, members in chunks
+        ),
+        batch_size,
+        out_schema,
+    )
+
+
+def _collapse_equal_copies(chunks, shared: set, pk_position: int) -> list:
+    """Drop every copy whose values an earlier copy holds, moving its
+    branches onto that earlier copy's annotation."""
+    first: dict[tuple, tuple[list, int]] = {}
+    drops: dict[int, set[int]] = {}
+    for index, (batch, members) in enumerate(chunks):
+        columns = batch.columns
+        keys = columns[pk_position]
+        for row in compress(range(batch.num_rows), map(shared.__contains__, keys)):
+            values = tuple(column[row] for column in columns)
+            owner = first.get(values)
+            if owner is None:
+                first[values] = (members, row)
+                continue
+            owner_members, owner_row = owner
+            owner_members[owner_row] = owner_members[owner_row] | members[row]
+            drops.setdefault(index, set()).add(row)
+    for index, dropped in drops.items():
+        batch, members = chunks[index]
+        keep = [row for row in range(batch.num_rows) if row not in dropped]
+        chunks[index] = (batch.take(keep), [members[row] for row in keep])
+    return chunks
 
 
 class VersionedStorageEngine(ABC):
@@ -672,6 +808,7 @@ class VersionedStorageEngine(ABC):
     ) -> Iterator[Record]:
         """Yield the live records of ``branch``'s head (benchmark Query 1)."""
 
+    @abstractmethod
     def scan_branch_columns(
         self,
         branch: str,
@@ -683,14 +820,10 @@ class VersionedStorageEngine(ABC):
 
         Row-flattening the batches always reproduces :meth:`scan_branch`
         exactly (same rows, same order).  With ``columns`` (projection
-        pushdown) only the named columns appear in the output batches.
-        This default pivots the row scan; the concrete engines override it
-        with page-decode columnar paths that never build records and decode
-        only the projected columns.
+        pushdown) only the named columns appear in the output batches.  The
+        engines decode pages straight into columns, never building records,
+        and decode only the projected columns.
         """
-        return _record_column_batches(
-            self.schema, self.scan_branch(branch, predicate), batch_size, columns
-        )
 
     def count_branch(self, branch: str, predicate: Predicate | None = None) -> int:
         """Number of live records of ``branch`` matching ``predicate``.
@@ -711,6 +844,7 @@ class VersionedStorageEngine(ABC):
     ) -> Iterator[Record]:
         """Yield the records of a historical commit."""
 
+    @abstractmethod
     def scan_commit_columns(
         self,
         commit_id: str,
@@ -722,13 +856,9 @@ class VersionedStorageEngine(ABC):
 
         Row-flattening the batches reproduces :meth:`scan_commit` exactly;
         ``columns`` prunes the output as in :meth:`scan_branch_columns`.
-        This default pivots the row scan; the concrete engines override it
-        with the column scan their branch heads use, applied to the
-        commit's recorded state.
+        The engines run the column scan their branch heads use, applied to
+        the commit's recorded state.
         """
-        return _record_column_batches(
-            self.schema, self.scan_commit(commit_id, predicate), batch_size, columns
-        )
 
     def count_commit(self, commit_id: str, predicate: Predicate | None = None) -> int:
         """Number of records of a historical commit matching ``predicate``."""
@@ -738,50 +868,44 @@ class VersionedStorageEngine(ABC):
         )
 
     @abstractmethod
-    def scan_branches(
-        self, branches: list[str], predicate: Predicate | None = None
-    ) -> Iterator[tuple[Record, frozenset[str]]]:
-        """Yield ``(record, branches containing it)`` over several branches.
-
-        Used by multi-branch queries, including Query 4's full scan over all
-        branch heads.
-        """
-
     def scan_branches_batched(
         self,
-        branches: list[str],
+        branches: list[str] | None,
         predicate: Predicate | None = None,
         batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[tuple[Record, frozenset[str]]]]:
-        """Yield ``scan_branches``'s annotated records grouped into lists.
+        pins: dict[str, str] | None = None,
+    ) -> Iterator[ColumnBatch]:
+        """The multi-branch scan: Query 4's ``HEAD(R.Version) = true``.
 
-        Flattening the batches reproduces :meth:`scan_branches` exactly; the
-        concrete engines override this with page-batch paths.
+        Yields column batches of the schema plus the trailing
+        :data:`~repro.core.columns.BRANCH_COLUMN`, a list column holding
+        each row's frozenset of branches.  The answer is defined by
+        content, so every engine gives the same one: each distinct record
+        (values tuple) matching ``predicate`` and held by at least one of
+        ``branches`` is emitted once, annotated with every requested branch
+        that holds it -- however many stored copies hold it
+        (:func:`merge_branch_copies`).  Row order is the engine's.
+
+        ``branches=None`` reads every branch head.  With ``pins`` (branch ->
+        commit id, a snapshot's pinned heads) each branch's state is its
+        pinned commit instead of its live head, and ``None`` reads every
+        pinned branch.
         """
-        pairs = self.scan_branches(branches, predicate)
-        while batch := list(islice(pairs, batch_size)):
-            yield batch
 
-    def scan_heads(
-        self, predicate: Predicate | None = None, active_only: bool = False
-    ) -> Iterator[tuple[Record, frozenset[str]]]:
-        """Scan the heads of all (or all active) branches (benchmark Query 4)."""
-        return self.scan_branches(
-            self.graph.branch_names(active_only=active_only), predicate
-        )
-
-    def scan_heads_batched(
-        self,
-        predicate: Predicate | None = None,
-        active_only: bool = False,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[tuple[Record, frozenset[str]]]]:
-        """Batched :meth:`scan_heads` (the vectorized Query 4 path)."""
-        return self.scan_branches_batched(
-            self.graph.branch_names(active_only=active_only),
-            predicate,
-            batch_size,
-        )
+    def _scan_targets(
+        self, branches: list[str] | None, pins: dict[str, str] | None
+    ) -> list[str]:
+        """The branches a multi-branch scan reads (see ``scan_branches_batched``)."""
+        if branches is None:
+            return sorted(pins) if pins is not None else self.graph.branch_names()
+        if pins is not None:
+            for branch in branches:
+                if branch not in pins:
+                    raise BranchNotFoundError(
+                        f"branch {branch!r} is not part of this snapshot "
+                        f"(created after it was taken?)"
+                    )
+        return list(branches)
 
     def branch_record_map(self, branch: str) -> dict[int, Record]:
         """Materialize ``branch``'s head as ``{primary key -> record}``."""

@@ -24,12 +24,12 @@ import os
 from typing import Iterator
 
 from repro.bitmap import CommitHistory
-from repro.bitmap.bitmap import Bitmap, union_member_pages
+from repro.bitmap.bitmap import Bitmap
 from repro.bitmap.branch_bitmap import BranchOrientedBitmapIndex
 from repro.core.buffer_pool import BufferPool
 from repro.core.columns import ColumnBatch
 from repro.core.page import DEFAULT_PAGE_SIZE
-from repro.core.predicates import Predicate, compile_predicate
+from repro.core.predicates import Predicate
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import CommitNotFoundError, CorruptionError, StorageError
@@ -38,9 +38,12 @@ from repro.storage.base import (
     DEFAULT_SCAN_BATCH_SIZE,
     StorageEngineKind,
     VersionedStorageEngine,
+    drop_identical_pairs,
     fetch_bitmap_ordinals,
-    regroup_chunks,
+    live_heap_records,
+    merge_branch_copies,
     scan_heap_bitmap_columns,
+    scan_heap_member_columns,
     stored_pk_ordinals,
 )
 from repro.storage.pk_index import KeyCopyIndex
@@ -373,8 +376,9 @@ class HybridEngine(VersionedStorageEngine):
     def scan_branch(
         self, branch: str, predicate: Predicate | None = None
     ) -> Iterator[Record]:
-        for segment_id, bitmap in self._branch_segment_bitmaps(branch).items():
-            yield from self._scan_segment_bitmap(segment_id, bitmap, predicate)
+        yield from self._scan_segment_bitmaps(
+            self._branch_segment_bitmaps(branch).items(), predicate
+        )
 
     def scan_branch_columns(
         self,
@@ -426,8 +430,20 @@ class HybridEngine(VersionedStorageEngine):
     def scan_commit(
         self, commit_id: str, predicate: Predicate | None = None
     ) -> Iterator[Record]:
-        for segment_id, bitmap in self._commit_segment_bitmaps(commit_id):
-            yield from self._scan_segment_bitmap(segment_id, bitmap, predicate)
+        yield from self._scan_segment_bitmaps(
+            self._commit_segment_bitmaps(commit_id), predicate
+        )
+
+    def _scan_segment_bitmaps(
+        self, segment_bitmaps, predicate: Predicate | None
+    ) -> Iterator[Record]:
+        """The reference row scan of ``(segment id, bitmap)`` pairs."""
+        for segment_id, bitmap in segment_bitmaps:
+            heap = self.segments.get(segment_id).heap
+            for record in live_heap_records(heap, bitmap):
+                self.stats.records_scanned += 1
+                if predicate is None or predicate.evaluate(record, self.schema):
+                    yield record
 
     def scan_commit_columns(
         self,
@@ -457,95 +473,53 @@ class HybridEngine(VersionedStorageEngine):
             )
         return super().count_commit(commit_id, predicate)
 
-    def _scan_segment_bitmap(
-        self, segment_id: str, bitmap: Bitmap, predicate: Predicate | None
-    ) -> Iterator[Record]:
-        segment = self.segments.get(segment_id)
-        schema = self.schema
-        per_page = segment.heap.records_per_page
-        live_pages: dict[int, list[int]] = {}
-        for ordinal in bitmap.iter_set_bits():
-            live_pages.setdefault(ordinal // per_page, []).append(ordinal % per_page)
-        for page_number in sorted(live_pages):
-            page = segment.heap.page(page_number)
-            for slot in live_pages[page_number]:
-                record = page.record_at(slot)
-                self.stats.records_scanned += 1
-                if predicate is None or predicate.evaluate(record, schema):
-                    yield record
-
-    def scan_branches(
-        self, branches: list[str], predicate: Predicate | None = None
-    ) -> Iterator[tuple[Record, frozenset[str]]]:
-        """One pass per relevant segment, annotating records with branches.
-
-        The branch-segment index narrows the scan to segments containing any
-        requested branch's records; within each segment the per-branch local
-        bitmaps are consulted directly (paper Section 3.4).
-        """
-        matches = compile_predicate(predicate, self.schema)
-        for segment_id, per_branch in self._relevant_segment_bitmaps(branches):
-            segment = self.segments.get(segment_id)
-            # Word-level membership over the local bitmaps: one shared
-            # frozenset per branch combination, no per-(branch, tuple) probes.
-            live_pages = union_member_pages(
-                per_branch, segment.heap.records_per_page
-            )
-            for page_number in sorted(live_pages):
-                records = segment.heap.page(page_number).records_view()
-                for slot, members in live_pages[page_number]:
-                    record = records[slot]
-                    self.stats.records_scanned += 1
-                    if matches is not None and not matches(record.values):
-                        continue
-                    yield record, members
-
     def _relevant_segment_bitmaps(
-        self, branches: list[str]
+        self, branches: list[str], pins: dict[str, str] | None
     ) -> Iterator[tuple[str, dict[str, Bitmap]]]:
-        """Per relevant segment, the local bitmaps of the requested branches."""
-        relevant: set[str] = set()
+        """Per segment holding a copy live in any of ``branches``, those
+        branches' bitmaps there: the live local bitmaps, or with ``pins``
+        the pinned commits' snapshots."""
+        per_segment: dict[str, dict[str, Bitmap]] = {}
         for branch in branches:
-            relevant |= self._branch_segments.get(branch, set())
-        for segment_id in sorted(relevant):
-            local = self._local_bitmaps[segment_id]
-            yield segment_id, {
-                branch: local.branch_bitmap(branch)
-                for branch in branches
-                if local.has_branch(branch)
-            }
+            states = (
+                self._branch_segment_bitmaps(branch).items()
+                if pins is None
+                else self._commit_segment_bitmaps(pins[branch])
+            )
+            for segment_id, bitmap in states:
+                per_segment.setdefault(segment_id, {})[branch] = bitmap
+        for segment_id in sorted(per_segment):
+            yield segment_id, per_segment[segment_id]
 
     def scan_branches_batched(
         self,
-        branches: list[str],
+        branches: list[str] | None,
         predicate: Predicate | None = None,
         batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[tuple[Record, frozenset[str]]]]:
-        """Batched :meth:`scan_branches`: per-segment annotated page reads."""
+        pins: dict[str, str] | None = None,
+    ) -> Iterator[ColumnBatch]:
+        """One pass per relevant segment, annotating copies with branches.
 
-        def page_hits() -> Iterator[list[tuple[Record, frozenset[str]]]]:
-            matches = compile_predicate(predicate, self.schema)
-            for segment_id, per_branch in self._relevant_segment_bitmaps(branches):
-                segment = self.segments.get(segment_id)
-                live_pages = union_member_pages(
-                    per_branch, segment.heap.records_per_page
+        The branch-segment index (or the pinned commits' segment lists)
+        narrows the scan to segments holding any requested branch's
+        records; within each segment the per-branch local bitmaps are
+        consulted word-at-a-time (paper Section 3.4).
+        """
+        targets = self._scan_targets(branches, pins)
+
+        def copies() -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
+            for segment_id, per_branch in self._relevant_segment_bitmaps(
+                targets, pins
+            ):
+                yield from scan_heap_member_columns(
+                    self.segments.get(segment_id).heap,
+                    per_branch,
+                    self.schema,
+                    predicate,
+                    self.stats,
                 )
-                for page_number in sorted(live_pages):
-                    records = segment.heap.page(page_number).records_view()
-                    slots = live_pages[page_number]
-                    self.stats.records_scanned += len(slots)
-                    if matches is None:
-                        yield [
-                            (records[slot], members) for slot, members in slots
-                        ]
-                    else:
-                        yield [
-                            (record, members)
-                            for slot, members in slots
-                            if matches((record := records[slot]).values)
-                        ]
 
-        yield from regroup_chunks(page_hits(), batch_size)
+        yield from merge_branch_copies(self.schema, copies(), batch_size)
 
     # -- diff -----------------------------------------------------------------------------
 
@@ -569,6 +543,8 @@ class HybridEngine(VersionedStorageEngine):
                 segment.heap, bitmap_b.and_not_into(bitmap_a, scratch),
                 result.negative, self.stats,
             )
+        # Copies of one record in two segments are no difference by content.
+        drop_identical_pairs(result, self.schema.primary_key_index)
         return result
 
     # -- merge inputs ------------------------------------------------------------------------

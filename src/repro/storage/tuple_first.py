@@ -18,12 +18,12 @@ import os
 from typing import Iterator
 
 from repro.bitmap import BitmapOrientation, CommitHistory, make_bitmap_index
-from repro.bitmap.bitmap import Bitmap, union_member_pages
+from repro.bitmap.bitmap import Bitmap
 from repro.core.buffer_pool import BufferPool
 from repro.core.columns import ColumnBatch
 from repro.core.heapfile import HeapFile
 from repro.core.page import DEFAULT_PAGE_SIZE
-from repro.core.predicates import Predicate, compile_predicate
+from repro.core.predicates import Predicate
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import CommitNotFoundError, StorageError
@@ -32,9 +32,12 @@ from repro.storage.base import (
     DEFAULT_SCAN_BATCH_SIZE,
     StorageEngineKind,
     VersionedStorageEngine,
+    drop_identical_pairs,
     fetch_bitmap_ordinals,
-    regroup_chunks,
+    live_heap_records,
+    merge_branch_copies,
     scan_heap_bitmap_columns,
+    scan_heap_member_columns,
     stored_pk_ordinals,
 )
 from repro.storage.pk_index import KeyCopyIndex
@@ -223,8 +226,7 @@ class TupleFirstEngine(VersionedStorageEngine):
     def scan_branch(
         self, branch: str, predicate: Predicate | None = None
     ) -> Iterator[Record]:
-        bitmap = self.bitmap_index.branch_bitmap(branch)
-        yield from self._scan_bitmap(bitmap, predicate)
+        yield from self._scan_bitmap(self.bitmap_index.branch_bitmap(branch), predicate)
 
     def scan_branch_columns(
         self,
@@ -259,6 +261,15 @@ class TupleFirstEngine(VersionedStorageEngine):
     ) -> Iterator[Record]:
         yield from self._scan_bitmap(self._bitmap_at_commit(commit_id), predicate)
 
+    def _scan_bitmap(
+        self, bitmap: Bitmap, predicate: Predicate | None
+    ) -> Iterator[Record]:
+        """The reference row scan of a bitmap over the shared heap."""
+        for record in live_heap_records(self.heap, bitmap):
+            self.stats.records_scanned += 1
+            if predicate is None or predicate.evaluate(record, self.schema):
+                yield record
+
     def scan_commit_columns(
         self,
         commit_id: str,
@@ -292,83 +303,44 @@ class TupleFirstEngine(VersionedStorageEngine):
             )
         return history.checkout(commit_id)
 
-    def _scan_bitmap(
-        self, bitmap: Bitmap, predicate: Predicate | None
-    ) -> Iterator[Record]:
-        """Emit the records whose bits are set, reading page by page.
-
-        Because tuples of a branch are interleaved with other branches', the
-        scan walks every heap page that contains at least one live tuple --
-        typically all of them -- which is the behaviour the paper's Query 1
-        measurements expose.
-        """
-        per_page = self.heap.records_per_page
-        schema = self.schema
-        live_pages: dict[int, list[int]] = {}
-        for ordinal in bitmap.iter_set_bits():
-            live_pages.setdefault(ordinal // per_page, []).append(ordinal % per_page)
-        for page_number in sorted(live_pages):
-            page = self.heap.page(page_number)
-            for slot in live_pages[page_number]:
-                record = page.record_at(slot)
-                self.stats.records_scanned += 1
-                if predicate is None or predicate.evaluate(record, schema):
-                    yield record
-
-    def scan_branches(
-        self, branches: list[str], predicate: Predicate | None = None
-    ) -> Iterator[tuple[Record, frozenset[str]]]:
-        """One pass over the shared heap, page at a time, consulting bitmaps.
-
-        Branch membership is computed word-at-a-time from the already
-        materialized branch bitmaps (one shared frozenset per membership
-        pattern) instead of re-probing every branch bitmap per tuple.
-        """
-        bitmaps = {name: self.bitmap_index.branch_bitmap(name) for name in branches}
-        matches = compile_predicate(predicate, self.schema)
-        live_pages = union_member_pages(bitmaps, self.heap.records_per_page)
-        for page_number in sorted(live_pages):
-            records = self.heap.page(page_number).records_view()
-            for slot, members in live_pages[page_number]:
-                record = records[slot]
-                self.stats.records_scanned += 1
-                if matches is not None and not matches(record.values):
-                    continue
-                yield record, members
-
     def scan_branches_batched(
         self,
-        branches: list[str],
+        branches: list[str] | None,
         predicate: Predicate | None = None,
         batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[tuple[Record, frozenset[str]]]]:
-        """Batched :meth:`scan_branches`: page-at-a-time annotated reads."""
+        pins: dict[str, str] | None = None,
+    ) -> Iterator[ColumnBatch]:
+        """One pass over the shared heap, page at a time, consulting bitmaps.
 
-        def page_hits() -> Iterator[list[tuple[Record, frozenset[str]]]]:
-            bitmaps = {
-                name: self.bitmap_index.branch_bitmap(name) for name in branches
-            }
-            matches = compile_predicate(predicate, self.schema)
-            live_pages = union_member_pages(bitmaps, self.heap.records_per_page)
-            for page_number in sorted(live_pages):
-                records = self.heap.page(page_number).records_view()
-                slots = live_pages[page_number]
-                self.stats.records_scanned += len(slots)
-                if matches is None:
-                    yield [(records[slot], members) for slot, members in slots]
-                else:
-                    yield [
-                        (record, members)
-                        for slot, members in slots
-                        if matches((record := records[slot]).values)
-                    ]
-
-        yield from regroup_chunks(page_hits(), batch_size)
+        Branch membership is computed word-at-a-time from the branch bitmaps
+        (live, or the pinned commits' snapshots), one shared frozenset per
+        membership pattern.
+        """
+        bitmaps = {
+            branch: (
+                self.bitmap_index.branch_bitmap(branch)
+                if pins is None
+                else self._bitmap_at_commit(pins[branch])
+            )
+            for branch in self._scan_targets(branches, pins)
+        }
+        yield from merge_branch_copies(
+            self.schema,
+            scan_heap_member_columns(
+                self.heap, bitmaps, self.schema, predicate, self.stats
+            ),
+            batch_size,
+        )
 
     # -- diff ------------------------------------------------------------------------
 
     def diff(self, branch_a: str, branch_b: str) -> DiffResult:
-        """XOR the two branch bitmaps and route records to the two sides."""
+        """XOR the two branch bitmaps and route records to the two sides.
+
+        Two stored copies of one record (written identically on both
+        branches) differ in the bitmaps but not in content, so they are
+        dropped again after the fetch.
+        """
         self.stats.diffs += 1
         bitmap_a = self.bitmap_index.branch_bitmap(branch_a)
         bitmap_b = self.bitmap_index.branch_bitmap(branch_b)
@@ -382,6 +354,7 @@ class TupleFirstEngine(VersionedStorageEngine):
             self.heap, bitmap_b.and_not_into(bitmap_a, scratch),
             result.negative, self.stats,
         )
+        drop_identical_pairs(result, self.schema.primary_key_index)
         return result
 
     # -- merge inputs -------------------------------------------------------------------

@@ -41,7 +41,7 @@ from repro.storage.base import (
     DEFAULT_SCAN_BATCH_SIZE,
     StorageEngineKind,
     VersionedStorageEngine,
-    regroup_chunks,
+    merge_branch_copies,
 )
 from repro.storage.pk_index import PrimaryKeyIndex
 from repro.storage.segments import ParentPointer, SegmentSet
@@ -299,24 +299,9 @@ class VersionFirstEngine(VersionedStorageEngine):
     ) -> Iterator[Record]:
         """Scan a segment chain, emitting each live key's newest record."""
         schema = self.schema
-        pk_position = schema.primary_key_index
-        emitted: set[int] = set()
-        for seg_id, seg_limit in self._chain(segment_id, limit):
-            records = self._segment_records(seg_id, segment_cache)
-            upto = len(records) if seg_limit is None else min(seg_limit, len(records))
-            # Newest records within a segment shadow older copies of the same
-            # key, so the segment is read in reverse.
-            for ordinal in range(upto - 1, -1, -1):
-                record = records[ordinal]
-                self.stats.records_scanned += 1
-                key = record.values[pk_position]
-                if key in emitted:
-                    continue
-                emitted.add(key)
-                if record.tombstone:
-                    continue
-                if predicate is None or predicate.evaluate(record, schema):
-                    yield record
+        for _, _, record in self._locate_chain(segment_id, limit, segment_cache):
+            if predicate is None or predicate.evaluate(record, schema):
+                yield record
 
     def _segment_records(
         self, segment_id: str, cache: dict[str, list[Record]] | None
@@ -329,18 +314,21 @@ class VersionFirstEngine(VersionedStorageEngine):
         return records
 
     def _locate_chain(
-        self, segment_id: str, limit: int | None
+        self,
+        segment_id: str,
+        limit: int | None,
+        segment_cache: dict[str, list[Record]] | None = None,
     ) -> Iterator[tuple[str, int, Record]]:
         """Yield ``(segment id, ordinal, record)`` of each live key's newest copy.
 
-        The locating twin of :meth:`_scan_chain`, used where physical
-        positions are needed (rebuilding the primary-key index for a branch
-        created off a historical commit).
+        The chain walk: segments are visited leaf to root, each read in
+        reverse because newer records shadow older copies of the same key,
+        and a key's first copy (or tombstone) hides the rest.
         """
         pk_position = self.schema.primary_key_index
         emitted: set[int] = set()
         for seg_id, seg_limit in self._chain(segment_id, limit):
-            records = self._segment_records(seg_id, None)
+            records = self._segment_records(seg_id, segment_cache)
             upto = len(records) if seg_limit is None else min(seg_limit, len(records))
             for ordinal in range(upto - 1, -1, -1):
                 record = records[ordinal]
@@ -460,56 +448,57 @@ class VersionFirstEngine(VersionedStorageEngine):
 
         Ordinals are read straight out of the cached per-segment column
         containers (:meth:`_segment_columns`) in the order given; no
-        :class:`Record` is ever built.  Predicates run as compiled column
-        selections where possible.  With ``columns`` (projection pushdown)
-        only the named columns are gathered into the output batches.
+        :class:`Record` is ever built.  With ``columns`` (projection
+        pushdown) only the named columns are gathered into the output
+        batches.
         """
         schema = self.schema
-        if columns is None:
-            out_positions = None
-            out_schema = schema
-        else:
-            out_positions = [schema.index_of(name) for name in columns]
-            out_schema = schema.project(list(columns))
+        names = schema.column_names if columns is None else list(columns)
+        positions = [schema.index_of(name) for name in names]
+        out_schema = schema if columns is None else schema.project(names)
+        return regroup_column_batches(
+            (
+                ColumnBatch(
+                    out_schema, [containers[i] for i in positions]
+                ).take(hits)
+                for _, containers, hits in self._select_located(
+                    located, predicate
+                )
+            ),
+            batch_size,
+            out_schema,
+        )
 
-        def segment_hits() -> Iterator[ColumnBatch]:
-            select = compile_column_filter(predicate, schema)
-            matches = (
-                compile_predicate(predicate, schema)
-                if select is None
-                else None
-            )
-            for seg_id, ordinals in located:
-                containers = self._segment_columns(seg_id)
-                segment_batch = ColumnBatch(schema, containers)
-                if select is not None:
-                    # Run the compiled selection over the full cached segment
-                    # columns first and intersect with the live ordinals, so
-                    # each segment costs one column gather instead of two.
-                    selected = set(
-                        select(segment_batch.columns, segment_batch.num_rows)
-                    )
-                    hits = [o for o in ordinals if o in selected]
-                elif predicate is None:
-                    hits = ordinals
-                else:
-                    gathered = segment_batch.take(ordinals)
-                    hits = [
-                        ordinal
-                        for ordinal, values in zip(ordinals, gathered.rows())
-                        if matches(values)
-                    ]
-                if not hits:
-                    continue
-                if out_positions is None:
-                    yield segment_batch.take(hits)
-                else:
-                    yield ColumnBatch(
-                        out_schema,
-                        [containers[position] for position in out_positions],
-                    ).take(hits)
+    def _select_located(
+        self, located: Iterable[tuple[str, list[int]]], predicate: Predicate | None
+    ) -> Iterator[tuple[str, tuple, list[int]]]:
+        """Per ``(segment id, ordinals)`` run, the segment's cached columns
+        and the ordinals ``predicate`` selects, in the order given.
 
-        return regroup_column_batches(segment_hits(), batch_size, out_schema)
+        Predicates run as compiled column selections where possible.
+        """
+        schema = self.schema
+        select = compile_column_filter(predicate, schema)
+        matches = compile_predicate(predicate, schema) if select is None else None
+        for seg_id, ordinals in located:
+            containers = self._segment_columns(seg_id)
+            if select is not None:
+                # Run the compiled selection over the full cached segment
+                # columns first and intersect with the live ordinals, so
+                # each segment costs one column gather instead of two.
+                selected = set(select(containers, len(containers[0])))
+                hits = [o for o in ordinals if o in selected]
+            elif predicate is None:
+                hits = ordinals
+            else:
+                gathered = ColumnBatch(schema, containers).take(ordinals)
+                hits = [
+                    ordinal
+                    for ordinal, values in zip(ordinals, gathered.rows())
+                    if matches(values)
+                ]
+            if hits:
+                yield seg_id, containers, hits
 
     def drop_caches(self) -> None:
         """Drop page caches and the per-segment column cache."""
@@ -528,48 +517,68 @@ class VersionFirstEngine(VersionedStorageEngine):
         segment_id, offset = self._commit_location(commit_id)
         yield from self._scan_chain(segment_id, offset, predicate)
 
-    def scan_branches(
-        self, branches: list[str], predicate: Predicate | None = None
-    ) -> Iterator[tuple[Record, frozenset[str]]]:
+    def scan_branches_batched(
+        self,
+        branches: list[str] | None,
+        predicate: Predicate | None = None,
+        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
+        pins: dict[str, str] | None = None,
+    ) -> Iterator[ColumnBatch]:
         """Two-pass multi-branch scan (paper Section 3.3).
 
         The first pass builds in-memory tables of the (segment, ordinal)
-        locations of the records live in each branch -- originally a chain
-        walk per branch, now a bulk probe of the per-branch primary-key
-        index (:meth:`_locate_branch_records`).  The second pass reads the
-        relevant segment files and emits each located record annotated with
-        the branches it belongs to.  The second full pass over the files is
+        locations of the records live in each branch
+        (:meth:`_locate_branch_records`).  The second pass reads the
+        relevant segments' columns and gathers each located copy, annotated
+        with the branches it belongs to.  The second pass over the files is
         the extra work the paper attributes to version-first multi-branch
-        scans; the index removes only the locate-pass chain walks.
+        scans.
         """
-        schema = self.schema
-        located, members_of = self._locate_branch_records(branches)
-        for seg_id in sorted(located):
-            records = self._segment_records(seg_id, None)
-            by_ordinal = located[seg_id]
-            for ordinal in sorted(by_ordinal):
-                record = records[ordinal]
-                self.stats.records_scanned += 1
-                if predicate is not None and not predicate.evaluate(record, schema):
-                    continue
-                yield record, members_of[by_ordinal[ordinal]]
+        targets = self._scan_targets(branches, pins)
+
+        def copies() -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
+            located, members_of = self._locate_branch_records(targets, pins)
+            runs = []
+            for seg_id in sorted(located):
+                ordinals = sorted(located[seg_id])
+                self.stats.records_scanned += len(ordinals)
+                runs.append((seg_id, ordinals))
+            for seg_id, containers, hits in self._select_located(runs, predicate):
+                masks = located[seg_id]
+                yield ColumnBatch(self.schema, containers).take(hits), [
+                    members_of[masks[ordinal]] for ordinal in hits
+                ]
+
+        yield from merge_branch_copies(self.schema, copies(), batch_size)
 
     def _locate_branch_records(
-        self, branches: list[str]
+        self, branches: list[str], pins: dict[str, str] | None
     ) -> tuple[dict[str, dict[int, int]], dict[int, frozenset[str]]]:
         """Pass one of the multi-branch scan: locate each branch's live records.
 
-        The primary-key index already maps every live key of every branch to
-        its newest ``(segment, ordinal)``, so the per-record chain walks the
-        paper describes collapse into one bulk probe over each branch's
-        index entries.  Membership is tracked as a bitmask over ``branches``
-        (one shared ``frozenset`` per distinct combination, via the returned
-        lookup table) instead of allocating a set per located record.
+        A live head's locations are a bulk probe of its primary-key index
+        (the paper's per-record chain walks collapse into it); a pinned
+        commit's come from the chain walk up to its recorded offset
+        (:meth:`_locate_chain`).  Membership is tracked as a bitmask over
+        ``branches`` (one shared ``frozenset`` per distinct combination, via
+        the returned lookup table) instead of allocating a set per located
+        record.
         """
         located: dict[str, dict[int, int]] = {}
         for branch_bit, branch in enumerate(branches):
             bit = 1 << branch_bit
-            for seg_id, ordinal in self.pk_index.locations(branch):
+            if pins is None:
+                locations: Iterable[tuple[str, int]] = self.pk_index.locations(
+                    branch
+                )
+            else:
+                locations = (
+                    (seg_id, ordinal)
+                    for seg_id, ordinal, _ in self._locate_chain(
+                        *self._commit_location(pins[branch])
+                    )
+                )
+            for seg_id, ordinal in locations:
                 by_ordinal = located.get(seg_id)
                 if by_ordinal is None:
                     located[seg_id] = {ordinal: bit}
@@ -589,36 +598,6 @@ class VersionFirstEngine(VersionedStorageEngine):
             for mask in masks
         }
         return located, members_of
-
-    def scan_branches_batched(
-        self,
-        branches: list[str],
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[tuple[Record, frozenset[str]]]]:
-        """Batched :meth:`scan_branches`: the second pass emits per-segment lists."""
-
-        def segment_hits() -> Iterator[list[tuple[Record, frozenset[str]]]]:
-            matches = compile_predicate(predicate, self.schema)
-            located, members_of = self._locate_branch_records(branches)
-            for seg_id in sorted(located):
-                records = self._segment_records(seg_id, None)
-                by_ordinal = located[seg_id]
-                ordinals = sorted(by_ordinal)
-                self.stats.records_scanned += len(ordinals)
-                if matches is None:
-                    yield [
-                        (records[ordinal], members_of[by_ordinal[ordinal]])
-                        for ordinal in ordinals
-                    ]
-                else:
-                    yield [
-                        (record, members_of[by_ordinal[ordinal]])
-                        for ordinal in ordinals
-                        if matches((record := records[ordinal]).values)
-                    ]
-
-        yield from regroup_chunks(segment_hits(), batch_size)
 
     # -- diff --------------------------------------------------------------------------------
 

@@ -10,7 +10,11 @@ acquisition time (under each engine's commit gate, so a half-finished
 commit is never observed) and hands back a :class:`Snapshot` whose
 ``database`` attribute quacks like a :class:`~repro.db.database.Decibel`
 for the query pipeline -- but routes every branch read to the pinned
-commit's recorded bitmap instead of the live head.
+commit's recorded bitmap instead of the live head.  Reads run through the
+engine's own scans: a single-branch read becomes the engine's commit scan,
+and a multi-branch read (Query 4) hands the pins to the engine's one
+multi-branch scan, so a snapshot answers exactly as the live heads would
+at the pinned commits.
 
 Readers therefore never block writers and never see a writer's in-flight
 state: a query sees either entirely pre-commit or entirely post-commit
@@ -46,11 +50,12 @@ class SnapshotEngineView:
     """A read-only engine facade that scans pinned commits, not live heads.
 
     Exposes exactly the surface the query pipeline uses (``schema``,
-    ``graph``, the branch/commit/head scan families, ``diff``), mapping
-    every ``scan_branch*`` call for a pinned branch onto the engine's
-    ``scan_commit*`` path for that branch's pinned commit.  Plans built
-    against the view keep their ``kind == "branch"`` scans, so they run
-    through the same columnar execution path as head reads.
+    ``graph``, the branch, commit and multi-branch scans, ``diff``),
+    mapping every ``scan_branch*`` call for a pinned branch onto the
+    engine's ``scan_commit*`` path for that branch's pinned commit, and
+    passing the pins to the engine's ``scan_branches_batched``.  Plans
+    built against the view keep their ``kind == "branch"`` scans, so they
+    run through the same columnar execution path as head reads.
     """
 
     def __init__(self, engine: "VersionedStorageEngine", pins: dict[str, str]):
@@ -115,57 +120,15 @@ class SnapshotEngineView:
 
     # -- multi-branch reads over the pinned branch set -------------------------
 
-    def scan_branches(
-        self, branches: list[str], predicate: Predicate | None = None
-    ) -> Iterator[tuple[Record, frozenset[str]]]:
-        """``(record, containing branches)`` over pinned branch states.
-
-        Records are deduplicated by content across branches (a record whose
-        values appear in several pinned branch states is emitted once, with
-        every containing branch in its annotation), matching the engines'
-        shared-tuple head-scan semantics.
-        """
-        order: list[Record] = []
-        containing: dict[tuple, set[str]] = {}
-        for branch in branches:
-            for record in self.scan_branch(branch, predicate):
-                key = tuple(record.values)
-                holders = containing.get(key)
-                if holders is None:
-                    order.append(record)
-                    containing[key] = {branch}
-                else:
-                    holders.add(branch)
-        for record in order:
-            yield record, frozenset(containing[tuple(record.values)])
-
     def scan_branches_batched(
         self,
-        branches: list[str],
+        branches: list[str] | None,
         predicate: Predicate | None = None,
         batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[tuple[Record, frozenset[str]]]]:
-        batch: list[tuple[Record, frozenset[str]]] = []
-        for item in self.scan_branches(branches, predicate):
-            batch.append(item)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
-    def scan_heads(
-        self, predicate: Predicate | None = None, active_only: bool = False
-    ) -> Iterator[tuple[Record, frozenset[str]]]:
-        return self.scan_branches(sorted(self.pins), predicate)
-
-    def scan_heads_batched(
-        self,
-        predicate: Predicate | None = None,
-        active_only: bool = False,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[list[tuple[Record, frozenset[str]]]]:
-        return self.scan_branches_batched(sorted(self.pins), predicate, batch_size)
+    ) -> Iterator[ColumnBatch]:
+        return self._engine.scan_branches_batched(
+            branches, predicate, batch_size, pins=self.pins
+        )
 
     # -- diff over pinned states ------------------------------------------------
 

@@ -87,6 +87,40 @@ def rows(operator: Operator, batch_size: int = DEFAULT_BATCH_SIZE) -> list[tuple
     ]
 
 
+def annotated_rows(batches) -> list[tuple[tuple, frozenset]]:
+    """``(values, branches)`` pairs of a multi-branch scan's batches."""
+    pairs = []
+    for batch in batches:
+        *columns, members = batch.columns
+        pairs.extend(zip(zip(*columns), members))
+    return pairs
+
+
+def heads_oracle(engine, branches=None, predicate=None, pins=None) -> dict:
+    """Query 4's reference answer: ``{values: branches holding them}``.
+
+    Built from per-branch ``scan_branch`` rows (``scan_commit`` of the
+    pinned commit under ``pins``), grouped by content.
+    """
+    if branches is None:
+        branches = sorted(pins) if pins is not None else engine.graph.branch_names()
+    holders: dict[tuple, set[str]] = {}
+    for branch in branches:
+        scan = (
+            engine.scan_branch(branch, predicate)
+            if pins is None
+            else engine.scan_commit(pins[branch], predicate)
+        )
+        for record in scan:
+            holders.setdefault(record.values, set()).add(branch)
+    return {values: frozenset(held) for values, held in holders.items()}
+
+
+def assert_heads_match_oracle(pairs, oracle) -> None:
+    """Each oracle record appears exactly once, with exactly its branches."""
+    assert sorted(pairs) == sorted(oracle.items())
+
+
 @pytest.fixture
 def records() -> list[Record]:
     """Twenty deterministic records for the 4-column schema."""

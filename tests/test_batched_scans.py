@@ -1,19 +1,23 @@
-"""Batched multi-branch scans and the query pipeline, against an oracle.
+"""Multi-branch scans and the query pipeline, against an oracle.
 
-The engines' ``scan_branches_batched`` (Query 4's source) must reproduce
-``scan_branches`` exactly, and every query-pipeline shape -- scans, commit
-scans, diffs, joins, head scans, grouping, ordering, distinct, anti-joins --
-must return what plain Python computes from the reference row scans
-(``scan_branch`` / ``scan_commit`` / ``scan_heads``), on all three engines,
-over multi-branch, post-merge datasets.
+The engines' ``scan_branches_batched`` (Query 4's source) must emit each
+distinct record of the requested branches once, annotated with exactly the
+branches holding it, as computed from per-branch ``scan_branch`` rows
+(``scan_commit`` rows for pinned commits).  Every query-pipeline shape --
+scans, commit scans, diffs, joins, head scans, grouping, ordering, distinct,
+anti-joins -- must return what plain Python computes from the reference row
+scans (``scan_branch`` / ``scan_commit``), on all three engines, over
+multi-branch, post-merge datasets.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.columns import BRANCH_COLUMN
 from repro.core.predicates import And, ColumnPredicate, ModuloPredicate
 from repro.core.record import Record
+from repro.errors import BranchNotFoundError
 from repro.query.logical import (
     Aggregate,
     AntiJoin,
@@ -28,11 +32,14 @@ from repro.query.optimizer import optimize
 from repro.query.parser import SelectItem
 from repro.query.physical import build_physical, execute_plan
 
-from tests.conftest import engine_factory, make_records, rows
-
-
-def flatten(batches):
-    return [record for batch in batches for record in batch]
+from tests.conftest import (
+    annotated_rows,
+    assert_heads_match_oracle,
+    engine_factory,
+    heads_oracle,
+    make_records,
+    rows,
+)
 
 
 PREDICATES = [
@@ -90,36 +97,57 @@ class TestEngineScans:
         assert engine.count_branch("master") == 0
 
     @pytest.mark.parametrize("predicate", PREDICATES)
-    def test_scan_branches_batched_matches_tuple_at_a_time(
-        self, branched_engine, predicate
-    ):
+    def test_scan_branches_batched_matches_oracle(self, branched_engine, predicate):
         branches = ["master", "dev", "feature"]
-        expected = list(branched_engine.scan_branches(branches, predicate))
-        got = flatten(
-            branched_engine.scan_branches_batched(
-                branches, predicate, batch_size=7
-            )
+        batches = list(
+            branched_engine.scan_branches_batched(branches, predicate, batch_size=7)
         )
-        assert got == expected
+        assert all(
+            batch.schema.column_names[-1] == BRANCH_COLUMN for batch in batches
+        )
+        assert_heads_match_oracle(
+            annotated_rows(batches),
+            heads_oracle(branched_engine, branches, predicate),
+        )
 
     def test_scan_branches_annotations_match_membership(self, branched_engine):
         branches = ["master", "dev", "feature"]
+        pairs = annotated_rows(branched_engine.scan_branches_batched(branches))
         live = {
             branch: {record.values for record in branched_engine.scan_branch(branch)}
             for branch in branches
         }
-        # A logical record may be yielded from more than one physical copy
-        # (version-first locates each branch's copy independently), so
-        # membership is checked content-level: the union of the annotations
-        # of a values-tuple must equal the branches whose head contains it.
-        annotated: dict[tuple, set[str]] = {}
-        for record, members in branched_engine.scan_branches(branches):
-            annotated.setdefault(record.values, set()).update(members)
-        assert annotated
-        for values, members in annotated.items():
+        assert pairs
+        assert len({values for values, _ in pairs}) == len(pairs)
+        for values, members in pairs:
             assert members == {
                 branch for branch in branches if values in live[branch]
             }
+
+    @pytest.mark.parametrize("predicate", [None, ColumnPredicate("c1", ">", 60)])
+    def test_pinned_scan_reads_the_pinned_commits(self, branched_engine, predicate):
+        pins = {
+            branch: branched_engine.graph.head(branch)
+            for branch in ("master", "dev", "feature")
+        }
+        # Live heads move on; the pinned scan must not see it.
+        branched_engine.insert("dev", Record((90, 900, 9000, 5)))
+        branched_engine.update("master", Record((1, 11, 111, 5)))
+        branched_engine.delete("feature", 40)
+        expected = heads_oracle(branched_engine, predicate=predicate, pins=pins)
+        pinned = annotated_rows(
+            branched_engine.scan_branches_batched(
+                None, predicate, batch_size=5, pins=pins
+            )
+        )
+        assert_heads_match_oracle(pinned, expected)
+        live = annotated_rows(branched_engine.scan_branches_batched(None, predicate))
+        assert sorted(live) != sorted(pinned)
+
+    def test_pinned_scan_rejects_unpinned_branch(self, branched_engine):
+        pins = {"master": branched_engine.graph.head("master")}
+        with pytest.raises(BranchNotFoundError):
+            list(branched_engine.scan_branches_batched(["dev"], pins=pins))
 
 
 def branch_rows(engine, branch, predicate=None):
@@ -179,9 +207,10 @@ class TestQueryPipelineOracle:
     def test_head_scan_rows_and_annotations(self, branched_engine):
         predicate = ModuloPredicate("c1", 5)
         result = execute_plan(HeadScan(branched_engine, "R", "R", predicate))
-        pairs = list(branched_engine.scan_heads(predicate))
-        assert result.rows == [record.values for record, _ in pairs]
-        assert result.branch_annotations == [members for _, members in pairs]
+        assert_heads_match_oracle(
+            zip(result.rows, result.branch_annotations),
+            heads_oracle(branched_engine, predicate=predicate),
+        )
 
     def _group_by_plan(self, engine, branch):
         return Aggregate(

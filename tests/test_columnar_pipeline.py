@@ -2,7 +2,7 @@
 
 Every query runs through one columnar path, so its results are checked
 against an independent reference: plain Python over the rows of the
-engines' ``scan_branch`` / ``scan_heads`` reference scans.  These tests
+engines' ``scan_branch`` reference scans (grouped by content for HEAD()).  These tests
 drive the full planner query suite through all three engines, check the
 engine-level column scans (branch heads and commits) against the row scans
 directly, and pin the single-path wiring (no mode arguments, no mode tags).
@@ -23,7 +23,7 @@ from repro.core.schema import Schema
 from repro.db.database import Decibel
 from repro.query.executor import plan_query
 from repro.query.physical import LimitOp, build_physical, execute_plan
-from tests.conftest import ENGINE_CLASSES, SMALL_PAGE_SIZE
+from tests.conftest import ENGINE_CLASSES, SMALL_PAGE_SIZE, heads_oracle
 from tests.test_engine_equivalence import PLANNER_QUERIES, build_databases
 
 ID, C1, C2, C3 = range(4)
@@ -139,7 +139,7 @@ def _reference_inputs(db):
     engine = db.relation("R").engine
     master = [r.values for r in engine.scan_branch("master")]
     dev = [r.values for r in engine.scan_branch("dev")]
-    heads = [(r.values, branches) for r, branches in engine.scan_heads()]
+    heads = list(heads_oracle(engine).items())
     return master, dev, heads
 
 

@@ -107,8 +107,13 @@ class TestVersionedRelationAPI:
         relation.init(make_records(4))
         relation.branch("dev")
         relation.insert("dev", (77, 0, 0, 0))
-        annotated = {r.values[0]: b for r, b in relation.scan_heads()}
-        assert "dev" in annotated[77]
+        result = db.query("SELECT * FROM R WHERE HEAD(R.Version) = true")
+        annotated = {
+            row[0]: branches
+            for row, branches in zip(result.rows, result.branch_annotations)
+        }
+        assert annotated[77] == {"dev"}
+        assert annotated[0] == {"master", "dev"}
 
 
 class TestDatasetWideOperations:

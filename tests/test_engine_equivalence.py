@@ -3,8 +3,9 @@
 The three storage engines are different physical representations of the same
 logical versioned dataset, so after replaying an identical operation sequence
 they must return identical answers to every benchmark query.  These tests
-replay deterministic pseudo-random workloads (including branching and merging)
-against all three engines side by side and compare the logical contents.
+replay deterministic pseudo-random workloads (including branching, merging
+and identical writes on two branches) against all three engines side by side
+and compare the logical contents exactly.
 """
 
 import random
@@ -14,7 +15,8 @@ import pytest
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.db.database import Decibel
-from tests.conftest import ENGINE_CLASSES, SMALL_PAGE_SIZE
+from repro.versioning.snapshots import SnapshotEngineView
+from tests.conftest import ENGINE_CLASSES, SMALL_PAGE_SIZE, annotated_rows
 
 
 def build_engines(tmp_path, schema):
@@ -80,6 +82,28 @@ def replay_workload(engines, schema, seed, operations=300, with_merges=True):
         if step % 50 == 49:
             for engine in engines.values():
                 engine.commit(branch)
+    # Every replay ends with a merge, then with identical independent
+    # writes: two branches insert the same record and update a key to the
+    # same values, so their stored copies differ while their content agrees.
+    if len(branches) == 1:
+        for engine in engines.values():
+            engine.create_branch("twin", from_branch="master")
+        branches.append("twin")
+        live["twin"] = set(live["master"])
+    first, last = branches[0], branches[-1]
+    for engine in engines.values():
+        engine.commit(first)
+        engine.commit(last)
+        engine.merge(first, last)
+    live[first] = set(branch_contents(engines["version-first"], first))
+    shared = sorted(live[first] & live[last])
+    for engine in engines.values():
+        for branch in (first, last):
+            engine.insert(branch, Record((next_key, 1, 2, 3)))
+            if shared:
+                engine.update(branch, Record((shared[0], 4, 5, 6)))
+    live[first].add(next_key)
+    live[last].add(next_key)
     return branches
 
 
@@ -96,39 +120,62 @@ def test_branch_contents_agree(tmp_path, schema, seed):
             )
 
 
+def diff_summary(diff):
+    return sorted(r.values for r in diff.positive), sorted(
+        r.values for r in diff.negative
+    )
+
+
 @pytest.mark.parametrize("seed", [7, 19])
 def test_diffs_agree(tmp_path, schema, seed):
     engines = build_engines(tmp_path, schema)
     branches = replay_workload(engines, schema, seed)
-    if len(branches) < 2:
-        pytest.skip("workload created no extra branches")
     pairs = [(branches[0], branches[-1]), (branches[-1], branches[0])]
     for branch_a, branch_b in pairs:
-        summaries = {}
-        for kind, engine in engines.items():
-            diff = engine.diff(branch_a, branch_b)
-            summaries[kind] = (
-                {r.values for r in diff.positive},
-                {r.values for r in diff.negative},
-            )
+        summaries = {
+            kind: diff_summary(engine.diff(branch_a, branch_b))
+            for kind, engine in engines.items()
+        }
         reference = summaries["version-first"]
         for kind, summary in summaries.items():
             assert summary == reference, f"{kind} diff disagrees"
+    # The replay's identical writes are no difference; a snapshot of the
+    # committed heads diffs the same as the live engine.
+    assert all(values[1:] != (1, 2, 3) for side in reference for values in side)
+    for kind, engine in engines.items():
+        for branch in branches:
+            engine.commit(branch)
+        view = SnapshotEngineView(engine, engine.graph.heads())
+        for branch_a, branch_b in pairs:
+            assert diff_summary(view.diff(branch_a, branch_b)) == diff_summary(
+                engine.diff(branch_a, branch_b)
+            ), f"{kind} snapshot diff disagrees"
 
 
-@pytest.mark.parametrize("seed", [5])
+def head_scan(engine, pins=None):
+    """Query 4 over every head as an exact, sorted ``(row, branches)`` list."""
+    return sorted(
+        (values, tuple(sorted(branches)))
+        for values, branches in annotated_rows(
+            engine.scan_branches_batched(None, pins=pins)
+        )
+    )
+
+
+@pytest.mark.parametrize("seed", [5, 13])
 def test_head_scans_agree(tmp_path, schema, seed):
     engines = build_engines(tmp_path, schema)
     replay_workload(engines, schema, seed, operations=200)
-    summaries = {}
-    for kind, engine in engines.items():
-        rows = {}
-        for record, members in engine.scan_heads():
-            rows.setdefault(record.values, set()).update(members)
-        summaries[kind] = rows
+    summaries = {kind: head_scan(engine) for kind, engine in engines.items()}
     reference = summaries["version-first"]
+    assert len({values for values, _ in reference}) == len(reference)
     for kind, summary in summaries.items():
         assert summary == reference, f"{kind} head scan disagrees"
+    for kind, engine in engines.items():
+        for branch in engine.graph.branch_names():
+            engine.commit(branch)
+        pinned = head_scan(engine, pins=engine.graph.heads())
+        assert pinned == reference, f"{kind} pinned head scan disagrees"
 
 
 #: Query shapes exercising the planner end to end: aggregates, grouping,
@@ -204,17 +251,24 @@ def test_planner_results_agree(tmp_path):
 
 
 def test_planner_head_annotations_agree(tmp_path):
-    """Branch annotations of HEAD() queries must agree across engines."""
+    """HEAD() rows and branch annotations agree exactly across engines,
+    also after a merge copies rows into master."""
     databases = build_databases(tmp_path)
-    sql = "SELECT id FROM R WHERE HEAD(R.Version) = true"
+    sql = "SELECT * FROM R WHERE HEAD(R.Version) = true"
     summaries = {}
     for kind, db in databases.items():
+        relation = db.relation("R")
+        relation.branch("feature", from_branch="dev")
+        relation.insert("feature", Record((500, 1, 1, 1)))
+        relation.commit("feature")
+        relation.merge("master", "feature")
         result = db.query(sql)
-        rows = {}
-        for row, branches in zip(result.rows, result.branch_annotations):
-            rows.setdefault(row, set()).update(branches)
-        summaries[kind] = rows
+        summaries[kind] = sorted(
+            (row, tuple(sorted(branches)))
+            for row, branches in zip(result.rows, result.branch_annotations)
+        )
     reference = summaries["version-first"]
+    assert len({row for row, _ in reference}) == len(reference)
     for kind, summary in summaries.items():
         assert summary == reference, f"{kind} head annotations disagree"
 

@@ -13,7 +13,12 @@ from repro.core.record import Record
 from repro.errors import StorageError, VersionError
 from repro.versioning.conflicts import PrecedencePolicy, ThreeWayPolicy
 
-from tests.conftest import make_records
+from tests.conftest import (
+    annotated_rows,
+    assert_heads_match_oracle,
+    heads_oracle,
+    make_records,
+)
 
 
 def keys_of(engine, branch):
@@ -185,27 +190,49 @@ class TestMultiBranchScan:
         loaded_engine.create_branch("dev", from_branch="master")
         loaded_engine.insert("dev", Record((1100, 0, 0, 0)))
         loaded_engine.insert("master", Record((1101, 0, 0, 0)))
-        rows = list(loaded_engine.scan_branches(["master", "dev"]))
-        by_key = {}
-        for record, branches in rows:
-            by_key.setdefault(record.values[0], set()).update(branches)
+        pairs = annotated_rows(
+            loaded_engine.scan_branches_batched(["master", "dev"])
+        )
+        by_key = {values[0]: branches for values, branches in pairs}
+        assert len(by_key) == len(pairs)
         assert by_key[0] == {"master", "dev"}
         assert by_key[1100] == {"dev"}
         assert by_key[1101] == {"master"}
+        assert_heads_match_oracle(
+            pairs, heads_oracle(loaded_engine, ["master", "dev"])
+        )
 
     def test_scan_heads_covers_all_branches(self, loaded_engine):
         loaded_engine.create_branch("dev", from_branch="master")
         loaded_engine.insert("dev", Record((1200, 0, 0, 0)))
-        keys = {record.values[0] for record, _ in loaded_engine.scan_heads()}
+        pairs = annotated_rows(loaded_engine.scan_branches_batched(None))
+        keys = {values[0] for values, _ in pairs}
         assert 1200 in keys and 0 in keys
+        assert_heads_match_oracle(pairs, heads_oracle(loaded_engine))
 
     def test_scan_branches_with_predicate(self, loaded_engine):
         loaded_engine.create_branch("dev", from_branch="master")
-        rows = list(
-            loaded_engine.scan_branches(["master", "dev"], ColumnPredicate("id", "=", 3))
+        predicate = ColumnPredicate("id", "=", 3)
+        pairs = annotated_rows(
+            loaded_engine.scan_branches_batched(["master", "dev"], predicate)
         )
-        assert all(record.values[0] == 3 for record, _ in rows)
-        assert rows
+        assert [values[0] for values, _ in pairs] == [3]
+        assert_heads_match_oracle(
+            pairs, heads_oracle(loaded_engine, ["master", "dev"], predicate)
+        )
+
+    def test_identical_independent_writes_are_one_record(self, loaded_engine):
+        loaded_engine.create_branch("a", from_branch="master")
+        loaded_engine.create_branch("b", from_branch="master")
+        for branch in ("a", "b"):
+            loaded_engine.insert(branch, Record((1300, 1, 1, 1)))
+            loaded_engine.update(branch, Record((4, 4, 4, 4)))
+        pairs = annotated_rows(loaded_engine.scan_branches_batched(None))
+        assert_heads_match_oracle(pairs, heads_oracle(loaded_engine))
+        by_values = dict(pairs)
+        assert by_values[(1300, 1, 1, 1)] == {"a", "b"}
+        assert by_values[(4, 4, 4, 4)] == {"a", "b"}
+        assert loaded_engine.diff("a", "b").is_empty
 
 
 class TestDiff:
@@ -325,10 +352,11 @@ class TestMerge:
     def test_queries_after_merge_remain_consistent(self, loaded_engine):
         self._diverge(loaded_engine)
         loaded_engine.merge("master", "dev")
-        heads = list(loaded_engine.scan_heads())
+        heads = annotated_rows(loaded_engine.scan_branches_batched(None))
         master_keys = set(keys_of(loaded_engine, "master"))
-        head_keys = {record.values[0] for record, branches in heads if "master" in branches}
+        head_keys = {values[0] for values, branches in heads if "master" in branches}
         assert head_keys == master_keys
+        assert_heads_match_oracle(heads, heads_oracle(loaded_engine))
 
 
 class TestSizes:

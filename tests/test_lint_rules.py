@@ -434,6 +434,77 @@ class TestColumnarBoundaryRule:
         )
         assert violations == []
 
+    def test_row_decode_in_engine_scan_flagged(self):
+        violations = check(
+            ColumnarBoundaryRule(),
+            "repro/storage/tuple_first.py",
+            """
+            class Engine:
+                def scan_branches_batched(self, branches, predicate=None):
+                    for page_number in pages:
+                        records = self.heap.page(page_number).records_view()
+                        yield [(records[slot], members) for slot in slots]
+
+                def scan_commit_columns(self, commit_id, predicate=None):
+                    yield [self.heap.page(0).record_at(slot) for slot in slots]
+                    yield Record(())
+            """,
+        )
+        violations.sort(key=lambda v: v.line)
+        assert [v.line for v in violations] == [5, 9, 10]
+        assert "records_view" in violations[0].message
+        assert "scan_branches_batched" in violations[0].message
+        assert "scan_commit_columns" in violations[1].message
+
+    def test_row_decode_outside_columnar_scans_is_clean(self):
+        violations = check(
+            ColumnarBoundaryRule(),
+            "repro/storage/tuple_first.py",
+            """
+            class Engine:
+                def scan_branches_batched(self, branches, predicate=None):
+                    for page_number, live in pages:
+                        columns = self.heap.page(page_number).columns_view()
+                        yield ColumnBatch(self.schema, columns).take(live)
+
+                def record_for_key(self, branch, key):
+                    return self.heap.page(0).record_at(key)
+
+                def diff(self, branch_a, branch_b):
+                    return self.heap.page(0).records_view()
+            """,
+        )
+        assert violations == []
+        # Outside the storage package a scan_*_columns name is not an
+        # engine scan: only column_batches bodies are checked there.
+        elsewhere = check(
+            ColumnarBoundaryRule(),
+            "repro/bench/queries.py",
+            """
+            def scan_branch_columns(engine):
+                return engine.heap.page(0).records_view()
+            """,
+        )
+        assert elsewhere == []
+
+    def test_repo_engine_scans_are_clean(self):
+        import repro.storage.base as base_module
+        import repro.storage.hybrid as hybrid_module
+        import repro.storage.tuple_first as tuple_first_module
+        import repro.storage.version_first as version_first_module
+
+        for mod in (
+            base_module,
+            hybrid_module,
+            tuple_first_module,
+            version_first_module,
+        ):
+            path = Path(mod.__file__)
+            src = module(
+                f"repro/storage/{path.name}", path.read_text(encoding="utf-8")
+            )
+            assert ColumnarBoundaryRule().check(src) == []
+
     def test_repo_operators_are_clean(self):
         import repro.core.operators as operators_module
         import repro.query.physical as physical_module

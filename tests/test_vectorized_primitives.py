@@ -1,12 +1,17 @@
-"""Property tests for the word-level bitmap primitives, the batch record
-codec and the compiled-predicate path, each checked against its naive
-tuple-at-a-time counterpart."""
+"""Property tests for the word-level bitmap primitives, the multi-branch
+membership scan, the batch record codec and the compiled-predicate path,
+each checked against its naive tuple-at-a-time counterpart."""
+
+import os
+import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmap.bitmap import Bitmap, iter_union_members
+from repro.bitmap.bitmap import Bitmap
+from repro.core.buffer_pool import BufferPool
+from repro.core.heapfile import HeapFile
 from repro.core.predicates import (
     And,
     ColumnPredicate,
@@ -18,6 +23,7 @@ from repro.core.predicates import (
 )
 from repro.core.record import Record, RecordCodec
 from repro.core.schema import Column, ColumnType, Schema
+from repro.storage.base import EngineStats, scan_heap_member_columns
 
 index_sets = st.sets(st.integers(min_value=0, max_value=2000), max_size=200)
 
@@ -79,20 +85,6 @@ class TestWordPrimitives:
                 state.add(index)
             assert bitmap.count() == len(state)
 
-    @given(st.dictionaries(st.sampled_from("abcd"), index_sets, max_size=4))
-    def test_iter_union_members_matches_naive(self, named_sets):
-        bitmaps = {
-            name: Bitmap.from_indices(indices)
-            for name, indices in named_sets.items()
-        }
-        got = list(iter_union_members(bitmaps))
-        union = sorted(set().union(*named_sets.values())) if named_sets else []
-        assert [ordinal for ordinal, _ in got] == union
-        for ordinal, members in got:
-            assert members == {
-                name for name, bitmap in bitmaps.items() if bitmap.get(ordinal)
-            }
-
     def test_from_bytes_rejects_oversized_num_bits(self):
         bitmap = Bitmap.from_indices([0, 9])
         data = bitmap.to_bytes()
@@ -106,6 +98,7 @@ class TestWordPrimitives:
 
 
 int_schema = Schema.of_ints(4)
+
 mixed_schema = Schema(
     (
         Column("id", ColumnType.INT),
@@ -231,3 +224,57 @@ class TestCompiledPredicates:
 
     def test_none_compiles_to_none(self):
         assert compile_predicate(None, int_schema) is None
+
+
+class TestMemberColumns:
+    """``scan_heap_member_columns`` against per-branch set membership."""
+
+    @staticmethod
+    def scan(named_sets, predicate):
+        size = max(set().union(*named_sets.values()), default=-1) + 1
+        with tempfile.TemporaryDirectory() as directory:
+            pool = BufferPool()
+            heap = HeapFile(
+                os.path.join(directory, "t.heap"), int_schema, pool, page_size=4096
+            )
+            for key in range(size):
+                heap.append(Record((key, key, 0, 0)))
+            heap.flush()
+            pool.clear()  # pages reload as raw images: late materialization
+            bitmaps = {
+                name: Bitmap.from_indices(indices)
+                for name, indices in named_sets.items()
+            }
+            return [
+                (values[0], members)
+                for batch, held in scan_heap_member_columns(
+                    heap, bitmaps, int_schema, predicate, EngineStats()
+                )
+                for values, members in zip(batch.rows(), held)
+            ]
+
+    @staticmethod
+    def naive(named_sets, predicate):
+        return [
+            (ordinal, {name for name, held in named_sets.items() if ordinal in held})
+            for ordinal in sorted(set().union(*named_sets.values()))
+            if predicate is None or ordinal % 3 != 0
+        ]
+
+    @given(
+        st.dictionaries(st.sampled_from("abcd"), index_sets, max_size=4),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_members_match_naive(self, named_sets, filtered):
+        predicate = ModuloPredicate("c1", 3) if filtered else None
+        assert self.scan(named_sets, predicate) == self.naive(named_sets, predicate)
+
+    def test_selected_rows_of_many_pages_decode_together(self):
+        # Several pages' worth of selected rows, all from partly selected
+        # pages, so gathered decodes flush mid-scan and at the end.
+        named_sets = {"a": set(range(0, 4000, 2)), "b": set(range(0, 4000, 3))}
+        predicate = ModuloPredicate("c1", 3)
+        got = self.scan(named_sets, predicate)
+        assert len(got) > 1000
+        assert got == self.naive(named_sets, predicate)

@@ -6,7 +6,7 @@ from repro.core.record import Record
 from repro.errors import CommitNotFoundError
 from repro.storage.version_first import VersionFirstEngine
 
-from tests.conftest import SMALL_PAGE_SIZE, make_records
+from tests.conftest import SMALL_PAGE_SIZE, annotated_rows, make_records
 
 
 @pytest.fixture
@@ -125,10 +125,9 @@ class TestVersionFirstScanChains:
         vf_loaded.create_branch("b", from_branch="master")
         vf_loaded.insert("a", Record((400, 0, 0, 0)))
         vf_loaded.insert("b", Record((401, 0, 0, 0)))
-        rows = list(vf_loaded.scan_branches(["a", "b"]))
-        by_key = {}
-        for record, branches in rows:
-            by_key.setdefault(record.values[0], set()).update(branches)
+        pairs = annotated_rows(vf_loaded.scan_branches_batched(["a", "b"]))
+        by_key = {values[0]: branches for values, branches in pairs}
+        assert len(by_key) == len(pairs)
         assert by_key[0] == {"a", "b"}
         assert by_key[400] == {"a"}
         assert by_key[401] == {"b"}
@@ -137,9 +136,11 @@ class TestVersionFirstScanChains:
         vf_loaded.create_branch("a", from_branch="master")
         vf_loaded.update("a", Record((2, 5, 5, 5)))
         rows = [
-            (record.values, branches)
-            for record, branches in vf_loaded.scan_branches(["a", "master"])
-            if record.values[0] == 2
+            (values, branches)
+            for values, branches in annotated_rows(
+                vf_loaded.scan_branches_batched(["a", "master"])
+            )
+            if values[0] == 2
         ]
         assert len(rows) == 2
         variants = {values: branches for values, branches in rows}
