@@ -2,7 +2,7 @@
 
 Paper shape: commit metadata is a small fraction of the dataset for both
 engines; hybrid's per-(branch, segment) histories are smaller in aggregate
-than tuple-first's per-branch files and are faster to check out; commit and
+than tuple-first's per-branch ones and are faster to check out; commit and
 checkout stay far below a second.
 """
 

@@ -416,13 +416,10 @@ def table2_commit_metadata(
             durations = []
             for commit_id in sample:
                 start = time.perf_counter()
-                try:
-                    if isinstance(engine, TupleFirstEngine):
-                        engine.checkout_commit_bitmap(commit_id)
-                    elif isinstance(engine, HybridEngine):
-                        engine.checkout_commit_bitmaps(commit_id)
-                except Exception:  # pragma: no cover - defensive: skip bad samples
-                    continue
+                if isinstance(engine, TupleFirstEngine):
+                    engine.checkout_commit_bitmap(commit_id)
+                elif isinstance(engine, HybridEngine):
+                    engine.checkout_commit_bitmaps(commit_id)
                 durations.append(time.perf_counter() - start)
             avg_checkout_ms = 1000 * statistics.mean(durations) if durations else 0.0
             table.add_row(

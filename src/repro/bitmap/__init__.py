@@ -7,9 +7,9 @@ using bitmap indexes (paper Section 3.1).  This subpackage provides:
   logical operations (AND/OR/XOR/ANDNOT) the engines rely on.
 * :mod:`~repro.bitmap.rle` -- the run-length codec used to compress commit
   deltas.
-* :class:`~repro.bitmap.delta.CommitHistory` -- per-branch commit history
-  files storing XOR deltas between commit snapshots, with a second composite
-  layer for faster checkout (paper Section 3.2).
+* :class:`~repro.bitmap.delta.CommitHistory` -- per-branch commit histories
+  of XOR deltas between commit snapshots, with a second composite layer for
+  faster checkout (paper Section 3.2).
 * Branch-oriented and tuple-oriented bitmap indexes
   (:mod:`~repro.bitmap.branch_bitmap`, :mod:`~repro.bitmap.tuple_bitmap`),
   the two organizations compared in the paper.

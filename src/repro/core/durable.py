@@ -14,9 +14,9 @@ file -- never a torn mixture.  Named crashpoints (``{label}-mid-write``,
 ``{label}-pre-rename``) are registered at the two interesting interruption
 windows so the fault-injection harness can prove that property.
 
-Append-only logs (the WAL, commit histories, the version-graph log) share
-one record framing, :func:`frame`: CRC32 of the payload and its length,
-then the payload.  :func:`append_framed` writes one record with one fsync
+Append-only logs (the WAL, the version-graph log) share one record framing,
+:func:`frame`: CRC32 of the payload and its length, then the payload.
+:func:`append_framed` writes one record with one fsync
 (crashpoint ``{label}-pre-fsync``), so the per-commit metadata costs
 O(delta), not a rewrite of the whole file.  :func:`read_framed` is the one
 reader for all of them; it truncates a torn tail and raises on corruption

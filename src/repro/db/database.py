@@ -131,7 +131,7 @@ class Decibel:
     Parameters
     ----------
     directory:
-        Where data, commit histories and the catalog live.
+        Where data, the version-graph logs and the catalog live.
     engine:
         Default storage engine kind for new relations: ``"hybrid"``,
         ``"tuple-first"`` or ``"version-first"`` (or a

@@ -645,13 +645,12 @@ class VersionedStorageEngine(ABC):
         1. flush storage -- record data reaches the disk first, so a commit
            snapshot can never reference bytes that were lost with the page
            cache;
-        2. record the commit snapshot (fsynced history appends); the state
-           the engine returns (a segment offset, segment ids) rides in the
-           commit's graph event;
-        3. append the version-graph frame -- the commit point.  A crash
-           before it leaves history tails that reload truncates
-           (``rebind_commit_ids``), never a graph naming state that is
-           missing.
+        2. record the commit snapshot in memory; the state the engine
+           returns (a segment offset, the changed bitmaps' deltas) rides in
+           the commit's graph event;
+        3. append the version-graph frame -- the commit point, and the
+           commit's only metadata write.  A crash before it leaves nothing
+           a reopen must reconcile: the commit and its state are both absent.
 
         Indexes take no part: pk indexes are derived data, rebuilt from the
         recovered storage on first use after a reopen.
@@ -979,7 +978,8 @@ class VersionedStorageEngine(ABC):
 
     @abstractmethod
     def commit_metadata_bytes(self) -> int:
-        """Bytes used by commit histories / commit metadata."""
+        """Bytes of commit metadata (for tuple-first and hybrid, the
+        recorded bitmap delta payloads)."""
 
     # -- shared helpers ---------------------------------------------------------------------
 

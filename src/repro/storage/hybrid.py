@@ -13,9 +13,13 @@ one branch; on a branch operation the parent's head is frozen into an
 segments are created, one for the parent and one for the child.
 
 Commits snapshot each (branch, segment) local bitmap into its own
-delta-compressed history file, which is why hybrid's commit metadata is split
-across many small files (paper Section 5.3).  Which segments a commit
-snapshotted is recorded with the commit itself, in its version-graph event.
+delta-compressed commit history.  The paper keeps these histories as many
+small files, which is why its hybrid commit metadata is split across them
+(Section 5.3).  Here a commit's deltas ride in its version-graph event instead,
+one per segment whose bitmap the commit changed, so that one graph frame is
+the commit's only metadata write; a reopen rebuilds the histories from the
+graph.  The segments a commit covers are those whose history holds an entry
+at or before it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from repro.core.page import DEFAULT_PAGE_SIZE
 from repro.core.predicates import Predicate
 from repro.core.record import Record
 from repro.core.schema import Schema
-from repro.errors import CommitNotFoundError, CorruptionError, StorageError
+from repro.errors import CorruptionError, StorageError
 from repro.storage.base import (
     ChangeMap,
     DEFAULT_SCAN_BATCH_SIZE,
@@ -87,8 +91,8 @@ class HybridEngine(VersionedStorageEngine):
         self._branch_segments: dict[str, set[str]] = {}
         #: branch -> id of its current head segment.
         self._head_segment: dict[str, str] = {}
-        #: (branch, segment id) -> commit history of that local bitmap column.
-        self._histories: dict[tuple[str, str], CommitHistory] = {}
+        #: branch -> segment id -> commit history of that local bitmap column.
+        self._histories: dict[str, dict[str, CommitHistory]] = {}
         #: Segments numbered in registration order, with their local
         #: bitmaps.  The key index stores a copy at ``ordinal`` of segment
         #: number ``n`` as the one int ``n << 32 | ordinal``, which takes a
@@ -178,23 +182,32 @@ class HybridEngine(VersionedStorageEngine):
             if snapshot.any():
                 self._branch_segments[branch].add(segment_id)
 
-    def _record_commit_state(self, branch: str, commit_id: str) -> list[str]:
-        segment_ids = sorted(
+    def _record_commit_state(
+        self, branch: str, commit_id: str
+    ) -> dict[str, str] | None:
+        """``{segment id: delta}`` for the segments whose bitmap of
+        ``branch`` changed since its previous commit, or None if none did."""
+        sequence = self.graph.get_commit(commit_id).sequence
+        histories = self._histories.setdefault(branch, {})
+        deltas: dict[str, str] = {}
+        for segment_id in sorted(
             self._branch_segments[branch] | {self._head_segment[branch]}
-        )
-        for segment_id in segment_ids:
-            history = self._history(branch, segment_id)
+        ):
             local = self._local_bitmaps[segment_id]
             snapshot = (
-                local.branch_bitmap(branch)
-                if local.has_branch(branch)
-                else Bitmap()
+                local.branch_bitmap(branch) if local.has_branch(branch) else Bitmap()
             )
-            history.record_commit(commit_id, snapshot)
-        return segment_ids
+            history = histories.get(segment_id)
+            if history is None:
+                history = CommitHistory(self.commit_layer_interval)
+            delta = history.record_commit(sequence, snapshot)
+            if delta is not None:
+                histories[segment_id] = history
+                deltas[segment_id] = delta
+        return deltas or None
 
     def _load_storage(self) -> None:
-        """Reload segments, local bitmaps, histories, and indexes from disk.
+        """Reload segments and local bitmaps; rebuild histories from the graph.
 
         Visibility in hybrid is bitmap-governed, so head segments are *not*
         truncated on recovery: records appended by an uncommitted transaction
@@ -219,29 +232,15 @@ class HybridEngine(VersionedStorageEngine):
             head_local = self._local_bitmaps[self._head_segment[branch]]
             if not head_local.has_branch(branch):
                 head_local.add_branch(branch)
-        # Rebind every (branch, segment) history file on disk to the commits
-        # whose recorded state names that segment, oldest first.  Entries past
-        # the graph's knowledge (a crash between a history append and the
-        # graph frame) are truncated; a history no committed state names is
-        # rebound to nothing, so a reused commit id never lands behind an
-        # orphan entry.
-        committed: dict[tuple[str, str], list[str]] = {}
+        # Rebuild every (branch, segment) history from the deltas the graph's
+        # commit events carry, in commit order.
         for commit in self.graph.commits():
-            for segment_id in self.graph.commit_state(commit.commit_id) or ():
-                committed.setdefault((commit.branch, segment_id), []).append(
-                    commit.commit_id
-                )
-        known = set(branches)
-        for name in os.listdir(self.directory):
-            if not (name.startswith("commits_") and name.endswith(".hist")):
-                continue
-            branch, _, segment_id = name[len("commits_") : -len(".hist")].rpartition(
-                "_"
-            )
-            if branch in known and segment_id in self.segments:
-                self._history(branch, segment_id).rebind_commit_ids(
-                    committed.get((branch, segment_id), [])
-                )
+            deltas = self.graph.commit_state(commit.commit_id) or {}
+            histories = self._histories.setdefault(commit.branch, {})
+            for segment_id, delta in deltas.items():
+                if segment_id not in histories:
+                    histories[segment_id] = CommitHistory(self.commit_layer_interval)
+                histories[segment_id].replay(commit.sequence, delta)
         # Restore each branch's local bitmaps at its head commit.  The head
         # commit may live on an ancestor branch (for a branch with no commits
         # of its own); the snapshots come from the owning branch's histories.
@@ -302,19 +301,6 @@ class HybridEngine(VersionedStorageEngine):
                 page = pages[(segment_id, page_number)] = heap.page(page_number)
             out.append(page.record_at(slot))
         return out
-
-    def _history(self, branch: str, segment_id: str) -> CommitHistory:
-        key = (branch, segment_id)
-        history = self._histories.get(key)
-        if history is None:
-            history = CommitHistory(
-                path=os.path.join(
-                    self.directory, f"commits_{branch}_{segment_id}.hist"
-                ),
-                layer_interval=self.commit_layer_interval,
-            )
-            self._histories[key] = history
-        return history
 
     def _flush_storage(self) -> None:
         self.segments.flush()
@@ -414,18 +400,14 @@ class HybridEngine(VersionedStorageEngine):
         return super().count_branch(branch, predicate)
 
     def _commit_segment_bitmaps(self, commit_id: str) -> Iterator[tuple[str, Bitmap]]:
-        """Yield ``(segment_id, recorded bitmap)`` for a historical commit."""
-        branch = self.graph.get_commit(commit_id).branch
-        segment_ids = self.graph.commit_state(commit_id)
-        if segment_ids is None:
-            raise CommitNotFoundError(
-                f"commit {commit_id!r} has no recorded bitmap snapshots"
-            )
-        for segment_id in segment_ids:
-            history = self._histories.get((branch, segment_id))
-            if history is None or commit_id not in history:
-                continue
-            yield segment_id, history.checkout(commit_id)
+        """Yield ``(segment_id, recorded bitmap)`` for a historical commit:
+        every non-empty state the committing branch's histories hold at it."""
+        commit = self.graph.get_commit(commit_id)
+        histories = self._histories.get(commit.branch, {})
+        for segment_id in sorted(histories):
+            bitmap = histories[segment_id].checkout(commit.sequence)
+            if bitmap.any():
+                yield segment_id, bitmap
 
     def scan_commit(
         self, commit_id: str, predicate: Predicate | None = None
@@ -656,7 +638,11 @@ class HybridEngine(VersionedStorageEngine):
         return self.segments.total_size_bytes()
 
     def commit_metadata_bytes(self) -> int:
-        return sum(history.size_bytes() for history in self._histories.values())
+        return sum(
+            history.size_bytes()
+            for histories in self._histories.values()
+            for history in histories.values()
+        )
 
     def bitmap_index_bytes(self) -> int:
         """Combined footprint of all local bitmap indexes."""
@@ -667,8 +653,8 @@ class HybridEngine(VersionedStorageEngine):
         return len(self.segments)
 
     def commit_history_count(self) -> int:
-        """Number of (branch, segment) commit history files."""
-        return len(self._histories)
+        """Number of (branch, segment) commit histories."""
+        return sum(len(histories) for histories in self._histories.values())
 
     def checkout_commit_bitmaps(self, commit_id: str) -> dict[str, Bitmap]:
         """Reconstruct only the per-segment bitmap snapshots of a commit.

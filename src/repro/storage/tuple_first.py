@@ -3,7 +3,10 @@
 Tuples from every branch live together in a single shared heap file, and a
 bitmap index records which branches each tuple is live in (paper Section 3.2).
 Commits snapshot the committing branch's bitmap into a per-branch,
-delta-and-RLE-compressed commit history file kept outside the live index.
+delta-and-RLE-compressed commit history kept outside the live index.  A
+commit that changed the bitmap carries its one delta in its version-graph
+event, which is the commit's only metadata write; a reopen rebuilds the
+histories from the graph.
 Multi-branch operations (diff, Query 4) reduce to bitmap algebra; single-branch
 scans must visit the shared heap file, where tuples of the scanned branch are
 interleaved with everyone else's -- the weakness the evaluation highlights.
@@ -26,7 +29,7 @@ from repro.core.page import DEFAULT_PAGE_SIZE
 from repro.core.predicates import Predicate
 from repro.core.record import Record
 from repro.core.schema import Schema
-from repro.errors import CommitNotFoundError, StorageError
+from repro.errors import StorageError
 from repro.storage.base import (
     ChangeMap,
     DEFAULT_SCAN_BATCH_SIZE,
@@ -88,10 +91,7 @@ class TupleFirstEngine(VersionedStorageEngine):
     def _add_branch_structures(self, branch: str, clone_from: str | None) -> None:
         self.bitmap_index.add_branch(branch, clone_from=clone_from)
         self.index_hook.branch_created(branch, clone_from=clone_from)
-        self._histories[branch] = CommitHistory(
-            path=os.path.join(self.directory, f"commits_{branch}.hist"),
-            layer_interval=self.commit_layer_interval,
-        )
+        self._histories[branch] = CommitHistory(self.commit_layer_interval)
 
     def _materialize_branch(
         self, name: str, parent_branch: str, from_commit: str, at_head: bool
@@ -108,9 +108,12 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.bitmap_index.restore_branch(name, snapshot)
         self.index_hook.branch_rebuilt(name)
 
-    def _record_commit_state(self, branch: str, commit_id: str) -> None:
-        snapshot = self.bitmap_index.branch_bitmap(branch)
-        self._histories[branch].record_commit(commit_id, snapshot)
+    def _record_commit_state(self, branch: str, commit_id: str) -> str | None:
+        """The commit's bitmap delta, or None when the bitmap is unchanged."""
+        return self._histories[branch].record_commit(
+            self.graph.get_commit(commit_id).sequence,
+            self.bitmap_index.branch_bitmap(branch),
+        )
 
     def _flush_storage(self) -> None:
         self.heap.flush()
@@ -122,23 +125,19 @@ class TupleFirstEngine(VersionedStorageEngine):
         what recovery restores here is *visibility*: each branch's live
         bitmap is checked out from its head commit, so heap tuples appended
         by uncommitted (loser) transactions have no set bits anywhere and
-        stay invisible.  Commit histories whose tail was never referenced by
-        the persisted graph are truncated by ``rebind_commit_ids``.
+        stay invisible.  The commit histories are rebuilt from the deltas
+        the graph's commit events carry, in commit order.
         """
         branches = self.graph.branch_names()
-        committed: dict[str, list[str]] = {branch: [] for branch in branches}
-        for commit in self.graph.commits():
-            committed[commit.branch].append(commit.commit_id)
         for branch in branches:
             self.bitmap_index.add_branch(branch)
-            history = CommitHistory(
-                path=os.path.join(self.directory, f"commits_{branch}.hist"),
-                layer_interval=self.commit_layer_interval,
-            )
-            history.rebind_commit_ids(committed[branch])
-            self._histories[branch] = history
+            self._histories[branch] = CommitHistory(self.commit_layer_interval)
+        for commit in self.graph.commits():
+            delta = self.graph.commit_state(commit.commit_id)
+            if delta is not None:
+                self._histories[commit.branch].replay(commit.sequence, delta)
         # Second pass: a branch with no commits of its own checks out through
-        # an ancestor's history, so all histories must be loaded first.
+        # an ancestor's history, so all histories must be rebuilt first.
         for branch in branches:
             self.bitmap_index.restore_branch(
                 branch, self._bitmap_at_commit(self.graph.head(branch))
@@ -295,13 +294,8 @@ class TupleFirstEngine(VersionedStorageEngine):
         return super().count_commit(commit_id, predicate)
 
     def _bitmap_at_commit(self, commit_id: str) -> Bitmap:
-        branch = self.graph.get_commit(commit_id).branch
-        history = self._histories.get(branch)
-        if history is None or commit_id not in history:
-            raise CommitNotFoundError(
-                f"commit {commit_id!r} has no recorded bitmap snapshot"
-            )
-        return history.checkout(commit_id)
+        commit = self.graph.get_commit(commit_id)
+        return self._histories[commit.branch].checkout(commit.sequence)
 
     def scan_branches_batched(
         self,
@@ -463,7 +457,7 @@ class TupleFirstEngine(VersionedStorageEngine):
         return self.bitmap_index.size_bytes()
 
     def commit_history(self, branch: str) -> CommitHistory:
-        """The commit history file of ``branch`` (exposed for benchmarks)."""
+        """The commit history of ``branch`` (exposed for benchmarks)."""
         return self._histories[branch]
 
     def checkout_commit_bitmap(self, commit_id: str) -> Bitmap:

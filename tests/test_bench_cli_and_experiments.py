@@ -14,9 +14,13 @@ from repro.bench.experiments import (
     figure6_scaling,
     figure8_query2,
     git_comparison,
+    table2_commit_metadata,
     table3_merge_throughput,
 )
 from repro.bench.report import ResultTable
+from repro.errors import CorruptionError
+from repro.storage.hybrid import HybridEngine
+from repro.storage.tuple_first import TupleFirstEngine
 
 
 @pytest.fixture
@@ -57,6 +61,31 @@ class TestExperimentRunnersSmoke:
         for row in table.rows:
             assert row[1] > 0  # data size
             assert row[4] >= 0  # commit mean
+
+    def test_table2_structure(self, tmp_path, tiny_scale):
+        table = table2_commit_metadata(str(tmp_path), tiny_scale, checkout_samples=5)
+        assert len(table.rows) == 8
+        for _, _, size_kb, commit_ms, checkout_ms in table.rows:
+            assert size_kb > 0 and commit_ms >= 0 and checkout_ms > 0
+
+    @pytest.mark.parametrize("engine", [TupleFirstEngine, HybridEngine])
+    def test_table2_surfaces_a_failing_checkout(
+        self, tmp_path, tiny_scale, engine, monkeypatch
+    ):
+        """A checkout that raises fails the table instead of silently
+        dropping out of the average."""
+
+        def broken(self, commit_id):
+            raise CorruptionError(self.directory, "unreadable snapshot")
+
+        name = (
+            "checkout_commit_bitmap"
+            if engine is TupleFirstEngine
+            else "checkout_commit_bitmaps"
+        )
+        monkeypatch.setattr(engine, name, broken)
+        with pytest.raises(CorruptionError):
+            table2_commit_metadata(str(tmp_path), tiny_scale, checkout_samples=2)
 
     def test_ablation_layers_structure(self, tmp_path, tiny_scale):
         table = ablation_commit_layers(str(tmp_path), scale=tiny_scale)

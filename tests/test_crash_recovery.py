@@ -17,12 +17,14 @@ delete / branch mixes) and checks recovered state against an in-memory
 model.
 """
 
+import json
 import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.durable import FRAME_HEADER_SIZE, read_framed
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.db.database import Decibel
@@ -32,43 +34,32 @@ from repro.testing.faults import FaultSchedule, InjectedCrash, inject
 ENGINES = ["tuple-first", "version-first", "hybrid"]
 
 #: Every named crashpoint the durable write paths register: the WAL COMMIT
-#: fsync, the version-graph log append, the segment-topology atomic write,
-#: and commit-history appends.
+#: fsync, the version-graph log append (which also carries the commit's
+#: bitmap deltas), and the segment-topology atomic write.
 CRASHPOINTS = [
     "wal-group-commit-pre-fsync",
     "graph-persist-pre-fsync",
     "segment-meta-mid-write",
     "segment-meta-pre-rename",
-    "history-append-pre-fsync",
 ]
 
 #: The crashpoints that guard an append to a live log (the WAL, the
-#: version-graph log, commit histories), where a crash can also leave a
-#: torn partial record behind.
+#: version-graph log), where a crash can also leave a torn partial record
+#: behind.
 APPEND_CRASHPOINTS = [
     "wal-group-commit-pre-fsync",
     "graph-persist-pre-fsync",
-    "history-append-pre-fsync",
 ]
 
 
-def reaches_on_commit(engine, point):
-    """True if a transaction commit on ``engine`` passes ``point``.
-
-    Segment topology changes only when a branch is created, and
-    version-first keeps no commit histories.
-    """
-    if point.startswith("segment-meta"):
-        return False
-    return not (engine == "version-first" and point == "history-append-pre-fsync")
-
-
 def commit_cases(points):
+    """(point, engine) for every point a transaction commit passes: all but
+    the segment-topology write, which only a branch creation reaches."""
     return [
         (point, engine)
         for point in points
         for engine in ENGINES
-        if reaches_on_commit(engine, point)
+        if not point.startswith("segment-meta")
     ]
 
 
@@ -89,14 +80,12 @@ BRANCH_CASES = [
 
 #: (point, engine, torn bytes) for a crash inside a merge's commit, and for
 #: a crash at the last arrival of a two-branch transaction's commit (after
-#: the first branch's commit is durable): the points an engine commit
-#: passes, torn or not.
+#: the first branch's commit is durable): the graph frame, the one durable
+#: write an engine commit makes after flushing its data, torn or not.
 ENGINE_COMMIT_CASES = [
-    (point, engine, torn)
-    for point in ("graph-persist-pre-fsync", "history-append-pre-fsync")
+    ("graph-persist-pre-fsync", engine, torn)
     for engine in ENGINES
     for torn in (0, 3)
-    if reaches_on_commit(engine, point)
 ]
 
 
@@ -116,6 +105,19 @@ def seed_database(directory, engine):
     txn.insert("master", record(100, 1))
     txn.commit("committed baseline")
     return db
+
+
+def flip_frame_byte(path, index, offset):
+    """Flip byte ``offset`` of the payload of frame ``index`` of the framed
+    log at ``path``."""
+    payloads = read_framed(str(path))
+    start = sum(FRAME_HEADER_SIZE + len(payload) for payload in payloads[:index])
+    position = start + FRAME_HEADER_SIZE + offset
+    with open(path, "r+b") as handle:
+        handle.seek(position)
+        byte = handle.read(1)
+        handle.seek(position)
+        handle.write(bytes([byte[0] ^ 0x01]))
 
 
 def live_keys(db, branch="master"):
@@ -286,6 +288,20 @@ class TestTornAppendMatrix(_CrashWorkloads):
     torn_bytes = 3
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("point", ["graph-persist-pre-fsync"])
+class TestFlippedLastGraphFrameMatrix(_CrashWorkloads):
+    """The final commit's graph frame, with its bitmap deltas, reaches the
+    disk whole but with a flipped byte: recovery cuts it in either mode, so
+    no bitmap comes from the damaged deltas, and the WAL redoes the
+    committed transaction on the previous commit."""
+
+    def _crash(self, point, txn):
+        super()._crash(point, txn)
+        path = os.path.join(txn.manager.engine.directory, "version_graph.log")
+        flip_frame_byte(path, len(read_framed(path)) - 1, 2)
+
+
 @pytest.mark.parametrize(("point", "engine", "torn_bytes"), BRANCH_CASES)
 def test_create_branch_crash(tmp_path, point, engine, torn_bytes):
     """A crash inside branch creation leaves the branch absent or equal to
@@ -410,12 +426,8 @@ def test_retire_branch_crash(tmp_path, engine, torn_bytes):
 
 #: (engine, crashpoint, torn bytes) at which recovery's own redo commit
 #: dies: the graph frame untorn (the torn case is
-#: ``test_double_crash_during_recovery``) and the history appends.
-REDO_CRASH_CASES = [("graph-persist-pre-fsync", engine, 0) for engine in ENGINES] + [
-    ("history-append-pre-fsync", engine, torn)
-    for engine in ("tuple-first", "hybrid")
-    for torn in (0, 3)
-]
+#: ``test_double_crash_during_recovery``).
+REDO_CRASH_CASES = [("graph-persist-pre-fsync", engine, 0) for engine in ENGINES]
 
 
 @pytest.mark.parametrize(("point", "engine", "torn_bytes"), REDO_CRASH_CASES)
@@ -466,9 +478,9 @@ class TestRecoveryDetails:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_lost_first_commit_id_is_reused_cleanly(self, tmp_path, engine):
-        """A branch's first commit dies after its history appends but before
-        its graph frame.  The next commit reuses the lost id, and checking
-        it out shows the new state, not the lost one's leftovers."""
+        """A branch's first commit dies with its graph frame torn.  The next
+        commit reuses the lost id, and checking it out shows the new state,
+        not the lost one's leftovers."""
         db = seed_database(tmp_path, engine)
         rel = db.relation("t")
         rel.branch("dev", from_branch="master")
@@ -573,11 +585,12 @@ class TestRecoveryDetails:
         assert len(torn) == 1, reopened.last_recovery.notes
 
     @pytest.mark.parametrize("engine", ["tuple-first", "hybrid"])
-    def test_flipped_commit_history_byte_is_detected(
+    def test_flipped_graph_frame_byte_is_detected(
         self, tmp_path, engine, monkeypatch
     ):
-        """A bit-flipped commit-history entry raises on open in strict mode
-        instead of restoring a wrong bitmap (and a wrong row count)."""
+        """A bit flip inside the graph frame that carries master's bitmap
+        deltas raises on open in strict mode instead of restoring a wrong
+        bitmap (and a wrong row count)."""
         monkeypatch.setenv("REPRO_STRICT_RECOVERY", "1")
         db = seed_database(tmp_path, engine)
         manager = db.transactions("t")
@@ -586,14 +599,52 @@ class TestRecoveryDetails:
             txn.insert("master", record(key, key))
             txn.commit()
         db.close()
-        histories = sorted((tmp_path / "t").glob("commits_master*.hist"))
-        assert histories
-        for path in histories:
-            data = bytearray(path.read_bytes())
-            data[27] ^= 0x01  # inside the first entry's RLE payload
-            path.write_bytes(bytes(data))
+        path = tmp_path / "t" / "version_graph.log"
+        payloads = read_framed(str(path))
+        # The frame of the commit that inserted key 200: five frames follow.
+        index = len(payloads) - 6
+        (event,) = json.loads(payloads[index])
+        assert event["branch"] == "master" and event["state"]
+        flip_frame_byte(path, index, payloads[index].index(b'"state":') + 12)
         with pytest.raises(CorruptionError):
             Decibel.open(str(tmp_path), engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_flipped_last_graph_frame_reopens_at_previous_commit_plus_redo(
+        self, tmp_path, engine, monkeypatch
+    ):
+        """Degraded recovery drops a last graph frame with a flipped byte:
+        master reopens at its previous commit, no bitmap comes from the
+        damaged deltas, and the WAL redoes the committed transaction on top
+        of it, row for row."""
+        monkeypatch.setenv("REPRO_STRICT_RECOVERY", "0")
+        db = seed_database(tmp_path, engine)
+        previous = db.relation("t").graph.head("master")
+        baseline = {record(i, i * 10).values for i in range(10)} | {(100, 1)}
+        txn = db.transactions("t").begin()
+        txn.update("master", record(5, 555))
+        txn.delete("master", 7)
+        txn.insert("master", record(200, 2))
+        with pytest.raises(InjectedCrash):
+            with inject(FaultSchedule("graph-persist-pre-fsync")):
+                txn.commit("frame gets damaged")
+        path = tmp_path / "t" / "version_graph.log"
+        flip_frame_byte(path, len(read_framed(str(path))) - 1, 2)
+        reopened = Decibel.open(str(tmp_path), engine=engine)
+        report = reopened.last_recovery
+        assert report.needs_redo == {txn.transaction_id}
+        assert any("version graph" in note for note in report.notes)
+        expected = (baseline - {(5, 50), (7, 70)}) | {(5, 555), (200, 2)}
+        rel = reopened.relation("t")
+        assert {r.values for r in rel.scan("master")} == expected
+        head = rel.graph.head("master")
+        assert rel.graph.get_commit(head).parents == (previous,)
+        assert {r.values for r in rel.checkout(previous)} == baseline
+        assert {r.values for r in rel.checkout(head)} == expected
+        assert_pk_index_agrees(reopened)
+        again = Decibel.open(str(tmp_path), engine=engine)
+        assert again.last_recovery.needs_redo == set()
+        assert {r.values for r in again.relation("t").scan("master")} == expected
 
 
 # -- hypothesis-driven matrix -------------------------------------------------

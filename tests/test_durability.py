@@ -7,11 +7,14 @@ missing frames; one frame per commit), CRC corruption detection (structured
 recovery modes, and the fault-injection harness itself.
 """
 
+import base64
 import json
 import os
 import zlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.durable import (
     FRAME_HEADER_SIZE,
@@ -28,6 +31,7 @@ from repro.core.schema import Schema
 from repro.core.wal import LogRecord, LogRecordType, WriteAheadLog
 from repro.db.database import Decibel
 from repro.errors import CorruptionError
+from repro.storage import create_engine
 from repro.testing.faults import FaultSchedule, InjectedCrash, crashpoint, inject
 from repro.versioning.version_graph import VersionGraph
 
@@ -417,9 +421,152 @@ class TestVersionGraphLog:
         db.close()
         rel = Decibel.open(str(tmp_path), engine=engine).relation("t")
         assert checkouts(rel) == before
+        # Every commit changed its branch, so every engine's event carries
+        # state: a segment offset, or the changed bitmaps' deltas.
+        for commit in rel.graph.commits():
+            assert rel.graph.commit_state(commit.commit_id) is not None
+
+
+    @pytest.mark.parametrize("engine", ["tuple-first", "hybrid"])
+    def test_reinit_over_a_reused_directory_reopens_to_the_new_data(
+        self, tmp_path, engine
+    ):
+        """A fresh engine object that re-``init``s a directory holding an
+        older dataset starts a new graph log, and a reopen restores the new
+        dataset, never the old one's commit snapshots."""
+        schema = Schema.of_ints(2)
+        directory = str(tmp_path / "t")
+        old = create_engine(engine, directory, schema)
+        old.init([Record((key, 1)) for key in range(5)])
+        for _ in range(3):
+            old.commit("master")
+        old.close()
+        new = create_engine(engine, directory, schema)
+        new.init([Record((key, 2)) for key in range(100, 103)])
+        expected = sorted(r.values for r in new.scan_branch("master"))
+        assert expected == [(key, 2) for key in range(100, 103)]
+        new.close()
+        reopened = create_engine(engine, directory, schema)
+        reopened.load_persistent_state()
+        assert sorted(r.values for r in reopened.scan_branch("master")) == expected
+        head = reopened.graph.head("master")
+        assert sorted(r.values for r in reopened.scan_commit(head)) == expected
+
+
+
+#: Steps of a generated single-relation history: (action, selector).
+history_steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["insert", "update", "delete", "commit", "commit", "unchanged-commit",
+             "branch", "historic-branch", "merge"]
+        ),
+        st.integers(min_value=0, max_value=40),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+class TestCommitStatesInTheGraph:
+    """The commit states the graph events carry are all a reopen needs."""
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(steps=history_steps)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_generated_histories_check_out_the_same_after_reopen(
+        self, tmp_path_factory, engine, steps
+    ):
+        """Writes, commits that change nothing, branches off heads and off
+        historical commits, and merges: after a reopen every commit checks
+        out as before, and every branch stands at its head commit.  Branches
+        and merges read committed state only: every branch commits first."""
+        directory = str(tmp_path_factory.mktemp("db"))
+        db = Decibel(directory, engine=engine)
+        rel = db.create_relation("t", Schema.of_ints(2))
+        rel.init([Record((key, key)) for key in range(8)])
+        branches = ["master"]
+
+        def commit_all():
+            for name in branches:
+                rel.commit(name)
+
+        for action, n in steps:
+            branch = branches[n % len(branches)]
+            keys = sorted(r.values[0] for r in rel.scan(branch))
+            if action == "insert" and 100 + n not in keys:
+                rel.insert(branch, (100 + n, n))
+            elif action == "update" and keys:
+                rel.update(branch, (keys[n % len(keys)], -n))
+            elif action == "delete" and keys:
+                rel.delete(branch, keys[n % len(keys)])
+            elif action == "commit":
+                rel.commit(branch)
+            elif action == "unchanged-commit":
+                rel.commit(branch)
+                rel.commit(branch)
+            elif action == "branch":
+                commit_all()
+                rel.branch(f"b{len(branches)}", from_branch=branch)
+                branches.append(f"b{len(branches)}")
+            elif action == "historic-branch":
+                commit_all()
+                commits = rel.graph.commits()
+                rel.branch(
+                    f"b{len(branches)}", from_commit=commits[n % len(commits)].commit_id
+                )
+                branches.append(f"b{len(branches)}")
+            elif action == "merge" and len(branches) > 1:
+                source = branches[(n + 1) % len(branches)]
+                if source != branch:
+                    commit_all()
+                    rel.merge(branch, source)
+        before = checkouts(rel)
+        db.close()
+        reopened = Decibel.open(directory, engine=engine)
+        rel = reopened.relation("t")
+        assert checkouts(rel) == before
+        for branch in branches:
+            head = rel.graph.head(branch)
+            assert sorted(r.values for r in rel.scan(branch)) == before[head]
+
+    @pytest.mark.parametrize("engine", ["tuple-first", "hybrid"])
+    def test_commit_metadata_bytes_are_the_recorded_delta_payloads(
+        self, tmp_path, engine
+    ):
+        """``commit_metadata_bytes`` sums the RLE payloads of the deltas the
+        graph events carry, live and after a reopen."""
+        committed_dataset(tmp_path, engine)
+        rel = Decibel.open(str(tmp_path), engine=engine).relation("t")
+        rel.commit("master")  # changes nothing: records no delta
+        payload_bytes = 0
         for commit in rel.graph.commits():
             state = rel.graph.commit_state(commit.commit_id)
-            assert (state is None) == (engine == "tuple-first")
+            deltas = [] if state is None else [state]
+            if isinstance(state, dict):
+                deltas = list(state.values())
+            for delta in deltas:
+                payload_bytes += len(base64.b64decode(delta.partition(":")[2]))
+        assert payload_bytes > 0
+        assert rel.engine.commit_metadata_bytes() == payload_bytes
+        reopened = Decibel.open(str(tmp_path), engine=engine).relation("t")
+        assert reopened.engine.commit_metadata_bytes() == payload_bytes
+
+    @pytest.mark.parametrize("engine", ["tuple-first", "hybrid"])
+    def test_a_one_row_change_inlines_a_short_delta(self, tmp_path, engine):
+        """A commit that changes one row of a 4000-row branch carries a delta
+        of a few dozen bytes, not a snapshot of the bitmap."""
+        db = Decibel(str(tmp_path), engine=engine)
+        rel = db.create_relation("t", Schema.of_ints(2))
+        rel.init([Record((key, key)) for key in range(4000)])
+        rel.delete("master", 1234)
+        commit_id = rel.commit("master")
+        state = json.dumps(rel.graph.commit_state(commit_id))
+        assert len(state) < 60, state
 
 
 class TestFaultHarness:

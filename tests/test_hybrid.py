@@ -1,10 +1,13 @@
 """Tests specific to the hybrid engine."""
 
+import json
 import os
 
 import pytest
 
+from repro.core.durable import read_framed
 from repro.core.record import Record
+from repro.db.database import Decibel
 from repro.errors import CommitNotFoundError
 from repro.storage.hybrid import HybridEngine
 
@@ -75,7 +78,7 @@ class TestHybridCommits:
         hy_loaded.insert("master", Record((301, 0, 0, 0)))
         hy_loaded.commit("master")
         # Hybrid splits commit metadata across many small per-(branch, segment)
-        # files, unlike tuple-first's one file per branch (paper Section 5.3).
+        # histories, unlike tuple-first's one per branch (paper Section 5.3).
         assert hy_loaded.commit_history_count() >= 3
 
     def test_checkout_commit_bitmaps(self, hy_loaded, schema):
@@ -104,38 +107,110 @@ class TestHybridCommits:
         hy_loaded.insert("past", Record((501, 0, 0, 0)))
         assert hy_loaded.branch_contains_key("past", 501)
 
-    def test_reload_lists_histories_instead_of_probing_each_pair(
-        self, hy_loaded, schema, monkeypatch
+    def test_no_history_file_is_written_and_reopen_restores_every_branch(
+        self, hy_loaded, schema
     ):
-        """Reload finds the history files with one directory listing, not an
-        ``exists`` probe per (branch, segment) pair (here 9 x 17), and
-        restores every branch at its head."""
+        """Commit histories live in memory and their deltas ride in the
+        graph frames: no ``.hist`` file is written, and a reopen rebuilds
+        every branch's bitmaps, at its head and at each of its commits."""
+        commits = {}
         for i in range(8):
             hy_loaded.create_branch(f"b{i}", from_branch="master")
             hy_loaded.insert(f"b{i}", Record((700 + i, 0, 0, 0)))
+            commits[f"b{i}"] = hy_loaded.commit(f"b{i}")
+            hy_loaded.delete(f"b{i}", i)
             hy_loaded.commit(f"b{i}")
+        before = {
+            commit.commit_id: sorted(
+                r.values for r in hy_loaded.scan_commit(commit.commit_id)
+            )
+            for commit in hy_loaded.graph.commits()
+        }
         hy_loaded.close()
-        probes = []
-        exists = os.path.exists
-
-        def counting_exists(path):
-            if str(path).endswith(".hist"):
-                probes.append(path)
-            return exists(path)
-
-        monkeypatch.setattr(os.path, "exists", counting_exists)
+        assert not [
+            name for name in os.listdir(hy_loaded.directory) if name.endswith(".hist")
+        ]
         reopened = HybridEngine(hy_loaded.directory, schema, page_size=SMALL_PAGE_SIZE)
         reopened.load_persistent_state()
-        # Only the histories that exist are opened, each once.
-        histories = [
-            os.path.join(hy_loaded.directory, name)
-            for name in os.listdir(hy_loaded.directory)
-            if name.endswith(".hist")
-        ]
-        assert sorted(probes) == sorted(histories)
         for i in range(8):
             keys = {r.key(schema) for r in reopened.scan_branch(f"b{i}")}
+            assert keys == (set(range(20)) | {700 + i}) - {i}
+            keys = {r.key(schema) for r in reopened.scan_commit(commits[f"b{i}"])}
             assert keys == set(range(20)) | {700 + i}
+        assert {
+            commit_id: sorted(r.values for r in reopened.scan_commit(commit_id))
+            for commit_id in before
+        } == before
+
+    def test_commit_changing_one_segment_writes_one_delta_and_three_fsyncs(
+        self, tmp_path, schema, monkeypatch
+    ):
+        """A transaction commit on a branch spanning many segments that
+        changes one of them fsyncs the WAL COMMIT, the head segment and the
+        graph frame, and the frame carries exactly that segment's delta."""
+        db = Decibel(str(tmp_path), engine="hybrid", page_size=SMALL_PAGE_SIZE)
+        rel = db.create_relation("t", schema)
+        rel.init(make_records(20))
+        for i in range(8):
+            rel.insert("master", Record((100 + i, 0, 0, 0)))
+            rel.commit("master")
+            rel.branch(f"b{i}", from_branch="master")
+        engine = rel.engine
+        assert len(engine._branch_segments["master"]) >= 8
+        # A first transaction creates the WAL file (and fsyncs its directory).
+        db.transactions("t").begin().commit()
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        txn = db.transactions("t").begin()
+        txn.insert("master", Record((200, 0, 0, 0)))
+        (commit_id,) = txn.commit().values()
+        assert len(fsyncs) <= 3
+        (event,) = json.loads(read_framed(engine._graph_path())[-1])
+        assert event["id"] == commit_id
+        assert list(event["state"]) == [engine._head_segment["master"]]
+
+    def test_unchanged_commit_carries_no_state(self, hy_loaded, schema):
+        """A commit that changes no segment's bitmap records no delta, and
+        it checks out through the histories' earlier entries."""
+        hy_loaded.create_branch("dev", from_branch="master")
+        hy_loaded.insert("dev", Record((300, 0, 0, 0)))
+        changed = hy_loaded.commit("dev")
+        unchanged = hy_loaded.commit("dev")
+        assert set(hy_loaded.graph.commit_state(changed)) == {
+            hy_loaded._head_segment["dev"]
+        } | hy_loaded._branch_segments["master"]
+        assert hy_loaded.graph.commit_state(unchanged) is None
+        keys = {r.key(schema) for r in hy_loaded.scan_commit(unchanged)}
+        assert keys == set(range(20)) | {300}
+
+    def test_emptied_segment_checks_out_at_each_commit(self, hy_loaded, schema):
+        """A commit that deletes every row a branch holds in a segment
+        records that segment's delta to empty: earlier commits still check
+        out its rows, later ones none, live and after a reopen."""
+        old_head = hy_loaded._head_segment["master"]
+        hy_loaded.create_branch("dev", from_branch="master")
+        hy_loaded.insert("dev", Record((300, 0, 0, 0)))
+        full = hy_loaded.commit("dev")
+        for key in range(20):
+            hy_loaded.delete("dev", key)
+        emptied = hy_loaded.commit("dev")
+        assert old_head in hy_loaded.graph.commit_state(emptied)
+        hy_loaded.close()
+        reopened = HybridEngine(hy_loaded.directory, schema, page_size=SMALL_PAGE_SIZE)
+        reopened.load_persistent_state()
+        for engine in (hy_loaded, reopened):
+            assert {r.key(schema) for r in engine.scan_commit(full)} == set(
+                range(20)
+            ) | {300}
+            assert {r.key(schema) for r in engine.scan_commit(emptied)} == {300}
+            assert old_head not in engine.checkout_commit_bitmaps(emptied)
+        assert {r.key(schema) for r in reopened.scan_branch("dev")} == {300}
 
 
 class TestHybridMergeSharing:

@@ -69,19 +69,37 @@ class TestRLEProperties:
 class TestCommitHistoryProperties:
     @given(
         st.lists(
-            st.sets(st.integers(min_value=0, max_value=500), max_size=60),
+            st.tuples(
+                st.sets(st.integers(min_value=0, max_value=500), max_size=60),
+                st.booleans(),
+            ),
             min_size=1,
-            max_size=12,
-        )
+            max_size=16,
+        ),
+        st.sampled_from([0, 4]),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_every_commit_is_recoverable(self, snapshots):
-        history = CommitHistory(layer_interval=4)
-        bitmaps = [Bitmap.from_indices(indices) for indices in snapshots]
-        for i, bitmap in enumerate(bitmaps):
-            history.record_commit(f"c{i}", bitmap)
-        for i, bitmap in enumerate(bitmaps):
-            assert history.checkout(f"c{i}") == bitmap
+    @settings(max_examples=40, deadline=None)
+    def test_every_commit_is_recoverable(self, steps, layer_interval):
+        """Commits that change the bitmap interleave with commits that keep
+        it; every commit checks out as a naive list of snapshots says, live
+        and after rebuilding the history from the recorded deltas."""
+        history = CommitHistory(layer_interval)
+        rebuilt = CommitHistory(layer_interval)
+        naive: list[Bitmap] = []
+        current = Bitmap()
+        for sequence, (indices, unchanged) in enumerate(steps):
+            if not unchanged:
+                current = Bitmap.from_indices(indices)
+            recorded = history.record_commit(sequence, current.copy())
+            assert (recorded is None) == (
+                current == (naive[-1] if naive else Bitmap())
+            )
+            if recorded is not None:
+                rebuilt.replay(sequence, recorded)
+            naive.append(current)
+        for sequence, bitmap in enumerate(naive):
+            assert history.checkout(sequence) == bitmap
+            assert rebuilt.checkout(sequence) == bitmap
 
 
 class TestGitDeltaProperties:

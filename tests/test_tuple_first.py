@@ -1,9 +1,14 @@
 """Tests specific to the tuple-first engine."""
 
+import json
+import os
+
 import pytest
 
 from repro.bitmap import BitmapOrientation
+from repro.core.durable import read_framed
 from repro.core.record import Record
+from repro.db.database import Decibel
 from repro.errors import CommitNotFoundError
 from repro.storage.tuple_first import TupleFirstEngine
 
@@ -87,6 +92,49 @@ class TestTupleFirstCommitHistory:
         tf_engine.init(records)
         with pytest.raises(CommitNotFoundError):
             list(tf_engine.scan_commit("v099999"))
+
+    def test_unchanged_bitmap_commit_carries_no_delta(self, tf_engine, records):
+        """A commit that leaves the bitmap as it was records nothing: its
+        graph event carries no delta, and it checks out through the latest
+        delta before it."""
+        tf_engine.init(records)
+        tf_engine.insert("master", Record((400, 0, 0, 0)))
+        changed = tf_engine.commit("master")
+        unchanged = tf_engine.commit("master")
+        (event,) = json.loads(read_framed(tf_engine._graph_path())[-1])
+        assert event["id"] == unchanged and "state" not in event
+        assert tf_engine.graph.commit_state(changed) is not None
+        assert len(tf_engine.commit_history("master")) == 2
+        assert tf_engine.checkout_commit_bitmap(
+            unchanged
+        ) == tf_engine.checkout_commit_bitmap(changed)
+
+    def test_transaction_commit_fsyncs_wal_heap_and_graph_frame(
+        self, tmp_path, schema, monkeypatch
+    ):
+        """A transaction commit fsyncs the WAL COMMIT, the heap and the
+        graph frame: no per-branch history file is appended."""
+        db = Decibel(str(tmp_path), engine="tuple-first", page_size=SMALL_PAGE_SIZE)
+        rel = db.create_relation("t", schema)
+        rel.init(make_records(20))
+        for i in range(4):
+            rel.branch(f"b{i}", from_branch="master")
+        # A first transaction creates the WAL file (and fsyncs its directory).
+        db.transactions("t").begin().commit()
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        txn = db.transactions("t").begin()
+        txn.insert("master", Record((200, 0, 0, 0)))
+        txn.commit()
+        assert len(fsyncs) == 3
+        files = os.listdir(tmp_path / "t")
+        assert not [name for name in files if name.endswith(".hist")]
 
     def test_commit_metadata_bytes_grow_with_commits(self, tf_engine, records):
         tf_engine.init(records)
