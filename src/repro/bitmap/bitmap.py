@@ -220,6 +220,14 @@ class Bitmap:
         """True if at least one bit is set."""
         return any(self._bytes)
 
+    def end(self) -> int:
+        """One past the highest set bit; 0 when no bit is set."""
+        return self._as_int().bit_length()
+
+    def prefix(self, num_bits: int) -> "Bitmap":
+        """A copy holding only the first ``num_bits`` bits."""
+        return Bitmap._from_int(self._as_int() & ((1 << num_bits) - 1), num_bits)
+
     def iter_words(self) -> Iterator[tuple[int, int]]:
         """Yield ``(word index, word)`` for every nonzero 64-bit word.
 

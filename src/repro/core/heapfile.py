@@ -6,6 +6,21 @@ version-first and hybrid engines keep one heap file per segment.  Records are
 packed into fixed-size pages (:mod:`repro.core.page`) and appended in arrival
 order, so a record's ordinal position (its *tuple index*) is stable and can be
 referenced by bitmap indexes and byte offsets alike.
+
+On disk every page but the last is a full ``page_size`` image.  The last,
+partially filled page -- the *tail* -- is stored compact, as its record count
+and its records with no padding, so a file is ``full pages x page_size + 4 +
+tail records x record size`` bytes long.  The tail is append-only, like the
+tail of the WAL and the version-graph log: a flush writes just the records
+appended since the previous flush, then the tail's new count, and pads only a
+page that has filled.  Record bytes already on disk are never rewritten.
+
+A crash can tear a flush, leaving the tail's length out of step with its
+count.  Opening the file cuts the tail back to its whole records, up to the
+count, with a recovery note -- in strict and degraded mode alike, since the
+torn records were never part of a commit.  (Each engine checks on reopen that
+its heaps still hold every record its commits reference.)  A tail padded to
+the full page size, as older files stored it, opens the same way.
 """
 
 from __future__ import annotations
@@ -16,10 +31,11 @@ from typing import Iterator
 
 from repro.core.buffer_pool import BufferPool
 from repro.core.durable import add_recovery_note, strict_recovery
-from repro.core.page import DEFAULT_PAGE_SIZE, Page, PageId
+from repro.core.page import DEFAULT_PAGE_SIZE, PAGE_HEADER, Page, PageId
 from repro.core.record import Record, RecordCodec
 from repro.core.schema import Schema
 from repro.errors import CorruptionError, PageError, StorageError
+from repro.testing.faults import check_crashed, crashpoint
 
 
 @dataclass(frozen=True, order=True)
@@ -45,8 +61,8 @@ class HeapFile:
         Relation schema; determines the record codec and page capacity.
     buffer_pool:
         Shared :class:`BufferPool` used for reads.  Appends go to an
-        in-memory tail page that is written out when full or on
-        :meth:`flush`.
+        in-memory tail page whose new records are written out when the page
+        fills or on :meth:`flush`.
     page_size:
         Page size in bytes.
     """
@@ -58,20 +74,22 @@ class HeapFile:
         buffer_pool: BufferPool,
         page_size: int = DEFAULT_PAGE_SIZE,
     ):
+        #: Also the buffer-pool key of the file's pages: one pool serves
+        #: every relation, and their directories hold files of the same
+        #: names.
         self.path = path
         self.schema = schema
         self.codec = RecordCodec(schema)
         self.page_size = page_size
         self.buffer_pool = buffer_pool
-        self._file_name = os.path.basename(path)
         self._tail_page: Page | None = None
         self._num_full_pages = 0
         self._num_records = 0
+        #: How many of the tail page's records are on disk.
+        self._tail_written = 0
         #: True when pages were written since the last fsync; lets
         #: :meth:`flush` skip the fsync for files nothing touched.
         self._os_dirty = False
-        #: True when the in-memory tail page has records not yet written out.
-        self._tail_dirty = False
         if os.path.exists(path):
             self._load_existing()
         else:
@@ -81,45 +99,89 @@ class HeapFile:
     # -- bookkeeping ----------------------------------------------------------
 
     def _load_existing(self) -> None:
-        size = os.path.getsize(self.path)
-        if size % self.page_size != 0:
-            # A torn final page: a crash interrupted a page write.  Commit
-            # snapshots are only recorded after a full flush, so the torn
-            # bytes cannot be referenced by any durable state -- in degraded
-            # mode they are safely discarded to the last page boundary.
-            boundary = (size // self.page_size) * self.page_size
+        full_pages, tail_length = divmod(os.path.getsize(self.path), self.page_size)
+        if full_pages and not tail_length:
+            # A page-sized last page is full, or a tail padded to the page
+            # size as older files stored it.
+            with open(self.path, "rb") as handle:
+                handle.seek((full_pages - 1) * self.page_size)
+                (count,) = PAGE_HEADER.unpack(handle.read(PAGE_HEADER.size))
+            if count != self.records_per_page:
+                full_pages -= 1
+                tail_length = self.page_size
+        self._num_full_pages = full_pages
+        self._num_records = full_pages * self.records_per_page
+        if tail_length:
+            self._load_tail(full_pages * self.page_size, tail_length)
+
+    def _load_tail(self, start: int, length: int) -> None:
+        """Reopen the tail page at byte ``start`` for further appends,
+        cutting a torn tail back to its whole records."""
+        with open(self.path, "rb") as handle:
+            handle.seek(start)
+            data = handle.read(length)
+        header, record_size = PAGE_HEADER.size, self.codec.record_size
+        count = PAGE_HEADER.unpack_from(data)[0] if length >= header else 0
+        if count > self.records_per_page:
             error = CorruptionError(
                 self.path,
-                "heap file size is not a multiple of the page size "
-                "(torn final page)",
-                offset=boundary,
-                expected=self.page_size,
-                actual=size - boundary,
+                "heap tail record count exceeds the page capacity",
+                offset=start,
+                expected=self.records_per_page,
+                actual=count,
             )
             if strict_recovery():
                 raise error
-            os.truncate(self.path, boundary)
-            size = boundary
-            add_recovery_note(f"truncated torn heap tail: {error}")
-        num_pages = size // self.page_size
-        self._num_full_pages = num_pages
-        self._num_records = 0
-        if num_pages == 0:
+            self._cut(start)
+            add_recovery_note(f"quarantined corrupt heap tail: {error}")
             return
-        # Count records: all pages but the last are full by construction.
-        per_page = self.records_per_page
-        self._num_records = (num_pages - 1) * per_page
-        last_page = self._read_page(num_pages - 1)
-        self._num_records += last_page.num_records
-        if not last_page.is_full:
-            # Re-open the final partial page as the tail for further appends.
-            self._tail_page = last_page
-            self._num_full_pages = num_pages - 1
+        whole = min(count, max(length - header, 0) // record_size)
+        end = header + whole * record_size
+        # A page that filled is padded to the page size.
+        expected = (
+            self.page_size
+            if count == self.records_per_page
+            else header + count * record_size
+        )
+        if length != expected:
+            # A torn flush.  A page-sized tail whose bytes past its records
+            # are all zero is an older padded tail, not a torn one.
+            if length != self.page_size or any(data[end:]):
+                error = CorruptionError(
+                    self.path,
+                    "heap tail length does not match its record count",
+                    offset=start,
+                    expected=expected,
+                    actual=length,
+                )
+                add_recovery_note(f"truncated torn heap tail: {error}")
+            if whole == self.records_per_page:
+                # A page that filled, with its padding torn off: pad it
+                # again, and it is a full page.
+                self._cut(start + self.page_size, (start, PAGE_HEADER.pack(whole)))
+                self._num_full_pages += 1
+                self._num_records += whole
+                return
+            if whole:
+                self._cut(start + end, (start, PAGE_HEADER.pack(whole)))
+            else:
+                self._cut(start)
+        if not whole:
+            return
+        self._num_records += whole
+        image = PAGE_HEADER.pack(whole) + data[header:end]
+        self._tail_page = Page(
+            PageId(self.path, self._num_full_pages),
+            self.codec,
+            self.page_size,
+            data=image.ljust(self.page_size, b"\x00"),
+        )
+        self._tail_written = whole
 
     @property
     def records_per_page(self) -> int:
         """Number of records that fit on one page."""
-        return (self.page_size - 4) // self.codec.record_size
+        return (self.page_size - PAGE_HEADER.size) // self.codec.record_size
 
     @property
     def num_records(self) -> int:
@@ -133,7 +195,7 @@ class HeapFile:
 
     def size_bytes(self) -> int:
         """On-disk size of the heap file in bytes (after a flush)."""
-        return self.num_pages * self.page_size if self.num_records else 0
+        return os.path.getsize(self.path)
 
     # -- writes ---------------------------------------------------------------
 
@@ -141,19 +203,19 @@ class HeapFile:
         """Append ``record`` and return its :class:`RecordId`."""
         if self._tail_page is None:
             self._tail_page = Page(
-                PageId(self._file_name, self._num_full_pages),
+                PageId(self.path, self._num_full_pages),
                 self.codec,
                 self.page_size,
             )
         slot = self._tail_page.append(record)
         record_id = RecordId(self._tail_page.page_id.page_number, slot)
         self._num_records += 1
-        self._tail_dirty = True
         if self._tail_page.is_full:
-            self._write_page(self._tail_page)
+            self._write_tail(self._tail_page)
             self.buffer_pool.put_page(self._tail_page)
             self._num_full_pages += 1
             self._tail_page = None
+            self._tail_written = 0
         return record_id
 
     def append_many(self, records: list[Record]) -> list[RecordId]:
@@ -161,57 +223,70 @@ class HeapFile:
         return [self.append(record) for record in records]
 
     def flush(self) -> None:
-        """Persist the tail page (if any) and fsync everything written so far.
+        """Write the tail's new records (if any) and fsync everything
+        written so far.
 
         Engine commits flush storage *before* recording a commit snapshot, so
         the fsync here is what guarantees a snapshot never references records
         still sitting in the OS page cache.  Files with no writes since the
         last flush skip the fsync.
         """
-        if (
-            self._tail_dirty
-            and self._tail_page is not None
-            and self._tail_page.num_records
-        ):
-            self._write_page(self._tail_page)
-            self.buffer_pool.put_page(self._tail_page)
-            self._tail_dirty = False
+        tail = self._tail_page
+        if tail is not None and tail.num_records > self._tail_written:
+            self._write_tail(tail)
+            self.buffer_pool.put_page(tail)
         if self._os_dirty:
-            with open(self.path, "r+b") as handle:
-                os.fsync(handle.fileno())
+            fd = os.open(self.path, os.O_WRONLY)
+            try:
+                crashpoint("heap-flush-pre-fsync", path=self.path)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
             self._os_dirty = False
 
     def truncate_records(self, count: int) -> None:
         """Physically discard every record after the first ``count``.
 
         Crash recovery uses this to roll a heap back to its last durable
-        commit snapshot: appends that reached the disk (wholly or torn) after
-        that snapshot are removed so record ordinals line up with the
-        recovered metadata again.
+        commit snapshot: appends that reached the disk after that snapshot
+        are removed so record ordinals line up with the recovered metadata
+        again.  A re-``init`` uses it to start over with an empty heap.
         """
         if count < 0:
             raise StorageError(f"cannot truncate {self.path} to {count} records")
         if count >= self._num_records:
             return
-        per_page = self.records_per_page
-        full_pages, tail_count = divmod(count, per_page)
+        full_pages, tail_count = divmod(count, self.records_per_page)
         survivors: list[Record] = []
         if tail_count:
             survivors = self._get_page(full_pages).records_view()[:tail_count]
-        self.buffer_pool.invalidate_file(self._file_name)
-        os.truncate(self.path, full_pages * self.page_size)
-        self._os_dirty = True
+        # The survivors of a page that was full are all on disk; of the
+        # tail, only those it had written.
+        written = (
+            tail_count
+            if full_pages < self._num_full_pages
+            else min(tail_count, self._tail_written)
+        )
+        self.buffer_pool.invalidate_file(self.path)
+        start = full_pages * self.page_size
+        if written:
+            self._cut(
+                start + PAGE_HEADER.size + written * self.codec.record_size,
+                (start, PAGE_HEADER.pack(written)),
+            )
+        else:
+            self._cut(start)
         self._num_full_pages = full_pages
-        self._num_records = full_pages * per_page
+        self._num_records = count
         self._tail_page = None
+        self._tail_written = 0
         if tail_count:
             self._tail_page = Page(
-                PageId(self._file_name, full_pages), self.codec, self.page_size
+                PageId(self.path, full_pages), self.codec, self.page_size
             )
             for record in survivors:
                 self._tail_page.append(record)
-            self._num_records += tail_count
-            self._tail_dirty = True
+            self._tail_written = written
         self.flush()
 
     # -- reads ----------------------------------------------------------------
@@ -268,9 +343,9 @@ class HeapFile:
             return self._tail_page
         if page_number >= self._num_full_pages:
             raise StorageError(
-                f"page {page_number} out of range in {self._file_name}"
+                f"page {page_number} out of range in {self.path}"
             )
-        page_id = PageId(self._file_name, page_number)
+        page_id = PageId(self.path, page_number)
         return self.buffer_pool.get_page(
             page_id,
             loader=lambda: self._read_page(page_number),
@@ -285,7 +360,7 @@ class HeapFile:
             raise StorageError(
                 f"short read of page {page_number} from {self.path}"
             )
-        page_id = PageId(self._file_name, page_number)
+        page_id = PageId(self.path, page_number)
         try:
             return Page(page_id, self.codec, self.page_size, data=data)
         except PageError as exc:
@@ -302,15 +377,42 @@ class HeapFile:
             add_recovery_note(f"quarantined corrupt heap page: {error}")
             return Page(page_id, self.codec, self.page_size)
 
-    def _write_page(self, page: Page) -> None:
-        with open(self.path, "r+b") as handle:
-            handle.seek(page.page_id.page_number * self.page_size)
-            handle.write(page.to_bytes())
+    def _write_tail(self, page: Page) -> None:
+        """Write the tail ``page``'s records that are not on disk yet, then
+        its record count; a page that has filled is padded to the page size."""
+        check_crashed()
+        records = page.records_view()
+        written = self._tail_written
+        data = b"".join(map(self.codec.encode, records[written:]))
+        start = page.page_id.page_number * self.page_size
+        offset = start + PAGE_HEADER.size + written * self.codec.record_size
+        if page.is_full:
+            data = data.ljust(start + self.page_size - offset, b"\x00")
+        fd = os.open(self.path, os.O_WRONLY)
+        try:
+            os.pwrite(fd, data, offset)
+            os.pwrite(fd, PAGE_HEADER.pack(len(records)), start)
+        finally:
+            os.close(fd)
+        self._tail_written = len(records)
         self._os_dirty = True
+
+    def _cut(self, size: int, *writes: tuple[int, bytes]) -> None:
+        """Cut (or zero-pad) the file to ``size`` bytes, apply ``(offset,
+        bytes)`` writes, and make the result durable."""
+        check_crashed()
+        os.truncate(self.path, size)
+        fd = os.open(self.path, os.O_WRONLY)
+        try:
+            for offset, data in writes:
+                os.pwrite(fd, data, offset)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
         """Flush outstanding data and drop cached pages for this file."""
         self.flush()
-        self.buffer_pool.invalidate_file(self._file_name)
+        self.buffer_pool.invalidate_file(self.path)

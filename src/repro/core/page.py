@@ -9,6 +9,11 @@ Page layout::
 
     [u32 record_count][record 0][record 1]...[record n-1][free space]
 
+In memory a page is always ``page_size`` bytes.  On disk only full pages
+are: a heap file stores its last, partial page without the free space and
+appends to it in place (:mod:`repro.core.heapfile`), so record bytes that
+reached the disk are never rewritten.
+
 Pages loaded from disk decode lazily, into whichever representation a scan
 first asks for: :meth:`Page.records_view` materializes the row array (one
 batch unpack sweep), :meth:`Page.columns_view` decodes straight into typed
@@ -26,10 +31,11 @@ from repro.core.columns import column_payload_bytes, columns_from_rows
 from repro.core.record import Record, RecordCodec
 from repro.errors import PageError
 
-_PAGE_HEADER = struct.Struct("<I")
+#: The page header: the page's record count.
+PAGE_HEADER = struct.Struct("<I")
 
 #: Bytes of page header before the packed record array (the record count).
-PAGE_HEADER_SIZE = _PAGE_HEADER.size
+PAGE_HEADER_SIZE = PAGE_HEADER.size
 
 #: Default page size in bytes.  The paper uses 4 MB pages over 100 GB of data;
 #: this reproduction scales datasets down by ~1000x so the default page keeps
@@ -63,7 +69,7 @@ class Page:
         page_size: int = DEFAULT_PAGE_SIZE,
         data: bytes | None = None,
     ):
-        if page_size <= _PAGE_HEADER.size + codec.record_size:
+        if page_size <= PAGE_HEADER.size + codec.record_size:
             raise PageError(
                 f"page size {page_size} cannot hold even one record "
                 f"of size {codec.record_size}"
@@ -81,7 +87,7 @@ class Page:
                 raise PageError(
                     f"expected {page_size} bytes for page {page_id}, got {len(data)}"
                 )
-            (count,) = _PAGE_HEADER.unpack_from(data, 0)
+            (count,) = PAGE_HEADER.unpack_from(data, 0)
             if count > self.capacity:
                 raise PageError(f"corrupt page {page_id}: count {count}")
             # Decode lazily: row scans and column scans want different
@@ -96,7 +102,7 @@ class Page:
     @property
     def capacity(self) -> int:
         """Maximum number of records this page can hold."""
-        return (self.page_size - _PAGE_HEADER.size) // self._codec.record_size
+        return (self.page_size - PAGE_HEADER.size) // self._codec.record_size
 
     @property
     def num_records(self) -> int:
@@ -120,7 +126,7 @@ class Page:
                 # One unpack sweep for the whole record array instead of one
                 # decode call per slot.
                 self._records = self._codec.decode_batch(
-                    data, _PAGE_HEADER.size, self._disk_count
+                    data, PAGE_HEADER.size, self._disk_count
                 )
         return self._records
 
@@ -176,7 +182,7 @@ class Page:
             data = self._data
             if self._records is None and data is not None:
                 self._columns = self._codec.decode_batch_columns(
-                    data, _PAGE_HEADER.size, self._disk_count
+                    data, PAGE_HEADER.size, self._disk_count
                 )
             else:
                 self._columns = columns_from_rows(
@@ -219,7 +225,7 @@ class Page:
         if self._records is None and self._data is not None:
             return self._data
         records = self._decoded()
-        parts = [_PAGE_HEADER.pack(len(records))]
+        parts = [PAGE_HEADER.pack(len(records))]
         parts.extend(self._codec.encode(record) for record in records)
         payload = b"".join(parts)
         return payload + b"\x00" * (self.page_size - len(payload))

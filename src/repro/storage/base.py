@@ -34,6 +34,7 @@ from repro.core.columns import (
     branch_annotated_schema,
     regroup_column_batches,
 )
+from repro.core.durable import add_recovery_note, strict_recovery
 from repro.core.page import DEFAULT_PAGE_SIZE, PAGE_HEADER_SIZE
 from repro.core.predicates import (
     Predicate,
@@ -43,7 +44,7 @@ from repro.core.predicates import (
 )
 from repro.core.record import Record
 from repro.core.schema import Schema
-from repro.errors import BranchNotFoundError, VersionError
+from repro.errors import BranchNotFoundError, CorruptionError, VersionError
 from repro.index.maintenance import IndexMaintenance
 from repro.versioning.conflicts import (
     MergePolicy,
@@ -188,6 +189,40 @@ def stored_pk_ordinals(heap, pk_position: int) -> Iterator[tuple[int, int]]:
         start = page_number * per_page
         for slot, key in enumerate(keys):
             yield key, start + slot
+
+
+def check_stored_records(heap, needed: int) -> bool:
+    """True if ``heap`` holds at least its first ``needed`` records.
+
+    Engines call this with the records a restored commit references.
+    Every one of them was made durable by its commit's flush, so a shorter
+    heap lost committed records (a truncated or damaged file).  Strict
+    recovery raises :class:`CorruptionError`; degraded recovery returns
+    False with a note, and the caller drops the references.
+    """
+    if heap.num_records >= needed:
+        return True
+    error = CorruptionError(
+        heap.path,
+        "heap holds fewer records than its commits reference",
+        expected=needed,
+        actual=heap.num_records,
+    )
+    if strict_recovery():
+        raise error
+    add_recovery_note(f"committed records missing from a heap: {error}")
+    return False
+
+
+def stored_bitmap(heap, bitmap: Bitmap) -> Bitmap:
+    """A restored commit bitmap, checked to set only records ``heap`` holds.
+
+    In degraded recovery a heap too short for it keeps the bits of the
+    records that remain, so the loss never surfaces as a failed read.
+    """
+    if check_stored_records(heap, bitmap.end()):
+        return bitmap
+    return bitmap.prefix(heap.num_records)
 
 
 def live_heap_records(heap, bitmap) -> Iterator[Record]:

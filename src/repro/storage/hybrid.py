@@ -48,6 +48,7 @@ from repro.storage.base import (
     merge_branch_copies,
     scan_heap_bitmap_columns,
     scan_heap_member_columns,
+    stored_bitmap,
     stored_pk_ordinals,
 )
 from repro.storage.pk_index import KeyCopyIndex
@@ -175,6 +176,7 @@ class HybridEngine(VersionedStorageEngine):
     def _restore_branch(self, branch: str, commit_id: str) -> None:
         """Set ``branch``'s local bitmaps to the snapshots of ``commit_id``."""
         for segment_id, snapshot in self._commit_segment_bitmaps(commit_id):
+            snapshot = stored_bitmap(self.segments.get(segment_id).heap, snapshot)
             local = self._local_bitmaps[segment_id]
             if not local.has_branch(branch):
                 local.add_branch(branch)
@@ -212,7 +214,9 @@ class HybridEngine(VersionedStorageEngine):
         Visibility in hybrid is bitmap-governed, so head segments are *not*
         truncated on recovery: records appended by an uncommitted transaction
         may survive as dead bytes in the head segment, but no restored bitmap
-        references them, making them invisible to every scan.
+        references them, making them invisible to every scan.  A segment
+        too short for a restored bitmap lost committed records: strict
+        recovery refuses to open.
         """
         self.segments.load_metadata()
         # Every segment gets an (initially empty) local bitmap index; head

@@ -109,7 +109,11 @@ class SegmentSet:
         owner_branch: str | None,
         parents: tuple[ParentPointer, ...] = (),
     ) -> Segment:
-        """Create a new, empty segment owned by ``owner_branch``."""
+        """Create a new, empty segment owned by ``owner_branch``.
+
+        A file left under the new id (by an earlier engine over a reused
+        directory) is emptied: a fresh segment never inherits records.
+        """
         segment_id = f"seg{self._next_id:05d}"
         self._next_id += 1
         heap = HeapFile(
@@ -118,6 +122,7 @@ class SegmentSet:
             self.buffer_pool,
             page_size=self.page_size,
         )
+        heap.truncate_records(0)
         segment = Segment(
             segment_id=segment_id,
             heap=heap,

@@ -41,6 +41,7 @@ from repro.storage.base import (
     merge_branch_copies,
     scan_heap_bitmap_columns,
     scan_heap_member_columns,
+    stored_bitmap,
     stored_pk_ordinals,
 )
 from repro.storage.pk_index import KeyCopyIndex
@@ -85,6 +86,8 @@ class TupleFirstEngine(VersionedStorageEngine):
     # -- engine hooks ---------------------------------------------------------
 
     def _prepare_master(self) -> None:
+        # A re-init over a reused directory starts from an empty heap.
+        self.heap.truncate_records(0)
         self.key_index.start_empty()
         self._add_branch_structures(MASTER_BRANCH, clone_from=None)
 
@@ -126,7 +129,9 @@ class TupleFirstEngine(VersionedStorageEngine):
         bitmap is checked out from its head commit, so heap tuples appended
         by uncommitted (loser) transactions have no set bits anywhere and
         stay invisible.  The commit histories are rebuilt from the deltas
-        the graph's commit events carry, in commit order.
+        the graph's commit events carry, in commit order.  A heap too short
+        for a restored bitmap lost committed records: strict recovery
+        refuses to open.
         """
         branches = self.graph.branch_names()
         for branch in branches:
@@ -140,7 +145,10 @@ class TupleFirstEngine(VersionedStorageEngine):
         # an ancestor's history, so all histories must be rebuilt first.
         for branch in branches:
             self.bitmap_index.restore_branch(
-                branch, self._bitmap_at_commit(self.graph.head(branch))
+                branch,
+                stored_bitmap(
+                    self.heap, self._bitmap_at_commit(self.graph.head(branch))
+                ),
             )
         # The key index stays unbuilt: the first pk lookup reads it from
         # the heap.

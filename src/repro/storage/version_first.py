@@ -41,6 +41,7 @@ from repro.storage.base import (
     DEFAULT_SCAN_BATCH_SIZE,
     StorageEngineKind,
     VersionedStorageEngine,
+    check_stored_records,
     merge_branch_copies,
 )
 from repro.storage.pk_index import PrimaryKeyIndex
@@ -145,17 +146,20 @@ class VersionFirstEngine(VersionedStorageEngine):
         raised by any persisted child branch point into the segment: a child
         created off this branch durably references the parent's records below
         its pointer limit, so those records must survive even if the parent
-        itself never committed past them.
+        itself never committed past them.  A segment holding fewer records
+        than its floor lost committed ones: strict recovery refuses to open.
         """
         self.segments.load_metadata()
         for segment in self.segments.all():
             if segment.owner_branch is not None and not segment.frozen:
                 self._head_segment[segment.owner_branch] = segment.segment_id
-        pinned: dict[str, int] = {}
+        # Records each segment must hold: up to its child branch points'
+        # limits and, for a head segment, its head commit's offset.
+        needed: dict[str, int] = {}
         for segment in self.segments.all():
             for pointer in segment.parents:
-                pinned[pointer.segment_id] = max(
-                    pinned.get(pointer.segment_id, 0), pointer.limit
+                needed[pointer.segment_id] = max(
+                    needed.get(pointer.segment_id, 0), pointer.limit
                 )
         for branch in self.graph.branch_names():
             segment_id = self._head_segment.get(branch)
@@ -174,10 +178,12 @@ class VersionFirstEngine(VersionedStorageEngine):
                 if location is not None and location[0] == segment_id
                 else 0
             )
-            floor = max(committed, pinned.get(segment_id, 0))
+            floor = needed[segment_id] = max(committed, needed.get(segment_id, 0))
             segment = self.segments.get(segment_id)
             if segment.record_count > floor:
                 segment.heap.truncate_records(floor)
+        for segment in self.segments.all():
+            check_stored_records(segment.heap, needed.get(segment.segment_id, 0))
         # Primary-key maps are rebuilt lazily, on a branch's first touch, by
         # the chain walk below (which must see tombstones).
         self.pk_index.register_lazy(

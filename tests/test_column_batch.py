@@ -27,7 +27,7 @@ from repro.core.columns import (
     regroup_column_batches,
     set_debug_validation,
 )
-from repro.core.page import _PAGE_HEADER, Page, PageId
+from repro.core.page import PAGE_HEADER, Page, PageId
 from repro.core.record import Record, RecordCodec
 from repro.core.schema import Column, ColumnType, Schema
 from repro.errors import ColumnBatchError
@@ -293,7 +293,7 @@ class TestPageColumnView:
     def test_row_and_column_views_agree(self, rows):
         codec = RecordCodec(MIXED_SCHEMA)
         record_size = codec.record_size
-        page_size = max(1024, _PAGE_HEADER.size + record_size * (len(rows) + 1))
+        page_size = max(1024, PAGE_HEADER.size + record_size * (len(rows) + 1))
         staging = Page(PageId("f", 0), codec, page_size=page_size)
         for values in rows:
             staging.append(Record(values))

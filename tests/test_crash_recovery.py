@@ -34,10 +34,12 @@ from repro.testing.faults import FaultSchedule, InjectedCrash, inject
 ENGINES = ["tuple-first", "version-first", "hybrid"]
 
 #: Every named crashpoint the durable write paths register: the WAL COMMIT
-#: fsync, the version-graph log append (which also carries the commit's
-#: bitmap deltas), and the segment-topology atomic write.
+#: fsync, the heap flush (a commit's new records), the version-graph log
+#: append (which also carries the commit's bitmap deltas), and the
+#: segment-topology atomic write.
 CRASHPOINTS = [
     "wal-group-commit-pre-fsync",
+    "heap-flush-pre-fsync",
     "graph-persist-pre-fsync",
     "segment-meta-mid-write",
     "segment-meta-pre-rename",
@@ -45,7 +47,8 @@ CRASHPOINTS = [
 
 #: The crashpoints that guard an append to a live log (the WAL, the
 #: version-graph log), where a crash can also leave a torn partial record
-#: behind.
+#: behind.  The heap flush, an append to a heap file's tail, has its own
+#: matrix below.
 APPEND_CRASHPOINTS = [
     "wal-group-commit-pre-fsync",
     "graph-persist-pre-fsync",
@@ -54,12 +57,14 @@ APPEND_CRASHPOINTS = [
 
 def commit_cases(points):
     """(point, engine) for every point a transaction commit passes: all but
-    the segment-topology write, which only a branch creation reaches."""
+    the segment-topology write, which only a branch creation reaches, and
+    the heap flush, which a delete-only commit does not reach on the bitmap
+    engines (see ``_HeapFlushWorkloads``)."""
     return [
         (point, engine)
         for point in points
         for engine in ENGINES
-        if not point.startswith("segment-meta")
+        if not point.startswith("segment-meta") and not point.startswith("heap")
     ]
 
 
@@ -86,6 +91,12 @@ ENGINE_COMMIT_CASES = [
     ("graph-persist-pre-fsync", engine, torn)
     for engine in ENGINES
     for torn in (0, 3)
+]
+
+#: A merge's commit also flushes the records the merge appended, which
+#: only version-first does (the bitmap engines merge by setting bits).
+MERGE_CASES = ENGINE_COMMIT_CASES + [
+    ("heap-flush-pre-fsync", "version-first", torn) for torn in (0, 3)
 ]
 
 
@@ -288,6 +299,70 @@ class TestTornAppendMatrix(_CrashWorkloads):
     torn_bytes = 3
 
 
+class _HeapFlushWorkloads(_CrashWorkloads):
+    """The workloads, crashed at the commit's heap flush.  The WAL COMMIT is
+    already fsynced there, so every case reopens to the committed rows by
+    WAL redo, whatever the flush left on disk.  A delete alone appends
+    nothing on the bitmap engines, so the delete workload also inserts."""
+
+    def test_delete_crash(self, tmp_path, engine, point):
+        db = seed_database(tmp_path, engine)
+        txn = db.transactions("t").begin()
+        txn.delete("master", 7)
+        txn.insert("master", record(200, 2))
+        self._crash(point, txn)
+        reopened = Decibel.open(str(tmp_path), engine=engine)
+        assert self._committed(reopened, txn)
+        assert live_keys(reopened) == (set(range(10)) | {100, 200}) - {7}
+        assert_pk_index_agrees(reopened)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("point", ["heap-flush-pre-fsync"])
+class TestHeapFlushMatrix(_HeapFlushWorkloads):
+    pass
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("point", ["heap-flush-pre-fsync"])
+class TestTornHeapFlushMatrix(_HeapFlushWorkloads):
+    """The crash also cuts 3 bytes off the heap file, inside the last
+    record the flush wrote: reopen keeps the whole records."""
+
+    torn_bytes = 3
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("point", ["heap-flush-pre-fsync"])
+class TestTornHeapCountMatrix(_HeapFlushWorkloads):
+    """The crash cuts 4 bytes, the size of a page's record count: the
+    reopened heap keeps its whole records up to the count."""
+
+    torn_bytes = 4
+
+
+@pytest.mark.parametrize("torn_bytes", [3, 4])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_torn_heap_flush_is_cut_with_a_note(tmp_path, engine, torn_bytes):
+    """The torn records are cut back to whole ones with a recovery note, in
+    either recovery mode, and the WAL redoes the commit exactly once."""
+    db = seed_database(tmp_path, engine)
+    txn = db.transactions("t").begin()
+    txn.update("master", record(5, 555))
+    txn.insert("master", record(200, 2))
+    with pytest.raises(InjectedCrash):
+        with inject(FaultSchedule("heap-flush-pre-fsync", torn_bytes=torn_bytes)):
+            txn.commit()
+    reopened = Decibel.open(str(tmp_path), engine=engine)
+    report = reopened.last_recovery
+    assert report.needs_redo == {txn.transaction_id}
+    assert any("torn heap tail" in note for note in report.notes), report.notes
+    expected = {(i, i * 10) for i in range(10) if i != 5} | {(5, 555), (100, 1), (200, 2)}
+    assert {r.values for r in reopened.relation("t").scan("master")} == expected
+    assert key_copies(reopened, "master", 200) == 1
+    assert_pk_index_agrees(reopened)
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("point", ["graph-persist-pre-fsync"])
 class TestFlippedLastGraphFrameMatrix(_CrashWorkloads):
@@ -360,7 +435,7 @@ def test_two_branch_crash_at_last_commit(tmp_path, point, engine, torn_bytes):
     assert_pk_index_agrees(again, "dev")
 
 
-@pytest.mark.parametrize(("point", "engine", "torn_bytes"), ENGINE_COMMIT_CASES)
+@pytest.mark.parametrize(("point", "engine", "torn_bytes"), MERGE_CASES)
 def test_merge_crash(tmp_path, point, engine, torn_bytes):
     """A crash inside a merge's commit leaves the target at its pre-merge
     head or at the merged state, never in between; a lost merge can be run

@@ -137,6 +137,21 @@ class TestDatasetWideOperations:
         second = db.create_relation("S", schema)
         assert first.engine.buffer_pool is second.engine.buffer_pool
 
+    @pytest.mark.parametrize("engine", ["tuple-first", "version-first", "hybrid"])
+    def test_relations_never_read_each_others_pages(self, tmp_path, schema, engine):
+        """Each relation's heap files share names with the other's (one
+        directory per relation) and their pages share one pool: a full page
+        of one must never be served for the other's."""
+        db = Decibel(str(tmp_path / "db"), engine=engine, page_size=512)
+        first = db.create_relation("R", schema)
+        second = db.create_relation("S", schema)
+        first.init(make_records(100, payload=1))
+        second.init(make_records(100, payload=2))
+        for relation, payload in ((first, 1), (second, 2)):
+            rows = [r.values for r in relation.scan("master")]
+            assert len(rows) == 100
+            assert {values[3] for values in rows} == {payload}
+
 
 class TestCloseProtocol:
     """Decibel.close(): idempotent, drain-safe, and strict afterwards."""

@@ -26,7 +26,7 @@ from repro.core.durable import (
     load_checked_json,
     read_framed,
 )
-from repro.core.record import Record
+from repro.core.record import Record, RecordCodec
 from repro.core.schema import Schema
 from repro.core.wal import LogRecord, LogRecordType, WriteAheadLog
 from repro.db.database import Decibel
@@ -258,6 +258,9 @@ def flip_frame_byte(path, index):
 
 ENGINES = ["tuple-first", "version-first", "hybrid"]
 
+#: Bytes per record of the two-integer relations below.
+RECORD_SIZE = RecordCodec(Schema.of_ints(2)).record_size
+
 
 def checkouts(rel):
     """Commit id -> the sorted rows a checkout of that commit returns."""
@@ -427,13 +430,14 @@ class TestVersionGraphLog:
             assert rel.graph.commit_state(commit.commit_id) is not None
 
 
-    @pytest.mark.parametrize("engine", ["tuple-first", "hybrid"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_reinit_over_a_reused_directory_reopens_to_the_new_data(
         self, tmp_path, engine
     ):
         """A fresh engine object that re-``init``s a directory holding an
-        older dataset starts a new graph log, and a reopen restores the new
-        dataset, never the old one's commit snapshots."""
+        older dataset starts a new graph log and empty heaps, and a reopen
+        restores the new dataset, never the old one's records or commit
+        snapshots."""
         schema = Schema.of_ints(2)
         directory = str(tmp_path / "t")
         old = create_engine(engine, directory, schema)
@@ -451,6 +455,67 @@ class TestVersionGraphLog:
         assert sorted(r.values for r in reopened.scan_branch("master")) == expected
         head = reopened.graph.head("master")
         assert sorted(r.values for r in reopened.scan_commit(head)) == expected
+        heaps = (
+            [reopened.heap]
+            if engine == "tuple-first"
+            else [segment.heap for segment in reopened.segments.all()]
+        )
+        stored = sorted(r.values for heap in heaps for r in heap.scan_records())
+        assert stored == expected
+
+
+class TestCommittedRecordsOnDisk:
+    """Reopen checks that each heap still holds every record its restored
+    head commits reference.  A heap cut below that raises in strict mode;
+    degraded mode notes the loss, and reads answer from the records that
+    remain instead of failing later."""
+
+    @staticmethod
+    def head_heap_path(directory, engine):
+        relation = os.path.join(str(directory), "t")
+        if engine == "tuple-first":
+            return os.path.join(relation, "data.heap")
+        # Master's first head segment holds the ten initial rows.
+        return os.path.join(relation, "segments", "seg00000.seg")
+
+    @staticmethod
+    def cut_to_records(path, records):
+        """Cut the heap file to its count and first ``records`` records,
+        as a damaged disk might; the count still names all of them."""
+        os.truncate(path, 4 + records * RECORD_SIZE)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_heap_cut_below_its_commits_fails_open_in_strict_mode(
+        self, tmp_path, engine, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_STRICT_RECOVERY", "1")
+        committed_dataset(tmp_path, engine)
+        self.cut_to_records(self.head_heap_path(tmp_path, engine), 6)
+        with pytest.raises(CorruptionError, match="fewer records than its commits"):
+            Decibel.open(str(tmp_path), engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_heap_cut_below_its_commits_degrades_with_a_note(
+        self, tmp_path, engine, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_STRICT_RECOVERY", "0")
+        committed_dataset(tmp_path, engine)
+        self.cut_to_records(self.head_heap_path(tmp_path, engine), 6)
+        db = Decibel.open(str(tmp_path), engine=engine)
+        notes = db.last_recovery.notes
+        assert any("fewer records than its commits" in n for n in notes), notes
+        # Every read answers from the records that remain; none fails.
+        rel = db.relation("t")
+        for branch in ("master", "dev"):
+            rows = branch_rows(db, branch)
+            assert {(key, key) for key in range(6)} <= set(rows)
+            assert not {(key, key) for key in range(6, 10)} & set(rows)
+            for key, _ in rows:
+                assert rel.engine.record_for_key(branch, key).values == (key, key)
+            count = db.query(
+                f"SELECT COUNT(*) FROM t WHERE t.Version = '{branch}'"
+            ).rows[0][0]
+            assert count == len(rows)
 
 
 

@@ -1,13 +1,53 @@
-"""Tests for append-only heap files."""
+"""Tests for append-only heap files.
+
+Covers the on-disk format (full pages, then a compact tail of a count and
+its records), flushes that write only new records, torn-tail repair on
+open, and the older padded tail.  The page size is 512 bytes throughout, so
+the 4-column test records (33 bytes) fill a page at 15.
+"""
+
+import os
+import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.buffer_pool import BufferPool
+from repro.core.durable import drain_recovery_notes
 from repro.core.heapfile import HeapFile, RecordId
+from repro.core.page import Page, PageId
 from repro.core.record import Record
-from repro.errors import StorageError
+from repro.errors import CorruptionError, StorageError
 
 from tests.conftest import make_records
+
+PAGE_SIZE = 512
+
+
+@pytest.fixture(autouse=True)
+def _clean_notes():
+    """Keep the module-level recovery-note log isolated per test."""
+    drain_recovery_notes()
+    yield
+    drain_recovery_notes()
+
+
+def expected_length(heap, count):
+    """The file length the format gives a heap of ``count`` records."""
+    full_pages, tail = divmod(count, heap.records_per_page)
+    return full_pages * PAGE_SIZE + (4 + tail * heap.codec.record_size if tail else 0)
+
+
+def read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def write_bytes(path, data):
+    with open(path, "r+b") as handle:
+        handle.truncate(0)
+        handle.write(data)
 
 
 @pytest.fixture
@@ -70,7 +110,7 @@ class TestHeapFile:
     def test_size_bytes_after_flush(self, heap):
         heap.append_many(make_records(3))
         heap.flush()
-        assert heap.size_bytes() == 512
+        assert heap.size_bytes() == 4 + 3 * heap.codec.record_size
 
     def test_empty_file_size(self, heap):
         assert heap.size_bytes() == 0
@@ -89,12 +129,220 @@ class TestHeapFile:
         reopened = HeapFile(path, schema, BufferPool(), page_size=512)
         assert reopened.num_records == 3
 
-    def test_corrupt_size_detected(self, schema, tmp_path):
+    def test_corrupt_size_detected(self, schema, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STRICT_RECOVERY", "1")
         path = str(tmp_path / "data.heap")
         with open(path, "wb") as handle:
-            handle.write(b"\x00" * 100)  # not a multiple of the page size
-        with pytest.raises(StorageError):
+            # A tail whose count exceeds what a page can hold.
+            handle.write(struct.pack("<I", 16) + b"\x00" * 96)
+        with pytest.raises(CorruptionError):
             HeapFile(path, schema, BufferPool(), page_size=512)
+
+    def test_corrupt_count_is_quarantined_in_degraded_mode(
+        self, schema, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_STRICT_RECOVERY", "0")
+        path = str(tmp_path / "data.heap")
+        heap = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+        heap.append_many(make_records(20))
+        heap.flush()
+        with open(path, "r+b") as handle:
+            handle.seek(PAGE_SIZE)
+            handle.write(struct.pack("<I", 99))
+        reopened = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+        assert list(reopened.scan_records()) == make_records(15)
+        assert os.path.getsize(path) == PAGE_SIZE
+        assert any("corrupt heap tail" in n for n in drain_recovery_notes())
+
+
+class TestCompactTail:
+    def test_file_length_follows_the_format_after_each_flush(self, heap):
+        appended = 0
+        for batch in (1, 2, 5, 7, 1, 14, 15, 3):
+            heap.append_many(make_records(batch, start=appended))
+            appended += batch
+            heap.flush()
+            assert os.path.getsize(heap.path) == expected_length(heap, appended)
+            assert heap.size_bytes() == expected_length(heap, appended)
+
+    def test_flush_writes_only_the_new_records_and_the_count(
+        self, heap, monkeypatch
+    ):
+        writes = []
+        real_pwrite = os.pwrite
+
+        def recording_pwrite(fd, data, offset):
+            writes.append((offset, len(data)))
+            return real_pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", recording_pwrite)
+        record_size = heap.codec.record_size
+        per_page = heap.records_per_page
+        appended = 0
+        for batch in (3, 1, 6, 4, 2, 20):
+            writes.clear()
+            flushed_end = os.path.getsize(heap.path)
+            heap.append_many(make_records(batch, start=appended))
+            heap.flush()
+            pages_filled = (appended + batch) // per_page - appended // per_page
+            padding = pages_filled * (PAGE_SIZE - 4 - per_page * record_size)
+            written = sum(length for _, length in writes)
+            assert written <= pages_filled * 4 + 4 + batch * record_size + padding
+            # Record bytes go past everything already on disk, except the
+            # 4-byte counts at the start of a page.
+            for offset, length in writes:
+                is_count = length == 4 and offset % PAGE_SIZE == 0
+                assert is_count or offset >= flushed_end
+            appended += batch
+        assert list(heap.scan_records()) == make_records(appended)
+
+    def test_flush_with_nothing_new_writes_nothing(self, heap, monkeypatch):
+        heap.append_many(make_records(4))
+        heap.flush()
+        calls = []
+        monkeypatch.setattr(os, "pwrite", lambda *args: calls.append(args))
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd))
+        heap.flush()
+        assert calls == []
+
+    @pytest.mark.parametrize("count_on_disk", ["old", "new"])
+    @pytest.mark.parametrize(("before", "after"), [(3, 7), (10, 15)])
+    def test_torn_tails_truncate_to_whole_records(
+        self, schema, tmp_path, count_on_disk, before, after
+    ):
+        """A flush onto a tail of ``before`` records, up to ``after``, is
+        cut at every length (15 fills the page, padding included).  The
+        file opens with its whole records, up to the count on disk."""
+        path = str(tmp_path / "data.heap")
+        heap = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+        heap.append_many(make_records(before))
+        heap.flush()
+        heap.append_many(make_records(after - before, start=before))
+        heap.flush()
+        full = read_bytes(path)
+        record_size = heap.codec.record_size
+        count = before if count_on_disk == "old" else after
+        intact = expected_length(heap, count)
+        header = struct.pack("<I", count)
+        for cut in range(1, len(full) + 1):
+            data = (header + full[4:])[:cut]
+            write_bytes(path, data)
+            drain_recovery_notes()
+            reopened = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+            whole = min(count, max(cut - 4, 0) // record_size)
+            assert list(reopened.scan_records()) == make_records(whole), cut
+            assert os.path.getsize(path) == expected_length(reopened, whole)
+            notes = drain_recovery_notes()
+            if cut == intact:
+                assert notes == []
+            else:
+                assert len(notes) == 1 and "torn heap tail" in notes[0], cut
+            # The repair is durable and complete: a second open is clean,
+            # and appends continue at the next ordinal.
+            again = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+            assert drain_recovery_notes() == []
+            again.append(Record((999, 0, 0, 0)))
+            again.flush()
+            final = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+            assert list(final.scan_records()) == make_records(whole) + [
+                Record((999, 0, 0, 0))
+            ]
+
+    @pytest.mark.parametrize("full_pages", [0, 2])
+    def test_padded_tail_of_the_older_format_opens_and_accepts_appends(
+        self, schema, tmp_path, full_pages
+    ):
+        path = str(tmp_path / "data.heap")
+        heap = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+        per_page = heap.records_per_page
+        records = make_records(full_pages * per_page + 5)
+        heap.append_many(records[: full_pages * per_page])
+        heap.flush()
+        padded = Page(PageId("old", full_pages), heap.codec, PAGE_SIZE)
+        for record in records[full_pages * per_page :]:
+            padded.append(record)
+        with open(path, "r+b") as handle:
+            handle.seek(full_pages * PAGE_SIZE)
+            handle.write(padded.to_bytes())
+        assert os.path.getsize(path) == (full_pages + 1) * PAGE_SIZE
+        reopened = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+        assert drain_recovery_notes() == []
+        assert list(reopened.scan_records()) == records
+        reopened.append(Record((999, 0, 0, 0)))
+        reopened.flush()
+        assert os.path.getsize(path) == expected_length(reopened, len(records) + 1)
+        final = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+        assert list(final.scan_records()) == records + [Record((999, 0, 0, 0))]
+
+    def test_truncate_records_into_the_unflushed_tail(self, schema, tmp_path):
+        path = str(tmp_path / "data.heap")
+        heap = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+        heap.append_many(make_records(3))
+        heap.flush()
+        heap.append_many(make_records(6, start=3))
+        heap.truncate_records(5)
+        assert os.path.getsize(path) == expected_length(heap, 5)
+        reopened = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+        assert list(reopened.scan_records()) == make_records(5)
+
+    def test_truncate_records_keeps_the_format(self, heap):
+        heap.append_many(make_records(40))
+        heap.flush()
+        for count in (33, 30, 16, 15, 4, 0):
+            heap.truncate_records(count)
+            assert os.path.getsize(heap.path) == expected_length(heap, count)
+            assert list(heap.scan_records()) == make_records(count)
+
+
+#: One step of the heap model test: (operation, argument).
+heap_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["append", "append", "flush", "reopen", "truncate"]),
+        st.integers(min_value=0, max_value=40),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(steps=heap_steps)
+def test_heap_matches_a_list_model(schema, tmp_path_factory, steps):
+    """Appends, flushes, reopens and truncations against a list of records.
+    A reopen without a flush keeps what reached the disk: the pages that
+    filled, and the tail as of the last flush."""
+    path = str(tmp_path_factory.mktemp("heap") / "data.heap")
+    heap = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+    per_page = heap.records_per_page
+    model: list[Record] = []
+    durable = 0
+    for operation, argument in steps:
+        if operation == "append":
+            records = make_records(argument, start=len(model), payload=argument)
+            heap.append_many(records)
+            model.extend(records)
+            durable = max(durable, len(model) // per_page * per_page)
+        elif operation == "flush":
+            heap.flush()
+            durable = len(model)
+        elif operation == "reopen":
+            model = model[:durable]
+            heap = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+            assert os.path.getsize(path) == expected_length(heap, durable)
+        else:
+            # Truncating to a shorter length makes the result durable;
+            # truncating to the current length or beyond does nothing.
+            heap.truncate_records(argument)
+            if argument < len(model):
+                model = model[:argument]
+                durable = len(model)
+        assert heap.num_records == len(model)
+        assert list(heap.scan_records()) == model
+    assert drain_recovery_notes() == []
 
 
 class TestRecordId:

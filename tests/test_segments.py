@@ -46,7 +46,7 @@ class TestSegment:
         for record in make_records(3):
             segment.append(record)
         segment.heap.flush()
-        assert segment.size_bytes() == 512
+        assert segment.size_bytes() == 4 + 3 * segment.heap.codec.record_size
 
 
 class TestSegmentSet:
@@ -70,7 +70,23 @@ class TestSegmentSet:
         for record in make_records(3):
             segment.append(record)
         segments.flush()
-        assert segments.total_size_bytes() == 512
+        assert segments.total_size_bytes() == 4 + 3 * segment.heap.codec.record_size
+
+    def test_a_new_segment_over_a_leftover_file_starts_empty(
+        self, schema, tmp_path
+    ):
+        directory = str(tmp_path / "segs")
+        old = SegmentSet(directory, schema, BufferPool(), page_size=512)
+        leftover = old.create("master")
+        for record in make_records(5):
+            leftover.append(record)
+        old.flush()
+        fresh = SegmentSet(directory, schema, BufferPool(), page_size=512)
+        segment = fresh.create("master")
+        assert segment.segment_id == leftover.segment_id
+        assert segment.record_count == 0
+        assert list(segment.records()) == []
+        assert segment.size_bytes() == 0
 
     def test_metadata_roundtrip(self, schema, tmp_path):
         directory = str(tmp_path / "segs")
