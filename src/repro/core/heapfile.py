@@ -15,6 +15,12 @@ tail of the WAL and the version-graph log: a flush writes just the records
 appended since the previous flush, then the tail's new count, and pads only a
 page that has filled.  Record bytes already on disk are never rewritten.
 
+A record is encoded once, when it is appended; the encode is also its
+schema check (:meth:`repro.core.record.RecordCodec.encode`).  A record the
+schema rejects raises before the heap changes, so it leaves no trace, and
+the bytes of accepted records wait in memory until a flush writes them
+as they are.
+
 A crash can tear a flush, leaving the tail's length out of step with its
 count.  Opening the file cuts the tail back to its whole records, up to the
 count, with a recovery note -- in strict and degraded mode alike, since the
@@ -87,6 +93,9 @@ class HeapFile:
         self._num_records = 0
         #: How many of the tail page's records are on disk.
         self._tail_written = 0
+        #: The encoded bytes of the tail's records that are not on disk
+        #: yet, one entry per record, in order.
+        self._pending: list[bytes] = []
         #: True when pages were written since the last fsync; lets
         #: :meth:`flush` skip the fsync for files nothing touched.
         self._os_dirty = False
@@ -200,7 +209,14 @@ class HeapFile:
     # -- writes ---------------------------------------------------------------
 
     def append(self, record: Record) -> RecordId:
-        """Append ``record`` and return its :class:`RecordId`."""
+        """Append ``record`` and return its :class:`RecordId`.
+
+        The record is encoded here, before anything changes, so a record
+        the schema rejects raises :class:`~repro.errors.SchemaError` and
+        leaves the heap as it was.  The bytes wait in memory for the next
+        flush (or for the page to fill).
+        """
+        data = self.codec.encode(record)
         if self._tail_page is None:
             self._tail_page = Page(
                 PageId(self.path, self._num_full_pages),
@@ -208,6 +224,7 @@ class HeapFile:
                 self.page_size,
             )
         slot = self._tail_page.append(record)
+        self._pending.append(data)
         record_id = RecordId(self._tail_page.page_id.page_number, slot)
         self._num_records += 1
         if self._tail_page.is_full:
@@ -261,12 +278,14 @@ class HeapFile:
         if tail_count:
             survivors = self._get_page(full_pages).records_view()[:tail_count]
         # The survivors of a page that was full are all on disk; of the
-        # tail, only those it had written.
+        # tail, only those it had written.  The rest keep their encoded
+        # bytes, which lead the pending list.
         written = (
             tail_count
             if full_pages < self._num_full_pages
             else min(tail_count, self._tail_written)
         )
+        pending = self._pending[: tail_count - written]
         self.buffer_pool.invalidate_file(self.path)
         start = full_pages * self.page_size
         if written:
@@ -280,6 +299,7 @@ class HeapFile:
         self._num_records = count
         self._tail_page = None
         self._tail_written = 0
+        self._pending = pending
         if tail_count:
             self._tail_page = Page(
                 PageId(self.path, full_pages), self.codec, self.page_size
@@ -378,12 +398,13 @@ class HeapFile:
             return Page(page_id, self.codec, self.page_size)
 
     def _write_tail(self, page: Page) -> None:
-        """Write the tail ``page``'s records that are not on disk yet, then
-        its record count; a page that has filled is padded to the page size."""
+        """Write the tail ``page``'s pending records, encoded when they
+        were appended, then its record count; a page that has filled is
+        padded to the page size."""
         check_crashed()
-        records = page.records_view()
+        count = page.num_records
         written = self._tail_written
-        data = b"".join(map(self.codec.encode, records[written:]))
+        data = b"".join(self._pending)
         start = page.page_id.page_number * self.page_size
         offset = start + PAGE_HEADER.size + written * self.codec.record_size
         if page.is_full:
@@ -391,10 +412,11 @@ class HeapFile:
         fd = os.open(self.path, os.O_WRONLY)
         try:
             os.pwrite(fd, data, offset)
-            os.pwrite(fd, PAGE_HEADER.pack(len(records)), start)
+            os.pwrite(fd, PAGE_HEADER.pack(count), start)
         finally:
             os.close(fd)
-        self._tail_written = len(records)
+        self._pending = []
+        self._tail_written = count
         self._os_dirty = True
 
     def _cut(self, size: int, *writes: tuple[int, bytes]) -> None:

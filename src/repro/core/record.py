@@ -10,6 +10,14 @@ The :class:`RecordCodec` packs records into the fixed-width byte layout used
 by pages, heap files and segment files.  A one-byte header precedes the
 payload; bit 0 marks tombstones (used by the version-first layout for
 deletes).
+
+Encoding is also where a record is validated.  A heap file encodes each
+record once, when it is appended (:meth:`repro.core.heapfile.HeapFile.append`),
+and every engine's ``insert``/``update`` makes that append its first change
+of state, so a value the schema rejects raises
+:class:`~repro.errors.SchemaError` at the write call and leaves no trace in
+pages, bitmaps or key indexes.  Transactions run the same check when they
+buffer a write, before it can reach the write-ahead log.
 """
 
 from __future__ import annotations
@@ -97,6 +105,12 @@ class RecordCodec:
             for i, column in enumerate(schema.columns)
             if column.type is ColumnType.STRING
         )
+        #: True when every column is INT or INT32, so a record of plain ints
+        #: can be packed without validating it first.
+        self._ints_only = all(
+            column.type in (ColumnType.INT, ColumnType.INT32)
+            for column in schema.columns
+        )
         #: Precompiled batch formats keyed by record count (bounded cache; a
         #: page's full capacity dominates, so hit rates are high).
         self._batch_structs: dict[int, struct.Struct] = {}
@@ -125,11 +139,26 @@ class RecordCodec:
         return self._struct.size
 
     def encode(self, record: Record) -> bytes:
-        """Encode ``record`` to its fixed-width byte representation."""
-        self.schema.validate_values(record.values)
+        """Encode ``record`` to its fixed-width byte representation.
+
+        Raises :class:`~repro.errors.SchemaError` for a record the schema
+        rejects.  A record of plain ints over an integer schema is packed
+        straight away: ``struct``'s own range check is the int validation,
+        so the per-value Python checks of :meth:`Schema.validate_values` run
+        only on the error path, where they raise the one statement of the
+        rules.  Other records (STRING columns, ``bool`` or ``int``
+        subclass values) are validated first, then packed.
+        """
+        values = record.values
         header = _HEADER_TOMBSTONE if record.tombstone else 0
+        if self._ints_only and set(map(type, values)) == {int}:
+            try:
+                return self._struct.pack(header, *values)
+            except struct.error:
+                pass  # out of range or wrong arity: validate_values says which
+        self.schema.validate_values(values)
         packed_values = []
-        for column, value in zip(self.schema.columns, record.values):
+        for column, value in zip(self.schema.columns, values):
             if column.type is ColumnType.STRING:
                 packed_values.append(value.encode("utf-8"))
             else:

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.cancel import checkpoint, remaining_time
 from repro.core.locks import LockManager, LockMode
-from repro.core.record import Record
+from repro.core.record import Record, RecordCodec
 from repro.core.wal import LogRecord, LogRecordType, WriteAheadLog
 from repro.errors import TransactionError
 from repro.testing.faults import InjectedCrash
@@ -70,6 +70,17 @@ class _BufferedWrite:
             return {"kind": "delete", "key": self.key}
         assert self.record is not None
         return {"kind": self.kind, "values": list(self.record.values)}
+
+
+def check_write(codec: RecordCodec, payload: dict[str, object]) -> None:
+    """Raise :class:`~repro.errors.SchemaError` unless ``codec``'s schema
+    accepts the logged write ``payload``: an insert's or update's values
+    must encode, a delete's key must fit the primary-key column."""
+    if payload["kind"] == "delete":
+        schema = codec.schema
+        schema.column(schema.primary_key).validate(payload["key"])
+    else:
+        codec.encode(Record(tuple(payload["values"])))  # type: ignore[arg-type]
 
 
 def redo_write(
@@ -115,21 +126,25 @@ class Transaction:
 
     def insert(self, branch: str, record: Record) -> None:
         """Buffer an insert of ``record`` into ``branch``."""
-        self._check_active()
-        self._lock_branch(branch)
-        self._writes.append(_BufferedWrite("insert", branch, record=record))
+        self._buffer(_BufferedWrite("insert", branch, record=record))
 
     def update(self, branch: str, record: Record) -> None:
         """Buffer an update (by primary key) of ``record`` in ``branch``."""
-        self._check_active()
-        self._lock_branch(branch)
-        self._writes.append(_BufferedWrite("update", branch, record=record))
+        self._buffer(_BufferedWrite("update", branch, record=record))
 
     def delete(self, branch: str, key: int) -> None:
         """Buffer a delete of the record with primary key ``key``."""
+        self._buffer(_BufferedWrite("delete", branch, key=key))
+
+    def _buffer(self, write: _BufferedWrite) -> None:
+        """Check ``write`` as recovery would check its log record, lock its
+        branch, and buffer it.  A write the schema rejects raises
+        :class:`~repro.errors.SchemaError` here, so it never reaches
+        :meth:`commit` or the log."""
         self._check_active()
-        self._lock_branch(branch)
-        self._writes.append(_BufferedWrite("delete", branch, key=key))
+        check_write(self.manager.codec, write.payload())
+        self._lock_branch(write.branch)
+        self._writes.append(write)
 
     @property
     def pending_writes(self) -> int:
@@ -268,6 +283,10 @@ class TransactionManager:
         self.wal = wal if wal is not None else WriteAheadLog.in_memory()
         self.lock_manager = lock_manager if lock_manager is not None else LockManager()
         self.relation = relation
+        #: Checks each write as it is buffered (the encode's bytes are
+        #: dropped; the engine encodes the record again when it applies it)
+        #: and each logged write before recovery redoes it.
+        self.codec = RecordCodec(engine.schema)
         self._ids = itertools.count(self.wal.max_transaction_id() + 1)
         self._ids_lock = threading.Lock()
 

@@ -21,15 +21,20 @@ from typing import Iterable, Iterator
 
 from repro.core.buffer_pool import BufferPool
 from repro.core.catalog import Catalog
-from repro.core.durable import drain_recovery_notes
+from repro.core.durable import drain_recovery_notes, strict_recovery
 from repro.core.locks import LockManager
 from repro.core.page import DEFAULT_PAGE_SIZE
 from repro.core.predicates import Predicate
 from repro.core.record import Record
 from repro.core.schema import Schema
-from repro.core.transactions import TransactionManager, redo_write
+from repro.core.transactions import TransactionManager, check_write, redo_write
 from repro.core.wal import LogRecord, LogRecordType, RecoveryReport, WriteAheadLog
-from repro.errors import CorruptionError, DatabaseClosedError, StorageError
+from repro.errors import (
+    CorruptionError,
+    DatabaseClosedError,
+    SchemaError,
+    StorageError,
+)
 from repro.storage import create_engine
 from repro.storage.base import MergeResult, StorageEngineKind, VersionedStorageEngine
 from repro.versioning.conflicts import MergePolicy
@@ -204,7 +209,11 @@ class Decibel:
         2. The WAL is replayed: committed transactions missing their APPLIED
            confirmation are redone write by write (idempotently) and
            re-committed on each branch they changed; in-flight and aborted
-           transactions are ignored -- step 1 already erased them.
+           transactions are ignored -- step 1 already erased them.  A
+           committed transaction with a write its schema rejects (logged
+           before writes were checked when buffered) is never redone in
+           part: strict recovery raises :class:`CorruptionError`, degraded
+           recovery skips the whole transaction with a note.
         3. Catalog/engine consistency is verified and the log is
            checkpointed.
         """
@@ -215,8 +224,24 @@ class Decibel:
                 relation.engine.load_persistent_state()
         report = self.wal.replay()
         for txn_id in sorted(report.needs_redo):
+            writes = self.wal.writes_for(txn_id)
+            try:
+                for record in writes:
+                    if record.relation in known:
+                        codec = self.transactions(record.relation).codec
+                        check_write(codec, record.payload)
+            except SchemaError as exc:
+                error = CorruptionError(
+                    str(self.wal.path),
+                    f"committed transaction {txn_id} logged a write its "
+                    f"schema rejects: {exc}",
+                )
+                if strict_recovery():
+                    raise error from exc
+                report.notes.append(f"skipped redo of transaction {txn_id}: {error}")
+                continue
             touched: dict[str, set[str]] = {}
-            for record in self.wal.writes_for(txn_id):
+            for record in writes:
                 if record.relation is None or record.relation not in known:
                     report.notes.append(
                         f"skipped redo of transaction {txn_id}: write targets "

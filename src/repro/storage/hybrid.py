@@ -331,10 +331,12 @@ class HybridEngine(VersionedStorageEngine):
     def update(self, branch: str, record: Record) -> None:
         key = record.key(self.schema)
         previous = self.key_location(branch, key)
+        # The new copy's append comes first: a record the schema rejects
+        # raises there, before the old copy's live bit is touched.
+        self.insert(branch, record)
         if previous is not None:
             old_segment_id, old_ordinal = previous
             self._local_bitmaps[old_segment_id].clear(old_ordinal, branch)
-        self.insert(branch, record)
         self.stats.records_inserted -= 1
         self.stats.records_updated += 1
 

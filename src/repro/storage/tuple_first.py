@@ -177,11 +177,13 @@ class TupleFirstEngine(VersionedStorageEngine):
     def update(self, branch: str, record: Record) -> None:
         key = record.key(self.schema)
         previous = self.key_location(branch, key)
+        # The new copy's append comes first: a record the schema rejects
+        # raises there, before the old copy's live bit is touched.
+        ordinal = self._append(key, record)
         if previous is not None:
             # The old copy stays in the heap (historical commits still see
             # it); only its live bit for this branch is cleared.
             self.bitmap_index.clear(previous, branch)
-        ordinal = self._append(key, record)
         self.bitmap_index.set(ordinal, branch)
         self.index_hook.applied(branch, key, record)
         self.stats.records_updated += 1

@@ -24,9 +24,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.durable import FRAME_HEADER_SIZE, read_framed
+from repro.core.durable import FRAME_HEADER_SIZE, frame, read_framed
 from repro.core.record import Record
 from repro.core.schema import Schema
+from repro.core.wal import LogRecord, LogRecordType
 from repro.db.database import Decibel
 from repro.errors import CorruptionError
 from repro.testing.faults import FaultSchedule, InjectedCrash, inject
@@ -719,6 +720,60 @@ class TestRecoveryDetails:
         assert_pk_index_agrees(reopened)
         again = Decibel.open(str(tmp_path), engine=engine)
         assert again.last_recovery.needs_redo == set()
+        assert {r.values for r in again.relation("t").scan("master")} == expected
+
+    @pytest.mark.parametrize("strict", ["1", "0"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_committed_write_the_schema_rejects_is_never_redone_in_part(
+        self, tmp_path, engine, strict, monkeypatch
+    ):
+        """A committed, unapplied transaction whose logged WRITE the schema
+        rejects (a float, as builds that checked records only at flush
+        could log) is never partly redone.  Strict recovery raises naming
+        the log and the transaction; degraded recovery skips the whole
+        transaction with a note and still redoes the one after it."""
+        monkeypatch.setenv("REPRO_STRICT_RECOVERY", strict)
+        seed_database(tmp_path, engine).close()
+        baseline = {record(i, i * 10).values for i in range(10)} | {(100, 1)}
+        poisoned, later = 50, 51
+
+        def write(txn, kind, values):
+            return LogRecord(
+                LogRecordType.WRITE,
+                txn,
+                branch="master",
+                payload={"kind": kind, "values": values},
+                relation="t",
+            )
+
+        entries = [
+            LogRecord(LogRecordType.BEGIN, poisoned, relation="t"),
+            write(poisoned, "insert", [200, 2]),
+            write(poisoned, "update", [5, 2.5]),
+            LogRecord(LogRecordType.COMMIT, poisoned, relation="t"),
+            LogRecord(LogRecordType.BEGIN, later, relation="t"),
+            write(later, "insert", [300, 3]),
+            LogRecord(LogRecordType.COMMIT, later, relation="t"),
+        ]
+        with open(tmp_path / "wal.log", "ab") as handle:
+            for entry in entries:
+                handle.write(frame(entry.to_json().encode("utf-8")))
+        if strict == "1":
+            with pytest.raises(CorruptionError) as caught:
+                Decibel.open(str(tmp_path), engine=engine)
+            assert caught.value.file == str(tmp_path / "wal.log")
+            assert f"transaction {poisoned} " in str(caught.value)
+            return
+        reopened = Decibel.open(str(tmp_path), engine=engine)
+        notes = reopened.last_recovery.notes
+        assert [n for n in notes if f"transaction {poisoned}:" in n], notes
+        expected = baseline | {(300, 3)}
+        assert {r.values for r in reopened.relation("t").scan("master")} == expected
+        assert_pk_index_agrees(reopened)
+        reopened.close()
+        again = Decibel.open(str(tmp_path), engine=engine)
+        assert again.last_recovery.needs_redo == set()
+        assert again.last_recovery.notes == []
         assert {r.values for r in again.relation("t").scan("master")} == expected
 
 

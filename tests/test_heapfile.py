@@ -285,6 +285,24 @@ class TestCompactTail:
         reopened = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
         assert list(reopened.scan_records()) == make_records(5)
 
+    def test_a_page_fills_between_flushes(self, schema, tmp_path):
+        """The fill writes the page's pending records and its padding; the
+        records after it wait, encoded, for the next flush."""
+        path = str(tmp_path / "data.heap")
+        heap = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+        per_page = heap.records_per_page
+        heap.append_many(make_records(10))
+        heap.flush()
+        heap.append_many(make_records(per_page - 2, start=10))
+        page = Page(PageId("expected", 0), heap.codec, PAGE_SIZE)
+        for record in make_records(per_page):
+            page.append(record)
+        assert read_bytes(path) == page.to_bytes()
+        heap.flush()
+        assert os.path.getsize(path) == expected_length(heap, per_page + 8)
+        reopened = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
+        assert list(reopened.scan_records()) == make_records(per_page + 8)
+
     def test_truncate_records_keeps_the_format(self, heap):
         heap.append_many(make_records(40))
         heap.flush()
@@ -297,7 +315,9 @@ class TestCompactTail:
 #: One step of the heap model test: (operation, argument).
 heap_steps = st.lists(
     st.tuples(
-        st.sampled_from(["append", "append", "flush", "reopen", "truncate"]),
+        st.sampled_from(
+            ["append", "append", "flush", "reopen", "truncate", "truncate-unflushed"]
+        ),
         st.integers(min_value=0, max_value=40),
     ),
     min_size=1,
@@ -314,7 +334,9 @@ heap_steps = st.lists(
 def test_heap_matches_a_list_model(schema, tmp_path_factory, steps):
     """Appends, flushes, reopens and truncations against a list of records.
     A reopen without a flush keeps what reached the disk: the pages that
-    filled, and the tail as of the last flush."""
+    filled, and the tail as of the last flush.  ``truncate-unflushed`` cuts
+    into the tail's records that are not on disk yet, whose encoded bytes
+    the heap keeps in memory."""
     path = str(tmp_path_factory.mktemp("heap") / "data.heap")
     heap = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
     per_page = heap.records_per_page
@@ -333,13 +355,18 @@ def test_heap_matches_a_list_model(schema, tmp_path_factory, steps):
             model = model[:durable]
             heap = HeapFile(path, schema, BufferPool(), page_size=PAGE_SIZE)
             assert os.path.getsize(path) == expected_length(heap, durable)
-        else:
+        elif operation == "truncate":
             # Truncating to a shorter length makes the result durable;
             # truncating to the current length or beyond does nothing.
             heap.truncate_records(argument)
             if argument < len(model):
                 model = model[:argument]
                 durable = len(model)
+        elif durable < len(model):
+            count = durable + argument % (len(model) - durable)
+            heap.truncate_records(count)
+            model = model[:count]
+            durable = count
         assert heap.num_records == len(model)
         assert list(heap.scan_records()) == model
     assert drain_recovery_notes() == []
