@@ -5,14 +5,22 @@ branch, commit, checkout, data modification on branch heads, single- and
 multi-branch scans, diff, and merge with either whole-record precedence
 ("two-way") or field-level three-way conflict resolution.
 
-The merge algorithm differs across engines only in how the *inputs* are
-gathered -- which records changed on each side relative to the lowest common
-ancestor, and what the ancestor records were.  The application of those
-changes to the target branch is identical everywhere, so :meth:`merge` is a
-template method here and each engine implements
-:meth:`_collect_merge_inputs` with its characteristic I/O pattern (bitmap
-intersections for tuple-first and hybrid, full segment scans for
-version-first), which is exactly the cost difference Table 3 measures.
+An engine reads a version through its *read state*: a bitmap for
+tuple-first, per-segment bitmaps for hybrid, a segment and a record limit
+for version-first.  A branch's state is its live head's, or a snapshot's
+pinned commit's (:meth:`~VersionedStorageEngine._branch_state`).  Each
+engine has one diff, over two read states and by content
+(:meth:`~VersionedStorageEngine._diff_states`), and every comparison of two
+versions runs through it: Query 2 over live heads or pinned commits, and
+merge, which the paper defines in terms of diff.  A three-way merge diffs
+each head against the lowest common ancestor, a two-way merge the target
+against the source, so a merge gathers its inputs with the engine's diff
+I/O: bitmap differences that fetch only the changed tuples, page at a
+time, for tuple-first and hybrid; for version-first, full scans of both
+heads and the whole LCA commit, sharing one segment cache -- the cost
+difference Table 3 measures.  Applying the changes to the target is the
+same everywhere, so :meth:`~VersionedStorageEngine.merge` is a template
+method here.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.bitmap.bitmap import Bitmap
 from repro.core.buffer_pool import BufferPool
@@ -111,21 +119,45 @@ ChangeMap = dict[int, "Record | None"]
 DEFAULT_SCAN_BATCH_SIZE = 1024
 
 
-def fetch_bitmap_ordinals(heap, bitmap, out: list, stats: EngineStats) -> None:
-    """Append the records at the bitmap's set ordinals, page at a time
-    (the diff-path record fetch)."""
-    records = list(live_heap_records(heap, bitmap))
-    stats.records_scanned += len(records)
-    out.extend(records)
+def _values(record: Record | None) -> tuple | None:
+    """A record's values, or None for an absent record."""
+    return None if record is None else record.values
 
 
-def drop_identical_pairs(result: DiffResult, pk_position: int) -> None:
+def diff_heap_bitmaps(
+    pairs: Iterable[tuple[Any, Bitmap, Bitmap]],
+    result: DiffResult,
+    pk_position: int,
+    stats: EngineStats,
+) -> DiffResult:
+    """The bitmap diff shared by tuple-first and hybrid.
+
+    ``pairs`` yields ``(heap, bitmap a, bitmap b)``.  Only the records live
+    in exactly one of a heap's two bitmaps are fetched, page at a time, to
+    the positive side (live in a) or the negative side (live in b).  Two
+    stored copies of one record differ in the bitmaps but not in content,
+    so each such pair is dropped again after the fetch.
+    """
+    scratch = Bitmap()  # one buffer reused for every one-sided difference
+    for heap, bitmap_a, bitmap_b in pairs:
+        for ours, theirs, side in (
+            (bitmap_a, bitmap_b, result.positive),
+            (bitmap_b, bitmap_a, result.negative),
+        ):
+            records = list(live_heap_records(heap, ours.and_not_into(theirs, scratch)))
+            stats.records_scanned += len(records)
+            side.extend(records)
+    _drop_identical_pairs(result, pk_position)
+    return result
+
+
+def _drop_identical_pairs(result: DiffResult, pk_position: int) -> None:
     """Remove each positive/negative pair with the same key and values.
 
-    A bitmap diff compares stored copies, so a record both branches wrote
-    identically (two copies, one content) lands on both sides; by content
-    it is no difference at all.  A branch holds at most one copy of a key,
-    so each side has at most one record per key.
+    A bitmap diff compares stored copies, so a record both sides hold in
+    two copies with one content lands on both sides; by content it is no
+    difference at all.  A state holds at most one copy of a key, so each
+    side has at most one record per key.
     """
     negative = {r.values[pk_position]: r.values for r in result.negative}
     same = {
@@ -736,13 +768,16 @@ class VersionedStorageEngine(ABC):
             diff_bytes=(len(changed_target) + len(changed_source)) * record_width,
         )
         for key, source_record in changed_source.items():
+            # A key the target left alone still holds its ancestor content.
+            # In a two-way merge such a key is absent from the target: a
+            # record the target held for it would differ, and be a change.
+            current = (
+                changed_target[key] if key in changed_target else ancestors.get(key)
+            )
+            resolved = source_record
             if key in changed_target:
                 conflict = detect_record_conflict(
-                    self.schema,
-                    key,
-                    changed_target.get(key),
-                    source_record,
-                    ancestors.get(key),
+                    self.schema, key, current, source_record, ancestors.get(key)
                 )
                 if conflict.has_conflicts:
                     result.conflicts.append(conflict)
@@ -753,11 +788,17 @@ class VersionedStorageEngine(ABC):
                     resolved, _ = ThreeWayPolicy(prefer=policy.prefer if hasattr(policy, "prefer") else "a").resolve(
                         self.schema, conflict
                     )
-                self._apply_merge_change(target_branch, source_branch, key, resolved)
-                result.records_applied += 1
-            else:
-                self._apply_merge_change(target_branch, source_branch, key, source_record)
-                result.records_applied += 1
+            result.records_applied += 1
+            if _values(resolved) != _values(current):
+                self._apply_merge_change(
+                    target_branch,
+                    source_branch,
+                    key,
+                    resolved,
+                    in_target=current is not None,
+                    shared=resolved is not None
+                    and resolved.values == _values(source_record),
+                )
         with self.commit_gate:
             merge_commit = self.graph.merge(
                 target_branch, source_branch, message=message, precedence=target_branch
@@ -768,22 +809,29 @@ class VersionedStorageEngine(ABC):
         return result
 
     def _apply_merge_change(
-        self, target_branch: str, source_branch: str, key: int, record: Record | None
+        self,
+        target_branch: str,
+        source_branch: str,
+        key: int,
+        record: Record | None,
+        *,
+        in_target: bool,
+        shared: bool,
     ) -> None:
         """Apply one resolved change to the target branch.
 
-        The default implementation copies the record into the target's head
-        (a new physical copy).  The bitmap-based engines override this to
-        *share* the source branch's existing tuple when the resolved record is
-        identical to it, as the paper's merge procedures do -- without the
-        sharing, bitmap diffs would report physically distinct but logically
-        identical copies as differences.
+        ``record`` differs from what the target holds for ``key``;
+        ``in_target`` says whether the target holds the key at all, and
+        ``shared`` whether ``record`` is the source branch's record.  Both
+        come from the merge inputs, so no record is read here.  The default
+        implementation copies the record into the target's head (a new
+        physical copy).  The bitmap-based engines override this to *share*
+        the source branch's existing tuple when ``shared`` is set, as the
+        paper's merge procedures do.
         """
         if record is None:
-            if self.branch_contains_key(target_branch, key):
-                self.delete(target_branch, key)
-            return
-        if self.branch_contains_key(target_branch, key):
+            self.delete(target_branch, key)
+        elif in_target:
             self.update(target_branch, record)
         else:
             self.insert(target_branch, record)
@@ -934,42 +982,106 @@ class VersionedStorageEngine(ABC):
             return sorted(pins) if pins is not None else self.graph.branch_names()
         if pins is not None:
             for branch in branches:
-                if branch not in pins:
-                    raise BranchNotFoundError(
-                        f"branch {branch!r} is not part of this snapshot "
-                        f"(created after it was taken?)"
-                    )
+                self.pinned_commit(branch, pins)
         return list(branches)
 
-    def branch_record_map(self, branch: str) -> dict[int, Record]:
-        """Materialize ``branch``'s head as ``{primary key -> record}``."""
-        pk_index = self.schema.primary_key_index
-        return {record.values[pk_index]: record for record in self.scan_branch(branch)}
+    @staticmethod
+    def pinned_commit(branch: str, pins: dict[str, str]) -> str:
+        """``branch``'s commit in a snapshot's ``pins`` (branch -> commit id).
 
-    def commit_record_map(self, commit_id: str) -> dict[int, Record]:
-        """Materialize a historical commit as ``{primary key -> record}``."""
-        pk_index = self.schema.primary_key_index
-        return {record.values[pk_index]: record for record in self.scan_commit(commit_id)}
+        Raises :class:`BranchNotFoundError` for a branch the snapshot does
+        not hold.
+        """
+        commit_id = pins.get(branch)
+        if commit_id is None:
+            raise BranchNotFoundError(
+                f"branch {branch!r} is not part of this snapshot "
+                f"(created after it was taken?)"
+            )
+        return commit_id
 
-    # -- diff ------------------------------------------------------------------------
+    # -- read states and diff ------------------------------------------------------
 
     @abstractmethod
-    def diff(self, branch_a: str, branch_b: str) -> DiffResult:
-        """Positive/negative difference of two branch heads (benchmark Query 2)."""
-
-    # -- merge inputs (engine-specific I/O pattern) ------------------------------------
+    def _branch_state(self, branch: str, pins: dict[str, str] | None = None) -> Any:
+        """The read state of ``branch``: its live head's, or with ``pins``
+        its pinned commit's (:meth:`pinned_commit`)."""
 
     @abstractmethod
+    def _commit_read_state(self, commit_id: str) -> Any:
+        """The read state a commit recorded."""
+
+    @abstractmethod
+    def diff(
+        self, branch_a: str, branch_b: str, pins: dict[str, str] | None = None
+    ) -> DiffResult:
+        """Positive/negative difference of two branch heads (benchmark Query 2).
+
+        With ``pins`` (a snapshot's branch -> commit id) each branch is read
+        at its pinned commit, as in :meth:`scan_branches_batched`.
+        """
+
+    @abstractmethod
+    def _diff_states(
+        self, state_a: Any, state_b: Any, version_a: str = "", version_b: str = ""
+    ) -> DiffResult:
+        """The content difference of two read states.
+
+        A record is on the positive side when ``state_a`` holds it and
+        ``state_b`` holds no record with the same key and values, and on the
+        negative side the other way round.
+        """
+
+    # -- merge inputs --------------------------------------------------------------
+
+    def _merge_diff(self) -> Callable[..., DiffResult]:
+        """The state diff one merge gathers its inputs with."""
+        return self._diff_states
+
     def _collect_merge_inputs(
         self, target_branch: str, source_branch: str, lca_commit: str, three_way: bool
     ) -> tuple[ChangeMap, ChangeMap, dict[int, Record]]:
-        """Gather the records changed on each side since the LCA.
+        """Gather the records changed on each side, from the engine's diff.
 
         Returns ``(changed_in_target, changed_in_source, ancestor_records)``
         where the change maps send a primary key to its new record (or None
         for deletes) and ``ancestor_records`` holds the LCA-version record of
         every key present in either change map (empty for two-way merges).
+
+        A three-way merge diffs each head against the LCA commit: a key on
+        the positive side changed to that record, a key only on the negative
+        side was deleted, and the negative sides are the ancestor records.
+        A two-way merge diffs the target against the source: without the
+        LCA, a key missing from one side cannot be told apart between
+        "deleted there" and "added here", so deletions never propagate, and
+        each side's changes are the records it holds that the other lacks
+        or holds differently.
         """
+        diff = self._merge_diff()
+        pk_position = self.schema.primary_key_index
+        target = self._branch_state(target_branch)
+        source = self._branch_state(source_branch)
+        if not three_way:
+            both = diff(target, source)
+            return (
+                {record.values[pk_position]: record for record in both.positive},
+                {record.values[pk_position]: record for record in both.negative},
+                {},
+            )
+        lca = self._commit_read_state(lca_commit)
+        changes: list[ChangeMap] = []
+        ancestors: dict[int, Record] = {}
+        for head in (target, source):
+            result = diff(head, lca)
+            changed: ChangeMap = {
+                record.values[pk_position]: record for record in result.positive
+            }
+            for record in result.negative:
+                key = record.values[pk_position]
+                ancestors[key] = record
+                changed.setdefault(key, None)
+            changes.append(changed)
+        return changes[0], changes[1], ancestors
 
     # -- engine-specific hooks -----------------------------------------------------------
 
@@ -1023,39 +1135,3 @@ class VersionedStorageEngine(ABC):
 
     def _persist_graph(self) -> None:
         self.graph.save(self._graph_path())
-
-    def _changes_between(
-        self, ancestor_map: dict[int, Record], head_map: dict[int, Record]
-    ) -> ChangeMap:
-        """Keys whose record differs between an ancestor map and a head map."""
-        changes: ChangeMap = {}
-        for key, record in head_map.items():
-            old = ancestor_map.get(key)
-            if old is None or old.values != record.values:
-                changes[key] = record
-        for key in ancestor_map:
-            if key not in head_map:
-                changes[key] = None
-        return changes
-
-    def _two_way_changes(
-        self, target_map: dict[int, Record], source_map: dict[int, Record]
-    ) -> tuple[ChangeMap, ChangeMap]:
-        """Each side's contribution for a two-way (no-ancestor) merge.
-
-        Without the LCA, a key missing from one side cannot be distinguished
-        between "deleted there" and "added here", so two-way merges never
-        propagate deletions: each side's change map contains only the records
-        it holds that the other side lacks or holds differently.
-        """
-        changed_target: ChangeMap = {
-            key: record
-            for key, record in target_map.items()
-            if key not in source_map or source_map[key].values != record.values
-        }
-        changed_source: ChangeMap = {
-            key: record
-            for key, record in source_map.items()
-            if key not in target_map or target_map[key].values != record.values
-        }
-        return changed_target, changed_source

@@ -38,12 +38,10 @@ from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import CorruptionError, StorageError
 from repro.storage.base import (
-    ChangeMap,
     DEFAULT_SCAN_BATCH_SIZE,
     StorageEngineKind,
     VersionedStorageEngine,
-    drop_identical_pairs,
-    fetch_bitmap_ordinals,
+    diff_heap_bitmaps,
     live_heap_records,
     merge_branch_copies,
     scan_heap_bitmap_columns,
@@ -175,7 +173,7 @@ class HybridEngine(VersionedStorageEngine):
 
     def _restore_branch(self, branch: str, commit_id: str) -> None:
         """Set ``branch``'s local bitmaps to the snapshots of ``commit_id``."""
-        for segment_id, snapshot in self._commit_segment_bitmaps(commit_id):
+        for segment_id, snapshot in self._commit_read_state(commit_id).items():
             snapshot = stored_bitmap(self.segments.get(segment_id).heap, snapshot)
             local = self._local_bitmaps[segment_id]
             if not local.has_branch(branch):
@@ -354,8 +352,13 @@ class HybridEngine(VersionedStorageEngine):
 
     # -- scans ---------------------------------------------------------------------------
 
-    def _branch_segment_bitmaps(self, branch: str) -> dict[str, Bitmap]:
-        """Live bitmaps of ``branch`` per segment it touches."""
+    def _branch_state(
+        self, branch: str, pins: dict[str, str] | None = None
+    ) -> dict[str, Bitmap]:
+        """``{segment id: bitmap}`` of ``branch`` per segment it touches:
+        the live local bitmaps, or with ``pins`` its pinned commit's."""
+        if pins is not None:
+            return self._commit_read_state(self.pinned_commit(branch, pins))
         result = {}
         for segment_id in sorted(self._branch_segments.get(branch, ())):
             local = self._local_bitmaps[segment_id]
@@ -369,7 +372,7 @@ class HybridEngine(VersionedStorageEngine):
         self, branch: str, predicate: Predicate | None = None
     ) -> Iterator[Record]:
         yield from self._scan_segment_bitmaps(
-            self._branch_segment_bitmaps(branch).items(), predicate
+            self._branch_state(branch).items(), predicate
         )
 
     def scan_branch_columns(
@@ -381,7 +384,7 @@ class HybridEngine(VersionedStorageEngine):
     ) -> Iterator[ColumnBatch]:
         """Columnar :meth:`scan_branch`: per-segment page-decode column
         scans, in the same segment order as the row scan."""
-        for segment_id, bitmap in self._branch_segment_bitmaps(branch).items():
+        for segment_id, bitmap in self._branch_state(branch).items():
             segment = self.segments.get(segment_id)
             yield from scan_heap_bitmap_columns(
                 segment.heap,
@@ -405,21 +408,23 @@ class HybridEngine(VersionedStorageEngine):
             )
         return super().count_branch(branch, predicate)
 
-    def _commit_segment_bitmaps(self, commit_id: str) -> Iterator[tuple[str, Bitmap]]:
-        """Yield ``(segment_id, recorded bitmap)`` for a historical commit:
-        every non-empty state the committing branch's histories hold at it."""
+    def _commit_read_state(self, commit_id: str) -> dict[str, Bitmap]:
+        """``{segment id: recorded bitmap}`` for a historical commit: every
+        non-empty state the committing branch's histories hold at it."""
         commit = self.graph.get_commit(commit_id)
         histories = self._histories.get(commit.branch, {})
+        result = {}
         for segment_id in sorted(histories):
             bitmap = histories[segment_id].checkout(commit.sequence)
             if bitmap.any():
-                yield segment_id, bitmap
+                result[segment_id] = bitmap
+        return result
 
     def scan_commit(
         self, commit_id: str, predicate: Predicate | None = None
     ) -> Iterator[Record]:
         yield from self._scan_segment_bitmaps(
-            self._commit_segment_bitmaps(commit_id), predicate
+            self._commit_read_state(commit_id).items(), predicate
         )
 
     def _scan_segment_bitmaps(
@@ -441,7 +446,7 @@ class HybridEngine(VersionedStorageEngine):
         columns: tuple[str, ...] | None = None,
     ) -> Iterator[ColumnBatch]:
         """Columnar :meth:`scan_commit` over the commit's recorded bitmaps."""
-        for segment_id, bitmap in self._commit_segment_bitmaps(commit_id):
+        for segment_id, bitmap in self._commit_read_state(commit_id).items():
             segment = self.segments.get(segment_id)
             yield from scan_heap_bitmap_columns(
                 segment.heap,
@@ -457,7 +462,7 @@ class HybridEngine(VersionedStorageEngine):
         if predicate is None:
             return sum(
                 bitmap.count()
-                for _, bitmap in self._commit_segment_bitmaps(commit_id)
+                for bitmap in self._commit_read_state(commit_id).values()
             )
         return super().count_commit(commit_id, predicate)
 
@@ -469,12 +474,7 @@ class HybridEngine(VersionedStorageEngine):
         the pinned commits' snapshots."""
         per_segment: dict[str, dict[str, Bitmap]] = {}
         for branch in branches:
-            states = (
-                self._branch_segment_bitmaps(branch).items()
-                if pins is None
-                else self._commit_segment_bitmaps(pins[branch])
-            )
-            for segment_id, bitmap in states:
+            for segment_id, bitmap in self._branch_state(branch, pins).items():
                 per_segment.setdefault(segment_id, {})[branch] = bitmap
         for segment_id in sorted(per_segment):
             yield segment_id, per_segment[segment_id]
@@ -511,132 +511,88 @@ class HybridEngine(VersionedStorageEngine):
 
     # -- diff -----------------------------------------------------------------------------
 
-    def diff(self, branch_a: str, branch_b: str) -> DiffResult:
-        """Per-segment bitmap differences (paper Section 3.4)."""
+    def diff(
+        self, branch_a: str, branch_b: str, pins: dict[str, str] | None = None
+    ) -> DiffResult:
+        """Query 2 over the branches' segment bitmaps: the live heads', or
+        with ``pins`` the pinned commits'."""
         self.stats.diffs += 1
-        bitmaps_a = self._branch_segment_bitmaps(branch_a)
-        bitmaps_b = self._branch_segment_bitmaps(branch_b)
-        result = DiffResult(version_a=branch_a, version_b=branch_b)
-        empty = Bitmap()
-        scratch = Bitmap()  # one buffer reused across every per-segment diff
-        for segment_id in sorted(set(bitmaps_a) | set(bitmaps_b)):
-            bitmap_a = bitmaps_a.get(segment_id, empty)
-            bitmap_b = bitmaps_b.get(segment_id, empty)
-            segment = self.segments.get(segment_id)
-            fetch_bitmap_ordinals(
-                segment.heap, bitmap_a.and_not_into(bitmap_b, scratch),
-                result.positive, self.stats,
-            )
-            fetch_bitmap_ordinals(
-                segment.heap, bitmap_b.and_not_into(bitmap_a, scratch),
-                result.negative, self.stats,
-            )
-        # Copies of one record in two segments are no difference by content.
-        drop_identical_pairs(result, self.schema.primary_key_index)
-        return result
+        return self._diff_states(
+            self._branch_state(branch_a, pins),
+            self._branch_state(branch_b, pins),
+            branch_a,
+            branch_b,
+        )
 
-    # -- merge inputs ------------------------------------------------------------------------
+    def _diff_states(
+        self,
+        state_a: dict[str, Bitmap],
+        state_b: dict[str, Bitmap],
+        version_a: str = "",
+        version_b: str = "",
+    ) -> DiffResult:
+        """Per-segment bitmap differences (paper Section 3.4).
 
-    def _collect_merge_inputs(
-        self, target_branch: str, source_branch: str, lca_commit: str, three_way: bool
-    ) -> tuple[ChangeMap, ChangeMap, dict[int, Record]]:
-        """Per-segment bitmap comparisons against the LCA snapshots.
-
-        Only the segments the branch-segment index marks as relevant are
-        touched, and within them only the tuples whose liveness changed since
-        the LCA are fetched -- the reason hybrid posts the best merge
-        throughput in Table 3.
+        Only the segments either state touches are visited, and within them
+        only the tuples whose liveness differs are fetched -- against the LCA
+        snapshots, the reason hybrid posts the best merge throughput in
+        Table 3.
         """
-        pk_position = self.schema.primary_key_index
-        if not three_way:
-            changed_target, changed_source = self._two_way_changes(
-                self.branch_record_map(target_branch),
-                self.branch_record_map(source_branch),
-            )
-            return changed_target, changed_source, {}
-        lca_bitmaps = dict(self._commit_segment_bitmaps(lca_commit))
-
-        def changes_vs_lca(branch: str) -> ChangeMap:
-            changes: ChangeMap = {}
-            branch_bitmaps = self._branch_segment_bitmaps(branch)
-            for segment_id in sorted(set(branch_bitmaps) | set(lca_bitmaps)):
-                bitmap = branch_bitmaps.get(segment_id, Bitmap())
-                lca_bitmap = lca_bitmaps.get(segment_id, Bitmap())
-                segment = self.segments.get(segment_id)
-                for ordinal in bitmap.and_not(lca_bitmap).iter_set_bits():
-                    record = segment.record_at(ordinal)
-                    changes[record.values[pk_position]] = record
-                for ordinal in lca_bitmap.and_not(bitmap).iter_set_bits():
-                    record = segment.record_at(ordinal)
-                    key = record.values[pk_position]
-                    if key not in changes and not self.branch_contains_key(
-                        branch, key
-                    ):
-                        changes[key] = None
-            return changes
-
-        changed_target = changes_vs_lca(target_branch)
-        changed_source = changes_vs_lca(source_branch)
-        wanted = set(changed_target) | set(changed_source)
-        ancestors: dict[int, Record] = {}
-        target_bitmaps = self._branch_segment_bitmaps(target_branch)
-        source_bitmaps = self._branch_segment_bitmaps(source_branch)
-        for segment_id, lca_bitmap in lca_bitmaps.items():
-            # Only the LCA tuples whose liveness changed in either branch need
-            # to be read (paper Section 3.4: the segment bitmaps reduce the
-            # component of the LCA that is scanned).
-            touched = lca_bitmap.and_not(
-                target_bitmaps.get(segment_id, Bitmap())
-            ) | lca_bitmap.and_not(source_bitmaps.get(segment_id, Bitmap()))
-            segment = self.segments.get(segment_id)
-            for ordinal in touched.iter_set_bits():
-                record = segment.record_at(ordinal)
-                key = record.values[pk_position]
-                if key in wanted:
-                    ancestors[key] = record
-        return changed_target, changed_source, ancestors
+        empty = Bitmap()
+        return diff_heap_bitmaps(
+            (
+                (
+                    self.segments.get(segment_id).heap,
+                    state_a.get(segment_id, empty),
+                    state_b.get(segment_id, empty),
+                )
+                for segment_id in sorted(set(state_a) | set(state_b))
+            ),
+            DiffResult(version_a=version_a, version_b=version_b),
+            self.schema.primary_key_index,
+            self.stats,
+        )
 
     # -- merge application -----------------------------------------------------------------------
 
     def _apply_merge_change(
-        self, target_branch: str, source_branch: str, key: int, record: Record | None
+        self,
+        target_branch: str,
+        source_branch: str,
+        key: int,
+        record: Record | None,
+        *,
+        in_target: bool,
+        shared: bool,
     ) -> None:
         """Share the source branch's (segment, ordinal) instead of copying.
 
-        When the resolved record is exactly the source branch's current copy,
-        the target branch simply gains a live bit in the source copy's segment
+        When the resolved record is the source branch's current copy, the
+        target branch simply gains a live bit in the source copy's segment
         (creating a bitmap column for the target in that segment if needed)
         and the branch-segment index is updated.  Only genuinely merged
         records are appended to the target's head segment.
         """
-        if record is None:
-            if self.branch_contains_key(target_branch, key):
-                self.delete(target_branch, key)
+        source_location = self.key_location(source_branch, key) if shared else None
+        if source_location is None:
+            super()._apply_merge_change(
+                target_branch, source_branch, key, record,
+                in_target=in_target, shared=shared,
+            )
             return
         target_location = self.key_location(target_branch, key)
         if target_location is not None:
-            segment_id, ordinal = target_location
-            current = self.segments.get(segment_id).record_at(ordinal)
-            if current.values == record.values:
-                return  # the target already holds the resolved record
-        source_location = self.key_location(source_branch, key)
-        if source_location is not None:
-            segment_id, ordinal = source_location
-            source_record = self.segments.get(segment_id).record_at(ordinal)
-            if source_record.values == record.values:
-                # The shared copy is already in the key index; only the
-                # target's live bits move.
-                if target_location is not None:
-                    old_segment, old_ordinal = target_location
-                    self._local_bitmaps[old_segment].clear(old_ordinal, target_branch)
-                local = self._local_bitmaps[segment_id]
-                if not local.has_branch(target_branch):
-                    local.add_branch(target_branch)
-                local.set(ordinal, target_branch)
-                self._branch_segments[target_branch].add(segment_id)
-                self.index_hook.applied(target_branch, key, record)
-                return
-        super()._apply_merge_change(target_branch, source_branch, key, record)
+            old_segment, old_ordinal = target_location
+            self._local_bitmaps[old_segment].clear(old_ordinal, target_branch)
+        # The shared copy is already in the key index; only the target's
+        # live bits move.
+        segment_id, ordinal = source_location
+        local = self._local_bitmaps[segment_id]
+        if not local.has_branch(target_branch):
+            local.add_branch(target_branch)
+        local.set(ordinal, target_branch)
+        self._branch_segments[target_branch].add(segment_id)
+        self.index_hook.applied(target_branch, key, record)
 
     # -- sizes ----------------------------------------------------------------------------------
 
@@ -669,4 +625,4 @@ class HybridEngine(VersionedStorageEngine):
         relevant (branch, segment) history replays its delta chain up to the
         commit, without touching any segment heap file.
         """
-        return dict(self._commit_segment_bitmaps(commit_id))
+        return self._commit_read_state(commit_id)

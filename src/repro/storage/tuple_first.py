@@ -31,12 +31,10 @@ from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import StorageError
 from repro.storage.base import (
-    ChangeMap,
     DEFAULT_SCAN_BATCH_SIZE,
     StorageEngineKind,
     VersionedStorageEngine,
-    drop_identical_pairs,
-    fetch_bitmap_ordinals,
+    diff_heap_bitmaps,
     live_heap_records,
     merge_branch_copies,
     scan_heap_bitmap_columns,
@@ -106,7 +104,7 @@ class TupleFirstEngine(VersionedStorageEngine):
         # Branching from a historical commit: restore that commit's bitmap
         # from the parent's commit history.  The key index needs nothing:
         # the restored bits pick the branch's copies.
-        snapshot = self._bitmap_at_commit(from_commit)
+        snapshot = self._commit_read_state(from_commit)
         self._add_branch_structures(name, clone_from=None)
         self.bitmap_index.restore_branch(name, snapshot)
         self.index_hook.branch_rebuilt(name)
@@ -147,7 +145,7 @@ class TupleFirstEngine(VersionedStorageEngine):
             self.bitmap_index.restore_branch(
                 branch,
                 stored_bitmap(
-                    self.heap, self._bitmap_at_commit(self.graph.head(branch))
+                    self.heap, self._commit_read_state(self.graph.head(branch))
                 ),
             )
         # The key index stays unbuilt: the first pk lookup reads it from
@@ -268,7 +266,7 @@ class TupleFirstEngine(VersionedStorageEngine):
     def scan_commit(
         self, commit_id: str, predicate: Predicate | None = None
     ) -> Iterator[Record]:
-        yield from self._scan_bitmap(self._bitmap_at_commit(commit_id), predicate)
+        yield from self._scan_bitmap(self._commit_read_state(commit_id), predicate)
 
     def _scan_bitmap(
         self, bitmap: Bitmap, predicate: Predicate | None
@@ -287,7 +285,7 @@ class TupleFirstEngine(VersionedStorageEngine):
         columns: tuple[str, ...] | None = None,
     ) -> Iterator[ColumnBatch]:
         """Columnar :meth:`scan_commit` over the commit's recorded bitmap."""
-        bitmap = self._bitmap_at_commit(commit_id)
+        bitmap = self._commit_read_state(commit_id)
         yield from scan_heap_bitmap_columns(
             self.heap,
             bitmap,
@@ -300,10 +298,15 @@ class TupleFirstEngine(VersionedStorageEngine):
 
     def count_commit(self, commit_id: str, predicate: Predicate | None = None) -> int:
         if predicate is None:
-            return self._bitmap_at_commit(commit_id).count()
+            return self._commit_read_state(commit_id).count()
         return super().count_commit(commit_id, predicate)
 
-    def _bitmap_at_commit(self, commit_id: str) -> Bitmap:
+    def _branch_state(self, branch: str, pins: dict[str, str] | None = None) -> Bitmap:
+        if pins is None:
+            return self.bitmap_index.branch_bitmap(branch)
+        return self._commit_read_state(self.pinned_commit(branch, pins))
+
+    def _commit_read_state(self, commit_id: str) -> Bitmap:
         commit = self.graph.get_commit(commit_id)
         return self._histories[commit.branch].checkout(commit.sequence)
 
@@ -321,11 +324,7 @@ class TupleFirstEngine(VersionedStorageEngine):
         membership pattern.
         """
         bitmaps = {
-            branch: (
-                self.bitmap_index.branch_bitmap(branch)
-                if pins is None
-                else self._bitmap_at_commit(pins[branch])
-            )
+            branch: self._branch_state(branch, pins)
             for branch in self._scan_targets(branches, pins)
         }
         yield from merge_branch_copies(
@@ -338,121 +337,69 @@ class TupleFirstEngine(VersionedStorageEngine):
 
     # -- diff ------------------------------------------------------------------------
 
-    def diff(self, branch_a: str, branch_b: str) -> DiffResult:
-        """XOR the two branch bitmaps and route records to the two sides.
-
-        Two stored copies of one record (written identically on both
-        branches) differ in the bitmaps but not in content, so they are
-        dropped again after the fetch.
-        """
+    def diff(
+        self, branch_a: str, branch_b: str, pins: dict[str, str] | None = None
+    ) -> DiffResult:
+        """Query 2 over the branches' bitmaps: the live heads', or with
+        ``pins`` the pinned commits'."""
         self.stats.diffs += 1
-        bitmap_a = self.bitmap_index.branch_bitmap(branch_a)
-        bitmap_b = self.bitmap_index.branch_bitmap(branch_b)
-        result = DiffResult(version_a=branch_a, version_b=branch_b)
-        scratch = Bitmap()  # one buffer reused for both one-sided differences
-        fetch_bitmap_ordinals(
-            self.heap, bitmap_a.and_not_into(bitmap_b, scratch),
-            result.positive, self.stats,
+        return self._diff_states(
+            self._branch_state(branch_a, pins),
+            self._branch_state(branch_b, pins),
+            branch_a,
+            branch_b,
         )
-        fetch_bitmap_ordinals(
-            self.heap, bitmap_b.and_not_into(bitmap_a, scratch),
-            result.negative, self.stats,
-        )
-        drop_identical_pairs(result, self.schema.primary_key_index)
-        return result
 
-    # -- merge inputs -------------------------------------------------------------------
+    def _diff_states(
+        self, state_a: Bitmap, state_b: Bitmap, version_a: str = "", version_b: str = ""
+    ) -> DiffResult:
+        """XOR the two bitmaps and route records to the two sides.
 
-    def _collect_merge_inputs(
-        self, target_branch: str, source_branch: str, lca_commit: str, three_way: bool
-    ) -> tuple[ChangeMap, ChangeMap, dict[int, Record]]:
-        """Use bitmap comparisons against the LCA snapshot (paper Section 3.2).
-
-        Only tuples whose liveness differs from the LCA are fetched from the
-        heap, which is what keeps tuple-first merges cheaper than
-        version-first's full scans.
+        Against the LCA snapshot, this is how a merge uses "the bitmap ... to
+        reduce the amount of data that needs to be scanned" (paper Section
+        3.2): only the tuples whose liveness changed are fetched.
         """
-        pk_position = self.schema.primary_key_index
-        if not three_way:
-            # Two-way precedence mode: no ancestor scan at all; each side's
-            # contribution comes from comparing the two heads directly.
-            changed_target, changed_source = self._two_way_changes(
-                self.branch_record_map(target_branch),
-                self.branch_record_map(source_branch),
-            )
-            return changed_target, changed_source, {}
-        target_bitmap = self.bitmap_index.branch_bitmap(target_branch)
-        source_bitmap = self.bitmap_index.branch_bitmap(source_branch)
-        lca_bitmap = self._bitmap_at_commit(lca_commit)
-
-        def changes_vs_lca(branch_bitmap: Bitmap, branch: str) -> ChangeMap:
-            changes: ChangeMap = {}
-            added = branch_bitmap.and_not(lca_bitmap)
-            removed = lca_bitmap.and_not(branch_bitmap)
-            for ordinal in added.iter_set_bits():
-                record = self.heap.record_by_ordinal(ordinal)
-                changes[record.values[pk_position]] = record
-            for ordinal in removed.iter_set_bits():
-                record = self.heap.record_by_ordinal(ordinal)
-                key = record.values[pk_position]
-                if key not in changes:
-                    # Live at the LCA but no longer live here and not
-                    # re-inserted: the branch deleted it.
-                    if not self.branch_contains_key(branch, key):
-                        changes[key] = None
-            return changes
-
-        changed_target = changes_vs_lca(target_bitmap, target_branch)
-        changed_source = changes_vs_lca(source_bitmap, source_branch)
-        ancestors: dict[int, Record] = {}
-        wanted = set(changed_target) | set(changed_source)
-        # The LCA records that can possibly matter are those no longer live in
-        # one of the branches (an updated or deleted tuple clears its LCA
-        # bit), so only that bitmap difference is scanned -- "using the bitmap
-        # this way reduces the amount of data that needs to be scanned from
-        # the lca" (paper Section 3.2).
-        touched = lca_bitmap.and_not(target_bitmap) | lca_bitmap.and_not(source_bitmap)
-        for ordinal in touched.iter_set_bits():
-            record = self.heap.record_by_ordinal(ordinal)
-            key = record.values[pk_position]
-            if key in wanted:
-                ancestors[key] = record
-        return changed_target, changed_source, ancestors
+        return diff_heap_bitmaps(
+            [(self.heap, state_a, state_b)],
+            DiffResult(version_a=version_a, version_b=version_b),
+            self.schema.primary_key_index,
+            self.stats,
+        )
 
     # -- merge application ---------------------------------------------------------------
 
     def _apply_merge_change(
-        self, target_branch: str, source_branch: str, key: int, record: Record | None
+        self,
+        target_branch: str,
+        source_branch: str,
+        key: int,
+        record: Record | None,
+        *,
+        in_target: bool,
+        shared: bool,
     ) -> None:
         """Prefer sharing the source branch's tuple over copying it.
 
-        When the resolved record is exactly the source branch's current copy,
-        the merge only flips bits: the target's old copy (if any) is cleared
-        and the source's tuple becomes live in the target too.  Only records
+        When the resolved record is the source branch's current copy, the
+        merge only flips bits: the target's old copy (if any) is cleared and
+        the source's tuple becomes live in the target too.  Only records
         whose resolved values match neither branch (field-level merges) are
         physically appended.
         """
-        if record is None:
-            if self.branch_contains_key(target_branch, key):
-                self.delete(target_branch, key)
+        source_ordinal = self.key_location(source_branch, key) if shared else None
+        if source_ordinal is None:
+            super()._apply_merge_change(
+                target_branch, source_branch, key, record,
+                in_target=in_target, shared=shared,
+            )
             return
         target_ordinal = self.key_location(target_branch, key)
         if target_ordinal is not None:
-            current = self.heap.record_by_ordinal(target_ordinal)
-            if current.values == record.values:
-                return  # the target already holds the resolved record
-        source_ordinal = self.key_location(source_branch, key)
-        if source_ordinal is not None:
-            source_record = self.heap.record_by_ordinal(source_ordinal)
-            if source_record.values == record.values:
-                # The shared copy is already in the key index; only the
-                # target's live bits move.
-                if target_ordinal is not None:
-                    self.bitmap_index.clear(target_ordinal, target_branch)
-                self.bitmap_index.set(source_ordinal, target_branch)
-                self.index_hook.applied(target_branch, key, record)
-                return
-        super()._apply_merge_change(target_branch, source_branch, key, record)
+            self.bitmap_index.clear(target_ordinal, target_branch)
+        # The shared copy is already in the key index; only the target's
+        # live bits move.
+        self.bitmap_index.set(source_ordinal, target_branch)
+        self.index_hook.applied(target_branch, key, record)
 
     # -- sizes ------------------------------------------------------------------------------
 
@@ -477,4 +424,4 @@ class TupleFirstEngine(VersionedStorageEngine):
         delta chain of the owning branch's commit history is replayed up to
         the commit, without touching the heap file.
         """
-        return self._bitmap_at_commit(commit_id)
+        return self._commit_read_state(commit_id)

@@ -18,7 +18,7 @@ the version-graph log.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.core.buffer_pool import BufferPool
 from repro.core.columns import (
@@ -37,7 +37,6 @@ from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import CommitNotFoundError, CorruptionError, StorageError
 from repro.storage.base import (
-    ChangeMap,
     DEFAULT_SCAN_BATCH_SIZE,
     StorageEngineKind,
     VersionedStorageEngine,
@@ -111,7 +110,7 @@ class VersionFirstEngine(VersionedStorageEngine):
             self.pk_index.add_branch(name, clone_from=parent_branch)
             self.index_hook.branch_created(name, clone_from=parent_branch)
         else:
-            parent_segment_id, limit = self._commit_location(from_commit)
+            parent_segment_id, limit = self._commit_read_state(from_commit)
             pk_position = self.schema.primary_key_index
             entries = {
                 record.values[pk_position]: (seg_id, ordinal)
@@ -435,7 +434,7 @@ class VersionFirstEngine(VersionedStorageEngine):
         segment columns in the row scan's order."""
 
         def located() -> Iterator[tuple[str, list[int]]]:
-            segment_id, offset = self._commit_location(commit_id)
+            segment_id, offset = self._commit_read_state(commit_id)
             by_segment: dict[str, list[int]] = {}
             for seg_id, ordinal, _ in self._locate_chain(segment_id, offset):
                 by_segment.setdefault(seg_id, []).append(ordinal)
@@ -520,7 +519,7 @@ class VersionFirstEngine(VersionedStorageEngine):
     def scan_commit(
         self, commit_id: str, predicate: Predicate | None = None
     ) -> Iterator[Record]:
-        segment_id, offset = self._commit_location(commit_id)
+        segment_id, offset = self._commit_read_state(commit_id)
         yield from self._scan_chain(segment_id, offset, predicate)
 
     def scan_branches_batched(
@@ -581,7 +580,7 @@ class VersionFirstEngine(VersionedStorageEngine):
                 locations = (
                     (seg_id, ordinal)
                     for seg_id, ordinal, _ in self._locate_chain(
-                        *self._commit_location(pins[branch])
+                        *self._branch_state(branch, pins)
                     )
                 )
             for seg_id, ordinal in locations:
@@ -607,75 +606,69 @@ class VersionFirstEngine(VersionedStorageEngine):
 
     # -- diff --------------------------------------------------------------------------------
 
-    def diff(self, branch_a: str, branch_b: str) -> DiffResult:
-        """Compare the two branches by materializing both heads.
+    def _branch_state(
+        self, branch: str, pins: dict[str, str] | None = None
+    ) -> tuple[str, int | None]:
+        """``(segment id, limit)``: the live head's segment read in full, or
+        with ``pins`` the pinned commit's recorded offset."""
+        if pins is None:
+            return self._head_segment[branch], None
+        return self._commit_read_state(self.pinned_commit(branch, pins))
+
+    def diff(
+        self, branch_a: str, branch_b: str, pins: dict[str, str] | None = None
+    ) -> DiffResult:
+        """Query 2 over the two branches' chains: the live heads', or with
+        ``pins`` the pinned commits'."""
+        self.stats.diffs += 1
+        return self._diff_states(
+            self._branch_state(branch_a, pins),
+            self._branch_state(branch_b, pins),
+            branch_a,
+            branch_b,
+        )
+
+    def _diff_states(
+        self,
+        state_a: tuple[str, int | None],
+        state_b: tuple[str, int | None],
+        version_a: str = "",
+        version_b: str = "",
+    ) -> DiffResult:
+        """Compare two states by materializing both.
 
         Version-first has no incremental structure tracking differences from a
         common ancestor, so both chains are scanned in full (sharing segment
         reads) and joined by key -- the multiple passes the paper calls out in
         its Query 2 discussion.
         """
-        self.stats.diffs += 1
-        segment_cache: dict[str, list[Record]] = {}
-        pk_position = self.schema.primary_key_index
-        map_a = {
-            record.values[pk_position]: record
-            for record in self._scan_chain(
-                self._head_segment[branch_a], None, None, segment_cache
-            )
-        }
-        map_b = {
-            record.values[pk_position]: record
-            for record in self._scan_chain(
-                self._head_segment[branch_b], None, None, segment_cache
-            )
-        }
-        return DiffResult.from_record_maps(branch_a, branch_b, map_a, map_b)
+        return self._merge_diff()(state_a, state_b, version_a, version_b)
 
-    # -- merge inputs -----------------------------------------------------------------------------
+    def _merge_diff(self) -> Callable[..., DiffResult]:
+        """A diff whose calls share one segment cache and map each chain once.
 
-    def _collect_merge_inputs(
-        self, target_branch: str, source_branch: str, lca_commit: str, three_way: bool
-    ) -> tuple[ChangeMap, ChangeMap, dict[int, Record]]:
-        """Scan both heads (and, for three-way, the whole LCA commit).
-
-        The LCA commit must be scanned in its entirety to determine conflicts
-        (paper Section 5.4), which is why version-first underperforms most in
-        the three-way mode.
+        A merge scans both heads and, for three-way, the whole LCA commit,
+        which it must to determine conflicts (paper Section 5.4) -- why
+        version-first underperforms most in the three-way mode.
         """
-        segment_cache: dict[str, list[Record]] = {}
         pk_position = self.schema.primary_key_index
-        target_map = {
-            record.values[pk_position]: record
-            for record in self._scan_chain(
-                self._head_segment[target_branch], None, None, segment_cache
+        segment_cache: dict[str, list[Record]] = {}
+        maps: dict[tuple[str, int | None], dict[int, Record]] = {}
+
+        def chain_map(state: tuple[str, int | None]) -> dict[int, Record]:
+            if state not in maps:
+                maps[state] = {
+                    record.values[pk_position]: record
+                    for record in self._scan_chain(*state, None, segment_cache)
+                }
+            return maps[state]
+
+        def diff(state_a, state_b, version_a="", version_b="") -> DiffResult:
+            return DiffResult.from_record_maps(
+                version_a, version_b, chain_map(state_a), chain_map(state_b)
             )
-        }
-        source_map = {
-            record.values[pk_position]: record
-            for record in self._scan_chain(
-                self._head_segment[source_branch], None, None, segment_cache
-            )
-        }
-        if not three_way:
-            changed_target, changed_source = self._two_way_changes(
-                target_map, source_map
-            )
-            return changed_target, changed_source, {}
-        lca_segment, lca_offset = self._commit_location(lca_commit)
-        ancestor_map = {
-            record.values[pk_position]: record
-            for record in self._scan_chain(
-                lca_segment, lca_offset, None, segment_cache
-            )
-        }
-        changed_target = self._changes_between(ancestor_map, target_map)
-        changed_source = self._changes_between(ancestor_map, source_map)
-        wanted = set(changed_target) | set(changed_source)
-        ancestors = {
-            key: record for key, record in ancestor_map.items() if key in wanted
-        }
-        return changed_target, changed_source, ancestors
+
+        return diff
 
     # -- sizes -------------------------------------------------------------------------------------
 
@@ -695,7 +688,8 @@ class VersionFirstEngine(VersionedStorageEngine):
 
     # -- commit locations -----------------------------------------------------------------------------
 
-    def _commit_location(self, commit_id: str) -> tuple[str, int]:
+    def _commit_read_state(self, commit_id: str) -> tuple[str, int]:
+        """``(segment id, offset)``: the commit's recorded segment offset."""
         location = self.graph.commit_state(commit_id)
         if location is None:
             raise CommitNotFoundError(

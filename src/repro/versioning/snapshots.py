@@ -11,10 +11,10 @@ commit is never observed) and hands back a :class:`Snapshot` whose
 ``database`` attribute quacks like a :class:`~repro.db.database.Decibel`
 for the query pipeline -- but routes every branch read to the pinned
 commit's recorded bitmap instead of the live head.  Reads run through the
-engine's own scans: a single-branch read becomes the engine's commit scan,
-and a multi-branch read (Query 4) hands the pins to the engine's one
-multi-branch scan, so a snapshot answers exactly as the live heads would
-at the pinned commits.
+engine's own paths: a single-branch read becomes the engine's commit scan,
+and a multi-branch read (Query 4) and a diff (Query 2) hand the pins to the
+engine's one multi-branch scan and its one diff, so a snapshot answers
+exactly as the live heads would at the pinned commits.
 
 Readers therefore never block writers and never see a writer's in-flight
 state: a query sees either entirely pre-commit or entirely post-commit
@@ -53,7 +53,9 @@ class SnapshotEngineView:
     ``graph``, the branch, commit and multi-branch scans, ``diff``),
     mapping every ``scan_branch*`` call for a pinned branch onto the
     engine's ``scan_commit*`` path for that branch's pinned commit, and
-    passing the pins to the engine's ``scan_branches_batched``.  Plans
+    passing the pins to the engine's ``scan_branches_batched`` and
+    ``diff``.  A branch the snapshot does not hold raises
+    :class:`~repro.errors.BranchNotFoundError`.  Plans
     built against the view keep their ``kind == "branch"`` scans, so they
     run through the same columnar execution path as head reads.
     """
@@ -68,13 +70,7 @@ class SnapshotEngineView:
         self.kind = engine.kind
 
     def _pin(self, branch: str) -> str:
-        commit_id = self.pins.get(branch)
-        if commit_id is None:
-            raise BranchNotFoundError(
-                f"branch {branch!r} is not part of this snapshot "
-                f"(created after it was taken?)"
-            )
-        return commit_id
+        return self._engine.pinned_commit(branch, self.pins)
 
     # -- branch reads, rerouted to pinned commits ------------------------------
 
@@ -133,15 +129,8 @@ class SnapshotEngineView:
     # -- diff over pinned states ------------------------------------------------
 
     def diff(self, branch_a: str, branch_b: str) -> DiffResult:
-        """Key+content diff between the two branches' pinned states."""
-        pk_index = self.schema.primary_key_index
-        records_a = {
-            record.values[pk_index]: record for record in self.scan_branch(branch_a)
-        }
-        records_b = {
-            record.values[pk_index]: record for record in self.scan_branch(branch_b)
-        }
-        return DiffResult.from_record_maps(branch_a, branch_b, records_a, records_b)
+        """The engine's diff of the two branches' pinned commits."""
+        return self._engine.diff(branch_a, branch_b, pins=self.pins)
 
 
 class SnapshotRelationView:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.bitmap.bitmap import Bitmap
 from repro.core.record import Record
+from repro.core.schema import Schema
 from repro.versioning.conflicts import (
     ConflictResolution,
     PrecedencePolicy,
@@ -10,6 +12,8 @@ from repro.versioning.conflicts import (
     detect_record_conflict,
 )
 from repro.versioning.diff import DiffResult
+
+from tests.conftest import ENGINE_CLASSES, engine_factory
 
 
 class TestDiffResult:
@@ -149,3 +153,137 @@ class TestPolicies:
         resolved, how = ThreeWayPolicy(prefer="a").resolve(schema, conflict)
         assert resolved.values == (1, 0, 4, 0)
         assert how is ConflictResolution.SIDE_B
+
+
+# -- merges agree across engines ------------------------------------------------
+
+BASE = [Record((key, key * 10, key * 100)) for key in range(5)]
+#: Bytes one record adds to ``MergeResult.diff_bytes`` (three INT columns
+#: plus the header byte).
+WIDTH = 25
+
+
+def identical_rewrite_and_delete(engine):
+    """The target rewrites key 3 with its own values; the source deletes it."""
+    engine.update("master", Record((3, 30, 300)))
+    engine.delete("dev", 3)
+
+
+def reverted_update_and_field_update(engine):
+    """The target updates key 2 and reverts it; the source updates a field."""
+    engine.update("master", Record((2, 99, 200)))
+    engine.commit("master")
+    engine.update("master", Record((2, 20, 200)))
+    engine.update("dev", Record((2, 20, 777)))
+
+
+def same_insert(engine):
+    """Both sides insert the same row."""
+    engine.insert("master", Record((9, 90, 900)))
+    engine.insert("dev", Record((9, 90, 900)))
+
+
+def base_with(*changes, without=()):
+    rows = {record.values[0]: record.values for record in BASE}
+    for key in without:
+        del rows[key]
+    rows.update((values[0], values) for values in changes)
+    return sorted(rows.values())
+
+
+#: scenario -> three_way -> (master's rows after merging dev into it,
+#: num_conflicts, records_applied, diff_bytes).  Diff and merge are by
+#: content, so a write that leaves a record's values as they were is no
+#: change on that side.
+EXPECTED = {
+    identical_rewrite_and_delete: {
+        True: (base_with(without=[3]), 0, 1, WIDTH),
+        # Two-way merges never propagate deletes: master keeps key 3.
+        False: (base_with(), 0, 0, WIDTH),
+    },
+    reverted_update_and_field_update: {
+        True: (base_with((2, 20, 777)), 0, 1, WIDTH),
+        # Without the ancestor, c2 diverges and the target takes precedence.
+        False: (base_with(), 1, 1, 2 * WIDTH),
+    },
+    same_insert: {
+        True: (base_with((9, 90, 900)), 0, 1, 2 * WIDTH),
+        False: (base_with((9, 90, 900)), 0, 0, 0),
+    },
+}
+
+
+@pytest.mark.parametrize("three_way", [True, False], ids=["three-way", "two-way"])
+@pytest.mark.parametrize("scenario", list(EXPECTED), ids=lambda s: s.__name__)
+def test_engines_agree_on_merge(tmp_path, scenario, three_way):
+    outcomes = {}
+    for kind in sorted(ENGINE_CLASSES):
+        engine = engine_factory(kind, Schema.of_ints(3), str(tmp_path / kind))
+        engine.init(BASE)
+        engine.create_branch("dev", from_branch="master")
+        scenario(engine)
+        engine.commit("master")
+        engine.commit("dev")
+        result = engine.merge("master", "dev", three_way=three_way)
+        outcomes[kind] = (
+            sorted(record.values for record in engine.scan_branch("master")),
+            result.num_conflicts,
+            result.records_applied,
+            result.diff_bytes,
+        )
+    expected = EXPECTED[scenario][three_way]
+    assert outcomes == {kind: expected for kind in outcomes}
+
+
+@pytest.mark.parametrize("kind", ["tuple-first", "hybrid"])
+def test_merge_fetches_changed_copies_page_at_a_time(tmp_path, schema, kind):
+    """A merge reads a page once per diff that needs it, plus at most one
+    page per record it applies: never a page per changed copy."""
+    engine = engine_factory(kind, schema, str(tmp_path / kind))
+    engine.init(Record((key, key, key, key)) for key in range(2000))
+    engine.create_branch("dev", from_branch="master")
+    for key in range(0, 2000, 100):
+        engine.update("dev", Record((key, -1, key, key)))
+    for key in range(3, 2000, 20):
+        engine.update("master", Record((key, key, -2, key)))
+    engine.commit("dev")
+    engine.commit("master")
+    lca = engine._commit_read_state(
+        engine.graph.lowest_common_ancestor(
+            engine.graph.head("master"), engine.graph.head("dev")
+        )
+    )
+    if kind == "tuple-first":
+        per_page = {None: engine.heap.records_per_page}
+        states = [{None: engine._branch_state(b)} for b in ("master", "dev")]
+        lca = {None: lca}
+    else:
+        per_page = {
+            segment.segment_id: segment.heap.records_per_page
+            for segment in engine.segments.all()
+        }
+        states = [engine._branch_state(b) for b in ("master", "dev")]
+    changed_pages = 0
+    for state in states:
+        pages = set()
+        for segment in set(state) | set(lca):
+            head = state.get(segment, Bitmap())
+            base = lca.get(segment, Bitmap())
+            changed = head.and_not(base) | base.and_not(head)
+            pages.update(
+                (segment, ordinal // per_page[segment])
+                for ordinal in changed.iter_set_bits()
+            )
+        changed_pages += len(pages)
+    calls = 0
+    get_page = engine.buffer_pool.get_page
+
+    def counting_get_page(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return get_page(*args, **kwargs)
+
+    engine.buffer_pool.get_page = counting_get_page
+    result = engine.merge("master", "dev")
+    assert result.records_applied == 20
+    assert calls <= changed_pages + result.records_applied

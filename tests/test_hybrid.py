@@ -58,7 +58,7 @@ class TestHybridSegments:
         hy_loaded.create_branch("dev", from_branch="master")
         hy_loaded.insert("dev", Record((200, 0, 0, 0)))
         hy_loaded.insert("master", Record((201, 0, 0, 0)))
-        relevant = set(hy_loaded._branch_segment_bitmaps("dev"))
+        relevant = set(hy_loaded._branch_state("dev"))
         assert hy_loaded._head_segment["master"] not in relevant
 
     def test_update_clears_bit_in_old_segment(self, hy_loaded):

@@ -1,12 +1,14 @@
-"""Snapshot and server reads match embedded reads.
+"""Snapshot and server reads and diffs match embedded ones.
 
-Query 4 (``HEAD(R.Version) = true``) reaches the engine three ways: an
-embedded ``db.query`` over the live heads, ``db.snapshot()`` over the pinned
-head commits, and a :class:`DecibelClient` against a running server, which
-answers from a snapshot.  Once every branch is committed the three must give
-the same rows with the same branch annotations, on all three engines.  The
+Query 4 (``HEAD(R.Version) = true``) and Query 2 (the ``NOT IN`` diff)
+reach the engine three ways: an embedded ``db.query`` over the live heads,
+``db.snapshot()`` over the pinned head commits, and a
+:class:`DecibelClient` against a running server, which answers from a
+snapshot.  Once every branch is committed the three must give the same
+rows (Query 4 with the same branch annotations), on all three engines.  The
 datasets hold the cases where stored copies and content disagree: a record
-two branches wrote identically, and rows a merge copied.
+two branches wrote identically, and rows a merge copied.  A snapshot's
+diff is the engine's diff of the pinned commits.
 """
 
 from __future__ import annotations
@@ -17,12 +19,17 @@ from repro.core.predicates import ColumnPredicate
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.db.database import Decibel
+from repro.errors import BranchNotFoundError
 from repro.server import DecibelClient, ServerConfig, ServerThread
 from tests.conftest import ENGINE_CLASSES, SMALL_PAGE_SIZE, heads_oracle
 
 Q4 = "SELECT * FROM R WHERE HEAD(R.Version) = true"
 PREDICATE = ColumnPredicate("c1", "<", 5)
 QUERIES = [(Q4, None), (Q4 + " AND c1 < 5", PREDICATE)]
+Q2 = (
+    "SELECT * FROM R WHERE R.Version = '{}' AND R.id NOT IN "
+    "(SELECT id FROM R WHERE R.Version = '{}')"
+)
 
 
 def identical_writes(relation) -> None:
@@ -85,6 +92,21 @@ def test_snapshot_and_server_q4_match_embedded(database, scenario):
                 assert normalized(served.rows, served.branches) == expected, sql
                 oracle = heads_oracle(relation.engine, predicate=predicate)
                 assert expected == normalized(oracle, oracle.values()), sql
+            branches = relation.graph.branch_names()
+            for a in branches:
+                for b in branches:
+                    sql = Q2.format(a, b)
+                    b_keys = {record.values[0] for record in relation.scan(b)}
+                    expected = sorted(
+                        record.values
+                        for record in relation.scan(a)
+                        if record.values[0] not in b_keys
+                    )
+                    assert sorted(map(tuple, database.query(sql).rows)) == expected
+                    with database.snapshot() as snap:
+                        pinned = snap.database.query(sql)
+                    assert sorted(map(tuple, pinned.rows)) == expected, sql
+                    assert sorted(client.query(sql).rows) == expected, sql
     finally:
         server.stop()
 
@@ -108,3 +130,39 @@ def test_identical_writes_are_one_row_each(database):
     with database.snapshot() as snap:
         assert snap.database.relation("R").engine.diff("a", "b").is_empty
     assert relation.diff("a", "b").is_empty
+
+
+def sides(diff) -> tuple[list, list]:
+    return sorted(r.values for r in diff.positive), sorted(
+        r.values for r in diff.negative
+    )
+
+
+def test_snapshot_diff_is_the_pinned_engine_diff(database):
+    relation = database.create_relation("R", Schema.of_ints(3))
+    relation.init([Record((key, key, key)) for key in range(6)])
+    identical_writes(relation)
+    relation.insert("a", Record((60, 6, 6)))
+    relation.update("b", Record((4, 0, 0)))
+    relation.delete("b", 5)
+    for branch in relation.graph.branch_names():
+        relation.commit(branch)
+    engine = relation.engine
+    at_pin = {pair: sides(engine.diff(*pair)) for pair in [("a", "b"), ("b", "master")]}
+    with database.snapshot() as snap:
+        view = snap.database.relation("R").engine
+        for pair, expected in at_pin.items():
+            before = engine.stats.diffs
+            assert sides(view.diff(*pair)) == expected
+            assert engine.stats.diffs == before + 1
+        relation.update("a", Record((0, 5, 5)))
+        relation.delete("b", 1)
+        relation.insert("master", Record((70, 7, 7)))
+        for branch in relation.graph.branch_names():
+            relation.commit(branch)
+        relation.branch("c", from_branch="master")
+        for pair, expected in at_pin.items():
+            assert sides(engine.diff(*pair)) != expected
+            assert sides(view.diff(*pair)) == expected
+        with pytest.raises(BranchNotFoundError):
+            view.diff("a", "c")

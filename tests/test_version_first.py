@@ -91,7 +91,7 @@ class TestVersionFirstSegments:
 class TestVersionFirstCommits:
     def test_commit_records_offset(self, vf_loaded):
         commit_id = vf_loaded.commit("master")
-        segment_id, offset = vf_loaded._commit_location(commit_id)
+        segment_id, offset = vf_loaded._commit_read_state(commit_id)
         assert segment_id == vf_loaded._head_segment["master"]
         assert offset == 20
 
