@@ -1,8 +1,8 @@
 """Crash-safe file primitives: atomic replace, CRC-framed logs, CRC-stamped JSON.
 
-The durable metadata files that are rewritten whole (segment topology, the
-catalog, WAL checkpoints) go through :func:`atomic_write`, which follows the
-classic safe-replace protocol:
+The durable metadata files that are rewritten whole (the catalog and WAL
+checkpoints; no branch or commit writes either) go through
+:func:`atomic_write`, which follows the classic safe-replace protocol:
 
 1. write the full payload to a temporary sibling file,
 2. ``fsync`` the temporary file so its bytes are on the platter,

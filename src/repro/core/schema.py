@@ -241,6 +241,11 @@ class Schema:
         """The :class:`Column` named ``name``."""
         return self.columns[self.index_of(name)]
 
+    def validate_key(self, key: object) -> None:
+        """Raise :class:`SchemaError` unless ``key`` fits the primary-key
+        column (a delete's key is checked as strictly as a written row's)."""
+        self.column(self.primary_key).validate(key)
+
     def validate_values(self, values: tuple) -> None:
         """Validate a full tuple of values against this schema."""
         if len(values) != len(self.columns):

@@ -42,7 +42,7 @@ from repro.core.cancel import checkpoint, remaining_time
 from repro.core.locks import LockManager, LockMode
 from repro.core.record import Record, RecordCodec
 from repro.core.wal import LogRecord, LogRecordType, WriteAheadLog
-from repro.errors import TransactionError
+from repro.errors import StorageError, TransactionError
 from repro.testing.faults import InjectedCrash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,8 +77,7 @@ def check_write(codec: RecordCodec, payload: dict[str, object]) -> None:
     accepts the logged write ``payload``: an insert's or update's values
     must encode, a delete's key must fit the primary-key column."""
     if payload["kind"] == "delete":
-        schema = codec.schema
-        schema.column(schema.primary_key).validate(payload["key"])
+        codec.schema.validate_key(payload["key"])
     else:
         codec.encode(Record(tuple(payload["values"])))  # type: ignore[arg-type]
 
@@ -178,9 +177,8 @@ class Transaction:
                         LogRecordType.BEGIN, self.transaction_id, relation=relation
                     )
                 )
+                self._check_deletes(engine)
                 for write in self._writes:
-                    # Apply first so a validation failure (duplicate key,
-                    # missing row) aborts cleanly before the write is logged.
                     if write.kind == "insert":
                         engine.insert(write.branch, write.record)
                     elif write.kind == "update":
@@ -244,6 +242,22 @@ class Transaction:
         self.manager.lock_manager.release_all(self.transaction_id)
 
     # -- helpers --------------------------------------------------------------
+
+    def _check_deletes(self, engine: "VersionedStorageEngine") -> None:
+        """Raise :class:`~repro.errors.StorageError`, before anything is
+        applied, if a delete's key will not be live (given the earlier
+        writes) when it applies: a mid-apply raise would leave those writes."""
+        live: dict[tuple[str, int | None], bool] = {}
+        for write in self._writes:
+            if write.record is not None:
+                live[(write.branch, write.record.key(engine.schema))] = True
+                continue
+            slot = (write.branch, write.key)
+            if not (live[slot] if slot in live else engine.branch_contains_key(*slot)):
+                raise StorageError(
+                    f"key {write.key} is not live in branch {write.branch!r}"
+                )
+            live[slot] = False
 
     def _lock_branch(self, branch: str) -> None:
         # A request-scoped deadline caps the lock wait: no transaction blocks

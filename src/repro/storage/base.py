@@ -680,16 +680,18 @@ class VersionedStorageEngine(ABC):
         with self.commit_gate:
             if from_commit is not None:
                 parent_branch = self.graph.get_commit(from_commit).branch
-                at_head = self.graph.head(parent_branch) == from_commit
             else:
                 parent_branch = from_branch
                 from_commit = self.graph.head(parent_branch)
-                at_head = True
-            self.graph.create_branch(
+            branch = self.graph.create_branch(
                 name, from_commit=from_commit, from_branch=parent_branch
             )
-            self._materialize_branch(name, parent_branch, from_commit, at_head)
+            state = self._materialize_branch(
+                name, parent_branch, from_commit, branch.at_head
+            )
+            self.graph.set_branch_state(name, state)
             self.stats.branches_created += 1
+            # The graph frame is the branch's commit point.
             self._flush_storage()
             self._persist_graph()
 
@@ -1092,8 +1094,9 @@ class VersionedStorageEngine(ABC):
     @abstractmethod
     def _materialize_branch(
         self, name: str, parent_branch: str, from_commit: str, at_head: bool
-    ) -> None:
-        """Create engine-side structures for a new branch."""
+    ) -> Any:
+        """Create engine-side structures for a new branch; returns the
+        JSON-serializable state (or None) its graph event must carry."""
 
     @abstractmethod
     def _record_commit_state(self, branch: str, commit_id: str) -> Any:
@@ -1110,8 +1113,9 @@ class VersionedStorageEngine(ABC):
         """Reload engine-specific storage state from disk.
 
         Called by :meth:`load_persistent_state` after the version graph is
-        loaded; implementations restore every branch to its head-commit
-        snapshot and leave their pk indexes to rebuild lazily.
+        loaded; implementations rebuild their storage layout from the
+        graph's events, restore every branch to its head-commit snapshot
+        and leave their pk indexes to rebuild lazily.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support reopening from disk"

@@ -36,7 +36,7 @@ from repro.core.page import DEFAULT_PAGE_SIZE
 from repro.core.predicates import Predicate
 from repro.core.record import Record
 from repro.core.schema import Schema
-from repro.errors import CorruptionError, StorageError
+from repro.errors import StorageError
 from repro.storage.base import (
     DEFAULT_SCAN_BATCH_SIZE,
     StorageEngineKind,
@@ -50,7 +50,7 @@ from repro.storage.base import (
     stored_pk_ordinals,
 )
 from repro.storage.pk_index import KeyCopyIndex
-from repro.storage.segments import ParentPointer, Segment, SegmentSet
+from repro.storage.segments import SegmentSet
 from repro.versioning.diff import DiffResult
 from repro.versioning.version_graph import MASTER_BRANCH
 
@@ -108,17 +108,28 @@ class HybridEngine(VersionedStorageEngine):
 
     def _prepare_master(self) -> None:
         self.key_index.start_empty()
-        segment = self._new_head_segment(MASTER_BRANCH, parents=())
-        self._head_segment[MASTER_BRANCH] = segment.segment_id
+        self._fork_segments(MASTER_BRANCH, None)
         self._branch_segments[MASTER_BRANCH] = set()
         self.index_hook.branch_created(MASTER_BRANCH)
 
-    def _new_head_segment(
-        self, branch: str, parents: tuple[ParentPointer, ...]
-    ) -> Segment:
-        segment = self.segments.create(owner_branch=branch, parents=parents)
+    def _fork_segments(
+        self, name: str, parent_branch: str | None, *, reopen: bool = False
+    ) -> None:
+        """The segments a branch operation creates (paper Section 3.4): a
+        fork off ``parent_branch``'s head freezes it and gives the parent a
+        fresh head; the new branch always gets one.  The graph's branch
+        events name every argument, so a reopen replays them."""
+        if parent_branch is not None:
+            self.segments.get(self._head_segment[parent_branch]).freeze()
+            self._head_segment[parent_branch] = self._new_head_segment(
+                parent_branch, reopen
+            )
+        self._head_segment[name] = self._new_head_segment(name, reopen)
+
+    def _new_head_segment(self, branch: str, reopen: bool) -> str:
+        segment = self.segments.create(owner_branch=branch, reopen=reopen)
         self._add_local_bitmaps(segment.segment_id).add_branch(branch)
-        return segment
+        return segment.segment_id
 
     def _add_local_bitmaps(self, segment_id: str) -> BranchOrientedBitmapIndex:
         """Create a segment's (empty) local bitmap index and number it."""
@@ -130,21 +141,19 @@ class HybridEngine(VersionedStorageEngine):
     def _materialize_branch(
         self, name: str, parent_branch: str, from_commit: str, at_head: bool
     ) -> None:
+        self._branch_segments[name] = set()
         if at_head:
-            self._branch_from_head(name, parent_branch)
+            self._fork_bitmaps(name, parent_branch)
+            self._fork_segments(name, parent_branch)
             self.index_hook.branch_created(name, clone_from=parent_branch)
         else:
-            self._branch_from_commit(name, from_commit)
+            self._restore_branch(name, from_commit)
+            self._fork_segments(name, None)
             self.index_hook.branch_rebuilt(name)
 
-    def _branch_from_head(self, name: str, parent_branch: str) -> None:
-        """The paper's branch operation: freeze the parent head, fork bitmaps."""
-        old_head_id = self._head_segment[parent_branch]
-        old_head = self.segments.get(old_head_id)
-        old_head.freeze()
-        # Fork the parent's liveness bits into a new column for the child in
-        # every segment that holds records live in the parent's ancestry.
-        self._branch_segments.setdefault(name, set())
+    def _fork_bitmaps(self, name: str, parent_branch: str) -> None:
+        """Fork the parent's liveness bits into a new column for the child
+        in every segment that holds records live in the parent's ancestry."""
         for segment_id in self._branch_segments[parent_branch]:
             local = self._local_bitmaps[segment_id]
             if local.has_branch(name):
@@ -152,24 +161,6 @@ class HybridEngine(VersionedStorageEngine):
             local.add_branch(name, clone_from=parent_branch)
             if local.branch_bitmap(name).any():
                 self._branch_segments[name].add(segment_id)
-        # Two fresh head segments: one for the parent to continue on, one for
-        # the child branch.
-        offset = old_head.record_count
-        parent_new_head = self._new_head_segment(
-            parent_branch, parents=(ParentPointer(old_head_id, offset),)
-        )
-        child_head = self._new_head_segment(
-            name, parents=(ParentPointer(old_head_id, offset),)
-        )
-        self._head_segment[parent_branch] = parent_new_head.segment_id
-        self._head_segment[name] = child_head.segment_id
-
-    def _branch_from_commit(self, name: str, from_commit: str) -> None:
-        """Branch from a historical commit by restoring its bitmap snapshots."""
-        self._branch_segments[name] = set()
-        self._restore_branch(name, from_commit)
-        child_head = self._new_head_segment(name, parents=())
-        self._head_segment[name] = child_head.segment_id
 
     def _restore_branch(self, branch: str, commit_id: str) -> None:
         """Set ``branch``'s local bitmaps to the snapshots of ``commit_id``."""
@@ -207,33 +198,25 @@ class HybridEngine(VersionedStorageEngine):
         return deltas or None
 
     def _load_storage(self) -> None:
-        """Reload segments and local bitmaps; rebuild histories from the graph.
+        """Replay segments from the graph's branch events, rebuild histories
+        from its commit events, and restore each branch's local bitmaps.
 
-        Visibility in hybrid is bitmap-governed, so head segments are *not*
+        Each branch event, in creation order, recreates the segments its
+        branch operation made (:meth:`_fork_segments`).  Visibility in hybrid is bitmap-governed, so head segments are *not*
         truncated on recovery: records appended by an uncommitted transaction
         may survive as dead bytes in the head segment, but no restored bitmap
         references them, making them invisible to every scan.  A segment
         too short for a restored bitmap lost committed records: strict
         recovery refuses to open.
         """
-        self.segments.load_metadata()
-        # Every segment gets an (initially empty) local bitmap index; head
-        # segments are the non-frozen segment owned by each branch.
-        for segment in self.segments.all():
-            self._add_local_bitmaps(segment.segment_id)
-            if not segment.frozen and segment.owner_branch is not None:
-                self._head_segment[segment.owner_branch] = segment.segment_id
-        branches = self.graph.branch_names()
-        for branch in branches:
-            self._branch_segments.setdefault(branch, set())
-            if branch not in self._head_segment:
-                raise CorruptionError(
-                    os.path.join(self.segments.directory, "segments.json"),
-                    f"branch {branch!r} has no head segment",
-                )
-            head_local = self._local_bitmaps[self._head_segment[branch]]
-            if not head_local.has_branch(branch):
-                head_local.add_branch(branch)
+        self.segments.check_layout()
+        for branch in self.graph.branches():
+            self._fork_segments(
+                branch.name,
+                branch.parent_branch if branch.at_head else None,
+                reopen=True,
+            )
+            self._branch_segments[branch.name] = set()
         # Rebuild every (branch, segment) history from the deltas the graph's
         # commit events carry, in commit order.
         for commit in self.graph.commits():
@@ -246,8 +229,8 @@ class HybridEngine(VersionedStorageEngine):
         # Restore each branch's local bitmaps at its head commit.  The head
         # commit may live on an ancestor branch (for a branch with no commits
         # of its own); the snapshots come from the owning branch's histories.
-        for branch in branches:
-            self._restore_branch(branch, self.graph.head(branch))
+        for name in self.graph.branch_names():
+            self._restore_branch(name, self.graph.head(name))
         # The key index stays unbuilt: the first pk lookup reads it from
         # the segments.
 
@@ -306,7 +289,6 @@ class HybridEngine(VersionedStorageEngine):
 
     def _flush_storage(self) -> None:
         self.segments.flush()
-        self.segments.save_metadata()
 
     # -- data operations ----------------------------------------------------------------
 
@@ -339,6 +321,7 @@ class HybridEngine(VersionedStorageEngine):
         self.stats.records_updated += 1
 
     def delete(self, branch: str, key: int) -> None:
+        self.schema.validate_key(key)
         previous = self.key_location(branch, key)
         if previous is None:
             raise StorageError(f"key {key} is not live in branch {branch!r}")

@@ -11,6 +11,12 @@ A segment is a *head* segment while a branch is still writing to it and
 becomes *internal* (frozen) once superseded -- in hybrid this happens on every
 branch operation; in version-first a branch writes to the same segment for its
 whole life.
+
+Only heap files live on disk.  The topology -- which segments exist, their
+owners, frozen flags and branch points -- follows from the branch events of
+the version-graph log, so no file records it: each engine replays those events
+on reopen, and since segment ids come from a counter, the replay allocates the
+same ids in the same order.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.buffer_pool import BufferPool
-from repro.core.durable import atomic_write, dump_checked_json, load_checked_json
+from repro.core.durable import fsync_dir
 from repro.core.heapfile import HeapFile
 from repro.core.page import DEFAULT_PAGE_SIZE
 from repro.core.record import Record
@@ -82,7 +88,7 @@ class Segment:
 
 
 class SegmentSet:
-    """All segments of one engine, with id allocation and persistence."""
+    """All segments of one engine, with id allocation and heap flushing."""
 
     def __init__(
         self,
@@ -97,9 +103,9 @@ class SegmentSet:
         self.page_size = page_size
         self._segments: dict[str, Segment] = {}
         self._next_id = 0
-        #: Serialized form of the last metadata payload written (or loaded),
-        #: used to skip the atomic rewrite when the topology is unchanged.
-        self._saved_metadata: bytes | None = None
+        #: True when segment files were created since the last flush, whose
+        #: directory entries the next flush makes durable.
+        self._created = False
         os.makedirs(directory, exist_ok=True)
 
     # -- creation and lookup -----------------------------------------------------
@@ -108,11 +114,16 @@ class SegmentSet:
         self,
         owner_branch: str | None,
         parents: tuple[ParentPointer, ...] = (),
+        *,
+        reopen: bool = False,
     ) -> Segment:
         """Create a new, empty segment owned by ``owner_branch``.
 
         A file left under the new id (by an earlier engine over a reused
-        directory) is emptied: a fresh segment never inherits records.
+        directory, or by a branch whose graph frame never became durable) is
+        emptied: a fresh segment never inherits records.  With ``reopen``
+        the creation is a replay of one made before a reopen, and the
+        segment's file is kept as it stands.
         """
         segment_id = f"seg{self._next_id:05d}"
         self._next_id += 1
@@ -122,7 +133,9 @@ class SegmentSet:
             self.buffer_pool,
             page_size=self.page_size,
         )
-        heap.truncate_records(0)
+        if not reopen:
+            heap.truncate_records(0)
+            self._created = True
         segment = Segment(
             segment_id=segment_id,
             heap=heap,
@@ -152,77 +165,24 @@ class SegmentSet:
     # -- maintenance ----------------------------------------------------------------
 
     def flush(self) -> None:
-        """Flush every segment's heap file."""
+        """Flush every segment's heap file, and the directory entries of
+        segments created since the last flush."""
         for segment in self._segments.values():
             segment.heap.flush()
+        if self._created:
+            fsync_dir(self.directory)
+            self._created = False
+
+    def check_layout(self) -> None:
+        """Refuse a directory holding any file but segment heaps, such as an
+        older layout's topology file: its branch events do not describe it."""
+        for name in sorted(os.listdir(self.directory)):
+            if not name.endswith(".seg"):
+                raise CorruptionError(
+                    os.path.join(self.directory, name),
+                    "not a segment heap; topology replays from the graph log",
+                )
 
     def total_size_bytes(self) -> int:
         """Combined on-disk size of all segments."""
         return sum(segment.size_bytes() for segment in self._segments.values())
-
-    # -- persistence of metadata -------------------------------------------------------
-
-    def save_metadata(self) -> None:
-        """Persist segment topology (parents, owners, frozen flags).
-
-        Written CRC-stamped through the atomic-replace protocol (crashpoints
-        ``segment-meta-mid-write`` / ``segment-meta-pre-rename``): a crash
-        mid-save leaves the previous complete topology file.  The write is
-        skipped entirely when the topology has not changed since the last
-        save, so per-commit flushes of an unchanged segment set cost nothing.
-        """
-        payload = {
-            "next_id": self._next_id,
-            "segments": [
-                {
-                    "id": segment.segment_id,
-                    "owner": segment.owner_branch,
-                    "frozen": segment.frozen,
-                    "parents": [
-                        {"segment_id": p.segment_id, "limit": p.limit}
-                        for p in segment.parents
-                    ],
-                }
-                for segment in self.all()
-            ],
-        }
-        data = dump_checked_json(payload)
-        if data == self._saved_metadata:
-            return
-        atomic_write(
-            os.path.join(self.directory, "segments.json"),
-            data,
-            label="segment-meta",
-        )
-        self._saved_metadata = data
-
-    def load_metadata(self) -> None:
-        """Reload segment topology written by :meth:`save_metadata`.
-
-        Raises :class:`~repro.errors.CorruptionError` on a checksum mismatch
-        rather than rebuilding engine state from misread topology.
-        """
-        path = os.path.join(self.directory, "segments.json")
-        if not os.path.exists(path):
-            return
-        payload = load_checked_json(path)
-        if not isinstance(payload, dict):
-            raise CorruptionError(path, "segment metadata payload is not an object")
-        self._next_id = payload["next_id"]
-        for entry in payload["segments"]:
-            heap = HeapFile(
-                os.path.join(self.directory, f"{entry['id']}.seg"),
-                self.schema,
-                self.buffer_pool,
-                page_size=self.page_size,
-            )
-            self._segments[entry["id"]] = Segment(
-                segment_id=entry["id"],
-                heap=heap,
-                owner_branch=entry["owner"],
-                parents=tuple(
-                    ParentPointer(p["segment_id"], p["limit"])
-                    for p in entry["parents"]
-                ),
-                frozen=entry["frozen"],
-            )

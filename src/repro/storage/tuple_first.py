@@ -187,6 +187,7 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.stats.records_updated += 1
 
     def delete(self, branch: str, key: int) -> None:
+        self.schema.validate_key(key)
         previous = self.key_location(branch, key)
         if previous is None:
             raise StorageError(f"key {key} is not live in branch {branch!r}")

@@ -32,7 +32,6 @@ from repro.core.predicates import (
     compile_column_filter,
     compile_predicate,
 )
-from repro.core.durable import add_recovery_note, strict_recovery
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import CommitNotFoundError, CorruptionError, StorageError
@@ -101,30 +100,33 @@ class VersionFirstEngine(VersionedStorageEngine):
 
     def _materialize_branch(
         self, name: str, parent_branch: str, from_commit: str, at_head: bool
-    ) -> None:
+    ) -> int | None:
+        """Give the branch a segment chained to the parent's records.
+
+        Returns an at-head fork's limit, the parent head's record count now,
+        which the graph cannot derive; a fork off an older commit takes the
+        commit's recorded offset."""
         if at_head:
-            parent_segment_id = self._head_segment[parent_branch]
-            limit = self.segments.get(parent_segment_id).record_count
+            head = self._head(parent_branch)
+            pointer = ParentPointer(head.segment_id, head.record_count)
             # Every parent location is visible through the branch point, so
             # the child's index is a straight clone.
             self.pk_index.add_branch(name, clone_from=parent_branch)
             self.index_hook.branch_created(name, clone_from=parent_branch)
         else:
-            parent_segment_id, limit = self._commit_read_state(from_commit)
+            pointer = ParentPointer(*self._commit_read_state(from_commit))
             pk_position = self.schema.primary_key_index
             entries = {
                 record.values[pk_position]: (seg_id, ordinal)
                 for seg_id, ordinal, record in self._locate_chain(
-                    parent_segment_id, limit
+                    pointer.segment_id, pointer.limit
                 )
             }
             self.pk_index.replace_branch(name, entries)
             self.index_hook.branch_rebuilt(name)
-        segment = self.segments.create(
-            owner_branch=name,
-            parents=(ParentPointer(parent_segment_id, limit),),
-        )
+        segment = self.segments.create(owner_branch=name, parents=(pointer,))
         self._head_segment[name] = segment.segment_id
+        return pointer.limit if at_head else None
 
     def _record_commit_state(
         self, branch: str, commit_id: str
@@ -134,24 +136,39 @@ class VersionFirstEngine(VersionedStorageEngine):
 
     def _flush_storage(self) -> None:
         self.segments.flush()
-        self.segments.save_metadata()
 
     def _load_storage(self) -> None:
-        """Rebuild segment topology, then roll each branch back to its head.
+        """Replay segment topology from the graph, then roll each branch
+        back to its head.
+
+        Each branch event, in creation order, recreates the branch's segment
+        with the branch point it had: an at-head fork's limit rides in its
+        event, an older commit's offset in that commit's event.
 
         Visibility in version-first is physical -- a branch's state is its
         segment's content -- so recovery *truncates* each branch's segment to
         the record offset its head commit recorded.  The truncation floor is
-        raised by any persisted child branch point into the segment: a child
-        created off this branch durably references the parent's records below
-        its pointer limit, so those records must survive even if the parent
+        raised by any child branch point into the segment: a child created
+        off this branch durably references the parent's records below its
+        pointer limit, so those records must survive even if the parent
         itself never committed past them.  A segment holding fewer records
         than its floor lost committed ones: strict recovery refuses to open.
         """
-        self.segments.load_metadata()
-        for segment in self.segments.all():
-            if segment.owner_branch is not None and not segment.frozen:
-                self._head_segment[segment.owner_branch] = segment.segment_id
+        self.segments.check_layout()
+        master = self.segments.create(MASTER_BRANCH, reopen=True)
+        self._head_segment[MASTER_BRANCH] = master.segment_id
+        for branch in self.graph.branches()[1:]:
+            if branch.created_from is not None and not branch.at_head:
+                pointer = ParentPointer(*self._commit_read_state(branch.created_from))
+            elif isinstance(branch.state, int) and branch.parent_branch:
+                parent_segment = self._head_segment[branch.parent_branch]
+                pointer = ParentPointer(parent_segment, branch.state)
+            else:
+                raise CorruptionError(
+                    self._graph_path(), f"no branch-point limit for {branch.name!r}"
+                )
+            segment = self.segments.create(branch.name, (pointer,), reopen=True)
+            self._head_segment[branch.name] = segment.segment_id
         # Records each segment must hold: up to its child branch points'
         # limits and, for a head segment, its head commit's offset.
         needed: dict[str, int] = {}
@@ -160,18 +177,8 @@ class VersionFirstEngine(VersionedStorageEngine):
                 needed[pointer.segment_id] = max(
                     needed.get(pointer.segment_id, 0), pointer.limit
                 )
-        for branch in self.graph.branch_names():
-            segment_id = self._head_segment.get(branch)
-            if segment_id is None:
-                error = CorruptionError(
-                    os.path.join(self.segments.directory, "segments.json"),
-                    f"no head segment recorded for branch {branch!r}",
-                )
-                if strict_recovery():
-                    raise error
-                add_recovery_note(f"branch {branch!r} unrecoverable: {error}")
-                continue
-            location = self.graph.commit_state(self.graph.head(branch))
+        for branch_name, segment_id in self._head_segment.items():
+            location = self.graph.commit_state(self.graph.head(branch_name))
             committed = (
                 location[1]
                 if location is not None and location[0] == segment_id
@@ -224,6 +231,7 @@ class VersionFirstEngine(VersionedStorageEngine):
         return key
 
     def delete(self, branch: str, key: int) -> None:
+        self.schema.validate_key(key)
         if not self.pk_index.contains(branch, key):
             raise StorageError(f"key {key} is not live in branch {branch!r}")
         self._head(branch).append(Record.deleted(self.schema, key))

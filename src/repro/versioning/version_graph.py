@@ -13,7 +13,10 @@ arguments, :meth:`VersionGraph.save` appends the queued events to
 ``version_graph.log`` as one CRC-framed record -- one write and one fsync,
 however large the graph -- and :meth:`VersionGraph.load` replays them through
 the same mutators.  A commit's event also carries the committing engine's
-state (:meth:`VersionGraph.set_commit_state`), so one frame commits both.
+state (:meth:`VersionGraph.set_commit_state`), so one frame commits both, and
+a branch creation's event carries whatever the engine's new storage needs
+beyond the event itself (:meth:`VersionGraph.set_branch_state`): an engine
+rebuilds its segment topology by replaying the branch events in order.
 """
 
 from __future__ import annotations
@@ -74,6 +77,10 @@ class Branch:
     #: For branches created by a merge: parent branch names in precedence
     #: order (first wins conflicts under the precedence policy).
     merge_precedence: tuple[str, ...] = field(default_factory=tuple)
+    #: True if forked off its parent branch's head, not an older commit.
+    at_head: bool = True
+    #: The engine state recorded with the branch's creation.
+    state: Any = None
 
 
 class VersionGraph:
@@ -151,11 +158,13 @@ class VersionGraph:
             if from_branch is not None
             else self._commits[from_commit].branch
         )
+        parent = self._branches.get(parent_branch)
         branch = Branch(
             name=name,
             head=from_commit,
             created_from=from_commit,
             parent_branch=parent_branch,
+            at_head=parent is not None and parent.head == from_commit,
         )
         self._branches[name] = branch
         self._log(
@@ -209,18 +218,28 @@ class VersionGraph:
         The state rides in the commit's own event, so it becomes durable in
         the same log frame as the commit.  ``None`` records nothing.
         """
-        if state is None:
-            return
-        for event in reversed(self._pending):
-            if event.get("id") == commit_id:
-                event["state"] = state
-                self._states[commit_id] = state
-                return
-        raise VersionError(f"commit {commit_id!r} is not awaiting a save")
+        if state is not None:
+            self._pending_event("id", commit_id)["state"] = state
+            self._states[commit_id] = state
 
     def commit_state(self, commit_id: str) -> Any:
         """The state recorded with ``commit_id`` (as JSON once reloaded)."""
         return self._states.get(commit_id)
+
+    def set_branch_state(self, name: str, state: Any) -> None:
+        """Attach an engine's JSON-serializable state to an unsaved branch
+        creation, as :meth:`set_commit_state` does to a commit; reloaded,
+        it is the branch's :attr:`Branch.state`.  ``None`` records nothing."""
+        if state is not None:
+            self._pending_event("name", name)["state"] = state
+            self.branch(name).state = state
+
+    def _pending_event(self, key: str, value: str) -> dict:
+        """The newest unsaved event whose ``key`` is ``value``."""
+        for event in reversed(self._pending):
+            if event.get(key) == value:
+                return event
+        raise VersionError(f"{value!r} is not awaiting a save")
 
     # -- lookups ----------------------------------------------------------------
 
@@ -396,7 +415,9 @@ class VersionGraph:
                             expected=event.get("id"),
                             actual=produced,
                         )
-                    if "state" in event:
+                    if "state" in event and event["op"] == "create_branch":
+                        graph._branches[event["name"]].state = event["state"]
+                    elif "state" in event:
                         graph._states[produced] = event["state"]
             except (ValueError, TypeError, KeyError, VersionError) as exc:
                 raise CorruptionError(

@@ -35,15 +35,13 @@ from repro.testing.faults import FaultSchedule, InjectedCrash, inject
 ENGINES = ["tuple-first", "version-first", "hybrid"]
 
 #: Every named crashpoint the durable write paths register: the WAL COMMIT
-#: fsync, the heap flush (a commit's new records), the version-graph log
-#: append (which also carries the commit's bitmap deltas), and the
-#: segment-topology atomic write.
+#: fsync, the heap flush (a commit's new records), and the version-graph log
+#: append (which also carries the commit's bitmap deltas and a branch's
+#: segment topology).
 CRASHPOINTS = [
     "wal-group-commit-pre-fsync",
     "heap-flush-pre-fsync",
     "graph-persist-pre-fsync",
-    "segment-meta-mid-write",
-    "segment-meta-pre-rename",
 ]
 
 #: The crashpoints that guard an append to a live log (the WAL, the
@@ -58,30 +56,24 @@ APPEND_CRASHPOINTS = [
 
 def commit_cases(points):
     """(point, engine) for every point a transaction commit passes: all but
-    the segment-topology write, which only a branch creation reaches, and
     the heap flush, which a delete-only commit does not reach on the bitmap
     engines (see ``_HeapFlushWorkloads``)."""
     return [
         (point, engine)
         for point in points
         for engine in ENGINES
-        if not point.startswith("segment-meta") and not point.startswith("heap")
+        if not point.startswith("heap")
     ]
 
 
 #: (point, engine, torn bytes) for a crash inside branch creation: the
-#: graph frame on every engine, torn or not, and the segment-topology write
-#: on the two segment engines.
+#: graph frame, which also carries the branch's segment topology, torn or
+#: not.  ``test_torn_branch_frame_reuses_segment_ids`` and
+#: ``test_flipped_branch_frame_limit`` check the topology it carries.
 BRANCH_CASES = [
-    (point, engine, torn)
-    for point, torn in [
-        ("graph-persist-pre-fsync", 0),
-        ("graph-persist-pre-fsync", 3),
-        ("segment-meta-mid-write", 0),
-        ("segment-meta-pre-rename", 0),
-    ]
+    ("graph-persist-pre-fsync", engine, torn)
+    for torn in (0, 3)
     for engine in ENGINES
-    if engine != "tuple-first" or point.startswith("graph")
 ]
 
 #: (point, engine, torn bytes) for a crash inside a merge's commit, and for
@@ -403,6 +395,80 @@ def test_create_branch_crash(tmp_path, point, engine, torn_bytes):
     assert live_keys(again, "dev") == baseline | {300}
     assert_pk_index_agrees(again, "master")
     assert_pk_index_agrees(again, "dev")
+
+
+def segment_topology(engine):
+    return [
+        (segment.segment_id, segment.owner_branch, segment.frozen, segment.parents)
+        for segment in engine.segments.all()
+    ]
+
+
+@pytest.mark.parametrize("engine", ["version-first", "hybrid"])
+def test_torn_branch_frame_reuses_segment_ids(tmp_path, engine):
+    """A branch whose graph frame is torn does not exist after a reopen:
+    no segment it created is replayed, and the next branch call reuses
+    their ids with empty heaps, whatever bytes the files were left with."""
+    db = seed_database(tmp_path, engine)
+    with pytest.raises(InjectedCrash):
+        with inject(FaultSchedule("graph-persist-pre-fsync", torn_bytes=3)):
+            db.relation("t").branch("dev", from_branch="master")
+    crashed = segment_topology(db.relation("t").engine)
+    reopened = Decibel.open(str(tmp_path), engine=engine)
+    rel = reopened.relation("t")
+    assert not rel.graph.has_branch("dev")
+    replayed = segment_topology(rel.engine)
+    lost = [entry[0] for entry in crashed[len(replayed):]]
+    assert lost
+    segments_dir = tmp_path / "t" / "segments"
+    stale = (segments_dir / f"{replayed[0][0]}.seg").read_bytes()
+    assert stale
+    for segment_id in lost:
+        (segments_dir / f"{segment_id}.seg").write_bytes(stale)
+    rel.branch("dev", from_branch="master")
+    assert segment_topology(rel.engine) == crashed
+    for segment_id in lost:
+        assert rel.engine.segments.get(segment_id).record_count == 0
+    baseline = set(range(10)) | {100}
+    assert live_keys(reopened) == live_keys(reopened, "dev") == baseline
+    again = Decibel.open(str(tmp_path), engine=engine)
+    assert segment_topology(again.relation("t").engine) == crashed
+    assert live_keys(again) == live_keys(again, "dev") == baseline
+
+
+@pytest.mark.parametrize("strict", ["1", "0"])
+def test_flipped_branch_frame_limit(tmp_path, strict, monkeypatch):
+    """A flipped byte in the branch-point limit a version-first at-head
+    branch's frame carries: strict recovery raises rather than replay a
+    wrong branch point; degraded recovery opens at the frame before, with
+    the rows it held: the later, applied commit on master goes with it."""
+    monkeypatch.setenv("REPRO_STRICT_RECOVERY", strict)
+    db = seed_database(tmp_path, "version-first")
+    rel = db.relation("t")
+    previous = rel.graph.head("master")
+    rel.branch("dev", from_branch="master")
+    txn = db.transactions("t").begin()
+    txn.insert("master", record(400, 4))
+    txn.commit()
+    db.close()
+    path = tmp_path / "t" / "version_graph.log"
+    payloads = read_framed(str(path))
+    index = len(payloads) - 2
+    (event,) = json.loads(payloads[index])
+    assert event["op"] == "create_branch" and event["state"] == 11
+    flip_frame_byte(path, index, payloads[index].index(b'"state":') + 8)
+    if strict == "1":
+        with pytest.raises(CorruptionError):
+            Decibel.open(str(tmp_path), engine="version-first")
+        return
+    reopened = Decibel.open(str(tmp_path), engine="version-first")
+    assert any("version graph" in note for note in reopened.last_recovery.notes)
+    rel = reopened.relation("t")
+    assert not rel.graph.has_branch("dev")
+    baseline = {(i, i * 10) for i in range(10)} | {(100, 1)}
+    assert rel.graph.head("master") == previous
+    assert {r.values for r in rel.scan("master")} == baseline
+    assert_pk_index_agrees(reopened)
 
 
 @pytest.mark.parametrize(("point", "engine", "torn_bytes"), ENGINE_COMMIT_CASES)

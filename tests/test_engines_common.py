@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.predicates import ColumnPredicate
 from repro.core.record import Record
-from repro.errors import StorageError, VersionError
+from repro.errors import SchemaError, StorageError, VersionError
 from repro.versioning.conflicts import PrecedencePolicy, ThreeWayPolicy
 
 from tests.conftest import (
@@ -73,6 +73,14 @@ class TestDataModification:
     def test_delete_missing_key_rejected(self, loaded_engine):
         with pytest.raises(StorageError):
             loaded_engine.delete("master", 9999)
+
+    def test_delete_rejects_a_key_the_key_column_rejects(self, loaded_engine):
+        """A float equal to a live key is not that key: every engine checks
+        a delete's key through the primary-key column, as a logged delete
+        is checked, and deletes nothing."""
+        with pytest.raises(SchemaError):
+            loaded_engine.delete("master", 3.0)
+        assert keys_of(loaded_engine, "master") == list(range(20))
 
     def test_branch_contains_key(self, loaded_engine):
         assert loaded_engine.branch_contains_key("master", 3)

@@ -1,13 +1,21 @@
-"""Tests for segment files and the segment set."""
+"""Tests for segment files, the segment set, and the segment topology a
+reopen replays from the version-graph log."""
+
+import os
+from pathlib import Path
 
 import pytest
 
+import repro.core.durable
+import repro.core.wal
 from repro.core.buffer_pool import BufferPool
 from repro.core.record import Record
-from repro.errors import StorageError
-from repro.storage.segments import ParentPointer, SegmentSet
+from repro.core.schema import Schema
+from repro.db.database import Decibel
+from repro.errors import CorruptionError, StorageError
+from repro.storage.segments import SegmentSet
 
-from tests.conftest import make_records
+from tests.conftest import ENGINE_CLASSES, SMALL_PAGE_SIZE, make_records
 
 
 @pytest.fixture
@@ -88,27 +96,105 @@ class TestSegmentSet:
         assert list(segment.records()) == []
         assert segment.size_bytes() == 0
 
-    def test_metadata_roundtrip(self, schema, tmp_path):
-        directory = str(tmp_path / "segs")
-        segments = SegmentSet(directory, schema, BufferPool(), page_size=512)
-        parent = segments.create("master")
-        for record in make_records(5):
-            parent.append(record)
-        child = segments.create(
-            "dev", parents=(ParentPointer(parent.segment_id, 5),)
-        )
-        parent.freeze()
-        segments.flush()
-        segments.save_metadata()
 
-        reloaded = SegmentSet(directory, schema, BufferPool(), page_size=512)
-        reloaded.load_metadata()
-        assert len(reloaded) == 2
-        restored_child = reloaded.get(child.segment_id)
-        assert restored_child.parents[0].segment_id == parent.segment_id
-        assert restored_child.parents[0].limit == 5
-        assert reloaded.get(parent.segment_id).frozen
-        assert reloaded.get(parent.segment_id).record_count == 5
-        # Id allocation continues after the highest existing id.
-        newer = reloaded.create("other")
-        assert newer.segment_id > child.segment_id
+def topology(engine):
+    """``(id, owner, frozen, parents)`` of every segment, in id order."""
+    return [
+        (segment.segment_id, segment.owner_branch, segment.frozen, segment.parents)
+        for segment in engine.segments.all()
+    ]
+
+
+def branch_rows(engine):
+    return {
+        name: sorted(record.values for record in engine.scan_branch(name))
+        for name in engine.graph.branch_names()
+    }
+
+
+class TestTopologyReplay:
+    """No file records segment topology: a reopen replays the graph's
+    branch events and allocates the same segments in the same order."""
+
+    @pytest.mark.parametrize("kind", ["hybrid", "version-first"])
+    def test_topology_round_trips_through_a_reopen(self, schema, tmp_path, kind):
+        directory = str(tmp_path / "engine")
+        engine = ENGINE_CLASSES[kind](directory, schema, page_size=SMALL_PAGE_SIZE)
+        engine.init(make_records(20))
+        key = 100
+        for i in range(20):
+            names = engine.graph.branch_names()
+            parent = names[i * 7 % len(names)]
+            name = f"b{i:02d}"
+            if i % 3 == 2:
+                history = engine.graph.lineage(engine.graph.head(parent))
+                engine.create_branch(
+                    name, from_commit=history[len(history) // 2].commit_id
+                )
+            else:
+                engine.create_branch(name, from_branch=parent)
+            for branch in (name, parent):
+                engine.insert(branch, Record((key, i, 0, 0)))
+                engine.commit(branch)
+                key += 1
+        branches = engine.graph.branches()
+        assert any(b.at_head for b in branches[1:])
+        assert any(not b.at_head for b in branches)
+        before, rows = topology(engine), branch_rows(engine)
+        engine.close()
+
+        reopened = ENGINE_CLASSES[kind](
+            directory, schema, page_size=SMALL_PAGE_SIZE
+        )
+        reopened.load_persistent_state()
+        assert topology(reopened) == before
+        assert branch_rows(reopened) == rows
+        # Id allocation continues past the highest replayed id.
+        reopened.create_branch("after", from_branch="master")
+        new_ids = set(reopened._head_segment.values()) - {seg[0] for seg in before}
+        assert new_ids and min(new_ids) > max(seg[0] for seg in before)
+
+    @pytest.mark.parametrize("kind", sorted(ENGINE_CLASSES))
+    def test_branches_and_commits_rewrite_no_file_whole(
+        self, tmp_path, kind, monkeypatch
+    ):
+        calls = []
+
+        def counting_atomic_write(path, data, label=None):
+            calls.append(path)
+
+        db = Decibel(str(tmp_path), engine=kind)
+        rel = db.create_relation("t", Schema.of_ints(2))
+        monkeypatch.setattr(repro.core.durable, "atomic_write", counting_atomic_write)
+        monkeypatch.setattr(repro.core.wal, "atomic_write", counting_atomic_write)
+        rel.init([Record((i, i)) for i in range(10)])
+        manager = db.transactions("t")
+        for i in range(6):
+            rel.branch(f"b{i}", from_branch="b0" if i % 2 else "master")
+            txn = manager.begin()
+            txn.insert(f"b{i}", Record((100 + i, i)))
+            txn.insert("master", Record((200 + i, i)))
+            txn.commit()
+        history = rel.graph.lineage(rel.graph.head("master"))
+        rel.branch("old", from_commit=history[2].commit_id)
+        db.close()
+        assert calls == []
+        segment_dir = tmp_path / "t" / "segments"
+        if segment_dir.exists():
+            assert all(name.endswith(".seg") for name in os.listdir(segment_dir))
+
+    @pytest.mark.parametrize("kind", ["hybrid", "version-first"])
+    def test_a_directory_with_a_topology_file_fails_to_open(self, tmp_path, kind):
+        """A directory from the layout that kept its topology in a file
+        beside the segment heaps is refused with the file named, never
+        replayed against branch events that do not describe it."""
+        db = Decibel(str(tmp_path), engine=kind)
+        rel = db.create_relation("t", Schema.of_ints(2))
+        rel.init([Record((i, i)) for i in range(10)])
+        rel.branch("dev", from_branch="master")
+        db.close()
+        legacy = Path(tmp_path, "t", "segments", "segments").with_suffix(".json")
+        legacy.write_text('{"crc32":0,"data":{"next_id":3,"segments":[]}}')
+        with pytest.raises(CorruptionError) as raised:
+            Decibel.open(str(tmp_path), engine=kind)
+        assert raised.value.file == str(legacy)

@@ -7,7 +7,7 @@ from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.core.transactions import TransactionManager, TransactionState
 from repro.db.database import Decibel
-from repro.errors import TransactionError
+from repro.errors import StorageError, TransactionError
 
 from tests.conftest import make_records
 
@@ -109,3 +109,36 @@ def test_embedded_commit_fsyncs_the_wal_once(tmp_path, engine):
     txn.commit("ten inserts")
     assert db.wal.fsync_count == before + 1
     db.close()
+
+
+@pytest.mark.parametrize("engine", ["tuple-first", "version-first", "hybrid"])
+def test_failed_commit_leaves_the_head_unchanged(tmp_path, engine):
+    """A transaction whose delete misses fails before it applies anything:
+    its earlier insert never reaches the head, and neither the next commit
+    nor a reopen brings it back."""
+    db = Decibel(str(tmp_path), engine=engine)
+    db.create_relation("t", Schema.of_ints(4)).init(make_records(10))
+    manager = db.transactions("t")
+
+    def rows(database):
+        return {r.values for r in database.relation("t").scan("master")}
+
+    baseline = rows(db)
+    txn = manager.begin()
+    txn.insert("master", Record((100, 1, 1, 1)))
+    txn.delete("master", 999)
+    with pytest.raises(StorageError):
+        txn.commit()
+    assert txn.state is TransactionState.ABORTED
+    assert rows(db) == baseline
+    assert not db.relation("t").engine.branch_contains_key("master", 100)
+    # A delete of a key the transaction itself inserted is not a miss.
+    txn = manager.begin()
+    txn.insert("master", Record((200, 2, 2, 2)))
+    txn.delete("master", 200)
+    txn.delete("master", 3)
+    txn.commit()
+    expected = {values for values in baseline if values[0] != 3}
+    assert rows(db) == expected
+    db.close()
+    assert rows(Decibel.open(str(tmp_path), engine=engine)) == expected
