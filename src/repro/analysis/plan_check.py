@@ -603,6 +603,17 @@ def _check_rewrites(node: LogicalNode, parent: LogicalNode | None) -> None:
                 f"{node.value!r} is not a top-level conjunct of the scan "
                 "predicate; probing the index would change results",
             )
+    if isinstance(node, Join):
+        # The build-side rule records which of the join's two inputs builds
+        # the hash table; the physical join reads the choice as is.
+        if len(node.children) != 2 or node.build not in ("left", "right"):
+            _fail(
+                "rewrite-legality",
+                node,
+                f"build side {node.build!r} must name one of a join's two "
+                f"inputs ('left' or 'right'); the join has "
+                f"{len(node.children)} inputs",
+            )
     if isinstance(node, VersionDiff) and not node.include_modified:
         # The SQL NOT IN rewrite is only legal between two branch heads of
         # the same relation compared on the primary key: commit-addressed

@@ -130,11 +130,16 @@ def query3_join(
     """Query 3: primary-key join of two branches under a predicate.
 
     Executed as a hash join through the physical layer: the
-    predicate-filtered scan of ``branch_a`` builds the hash table, the scan
-    of ``branch_b`` probes it.  Both sides go through the engine's
-    single-branch scan path, so the engines' relative costs follow their scan
-    behaviour, as in the paper's discussion.  ``bytes_touched`` reports the
-    records the engine actually scanned (via ``EngineStats.records_scanned``).
+    predicate-filtered scan of ``branch_a`` builds the hash table (the
+    optimizer builds on the filtered side), and the scan of ``branch_b``
+    probes it.  The probe scan is issued only after the build, with the
+    build's keys as one more pushed-down term, so it decodes ``branch_b``'s
+    key column and then only the matching records; an empty build skips it.
+    Both sides go through the engine's single-branch scan path, so the
+    engines' relative costs follow their scan behaviour, as in the paper's
+    discussion.  ``bytes_touched`` reports the records the engine actually
+    scanned (via ``EngineStats.records_scanned``, which counts every live
+    record a scan visits, before its predicate).
     """
     if cold:
         engine.drop_caches()

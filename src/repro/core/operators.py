@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.columns import ColumnBatch
 from repro.core.predicates import (
+    KeySetPredicate,
     Predicate,
     compile_column_filter,
     compile_predicate,
@@ -121,7 +122,10 @@ class SeqScan(Operator):
     ``scan_branch_columns`` or ``scan_commit_columns`` -- and, like the
     engine scan, is single-shot.  ``count_source`` optionally supplies an
     engine-side cardinality shortcut (e.g. a bitmap popcount) used by
-    :meth:`count` instead of consuming the scan.
+    :meth:`count` instead of consuming the scan.  ``restrict`` optionally
+    issues the same engine scan afresh with one more predicate ANDed into
+    its pushed-down one; :class:`HashJoin` uses it to read only the probe
+    rows whose key its build side holds.
     """
 
     def __init__(
@@ -129,10 +133,12 @@ class SeqScan(Operator):
         source: Iterable[ColumnBatch],
         schema: Schema,
         count_source: Callable[[], int] | None = None,
+        restrict: Callable[[Predicate], "SeqScan"] | None = None,
     ):
         self.source = source
         self.schema = schema
         self.count_source = count_source
+        self.restrict = restrict
 
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
@@ -265,12 +271,24 @@ class Limit(Operator):
 class HashJoin(Operator):
     """Equi-join of two operators on one or more columns from each side.
 
-    The build side (left) is materialized into a hash table keyed by the
-    tuple of join-column values; the probe side (right) streams.  A composite
-    key applies every equi-join condition of a multi-condition join at once.
-    The output schema is the concatenation of both input schemas with
+    The build side (``build``, the left input by default) is materialized
+    into a hash table keyed by the tuple of join-column values; the other
+    side probes it.  A composite key applies every equi-join condition of a
+    multi-condition join at once.  The output schema is the concatenation
+    of both input schemas, left then right, whichever side builds, with
     right-side duplicate column names suffixed by ``_r`` (see
     :func:`join_schema`).
+
+    The probe reads only what can match.  An empty build side ends the join
+    before the probe is read at all.  A probe that is a restrictable engine
+    scan (:attr:`SeqScan.restrict`, a version scan) is issued only once the
+    build is hashed, with a :class:`KeySetPredicate` on its first key column
+    ANDed into its pushed-down predicate, so the engine decodes that one
+    column of a cold page and gathers just the records whose key the build
+    holds.  For a composite key that set is a superset of the matches; the
+    hash lookup rechecks every key.  Any other probe streams in full.
+    Probe rows are assembled only for matches, as value tuples at the
+    output boundary.
     """
 
     def __init__(
@@ -279,6 +297,7 @@ class HashJoin(Operator):
         right: Operator,
         left_column: str | Sequence[str],
         right_column: str | Sequence[str],
+        build: str = "left",
     ):
         self.left = left
         self.right = right
@@ -290,6 +309,11 @@ class HashJoin(Operator):
             )
         if not self.left_columns:
             raise QueryError("join requires at least one key column")
+        if build not in ("left", "right"):
+            raise QueryError(
+                f"join build side must be 'left' or 'right', not {build!r}"
+            )
+        self.build = build
         self.schema = join_schema(left.schema, right.schema)
 
     def column_batches(
@@ -297,13 +321,20 @@ class HashJoin(Operator):
     ) -> Iterator[ColumnBatch]:
         """Columnar build and probe: hash keys come straight off the key
         column arrays (single-column joins index one array, composite joins
-        zip the key columns) -- rows are assembled only for matches, as value
-        tuples at the output boundary."""
-        build_indexes = [self.left.schema.index_of(c) for c in self.left_columns]
-        probe_indexes = [self.right.schema.index_of(c) for c in self.right_columns]
+        zip the key columns)."""
+        build_left = self.build == "left"
+        if build_left:
+            build, build_columns = self.left, self.left_columns
+            probe, probe_columns = self.right, self.right_columns
+        else:
+            build, build_columns = self.right, self.right_columns
+            probe, probe_columns = self.left, self.left_columns
+        build_indexes = [build.schema.index_of(c) for c in build_columns]
+        probe_indexes = [probe.schema.index_of(c) for c in probe_columns]
+        single = len(build_indexes) == 1
         table: dict = {}
-        for batch in self.left.column_batches(batch_size):
-            if len(build_indexes) == 1:
+        for batch in build.column_batches(batch_size):
+            if single:
                 keys = batch.columns[build_indexes[0]]
             else:
                 keys = zip(*(batch.columns[i] for i in build_indexes))
@@ -313,18 +344,30 @@ class HashJoin(Operator):
                     table[key] = [row]
                 else:
                     bucket.append(row)
+        if not table:
+            return
+        if isinstance(probe, SeqScan) and probe.restrict is not None:
+            key_set = table.keys() if single else {key[0] for key in table}
+            probe = probe.restrict(KeySetPredicate(probe_columns[0], key_set))
         get_bucket = table.get
         schema = self.schema
         out_rows: list[tuple] = []
-        for batch in self.right.column_batches(batch_size):
-            if len(probe_indexes) == 1:
+        for batch in probe.column_batches(batch_size):
+            if single:
                 keys = batch.columns[probe_indexes[0]]
             else:
                 keys = zip(*(batch.columns[i] for i in probe_indexes))
-            for key, row in zip(keys, batch.rows()):
-                bucket = get_bucket(key)
-                if bucket:
-                    out_rows.extend(match + row for match in bucket)
+            buckets = [get_bucket(key) for key in keys]
+            hits = [i for i, bucket in enumerate(buckets) if bucket]
+            if not hits:
+                continue
+            if len(hits) < batch.num_rows:
+                batch = batch.take(hits)
+            for i, row in zip(hits, batch.rows()):
+                if build_left:
+                    out_rows.extend(match + row for match in buckets[i])
+                else:
+                    out_rows.extend(row + match for match in buckets[i])
             if len(out_rows) >= batch_size:
                 yield ColumnBatch.from_rows(schema, out_rows)
                 out_rows = []

@@ -14,7 +14,7 @@ import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Collection
 
 from repro.core.record import Record
 from repro.core.schema import Schema
@@ -136,6 +136,22 @@ def _column_uses_cached(
     return frozenset(used)
 
 
+def _memoized(cached, schema: Schema, predicate: Predicate):
+    """``cached(schema, predicate)``, memoized where that is safe.
+
+    A predicate holding a :class:`KeySetPredicate` compiles afresh, since
+    the memo would pin one per-query key set per entry; one whose constant
+    is unhashable (a list value, say) cannot be a memo key.  Both compile
+    uncached to the same result.
+    """
+    if not _holds_key_set(predicate):
+        try:
+            return cached(schema, predicate)
+        except TypeError:  # unhashable constant: not a memo key
+            pass
+    return cached.__wrapped__(schema, predicate)
+
+
 def column_filter_columns(
     predicate: Predicate | None, schema: Schema
 ) -> "frozenset[int] | None":
@@ -148,10 +164,7 @@ def column_filter_columns(
     """
     if predicate is None:
         return None
-    try:
-        return _column_uses_cached(schema, predicate)
-    except TypeError:  # unhashable constant: skip the cache
-        return None
+    return _memoized(_column_uses_cached, schema, predicate)
 
 
 def compile_column_filter(predicate: Predicate | None, schema: Schema):
@@ -168,10 +181,7 @@ def compile_column_filter(predicate: Predicate | None, schema: Schema):
     """
     if predicate is None:
         return None
-    try:
-        return _compile_column_cached(schema, predicate)
-    except TypeError:  # unhashable constant: skip the cache
-        return None
+    return _memoized(_compile_column_cached, schema, predicate)
 
 
 def compile_predicate(
@@ -181,16 +191,14 @@ def compile_predicate(
 
     The compiled form is called with a record's ``values`` tuple, so the hot
     loop pays no per-row schema/dict lookups, attribute fetches or operator
-    table probes.  Results are memoized per (schema, predicate) -- both are
-    frozen/hashable -- so repeated scans of the same shape reuse one closure.
-    ``None`` compiles to ``None`` (unfiltered scan).
+    table probes.  Results are memoized per (schema, predicate) (see
+    :func:`_memoized` for the exceptions), so repeated scans of the same
+    shape reuse one closure.  ``None`` compiles to ``None`` (unfiltered
+    scan).
     """
     if predicate is None:
         return None
-    try:
-        return _compile_cached(schema, predicate)
-    except TypeError:  # unhashable constant (e.g. a list value): skip the cache
-        return predicate._compile(schema)
+    return _memoized(_compile_cached, schema, predicate)
 
 
 @dataclass(frozen=True)
@@ -325,6 +333,50 @@ class Not(Predicate):
         if inner is None:
             return None
         return f"(not {inner})"
+
+
+@dataclass(frozen=True, eq=False)
+class KeySetPredicate(Predicate):
+    """True when ``column``'s value is one of ``keys``.
+
+    The hash join's probe filter: once the build side is hashed, the probe
+    scan is issued with this term ANDed into its predicate, so the heap
+    scans decode only the key column of a cold page and gather just the
+    records whose key the build holds.  ``keys`` is any container with
+    constant-time membership (the join passes its hash table's key view).
+    The term compares by identity and is never memoized: it lives for one
+    query.
+    """
+
+    column: str
+    keys: Collection
+
+    def evaluate(self, record: Record, schema: Schema) -> bool:
+        return record.value(schema, self.column) in self.keys
+
+    def _compile(self, schema: Schema) -> CompiledPredicate:
+        index = schema.index_of(self.column)
+        keys = self.keys
+        return lambda values: values[index] in keys
+
+    def _column_expr(
+        self, schema: Schema, constants: list, used: "set[int]"
+    ) -> str | None:
+        index = schema.index_of(self.column)
+        used.add(index)
+        constants.append(self.keys)
+        return f"(_cols[{index}][_i] in _c[{len(constants) - 1}])"
+
+
+def _holds_key_set(predicate: Predicate) -> bool:
+    """True when a :class:`KeySetPredicate` occurs anywhere in ``predicate``."""
+    if isinstance(predicate, KeySetPredicate):
+        return True
+    if isinstance(predicate, (And, Or)):
+        return _holds_key_set(predicate.left) or _holds_key_set(predicate.right)
+    if isinstance(predicate, Not):
+        return _holds_key_set(predicate.inner)
+    return False
 
 
 def conjunction_terms(predicate: Predicate | None) -> list[Predicate]:

@@ -257,18 +257,26 @@ class AntiJoin(LogicalNode):
 
 
 class Join(LogicalNode):
-    """Equi-join of two plans on one or more column pairs."""
+    """Equi-join of two plans on one or more column pairs.
+
+    ``build`` names the side the hash join materializes (``"left"`` or
+    ``"right"``); the other side probes it.  The optimizer's build-side
+    rule sets it, and the physical join and EXPLAIN both read it.  The
+    output columns are left then right either way.
+    """
 
     def __init__(
         self,
         left: LogicalNode,
         right: LogicalNode,
         conditions: list[tuple[str, str]],
+        build: str = "left",
     ):
         if not conditions:
             raise QueryError("a join requires at least one equi-join condition")
         super().__init__([left, right], join_schema(left.schema, right.schema))
         self.conditions = list(conditions)
+        self.build = build
 
     @property
     def left(self) -> LogicalNode:
@@ -280,7 +288,7 @@ class Join(LogicalNode):
 
     def label(self) -> str:
         pairs = ", ".join(f"{l} = {r}" for l, r in self.conditions)
-        return f"Join({pairs})"
+        return f"Join({pairs}, build={self.build})"
 
 
 class Filter(LogicalNode):

@@ -1,6 +1,6 @@
 """Rule-based optimization: stage two of the query pipeline.
 
-Two families of rewrites run over the logical plan, bottom-up:
+The main rewrites run over the logical plan, bottom-up:
 
 * **Diff recognition** -- the ``NOT IN``-over-the-same-relation shape
   (lowered as an :class:`~repro.query.logical.AntiJoin` of two version
@@ -17,6 +17,12 @@ Two families of rewrites run over the logical plan, bottom-up:
   during the single pass over the data.  A filter whose terms
   are all pushed disappears (Filter-over-Scan collapse); terms that cannot
   be pushed (e.g. residual predicates above a diff) stay behind.
+
+* **Build-side choice** -- a join whose one input carries a pushed-down
+  predicate builds its hash table on that input, so the other input's scan
+  is probed with the build's keys (see
+  :class:`~repro.core.operators.HashJoin`).  It is a rule, not a cost
+  model.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ def optimize(plan: LogicalNode) -> LogicalNode:
     plan = rewrite_diffs(plan)
     plan = push_down_predicates(plan)
     plan = select_index_scans(plan)
+    plan = choose_build_sides(plan)
     plan = fuse_top_n(plan)
     plan = prune_scan_columns(plan)
     return plan
@@ -112,13 +119,18 @@ def rewrite_labels(plan: LogicalNode) -> dict[int, str]:
 
     Every ``TopN`` produced by :func:`fuse_top_n` is tagged ``top-n k=n``,
     every scan rewritten by :func:`select_index_scans` is tagged ``index``,
-    and every scan pruned by :func:`prune_scan_columns` is tagged
-    ``project``, so no optimizer substitution is silent.
+    every scan pruned by :func:`prune_scan_columns` is tagged ``project``,
+    and a join's version-scan probe is tagged with the build-key filter the
+    hash join adds to it, so no optimizer substitution is silent.
     """
     labels: dict[int, str] = {}
 
     def walk(node: LogicalNode) -> None:
-        if isinstance(node, TopN):
+        if isinstance(node, Join):
+            probe, column = _probe_of(node)
+            if isinstance(probe, VersionScan):
+                labels[id(probe)] = f"probe: {column} IN build keys"
+        elif isinstance(node, TopN):
             labels[id(node)] = f"top-n k={node.n}"
         elif isinstance(node, IndexScan):
             labels[id(node)] = "index"
@@ -129,6 +141,43 @@ def rewrite_labels(plan: LogicalNode) -> dict[int, str]:
 
     walk(plan)
     return labels
+
+
+# -- rule: build joins on their filtered side ----------------------------------
+
+
+def choose_build_sides(plan: LogicalNode) -> LogicalNode:
+    """Build each join on the input that carries a pushed-down predicate.
+
+    When exactly one input of a :class:`Join` is a scan with a pushed-down
+    predicate, that input builds the hash table and the other probes it;
+    otherwise the left input builds.  Building on the filtered side makes
+    the probe's build-key filter selective: ``a.id = b.id AND b.c1 < 100``
+    would otherwise hash every row of ``a`` and probe ``b`` with all of
+    its keys.  The choice is recorded on the node (``Join.build``) for the
+    physical join and EXPLAIN; the output columns stay left then right.
+    """
+    plan.children = [choose_build_sides(child) for child in plan.children]
+    if isinstance(plan, Join):
+        left, right = (_filtered_scan(child) for child in plan.children)
+        if left != right:
+            plan.build = "left" if left else "right"
+    return plan
+
+
+def _filtered_scan(node: LogicalNode) -> bool:
+    return (
+        isinstance(node, (VersionScan, HeadScan, IndexScan))
+        and node.predicate is not None
+    )
+
+
+def _probe_of(join: Join) -> tuple[LogicalNode, str]:
+    """A join's probe input and its first key column."""
+    left_column, right_column = join.conditions[0]
+    if join.build == "left":
+        return join.right, right_column
+    return join.left, left_column
 
 
 # -- rule: selective predicate term -> index scan -----------------------------

@@ -225,32 +225,49 @@ class AnnotatedDistinct(Operator):
             yield ColumnBatch.from_rows(self.schema, out_rows)
 
 
+def _version_scan(plan: VersionScan, term: Predicate | None = None) -> SeqScan:
+    """The engine column scan of ``plan``, with ``term`` ANDed into its
+    pushed-down predicate.
+
+    The engine scan is issued when the operator is first read.  Without a
+    term the scan is restrictable (:attr:`SeqScan.restrict`): a hash join
+    whose probe is this scan issues it with the build's key-set term once
+    the build is hashed, and never reads this one.
+    """
+    engine = plan.engine
+    predicate = plan.predicate
+    if term is not None:
+        predicate = term if predicate is None else predicate & term
+    if plan.kind == "branch":
+        scan, count = engine.scan_branch_columns, engine.count_branch
+    else:
+        scan, count = engine.scan_commit_columns, engine.count_commit
+
+    def source() -> Iterator[ColumnBatch]:
+        yield from scan(plan.version, predicate, columns=plan.columns)
+
+    return SeqScan(
+        source(),
+        plan.schema,
+        count_source=lambda: count(plan.version, predicate),
+        restrict=(
+            (lambda key_term: _version_scan(plan, key_term))
+            if term is None
+            else None
+        ),
+    )
+
+
 def build_physical(plan: LogicalNode) -> Operator:
     """Map an optimized logical plan onto a columnar operator tree.
 
     Branch scans are fed from the engine's ``scan_branch_columns`` and commit
     scans from ``scan_commit_columns``, each with the pruned column list of
-    projection pushdown and the engine's count-only shortcut.
+    projection pushdown and the engine's count-only shortcut.  A join builds
+    on the side its logical node records (``Join.build``).
     """
     if isinstance(plan, VersionScan):
-        engine = plan.engine
-        if plan.kind == "branch":
-            return SeqScan(
-                engine.scan_branch_columns(
-                    plan.version, plan.predicate, columns=plan.columns
-                ),
-                plan.schema,
-                count_source=lambda: engine.count_branch(
-                    plan.version, plan.predicate
-                ),
-            )
-        return SeqScan(
-            engine.scan_commit_columns(
-                plan.version, plan.predicate, columns=plan.columns
-            ),
-            plan.schema,
-            count_source=lambda: engine.count_commit(plan.version, plan.predicate),
-        )
+        return _version_scan(plan)
     if isinstance(plan, HeadScan):
         return HeadScanExec(plan)
     if isinstance(plan, IndexScan):
@@ -272,6 +289,7 @@ def build_physical(plan: LogicalNode) -> Operator:
             build_physical(plan.right),
             left_columns,
             right_columns,
+            build=plan.build,
         )
     if isinstance(plan, Filter):
         predicate: Predicate | None = None

@@ -301,12 +301,11 @@ def scan_heap_bitmap_columns(
     if columns is not None:
         out_positions = [schema.index_of(name) for name in columns]
         out_schema = schema.project(list(columns))
-    hits = _heap_page_column_hits(
+    hits = heap_page_column_hits(
         heap,
-        _live_page_masks(bitmap, heap.records_per_page),
+        _counted_pages(_live_page_masks(bitmap, heap.records_per_page), stats),
         schema,
         predicate,
-        stats,
         out_positions,
         out_schema,
     )
@@ -379,8 +378,8 @@ def scan_heap_member_columns(
         return members(mask)
 
     live_pages = ((number, pages[number][0]) for number in sorted(pages))
-    for batch, ordinals in _heap_page_column_hits(
-        heap, live_pages, schema, predicate, stats
+    for batch, ordinals in heap_page_column_hits(
+        heap, _counted_pages(live_pages, stats), schema, predicate
     ):
         if isinstance(ordinals, range):
             shared = pages[ordinals.start // per_page][1]
@@ -390,8 +389,18 @@ def scan_heap_member_columns(
         yield batch, [member_of(ordinal) for ordinal in ordinals]
 
 
-def _heap_page_column_hits(
-    heap, live_pages, schema, predicate, stats, out_positions=None, out_schema=None
+def _counted_pages(
+    live_pages: Iterable[tuple[int, int]], stats: EngineStats
+) -> Iterator[tuple[int, int]]:
+    """``live_pages``, adding each page's live records to
+    ``stats.records_scanned`` as it is visited."""
+    for page_number, live in live_pages:
+        stats.records_scanned += live.bit_count()
+        yield page_number, live
+
+
+def heap_page_column_hits(
+    heap, live_pages, schema, predicate, out_positions=None, out_schema=None
 ):
     """The page loop of the heap column scans.
 
@@ -402,7 +411,10 @@ def _heap_page_column_hits(
     raw bytes and decoded together, a page's worth at a time, so a
     selective scan of wide rows pays one decode per page's worth of
     selected records rather than one per page, and no decode holds more
-    values than a whole-page decode does.
+    values than a whole-page decode does.  A hash join's build-key filter
+    (:class:`~repro.core.predicates.KeySetPredicate`) is such a predicate:
+    a probe decodes the key column of each cold page and then only the
+    records that match.
     """
     select = compile_column_filter(predicate, schema)
     matches = compile_predicate(predicate, schema) if select is None else None
@@ -443,7 +455,6 @@ def _heap_page_column_hits(
         page = heap.page(page_number, transient=transient)
         num_records = page.num_records
         base = page_number * per_page
-        stats.records_scanned += live.bit_count()
         fully_live = live == (1 << num_records) - 1
         raw = (
             page.raw_data()

@@ -24,6 +24,7 @@ from repro.core.buffer_pool import BufferPool
 from repro.core.columns import (
     ColumnBatch,
     column_container,
+    concat_batches,
     regroup_column_batches,
 )
 from repro.core.page import DEFAULT_PAGE_SIZE
@@ -40,6 +41,7 @@ from repro.storage.base import (
     StorageEngineKind,
     VersionedStorageEngine,
     check_stored_records,
+    heap_page_column_hits,
     merge_branch_copies,
 )
 from repro.storage.pk_index import PrimaryKeyIndex
@@ -384,9 +386,9 @@ class VersionFirstEngine(VersionedStorageEngine):
         record-count match means the prefix is unchanged).
         """
         heap = self.segments.get(segment_id).heap
-        cached = self._segment_column_cache.get(segment_id)
-        if cached is not None and cached[0] == heap.num_records:
-            return cached[1]
+        cached = self._cached_segment_columns(segment_id)
+        if cached is not None:
+            return cached
         combined = [
             column_container(column.type) for column in self.schema.columns
         ]
@@ -400,6 +402,14 @@ class VersionFirstEngine(VersionedStorageEngine):
         columns = tuple(combined)
         self._segment_column_cache[segment_id] = (heap.num_records, columns)
         return columns
+
+    def _cached_segment_columns(self, segment_id: str) -> tuple | None:
+        """:meth:`_segment_columns` if they are cached and current."""
+        cached = self._segment_column_cache.get(segment_id)
+        heap = self.segments.get(segment_id).heap
+        if cached is not None and cached[0] == heap.num_records:
+            return cached[1]
+        return None
 
     def scan_branch_columns(
         self,
@@ -459,23 +469,21 @@ class VersionFirstEngine(VersionedStorageEngine):
     ) -> Iterator[ColumnBatch]:
         """Gather ``(segment id, live ordinals)`` runs into column batches.
 
-        Ordinals are read straight out of the cached per-segment column
-        containers (:meth:`_segment_columns`) in the order given; no
+        Ordinals are read in the order given, out of the cached per-segment
+        column containers (:meth:`_segment_columns`) or, for a cold segment
+        under a predicate, out of its pages (:meth:`_select_located`); no
         :class:`Record` is ever built.  With ``columns`` (projection
         pushdown) only the named columns are gathered into the output
         batches.
         """
-        schema = self.schema
-        names = schema.column_names if columns is None else list(columns)
-        positions = [schema.index_of(name) for name in names]
-        out_schema = schema if columns is None else schema.project(names)
+        out_schema = (
+            self.schema if columns is None else self.schema.project(list(columns))
+        )
         return regroup_column_batches(
             (
-                ColumnBatch(
-                    out_schema, [containers[i] for i in positions]
-                ).take(hits)
-                for _, containers, hits in self._select_located(
-                    located, predicate
+                batch
+                for _, batch, _ in self._select_located(
+                    located, predicate, columns
                 )
             ),
             batch_size,
@@ -483,18 +491,41 @@ class VersionFirstEngine(VersionedStorageEngine):
         )
 
     def _select_located(
-        self, located: Iterable[tuple[str, list[int]]], predicate: Predicate | None
-    ) -> Iterator[tuple[str, tuple, list[int]]]:
-        """Per ``(segment id, ordinals)`` run, the segment's cached columns
-        and the ordinals ``predicate`` selects, in the order given.
+        self,
+        located: Iterable[tuple[str, list[int]]],
+        predicate: Predicate | None,
+        columns: tuple[str, ...] | None = None,
+    ) -> Iterator[tuple[str, ColumnBatch, list[int]]]:
+        """Per ``(segment id, ordinals)`` run, ``(segment id, rows, hits)``:
+        the ordinals ``predicate`` selects, in the order given, and their
+        rows as a batch of ``columns`` (all columns when ``None``).
 
-        Predicates run as compiled column selections where possible.
+        Predicates run as compiled column selections where possible.  A
+        segment whose columns are cached selects over them; a cold one
+        under a column selection runs the heap scans' page loop
+        (:func:`heap_page_column_hits`), which decodes a cold page's
+        predicate columns and then only the selected records, so a
+        selective scan -- a join probe under its build-key filter -- does
+        not decode the whole segment.
         """
         schema = self.schema
         select = compile_column_filter(predicate, schema)
         matches = compile_predicate(predicate, schema) if select is None else None
+        positions = projected = None
+        if columns is not None:
+            positions = [schema.index_of(name) for name in columns]
+            projected = schema.project(list(columns))
         for seg_id, ordinals in located:
-            containers = self._segment_columns(seg_id)
+            containers = self._cached_segment_columns(seg_id)
+            if select is not None and containers is None:
+                cold = self._select_cold(
+                    seg_id, ordinals, predicate, positions, projected
+                )
+                if cold is not None:
+                    yield seg_id, *cold
+                continue
+            if containers is None:
+                containers = self._segment_columns(seg_id)
             if select is not None:
                 # Run the compiled selection over the full cached segment
                 # columns first and intersect with the live ordinals, so
@@ -511,7 +542,42 @@ class VersionFirstEngine(VersionedStorageEngine):
                     if matches(values)
                 ]
             if hits:
-                yield seg_id, containers, hits
+                rows = ColumnBatch(schema, containers)
+                if positions is not None:
+                    rows = rows.select_columns(positions, projected)
+                yield seg_id, rows.take(hits), hits
+
+    def _select_cold(
+        self,
+        seg_id: str,
+        ordinals: list[int],
+        predicate: Predicate,
+        positions: list[int] | None,
+        projected: Schema | None,
+    ) -> tuple[ColumnBatch, list[int]] | None:
+        """The rows of ``ordinals`` that ``predicate`` selects from an
+        uncached segment, read through the heap page loop, and their
+        ordinals, both in the order given; ``None`` when none match."""
+        heap = self.segments.get(seg_id).heap
+        per_page = heap.records_per_page
+        words: dict[int, int] = {}
+        for ordinal in ordinals:
+            page_number, slot = divmod(ordinal, per_page)
+            words[page_number] = words.get(page_number, 0) | 1 << slot
+        parts: list[ColumnBatch] = []
+        row_of: dict[int, int] = {}
+        pages = sorted(words.items())
+        for batch, found in heap_page_column_hits(
+            heap, pages, self.schema, predicate, positions, projected
+        ):
+            parts.append(batch)
+            for ordinal in found:
+                row_of[ordinal] = len(row_of)
+        if not row_of:
+            return None
+        hits = [ordinal for ordinal in ordinals if ordinal in row_of]
+        rows = concat_batches(parts).take([row_of[ordinal] for ordinal in hits])
+        return rows, hits
 
     def drop_caches(self) -> None:
         """Drop page caches and the per-segment column cache."""
@@ -556,11 +622,9 @@ class VersionFirstEngine(VersionedStorageEngine):
                 ordinals = sorted(located[seg_id])
                 self.stats.records_scanned += len(ordinals)
                 runs.append((seg_id, ordinals))
-            for seg_id, containers, hits in self._select_located(runs, predicate):
+            for seg_id, batch, hits in self._select_located(runs, predicate):
                 masks = located[seg_id]
-                yield ColumnBatch(self.schema, containers).take(hits), [
-                    members_of[masks[ordinal]] for ordinal in hits
-                ]
+                yield batch, [members_of[masks[ordinal]] for ordinal in hits]
 
         yield from merge_branch_copies(self.schema, copies(), batch_size)
 

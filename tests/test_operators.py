@@ -132,6 +132,45 @@ class TestHashJoin:
         with pytest.raises(QueryError):
             HashJoin(scan_of([], schema), scan_of([], schema), ["id", "c1"], ["id"])
 
+    def test_right_build_keeps_left_then_right_columns(self, schema):
+        left = scan_of([Record((1, 10, 0, 0)), Record((2, 20, 0, 0))], schema)
+        right = scan_of([Record((2, 99, 5, 5)), Record((2, 98, 6, 6))], schema)
+        joined = rows(HashJoin(left, right, "id", "id", build="right"))
+        assert sorted(joined) == [
+            (2, 20, 0, 0, 2, 98, 6, 6),
+            (2, 20, 0, 0, 2, 99, 5, 5),
+        ]
+
+    def test_unknown_build_side_rejected(self, schema):
+        with pytest.raises(QueryError):
+            HashJoin(
+                scan_of([], schema), scan_of([], schema), "id", "id", build="both"
+            )
+
+    def test_probe_scan_restricted_to_build_keys(self, schema):
+        issued = []
+
+        def restrict(term):
+            issued.append(term)
+            # The first key column's set is a superset of the matches: key 4
+            # passes it, and the join's own lookup rejects it on c2.
+            return scan_of([Record((2, 9, 0, 9)), Record((4, 9, 5, 9))], schema)
+
+        probe = SeqScan(iter(()), schema, restrict=restrict)
+        left = scan_of([Record((2, 0, 0, 0)), Record((4, 0, 0, 0))], schema)
+        joined = rows(HashJoin(left, probe, ["id", "c1"], ["id", "c2"]))
+        assert joined == [(2, 0, 0, 0, 2, 9, 0, 9)]
+        (term,) = issued
+        assert term.column == "id" and set(term.keys) == {2, 4}
+
+    def test_empty_build_reads_no_probe(self, schema):
+        def poisoned():
+            raise AssertionError("the probe side was read")
+            yield
+
+        probe = SeqScan(poisoned(), schema, restrict=lambda term: poisoned())
+        assert rows(HashJoin(scan_of([], schema), probe, "id", "id")) == []
+
 
 class TestHashAntiJoin:
     def test_filters_matching_keys(self, schema):

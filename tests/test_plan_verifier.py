@@ -28,6 +28,7 @@ from repro.query.logical import (
     BRANCH_COLUMN,
     Filter,
     HeadScan,
+    Join,
     Limit,
     LogicalNode,
     Project,
@@ -200,6 +201,32 @@ class TestRewriteLegality:
             verify_plan(plan)
         assert exc.value.rule == "rewrite-legality"
         assert BRANCH_COLUMN in str(exc.value)
+
+    def test_join_build_side_must_name_one_of_two_keyed_inputs(self, db):
+        plan = plan_query(
+            db,
+            "SELECT * FROM R AS a, R AS b WHERE a.Version = 'master' AND "
+            "b.Version = 'dev' AND a.id = b.id AND b.c1 < 2",
+        )
+        join = find(plan, Join)
+        assert join.build == "right"
+        verify_plan(plan)
+        join.build = "both"
+        with pytest.raises(PlanInvariantError) as exc:
+            verify_plan(plan)
+        assert exc.value.rule == "rewrite-legality"
+        assert "build side 'both'" in str(exc.value)
+        join.build = "left"
+        join.children.append(join.left)
+        with pytest.raises(PlanInvariantError) as exc:
+            verify_plan(plan)
+        assert exc.value.rule == "rewrite-legality"
+        assert "3 inputs" in str(exc.value)
+        join.children.pop()
+        join.conditions = [("id", "ghost")]
+        with pytest.raises(PlanInvariantError) as exc:
+            verify_plan(plan)
+        assert exc.value.rule == "schema-propagation"
 
     def test_diff_requires_primary_key(self, db):
         plan = plan_query(

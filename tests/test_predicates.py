@@ -5,10 +5,14 @@ import pytest
 from repro.core.predicates import (
     And,
     ColumnPredicate,
+    KeySetPredicate,
     ModuloPredicate,
     Not,
     Or,
     TruePredicate,
+    column_filter_columns,
+    compile_column_filter,
+    compile_predicate,
     non_selective_predicate,
 )
 from repro.core.record import Record
@@ -89,3 +93,50 @@ class TestModuloPredicate:
             if predicate.evaluate(Record((0, value, 0, 0)), schema)
         )
         assert matches == 900
+
+
+class Below:
+    """An unhashable constant (``__eq__`` without ``__hash__``): a column
+    value compares below it when it is less than ``bound``."""
+
+    def __init__(self, bound):
+        self.bound = bound
+
+    def __eq__(self, other):
+        return isinstance(other, Below) and other.bound == self.bound
+
+    def __gt__(self, value):
+        return value < self.bound
+
+
+class TestUncachedCompiles:
+    def test_unhashable_constant_gets_a_column_selection(self, loaded_engine):
+        schema = loaded_engine.schema
+        predicate = And(
+            ColumnPredicate("c1", "<", Below(90)), ModuloPredicate("c2", 3)
+        )
+        with pytest.raises(TypeError):
+            hash(predicate)
+        assert column_filter_columns(predicate, schema) == {1, 2}
+        assert compile_column_filter(predicate, schema) is not None
+        expected = [
+            record.values
+            for record in loaded_engine.scan_branch("master", predicate)
+        ]
+        assert 0 < len(expected) < 20
+        scanned = [
+            row
+            for batch in loaded_engine.scan_branch_columns("master", predicate)
+            for row in batch.rows()
+        ]
+        assert scanned == expected
+
+    def test_key_set_term_matches_its_keys(self, schema):
+        keys = {5, 7}
+        predicate = And(KeySetPredicate("id", keys), ColumnPredicate("c1", ">", 0))
+        assert predicate.evaluate(Record((5, 1, 0, 0)), schema)
+        assert not predicate.evaluate(Record((6, 1, 0, 0)), schema)
+        assert compile_predicate(predicate, schema)((7, 1, 0, 0))
+        select = compile_column_filter(predicate, schema)
+        assert select([[5, 6, 7], [1, 1, 0]], 3) == [0]
+        assert column_filter_columns(predicate, schema) == {0, 1}

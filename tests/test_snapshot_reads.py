@@ -1,14 +1,18 @@
-"""Snapshot and server reads and diffs match embedded ones.
+"""Snapshot and server reads, diffs and joins match embedded ones.
 
-Query 4 (``HEAD(R.Version) = true``) and Query 2 (the ``NOT IN`` diff)
-reach the engine three ways: an embedded ``db.query`` over the live heads,
+Query 4 (``HEAD(R.Version) = true``), Query 2 (the ``NOT IN`` diff) and
+Query 3 (a primary-key join of two versions under a predicate) reach the
+engine three ways: an embedded ``db.query`` over the live heads,
 ``db.snapshot()`` over the pinned head commits, and a
 :class:`DecibelClient` against a running server, which answers from a
 snapshot.  Once every branch is committed the three must give the same
-rows (Query 4 with the same branch annotations), on all three engines.  The
-datasets hold the cases where stored copies and content disagree: a record
-two branches wrote identically, and rows a merge copied.  A snapshot's
-diff is the engine's diff of the pinned commits.
+rows (Query 4 with the same branch annotations), on all three engines.
+Query 3 runs for every branch pair with the predicate on either side, so
+both build sides and their build-key probe filters read pinned commits
+through the snapshot view.  The datasets hold the cases where stored
+copies and content disagree: a record two branches wrote identically, and
+rows a merge copied.  A snapshot's diff is the engine's diff of the
+pinned commits.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ QUERIES = [(Q4, None), (Q4 + " AND c1 < 5", PREDICATE)]
 Q2 = (
     "SELECT * FROM R WHERE R.Version = '{}' AND R.id NOT IN "
     "(SELECT id FROM R WHERE R.Version = '{}')"
+)
+Q3 = (
+    "SELECT * FROM R AS a, R AS b WHERE a.Version = '{}' AND b.Version = '{}' "
+    "AND a.id = b.id AND {}.c1 < 5"
 )
 
 
@@ -107,6 +115,43 @@ def test_snapshot_and_server_q4_match_embedded(database, scenario):
                         pinned = snap.database.query(sql)
                     assert sorted(map(tuple, pinned.rows)) == expected, sql
                     assert sorted(client.query(sql).rows) == expected, sql
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("scenario", [identical_writes, two_way_merge])
+def test_snapshot_and_server_q3_match_embedded(database, scenario):
+    relation = database.create_relation("R", Schema.of_ints(3))
+    relation.init([Record((key, key, key)) for key in range(8)])
+    scenario(relation)
+    for branch in relation.graph.branch_names():
+        relation.commit(branch)
+    server = ServerThread(database, ServerConfig(worker_threads=2))
+    host, port = server.start()
+    try:
+        with DecibelClient(host, port) as client:
+            client.connect()
+            branches = relation.graph.branch_names()
+            for a in branches:
+                for b in branches:
+                    for side in ("a", "b"):
+                        sql = Q3.format(a, b, side)
+                        left = [r.values for r in relation.scan(a)]
+                        right = [r.values for r in relation.scan(b)]
+                        expected = sorted(
+                            x + y
+                            for x in left
+                            for y in right
+                            if x[0] == y[0] and (x if side == "a" else y)[1] < 5
+                        )
+                        assert expected, sql
+                        embedded = database.query(sql)
+                        assert sorted(map(tuple, embedded.rows)) == expected, sql
+                        with database.snapshot() as snap:
+                            pinned = snap.database.query(sql)
+                        assert sorted(map(tuple, pinned.rows)) == expected, sql
+                        served = client.query(sql)
+                        assert sorted(map(tuple, served.rows)) == expected, sql
     finally:
         server.stop()
 
