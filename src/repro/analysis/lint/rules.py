@@ -384,7 +384,7 @@ class ColumnarBoundaryRule(LintRule):
     only at the declared boundaries (:meth:`ColumnBatch.from_records` /
     :meth:`ColumnBatch.to_records` / :meth:`ColumnBatch.rows` and the
     result builder in ``execute_plan``).  A ``Record(...)`` call, or a row
-    decode (a page's ``records_view()`` / ``record_at()``, a heap's
+    decode (a page's ``records()`` / ``record_at()``, a heap's
     ``scan_records()`` / ``record_by_ordinal()``), inside an
     operator's ``column_batches`` method or a storage engine's
     ``scan_*_columns`` / ``scan_branches_batched`` body reintroduces
@@ -405,7 +405,7 @@ class ColumnarBoundaryRule(LintRule):
     )
 
     #: Page and heap methods that decode rows into :class:`Record` objects.
-    ROW_DECODES = ("records_view", "record_at", "scan_records", "record_by_ordinal")
+    ROW_DECODES = ("records", "record_at", "scan_records", "record_by_ordinal")
 
     @staticmethod
     def _columnar_body(name: str, relpath: str) -> bool:

@@ -13,6 +13,15 @@ was 32 MiB at the 64 KiB default but only 2 MiB at the benchmark's 4 KiB
 pages, which thrashed on 100k-row heaps).  A page-count cap is still
 accepted for tests that want to force eviction with a handful of pages.
 
+A frame is charged its page's :meth:`~repro.core.page.Page.memory_footprint`:
+the encoded image plus any cached column view, which is all a page holds
+(pages never keep decoded rows).  A page reports a change of footprint to
+the pool as it happens (:attr:`~repro.core.page.Page.on_resize`), so the
+charge is always exact, and a column view that pushes the pool past its
+budget evicts other frames at once.  Reader threads cache views while
+others load pages, so every change to the frame table and its charge is
+made under one lock; page loads run outside it.
+
 One-pass sequential scans of files larger than the whole pool can bypass
 admission (``transient=True``): resident pages are still served from the
 pool, but misses are read through without inserting, so a big scan does not
@@ -24,6 +33,7 @@ Benchmarks call :meth:`clear` between runs to approximate the cold-cache
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
@@ -68,10 +78,9 @@ class _Frame:
     dirty: bool = False
     pin_count: int = 0
     flusher: Callable[[Page], None] | None = field(default=None, repr=False)
-    #: Bytes this frame is charged against the pool budget.  Taken from
-    #: ``page.memory_footprint()`` (raw image plus any cached column-array
-    #: payload) at admission and refreshed on hits, so columnar scans that
-    #: decode column views into resident pages stay inside the byte budget.
+    #: Bytes this frame is charged against the pool budget:
+    #: ``page.memory_footprint()`` (image plus any cached column payload),
+    #: kept current by the page's resize reports.
     charged_bytes: int = 0
 
 
@@ -104,6 +113,9 @@ class BufferPool:
         self._frames: OrderedDict[PageId, _Frame] = OrderedDict()
         self._resident_bytes = 0
         self.stats = BufferPoolStats()
+        #: Guards ``_frames``, ``_resident_bytes`` and ``stats``; reentrant
+        #: because a replaced page's resize report runs inside put_page.
+        self._lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._frames)
@@ -130,18 +142,24 @@ class BufferPool:
         without admitting the page (scan-resistant one-pass reads); hits are
         served from the pool either way.
         """
-        frame = self._frames.get(page_id)
-        if frame is not None:
-            self.stats.hits += 1
-            self._frames.move_to_end(page_id)
-            self._recharge(frame)
-            return frame.page
-        self.stats.misses += 1
+        with self._lock:
+            frame = self._frames.get(page_id)
+            if frame is not None:
+                self.stats.hits += 1
+                self._frames.move_to_end(page_id)
+                return frame.page
+            self.stats.misses += 1
         page = loader()
-        if transient:
-            self.stats.bypasses += 1
-            return page
-        self._admit(page_id, _Frame(page=page, flusher=flusher))
+        with self._lock:
+            if transient:
+                self.stats.bypasses += 1
+                return page
+            frame = self._frames.get(page_id)
+            if frame is not None:
+                # Another thread loaded the page meanwhile: keep one copy.
+                self._frames.move_to_end(page_id)
+                return frame.page
+            self._admit(page_id, _Frame(page=page, flusher=flusher))
         return page
 
     def put_page(
@@ -152,68 +170,75 @@ class BufferPool:
         flusher: Callable[[Page], None] | None = None,
     ) -> None:
         """Insert (or overwrite) ``page`` in the pool."""
-        existing = self._frames.get(page.page_id)
-        if existing is not None:
-            incoming = page.memory_footprint()
-            self._resident_bytes += incoming - existing.charged_bytes
-            existing.charged_bytes = incoming
+        with self._lock:
+            existing = self._frames.get(page.page_id)
+            if existing is None:
+                frame = _Frame(page=page, dirty=dirty, flusher=flusher)
+                self._admit(page.page_id, frame)
+                return
             existing.page = page
+            page.on_resize = self._page_resized
             existing.dirty = existing.dirty or dirty
             if flusher is not None:
                 existing.flusher = flusher
             self._frames.move_to_end(page.page_id)
-            return
-        self._admit(page.page_id, _Frame(page=page, dirty=dirty, flusher=flusher))
+            self._page_resized(page)
 
     def mark_dirty(self, page_id: PageId) -> None:
         """Mark a resident page as modified."""
-        frame = self._frames.get(page_id)
-        if frame is None:
-            raise StorageError(f"page {page_id} is not resident")
-        frame.dirty = True
+        with self._lock:
+            frame = self._frames.get(page_id)
+            if frame is None:
+                raise StorageError(f"page {page_id} is not resident")
+            frame.dirty = True
 
     # -- pinning --------------------------------------------------------------
 
     def pin(self, page_id: PageId) -> None:
         """Pin a resident page so it cannot be evicted."""
-        frame = self._frames.get(page_id)
-        if frame is None:
-            raise StorageError(f"cannot pin non-resident page {page_id}")
-        frame.pin_count += 1
+        with self._lock:
+            frame = self._frames.get(page_id)
+            if frame is None:
+                raise StorageError(f"cannot pin non-resident page {page_id}")
+            frame.pin_count += 1
 
     def unpin(self, page_id: PageId) -> None:
         """Release one pin on a resident page."""
-        frame = self._frames.get(page_id)
-        if frame is None:
-            raise StorageError(f"cannot unpin non-resident page {page_id}")
-        if frame.pin_count <= 0:
-            raise StorageError(f"page {page_id} is not pinned")
-        frame.pin_count -= 1
+        with self._lock:
+            frame = self._frames.get(page_id)
+            if frame is None:
+                raise StorageError(f"cannot unpin non-resident page {page_id}")
+            if frame.pin_count <= 0:
+                raise StorageError(f"page {page_id} is not pinned")
+            frame.pin_count -= 1
 
     # -- flushing and invalidation --------------------------------------------
 
     def flush_all(self) -> None:
         """Write back every dirty page that has a flusher."""
-        for frame in self._frames.values():
-            self._flush_frame(frame)
+        with self._lock:
+            for frame in self._frames.values():
+                self._flush_frame(frame)
 
     def invalidate_file(self, file_name: str) -> None:
         """Drop (flushing if dirty) every cached page of ``file_name``."""
-        to_drop = [
-            page_id
-            for page_id in self._frames
-            if page_id.file_name == file_name
-        ]
-        for page_id in to_drop:
-            frame = self._frames.pop(page_id)
-            self._flush_frame(frame)
-            self._resident_bytes -= frame.charged_bytes
+        with self._lock:
+            to_drop = [
+                page_id
+                for page_id in self._frames
+                if page_id.file_name == file_name
+            ]
+            for page_id in to_drop:
+                frame = self._frames.pop(page_id)
+                self._flush_frame(frame)
+                self._resident_bytes -= frame.charged_bytes
 
     def clear(self) -> None:
         """Flush and drop every cached page (cold-cache simulation)."""
-        self.flush_all()
-        self._frames.clear()
-        self._resident_bytes = 0
+        with self._lock:
+            self.flush_all()
+            self._frames.clear()
+            self._resident_bytes = 0
 
     # -- internals ------------------------------------------------------------
 
@@ -231,39 +256,45 @@ class BufferPool:
             and len(self._frames) >= self.capacity_pages
         )
 
-    def _recharge(self, frame: _Frame) -> None:
-        """Refresh a resident frame's byte charge from its page.
-
-        A page's footprint can grow after admission (a columnar scan caching
-        its column view) or shrink (an append invalidating it); the charge is
-        trued up on every hit so ``resident_bytes`` tracks real payload.  A
-        growth may leave the pool transiently over budget -- the next
-        admission evicts back down, the same forgiveness the all-pinned path
-        gets.
-        """
-        footprint = frame.page.memory_footprint()
-        if footprint != frame.charged_bytes:
+    def _page_resized(self, page: Page) -> None:
+        """True up the charge of ``page``'s frame after its footprint
+        changed (a column view cached or dropped), evicting other frames
+        while a growth leaves the pool over budget."""
+        with self._lock:
+            frame = self._frames.get(page.page_id)
+            if frame is None or frame.page is not page:
+                return  # evicted or replaced: nothing is charged for it
+            footprint = page.memory_footprint()
             self._resident_bytes += footprint - frame.charged_bytes
             frame.charged_bytes = footprint
+            while self._resident_bytes > self.capacity_bytes:
+                if not self._evict(keep=page.page_id):
+                    break
 
     def _admit(self, page_id: PageId, frame: _Frame) -> None:
         incoming = frame.page.memory_footprint()
         frame.charged_bytes = incoming
         while self._frames and self._over_budget(incoming):
-            victim_id = self._pick_victim()
-            if victim_id is None:
-                # Everything is pinned; let the pool grow rather than fail a
-                # read, mirroring the forgiving behaviour of the prototype.
+            if not self._evict():
                 break
-            victim = self._frames.pop(victim_id)
-            self._flush_frame(victim)
-            self._resident_bytes -= victim.charged_bytes
-            self.stats.evictions += 1
         self._frames[page_id] = frame
         self._resident_bytes += incoming
+        frame.page.on_resize = self._page_resized
 
-    def _pick_victim(self) -> PageId | None:
+    def _evict(self, keep: PageId | None = None) -> bool:
+        """Evict the least recently used unpinned frame other than
+        ``keep``; False if there is none.
+
+        With everything pinned the pool grows rather than fail a read,
+        mirroring the forgiving behaviour of the prototype.
+        """
         for page_id, frame in self._frames.items():
-            if frame.pin_count == 0:
-                return page_id
-        return None
+            if frame.pin_count == 0 and page_id != keep:
+                break
+        else:
+            return False
+        victim = self._frames.pop(page_id)
+        self._flush_frame(victim)
+        self._resident_bytes -= victim.charged_bytes
+        self.stats.evictions += 1
+        return True

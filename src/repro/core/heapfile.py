@@ -17,9 +17,12 @@ page that has filled.  Record bytes already on disk are never rewritten.
 
 A record is encoded once, when it is appended; the encode is also its
 schema check (:meth:`repro.core.record.RecordCodec.encode`).  A record the
-schema rejects raises before the heap changes, so it leaves no trace, and
-the bytes of accepted records wait in memory until a flush writes them
-as they are.
+schema rejects raises before the heap changes, so it leaves no trace.  The
+bytes of an accepted record go straight into the tail page's image, which
+is kept compact (its header and records, no free space), and a flush writes
+the image's new records as they are.  The heap never holds a decoded row:
+readers decode the slots they ask for (:mod:`repro.core.page`), and a page
+that fills joins the buffer pool as its encoded image.
 
 A crash can tear a flush, leaving the tail's length out of step with its
 count.  Opening the file cuts the tail back to its whole records, up to the
@@ -68,7 +71,7 @@ class HeapFile:
     buffer_pool:
         Shared :class:`BufferPool` used for reads.  Appends go to an
         in-memory tail page whose new records are written out when the page
-        fills or on :meth:`flush`.
+        fills or on :meth:`flush`; a page that fills joins the pool.
     page_size:
         Page size in bytes.
     """
@@ -93,9 +96,6 @@ class HeapFile:
         self._num_records = 0
         #: How many of the tail page's records are on disk.
         self._tail_written = 0
-        #: The encoded bytes of the tail's records that are not on disk
-        #: yet, one entry per record, in order.
-        self._pending: list[bytes] = []
         #: True when pages were written since the last fsync; lets
         #: :meth:`flush` skip the fsync for files nothing touched.
         self._os_dirty = False
@@ -178,12 +178,11 @@ class HeapFile:
         if not whole:
             return
         self._num_records += whole
-        image = PAGE_HEADER.pack(whole) + data[header:end]
         self._tail_page = Page(
             PageId(self.path, self._num_full_pages),
             self.codec,
             self.page_size,
-            data=image.ljust(self.page_size, b"\x00"),
+            data=bytearray(PAGE_HEADER.pack(whole) + data[header:end]),
         )
         self._tail_written = whole
 
@@ -213,23 +212,23 @@ class HeapFile:
 
         The record is encoded here, before anything changes, so a record
         the schema rejects raises :class:`~repro.errors.SchemaError` and
-        leaves the heap as it was.  The bytes wait in memory for the next
-        flush (or for the page to fill).
+        leaves the heap as it was.  The bytes go into the tail page's image
+        and wait there for the next flush (or for the page to fill).
         """
         data = self.codec.encode(record)
-        if self._tail_page is None:
-            self._tail_page = Page(
+        tail = self._tail_page
+        if tail is None:
+            tail = self._tail_page = Page(
                 PageId(self.path, self._num_full_pages),
                 self.codec,
                 self.page_size,
             )
-        slot = self._tail_page.append(record)
-        self._pending.append(data)
-        record_id = RecordId(self._tail_page.page_id.page_number, slot)
+        slot = tail.append_encoded(data)
+        record_id = RecordId(tail.page_id.page_number, slot)
         self._num_records += 1
-        if self._tail_page.is_full:
-            self._write_tail(self._tail_page)
-            self.buffer_pool.put_page(self._tail_page)
+        if tail.is_full:
+            self._write_tail(tail)
+            self.buffer_pool.put_page(tail)
             self._num_full_pages += 1
             self._tail_page = None
             self._tail_written = 0
@@ -251,7 +250,6 @@ class HeapFile:
         tail = self._tail_page
         if tail is not None and tail.num_records > self._tail_written:
             self._write_tail(tail)
-            self.buffer_pool.put_page(tail)
         if self._os_dirty:
             fd = os.open(self.path, os.O_WRONLY)
             try:
@@ -274,18 +272,19 @@ class HeapFile:
         if count >= self._num_records:
             return
         full_pages, tail_count = divmod(count, self.records_per_page)
-        survivors: list[Record] = []
-        if tail_count:
-            survivors = self._get_page(full_pages).records_view()[:tail_count]
+        # The surviving records of the new tail page, as the image bytes
+        # they already are.
+        end = PAGE_HEADER.size + tail_count * self.codec.record_size
+        survivors = (
+            self._get_page(full_pages).raw_data()[:end] if tail_count else b""
+        )
         # The survivors of a page that was full are all on disk; of the
-        # tail, only those it had written.  The rest keep their encoded
-        # bytes, which lead the pending list.
+        # tail, only those it had written.
         written = (
             tail_count
             if full_pages < self._num_full_pages
             else min(tail_count, self._tail_written)
         )
-        pending = self._pending[: tail_count - written]
         self.buffer_pool.invalidate_file(self.path)
         start = full_pages * self.page_size
         if written:
@@ -299,13 +298,12 @@ class HeapFile:
         self._num_records = count
         self._tail_page = None
         self._tail_written = 0
-        self._pending = pending
         if tail_count:
+            image = bytearray(survivors)
+            PAGE_HEADER.pack_into(image, 0, tail_count)
             self._tail_page = Page(
-                PageId(self.path, full_pages), self.codec, self.page_size
+                PageId(self.path, full_pages), self.codec, self.page_size, data=image
             )
-            for record in survivors:
-                self._tail_page.append(record)
             self._tail_written = written
         self.flush()
 
@@ -342,17 +340,17 @@ class HeapFile:
         return self.num_pages * self.page_size > self.buffer_pool.capacity_bytes
 
     def scan(self) -> Iterator[tuple[RecordId, Record]]:
-        """Iterate over every record in append order."""
-        transient = self.scan_exceeds_pool()
-        for page_number in range(self.num_pages):
-            page = self._get_page(page_number, transient=transient)
-            for slot, record in enumerate(page.records()):
-                yield RecordId(page_number, slot), record
+        """Iterate over every record in append order, with its id."""
+        per_page = self.records_per_page
+        for ordinal, record in enumerate(self.scan_records()):
+            yield RecordId(*divmod(ordinal, per_page)), record
 
     def scan_records(self) -> Iterator[Record]:
-        """Iterate over records only (without their ids)."""
-        for _, record in self.scan():
-            yield record
+        """Iterate over every record in append order, decoding a page at
+        a time."""
+        transient = self.scan_exceeds_pool()
+        for page_number in range(self.num_pages):
+            yield from self._get_page(page_number, transient=transient).records()
 
     # -- page I/O -------------------------------------------------------------
 
@@ -398,24 +396,21 @@ class HeapFile:
             return Page(page_id, self.codec, self.page_size)
 
     def _write_tail(self, page: Page) -> None:
-        """Write the tail ``page``'s pending records, encoded when they
-        were appended, then its record count; a page that has filled is
-        padded to the page size."""
+        """Write the tail ``page``'s records not on disk yet -- its image
+        from the first unwritten record on, which for a page that has
+        filled runs to the page size -- then its record count."""
         check_crashed()
         count = page.num_records
-        written = self._tail_written
-        data = b"".join(self._pending)
+        first = PAGE_HEADER.size + self._tail_written * self.codec.record_size
+        data = page.raw_data()[first:]
         start = page.page_id.page_number * self.page_size
-        offset = start + PAGE_HEADER.size + written * self.codec.record_size
-        if page.is_full:
-            data = data.ljust(start + self.page_size - offset, b"\x00")
+        offset = start + first
         fd = os.open(self.path, os.O_WRONLY)
         try:
             os.pwrite(fd, data, offset)
             os.pwrite(fd, PAGE_HEADER.pack(count), start)
         finally:
             os.close(fd)
-        self._pending = []
         self._tail_written = count
         self._os_dirty = True
 

@@ -631,6 +631,11 @@ class GroupAggregate(Operator):
     one row is emitted; for empty input that row follows SQL semantics --
     ``count`` columns are 0, every other aggregate is NULL (``None``).
     Groups are emitted in sorted key order.
+
+    An ungrouped aggregate of only ``count(*)`` is answered by the child's
+    count mode (:meth:`Operator.count`), so a scan's engine-side counter
+    -- a bitmap popcount or primary-key index size, with no page read --
+    does the work, and no row is decoded.
     """
 
     def __init__(
@@ -659,6 +664,9 @@ class GroupAggregate(Operator):
                 aggregate_output_column(name, function, argument, child.schema)
             )
         self.schema = Schema.derived(tuple(out_columns))
+        self._count_only = bool(self.aggregates) and not self.group_by and all(
+            argument == "*" for _, _, argument in self.aggregates
+        )
 
     def column_batches(
         self, batch_size: int = DEFAULT_BATCH_SIZE
@@ -666,6 +674,12 @@ class GroupAggregate(Operator):
         """Columnar grouped fold: the group-key and aggregate-input columns
         are the child's column arrays themselves (zero extraction work), and
         the output is assembled column-wise in sorted group-key order."""
+        if self._count_only:
+            total = self.child.count()
+            yield ColumnBatch.from_rows(
+                self.schema, [(total,) * len(self.aggregates)]
+            )
+            return
         child_schema = self.child.schema
         group_indexes = [child_schema.index_of(c) for c in self.group_by]
         specs: list[tuple] = []

@@ -1,33 +1,39 @@
 """Fixed-size pages holding fixed-width records.
 
 The original Decibel prototype uses 4 MB pages in a conventional buffer-pool
-architecture (paper Section 2.1).  Pages here are byte arrays of a configurable
-size (the benchmark default is much smaller since datasets are scaled down)
-holding a packed array of fixed-width encoded records after a small header.
+architecture (paper Section 2.1).  Pages here hold up to a configurable
+``page_size`` bytes (the benchmark default is much smaller since datasets
+are scaled down): a packed array of fixed-width encoded records after a
+small header.
 
 Page layout::
 
     [u32 record_count][record 0][record 1]...[record n-1][free space]
 
-In memory a page is always ``page_size`` bytes.  On disk only full pages
-are: a heap file stores its last, partial page without the free space and
-appends to it in place (:mod:`repro.core.heapfile`), so record bytes that
-reached the disk are never rewritten.
+A page is its bytes.  It holds exactly one representation of its records,
+the encoded image, plus at most one cached column view; rows are decoded
+for the call that asks for them (:meth:`Page.record_at` decodes one slot,
+:meth:`Page.records` the whole array) and never stored on the page.  A page
+read from disk keeps the ``page_size`` bytes it was read as.  A page being
+filled -- a heap file's tail -- keeps a compact image, the header and its
+records with no free space, and appends encoded records to it in place
+(:mod:`repro.core.heapfile`); once full, its image is the on-disk one.
+:meth:`Page.memory_footprint` is therefore the bytes the page really
+holds, which is what the buffer pool charges.
 
-Pages loaded from disk decode lazily, into whichever representation a scan
-first asks for: :meth:`Page.records_view` materializes the row array (one
-batch unpack sweep), :meth:`Page.columns_view` decodes straight into typed
-column arrays without ever constructing a :class:`Record`.  Columnar scans
-over cold data therefore skip per-row object construction entirely -- the
-core of the columnar execution path's speedup.
+:meth:`Page.columns_view` decodes the image straight into typed column
+arrays without ever constructing a :class:`Record`, and :meth:`Page.raw_data`
+hands every scan the image for late materialization: decode the predicate's
+columns, then just the selected records.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.core.columns import column_payload_bytes, columns_from_rows
+from repro.core.columns import column_payload_bytes
 from repro.core.record import Record, RecordCodec
 from repro.errors import PageError
 
@@ -55,11 +61,12 @@ class PageId:
 
 
 class Page:
-    """An in-memory image of one on-disk page.
+    """An in-memory page: its encoded image and at most one column view.
 
-    Pages are created either empty (for appends) or from raw bytes read from
+    Pages are created either empty (for appends) or from an image read from
     disk.  The buffer pool tracks dirtiness and pin counts; the page itself
-    only manages its record array and cached column view.
+    only manages its image and cached column view, and reports a change of
+    its footprint to :attr:`on_resize`.
     """
 
     def __init__(
@@ -67,7 +74,7 @@ class Page:
         page_id: PageId,
         codec: RecordCodec,
         page_size: int = DEFAULT_PAGE_SIZE,
-        data: bytes | None = None,
+        data: bytes | bytearray | None = None,
     ):
         if page_size <= PAGE_HEADER.size + codec.record_size:
             raise PageError(
@@ -77,25 +84,30 @@ class Page:
         self.page_id = page_id
         self.page_size = page_size
         self._codec = codec
-        self._records: list[Record] | None = []
-        self._data: bytes | None = None
-        self._disk_count = 0
         self._columns: tuple | None = None
         self._columns_bytes = 0
-        if data is not None:
-            if len(data) != page_size:
-                raise PageError(
-                    f"expected {page_size} bytes for page {page_id}, got {len(data)}"
-                )
-            (count,) = PAGE_HEADER.unpack_from(data, 0)
-            if count > self.capacity:
-                raise PageError(f"corrupt page {page_id}: count {count}")
-            # Decode lazily: row scans and column scans want different
-            # representations, and eagerly building rows would make every
-            # columnar page load pay for record objects it never touches.
-            self._data = data
-            self._disk_count = count
-            self._records = None
+        #: Called with the page whenever its footprint changes; the buffer
+        #: pool sets it on the pages it holds to keep its charge exact.
+        self.on_resize: Callable[[Page], None] | None = None
+        if data is None:
+            self._image: bytes | bytearray = bytearray(PAGE_HEADER.pack(0))
+            self._count = 0
+            return
+        if not PAGE_HEADER.size <= len(data) <= page_size:
+            raise PageError(
+                f"image of {len(data)} bytes does not fit page {page_id} "
+                f"of {page_size} bytes"
+            )
+        (count,) = PAGE_HEADER.unpack_from(data, 0)
+        if count > self.capacity:
+            raise PageError(f"corrupt page {page_id}: count {count}")
+        if len(data) < PAGE_HEADER.size + count * codec.record_size:
+            raise PageError(
+                f"image of {len(data)} bytes is too short for the {count} "
+                f"records of page {page_id}"
+            )
+        self._image = data
+        self._count = count
 
     # -- capacity -------------------------------------------------------------
 
@@ -107,91 +119,79 @@ class Page:
     @property
     def num_records(self) -> int:
         """Number of records currently stored on the page."""
-        if self._records is not None:
-            return len(self._records)
-        return self._disk_count
+        return self._count
 
     @property
     def is_full(self) -> bool:
         """True when no further record fits on this page."""
-        return self.num_records >= self.capacity
-
-    def _decoded(self) -> list[Record]:
-        """The row array, decoding from raw bytes on first access."""
-        if self._records is None:
-            data = self._data
-            if data is None:  # pragma: no cover - empty pages start decoded
-                self._records = []
-            else:
-                # One unpack sweep for the whole record array instead of one
-                # decode call per slot.
-                self._records = self._codec.decode_batch(
-                    data, PAGE_HEADER.size, self._disk_count
-                )
-        return self._records
+        return self._count >= self.capacity
 
     # -- record access --------------------------------------------------------
 
     def append(self, record: Record) -> int:
         """Append ``record`` and return its slot number within the page."""
+        return self.append_encoded(self._codec.encode(record))
+
+    def append_encoded(self, data: bytes) -> int:
+        """Append one record already encoded by the page's codec and return
+        its slot number.
+
+        The bytes extend the image in place.  A page that fills freezes its
+        image into its on-disk form, ``bytes`` padded to the page size: it
+        takes no more appends, and the buffer pool holds it from then on
+        just as a read from disk would.
+        """
         if self.is_full:
             raise PageError(f"page {self.page_id} is full")
-        records = self._decoded()
-        records.append(record)
-        # The raw image and the column view no longer match the record array.
-        self._data = None
+        image = self._image
+        if not isinstance(image, bytearray):
+            end = PAGE_HEADER.size + self._count * self._codec.record_size
+            image = self._image = bytearray(image[:end])
+        image += data
+        slot = self._count
+        self._count += 1
+        PAGE_HEADER.pack_into(image, 0, self._count)
+        if self.is_full:
+            image += bytes(self.page_size - len(image))
+            self._image = bytes(image)
+        # The column view no longer matches the image.
         self._columns = None
         self._columns_bytes = 0
-        return len(records) - 1
+        self._resized()
+        return slot
 
     def record_at(self, slot: int) -> Record:
-        """The record stored in ``slot``."""
-        try:
-            return self._decoded()[slot]
-        except IndexError:
-            raise PageError(
-                f"slot {slot} out of range on page {self.page_id}"
-            ) from None
+        """Decode the record stored in ``slot``."""
+        if not 0 <= slot < self._count:
+            raise PageError(f"slot {slot} out of range on page {self.page_id}")
+        return self._codec.decode(
+            self._image, PAGE_HEADER.size + slot * self._codec.record_size
+        )
 
     def records(self) -> list[Record]:
-        """All records on the page, in slot order."""
-        return list(self._decoded())
-
-    def records_view(self) -> list[Record]:
-        """The page's record array itself, without copying.
-
-        Callers must treat the list as read-only; batched scans use it to
-        index many slots of one page without a per-page copy.
-        """
-        return self._decoded()
+        """Decode all records on the page, in slot order (one batch unpack
+        sweep per call; nothing is kept)."""
+        return self._codec.decode_batch(self._image, PAGE_HEADER.size, self._count)
 
     # -- column access --------------------------------------------------------
 
     def columns_view(self) -> tuple:
         """The page's values as one container per column, without copying.
 
-        Disk-loaded pages decode straight from the raw image
+        Decoded straight from the image
         (:meth:`RecordCodec.decode_batch_columns` -- no :class:`Record` is
-        ever built); pages with an in-memory record array (the heap tail
-        page, pages touched by ``append``) pivot their rows instead.  The
-        view is cached until the page mutates.  Callers must treat the
-        containers as read-only; columnar scans slice and gather from them
-        but never write.
+        ever built) and cached until the page mutates.  Callers must treat
+        the containers as read-only; columnar scans slice and gather from
+        them but never write.
         """
         if self._columns is None:
-            data = self._data
-            if self._records is None and data is not None:
-                self._columns = self._codec.decode_batch_columns(
-                    data, PAGE_HEADER.size, self._disk_count
-                )
-            else:
-                self._columns = columns_from_rows(
-                    self._codec.schema,
-                    [record.values for record in self._decoded()],
-                )
+            self._columns = self._codec.decode_batch_columns(
+                self._image, PAGE_HEADER.size, self._count
+            )
             self._columns_bytes = column_payload_bytes(
                 self._codec.schema, self._columns
             )
+            self._resized()
         return self._columns
 
     @property
@@ -199,33 +199,30 @@ class Page:
         """The column view if one is already decoded, without decoding."""
         return self._columns
 
-    def raw_data(self) -> bytes | None:
-        """The on-disk image when no record array was materialized.
+    def raw_data(self) -> bytes | bytearray:
+        """The page image: the header, then the packed record array.
 
-        ``None`` for pages with in-memory rows (the heap tail, appended
-        pages); those decode through :meth:`columns_view` instead.  Scan
-        paths use the raw image for late materialization: decode the
-        predicate's columns only, then just the selected records.
+        Scan paths use it for late materialization: decode the predicate's
+        columns only, then just the selected records.  Callers must treat
+        it as read-only; a page being filled extends it in place past its
+        current records.
         """
-        if self._records is None:
-            return self._data
-        return None
+        return self._image
 
     def memory_footprint(self) -> int:
-        """Bytes this page pins in memory: the page image plus any cached
-        column payload.  The buffer pool charges this (not a flat
-        ``page_size``) so the byte budget stays meaningful when columnar
-        scans cache decoded column arrays alongside the raw image."""
-        return self.page_size + self._columns_bytes
+        """Bytes this page holds: its image plus any cached column payload.
+
+        The buffer pool charges this (not a flat ``page_size``), so its
+        byte budget counts what the pages really keep in memory."""
+        return len(self._image) + self._columns_bytes
+
+    def _resized(self) -> None:
+        if self.on_resize is not None:
+            self.on_resize(self)
 
     # -- serialization --------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialize the page to exactly ``page_size`` bytes."""
-        if self._records is None and self._data is not None:
-            return self._data
-        records = self._decoded()
-        parts = [PAGE_HEADER.pack(len(records))]
-        parts.extend(self._codec.encode(record) for record in records)
-        payload = b"".join(parts)
-        return payload + b"\x00" * (self.page_size - len(payload))
+        """The image padded to exactly ``page_size`` bytes (the on-disk
+        form of a full page)."""
+        return bytes(self._image).ljust(self.page_size, b"\x00")

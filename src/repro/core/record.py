@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 from array import array
+from typing import Callable
 from dataclasses import dataclass
 
 from repro.core.schema import ColumnType, Schema
@@ -111,8 +112,8 @@ class RecordCodec:
             column.type in (ColumnType.INT, ColumnType.INT32)
             for column in schema.columns
         )
-        #: Precompiled batch formats keyed by record count (bounded cache; a
-        #: page's full capacity dominates, so hit rates are high).
+        #: Precompiled batch formats keyed by record count, a power of two
+        #: (see :meth:`_unpack_flat`), so a codec holds one per power.
         self._batch_structs: dict[int, struct.Struct] = {}
         #: Byte offset of each column within an encoded record (header first).
         offsets = []
@@ -122,7 +123,7 @@ class RecordCodec:
             position += struct.calcsize("<" + self._column_fmt(column))
         self._column_offsets = tuple(offsets)
         #: Precompiled single-column batch formats keyed by
-        #: ``(column index, record count)`` (bounded, like the batch cache).
+        #: ``(column index, record count)``, counts again powers of two.
         self._column_structs: dict[tuple[int, int], struct.Struct] = {}
 
     @staticmethod
@@ -188,21 +189,54 @@ class RecordCodec:
     def _batch_struct(self, count: int) -> struct.Struct:
         batch = self._batch_structs.get(count)
         if batch is None:
-            batch = struct.Struct("<" + self._record_fmt * count)
-            if len(self._batch_structs) < 64:
-                self._batch_structs[count] = batch
+            batch = self._batch_structs[count] = struct.Struct(
+                "<" + self._record_fmt * count
+            )
         return batch
+
+    def _unpack_chunks(
+        self, make: Callable[[int], struct.Struct], data, offset: int, count: int
+    ) -> list[tuple]:
+        """Unpack ``count`` consecutive records with the formats ``make``
+        compiles, as one flat value tuple per chunk.
+
+        The run is unpacked in power-of-two chunks (800 records are 512 +
+        256 + 32), so a codec compiles at most one format per power of two
+        whatever counts it decodes: a compiled format grows with its count
+        (one of 800 wide records holds hundreds of KB), and pages decoded
+        at every fill level would otherwise each compile their own.
+        """
+        size = self.record_size
+        chunks = []
+        while count:
+            chunk = 1 << (count.bit_length() - 1)
+            chunks.append(make(chunk).unpack_from(data, offset))
+            offset += chunk * size
+            count -= chunk
+        return chunks
+
+    def _unpack_flat(
+        self, make: Callable[[int], struct.Struct], data, offset: int, count: int
+    ) -> tuple | list:
+        """:meth:`_unpack_chunks` joined into one flat sequence of values."""
+        chunks = self._unpack_chunks(make, data, offset, count)
+        if len(chunks) == 1:
+            return chunks[0]
+        flat: list = []
+        for chunk in chunks:
+            flat += chunk
+        return flat
 
     def decode_batch(
         self, data: bytes, offset: int = 0, count: int | None = None
     ) -> list[Record]:
-        """Decode ``count`` consecutive records in a single unpack sweep.
+        """Decode ``count`` consecutive records in one unpack sweep.
 
-        The whole run is unpacked with one precompiled ``struct`` format
-        (the record format repeated ``count`` times), so per-record Python
-        work is limited to slicing the flat value tuple -- the page-batch
-        decode path of the vectorized scan pipeline.  With ``count=None``
-        the rest of the buffer is decoded.
+        The whole run is unpacked with precompiled ``struct`` formats (the
+        record format repeated, see :meth:`_unpack_chunks`), so per-record
+        Python work is limited to slicing the flat value tuple -- the
+        page-batch decode path of the vectorized scan pipeline.  With
+        ``count=None`` the rest of the buffer is decoded.
         """
         size = self.record_size
         if count is None:
@@ -210,7 +244,7 @@ class RecordCodec:
         if count <= 0:
             return []
         try:
-            flat = self._batch_struct(count).unpack_from(data, offset)
+            chunks = self._unpack_chunks(self._batch_struct, data, offset, count)
         except struct.error as exc:
             raise RecordError(
                 f"cannot decode {count} records at offset {offset}: {exc}"
@@ -219,24 +253,27 @@ class RecordCodec:
         strings = self._string_positions
         records = []
         append = records.append
-        if not strings:
-            for base in range(0, count * fields, fields):
+        for flat in chunks:
+            if not strings:
+                for base in range(0, len(flat), fields):
+                    append(
+                        Record(
+                            flat[base + 1 : base + fields],
+                            tombstone=bool(flat[base] & _HEADER_TOMBSTONE),
+                        )
+                    )
+                continue
+            for base in range(0, len(flat), fields):
+                values = list(flat[base + 1 : base + fields])
+                for position in strings:
+                    values[position] = (
+                        values[position].rstrip(b"\x00").decode("utf-8")
+                    )
                 append(
                     Record(
-                        flat[base + 1 : base + fields],
-                        tombstone=bool(flat[base] & _HEADER_TOMBSTONE),
+                        tuple(values), tombstone=bool(flat[base] & _HEADER_TOMBSTONE)
                     )
                 )
-            return records
-        for base in range(0, count * fields, fields):
-            values = list(flat[base + 1 : base + fields])
-            for position in strings:
-                values[position] = values[position].rstrip(b"\x00").decode("utf-8")
-            append(
-                Record(
-                    tuple(values), tombstone=bool(flat[base] & _HEADER_TOMBSTONE)
-                )
-            )
         return records
 
     def decode_batch_columns(
@@ -244,7 +281,7 @@ class RecordCodec:
     ) -> tuple:
         """Decode ``count`` consecutive records straight into typed columns.
 
-        One precompiled batch unpack produces the flat field tuple, then each
+        A precompiled batch unpack produces the flat field tuple, then each
         column is extracted with a single C-level strided slice
         (``flat[1 + j :: fields]``) -- no per-record tuple or object is ever
         built.  Integer columns come back as ``array('q')``/``array('i')``,
@@ -267,7 +304,7 @@ class RecordCodec:
                 for column in self.schema.columns
             )
         try:
-            flat = self._batch_struct(count).unpack_from(data, offset)
+            flat = self._unpack_flat(self._batch_struct, data, offset, count)
         except struct.error as exc:
             raise RecordError(
                 f"cannot decode {count} records at offset {offset}: {exc}"
@@ -292,9 +329,9 @@ class RecordCodec:
             fmt = self._column_fmt(self.schema.columns[index])
             pre = self._column_offsets[index]
             post = self.record_size - pre - struct.calcsize("<" + fmt)
-            batch = struct.Struct("<" + f"{pre}x{fmt}{post}x" * count)
-            if len(self._column_structs) < 64:
-                self._column_structs[key] = batch
+            batch = self._column_structs[key] = struct.Struct(
+                "<" + f"{pre}x{fmt}{post}x" * count
+            )
         return batch
 
     def decode_column(
@@ -302,7 +339,7 @@ class RecordCodec:
     ):
         """Decode a single column of ``count`` consecutive records.
 
-        One batch unpack whose format pads over every other field, so only
+        A batch unpack whose format pads over every other field, so only
         column ``index``'s values are materialized -- the late-material-
         ization half of the columnar predicate scan: the predicate column
         decodes alone, and the remaining columns are decoded only for the
@@ -317,7 +354,9 @@ class RecordCodec:
         if count <= 0:
             return [] if typecode is None else array(typecode)
         try:
-            raw = self._column_struct(index, count).unpack_from(data, offset)
+            raw = self._unpack_flat(
+                lambda chunk: self._column_struct(index, chunk), data, offset, count
+            )
         except struct.error as exc:
             raise RecordError(
                 f"cannot decode column {index} of {count} records at "

@@ -37,6 +37,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.bitmap.bitmap import Bitmap
 from repro.core.buffer_pool import BufferPool
+from repro.core.cancel import checkpoint
 from repro.core.columns import (
     ColumnBatch,
     branch_annotated_schema,
@@ -52,7 +53,12 @@ from repro.core.predicates import (
 )
 from repro.core.record import Record
 from repro.core.schema import Schema
-from repro.errors import BranchNotFoundError, CorruptionError, VersionError
+from repro.errors import (
+    BranchNotFoundError,
+    CorruptionError,
+    StorageError,
+    VersionError,
+)
 from repro.index.maintenance import IndexMaintenance
 from repro.versioning.conflicts import (
     MergePolicy,
@@ -199,10 +205,8 @@ def stored_pk_ordinals(heap, pk_position: int) -> Iterator[tuple[int, int]]:
     """Yield ``(primary key, ordinal)`` for every record stored in ``heap``.
 
     The key-copy index build shared by tuple-first and hybrid (the first
-    pk lookup after a reopen).  Only the key column is read: a page still
-    in its on-disk image decodes that one column
-    (:meth:`RecordCodec.decode_column`), a page with an in-memory row array
-    (the heap tail, appended pages) reads it from the rows.  Nothing is
+    pk lookup after a reopen).  Only the key column is read, decoded from
+    each page's image (:meth:`RecordCodec.decode_column`).  Nothing is
     decoded into the page's caches, so a build does not grow the buffer
     pool's footprint.
     """
@@ -211,13 +215,9 @@ def stored_pk_ordinals(heap, pk_position: int) -> Iterator[tuple[int, int]]:
     transient = heap.scan_exceeds_pool()
     for page_number in range(heap.num_pages):
         page = heap.page(page_number, transient=transient)
-        raw = page.raw_data()
-        if raw is not None:
-            keys = codec.decode_column(
-                raw, pk_position, PAGE_HEADER_SIZE, page.num_records
-            )
-        else:
-            keys = [record.values[pk_position] for record in page.records_view()]
+        keys = codec.decode_column(
+            page.raw_data(), pk_position, PAGE_HEADER_SIZE, page.num_records
+        )
         start = page_number * per_page
         for slot, key in enumerate(keys):
             yield key, start + slot
@@ -258,19 +258,48 @@ def stored_bitmap(heap, bitmap: Bitmap) -> Bitmap:
 
 
 def live_heap_records(heap, bitmap) -> Iterator[Record]:
-    """The records at a bitmap's set ordinals, page by page.
+    """The records at a bitmap's set ordinals, in ordinal order.
 
-    The engines' reference row scans.  A bitmap-governed heap interleaves
-    many branches' tuples, so a branch scan visits every page holding one
-    of its live tuples -- typically all of them, the behaviour the paper's
-    Query 1 measurements expose for tuple-first.
+    The engines' reference row scans, and their diffs (so merges and
+    Query 2).  A bitmap-governed heap interleaves many branches' tuples, so
+    a branch scan visits every page holding one of its live tuples --
+    typically all of them, the behaviour the paper's Query 1 measurements
+    expose for tuple-first.  The live slots' bytes are gathered across
+    pages and decoded a page's worth at a time, as the column scans'
+    selections are (:func:`heap_page_column_hits`): one batch unpack per
+    page's worth of records, and the only rows are the ones this yields.
     """
-    for page_number, live in _live_page_masks(bitmap, heap.records_per_page):
+    codec = heap.codec
+    record_size = codec.record_size
+    per_page = heap.records_per_page
+    gathered: list[bytes] = []
+    count = 0
+    for page_number, live in _live_page_masks(bitmap, per_page):
         page = heap.page(page_number)
-        while live:
-            low = live & -live
-            live ^= low
-            yield page.record_at(low.bit_length() - 1)
+        raw = page.raw_data()
+        num_records = page.num_records
+        if live >> num_records:
+            raise StorageError(
+                f"bitmap sets records past the end of page {page_number} "
+                f"of {heap.path}"
+            )
+        if live == (1 << num_records) - 1:
+            end = PAGE_HEADER_SIZE + num_records * record_size
+            gathered.append(raw[PAGE_HEADER_SIZE:end])
+            count += num_records
+        else:
+            count += live.bit_count()
+            while live:
+                low = live & -live
+                live ^= low
+                offset = PAGE_HEADER_SIZE + (low.bit_length() - 1) * record_size
+                gathered.append(raw[offset : offset + record_size])
+        if count >= per_page:
+            yield from codec.decode_batch(b"".join(gathered), 0, count)
+            gathered.clear()
+            count = 0
+    if count:
+        yield from codec.decode_batch(b"".join(gathered), 0, count)
 
 
 def scan_heap_bitmap_columns(
@@ -387,6 +416,16 @@ def scan_heap_member_columns(
                 yield batch, [members(shared)] * batch.num_rows
                 continue
         yield batch, [member_of(ordinal) for ordinal in ordinals]
+
+
+def _count_rows(batches: Iterable[ColumnBatch]) -> int:
+    """The rows of ``batches``, with a cancellation checkpoint per batch,
+    as a query's scan has (:class:`~repro.core.operators.SeqScan`)."""
+    total = 0
+    for batch in batches:
+        checkpoint()
+        total += batch.num_rows
+    return total
 
 
 def _counted_pages(
@@ -926,11 +965,13 @@ class VersionedStorageEngine(ABC):
         The count-only companion of :meth:`scan_branch_columns`: with no
         predicate the concrete engines answer from their index structures
         (bitmap popcounts, primary-key index sizes) without touching record
-        data; with a predicate this default sums the column scan's batch
-        lengths.
+        data; with a predicate this default counts the column scan's rows,
+        decoding only the key column of the records it selects.
         """
-        return sum(
-            batch.num_rows for batch in self.scan_branch_columns(branch, predicate)
+        return _count_rows(
+            self.scan_branch_columns(
+                branch, predicate, columns=(self.schema.primary_key,)
+            )
         )
 
     @abstractmethod
@@ -956,10 +997,12 @@ class VersionedStorageEngine(ABC):
         """
 
     def count_commit(self, commit_id: str, predicate: Predicate | None = None) -> int:
-        """Number of records of a historical commit matching ``predicate``."""
-        return sum(
-            batch.num_rows
-            for batch in self.scan_commit_columns(commit_id, predicate)
+        """Number of records of a historical commit matching ``predicate``
+        (counted as :meth:`count_branch` counts)."""
+        return _count_rows(
+            self.scan_commit_columns(
+                commit_id, predicate, columns=(self.schema.primary_key,)
+            )
         )
 
     @abstractmethod

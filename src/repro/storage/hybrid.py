@@ -282,7 +282,7 @@ class HybridEngine(VersionedStorageEngine):
             page = pages.get((segment_id, page_number))
             if page is None:
                 if len(pages) > 64:
-                    pages.clear()  # bound decoded-page references per fetch
+                    pages.clear()  # bound page references per fetch
                 page = pages[(segment_id, page_number)] = heap.page(page_number)
             out.append(page.record_at(slot))
         return out

@@ -72,7 +72,7 @@ class Segment:
 
     def records(self, limit: int | None = None) -> Iterator[tuple[int, Record]]:
         """Iterate ``(ordinal, record)`` pairs, optionally up to ``limit``."""
-        for ordinal, (_, record) in enumerate(self.heap.scan()):
+        for ordinal, record in enumerate(self.heap.scan_records()):
             if limit is not None and ordinal >= limit:
                 return
             yield ordinal, record

@@ -218,7 +218,7 @@ class TupleFirstEngine(VersionedStorageEngine):
             page = pages.get(page_number)
             if page is None:
                 if len(pages) > 64:
-                    pages.clear()  # bound decoded-page references per fetch
+                    pages.clear()  # bound page references per fetch
                 page = pages[page_number] = heap.page(page_number)
             out.append(page.record_at(slot))
         return out

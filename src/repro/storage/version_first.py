@@ -268,7 +268,7 @@ class VersionFirstEngine(VersionedStorageEngine):
             page = pages.get((segment_id, page_number))
             if page is None:
                 if len(pages) > 64:
-                    pages.clear()  # bound decoded-page references per fetch
+                    pages.clear()  # bound page references per fetch
                 page = pages[(segment_id, page_number)] = heap.page(page_number)
             out.append(page.record_at(slot))
         return out
@@ -589,6 +589,24 @@ class VersionFirstEngine(VersionedStorageEngine):
             # The primary-key index holds exactly the live keys.
             return self.pk_index.live_count(branch)
         return super().count_branch(branch, predicate)
+
+    def count_commit(self, commit_id: str, predicate: Predicate | None = None) -> int:
+        if predicate is None:
+            # A commit whose state is still a branch head's -- its head
+            # segment, nothing appended since (a snapshot's pin, say) --
+            # counts from that branch's primary-key index.
+            segment_id, offset = self._commit_read_state(commit_id)
+            segment = self.segments.get(segment_id)
+            for branch, head in list(self._head_segment.items()):
+                if head == segment_id:
+                    count = self.pk_index.live_count(branch)
+                    # A write appends before it updates the index, so a
+                    # record count still at the offset after the index
+                    # was read means the count is the commit's.
+                    if segment.record_count == offset:
+                        return count
+                    break
+        return super().count_commit(commit_id, predicate)
 
     def scan_commit(
         self, commit_id: str, predicate: Predicate | None = None

@@ -130,21 +130,24 @@ class TestBufferPool:
 
 class TestByteBudget:
     def test_evicts_by_bytes(self, codec):
-        # Pages are 512 bytes each; a 1200-byte budget holds two of them.
-        pool = BufferPool(capacity_bytes=1200)
+        # A page is charged the bytes of its image; a budget of two and a
+        # half pages holds two of them.
+        footprint = make_page(codec, 0).memory_footprint()
+        pool = BufferPool(capacity_bytes=footprint * 5 // 2)
         for number in range(4):
             pool.put_page(make_page(codec, number))
         assert len(pool) == 2
-        assert pool.resident_bytes == 1024
+        assert pool.resident_bytes == 2 * footprint
         assert pool.stats.evictions == 2
 
     def test_resident_bytes_track_drops(self, codec):
+        footprint = make_page(codec, 0).memory_footprint()
         pool = BufferPool(capacity_bytes=10_000)
         pool.put_page(make_page(codec, 0, "a.heap"))
         pool.put_page(make_page(codec, 0, "b.heap"))
-        assert pool.resident_bytes == 1024
+        assert pool.resident_bytes == 2 * footprint
         pool.invalidate_file("a.heap")
-        assert pool.resident_bytes == 512
+        assert pool.resident_bytes == footprint
         pool.clear()
         assert pool.resident_bytes == 0
 

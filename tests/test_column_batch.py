@@ -259,12 +259,17 @@ class TestPageColumnView:
             PageId("f", 0), codec, page_size=1024, data=staging.to_bytes()
         )
 
-    def test_disk_page_decodes_columns_without_rows(self):
+    def test_disk_page_decodes_columns_without_rows(self, monkeypatch):
         rows = [(i, i * 3, f"p{i}") for i in range(5)]
         page = self._disk_page(rows)
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a column view decoded rows")
+
+        # Columnar decode must not materialize any record.
+        monkeypatch.setattr(RecordCodec, "decode", no_rows)
+        monkeypatch.setattr(RecordCodec, "decode_batch", no_rows)
         columns = page.columns_view()
-        # Columnar decode must not have materialized the record array.
-        assert page._records is None
         assert list(zip(*columns)) == rows
         assert isinstance(columns[0], array)
 
@@ -281,12 +286,14 @@ class TestPageColumnView:
     def test_memory_footprint_counts_column_payload(self):
         page = self._disk_page([(i, i, "x") for i in range(6)])
         base = page.memory_footprint()
-        assert base == page.page_size
+        assert base == len(page.raw_data()) == page.page_size
         columns = page.columns_view()
         grown = page.memory_footprint()
         assert grown == base + column_payload_bytes(MIXED_SCHEMA, columns)
+        # An append drops the view and compacts the image to its records.
         page.append(Record((99, 99, "y")))
-        assert page.memory_footprint() == page.page_size
+        record_size = RecordCodec(MIXED_SCHEMA).record_size
+        assert page.memory_footprint() == PAGE_HEADER.size + 7 * record_size
 
     @given(rows=ROWS)
     @settings(max_examples=30, deadline=None)
@@ -301,7 +308,7 @@ class TestPageColumnView:
             PageId("f", 0), codec, page_size=page_size, data=staging.to_bytes()
         )
         assert list(zip(*page.columns_view())) == [
-            record.values for record in page.records_view()
+            record.values for record in page.records()
         ]
 
 

@@ -442,7 +442,7 @@ class TestColumnarBoundaryRule:
             class Engine:
                 def scan_branches_batched(self, branches, predicate=None):
                     for page_number in pages:
-                        records = self.heap.page(page_number).records_view()
+                        records = self.heap.page(page_number).records()
                         yield [(records[slot], members) for slot in slots]
 
                 def scan_commit_columns(self, commit_id, predicate=None):
@@ -452,7 +452,7 @@ class TestColumnarBoundaryRule:
         )
         violations.sort(key=lambda v: v.line)
         assert [v.line for v in violations] == [5, 9, 10]
-        assert "records_view" in violations[0].message
+        assert "row decode (records)" in violations[0].message
         assert "scan_branches_batched" in violations[0].message
         assert "scan_commit_columns" in violations[1].message
 
@@ -471,7 +471,7 @@ class TestColumnarBoundaryRule:
                     return self.heap.page(0).record_at(key)
 
                 def diff(self, branch_a, branch_b):
-                    return self.heap.page(0).records_view()
+                    return self.heap.page(0).records()
             """,
         )
         assert violations == []
@@ -482,7 +482,7 @@ class TestColumnarBoundaryRule:
             "repro/bench/queries.py",
             """
             def scan_branch_columns(engine):
-                return engine.heap.page(0).records_view()
+                return engine.heap.page(0).records()
             """,
         )
         assert elsewhere == []

@@ -63,9 +63,17 @@ class TestPage:
         restored = Page(page.page_id, codec, page_size=512, data=page.to_bytes())
         assert restored.num_records == 0
 
-    def test_wrong_size_data_rejected(self, codec):
+    def test_wrong_size_data_rejected(self, page, codec):
+        # An image may be compact, but never longer than the page nor
+        # shorter than the records its count claims.
         with pytest.raises(PageError):
-            Page(PageId("x", 0), codec, page_size=512, data=b"\x00" * 100)
+            Page(PageId("x", 0), codec, page_size=512, data=b"\x00" * 513)
+        for i in range(3):
+            page.append(Record((i, 0, 0, 0)))
+        image = bytes(page.raw_data())
+        with pytest.raises(PageError):
+            Page(PageId("x", 0), codec, page_size=512, data=image[:-1])
+        assert Page(PageId("x", 0), codec, page_size=512, data=image).num_records == 3
 
     def test_records_returns_copy(self, page):
         page.append(Record((1, 1, 1, 1)))

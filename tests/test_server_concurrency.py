@@ -183,6 +183,9 @@ class TestDeadlines:
 
     def test_expired_query_returns_deadline_error(self, tmp_path):
         # Enough rows that the scan passes many cancellation checkpoints.
+        # The predicate keeps every row but makes COUNT(*) scan them; a bare
+        # COUNT(*) is a bitmap popcount that reads no row at all.
+        query = "SELECT COUNT(*) FROM r WHERE r.Version = 'master' AND r.id >= 0"
         db, server = make_server(tmp_path, rows=20_000)
         host, port = server.start()
         try:
@@ -192,7 +195,7 @@ class TestDeadlines:
                 for _ in range(20):
                     try:
                         c.query(
-                            "SELECT COUNT(*) FROM r WHERE r.Version = 'master'",
+                            query,
                             deadline_s=0.001,
                         )
                     except DeadlineExceededError as exc:
@@ -203,7 +206,7 @@ class TestDeadlines:
                 assert saw_deadline, "1ms budget never expired over 20 tries"
                 # The session (and its snapshot bookkeeping) must still work.
                 res = c.query(
-                    "SELECT COUNT(*) FROM r WHERE r.Version = 'master'",
+                    query,
                     deadline_s=30.0,
                 )
                 assert res.rows == [(20_000,)]
