@@ -387,7 +387,8 @@ class ColumnarBoundaryRule(LintRule):
     decode (a page's ``records()`` / ``record_at()``, a heap's
     ``scan_records()`` / ``record_by_ordinal()``), inside an
     operator's ``column_batches`` method or a storage engine's
-    ``scan_*_columns`` / ``scan_branches_batched`` body reintroduces
+    ``scan_*_columns`` / ``scan_branches_batched`` body, or any storage
+    function annotated to return column batches, reintroduces
     per-row object construction under a columnar facade -- the hot loop
     quietly pays the row tax, also for rows the predicate then rejects.
     """
@@ -408,13 +409,24 @@ class ColumnarBoundaryRule(LintRule):
     ROW_DECODES = ("records", "record_at", "scan_records", "record_by_ordinal")
 
     @staticmethod
-    def _columnar_body(name: str, relpath: str) -> bool:
+    def _columnar_body(
+        node: ast.FunctionDef | ast.AsyncFunctionDef, relpath: str
+    ) -> bool:
+        name = node.name
         if name == "column_batches":
             return True
         if not relpath.startswith("repro/storage/"):
             return False
-        return name == "scan_branches_batched" or (
+        if name == "scan_branches_batched" or (
             name.startswith("scan_") and name.endswith("_columns")
+        ):
+            return True
+        # Whatever it is named, a storage function annotated to return
+        # column batches (an engine's column or copy scan of a read state)
+        # is a columnar body.
+        return node.returns is not None and any(
+            isinstance(part, ast.Name) and part.id == "ColumnBatch"
+            for part in ast.walk(node.returns)
         )
 
     @classmethod
@@ -435,7 +447,7 @@ class ColumnarBoundaryRule(LintRule):
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if not self._columnar_body(node.name, module.relpath):
+            if not self._columnar_body(node, module.relpath):
                 continue
             for inner in ast.walk(node):
                 if not isinstance(inner, ast.Call):

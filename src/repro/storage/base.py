@@ -7,9 +7,17 @@ multi-branch scans, diff, and merge with either whole-record precedence
 
 An engine reads a version through its *read state*: a bitmap for
 tuple-first, per-segment bitmaps for hybrid, a segment and a record limit
-for version-first.  A branch's state is its live head's, or a snapshot's
-pinned commit's (:meth:`~VersionedStorageEngine._branch_state`).  Each
-engine has one diff, over two read states and by content
+for version-first.  Read states serve every read.  This base class is the
+one place that resolves a version to its state -- a branch's live head, a
+snapshot's pinned commit (:meth:`~VersionedStorageEngine._branch_state`),
+or a commit (:meth:`~VersionedStorageEngine._commit_read_state`) -- and the
+scans, counts and diff here resolve it once, then hand the state to a few
+per-engine primitives: a reference row scan, a column scan, a scan of
+branch-annotated copies, a count, and a diff.  A branch the version graph
+does not hold fails the same way on every engine, with
+:class:`~repro.errors.BranchNotFoundError`.
+
+Each engine has one diff, over two read states and by content
 (:meth:`~VersionedStorageEngine._diff_states`), and every comparison of two
 versions runs through it: Query 2 over live heads or pinned commits, and
 merge, which the paper defines in terms of diff.  A three-way merge diffs
@@ -22,7 +30,6 @@ difference Table 3 measures.  Applying the changes to the target is the
 same everywhere, so :meth:`~VersionedStorageEngine.merge` is a template
 method here.
 """
-
 from __future__ import annotations
 
 import enum
@@ -906,49 +913,84 @@ class VersionedStorageEngine(ABC):
     def branch_contains_key(self, branch: str, key: int) -> bool:
         """True if ``key`` is live in ``branch``'s head."""
 
+    @abstractmethod
     def record_for_key(self, branch: str, key: int) -> Record | None:
         """The live record with primary key ``key`` in ``branch``'s head.
 
         Returns ``None`` when the key is absent.  WAL redo uses this to make
-        replayed writes idempotent.  This default scans; the concrete engines
-        override it with primary-key-index lookups.
+        replayed writes idempotent.
         """
-        pk_position = self.schema.primary_key_index
-        for record in self.scan_branch(branch):
-            if record.values[pk_position] == key:
-                return record
-        return None
 
+    @abstractmethod
     def records_for_keys(
         self, branch: str, keys: Iterable[int]
     ) -> list[Record]:
         """The live records for ``keys`` in ``branch``, skipping absent keys.
 
         The index-scan fetch path: only the matched keys' records are ever
-        decoded (late materialization), in the order ``keys`` arrive.
+        decoded (late materialization), in the order ``keys`` arrive
+        (:meth:`_fetch_located`).
         """
+
+    def _fetch_located(
+        self,
+        branch: str,
+        keys: Iterable[int],
+        locate: Callable[[int], tuple[Any, int] | None],
+    ) -> list[Record]:
+        """The records ``locate`` finds for ``keys``, each touched page
+        fetched once.
+
+        ``locate`` maps a key to the ``(heap, ordinal)`` of its copy live in
+        ``branch``, or None.  Runs of keys on one page share the fetch; at
+        most 64 page references are held at a time.
+        """
+        self._require_branch(branch)
         out: list[Record] = []
+        pages: dict[tuple[Any, int], Any] = {}
         for key in keys:
-            record = self.record_for_key(branch, key)
-            if record is not None:
-                out.append(record)
+            location = locate(key)
+            if location is None:
+                continue
+            heap, ordinal = location
+            page_number, slot = divmod(ordinal, heap.records_per_page)
+            page = pages.get((heap, page_number))
+            if page is None:
+                if len(pages) > 64:
+                    pages.clear()  # bound page references per fetch
+                page = pages[(heap, page_number)] = heap.page(page_number)
+            out.append(page.record_at(slot))
         return out
 
-    # -- scans ---------------------------------------------------------------------
+    # -- reads -----------------------------------------------------------------------
+    #
+    # Every read resolves its version's state once (a branch through
+    # _branch_state, a commit through _commit_read_state) and hands it to
+    # the engine's primitives below.  With ``pins`` (branch -> commit id, a
+    # snapshot's pinned heads) a branch read reads the pinned commit.
 
-    @abstractmethod
     def scan_branch(
-        self, branch: str, predicate: Predicate | None = None
+        self,
+        branch: str,
+        predicate: Predicate | None = None,
+        pins: dict[str, str] | None = None,
     ) -> Iterator[Record]:
         """Yield the live records of ``branch``'s head (benchmark Query 1)."""
+        return self._scan_state(self._branch_state(branch, pins), predicate)
 
-    @abstractmethod
+    def scan_commit(
+        self, commit_id: str, predicate: Predicate | None = None
+    ) -> Iterator[Record]:
+        """Yield the records of a historical commit."""
+        return self._scan_state(self._commit_read_state(commit_id), predicate)
+
     def scan_branch_columns(
         self,
         branch: str,
         predicate: Predicate | None = None,
         batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
         columns: tuple[str, ...] | None = None,
+        pins: dict[str, str] | None = None,
     ) -> Iterator[ColumnBatch]:
         """Yield ``scan_branch``'s rows as :class:`ColumnBatch`es.
 
@@ -958,29 +1000,10 @@ class VersionedStorageEngine(ABC):
         engines decode pages straight into columns, never building records,
         and decode only the projected columns.
         """
-
-    def count_branch(self, branch: str, predicate: Predicate | None = None) -> int:
-        """Number of live records of ``branch`` matching ``predicate``.
-
-        The count-only companion of :meth:`scan_branch_columns`: with no
-        predicate the concrete engines answer from their index structures
-        (bitmap popcounts, primary-key index sizes) without touching record
-        data; with a predicate this default counts the column scan's rows,
-        decoding only the key column of the records it selects.
-        """
-        return _count_rows(
-            self.scan_branch_columns(
-                branch, predicate, columns=(self.schema.primary_key,)
-            )
+        return self._scan_state_columns(
+            self._branch_state(branch, pins), predicate, batch_size, columns
         )
 
-    @abstractmethod
-    def scan_commit(
-        self, commit_id: str, predicate: Predicate | None = None
-    ) -> Iterator[Record]:
-        """Yield the records of a historical commit."""
-
-    @abstractmethod
     def scan_commit_columns(
         self,
         commit_id: str,
@@ -988,24 +1011,54 @@ class VersionedStorageEngine(ABC):
         batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
         columns: tuple[str, ...] | None = None,
     ) -> Iterator[ColumnBatch]:
-        """Yield ``scan_commit``'s rows as :class:`ColumnBatch`es.
+        """Yield ``scan_commit``'s rows as :class:`ColumnBatch`es (as
+        :meth:`scan_branch_columns` does for a branch)."""
+        return self._scan_state_columns(
+            self._commit_read_state(commit_id), predicate, batch_size, columns
+        )
 
-        Row-flattening the batches reproduces :meth:`scan_commit` exactly;
-        ``columns`` prunes the output as in :meth:`scan_branch_columns`.
-        The engines run the column scan their branch heads use, applied to
-        the commit's recorded state.
+    def count_branch(
+        self,
+        branch: str,
+        predicate: Predicate | None = None,
+        pins: dict[str, str] | None = None,
+    ) -> int:
+        """Number of live records of ``branch`` matching ``predicate``.
+
+        The count-only companion of :meth:`scan_branch_columns`.  A live
+        head's unfiltered count is read in place from the engine's index
+        structures (:meth:`_live_count`) without resolving its state: the
+        planner asks on every pk point lookup.  A pinned branch's comes from
+        its state (:meth:`_count_state`) where the engine can tell;
+        otherwise the column scan's rows are counted, decoding only the key
+        column of the records it selects.
         """
+        if predicate is None:
+            if pins is None:
+                self._require_branch(branch)
+                return self._live_count(branch)
+            count = self._count_state(self._branch_state(branch, pins))
+            if count is not None:
+                return count
+        return _count_rows(
+            self.scan_branch_columns(
+                branch, predicate, columns=(self.schema.primary_key,), pins=pins
+            )
+        )
 
     def count_commit(self, commit_id: str, predicate: Predicate | None = None) -> int:
         """Number of records of a historical commit matching ``predicate``
-        (counted as :meth:`count_branch` counts)."""
+        (counted as :meth:`count_branch` counts a pinned branch)."""
+        if predicate is None:
+            count = self._count_state(self._commit_read_state(commit_id))
+            if count is not None:
+                return count
         return _count_rows(
             self.scan_commit_columns(
                 commit_id, predicate, columns=(self.schema.primary_key,)
             )
         )
 
-    @abstractmethod
     def scan_branches_batched(
         self,
         branches: list[str] | None,
@@ -1024,22 +1077,27 @@ class VersionedStorageEngine(ABC):
         that holds it -- however many stored copies hold it
         (:func:`merge_branch_copies`).  Row order is the engine's.
 
-        ``branches=None`` reads every branch head.  With ``pins`` (branch ->
-        commit id, a snapshot's pinned heads) each branch's state is its
-        pinned commit instead of its live head, and ``None`` reads every
+        ``branches=None`` reads every branch head, or with ``pins`` every
         pinned branch.
         """
-
-    def _scan_targets(
-        self, branches: list[str] | None, pins: dict[str, str] | None
-    ) -> list[str]:
-        """The branches a multi-branch scan reads (see ``scan_branches_batched``)."""
         if branches is None:
-            return sorted(pins) if pins is not None else self.graph.branch_names()
-        if pins is not None:
-            for branch in branches:
-                self.pinned_commit(branch, pins)
-        return list(branches)
+            branches = sorted(pins) if pins is not None else self.graph.branch_names()
+        states = {branch: self._branch_state(branch, pins) for branch in branches}
+        return merge_branch_copies(
+            self.schema, self._scan_state_copies(states, predicate), batch_size
+        )
+
+    def diff(
+        self, branch_a: str, branch_b: str, pins: dict[str, str] | None = None
+    ) -> DiffResult:
+        """Positive/negative difference of two branch heads (benchmark Query 2)."""
+        self.stats.diffs += 1
+        return self._diff_states(
+            self._branch_state(branch_a, pins),
+            self._branch_state(branch_b, pins),
+            branch_a,
+            branch_b,
+        )
 
     @staticmethod
     def pinned_commit(branch: str, pins: dict[str, str]) -> str:
@@ -1056,26 +1114,65 @@ class VersionedStorageEngine(ABC):
             )
         return commit_id
 
-    # -- read states and diff ------------------------------------------------------
+    def _require_branch(self, branch: str) -> None:
+        """Raise :class:`BranchNotFoundError` unless the graph holds ``branch``."""
+        self.graph.branch(branch)
+
+    # -- read states and their primitives ----------------------------------------
+
+    def _branch_state(self, branch: str, pins: dict[str, str] | None = None) -> Any:
+        """The read state of ``branch``: its live head's
+        (:meth:`_head_state`), or with ``pins`` its pinned commit's
+        (:meth:`pinned_commit`)."""
+        if pins is not None:
+            return self._commit_read_state(self.pinned_commit(branch, pins))
+        self._require_branch(branch)
+        return self._head_state(branch)
 
     @abstractmethod
-    def _branch_state(self, branch: str, pins: dict[str, str] | None = None) -> Any:
-        """The read state of ``branch``: its live head's, or with ``pins``
-        its pinned commit's (:meth:`pinned_commit`)."""
+    def _head_state(self, branch: str) -> Any:
+        """The read state of ``branch``'s live head."""
 
     @abstractmethod
     def _commit_read_state(self, commit_id: str) -> Any:
         """The read state a commit recorded."""
 
     @abstractmethod
-    def diff(
-        self, branch_a: str, branch_b: str, pins: dict[str, str] | None = None
-    ) -> DiffResult:
-        """Positive/negative difference of two branch heads (benchmark Query 2).
+    def _scan_state(
+        self, state: Any, predicate: Predicate | None
+    ) -> Iterator[Record]:
+        """The reference row scan of a read state, adding each record it
+        visits to ``stats.records_scanned``."""
 
-        With ``pins`` (a snapshot's branch -> commit id) each branch is read
-        at its pinned commit, as in :meth:`scan_branches_batched`.
-        """
+    @abstractmethod
+    def _scan_state_columns(
+        self,
+        state: Any,
+        predicate: Predicate | None,
+        batch_size: int,
+        columns: tuple[str, ...] | None,
+    ) -> Iterator[ColumnBatch]:
+        """The column scan of a read state: :meth:`_scan_state`'s rows and
+        order, as batches of ``columns`` (all columns when ``None``)."""
+
+    @abstractmethod
+    def _scan_state_copies(
+        self, states: dict[str, Any], predicate: Predicate | None
+    ) -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
+        """``(batch, members)`` of the stored copies matching ``predicate``
+        that any of ``states`` (branch -> read state) holds, ``members``
+        listing, row for row, the branches holding each copy; the input of
+        :func:`merge_branch_copies`."""
+
+    @abstractmethod
+    def _live_count(self, branch: str) -> int:
+        """The live record count of ``branch``'s head, read in place from
+        the engine's index structures: no bitmap copy, no page read."""
+
+    @abstractmethod
+    def _count_state(self, state: Any) -> int | None:
+        """The record count of a read state from the engine's structures,
+        or None when only a scan can tell."""
 
     @abstractmethod
     def _diff_states(

@@ -32,18 +32,17 @@ from repro.bitmap.bitmap import Bitmap
 from repro.bitmap.branch_bitmap import BranchOrientedBitmapIndex
 from repro.core.buffer_pool import BufferPool
 from repro.core.columns import ColumnBatch
+from repro.core.heapfile import HeapFile
 from repro.core.page import DEFAULT_PAGE_SIZE
 from repro.core.predicates import Predicate
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import StorageError
 from repro.storage.base import (
-    DEFAULT_SCAN_BATCH_SIZE,
     StorageEngineKind,
     VersionedStorageEngine,
     diff_heap_bitmaps,
     live_heap_records,
-    merge_branch_copies,
     scan_heap_bitmap_columns,
     scan_heap_member_columns,
     stored_bitmap,
@@ -266,26 +265,14 @@ class HybridEngine(VersionedStorageEngine):
         return self.segments.get(segment_id).record_at(ordinal)
 
     def records_for_keys(self, branch: str, keys) -> list[Record]:
-        """Index-scan fetch: each touched page is fetched once, in key order."""
-        out: list[Record] = []
-        heaps: dict[str, object] = {}
-        pages: dict[tuple[str, int], object] = {}
-        for key in keys:
+        def locate(key: int) -> tuple[HeapFile, int] | None:
             location = self.key_location(branch, key)
             if location is None:
-                continue
+                return None
             segment_id, ordinal = location
-            heap = heaps.get(segment_id)
-            if heap is None:
-                heap = heaps[segment_id] = self.segments.get(segment_id).heap
-            page_number, slot = divmod(ordinal, heap.records_per_page)
-            page = pages.get((segment_id, page_number))
-            if page is None:
-                if len(pages) > 64:
-                    pages.clear()  # bound page references per fetch
-                page = pages[(segment_id, page_number)] = heap.page(page_number)
-            out.append(page.record_at(slot))
-        return out
+            return self.segments.get(segment_id).heap, ordinal
+
+        return self._fetch_located(branch, keys, locate)
 
     def _flush_storage(self) -> None:
         self.segments.flush()
@@ -333,15 +320,20 @@ class HybridEngine(VersionedStorageEngine):
     def branch_contains_key(self, branch: str, key: int) -> bool:
         return self.key_location(branch, key) is not None
 
-    # -- scans ---------------------------------------------------------------------------
+    # -- read states ---------------------------------------------------------------------
 
-    def _branch_state(
-        self, branch: str, pins: dict[str, str] | None = None
-    ) -> dict[str, Bitmap]:
-        """``{segment id: bitmap}`` of ``branch`` per segment it touches:
-        the live local bitmaps, or with ``pins`` its pinned commit's."""
-        if pins is not None:
-            return self._commit_read_state(self.pinned_commit(branch, pins))
+    # perf/trace.py patches these names through the class's own __dict__
+    # (ROADMAP item 9), so the base class's reads are bound here too.
+    scan_branch_columns = VersionedStorageEngine.scan_branch_columns
+    scan_commit_columns = VersionedStorageEngine.scan_commit_columns
+    scan_branches_batched = VersionedStorageEngine.scan_branches_batched
+    count_branch = VersionedStorageEngine.count_branch
+    count_commit = VersionedStorageEngine.count_commit
+    diff = VersionedStorageEngine.diff
+
+    def _head_state(self, branch: str) -> dict[str, Bitmap]:
+        """``{segment id: bitmap}`` of ``branch``'s live local bitmaps, per
+        segment it touches."""
         result = {}
         for segment_id in sorted(self._branch_segments.get(branch, ())):
             local = self._local_bitmaps[segment_id]
@@ -350,46 +342,6 @@ class HybridEngine(VersionedStorageEngine):
                 if bitmap.any():
                     result[segment_id] = bitmap
         return result
-
-    def scan_branch(
-        self, branch: str, predicate: Predicate | None = None
-    ) -> Iterator[Record]:
-        yield from self._scan_segment_bitmaps(
-            self._branch_state(branch).items(), predicate
-        )
-
-    def scan_branch_columns(
-        self,
-        branch: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-        columns: tuple[str, ...] | None = None,
-    ) -> Iterator[ColumnBatch]:
-        """Columnar :meth:`scan_branch`: per-segment page-decode column
-        scans, in the same segment order as the row scan."""
-        for segment_id, bitmap in self._branch_state(branch).items():
-            segment = self.segments.get(segment_id)
-            yield from scan_heap_bitmap_columns(
-                segment.heap,
-                bitmap,
-                self.schema,
-                predicate,
-                batch_size,
-                self.stats,
-                columns=columns,
-            )
-
-    def count_branch(self, branch: str, predicate: Predicate | None = None) -> int:
-        if predicate is None:
-            # Sum of per-segment local bitmap popcounts, read in place (the
-            # planner asks on every pk point lookup); no segment I/O.
-            local_bitmaps = self._local_bitmaps
-            return sum(
-                local_bitmaps[segment_id].live_count(branch)
-                for segment_id in self._branch_segments.get(branch, ())
-                if local_bitmaps[segment_id].has_branch(branch)
-            )
-        return super().count_branch(branch, predicate)
 
     def _commit_read_state(self, commit_id: str) -> dict[str, Bitmap]:
         """``{segment id: recorded bitmap}`` for a historical commit: every
@@ -403,33 +355,27 @@ class HybridEngine(VersionedStorageEngine):
                 result[segment_id] = bitmap
         return result
 
-    def scan_commit(
-        self, commit_id: str, predicate: Predicate | None = None
+    def _scan_state(
+        self, state: dict[str, Bitmap], predicate: Predicate | None
     ) -> Iterator[Record]:
-        yield from self._scan_segment_bitmaps(
-            self._commit_read_state(commit_id).items(), predicate
-        )
-
-    def _scan_segment_bitmaps(
-        self, segment_bitmaps, predicate: Predicate | None
-    ) -> Iterator[Record]:
-        """The reference row scan of ``(segment id, bitmap)`` pairs."""
-        for segment_id, bitmap in segment_bitmaps:
+        """The reference row scan of per-segment bitmaps, in segment order."""
+        for segment_id, bitmap in state.items():
             heap = self.segments.get(segment_id).heap
             for record in live_heap_records(heap, bitmap):
                 self.stats.records_scanned += 1
                 if predicate is None or predicate.evaluate(record, self.schema):
                     yield record
 
-    def scan_commit_columns(
+    def _scan_state_columns(
         self,
-        commit_id: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-        columns: tuple[str, ...] | None = None,
+        state: dict[str, Bitmap],
+        predicate: Predicate | None,
+        batch_size: int,
+        columns: tuple[str, ...] | None,
     ) -> Iterator[ColumnBatch]:
-        """Columnar :meth:`scan_commit` over the commit's recorded bitmaps."""
-        for segment_id, bitmap in self._commit_read_state(commit_id).items():
+        """Per-segment page-decode column scans, in the same segment order
+        as the row scan."""
+        for segment_id, bitmap in state.items():
             segment = self.segments.get(segment_id)
             yield from scan_heap_bitmap_columns(
                 segment.heap,
@@ -441,71 +387,42 @@ class HybridEngine(VersionedStorageEngine):
                 columns=columns,
             )
 
-    def count_commit(self, commit_id: str, predicate: Predicate | None = None) -> int:
-        if predicate is None:
-            return sum(
-                bitmap.count()
-                for bitmap in self._commit_read_state(commit_id).values()
-            )
-        return super().count_commit(commit_id, predicate)
-
-    def _relevant_segment_bitmaps(
-        self, branches: list[str], pins: dict[str, str] | None
-    ) -> Iterator[tuple[str, dict[str, Bitmap]]]:
-        """Per segment holding a copy live in any of ``branches``, those
-        branches' bitmaps there: the live local bitmaps, or with ``pins``
-        the pinned commits' snapshots."""
-        per_segment: dict[str, dict[str, Bitmap]] = {}
-        for branch in branches:
-            for segment_id, bitmap in self._branch_state(branch, pins).items():
-                per_segment.setdefault(segment_id, {})[branch] = bitmap
-        for segment_id in sorted(per_segment):
-            yield segment_id, per_segment[segment_id]
-
-    def scan_branches_batched(
-        self,
-        branches: list[str] | None,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-        pins: dict[str, str] | None = None,
-    ) -> Iterator[ColumnBatch]:
-        """One pass per relevant segment, annotating copies with branches.
+    def _scan_state_copies(
+        self, states: dict[str, dict[str, Bitmap]], predicate: Predicate | None
+    ) -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
+        """One pass per segment any of ``states`` touches, annotating copies
+        with branches.
 
         The branch-segment index (or the pinned commits' segment lists)
         narrows the scan to segments holding any requested branch's
         records; within each segment the per-branch local bitmaps are
         consulted word-at-a-time (paper Section 3.4).
         """
-        targets = self._scan_targets(branches, pins)
+        per_segment: dict[str, dict[str, Bitmap]] = {}
+        for branch, state in states.items():
+            for segment_id, bitmap in state.items():
+                per_segment.setdefault(segment_id, {})[branch] = bitmap
+        for segment_id in sorted(per_segment):
+            yield from scan_heap_member_columns(
+                self.segments.get(segment_id).heap,
+                per_segment[segment_id],
+                self.schema,
+                predicate,
+                self.stats,
+            )
 
-        def copies() -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
-            for segment_id, per_branch in self._relevant_segment_bitmaps(
-                targets, pins
-            ):
-                yield from scan_heap_member_columns(
-                    self.segments.get(segment_id).heap,
-                    per_branch,
-                    self.schema,
-                    predicate,
-                    self.stats,
-                )
-
-        yield from merge_branch_copies(self.schema, copies(), batch_size)
-
-    # -- diff -----------------------------------------------------------------------------
-
-    def diff(
-        self, branch_a: str, branch_b: str, pins: dict[str, str] | None = None
-    ) -> DiffResult:
-        """Query 2 over the branches' segment bitmaps: the live heads', or
-        with ``pins`` the pinned commits'."""
-        self.stats.diffs += 1
-        return self._diff_states(
-            self._branch_state(branch_a, pins),
-            self._branch_state(branch_b, pins),
-            branch_a,
-            branch_b,
+    def _live_count(self, branch: str) -> int:
+        # Sum of per-segment local bitmap popcounts, read in place; no
+        # segment I/O.
+        local_bitmaps = self._local_bitmaps
+        return sum(
+            local_bitmaps[segment_id].live_count(branch)
+            for segment_id in self._branch_segments.get(branch, ())
+            if local_bitmaps[segment_id].has_branch(branch)
         )
+
+    def _count_state(self, state: dict[str, Bitmap]) -> int:
+        return sum(bitmap.count() for bitmap in state.values())
 
     def _diff_states(
         self,

@@ -31,12 +31,10 @@ from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import StorageError
 from repro.storage.base import (
-    DEFAULT_SCAN_BATCH_SIZE,
     StorageEngineKind,
     VersionedStorageEngine,
     diff_heap_bitmaps,
     live_heap_records,
-    merge_branch_copies,
     scan_heap_bitmap_columns,
     scan_heap_member_columns,
     stored_bitmap,
@@ -205,23 +203,11 @@ class TupleFirstEngine(VersionedStorageEngine):
         return self.heap.record_by_ordinal(ordinal)
 
     def records_for_keys(self, branch: str, keys) -> list[Record]:
-        """Index-scan fetch: each touched page is fetched once, in key order."""
-        out: list[Record] = []
-        pages: dict[int, object] = {}
-        heap = self.heap
-        per_page = heap.records_per_page
-        for key in keys:
+        def locate(key: int) -> tuple[HeapFile, int] | None:
             ordinal = self.key_location(branch, key)
-            if ordinal is None:
-                continue
-            page_number, slot = divmod(ordinal, per_page)
-            page = pages.get(page_number)
-            if page is None:
-                if len(pages) > 64:
-                    pages.clear()  # bound page references per fetch
-                page = pages[page_number] = heap.page(page_number)
-            out.append(page.record_at(slot))
-        return out
+            return None if ordinal is None else (self.heap, ordinal)
+
+        return self._fetch_located(branch, keys, locate)
 
     def _append(self, key: int, record: Record) -> int:
         """Append a new stored copy of ``key``; returns its heap ordinal."""
@@ -229,127 +215,58 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.key_index.add(key, ordinal)
         return ordinal
 
-    # -- scans --------------------------------------------------------------------
+    # -- read states --------------------------------------------------------------
 
-    def scan_branch(
-        self, branch: str, predicate: Predicate | None = None
-    ) -> Iterator[Record]:
-        yield from self._scan_bitmap(self.bitmap_index.branch_bitmap(branch), predicate)
-
-    def scan_branch_columns(
-        self,
-        branch: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-        columns: tuple[str, ...] | None = None,
-    ) -> Iterator[ColumnBatch]:
-        """Columnar :meth:`scan_branch`: pages decode straight into typed
-        column arrays, never building record objects.  ``columns`` pushes
-        projection into the page decode."""
-        bitmap = self.bitmap_index.branch_bitmap(branch)
-        yield from scan_heap_bitmap_columns(
-            self.heap,
-            bitmap,
-            self.schema,
-            predicate,
-            batch_size,
-            self.stats,
-            columns=columns,
-        )
-
-    def count_branch(self, branch: str, predicate: Predicate | None = None) -> int:
-        if predicate is None:
-            # Cardinality is the branch bitmap's popcount, read in place; no
-            # heap I/O at all.
-            return self.bitmap_index.live_count(branch)
-        return super().count_branch(branch, predicate)
-
-    def scan_commit(
-        self, commit_id: str, predicate: Predicate | None = None
-    ) -> Iterator[Record]:
-        yield from self._scan_bitmap(self._commit_read_state(commit_id), predicate)
-
-    def _scan_bitmap(
-        self, bitmap: Bitmap, predicate: Predicate | None
-    ) -> Iterator[Record]:
-        """The reference row scan of a bitmap over the shared heap."""
-        for record in live_heap_records(self.heap, bitmap):
-            self.stats.records_scanned += 1
-            if predicate is None or predicate.evaluate(record, self.schema):
-                yield record
-
-    def scan_commit_columns(
-        self,
-        commit_id: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-        columns: tuple[str, ...] | None = None,
-    ) -> Iterator[ColumnBatch]:
-        """Columnar :meth:`scan_commit` over the commit's recorded bitmap."""
-        bitmap = self._commit_read_state(commit_id)
-        yield from scan_heap_bitmap_columns(
-            self.heap,
-            bitmap,
-            self.schema,
-            predicate,
-            batch_size,
-            self.stats,
-            columns=columns,
-        )
-
-    def count_commit(self, commit_id: str, predicate: Predicate | None = None) -> int:
-        if predicate is None:
-            return self._commit_read_state(commit_id).count()
-        return super().count_commit(commit_id, predicate)
-
-    def _branch_state(self, branch: str, pins: dict[str, str] | None = None) -> Bitmap:
-        if pins is None:
-            return self.bitmap_index.branch_bitmap(branch)
-        return self._commit_read_state(self.pinned_commit(branch, pins))
+    def _head_state(self, branch: str) -> Bitmap:
+        return self.bitmap_index.branch_bitmap(branch)
 
     def _commit_read_state(self, commit_id: str) -> Bitmap:
         commit = self.graph.get_commit(commit_id)
         return self._histories[commit.branch].checkout(commit.sequence)
 
-    def scan_branches_batched(
+    def _scan_state(
+        self, state: Bitmap, predicate: Predicate | None
+    ) -> Iterator[Record]:
+        """The reference row scan of a bitmap over the shared heap."""
+        for record in live_heap_records(self.heap, state):
+            self.stats.records_scanned += 1
+            if predicate is None or predicate.evaluate(record, self.schema):
+                yield record
+
+    def _scan_state_columns(
         self,
-        branches: list[str] | None,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-        pins: dict[str, str] | None = None,
+        state: Bitmap,
+        predicate: Predicate | None,
+        batch_size: int,
+        columns: tuple[str, ...] | None,
     ) -> Iterator[ColumnBatch]:
-        """One pass over the shared heap, page at a time, consulting bitmaps.
-
-        Branch membership is computed word-at-a-time from the branch bitmaps
-        (live, or the pinned commits' snapshots), one shared frozenset per
-        membership pattern.
-        """
-        bitmaps = {
-            branch: self._branch_state(branch, pins)
-            for branch in self._scan_targets(branches, pins)
-        }
-        yield from merge_branch_copies(
+        """Pages decode straight into typed column arrays, never building
+        record objects; ``columns`` pushes projection into the page decode."""
+        return scan_heap_bitmap_columns(
+            self.heap,
+            state,
             self.schema,
-            scan_heap_member_columns(
-                self.heap, bitmaps, self.schema, predicate, self.stats
-            ),
+            predicate,
             batch_size,
+            self.stats,
+            columns=columns,
         )
 
-    # -- diff ------------------------------------------------------------------------
-
-    def diff(
-        self, branch_a: str, branch_b: str, pins: dict[str, str] | None = None
-    ) -> DiffResult:
-        """Query 2 over the branches' bitmaps: the live heads', or with
-        ``pins`` the pinned commits'."""
-        self.stats.diffs += 1
-        return self._diff_states(
-            self._branch_state(branch_a, pins),
-            self._branch_state(branch_b, pins),
-            branch_a,
-            branch_b,
+    def _scan_state_copies(
+        self, states: dict[str, Bitmap], predicate: Predicate | None
+    ) -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
+        """One pass over the shared heap, page at a time, with branch
+        membership computed word-at-a-time from the branches' bitmaps."""
+        return scan_heap_member_columns(
+            self.heap, states, self.schema, predicate, self.stats
         )
+
+    def _live_count(self, branch: str) -> int:
+        # The branch bitmap's popcount, read in place; no heap I/O at all.
+        return self.bitmap_index.live_count(branch)
+
+    def _count_state(self, state: Bitmap) -> int:
+        return state.count()
 
     def _diff_states(
         self, state_a: Bitmap, state_b: Bitmap, version_a: str = "", version_b: str = ""

@@ -27,6 +27,7 @@ from repro.core.columns import (
     concat_batches,
     regroup_column_batches,
 )
+from repro.core.heapfile import HeapFile
 from repro.core.page import DEFAULT_PAGE_SIZE
 from repro.core.predicates import (
     Predicate,
@@ -37,12 +38,10 @@ from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import CommitNotFoundError, CorruptionError, StorageError
 from repro.storage.base import (
-    DEFAULT_SCAN_BATCH_SIZE,
     StorageEngineKind,
     VersionedStorageEngine,
     check_stored_records,
     heap_page_column_hits,
-    merge_branch_copies,
 )
 from repro.storage.pk_index import PrimaryKeyIndex
 from repro.storage.segments import ParentPointer, SegmentSet
@@ -80,7 +79,7 @@ class VersionFirstEngine(VersionedStorageEngine):
         #: not part of the on-disk layout (the paper's version-first design
         #: has no index): it lets multi-branch locate passes and columnar
         #: single-branch scans become bulk index probes instead of
-        #: per-record chain walks, while :meth:`scan_branch` remains the
+        #: per-record chain walks, while :meth:`_scan_state` remains the
         #: chain-walking reference implementation.  Version-first has no
         #: live bitmaps, so unlike tuple-first and hybrid it keeps the
         #: paper's per-branch map; reopened branches rebuild it lazily on
@@ -252,26 +251,14 @@ class VersionFirstEngine(VersionedStorageEngine):
         return self.segments.get(segment_id).record_at(ordinal)
 
     def records_for_keys(self, branch: str, keys) -> list[Record]:
-        """Index-scan fetch: each touched page is fetched once, in key order."""
-        out: list[Record] = []
-        heaps: dict[str, object] = {}
-        pages: dict[tuple[str, int], object] = {}
-        for key in keys:
+        def locate(key: int) -> tuple[HeapFile, int] | None:
             location = self.pk_index.get(branch, key)
             if location is None:
-                continue
+                return None
             segment_id, ordinal = location
-            heap = heaps.get(segment_id)
-            if heap is None:
-                heap = heaps[segment_id] = self.segments.get(segment_id).heap
-            page_number, slot = divmod(ordinal, heap.records_per_page)
-            page = pages.get((segment_id, page_number))
-            if page is None:
-                if len(pages) > 64:
-                    pages.clear()  # bound page references per fetch
-                page = pages[(segment_id, page_number)] = heap.page(page_number)
-            out.append(page.record_at(slot))
-        return out
+            return self.segments.get(segment_id).heap, ordinal
+
+        return self._fetch_located(branch, keys, locate)
 
     def _head(self, branch: str):
         try:
@@ -305,16 +292,16 @@ class VersionFirstEngine(VersionedStorageEngine):
         visit(segment_id, limit)
         return order
 
-    def _scan_chain(
+    def _scan_state(
         self,
-        segment_id: str,
-        limit: int | None,
-        predicate: Predicate | None = None,
+        state: tuple[str, int | None],
+        predicate: Predicate | None,
         segment_cache: dict[str, list[Record]] | None = None,
     ) -> Iterator[Record]:
-        """Scan a segment chain, emitting each live key's newest record."""
+        """The reference row scan of a state: the chain walk from its
+        segment, emitting each live key's newest record."""
         schema = self.schema
-        for _, _, record in self._locate_chain(segment_id, limit, segment_cache):
+        for _, _, record in self._locate_chain(*state, segment_cache):
             if predicate is None or predicate.evaluate(record, schema):
                 yield record
 
@@ -356,24 +343,27 @@ class VersionFirstEngine(VersionedStorageEngine):
                     continue
                 yield seg_id, ordinal, record
 
-    def _branch_segment_ordinals(self, branch: str) -> dict[str, list[int]]:
-        """The branch's live locations grouped by segment (a bulk index probe)."""
-        by_segment: dict[str, list[int]] = {}
-        for seg_id, ordinal in self.pk_index.locations(branch):
-            ordinals = by_segment.get(seg_id)
-            if ordinals is None:
-                by_segment[seg_id] = [ordinal]
-            else:
-                ordinals.append(ordinal)
-        return by_segment
+    def _state_locations(
+        self, state: tuple[str, int | None]
+    ) -> Iterable[tuple[str, int]]:
+        """The ``(segment id, ordinal)`` of each live key's newest copy in
+        ``state``.
+
+        A live head ``(segment, None)`` is a bulk probe of the segment
+        owner's primary-key index (the paper's per-record chain walks
+        collapse into it), in no particular order; a recorded offset is the
+        chain walk up to it (:meth:`_locate_chain`).
+        """
+        segment_id, limit = state
+        if limit is None:
+            owner = self.segments.get(segment_id).owner_branch
+            return self.pk_index.locations(owner)
+        return (
+            (seg_id, ordinal)
+            for seg_id, ordinal, _ in self._locate_chain(segment_id, limit)
+        )
 
     # -- scans -----------------------------------------------------------------------------
-
-    def scan_branch(
-        self, branch: str, predicate: Predicate | None = None
-    ) -> Iterator[Record]:
-        segment_id = self._head_segment[branch]
-        yield from self._scan_chain(segment_id, None, predicate)
 
     def _segment_columns(self, segment_id: str) -> tuple:
         """One segment's values as per-column containers, ordinal-indexed.
@@ -411,52 +401,40 @@ class VersionFirstEngine(VersionedStorageEngine):
             return cached[1]
         return None
 
-    def scan_branch_columns(
+    def _scan_state_columns(
         self,
-        branch: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-        columns: tuple[str, ...] | None = None,
+        state: tuple[str, int | None],
+        predicate: Predicate | None,
+        batch_size: int,
+        columns: tuple[str, ...] | None,
     ) -> Iterator[ColumnBatch]:
-        """Columnar :meth:`scan_branch`: bulk index probe, column gather.
+        """Locate, then gather columns.
 
-        The primary-key index already knows each live key's newest
-        ``(segment, ordinal)`` location, so the key-shadowing chain walk
-        collapses to one bulk index probe: segments are visited in chain
-        order and each segment's located ordinals are gathered newest-first,
-        which reproduces :meth:`scan_branch`'s row order while touching only
-        live records (shadowed copies and tombstones are never read).
+        The state's live locations (:meth:`_state_locations`) are grouped
+        by segment; segments are visited in chain order and each one's
+        ordinals gathered newest-first, which reproduces the row scan's
+        order.  For a live head the key-shadowing chain walk collapses to
+        one bulk index probe, touching only live records (shadowed copies
+        and tombstones are never read); a recorded offset's chain walk
+        visits, and counts, the same records the row scan does.
         """
+        segment_id, limit = state
 
         def located() -> Iterator[tuple[str, list[int]]]:
-            by_segment = self._branch_segment_ordinals(branch)
-            for seg_id, _ in self._chain(self._head_segment[branch], None):
+            by_segment: dict[str, list[int]] = {}
+            for seg_id, ordinal in self._state_locations(state):
+                ordinals = by_segment.get(seg_id)
+                if ordinals is None:
+                    by_segment[seg_id] = [ordinal]
+                else:
+                    ordinals.append(ordinal)
+            for seg_id, _ in self._chain(segment_id, limit):
                 ordinals = by_segment.get(seg_id)
                 if ordinals:
                     ordinals.sort(reverse=True)
-                    self.stats.records_scanned += len(ordinals)
+                    if limit is None:
+                        self.stats.records_scanned += len(ordinals)
                     yield seg_id, ordinals
-
-        return self._gather_columns(located(), predicate, batch_size, columns)
-
-    def scan_commit_columns(
-        self,
-        commit_id: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-        columns: tuple[str, ...] | None = None,
-    ) -> Iterator[ColumnBatch]:
-        """Columnar :meth:`scan_commit`: the commit's chain walk locates each
-        live key's newest copy (visiting, and counting, the same records the
-        row scan does), then the located ordinals gather out of the cached
-        segment columns in the row scan's order."""
-
-        def located() -> Iterator[tuple[str, list[int]]]:
-            segment_id, offset = self._commit_read_state(commit_id)
-            by_segment: dict[str, list[int]] = {}
-            for seg_id, ordinal, _ in self._locate_chain(segment_id, offset):
-                by_segment.setdefault(seg_id, []).append(ordinal)
-            yield from by_segment.items()
 
         return self._gather_columns(located(), predicate, batch_size, columns)
 
@@ -584,43 +562,29 @@ class VersionFirstEngine(VersionedStorageEngine):
         super().drop_caches()
         self._segment_column_cache.clear()
 
-    def count_branch(self, branch: str, predicate: Predicate | None = None) -> int:
-        if predicate is None:
-            # The primary-key index holds exactly the live keys.
-            return self.pk_index.live_count(branch)
-        return super().count_branch(branch, predicate)
+    def _live_count(self, branch: str) -> int:
+        # The primary-key index holds exactly the live keys.
+        return self.pk_index.live_count(branch)
 
-    def count_commit(self, commit_id: str, predicate: Predicate | None = None) -> int:
-        if predicate is None:
-            # A commit whose state is still a branch head's -- its head
-            # segment, nothing appended since (a snapshot's pin, say) --
-            # counts from that branch's primary-key index.
-            segment_id, offset = self._commit_read_state(commit_id)
-            segment = self.segments.get(segment_id)
-            for branch, head in list(self._head_segment.items()):
-                if head == segment_id:
-                    count = self.pk_index.live_count(branch)
-                    # A write appends before it updates the index, so a
-                    # record count still at the offset after the index
-                    # was read means the count is the commit's.
-                    if segment.record_count == offset:
-                        return count
-                    break
-        return super().count_commit(commit_id, predicate)
+    def _count_state(self, state: tuple[str, int | None]) -> int | None:
+        """A commit whose segment nothing was appended to since (a
+        snapshot's pin, say) counts from the segment owner's primary-key
+        index; any other state takes a scan."""
+        segment_id, limit = state
+        segment = self.segments.get(segment_id)
+        count = self.pk_index.live_count(segment.owner_branch)
+        # A write appends before it updates the index, so a record count
+        # still at the limit after the index was read means the count is
+        # the commit's.
+        if segment.record_count == limit:
+            return count
+        return None
 
-    def scan_commit(
-        self, commit_id: str, predicate: Predicate | None = None
-    ) -> Iterator[Record]:
-        segment_id, offset = self._commit_read_state(commit_id)
-        yield from self._scan_chain(segment_id, offset, predicate)
-
-    def scan_branches_batched(
+    def _scan_state_copies(
         self,
-        branches: list[str] | None,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-        pins: dict[str, str] | None = None,
-    ) -> Iterator[ColumnBatch]:
+        states: dict[str, tuple[str, int | None]],
+        predicate: Predicate | None,
+    ) -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
         """Two-pass multi-branch scan (paper Section 3.3).
 
         The first pass builds in-memory tables of the (segment, ordinal)
@@ -631,49 +595,31 @@ class VersionFirstEngine(VersionedStorageEngine):
         the extra work the paper attributes to version-first multi-branch
         scans.
         """
-        targets = self._scan_targets(branches, pins)
-
-        def copies() -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
-            located, members_of = self._locate_branch_records(targets, pins)
-            runs = []
-            for seg_id in sorted(located):
-                ordinals = sorted(located[seg_id])
-                self.stats.records_scanned += len(ordinals)
-                runs.append((seg_id, ordinals))
-            for seg_id, batch, hits in self._select_located(runs, predicate):
-                masks = located[seg_id]
-                yield batch, [members_of[masks[ordinal]] for ordinal in hits]
-
-        yield from merge_branch_copies(self.schema, copies(), batch_size)
+        located, members_of = self._locate_branch_records(states)
+        runs = []
+        for seg_id in sorted(located):
+            ordinals = sorted(located[seg_id])
+            self.stats.records_scanned += len(ordinals)
+            runs.append((seg_id, ordinals))
+        for seg_id, batch, hits in self._select_located(runs, predicate):
+            masks = located[seg_id]
+            yield batch, [members_of[masks[ordinal]] for ordinal in hits]
 
     def _locate_branch_records(
-        self, branches: list[str], pins: dict[str, str] | None
+        self, states: dict[str, tuple[str, int | None]]
     ) -> tuple[dict[str, dict[int, int]], dict[int, frozenset[str]]]:
-        """Pass one of the multi-branch scan: locate each branch's live records.
+        """Pass one of the multi-branch scan: locate each branch's live
+        records (:meth:`_state_locations`).
 
-        A live head's locations are a bulk probe of its primary-key index
-        (the paper's per-record chain walks collapse into it); a pinned
-        commit's come from the chain walk up to its recorded offset
-        (:meth:`_locate_chain`).  Membership is tracked as a bitmask over
-        ``branches`` (one shared ``frozenset`` per distinct combination, via
-        the returned lookup table) instead of allocating a set per located
+        Membership is tracked as a bitmask over the branches of ``states``
+        (one shared ``frozenset`` per distinct combination, via the
+        returned lookup table) instead of allocating a set per located
         record.
         """
         located: dict[str, dict[int, int]] = {}
-        for branch_bit, branch in enumerate(branches):
+        for branch_bit, state in enumerate(states.values()):
             bit = 1 << branch_bit
-            if pins is None:
-                locations: Iterable[tuple[str, int]] = self.pk_index.locations(
-                    branch
-                )
-            else:
-                locations = (
-                    (seg_id, ordinal)
-                    for seg_id, ordinal, _ in self._locate_chain(
-                        *self._branch_state(branch, pins)
-                    )
-                )
-            for seg_id, ordinal in locations:
+            for seg_id, ordinal in self._state_locations(state):
                 by_ordinal = located.get(seg_id)
                 if by_ordinal is None:
                     located[seg_id] = {ordinal: bit}
@@ -687,36 +633,18 @@ class VersionFirstEngine(VersionedStorageEngine):
         members_of = {
             mask: frozenset(
                 branch
-                for branch_bit, branch in enumerate(branches)
+                for branch_bit, branch in enumerate(states)
                 if (mask >> branch_bit) & 1
             )
             for mask in masks
         }
         return located, members_of
 
-    # -- diff --------------------------------------------------------------------------------
+    # -- read states and diff ---------------------------------------------------------------
 
-    def _branch_state(
-        self, branch: str, pins: dict[str, str] | None = None
-    ) -> tuple[str, int | None]:
-        """``(segment id, limit)``: the live head's segment read in full, or
-        with ``pins`` the pinned commit's recorded offset."""
-        if pins is None:
-            return self._head_segment[branch], None
-        return self._commit_read_state(self.pinned_commit(branch, pins))
-
-    def diff(
-        self, branch_a: str, branch_b: str, pins: dict[str, str] | None = None
-    ) -> DiffResult:
-        """Query 2 over the two branches' chains: the live heads', or with
-        ``pins`` the pinned commits'."""
-        self.stats.diffs += 1
-        return self._diff_states(
-            self._branch_state(branch_a, pins),
-            self._branch_state(branch_b, pins),
-            branch_a,
-            branch_b,
-        )
+    def _head_state(self, branch: str) -> tuple[str, None]:
+        """``(segment id, None)``: the live head's segment, read in full."""
+        return self._head_segment[branch], None
 
     def _diff_states(
         self,
@@ -749,7 +677,7 @@ class VersionFirstEngine(VersionedStorageEngine):
             if state not in maps:
                 maps[state] = {
                     record.values[pk_position]: record
-                    for record in self._scan_chain(*state, None, segment_cache)
+                    for record in self._scan_state(state, None, segment_cache)
                 }
             return maps[state]
 

@@ -9,12 +9,12 @@ head commit of a branch is a free point-in-time view*.  A
 acquisition time (under each engine's commit gate, so a half-finished
 commit is never observed) and hands back a :class:`Snapshot` whose
 ``database`` attribute quacks like a :class:`~repro.db.database.Decibel`
-for the query pipeline -- but routes every branch read to the pinned
-commit's recorded bitmap instead of the live head.  Reads run through the
-engine's own paths: a single-branch read becomes the engine's commit scan,
-and a multi-branch read (Query 4) and a diff (Query 2) hand the pins to the
-engine's one multi-branch scan and its one diff, so a snapshot answers
-exactly as the live heads would at the pinned commits.
+for the query pipeline -- but reads every branch at its pinned commit
+instead of the live head.  Reads run through the engine's own paths: every
+branch read -- a scan, a count, a multi-branch read (Query 4), a diff
+(Query 2) -- hands the pins to the engine, whose one resolution step reads
+a pinned branch through its pinned commit's recorded state, so a snapshot
+answers exactly as the live heads would at the pinned commits.
 
 Readers therefore never block writers and never see a writer's in-flight
 state: a query sees either entirely pre-commit or entirely post-commit
@@ -29,17 +29,13 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
+from functools import partial
 from typing import TYPE_CHECKING, Iterator
 
-from repro.core.columns import ColumnBatch
 from repro.core.predicates import Predicate
 from repro.core.record import Record
 from repro.errors import BranchNotFoundError
 from repro.versioning.diff import DiffResult
-
-#: Mirrors ``repro.storage.base.DEFAULT_SCAN_BATCH_SIZE`` (not imported to
-#: keep ``versioning`` free of a runtime dependency on ``storage``).
-DEFAULT_SCAN_BATCH_SIZE = 1024
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.database import Decibel
@@ -47,17 +43,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class SnapshotEngineView:
-    """A read-only engine facade that scans pinned commits, not live heads.
+    """A read-only engine facade that reads pinned commits, not live heads.
 
     Exposes exactly the surface the query pipeline uses (``schema``,
-    ``graph``, the branch, commit and multi-branch scans, ``diff``),
-    mapping every ``scan_branch*`` call for a pinned branch onto the
-    engine's ``scan_commit*`` path for that branch's pinned commit, and
-    passing the pins to the engine's ``scan_branches_batched`` and
-    ``diff``.  A branch the snapshot does not hold raises
-    :class:`~repro.errors.BranchNotFoundError`.  Plans
-    built against the view keep their ``kind == "branch"`` scans, so they
-    run through the same columnar execution path as head reads.
+    ``graph``, the branch, commit and multi-branch scans, the counts,
+    ``diff``).  Each branch read is the engine's own branch read with the
+    snapshot's pins, so the engine resolves a pinned branch to its pinned
+    commit's state; commit reads pass straight through, since history is
+    immutable.  A branch the snapshot does not hold raises
+    :class:`~repro.errors.BranchNotFoundError`.  Plans built against the
+    view keep their ``kind == "branch"`` scans, so they run through the
+    same columnar execution path as head reads.
     """
 
     def __init__(self, engine: "VersionedStorageEngine", pins: dict[str, str]):
@@ -68,65 +64,15 @@ class SnapshotEngineView:
         self.graph = engine.graph
         self.stats = engine.stats
         self.kind = engine.kind
-
-    def _pin(self, branch: str) -> str:
-        return self._engine.pinned_commit(branch, self.pins)
-
-    # -- branch reads, rerouted to pinned commits ------------------------------
-
-    def scan_branch(
-        self, branch: str, predicate: Predicate | None = None
-    ) -> Iterator[Record]:
-        return self._engine.scan_commit(self._pin(branch), predicate)
-
-    def scan_branch_columns(
-        self,
-        branch: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-        columns: tuple[str, ...] | None = None,
-    ) -> Iterator[ColumnBatch]:
-        return self._engine.scan_commit_columns(
-            self._pin(branch), predicate, batch_size, columns
+        self.scan_branch = partial(engine.scan_branch, pins=self.pins)
+        self.scan_branch_columns = partial(engine.scan_branch_columns, pins=self.pins)
+        self.count_branch = partial(engine.count_branch, pins=self.pins)
+        self.scan_branches_batched = partial(
+            engine.scan_branches_batched, pins=self.pins
         )
-
-    def count_branch(self, branch: str, predicate: Predicate | None = None) -> int:
-        return self._engine.count_commit(self._pin(branch), predicate)
-
-    # -- commit reads pass straight through (history is immutable) -------------
-
-    def scan_commit(
-        self, commit_id: str, predicate: Predicate | None = None
-    ) -> Iterator[Record]:
-        return self._engine.scan_commit(commit_id, predicate)
-
-    def scan_commit_columns(
-        self,
-        commit_id: str,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-        columns: tuple[str, ...] | None = None,
-    ) -> Iterator[ColumnBatch]:
-        return self._engine.scan_commit_columns(
-            commit_id, predicate, batch_size, columns
-        )
-
-    def count_commit(self, commit_id: str, predicate: Predicate | None = None) -> int:
-        return self._engine.count_commit(commit_id, predicate)
-
-    # -- multi-branch reads over the pinned branch set -------------------------
-
-    def scan_branches_batched(
-        self,
-        branches: list[str] | None,
-        predicate: Predicate | None = None,
-        batch_size: int = DEFAULT_SCAN_BATCH_SIZE,
-    ) -> Iterator[ColumnBatch]:
-        return self._engine.scan_branches_batched(
-            branches, predicate, batch_size, pins=self.pins
-        )
-
-    # -- diff over pinned states ------------------------------------------------
+        self.scan_commit = engine.scan_commit
+        self.scan_commit_columns = engine.scan_commit_columns
+        self.count_commit = engine.count_commit
 
     def diff(self, branch_a: str, branch_b: str) -> DiffResult:
         """The engine's diff of the two branches' pinned commits."""

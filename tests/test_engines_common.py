@@ -8,14 +8,24 @@ heads, single- and multi-branch scans, diff, and merge.
 
 import pytest
 
+from repro.bitmap.bitmap import Bitmap
+from repro.bitmap.branch_bitmap import BranchOrientedBitmapIndex
+from repro.bitmap.tuple_bitmap import TupleOrientedBitmapIndex
+from repro.core.buffer_pool import BufferPool
 from repro.core.predicates import ColumnPredicate
 from repro.core.record import Record
-from repro.errors import SchemaError, StorageError, VersionError
+from repro.errors import (
+    BranchNotFoundError,
+    SchemaError,
+    StorageError,
+    VersionError,
+)
 from repro.versioning.conflicts import PrecedencePolicy, ThreeWayPolicy
 
 from tests.conftest import (
     annotated_rows,
     assert_heads_match_oracle,
+    engine_factory,
     heads_oracle,
     make_records,
 )
@@ -389,3 +399,81 @@ class TestSizes:
         loaded_engine.flush()
         loaded_engine.drop_caches()
         assert keys_of(loaded_engine, "master") == list(range(20))
+
+
+#: Every read of a branch, called with the branch the graph does not hold.
+UNKNOWN_BRANCH_READS = {
+    "scan_branch": lambda engine, branch: list(engine.scan_branch(branch)),
+    "scan_branch_columns": lambda engine, branch: list(
+        engine.scan_branch_columns(branch)
+    ),
+    "count_branch": lambda engine, branch: engine.count_branch(branch),
+    "count_branch_predicate": lambda engine, branch: engine.count_branch(
+        branch, ColumnPredicate("id", "<", 5)
+    ),
+    "diff_left": lambda engine, branch: engine.diff(branch, "master"),
+    "diff_right": lambda engine, branch: engine.diff("master", branch),
+    "scan_branches_batched": lambda engine, branch: list(
+        engine.scan_branches_batched(["master", branch])
+    ),
+    "records_for_keys": lambda engine, branch: engine.records_for_keys(
+        branch, [1, 2]
+    ),
+}
+
+
+class TestUnknownBranch:
+    @pytest.mark.parametrize("read", sorted(UNKNOWN_BRANCH_READS))
+    def test_read_of_unknown_branch_raises(self, loaded_engine, read):
+        loaded_engine.create_branch("dev", from_branch="master")
+        with pytest.raises(BranchNotFoundError):
+            UNKNOWN_BRANCH_READS[read](loaded_engine, "nope")
+
+
+#: The engine configurations whose live counts are pinned below.
+COUNT_CONFIGS = {
+    "tuple-first-branch": ("tuple-first", {"bitmap_orientation": "branch"}),
+    "tuple-first-tuple": ("tuple-first", {"bitmap_orientation": "tuple"}),
+    "hybrid": ("hybrid", {}),
+    "version-first": ("version-first", {}),
+}
+
+
+class TestLiveCountIsIndexOnly:
+    """The planner counts a branch on every pk point lookup
+    (``IndexMaintenance.match_fraction``): a live unfiltered count reads the
+    engine's index structures in place, never a bitmap copy or a page."""
+
+    @pytest.mark.parametrize("config", sorted(COUNT_CONFIGS))
+    def test_live_count_copies_no_bitmap_and_reads_no_page(
+        self, config, schema, tmp_path, monkeypatch
+    ):
+        kind, options = COUNT_CONFIGS[config]
+        engine = engine_factory(kind, schema, str(tmp_path / config), **options)
+        engine.init(make_records(50))
+        engine.create_branch("dev", from_branch="master")
+        engine.update("dev", Record((3, 0, 0, 0)))
+        engine.delete("dev", 4)
+        engine.insert("dev", Record((500, 0, 0, 0)))
+        expected = {
+            branch: len(list(engine.scan_branch(branch)))
+            for branch in ("master", "dev")
+        }
+        calls: list[str] = []
+
+        def forbid(owner, name):
+            original = getattr(owner, name)
+
+            def recorded(*args, **kwargs):
+                calls.append(f"{owner.__name__}.{name}")
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recorded)
+
+        forbid(Bitmap, "copy")
+        forbid(BranchOrientedBitmapIndex, "branch_bitmap")
+        forbid(TupleOrientedBitmapIndex, "branch_bitmap")
+        forbid(BufferPool, "get_page")
+        for branch, count in expected.items():
+            assert engine.count_branch(branch) == count
+        assert calls == []

@@ -456,6 +456,38 @@ class TestColumnarBoundaryRule:
         assert "scan_branches_batched" in violations[0].message
         assert "scan_commit_columns" in violations[1].message
 
+    def test_record_in_state_scan_primitive_flagged(self):
+        # The engines' column and copy scans of a read state are columnar
+        # bodies by their return annotation, whatever they are named.
+        violations = check(
+            ColumnarBoundaryRule(),
+            "repro/storage/hybrid.py",
+            """
+            class Engine:
+                def _scan_state_columns(
+                    self, state, predicate, batch_size, columns
+                ) -> Iterator[ColumnBatch]:
+                    for segment_id, bitmap in state.items():
+                        yield Record(())
+
+                def _scan_state_copies(
+                    self, states, predicate
+                ) -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
+                    yield self.heap.page(0).records(), []
+
+                def _count_state(self, state) -> int:
+                    return len(self.heap.page(0).records())
+            """,
+        )
+        violations.sort(key=lambda v: v.line)
+        assert [v.line for v in violations] == [7, 12]
+        assert "Record construction inside _scan_state_columns" in (
+            violations[0].message
+        )
+        assert "row decode (records) inside _scan_state_copies" in (
+            violations[1].message
+        )
+
     def test_row_decode_outside_columnar_scans_is_clean(self):
         violations = check(
             ColumnarBoundaryRule(),
