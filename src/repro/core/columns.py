@@ -282,20 +282,6 @@ class ColumnBatch:
         )
 
 
-def concat_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch:
-    """One batch holding the rows of ``batches`` (at least one, all of one
-    schema) in order."""
-    if len(batches) == 1:
-        return batches[0]
-    columns = [mutable_copy(values) for values in batches[0].columns]
-    for batch in batches[1:]:
-        for accumulator, values in zip(columns, batch.columns):
-            accumulator.extend(values)
-    return ColumnBatch(
-        batches[0].schema, columns, sum(batch.num_rows for batch in batches)
-    )
-
-
 def regroup_column_batches(
     chunks: Iterable[ColumnBatch],
     batch_size: int,

@@ -288,10 +288,9 @@ class RecordCodec:
         STRING columns as lists of decoded ``str``.  Returns one container
         per schema column, in schema order.
 
-        Tombstone headers are not surfaced: callers that need per-record
-        tombstones (the version-first chain walk) decode rows via
-        :meth:`decode_batch`.  Columnar scan paths only ever see live
-        ordinals, selected through the bitmap / pk-index before gathering.
+        Tombstone headers are not surfaced (:meth:`tombstones` reads
+        them): columnar scan paths only ever see live ordinals, selected
+        through the bitmaps before gathering.
         """
         size = self.record_size
         if count is None:
@@ -365,6 +364,13 @@ class RecordCodec:
         if typecode is None:
             return [value.rstrip(b"\x00").decode("utf-8") for value in raw]
         return array(typecode, raw)
+
+    def tombstones(self, data: bytes, offset: int, count: int) -> list[bool]:
+        """The tombstone flags of ``count`` consecutive records, read from
+        their header bytes alone (bit 0); no value is decoded."""
+        size = self.record_size
+        headers = data[offset : offset + count * size : size]
+        return [bool(header & _HEADER_TOMBSTONE) for header in headers]
 
     def decode_many(self, data: bytes) -> list[Record]:
         """Decode a buffer that is an exact concatenation of records."""

@@ -267,12 +267,15 @@ class Decibel:
         return report
 
     def _verify_consistency(self) -> None:
-        """Cross-check each version-first branch's pk map against storage.
+        """Cross-check each loaded version-first branch's pk map against
+        the chain walk
+        (:meth:`~repro.storage.version_first.VersionFirstEngine.chain_entries`).
 
         Only version-first keeps a per-branch map whose size can disagree
-        with the branch's live records.  Tuple-first and hybrid count live
-        rows from the same bitmaps their key lookups test, so the check
-        would compare a number with itself.
+        with the branch's live records, and the chain walk reads them
+        without it.  Tuple-first and hybrid count live rows from the same
+        bitmaps their key lookups test, so the check would compare a number
+        with itself.
         """
         for name in self.relations():
             engine = self.relation(name).engine
@@ -286,7 +289,7 @@ class Decibel:
                     # would defeat lazy cold opens.
                     continue
                 indexed = pk_index.live_count(branch)
-                live = engine.count_branch(branch)
+                live = len(engine.chain_entries(branch))
                 if indexed != live:
                     raise CorruptionError(
                         engine.directory,

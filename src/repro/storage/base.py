@@ -5,17 +5,23 @@ branch, commit, checkout, data modification on branch heads, single- and
 multi-branch scans, diff, and merge with either whole-record precedence
 ("two-way") or field-level three-way conflict resolution.
 
-An engine reads a version through its *read state*: a bitmap for
-tuple-first, per-segment bitmaps for hybrid, a segment and a record limit
-for version-first.  Read states serve every read.  This base class is the
-one place that resolves a version to its state -- a branch's live head, a
-snapshot's pinned commit (:meth:`~VersionedStorageEngine._branch_state`),
-or a commit (:meth:`~VersionedStorageEngine._commit_read_state`) -- and the
-scans, counts and diff here resolve it once, then hand the state to a few
-per-engine primitives: a reference row scan, a column scan, a scan of
-branch-annotated copies, a count, and a diff.  A branch the version graph
-does not hold fails the same way on every engine, with
-:class:`~repro.errors.BranchNotFoundError`.
+An engine reads a version through its *read state*, the same shape for all
+three layouts: an ordered ``dict`` from a storage key to the
+:class:`~repro.bitmap.bitmap.Bitmap` of the live ordinals of one heap.
+Tuple-first's state has one entry, for its one shared heap; hybrid's has one
+per segment with a record live in the version; version-first's has one per
+segment of the version's chain, derived from its primary-key index or its
+chain walk (paper Section 3.4 builds hybrid from exactly these two
+halves).  This base class is the one place that resolves a version to its
+state -- a branch's live head, a snapshot's pinned commit
+(:meth:`~VersionedStorageEngine._branch_state`), or a commit
+(:meth:`~VersionedStorageEngine._commit_read_state`) -- and the one place
+that reads a state: a reference row scan, a column scan, a scan of
+branch-annotated copies, a count and a diff, each written once over the
+heaps' bitmaps, with all ``records_scanned`` accounting.  An engine only
+maps a storage key to its heap (:meth:`~VersionedStorageEngine._state_heap`).
+A branch the version graph does not hold fails the same way on every
+engine, with :class:`~repro.errors.BranchNotFoundError`.
 
 Each engine has one diff, over two read states and by content
 (:meth:`~VersionedStorageEngine._diff_states`), and every comparison of two
@@ -25,10 +31,9 @@ each head against the lowest common ancestor, a two-way merge the target
 against the source, so a merge gathers its inputs with the engine's diff
 I/O: bitmap differences that fetch only the changed tuples, page at a
 time, for tuple-first and hybrid; for version-first, full scans of both
-heads and the whole LCA commit, sharing one segment cache -- the cost
-difference Table 3 measures.  Applying the changes to the target is the
-same everywhere, so :meth:`~VersionedStorageEngine.merge` is a template
-method here.
+heads and the whole LCA commit -- the cost difference Table 3 measures.
+Applying the changes to the target is the same everywhere, so
+:meth:`~VersionedStorageEngine.merge` is a template method here.
 """
 from __future__ import annotations
 
@@ -51,6 +56,7 @@ from repro.core.columns import (
     regroup_column_batches,
 )
 from repro.core.durable import add_recovery_note, strict_recovery
+from repro.core.heapfile import HeapFile
 from repro.core.page import DEFAULT_PAGE_SIZE, PAGE_HEADER_SIZE
 from repro.core.predicates import (
     Predicate,
@@ -187,24 +193,29 @@ def _drop_identical_pairs(result: DiffResult, pk_position: int) -> None:
         ]
 
 
-def _live_page_masks(bitmap, per_page: int) -> Iterator[tuple[int, int]]:
-    """Yield ``(page number, liveness word)`` for every page with a set bit.
+def _live_page_masks(
+    bitmap, per_page: int, whole: bool = False
+) -> Iterator[tuple[int, int]]:
+    """Yield ``(page number, liveness word)`` for every page with a set bit,
+    or with ``whole`` for every page the bitmap's length spans.
 
     Bit ``i`` of the word is slot ``i`` of the page.  Each page's word is
     sliced from the byte range covering its bit span (bits of the
     neighbouring pages are shifted/masked off), so the whole extraction is
     O(total bits) rather than the O(pages x bits) a rolling whole-bitmap
-    shift would cost, and a page with no live slot is never fetched.
+    shift would cost, and unless ``whole``, a page with no live slot is
+    never fetched.
     """
     data = bitmap.to_bytes()
     page_mask = (1 << per_page) - 1
-    for page_number in range((len(data) * 8 + per_page - 1) // per_page):
+    num_bits = len(bitmap) if whole else len(data) * 8
+    for page_number in range((num_bits + per_page - 1) // per_page):
         start = page_number * per_page
         chunk = int.from_bytes(
             data[start >> 3 : (start + per_page + 7) >> 3], "little"
         )
         live = (chunk >> (start & 7)) & page_mask
-        if live:
+        if live or whole:
             yield page_number, live
 
 
@@ -317,12 +328,14 @@ def scan_heap_bitmap_columns(
     batch_size: int,
     stats: EngineStats,
     columns: tuple[str, ...] | None = None,
+    whole: bool = False,
 ):
     """Columnar scan of one heap file's live ordinals (shared hot path).
 
     The bitmap is consumed page-mask-at-a-time: each page's liveness word is
     sliced out of the bitmap bytes, and a zero word skips the page entirely
-    (never touching the buffer pool).  Pages decode straight into typed
+    (never touching the buffer pool) unless ``whole`` asks for every page
+    the bitmap's length spans.  Pages decode straight into typed
     column arrays (:meth:`Page.columns_view`, no record object is ever
     constructed), fully-live unfiltered pages pass their column containers
     through zero-copy, and predicates run as compiled column selections.
@@ -339,7 +352,9 @@ def scan_heap_bitmap_columns(
         out_schema = schema.project(list(columns))
     hits = heap_page_column_hits(
         heap,
-        _counted_pages(_live_page_masks(bitmap, heap.records_per_page), stats),
+        _counted_pages(
+            _live_page_masks(bitmap, heap.records_per_page, whole), stats
+        ),
         schema,
         predicate,
         out_positions,
@@ -358,12 +373,13 @@ def scan_heap_member_columns(
     schema: Schema,
     predicate: Predicate | None,
     stats: EngineStats,
+    whole: bool = False,
 ) -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
     """``(batch, members)`` of the copies live in any of ``bitmaps``.
 
     The multi-branch sibling of :func:`scan_heap_bitmap_columns`: one pass
-    over the pages the branch bitmaps touch, with the same page filter and
-    late materialization.  ``members`` lists, row for row, the branches of
+    over the pages the branch bitmaps touch (or span, with ``whole``), with
+    the same page filter and late materialization.  ``members`` lists, row for row, the branches of
     ``bitmaps`` whose bitmap holds the copy, one shared frozenset per
     membership pattern.  Membership comes from each branch's liveness word
     of the page: a page whose live slots all share one pattern (the common
@@ -374,7 +390,7 @@ def scan_heap_member_columns(
     names = list(bitmaps)
     words: dict[int, list[int]] = {}
     for index, name in enumerate(names):
-        for page_number, live in _live_page_masks(bitmaps[name], per_page):
+        for page_number, live in _live_page_masks(bitmaps[name], per_page, whole):
             words.setdefault(page_number, [0] * len(names))[index] = live
     # Per page, its union liveness word and the membership mask all its
     # live slots share, or None when they differ.
@@ -636,6 +652,10 @@ class VersionedStorageEngine(ABC):
     """Base class for the tuple-first, version-first and hybrid engines."""
 
     kind: StorageEngineKind
+
+    #: Whether the column scans read every page a state's bitmap spans, dead
+    #: ones included, instead of only the pages holding a live record.
+    reads_whole_heaps = False
 
     def __init__(
         self,
@@ -966,7 +986,7 @@ class VersionedStorageEngine(ABC):
     #
     # Every read resolves its version's state once (a branch through
     # _branch_state, a commit through _commit_read_state) and hands it to
-    # the engine's primitives below.  With ``pins`` (branch -> commit id, a
+    # the state primitives below.  With ``pins`` (branch -> commit id, a
     # snapshot's pinned heads) a branch read reads the pinned commit.
 
     def scan_branch(
@@ -1028,18 +1048,16 @@ class VersionedStorageEngine(ABC):
         The count-only companion of :meth:`scan_branch_columns`.  A live
         head's unfiltered count is read in place from the engine's index
         structures (:meth:`_live_count`) without resolving its state: the
-        planner asks on every pk point lookup.  A pinned branch's comes from
-        its state (:meth:`_count_state`) where the engine can tell;
-        otherwise the column scan's rows are counted, decoding only the key
-        column of the records it selects.
+        planner asks on every pk point lookup.  A pinned branch's is its
+        state's popcount (:meth:`_count_state`).  A filtered count counts
+        the column scan's rows, decoding only the key column of the records
+        it selects.
         """
         if predicate is None:
             if pins is None:
                 self._require_branch(branch)
                 return self._live_count(branch)
-            count = self._count_state(self._branch_state(branch, pins))
-            if count is not None:
-                return count
+            return self._count_state(self._branch_state(branch, pins))
         return _count_rows(
             self.scan_branch_columns(
                 branch, predicate, columns=(self.schema.primary_key,), pins=pins
@@ -1050,9 +1068,7 @@ class VersionedStorageEngine(ABC):
         """Number of records of a historical commit matching ``predicate``
         (counted as :meth:`count_branch` counts a pinned branch)."""
         if predicate is None:
-            count = self._count_state(self._commit_read_state(commit_id))
-            if count is not None:
-                return count
+            return self._count_state(self._commit_read_state(commit_id))
         return _count_rows(
             self.scan_commit_columns(
                 commit_id, predicate, columns=(self.schema.primary_key,)
@@ -1138,52 +1154,108 @@ class VersionedStorageEngine(ABC):
         """The read state a commit recorded."""
 
     @abstractmethod
-    def _scan_state(
-        self, state: Any, predicate: Predicate | None
-    ) -> Iterator[Record]:
-        """The reference row scan of a read state, adding each record it
-        visits to ``stats.records_scanned``."""
+    def _state_heap(self, key: Any) -> HeapFile:
+        """The heap a read state's ``key`` names."""
 
-    @abstractmethod
+    def _scan_state(
+        self, state: dict[Any, Bitmap], predicate: Predicate | None
+    ) -> Iterator[Record]:
+        """The reference row scan of a read state, heap by heap in state
+        order, adding each record it visits to ``stats.records_scanned``."""
+        for key, bitmap in state.items():
+            for record in live_heap_records(self._state_heap(key), bitmap):
+                self.stats.records_scanned += 1
+                if predicate is None or predicate.evaluate(record, self.schema):
+                    yield record
+
     def _scan_state_columns(
         self,
-        state: Any,
+        state: dict[Any, Bitmap],
         predicate: Predicate | None,
         batch_size: int,
         columns: tuple[str, ...] | None,
     ) -> Iterator[ColumnBatch]:
         """The column scan of a read state: :meth:`_scan_state`'s rows and
-        order, as batches of ``columns`` (all columns when ``None``)."""
+        order, as batches of ``columns`` (all columns when ``None``).  Pages
+        decode straight into typed column arrays, never building records."""
+        for key, bitmap in state.items():
+            yield from scan_heap_bitmap_columns(
+                self._state_heap(key),
+                bitmap,
+                self.schema,
+                predicate,
+                batch_size,
+                self.stats,
+                columns=columns,
+                whole=self.reads_whole_heaps,
+            )
 
-    @abstractmethod
     def _scan_state_copies(
-        self, states: dict[str, Any], predicate: Predicate | None
+        self, states: dict[str, dict[Any, Bitmap]], predicate: Predicate | None
     ) -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
         """``(batch, members)`` of the stored copies matching ``predicate``
         that any of ``states`` (branch -> read state) holds, ``members``
         listing, row for row, the branches holding each copy; the input of
-        :func:`merge_branch_copies`."""
+        :func:`merge_branch_copies`.
+
+        One pass per heap any state touches; within a heap the branches'
+        bitmaps are consulted word-at-a-time (paper Section 3.4).
+        """
+        per_heap: dict[Any, dict[str, Bitmap]] = {}
+        for branch, state in states.items():
+            for key, bitmap in state.items():
+                per_heap.setdefault(key, {})[branch] = bitmap
+        for key in sorted(per_heap):
+            yield from scan_heap_member_columns(
+                self._state_heap(key),
+                per_heap[key],
+                self.schema,
+                predicate,
+                self.stats,
+                whole=self.reads_whole_heaps,
+            )
 
     @abstractmethod
     def _live_count(self, branch: str) -> int:
         """The live record count of ``branch``'s head, read in place from
         the engine's index structures: no bitmap copy, no page read."""
 
-    @abstractmethod
-    def _count_state(self, state: Any) -> int | None:
-        """The record count of a read state from the engine's structures,
-        or None when only a scan can tell."""
+    def _count_state(self, state: dict[Any, Bitmap]) -> int:
+        """The record count of a read state: its bitmaps' popcounts."""
+        return sum(bitmap.count() for bitmap in state.values())
 
-    @abstractmethod
     def _diff_states(
-        self, state_a: Any, state_b: Any, version_a: str = "", version_b: str = ""
+        self,
+        state_a: dict[Any, Bitmap],
+        state_b: dict[Any, Bitmap],
+        version_a: str = "",
+        version_b: str = "",
     ) -> DiffResult:
         """The content difference of two read states.
 
         A record is on the positive side when ``state_a`` holds it and
         ``state_b`` holds no record with the same key and values, and on the
-        negative side the other way round.
+        negative side the other way round.  Only the heaps either state
+        touches are visited, and within them only the tuples whose liveness
+        differs are fetched (:func:`diff_heap_bitmaps`): against the LCA
+        snapshot, how a merge uses "the bitmap ... to reduce the amount of
+        data that needs to be scanned" (paper Section 3.2), and why hybrid
+        posts the best merge throughput in Table 3.
         """
+        empty = Bitmap()
+        return diff_heap_bitmaps(
+            (
+                (
+                    self._state_heap(key),
+                    state_a.get(key, empty),
+                    state_b.get(key, empty),
+                )
+                for key in sorted(set(state_a) | set(state_b))
+            ),
+            DiffResult(version_a=version_a, version_b=version_b),
+            self.schema.primary_key_index,
+            self.stats,
+        )
 
     # -- merge inputs --------------------------------------------------------------
 

@@ -31,26 +31,19 @@ from repro.bitmap import CommitHistory
 from repro.bitmap.bitmap import Bitmap
 from repro.bitmap.branch_bitmap import BranchOrientedBitmapIndex
 from repro.core.buffer_pool import BufferPool
-from repro.core.columns import ColumnBatch
 from repro.core.heapfile import HeapFile
 from repro.core.page import DEFAULT_PAGE_SIZE
-from repro.core.predicates import Predicate
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import StorageError
 from repro.storage.base import (
     StorageEngineKind,
     VersionedStorageEngine,
-    diff_heap_bitmaps,
-    live_heap_records,
-    scan_heap_bitmap_columns,
-    scan_heap_member_columns,
     stored_bitmap,
     stored_pk_ordinals,
 )
 from repro.storage.pk_index import KeyCopyIndex
 from repro.storage.segments import SegmentSet
-from repro.versioning.diff import DiffResult
 from repro.versioning.version_graph import MASTER_BRANCH
 
 #: Low bits of a packed key-index location that hold the ordinal.
@@ -331,6 +324,9 @@ class HybridEngine(VersionedStorageEngine):
     count_commit = VersionedStorageEngine.count_commit
     diff = VersionedStorageEngine.diff
 
+    def _state_heap(self, key: str) -> HeapFile:
+        return self.segments.get(key).heap
+
     def _head_state(self, branch: str) -> dict[str, Bitmap]:
         """``{segment id: bitmap}`` of ``branch``'s live local bitmaps, per
         segment it touches."""
@@ -355,62 +351,6 @@ class HybridEngine(VersionedStorageEngine):
                 result[segment_id] = bitmap
         return result
 
-    def _scan_state(
-        self, state: dict[str, Bitmap], predicate: Predicate | None
-    ) -> Iterator[Record]:
-        """The reference row scan of per-segment bitmaps, in segment order."""
-        for segment_id, bitmap in state.items():
-            heap = self.segments.get(segment_id).heap
-            for record in live_heap_records(heap, bitmap):
-                self.stats.records_scanned += 1
-                if predicate is None or predicate.evaluate(record, self.schema):
-                    yield record
-
-    def _scan_state_columns(
-        self,
-        state: dict[str, Bitmap],
-        predicate: Predicate | None,
-        batch_size: int,
-        columns: tuple[str, ...] | None,
-    ) -> Iterator[ColumnBatch]:
-        """Per-segment page-decode column scans, in the same segment order
-        as the row scan."""
-        for segment_id, bitmap in state.items():
-            segment = self.segments.get(segment_id)
-            yield from scan_heap_bitmap_columns(
-                segment.heap,
-                bitmap,
-                self.schema,
-                predicate,
-                batch_size,
-                self.stats,
-                columns=columns,
-            )
-
-    def _scan_state_copies(
-        self, states: dict[str, dict[str, Bitmap]], predicate: Predicate | None
-    ) -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
-        """One pass per segment any of ``states`` touches, annotating copies
-        with branches.
-
-        The branch-segment index (or the pinned commits' segment lists)
-        narrows the scan to segments holding any requested branch's
-        records; within each segment the per-branch local bitmaps are
-        consulted word-at-a-time (paper Section 3.4).
-        """
-        per_segment: dict[str, dict[str, Bitmap]] = {}
-        for branch, state in states.items():
-            for segment_id, bitmap in state.items():
-                per_segment.setdefault(segment_id, {})[branch] = bitmap
-        for segment_id in sorted(per_segment):
-            yield from scan_heap_member_columns(
-                self.segments.get(segment_id).heap,
-                per_segment[segment_id],
-                self.schema,
-                predicate,
-                self.stats,
-            )
-
     def _live_count(self, branch: str) -> int:
         # Sum of per-segment local bitmap popcounts, read in place; no
         # segment I/O.
@@ -419,38 +359,6 @@ class HybridEngine(VersionedStorageEngine):
             local_bitmaps[segment_id].live_count(branch)
             for segment_id in self._branch_segments.get(branch, ())
             if local_bitmaps[segment_id].has_branch(branch)
-        )
-
-    def _count_state(self, state: dict[str, Bitmap]) -> int:
-        return sum(bitmap.count() for bitmap in state.values())
-
-    def _diff_states(
-        self,
-        state_a: dict[str, Bitmap],
-        state_b: dict[str, Bitmap],
-        version_a: str = "",
-        version_b: str = "",
-    ) -> DiffResult:
-        """Per-segment bitmap differences (paper Section 3.4).
-
-        Only the segments either state touches are visited, and within them
-        only the tuples whose liveness differs are fetched -- against the LCA
-        snapshots, the reason hybrid posts the best merge throughput in
-        Table 3.
-        """
-        empty = Bitmap()
-        return diff_heap_bitmaps(
-            (
-                (
-                    self.segments.get(segment_id).heap,
-                    state_a.get(segment_id, empty),
-                    state_b.get(segment_id, empty),
-                )
-                for segment_id in sorted(set(state_a) | set(state_b))
-            ),
-            DiffResult(version_a=version_a, version_b=version_b),
-            self.schema.primary_key_index,
-            self.stats,
         )
 
     # -- merge application -----------------------------------------------------------------------

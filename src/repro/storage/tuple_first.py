@@ -18,30 +18,22 @@ evaluation uses) or tuple-oriented; see :mod:`repro.bitmap`.
 from __future__ import annotations
 
 import os
-from typing import Iterator
 
 from repro.bitmap import BitmapOrientation, CommitHistory, make_bitmap_index
 from repro.bitmap.bitmap import Bitmap
 from repro.core.buffer_pool import BufferPool
-from repro.core.columns import ColumnBatch
 from repro.core.heapfile import HeapFile
 from repro.core.page import DEFAULT_PAGE_SIZE
-from repro.core.predicates import Predicate
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import StorageError
 from repro.storage.base import (
     StorageEngineKind,
     VersionedStorageEngine,
-    diff_heap_bitmaps,
-    live_heap_records,
-    scan_heap_bitmap_columns,
-    scan_heap_member_columns,
     stored_bitmap,
     stored_pk_ordinals,
 )
 from repro.storage.pk_index import KeyCopyIndex
-from repro.versioning.diff import DiffResult
 from repro.versioning.version_graph import MASTER_BRANCH
 
 
@@ -102,7 +94,7 @@ class TupleFirstEngine(VersionedStorageEngine):
         # Branching from a historical commit: restore that commit's bitmap
         # from the parent's commit history.  The key index needs nothing:
         # the restored bits pick the branch's copies.
-        snapshot = self._commit_read_state(from_commit)
+        snapshot = self._commit_bitmap(from_commit)
         self._add_branch_structures(name, clone_from=None)
         self.bitmap_index.restore_branch(name, snapshot)
         self.index_hook.branch_rebuilt(name)
@@ -143,7 +135,7 @@ class TupleFirstEngine(VersionedStorageEngine):
             self.bitmap_index.restore_branch(
                 branch,
                 stored_bitmap(
-                    self.heap, self._commit_read_state(self.graph.head(branch))
+                    self.heap, self._commit_bitmap(self.graph.head(branch))
                 ),
             )
         # The key index stays unbuilt: the first pk lookup reads it from
@@ -217,72 +209,24 @@ class TupleFirstEngine(VersionedStorageEngine):
 
     # -- read states --------------------------------------------------------------
 
-    def _head_state(self, branch: str) -> Bitmap:
-        return self.bitmap_index.branch_bitmap(branch)
+    def _state_heap(self, key: None) -> HeapFile:
+        # A state's one entry, keyed None, is the shared heap's bitmap.
+        return self.heap
 
-    def _commit_read_state(self, commit_id: str) -> Bitmap:
+    def _head_state(self, branch: str) -> dict[None, Bitmap]:
+        return {None: self.bitmap_index.branch_bitmap(branch)}
+
+    def _commit_read_state(self, commit_id: str) -> dict[None, Bitmap]:
+        return {None: self._commit_bitmap(commit_id)}
+
+    def _commit_bitmap(self, commit_id: str) -> Bitmap:
+        """The bitmap a commit recorded, checked out of its branch's history."""
         commit = self.graph.get_commit(commit_id)
         return self._histories[commit.branch].checkout(commit.sequence)
-
-    def _scan_state(
-        self, state: Bitmap, predicate: Predicate | None
-    ) -> Iterator[Record]:
-        """The reference row scan of a bitmap over the shared heap."""
-        for record in live_heap_records(self.heap, state):
-            self.stats.records_scanned += 1
-            if predicate is None or predicate.evaluate(record, self.schema):
-                yield record
-
-    def _scan_state_columns(
-        self,
-        state: Bitmap,
-        predicate: Predicate | None,
-        batch_size: int,
-        columns: tuple[str, ...] | None,
-    ) -> Iterator[ColumnBatch]:
-        """Pages decode straight into typed column arrays, never building
-        record objects; ``columns`` pushes projection into the page decode."""
-        return scan_heap_bitmap_columns(
-            self.heap,
-            state,
-            self.schema,
-            predicate,
-            batch_size,
-            self.stats,
-            columns=columns,
-        )
-
-    def _scan_state_copies(
-        self, states: dict[str, Bitmap], predicate: Predicate | None
-    ) -> Iterator[tuple[ColumnBatch, list[frozenset]]]:
-        """One pass over the shared heap, page at a time, with branch
-        membership computed word-at-a-time from the branches' bitmaps."""
-        return scan_heap_member_columns(
-            self.heap, states, self.schema, predicate, self.stats
-        )
 
     def _live_count(self, branch: str) -> int:
         # The branch bitmap's popcount, read in place; no heap I/O at all.
         return self.bitmap_index.live_count(branch)
-
-    def _count_state(self, state: Bitmap) -> int:
-        return state.count()
-
-    def _diff_states(
-        self, state_a: Bitmap, state_b: Bitmap, version_a: str = "", version_b: str = ""
-    ) -> DiffResult:
-        """XOR the two bitmaps and route records to the two sides.
-
-        Against the LCA snapshot, this is how a merge uses "the bitmap ... to
-        reduce the amount of data that needs to be scanned" (paper Section
-        3.2): only the tuples whose liveness changed are fetched.
-        """
-        return diff_heap_bitmaps(
-            [(self.heap, state_a, state_b)],
-            DiffResult(version_a=version_a, version_b=version_b),
-            self.schema.primary_key_index,
-            self.stats,
-        )
 
     # -- merge application ---------------------------------------------------------------
 
@@ -342,4 +286,4 @@ class TupleFirstEngine(VersionedStorageEngine):
         delta chain of the owning branch's commit history is replayed up to
         the commit, without touching the heap file.
         """
-        return self._commit_read_state(commit_id)
+        return self._commit_bitmap(commit_id)

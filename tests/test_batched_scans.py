@@ -84,12 +84,7 @@ class TestEngineScans:
         predicate = ModuloPredicate("c1", 2)
         list(plain.scan_branch("dev", predicate))
         list(columnar.scan_branch_columns("dev", predicate))
-        if engine_kind == "version-first":
-            # The index-driven column scan touches only live records; the
-            # chain walk also visits shadowed copies and tombstones.
-            assert 0 < columnar.stats.records_scanned <= plain.stats.records_scanned
-        else:
-            assert columnar.stats.records_scanned == plain.stats.records_scanned
+        assert columnar.stats.records_scanned == plain.stats.records_scanned
 
     def test_empty_branch_scans_clean(self, engine):
         engine.init([], message="empty")

@@ -594,6 +594,19 @@ def test_crash_inside_redo_converges(tmp_path, point, engine, torn_bytes):
     assert_pk_index_agrees(again)
 
 
+def test_consistency_check_counts_the_chain_walk(tmp_path):
+    """A loaded version-first branch whose primary-key index lost a live
+    key fails the consistency check: the check counts the chain walk, not
+    the index it verifies."""
+    db = seed_database(tmp_path, "version-first")
+    pk_index = db.relation("t").engine.pk_index
+    assert pk_index.branch_loaded("master")
+    db._verify_consistency()
+    pk_index.remove("master", 7)
+    with pytest.raises(CorruptionError, match="disagrees with live records"):
+        db._verify_consistency()
+
+
 class TestRecoveryDetails:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_crash_between_commit_and_apply_is_redone(self, tmp_path, engine):

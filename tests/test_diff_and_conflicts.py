@@ -255,14 +255,12 @@ def test_merge_fetches_changed_copies_page_at_a_time(tmp_path, schema, kind):
     )
     if kind == "tuple-first":
         per_page = {None: engine.heap.records_per_page}
-        states = [{None: engine._branch_state(b)} for b in ("master", "dev")]
-        lca = {None: lca}
     else:
         per_page = {
             segment.segment_id: segment.heap.records_per_page
             for segment in engine.segments.all()
         }
-        states = [engine._branch_state(b) for b in ("master", "dev")]
+    states = [engine._branch_state(b) for b in ("master", "dev")]
     changed_pages = 0
     for state in states:
         pages = set()

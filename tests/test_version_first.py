@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro.core.record import Record
+from repro.core.predicates import ModuloPredicate
+from repro.core.record import Record, RecordCodec
 from repro.errors import CommitNotFoundError
 from repro.storage.version_first import VersionFirstEngine
 
-from tests.conftest import SMALL_PAGE_SIZE, annotated_rows, make_records
+from tests.conftest import (
+    SMALL_PAGE_SIZE,
+    annotated_rows,
+    heads_oracle,
+    make_records,
+)
 
 
 @pytest.fixture
@@ -91,7 +97,7 @@ class TestVersionFirstSegments:
 class TestVersionFirstCommits:
     def test_commit_records_offset(self, vf_loaded):
         commit_id = vf_loaded.commit("master")
-        segment_id, offset = vf_loaded._commit_read_state(commit_id)
+        segment_id, offset = vf_loaded.graph.commit_state(commit_id)
         assert segment_id == vf_loaded._head_segment["master"]
         assert offset == 20
 
@@ -146,3 +152,55 @@ class TestVersionFirstScanChains:
         variants = {values: branches for values, branches in rows}
         assert variants[(2, 5, 5, 5)] == frozenset({"a"})
         assert variants[(2, 20, 200, 7)] == frozenset({"master"})
+
+
+class TestVersionFirstRowlessReads:
+    """A commit or snapshot-pinned read resolves its version by the chain
+    walk, which decodes key columns and record headers only: a column scan,
+    a count or a multi-branch scan of it builds no row."""
+
+    def test_commit_and_pinned_reads_decode_no_rows(self, vf_loaded, monkeypatch):
+        engine = vf_loaded
+        for key in range(100, 400):
+            engine.insert("master", Record((key, key % 7, key, 0)))
+        engine.delete("master", 3)
+        engine.create_branch("dev", from_branch="master")
+        engine.update("dev", Record((5, 1, 1, 1)))
+        engine.delete("dev", 101)
+        pins = {"master": engine.commit("master"), "dev": engine.commit("dev")}
+        # Neither commit stays at its segment's head.
+        engine.update("dev", Record((6, 2, 2, 2)))
+        engine.insert("master", Record((900, 0, 0, 0)))
+        predicate = ModuloPredicate("c1", 2)
+
+        decodes = []
+        for name in ("decode", "decode_batch"):
+            def counted(self, *args, _original=getattr(RecordCodec, name), **kw):
+                decodes.append(_original)
+                return _original(self, *args, **kw)
+
+            monkeypatch.setattr(RecordCodec, name, counted)
+        commit_rows = [
+            row
+            for batch in engine.scan_commit_columns(pins["dev"])
+            for row in batch.rows()
+        ]
+        filtered = engine.count_commit(pins["dev"], predicate)
+        pinned_rows = [
+            row
+            for batch in engine.scan_branch_columns("master", pins=pins)
+            for row in batch.rows()
+        ]
+        heads = list(engine.scan_branches_batched(None, pins=pins))
+        assert decodes == []
+        monkeypatch.undo()
+
+        dev = [record.values for record in engine.scan_commit(pins["dev"])]
+        assert commit_rows == dev
+        assert filtered == sum(1 for values in dev if values[1] % 2)
+        assert pinned_rows == [
+            record.values for record in engine.scan_commit(pins["master"])
+        ]
+        assert {
+            values: branches for values, branches in annotated_rows(heads)
+        } == heads_oracle(engine, pins=pins)

@@ -2,7 +2,9 @@
 
 The index (key -> (segment, ordinal) per branch) is an acceleration
 structure layered over the paper's index-free version-first layout; the
-segment-chain walk of ``scan_branch`` remains the reference semantics.
+segment-chain walk (``chain_entries``) remains the reference semantics.
+The reference is read from the chain walk directly, not through a scan,
+so the comparison holds whichever structure the scans read.
 Hypothesis generates operation sequences -- inserts, updates, deletes,
 branches (from heads and from historical commits), commits and merges --
 and the tests check that the index and the chain walk stay in agreement
@@ -37,8 +39,8 @@ operation_steps = st.lists(
 def _live_map(engine: VersionFirstEngine, branch: str) -> dict:
     """The chain walk's view of a branch: {key -> record values}."""
     return {
-        record.values[0]: record.values
-        for record in engine.scan_branch(branch)
+        key: engine.segments.get(segment_id).record_at(ordinal).values
+        for key, (segment_id, ordinal) in engine.chain_entries(branch).items()
     }
 
 
@@ -106,11 +108,14 @@ def _assert_index_matches_chain(engine: VersionFirstEngine, branches) -> None:
                 f"branch {branch} key {key}: index location holds "
                 f"{record.values}, chain walk found {expected[key]}"
             )
-        # The index-driven column scan reproduces the chain walk exactly.
+        # The row scan reads the chain walk's records, and the column scan
+        # reproduces the row scan exactly.
+        rows = [record.values for record in engine.scan_branch(branch)]
+        assert {values[0]: values for values in rows} == expected
         columnar = [
             row for batch in engine.scan_branch_columns(branch) for row in batch.rows()
         ]
-        assert columnar == [record.values for record in engine.scan_branch(branch)]
+        assert columnar == rows
         # And the count-only path agrees with both.
         assert engine.count_branch(branch) == len(expected)
 
