@@ -702,6 +702,72 @@ class IndexMaintenanceRule(LintRule):
         return violations
 
 
+#: Functions allowed to compile a ``struct`` format when called: the
+#: process-wide record-layout memo, which compiles each format once.
+STRUCT_COMPILE_ALLOWED = {("repro/core/record.py", "compiled_format")}
+
+
+class StructCompileRule(LintRule):
+    """``struct.Struct(...)`` is compiled at module level or through the
+    record-layout memo, never inside a function body.
+
+    A compiled format's size grows with its format: one 512-record chunk
+    of a 10-column record compiles to about 170 KB.  A format compiled in
+    a constructor or method gets one copy per object that calls it, so
+    memory grows with the number of heap files instead of the distinct
+    layouts.  Module-level constants (``PAGE_HEADER``, ``_FRAME``) compile
+    once per process, and record layouts go through
+    :func:`repro.core.record.compiled_format`, which shares one compiled
+    object per format among every codec.
+    """
+
+    id = "REPRO012"
+    rationale = (
+        "a struct compiled per call or per object duplicates one layout "
+        "per heap file; compiled formats must be shared process-wide"
+    )
+    fix_hint = (
+        "hoist a fixed format to a module-level constant, or get a record "
+        "layout from repro.core.record.compiled_format"
+    )
+
+    @staticmethod
+    def _compiles(func: ast.expr) -> bool:
+        if isinstance(func, ast.Attribute):
+            return (
+                func.attr == "Struct"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "struct"
+            )
+        return isinstance(func, ast.Name) and func.id == "Struct"
+
+    def check(self, module: SourceModule) -> list[Violation]:
+        flagged: dict[int, Violation] = {}
+        for node in ast.walk(module.tree):
+            body: Sequence[ast.AST]
+            if isinstance(node, ast.Lambda):
+                name, body = "lambda", [node.body]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, body = node.name, node.body
+            else:
+                continue
+            if (module.relpath, name) in STRUCT_COMPILE_ALLOWED:
+                continue
+            for statement in body:
+                for inner in ast.walk(statement):
+                    if isinstance(inner, ast.Call) and self._compiles(inner.func):
+                        # A nested function's call is reported once.
+                        flagged.setdefault(
+                            id(inner),
+                            self.violation(
+                                module,
+                                inner.lineno,
+                                f"struct.Struct(...) compiled inside {name}()",
+                            ),
+                        )
+        return list(flagged.values())
+
+
 #: Every rule, in id order -- the default set run by ``scripts/lint.py``.
 ALL_RULES: tuple[LintRule, ...] = (
     OperatorProtocolRule(),
@@ -715,4 +781,5 @@ ALL_RULES: tuple[LintRule, ...] = (
     DurableWriteRule(),
     BoundedAwaitRule(),
     IndexMaintenanceRule(),
+    StructCompileRule(),
 )

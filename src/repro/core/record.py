@@ -32,6 +32,28 @@ from repro.errors import RecordError
 
 _HEADER_TOMBSTONE = 0x01
 
+#: Every compiled record layout of the process, keyed by ``(unit, count)``.
+_COMPILED: dict[tuple[str, int], struct.Struct] = {}
+
+
+def compiled_format(unit: str, count: int = 1) -> struct.Struct:
+    """The process's one compiled little-endian ``struct`` of ``unit``
+    repeated ``count`` times.
+
+    Every codec of a layout shares it, so the compiled formats held scale
+    with the distinct layouts, not with the heap files that use them.
+    Codecs only ask for power-of-two counts (see
+    :meth:`RecordCodec._unpack_chunks`), which bounds the memo to layouts x
+    log2(records per page) x (1 + columns) entries.  Two threads compiling
+    the same format at once both compile it; ``setdefault`` keeps the first
+    and drops the other.
+    """
+    key = (unit, count)
+    layout = _COMPILED.get(key)
+    if layout is None:
+        layout = _COMPILED.setdefault(key, struct.Struct("<" + unit * count))
+    return layout
+
 
 @dataclass(frozen=True)
 class Record:
@@ -87,7 +109,13 @@ class Record:
 
 
 class RecordCodec:
-    """Fixed-width binary encoder/decoder for records of one schema."""
+    """Fixed-width binary encoder/decoder for records of one schema.
+
+    A codec compiles nothing itself: its single-record, batch and column
+    formats come from :func:`compiled_format`, so every heap file, page and
+    transaction whose schema has the same layout decodes with the same
+    compiled objects.
+    """
 
     def __init__(self, schema: Schema):
         self.schema = schema
@@ -96,7 +124,7 @@ class RecordCodec:
         #: Format of one record, without byte-order prefix (repeatable for
         #: batch decoding).
         self._record_fmt = "".join(fmt)
-        self._struct = struct.Struct("<" + self._record_fmt)
+        self._struct = compiled_format(self._record_fmt)
         #: Fields per record in unpacked output: header plus one per column.
         self._fields_per_record = 1 + len(schema.columns)
         #: Positions (within a values tuple) of STRING columns needing
@@ -112,19 +140,17 @@ class RecordCodec:
             column.type in (ColumnType.INT, ColumnType.INT32)
             for column in schema.columns
         )
-        #: Precompiled batch formats keyed by record count, a power of two
-        #: (see :meth:`_unpack_flat`), so a codec holds one per power.
-        self._batch_structs: dict[int, struct.Struct] = {}
-        #: Byte offset of each column within an encoded record (header first).
-        offsets = []
+        #: Per column, the record format with every other field padded
+        #: over, so a repeat of it unpacks that column alone.
+        units = []
         position = 1  # header byte
         for column in schema.columns:
-            offsets.append(position)
-            position += struct.calcsize("<" + self._column_fmt(column))
-        self._column_offsets = tuple(offsets)
-        #: Precompiled single-column batch formats keyed by
-        #: ``(column index, record count)``, counts again powers of two.
-        self._column_structs: dict[tuple[int, int], struct.Struct] = {}
+            fmt = self._column_fmt(column)
+            width = struct.calcsize("<" + fmt)
+            post = self.record_size - position - width
+            units.append(f"{position}x{fmt}{post}x")
+            position += width
+        self._column_units = tuple(units)
 
     @staticmethod
     def _column_fmt(column) -> str:
@@ -187,12 +213,8 @@ class RecordCodec:
         return Record(tuple(values), tombstone=bool(header & _HEADER_TOMBSTONE))
 
     def _batch_struct(self, count: int) -> struct.Struct:
-        batch = self._batch_structs.get(count)
-        if batch is None:
-            batch = self._batch_structs[count] = struct.Struct(
-                "<" + self._record_fmt * count
-            )
-        return batch
+        """The process-wide format of ``count`` whole records."""
+        return compiled_format(self._record_fmt, count)
 
     def _unpack_chunks(
         self, make: Callable[[int], struct.Struct], data, offset: int, count: int
@@ -201,8 +223,9 @@ class RecordCodec:
         compiles, as one flat value tuple per chunk.
 
         The run is unpacked in power-of-two chunks (800 records are 512 +
-        256 + 32), so a codec compiles at most one format per power of two
-        whatever counts it decodes: a compiled format grows with its count
+        256 + 32), so the process compiles at most one format per layout
+        per power of two, shared by every heap file of that layout,
+        whatever counts they decode: a compiled format grows with its count
         (one of 800 wide records holds hundreds of KB), and pages decoded
         at every fill level would otherwise each compile their own.
         """
@@ -322,16 +345,8 @@ class RecordCodec:
         return tuple(columns)
 
     def _column_struct(self, index: int, count: int) -> struct.Struct:
-        key = (index, count)
-        batch = self._column_structs.get(key)
-        if batch is None:
-            fmt = self._column_fmt(self.schema.columns[index])
-            pre = self._column_offsets[index]
-            post = self.record_size - pre - struct.calcsize("<" + fmt)
-            batch = self._column_structs[key] = struct.Struct(
-                "<" + f"{pre}x{fmt}{post}x" * count
-            )
-        return batch
+        """The process-wide format of column ``index`` of ``count`` records."""
+        return compiled_format(self._column_units[index], count)
 
     def decode_column(
         self, data: bytes, index: int, offset: int = 0, count: int | None = None

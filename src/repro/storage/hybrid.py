@@ -270,6 +270,12 @@ class HybridEngine(VersionedStorageEngine):
     def _flush_storage(self) -> None:
         self.segments.flush()
 
+    def close(self) -> None:
+        """Flush, release cached pages and drop the derived key index,
+        which the next lookup rebuilds from storage."""
+        super().close()
+        self.key_index.drop()
+
     # -- data operations ----------------------------------------------------------------
 
     def insert(self, branch: str, record: Record) -> None:

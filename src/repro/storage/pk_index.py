@@ -40,12 +40,13 @@ class KeyCopyIndex(Generic[LocationT]):
 
     The index is derived data and append-only: a new physical copy (an
     insert, an update, a merge's field-level resolution) adds a location,
-    nothing ever removes one.  After a reopen it starts unbuilt and is read
-    from storage on the first lookup, through ``stored_copies()``, which
-    yields ``(key, location)`` for every stored record.  Copies added while
-    the index is unbuilt are skipped: the build reads them from storage.
-    The build holds ``lock`` -- the lock the engine's writers hold -- so no
-    copy is appended to storage while the build reads it.
+    nothing ever removes one.  After a reopen, or once its engine is
+    closed, it is unbuilt and is read from storage on the first lookup,
+    through ``stored_copies()``, which yields ``(key, location)`` for every
+    stored record.  Copies added while the index is unbuilt are skipped:
+    the build reads them from storage.  The build holds ``lock`` -- the
+    lock the engine's writers hold -- so no copy is appended to storage
+    while the build reads it.
     """
 
     def __init__(
@@ -68,6 +69,13 @@ class KeyCopyIndex(Generic[LocationT]):
     def start_empty(self) -> None:
         """Mark the index built and empty (a fresh engine has no copies)."""
         self._copies = {}
+
+    def drop(self) -> None:
+        """Return to unbuilt: the next lookup reads the copies from storage
+        again.  A closed engine drops its index, so a caller still holding
+        the engine does not pin every key's copies."""
+        with self._lock:
+            self._copies = None
 
     def add(self, key: int, location: LocationT) -> None:
         """Record a new stored copy of ``key`` at ``location``."""

@@ -109,6 +109,12 @@ class TupleFirstEngine(VersionedStorageEngine):
     def _flush_storage(self) -> None:
         self.heap.flush()
 
+    def close(self) -> None:
+        """Flush, release cached pages and drop the derived key index,
+        which the next lookup rebuilds from storage."""
+        super().close()
+        self.key_index.drop()
+
     def _load_storage(self) -> None:
         """Restore every branch to its head-commit bitmap snapshot.
 

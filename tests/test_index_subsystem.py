@@ -320,6 +320,40 @@ class TestPersistence:
         assert key_index.builds == 1
         assert len(key_index) == 50
 
+    @pytest.mark.parametrize("engine", KEY_COPY_ENGINES)
+    def test_close_drops_key_index(self, tmp_path, engine):
+        """A closed engine holds no key copies; a reopen answers the same
+        and builds the index once, on its first lookup."""
+        db = make_db(tmp_path, engine)
+        relation = db.relation("R")
+        relation.branch("dev", from_branch="master")
+        relation.update("dev", record(7, 3, 777))
+        relation.delete("dev", 8)
+        relation.insert("dev", record(99, 9, 990))
+        relation.commit("dev", "edits")
+        queries = [
+            f"SELECT * FROM R WHERE R.Version = '{branch}' AND R.id = {key}"
+            for branch in ("master", "dev")
+            for key in (7, 8, 49, 99)
+        ] + ["SELECT * FROM R WHERE R.Version = 'dev'"]
+
+        def answers(database) -> list:
+            return [
+                sorted(tuple(r) for r in database.query(sql).rows)
+                for sql in queries
+            ]
+
+        before = answers(db)
+        assert before[4:6] == [[(7, 3, 777)], []]  # dev's 7 and 8
+        key_index = relation.engine.key_index
+        assert key_index.built
+        db.close()
+        assert not key_index.built
+        reopened = Decibel.open(str(tmp_path), engine=engine)
+        key_index = reopened.relation("R").engine.key_index
+        assert answers(reopened) == before
+        assert key_index.builds == 1
+
 
 # -- the key-copy index of tuple-first and hybrid -----------------------------
 

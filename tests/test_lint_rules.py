@@ -803,3 +803,108 @@ class TestIndexMaintenanceRule:
                 path=path, relpath=relpath, source=path.read_text()
             )
             assert rule.check(mod) == [], f"{relpath} breaks index maintenance"
+
+
+class TestStructCompileRule:
+    @staticmethod
+    def rule():
+        from repro.analysis.lint.rules import StructCompileRule
+
+        return StructCompileRule()
+
+    def test_struct_compiled_in_a_method_flagged(self):
+        violations = check(
+            self.rule(),
+            "repro/core/heapfile.py",
+            """
+            import struct
+
+            class Codec:
+                def __init__(self, fmt):
+                    self._struct = struct.Struct("<" + fmt)
+
+                def batch(self, count):
+                    return struct.Struct("<" + self.fmt * count)
+            """,
+        )
+        assert [violation.line for violation in violations] == [6, 9]
+        assert "__init__()" in violations[0].message
+
+    def test_bare_struct_name_in_a_nested_function_flagged_once(self):
+        violations = check(
+            self.rule(),
+            "repro/gitlike/engine.py",
+            """
+            from struct import Struct
+
+            def outer(fmt):
+                def inner():
+                    return Struct(fmt)
+                return inner
+            """,
+        )
+        assert len(violations) == 1
+
+    def test_module_and_class_constants_allowed(self):
+        violations = check(
+            self.rule(),
+            "repro/core/page.py",
+            """
+            import struct
+
+            PAGE_HEADER = struct.Struct("<I")
+
+            class Frame:
+                HEADER = struct.Struct("<II")
+
+                def read(self, data):
+                    return PAGE_HEADER.unpack_from(data, 0)
+            """,
+        )
+        assert violations == []
+
+    def test_layouts_through_the_memo_allowed(self):
+        violations = check(
+            self.rule(),
+            "repro/core/record.py",
+            """
+            import struct
+
+            _COMPILED = {}
+
+            def compiled_format(unit, count=1):
+                key = (unit, count)
+                layout = _COMPILED.get(key)
+                if layout is None:
+                    layout = _COMPILED.setdefault(
+                        key, struct.Struct("<" + unit * count)
+                    )
+                return layout
+
+            class RecordCodec:
+                def _batch_struct(self, count):
+                    return compiled_format(self._record_fmt, count)
+            """,
+        )
+        assert violations == []
+
+    def test_memo_name_is_allowed_only_in_the_record_module(self):
+        violations = check(
+            self.rule(),
+            "repro/core/heapfile.py",
+            """
+            import struct
+
+            def compiled_format(unit, count=1):
+                return struct.Struct("<" + unit * count)
+            """,
+        )
+        assert len(violations) == 1
+
+    def test_shipped_source_is_clean(self):
+        from repro.analysis.lint import collect_modules
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        rule = self.rule()
+        for mod in collect_modules(src):
+            assert rule.check(mod) == [], f"{mod.relpath} compiles a struct"

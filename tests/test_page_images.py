@@ -5,12 +5,14 @@ rows.  These tests pin the three consequences: a page built by appends
 reads exactly like the same page reread from disk; the buffer pool's
 charge is the bytes its pages hold and stays inside the budget as column
 views are cached; and no :class:`Record` a read decodes outlives the call
-that returned it.
+that returned it.  The formats pages decode with are compiled once per
+process and layout, whatever the number of heap files that share it.
 """
 
 from __future__ import annotations
 
 import gc
+import struct
 import sys
 import threading
 
@@ -20,7 +22,7 @@ from repro import Decibel
 from repro.core.buffer_pool import BufferPool
 from repro.core.heapfile import HeapFile
 from repro.core.page import Page, PageId
-from repro.core.record import Record, RecordCodec
+from repro.core.record import _COMPILED, Record, RecordCodec
 from repro.core.schema import Column, ColumnType, Schema
 from tests.conftest import ENGINE_CLASSES
 
@@ -135,8 +137,20 @@ class TestAppendedPagesReadAsReread:
 
 class TestDecodeStructs:
     def test_every_count_decodes_with_power_of_two_formats(self):
-        codec = RecordCodec(SCHEMA)
-        records = [make_record(key) for key in range(300)]
+        # A layout no other test uses: the memo is process-wide, so the
+        # formats compiled below are exactly the ones this test asks for.
+        schema = Schema(
+            (
+                Column("id", ColumnType.INT),
+                Column("qty", ColumnType.INT32),
+                Column("name", ColumnType.STRING, 23),
+            ),
+            primary_key="id",
+        )
+        codec = RecordCodec(schema)
+        assert compiled_counts(codec._record_fmt) == {1}
+        assert not any(compiled_counts(unit) for unit in codec._column_units)
+        records = [Record((key, key % 7, f"n{key}")) for key in range(300)]
         data = b"".join(codec.encode(record) for record in records)
         for count in range(301):
             assert codec.decode_batch(data, 0, count) == records[:count]
@@ -145,9 +159,184 @@ class TestDecodeStructs:
             assert list(codec.decode_column(data, 2, 0, count)) == [
                 r.values[2] for r in records[:count]
             ]
-        # One compiled format per power of two up to 256, not one per count.
-        assert sorted(codec._batch_structs) == [1 << k for k in range(9)]
-        assert len(codec._column_structs) == 9
+        # One compiled format per power of two up to 256, not one per count,
+        # and only the column that was decoded alone has column formats.
+        powers = {1 << k for k in range(9)}
+        assert compiled_counts(codec._record_fmt) == powers
+        assert compiled_counts(codec._column_units[2]) == powers
+        assert compiled_counts(codec._column_units[0]) == set()
+        assert compiled_counts(codec._column_units[1]) == set()
+
+
+def compiled_counts(unit: str) -> set[int]:
+    """The counts the process has compiled ``unit`` repeated at."""
+    return {count for compiled_unit, count in _COMPILED if compiled_unit == unit}
+
+
+def layout_units(schema: Schema) -> tuple[str, ...]:
+    """The record format and each padded column format of ``schema``."""
+    codec = RecordCodec(schema)
+    probes = [codec._batch_struct(1)] + [
+        codec._column_struct(index, 1) for index in range(len(schema.columns))
+    ]
+    return tuple(probe.format[1:] for probe in probes)
+
+
+def live_layout_formats(units: tuple[str, ...]) -> list[str]:
+    """The format of every live compiled ``struct`` that repeats one of
+    ``units``, one entry per object."""
+    gc.collect()
+    formats = []
+    for obj in gc.get_objects():
+        if type(obj) is not struct.Struct:
+            continue
+        body = obj.format[1:]
+        repeats = any(body == unit * (len(body) // len(unit)) for unit in units)
+        if body and repeats:
+            formats.append(obj.format)
+    return formats
+
+
+def copy_of(schema: Schema) -> Schema:
+    """An equal schema built from scratch."""
+    return Schema(
+        tuple(
+            Column(column.name, column.type, column.width)
+            for column in schema.columns
+        ),
+        primary_key=schema.primary_key,
+    )
+
+
+class TestSharedFormats:
+    """Every codec of a layout decodes with the same compiled formats."""
+
+    def test_equal_schemas_share_compiled_formats(self, tmp_path):
+        first = RecordCodec(copy_of(SCHEMA))
+        second = HeapFile(
+            str(tmp_path / "r.heap"), copy_of(SCHEMA), BufferPool(), PAGE_SIZE
+        ).codec
+        assert first.schema is not second.schema
+        assert first._struct is second._struct
+        assert first._batch_struct(64) is second._batch_struct(64)
+        assert first._column_struct(2, 16) is second._column_struct(2, 16)
+
+    def test_formats_do_not_grow_with_hybrid_branches(self, tmp_path):
+        """Each hybrid branch decodes its own head segment, a heap file of
+        its own; thirty branches hold the formats one branch holds."""
+        units = layout_units(SCHEMA)
+
+        def scan_branches(directory: str, branches: int) -> list[str]:
+            db = Decibel(directory, engine="hybrid", page_size=1024)
+            relation = db.create_relation("R", SCHEMA)
+            relation.init([make_record(key) for key in range(300)])
+            for number in range(branches):
+                branch = f"b{number}"
+                relation.branch(branch, from_branch="master")
+                for key in range(1000, 1020):
+                    relation.insert(branch, make_record(key))
+                relation.commit(branch, "rows")
+            for number in range(branches):
+                scan = db.query(f"SELECT * FROM R WHERE R.Version = 'b{number}'")
+                assert len(scan) == 320
+                picked = db.query(
+                    f"SELECT * FROM R WHERE R.Version = 'b{number}' AND R.qty = 3"
+                )
+                assert len(picked) == 43 + 3
+            formats = live_layout_formats(units)
+            db.close()
+            return formats
+
+        alone = scan_branches(str(tmp_path / "one"), 1)
+        many = scan_branches(str(tmp_path / "many"), 30)
+        assert len(set(many)) == len(many)
+        assert len(many) == len(alone)
+
+    def test_concurrent_first_decodes_share_one_format_each(self, tmp_path):
+        """Threads decoding distinct heaps of a layout nobody has decoded
+        yet get the serial answers and the same compiled objects."""
+        schema = Schema(
+            (
+                Column("id", ColumnType.INT),
+                Column("qty", ColumnType.INT32),
+                Column("tag", ColumnType.STRING, 29),
+            ),
+            primary_key="id",
+        )
+        rows = [Record((key, key % 7, f"t{key}")) for key in range(61)]
+        paths = [str(tmp_path / f"h{number}.heap") for number in range(6)]
+        for path in paths:
+            heap = HeapFile(path, schema, BufferPool(), 1024)
+            for row in rows:
+                heap.append(row)
+            heap.flush()
+
+        def decode(heap: HeapFile) -> tuple:
+            pages = [heap.page(number) for number in range(heap.num_pages)]
+            return (
+                [page.records() for page in pages],
+                [
+                    tuple(list(column) for column in page.columns_view())
+                    for page in pages
+                ],
+                [
+                    list(
+                        heap.codec.decode_column(
+                            page.raw_data(), 2, 4, page.num_records
+                        )
+                    )
+                    for page in pages
+                ],
+            )
+
+        heaps = [HeapFile(path, schema, BufferPool(), 1024) for path in paths]
+        assert compiled_counts(heaps[0].codec._record_fmt) == {1}
+        barrier = threading.Barrier(len(heaps))
+        results: dict[int, tuple] = {}
+        held: dict[int, list] = {}
+        errors: list[BaseException] = []
+        # 61 records are pages of 24, 24 and 13: chunks of 16, 8, 4 and 1.
+        counts = (16, 8, 4, 1)
+
+        def reader(number: int) -> None:
+            try:
+                barrier.wait(timeout=30)
+                codec = heaps[number].codec
+                results[number] = decode(heaps[number])
+                held[number] = [codec._struct] + [
+                    make(count)
+                    for count in counts
+                    for make in (
+                        codec._batch_struct,
+                        lambda count: codec._column_struct(2, count),
+                    )
+                ]
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(number,))
+                for number in range(len(heaps))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        serial = decode(HeapFile(paths[0], schema, BufferPool(), 1024))
+        assert all(results[number] == serial for number in range(len(heaps)))
+        for number in range(1, len(heaps)):
+            assert all(
+                mine is first for mine, first in zip(held[number], held[0])
+            )
+        formats = live_layout_formats(layout_units(schema))
+        assert len(formats) == len(set(formats))
 
 
 class TestPoolBudget:
