@@ -477,8 +477,8 @@ DIRECT_WRITE_ALLOWED = (
 #: through ``append_framed`` (CRC framing, fsync, directory fsync).
 DIRECT_APPEND_ALLOWED = (
     "repro/core/durable.py",  # append_framed itself
-    # The WAL buffers framed records without an fsync and makes them
-    # durable with one group-commit fsync, which reopens the file.
+    # The WAL buffers framed records through one open append handle and
+    # makes them durable with one group-commit fsync of that handle.
     "repro/core/wal.py",
 )
 

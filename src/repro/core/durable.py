@@ -18,9 +18,11 @@ Append-only logs (the WAL, the version-graph log) share one record framing,
 :func:`frame`: CRC32 of the payload and its length, then the payload.
 :func:`append_framed` writes one record with one fsync
 (crashpoint ``{label}-pre-fsync``), so the per-commit metadata costs
-O(delta), not a rewrite of the whole file.  :func:`read_framed` is the one
-reader for all of them; it truncates a torn tail and raises on corruption
-followed by readable records.
+O(delta), not a rewrite of the whole file.  :func:`iter_framed` (and
+:func:`read_framed`, its list form) is the one open-time reader for all of
+them; it truncates a torn tail and raises on corruption followed by
+readable records.  :func:`frames` splits bytes already in memory into
+payloads and never repairs anything.
 
 JSON metadata is additionally wrapped in a CRC envelope
 (``{"crc32": ..., "data": ...}``) by :func:`dump_checked_json`;
@@ -40,6 +42,7 @@ import json
 import os
 import struct
 import zlib
+from typing import Generator, Iterator
 
 from repro.errors import CorruptionError
 from repro.testing.faults import check_crashed, crashpoint
@@ -114,52 +117,63 @@ def append_framed(path: str, payload: bytes, label: str | None = None) -> None:
         fsync_dir(os.path.dirname(os.path.abspath(path)))
 
 
-def read_framed(path: str, description: str = "record log") -> list[bytes]:
-    """Read every complete record of an :func:`append_framed` log.
+def frames(
+    data: bytes | bytearray, path: str = "<memory>", description: str = "record log"
+) -> Generator[bytes, None, tuple[int, CorruptionError | None]]:
+    """Yield the payload of every complete, checksummed frame of ``data``.
 
-    A torn or corrupt tail is truncated away (with a recovery note); in
-    strict mode a corrupt record *followed by* bytes that still parse as a
-    valid record raises, since truncating would discard readable data.
+    Stops at the first torn or corrupt frame and never touches a file: the
+    generator's return value is the offset it stopped at and the error that
+    stopped it (``None`` at a clean end), which :func:`iter_framed` uses to
+    repair the file.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    records: list[bytes] = []
     offset = 0
-    error: CorruptionError | None = None
     while offset < len(data):
         if offset + _FRAME.size > len(data):
-            error = CorruptionError(
+            return offset, CorruptionError(
                 path,
                 f"torn {description} record header",
                 offset=offset,
                 expected=_FRAME.size,
                 actual=len(data) - offset,
             )
-            break
         crc, length = _FRAME.unpack_from(data, offset)
         body_start = offset + _FRAME.size
         if body_start + length > len(data):
-            error = CorruptionError(
+            return offset, CorruptionError(
                 path,
                 f"torn {description} record payload",
                 offset=offset,
                 expected=length,
                 actual=len(data) - body_start,
             )
-            break
         payload = data[body_start : body_start + length]
         actual_crc = zlib.crc32(payload)
         if actual_crc != crc:
-            error = CorruptionError(
+            return offset, CorruptionError(
                 path,
                 f"{description} record CRC32 mismatch",
                 offset=offset,
                 expected=crc,
                 actual=actual_crc,
             )
-            break
-        records.append(payload)
+        yield payload
         offset = body_start + length
+    return offset, None
+
+
+def iter_framed(path: str, description: str = "record log") -> Iterator[bytes]:
+    """Yield every complete record of an :func:`append_framed` log, in order.
+
+    Once the last complete record has been yielded, a torn or corrupt tail
+    is truncated away (with a recovery note); in strict mode a corrupt
+    record *followed by* bytes that still parse as a valid record raises
+    instead, since truncating would discard readable data.  The repair runs
+    only when the iteration is exhausted.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    offset, error = yield from frames(data, path, description)
     if error is not None:
         if strict_recovery() and _frame_parses_beyond(data, offset):
             raise error
@@ -167,7 +181,12 @@ def read_framed(path: str, description: str = "record log") -> list[bytes]:
         with open(path, "rb") as handle:
             os.fsync(handle.fileno())
         add_recovery_note(f"truncated torn {description} tail: {error}")
-    return records
+
+
+def read_framed(path: str, description: str = "record log") -> list[bytes]:
+    """Every complete record of an :func:`append_framed` log, tail repaired
+    as :func:`iter_framed` repairs it."""
+    return list(iter_framed(path, description))
 
 
 def _frame_parses_beyond(data: bytes, offset: int) -> bool:

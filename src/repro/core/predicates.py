@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Collection
 
 from repro.core.record import Record
@@ -114,15 +114,23 @@ def _compile_column_cached(schema: Schema, predicate: Predicate):
         )
     else:
         source = f"lambda _cols, _n, _c: [_i for _i in range(_n) if {expr}]"
-    # The source is assembled only from validated operator symbols, integer
-    # column indexes and ``_c[i]`` references, never from value reprs.
-    select_fn = eval(  # noqa: S307
+    return partial(_select_function(source), _c=tuple(constants))
+
+
+@lru_cache(maxsize=512)
+def _select_function(source: str):
+    """The selection function ``source`` defines, compiled once per text.
+
+    The source names constants only as ``_c[i]``, so every predicate of one
+    shape (``id = 1``, ``id = 2``, ...) shares one function and binds its
+    own constants.  It is assembled only from validated operator symbols,
+    integer column indexes and ``_c[i]`` references, never from value reprs.
+    """
+    return eval(  # noqa: S307
         source,
         {"__builtins__": {"enumerate": enumerate, "range": range}},
         {},
     )
-    bound = tuple(constants)
-    return lambda columns, num_rows: select_fn(columns, num_rows, bound)
 
 
 @lru_cache(maxsize=512)

@@ -18,7 +18,7 @@ Each record is length-prefixed and checksummed with the shared framing of
     +----------------+----------------+------------------------+
 
 The CRC covers the payload bytes.  On open the log is read through
-:func:`repro.core.durable.read_framed`: a tail that is torn (truncated header
+:func:`repro.core.durable.iter_framed`: a tail that is torn (truncated header
 or payload) or corrupt (CRC mismatch) is *truncated away* rather than
 crashing the very recovery that is supposed to fix things.  Every truncation
 is recorded once, as a recovery note that
@@ -34,8 +34,23 @@ makes the COMMIT record -- and every record buffered before it -- durable
 with one fsync shared by all concurrently committing transactions.  That
 fsync, taken before the storage engine applies anything durable, is the
 commit point; the APPLIED record marks that the engine finished applying, so
-recovery (:func:`WriteAheadLog.replay`) can tell which committed transactions
-still need their WRITE records redone.
+recovery can tell which committed transactions still need their WRITE
+records redone.
+
+In memory
+---------
+
+The framed bytes are the log's only copy of its records.  An append writes
+its frame through the one append handle the log keeps open (an in-memory
+log appends to a ``bytearray`` with the same framing) and keeps no
+:class:`LogRecord`; :meth:`WriteAheadLog.records`, ``len()`` and
+:meth:`WriteAheadLog.replay` decode the bytes when called, and never repair
+a torn tail on a live log.  Opening a log file makes one pass
+(:meth:`WriteAheadLog._load`): it repairs the tail, classifies every
+transaction and keeps decoded WRITE records only for transactions with a
+COMMIT and no APPLIED -- a transaction's writes are dropped as soon as its
+APPLIED or ABORT frame is read.  :meth:`WriteAheadLog.take_recovery` hands
+that set to :meth:`repro.db.database.Decibel.recover` once.
 """
 
 from __future__ import annotations
@@ -44,9 +59,11 @@ import enum
 import json
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import BinaryIO, Iterable, Iterator
 
-from repro.core.durable import atomic_write, frame, fsync_dir, read_framed
+from repro.core.durable import atomic_write, frame, frames, fsync_dir, iter_framed
 from repro.testing.faults import check_crashed, crashpoint
 
 
@@ -120,19 +137,79 @@ class RecoveryReport:
 
     @property
     def needs_redo(self) -> set[int]:
-        """Committed transactions whose application was not confirmed durable."""
-        return self.committed - self.applied
+        """Committed transactions whose application was not confirmed durable.
+
+        A transaction with an ABORT record is never redone, even after its
+        COMMIT: its committer saw the commit fail.
+        """
+        return self.committed - self.applied - self.aborted
+
+
+#: What recovery acts on: the classification of every transaction, and the
+#: WRITE records, in log order, of each transaction it must redo.
+Recovery = tuple[RecoveryReport, dict[int, list[LogRecord]]]
+
+
+def _classify(
+    payloads: Iterable[bytes],
+) -> tuple[RecoveryReport, dict[int, list[LogRecord]], int]:
+    """One pass over a log's payloads, decoding one record at a time.
+
+    Returns the classification of every transaction, the WRITE records of
+    each transaction that needs redo, and the highest transaction id.  A
+    transaction's WRITE records are held only while its fate is open: its
+    APPLIED or ABORT record drops them, and those of a transaction that
+    never committed are dropped at the end.
+    """
+    report = RecoveryReport()
+    writes: dict[int, list[LogRecord]] = {}
+    highest = 0
+    for payload in payloads:
+        record = LogRecord.from_json(payload.decode("utf-8"))
+        txn = record.transaction_id
+        highest = max(highest, txn)
+        kind = record.type
+        if kind is LogRecordType.WRITE:
+            writes.setdefault(txn, []).append(record)
+        elif kind is LogRecordType.BEGIN:
+            report.in_flight.add(txn)
+        elif kind is LogRecordType.COMMIT:
+            report.in_flight.discard(txn)
+            report.committed.add(txn)
+        elif kind is LogRecordType.APPLIED:
+            report.applied.add(txn)
+            writes.pop(txn, None)
+        elif kind is LogRecordType.ABORT:
+            report.in_flight.discard(txn)
+            report.aborted.add(txn)
+            writes.pop(txn, None)
+    redo = {txn: writes[txn] for txn in report.needs_redo if txn in writes}
+    return report, redo, highest
 
 
 class WriteAheadLog:
-    """Append-only log, either purely in memory or backed by a file."""
+    """Append-only log, either purely in memory or backed by a file.
+
+    The framed bytes are the log's only copy of its records: appends keep
+    no :class:`LogRecord`, and :meth:`records`, :meth:`__len__` and
+    :meth:`replay` decode what the log has written when they are called.
+    An in-memory log keeps its frames in a ``bytearray``; a file-backed
+    log keeps them in its file.
+    """
 
     def __init__(self, path: str | None = None):
         self.path = path
-        self._records: list[LogRecord] = []
-        # Concurrency: _mutex serializes file appends and _records mutation;
-        # _sync_cond coordinates group commit (followers wait on it until the
-        # leader's fsync covers their record).  Sequence numbers count
+        #: The frames of an in-memory log (``None`` for a file-backed one).
+        self._buffer: bytearray | None = bytearray() if path is None else None
+        #: A file-backed log's append handle: opened by the first append
+        #: and closed when a checkpoint renames a new file over the log.
+        self._handle: BinaryIO | None = None
+        self._max_transaction_id = 0
+        #: The open-time pass's findings, until recovery takes them.
+        self._opened: Recovery | None = None
+        # Concurrency: _mutex serializes appends and reads of the frames;
+        # _sync_cond coordinates group commit (followers wait on it until
+        # the leader's fsync covers their record).  Sequence numbers count
         # appended records: _synced_seq <= _written_seq always, and a record
         # with seq <= _synced_seq is durably on disk.
         self._mutex = threading.Lock()
@@ -154,13 +231,16 @@ class WriteAheadLog:
         return cls(path=None)
 
     def __len__(self) -> int:
-        return len(self._records)
+        with self._mutex:
+            return sum(1 for _ in self._payloads())
 
     # -- loading --------------------------------------------------------------
 
     def _load(self, path: str) -> None:
-        for payload in read_framed(path, "WAL"):
-            self._records.append(LogRecord.from_json(payload.decode("utf-8")))
+        """The open-time pass: repair a torn tail, classify every
+        transaction and keep only the writes recovery must redo."""
+        report, redo, self._max_transaction_id = _classify(iter_framed(path, "WAL"))
+        self._opened = (report, redo)
 
     # -- writing --------------------------------------------------------------
 
@@ -202,13 +282,15 @@ class WriteAheadLog:
             # crash injected before the fsync never marks records durable.
             # The fsync runs outside ``_mutex`` so other committers keep
             # appending meanwhile; the next leader's fsync covers them all.
+            # No checkpoint or close replaces the handle while this thread
+            # leads.
             synced_to = 0
             try:
                 with self._mutex:
                     target = self._written_seq
+                    handle = self._append_handle()
                     crashpoint("wal-group-commit-pre-fsync", path=self.path)
-                with open(self.path, "ab") as handle:
-                    os.fsync(handle.fileno())
+                os.fsync(handle.fileno())
                 self.fsync_count += 1
                 self.group_batches += 1
                 synced_to = target
@@ -219,20 +301,53 @@ class WriteAheadLog:
                     self._sync_cond.notify_all()
 
     def _write_record(self, record: LogRecord) -> int:
-        """Write ``record`` to the file (no fsync) and return its sequence."""
+        """Write ``record``'s frame (no fsync) and return its sequence."""
+        data = frame(record.to_json().encode("utf-8"))
         with self._mutex:
-            if self.path is not None:
-                created = not os.path.exists(self.path)
-                with open(self.path, "ab") as handle:
-                    handle.write(frame(record.to_json().encode("utf-8")))
-                    handle.flush()
-                if created:
-                    # First append creates the file; fsync the directory so
-                    # the log's directory entry survives a crash too.
-                    fsync_dir(os.path.dirname(os.path.abspath(self.path)))
-            self._records.append(record)
+            if self._buffer is not None:
+                self._buffer += data
+            else:
+                handle = self._append_handle()
+                handle.write(data)
+                handle.flush()
+            self._max_transaction_id = max(
+                self._max_transaction_id, record.transaction_id
+            )
             self._written_seq += 1
             return self._written_seq
+
+    def _append_handle(self) -> BinaryIO:
+        """The log file's append handle, opened on first use (caller holds
+        ``_mutex``)."""
+        if self._handle is None:
+            assert self.path is not None
+            created = not os.path.exists(self.path)
+            self._handle = open(self.path, "ab")
+            if created:
+                # First append creates the file; fsync the directory so the
+                # log's directory entry survives a crash too.
+                fsync_dir(os.path.dirname(os.path.abspath(self.path)))
+        return self._handle
+
+    @contextmanager
+    def _leading(self) -> Iterator[None]:
+        """Hold sync leadership: no group fsync runs until the block ends."""
+        with self._sync_cond:
+            while self._sync_leader_active:
+                self._sync_cond.wait()
+            self._sync_leader_active = True
+        try:
+            yield
+        finally:
+            with self._sync_cond:
+                self._sync_leader_active = False
+                self._sync_cond.notify_all()
+
+    def _close_handle(self) -> None:
+        """Close the append handle; the next append reopens the file."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def checkpoint(self) -> None:
         """Write a checkpoint record and drop everything before it.
@@ -243,56 +358,76 @@ class WriteAheadLog:
         """
         check_crashed()
         checkpoint = LogRecord(LogRecordType.CHECKPOINT, transaction_id=0)
-        with self._mutex:
-            if self.path is not None:
-                atomic_write(
-                    self.path,
-                    frame(checkpoint.to_json().encode("utf-8")),
-                    label="wal-checkpoint",
-                )
-            self._records = [checkpoint]
-        # The rename made the whole log durable.
-        with self._sync_cond:
-            self._synced_seq = self._written_seq
-            self._sync_cond.notify_all()
+        data = frame(checkpoint.to_json().encode("utf-8"))
+        with self._leading():
+            with self._mutex:
+                if self._buffer is not None:
+                    self._buffer = bytearray(data)
+                else:
+                    atomic_write(self.path, data, label="wal-checkpoint")
+                    # The handle still points at the replaced file.
+                    self._close_handle()
+                self._max_transaction_id = 0
+                written = self._written_seq
+            # The rename made the whole log durable.
+            with self._sync_cond:
+                self._synced_seq = written
+
+    def close(self) -> None:
+        """Close the log file; a later append reopens it."""
+        with self._leading(), self._mutex:
+            self._close_handle()
 
     # -- reading --------------------------------------------------------------
 
+    def _payloads(self) -> Iterator[bytes]:
+        """The payload of every complete frame written so far (caller holds
+        ``_mutex``).  A torn tail ends the frames; it is never repaired
+        here, only by the open-time pass."""
+        if self._buffer is not None:
+            return frames(self._buffer)
+        assert self.path is not None
+        try:
+            with open(self.path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return iter(())
+        return frames(data, self.path, "WAL")
+
     def records(self) -> list[LogRecord]:
-        """All records currently in the log, oldest first."""
+        """All records currently in the log, oldest first, decoded now."""
         with self._mutex:
-            return list(self._records)
+            return [
+                LogRecord.from_json(payload.decode("utf-8"))
+                for payload in self._payloads()
+            ]
 
     def max_transaction_id(self) -> int:
-        """Highest transaction id seen in the log (0 when empty)."""
-        return max((r.transaction_id for r in self._records), default=0)
+        """Highest transaction id in the log (0 when empty or just
+        checkpointed)."""
+        return self._max_transaction_id
 
     def replay(self) -> RecoveryReport:
-        """Classify every transaction seen in the log.
+        """Classify every transaction in the log, decoding its bytes now.
 
         The report carries no notes of its own: a torn tail repaired while
         opening the log is a recovery note like any other durable file's,
         which :meth:`repro.db.database.Decibel.recover` adds once.
         """
-        report = RecoveryReport()
-        for record in self._records:
-            txn = record.transaction_id
-            if record.type is LogRecordType.BEGIN:
-                report.in_flight.add(txn)
-            elif record.type is LogRecordType.COMMIT:
-                report.in_flight.discard(txn)
-                report.committed.add(txn)
-            elif record.type is LogRecordType.APPLIED:
-                report.applied.add(txn)
-            elif record.type is LogRecordType.ABORT:
-                report.in_flight.discard(txn)
-                report.aborted.add(txn)
+        with self._mutex:
+            report, _, _ = _classify(self._payloads())
         return report
 
-    def writes_for(self, transaction_id: int) -> list[LogRecord]:
-        """The WRITE records of one transaction, in log order."""
-        return [
-            r
-            for r in self._records
-            if r.transaction_id == transaction_id and r.type is LogRecordType.WRITE
-        ]
+    def take_recovery(self) -> Recovery:
+        """The classification and redo writes recovery acts on.
+
+        The open-time pass's findings are handed over once, so the log holds
+        no decoded record after recovery; any later call classifies the
+        bytes the log holds then.
+        """
+        with self._mutex:
+            opened, self._opened = self._opened, None
+            if opened is None:
+                report, redo, _ = _classify(self._payloads())
+                return report, redo
+        return opened

@@ -206,8 +206,9 @@ class Decibel:
            hybrid: bitmaps reset to the head-commit snapshots) or physically
            discarded (version-first: head segments truncated to the committed
            offset).
-        2. The WAL is replayed: committed transactions missing their APPLIED
-           confirmation are redone write by write (idempotently) and
+        2. The WAL's open-time pass is acted on: committed transactions
+           missing their APPLIED confirmation -- the only ones whose WRITE
+           records the pass kept -- are redone write by write (idempotently) and
            re-committed on each branch they changed; in-flight and aborted
            transactions are ignored -- step 1 already erased them.  A
            committed transaction with a write its schema rejects (logged
@@ -222,9 +223,9 @@ class Decibel:
             relation = self.relation(name)
             if relation.engine.has_persistent_state():
                 relation.engine.load_persistent_state()
-        report = self.wal.replay()
+        report, redo = self.wal.take_recovery()
         for txn_id in sorted(report.needs_redo):
-            writes = self.wal.writes_for(txn_id)
+            writes = redo.pop(txn_id, [])
             try:
                 for record in writes:
                     if record.relation in known:
@@ -491,6 +492,7 @@ class Decibel:
                     self._drain.wait(remaining)
             for relation in self._relations.values():
                 relation.engine.close()
+            self.wal.close()
             self._closed = True
 
     def __enter__(self) -> "Decibel":

@@ -10,6 +10,7 @@ from repro.core.predicates import (
     Not,
     Or,
     TruePredicate,
+    _select_function,
     column_filter_columns,
     compile_column_filter,
     compile_predicate,
@@ -140,3 +141,44 @@ class TestUncachedCompiles:
         select = compile_column_filter(predicate, schema)
         assert select([[5, 6, 7], [1, 1, 0]], 3) == [0]
         assert column_filter_columns(predicate, schema) == {0, 1}
+
+
+class TestSharedSelectFunctions:
+    """One compiled select function per expression shape; each predicate
+    binds its own constants."""
+
+    def test_point_lookups_share_one_function(self, schema):
+        first = compile_column_filter(ColumnPredicate("id", "=", 1), schema)
+        second = compile_column_filter(ColumnPredicate("id", "=", 2), schema)
+        assert first.func is second.func
+        columns = [[2, 1, 3, 1], [0, 0, 0, 0]]
+        assert first(columns, 4) == [1, 3]
+        assert second(columns, 4) == [0]
+
+    def test_shapes_compile_once_per_source(self, schema):
+        _select_function.cache_clear()
+        for key in range(10**9, 10**9 + 50):
+            compile_column_filter(ColumnPredicate("c2", ">=", key), schema)
+        assert _select_function.cache_info().currsize == 1
+
+    def test_key_set_terms_share_and_bind_their_own_keys(self, schema):
+        first = compile_column_filter(
+            And(KeySetPredicate("id", {5, 7}), ColumnPredicate("c1", ">", 0)),
+            schema,
+        )
+        second = compile_column_filter(
+            And(KeySetPredicate("id", {6}), ColumnPredicate("c1", ">", 0)),
+            schema,
+        )
+        assert first.func is second.func
+        columns = [[5, 6, 7], [1, 1, 0]]
+        assert first(columns, 3) == [0]
+        assert second(columns, 3) == [1]
+
+    def test_unhashable_constants_share_and_bind_their_own(self, schema):
+        first = compile_column_filter(ColumnPredicate("c1", "<", Below(2)), schema)
+        second = compile_column_filter(ColumnPredicate("c1", "<", Below(9)), schema)
+        assert first.func is second.func
+        columns = [[0, 1, 2], [1, 5, 8]]
+        assert first(columns, 3) == [0]
+        assert second(columns, 3) == [0, 1, 2]
