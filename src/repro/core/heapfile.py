@@ -227,7 +227,11 @@ class HeapFile:
         record_id = RecordId(tail.page_id.page_number, slot)
         self._num_records += 1
         if tail.is_full:
-            self._write_tail(tail)
+            fd = os.open(self.path, os.O_WRONLY)
+            try:
+                self._write_tail(tail, fd)
+            finally:
+                os.close(fd)
             self.buffer_pool.put_page(tail)
             self._num_full_pages += 1
             self._tail_page = None
@@ -240,24 +244,28 @@ class HeapFile:
 
     def flush(self) -> None:
         """Write the tail's new records (if any) and fsync everything
-        written so far.
+        written so far, through one descriptor.
 
-        Engine commits flush storage *before* recording a commit snapshot, so
-        the fsync here is what guarantees a snapshot never references records
-        still sitting in the OS page cache.  Files with no writes since the
-        last flush skip the fsync.
+        Engine commits flush the heaps a branch's state can reference
+        *before* recording its commit snapshot, so the fsync here is what
+        guarantees a snapshot never references records still sitting in
+        memory or in the OS page cache.  Files with no writes since the last
+        flush skip the open and the fsync.
         """
         tail = self._tail_page
-        if tail is not None and tail.num_records > self._tail_written:
-            self._write_tail(tail)
-        if self._os_dirty:
-            fd = os.open(self.path, os.O_WRONLY)
-            try:
-                crashpoint("heap-flush-pre-fsync", path=self.path)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            self._os_dirty = False
+        if tail is not None and tail.num_records == self._tail_written:
+            tail = None  # nothing new to write
+        if tail is None and not self._os_dirty:
+            return
+        fd = os.open(self.path, os.O_WRONLY)
+        try:
+            if tail is not None:
+                self._write_tail(tail, fd)
+            crashpoint("heap-flush-pre-fsync", path=self.path)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        self._os_dirty = False
 
     def truncate_records(self, count: int) -> None:
         """Physically discard every record after the first ``count``.
@@ -395,22 +403,17 @@ class HeapFile:
             add_recovery_note(f"quarantined corrupt heap page: {error}")
             return Page(page_id, self.codec, self.page_size)
 
-    def _write_tail(self, page: Page) -> None:
+    def _write_tail(self, page: Page, fd: int) -> None:
         """Write the tail ``page``'s records not on disk yet -- its image
         from the first unwritten record on, which for a page that has
-        filled runs to the page size -- then its record count."""
+        filled runs to the page size -- then its record count, through the
+        open descriptor ``fd``."""
         check_crashed()
         count = page.num_records
         first = PAGE_HEADER.size + self._tail_written * self.codec.record_size
-        data = page.raw_data()[first:]
         start = page.page_id.page_number * self.page_size
-        offset = start + first
-        fd = os.open(self.path, os.O_WRONLY)
-        try:
-            os.pwrite(fd, data, offset)
-            os.pwrite(fd, PAGE_HEADER.pack(count), start)
-        finally:
-            os.close(fd)
+        os.pwrite(fd, page.raw_data()[first:], start + first)
+        os.pwrite(fd, PAGE_HEADER.pack(count), start)
         self._tail_written = count
         self._os_dirty = True
 

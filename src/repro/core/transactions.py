@@ -33,8 +33,6 @@ before re-running the engine commit.
 from __future__ import annotations
 
 import enum
-import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -261,11 +259,13 @@ class Transaction:
 
     def _lock_branch(self, branch: str) -> None:
         # A request-scoped deadline caps the lock wait: no transaction blocks
-        # on a branch lock longer than its request has left to live.
+        # on a branch lock longer than its request has left to live.  The
+        # database's relations share one lock manager and each has its own
+        # branches, so the lock names the relation too.
         checkpoint()
         self.manager.lock_manager.acquire(
             self.transaction_id,
-            f"branch:{branch}",
+            f"branch:{self.manager.relation or ''}/{branch}",
             LockMode.EXCLUSIVE,
             timeout=remaining_time(),
         )
@@ -282,8 +282,9 @@ class TransactionManager:
 
     ``relation`` stamps every log record this manager writes, so a shared
     database-level WAL can route records back to the right engine during
-    recovery.  Transaction ids resume after the highest id already in the
-    log, so ids stay unique across restarts.
+    recovery.  Transaction ids come from the log
+    (:meth:`~repro.core.wal.WriteAheadLog.allocate_transaction_id`), so they
+    stay unique across the relations sharing it and across restarts.
     """
 
     def __init__(
@@ -301,14 +302,10 @@ class TransactionManager:
         #: dropped; the engine encodes the record again when it applies it)
         #: and each logged write before recovery redoes it.
         self.codec = RecordCodec(engine.schema)
-        self._ids = itertools.count(self.wal.max_transaction_id() + 1)
-        self._ids_lock = threading.Lock()
 
     def begin(self) -> Transaction:
         """Start a new transaction."""
-        with self._ids_lock:
-            transaction_id = next(self._ids)
-        return Transaction(transaction_id, self)
+        return Transaction(self.wal.allocate_transaction_id(), self)
 
     def active_transaction(self) -> Transaction:
         """Alias of :meth:`begin` kept for API symmetry with sessions."""

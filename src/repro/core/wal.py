@@ -205,6 +205,8 @@ class WriteAheadLog:
         #: and closed when a checkpoint renames a new file over the log.
         self._handle: BinaryIO | None = None
         self._max_transaction_id = 0
+        #: The last id :meth:`allocate_transaction_id` handed out.
+        self._last_allocated_id = 0
         #: The open-time pass's findings, until recovery takes them.
         self._opened: Recovery | None = None
         # Concurrency: _mutex serializes appends and reads of the frames;
@@ -401,6 +403,20 @@ class WriteAheadLog:
                 LogRecord.from_json(payload.decode("utf-8"))
                 for payload in self._payloads()
             ]
+
+    def allocate_transaction_id(self) -> int:
+        """A transaction id no other transaction of this log holds: above
+        every id handed out since the log opened and every id it holds.
+
+        Every transaction manager sharing the log (one per relation) takes
+        its ids here, so two relations' transactions never share a lock
+        owner or a WAL identity.  A checkpoint does not restart the count.
+        """
+        with self._mutex:
+            self._last_allocated_id = (
+                max(self._last_allocated_id, self._max_transaction_id) + 1
+            )
+            return self._last_allocated_id
 
     def max_transaction_id(self) -> int:
         """Highest transaction id in the log (0 when empty or just

@@ -722,7 +722,7 @@ class VersionedStorageEngine(ABC):
         self._load_storage()
 
     def flush(self) -> None:
-        """Persist any buffered pages and metadata."""
+        """Persist every heap's buffered records, then the graph."""
         # Gated: a commit's graph event is never saved before its state is set.
         with self.commit_gate:
             self._flush_storage()
@@ -769,7 +769,7 @@ class VersionedStorageEngine(ABC):
             self.graph.set_branch_state(name, state)
             self.stats.branches_created += 1
             # The graph frame is the branch's commit point.
-            self._flush_storage()
+            self._flush_storage(name)
             self._persist_graph()
 
     def commit(self, branch: str, message: str = "") -> str:
@@ -788,9 +788,13 @@ class VersionedStorageEngine(ABC):
     def _commit_durably(self, branch: str, commit_id: str) -> None:
         """Make a just-created commit durable, in crash-safe order.
 
-        1. flush storage -- record data reaches the disk first, so a commit
-           snapshot can never reference bytes that were lost with the page
-           cache;
+        1. flush the heaps ``branch``'s state can reference -- record data
+           reaches the disk first, so a commit snapshot can never reference
+           bytes that were lost with the page cache.  Other branches'
+           pending appends stay in memory: no state of ``branch`` can
+           reference them, and they reach the disk at the commit of a
+           branch whose state does (their own, or a merge's target), or at
+           :meth:`flush`;
         2. record the commit snapshot in memory; the state the engine
            returns (a segment offset, the changed bitmaps' deltas) rides in
            the commit's graph event;
@@ -801,7 +805,7 @@ class VersionedStorageEngine(ABC):
         Indexes take no part: pk indexes are derived data, rebuilt from the
         recovered storage on first use after a reopen.
         """
-        self._flush_storage()
+        self._flush_storage(branch)
         self.graph.set_commit_state(
             commit_id, self._record_commit_state(branch, commit_id)
         )
@@ -1329,8 +1333,11 @@ class VersionedStorageEngine(ABC):
         """
 
     @abstractmethod
-    def _flush_storage(self) -> None:
-        """Flush engine-specific files."""
+    def _flush_storage(self, branch: str | None = None) -> None:
+        """Write and fsync the heaps ``branch``'s state can reference: every
+        heap holding a record live in it, or behind its branch point, and
+        the head it appends to.  With no branch, every heap (:meth:`flush`,
+        :meth:`close`)."""
 
     def _load_storage(self) -> None:
         """Reload engine-specific storage state from disk.

@@ -173,9 +173,7 @@ class HybridEngine(VersionedStorageEngine):
         sequence = self.graph.get_commit(commit_id).sequence
         histories = self._histories.setdefault(branch, {})
         deltas: dict[str, str] = {}
-        for segment_id in sorted(
-            self._branch_segments[branch] | {self._head_segment[branch]}
-        ):
+        for segment_id in self._branch_scope(branch):
             local = self._local_bitmaps[segment_id]
             snapshot = (
                 local.branch_bitmap(branch) if local.has_branch(branch) else Bitmap()
@@ -267,8 +265,15 @@ class HybridEngine(VersionedStorageEngine):
 
         return self._fetch_located(branch, keys, locate)
 
-    def _flush_storage(self) -> None:
-        self.segments.flush()
+    def _branch_scope(self, branch: str) -> list[str]:
+        """The segments ``branch``'s state can reference, in id order: its
+        head and every segment where a record is live in it.  Each write
+        that sets a live bit (insert, a fork's or a restore's bitmaps, a
+        merge sharing a source copy) adds the bit's segment."""
+        return sorted(self._branch_segments[branch] | {self._head_segment[branch]})
+
+    def _flush_storage(self, branch: str | None = None) -> None:
+        self.segments.flush(None if branch is None else self._branch_scope(branch))
 
     def close(self) -> None:
         """Flush, release cached pages and drop the derived key index,

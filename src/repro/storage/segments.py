@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.buffer_pool import BufferPool
 from repro.core.durable import fsync_dir
@@ -164,11 +164,14 @@ class SegmentSet:
 
     # -- maintenance ----------------------------------------------------------------
 
-    def flush(self) -> None:
-        """Flush every segment's heap file, and the directory entries of
-        segments created since the last flush."""
-        for segment in self._segments.values():
-            segment.heap.flush()
+    def flush(self, segment_ids: Iterable[str] | None = None) -> None:
+        """Flush the heap files of ``segment_ids`` (default: every segment),
+        and the directory entries of all segments created since the last
+        flush.  A segment left out keeps its unflushed records in memory."""
+        if segment_ids is None:
+            segment_ids = self._segments
+        for segment_id in segment_ids:
+            self._segments[segment_id].heap.flush()
         if self._created:
             fsync_dir(self.directory)
             self._created = False

@@ -106,7 +106,8 @@ class TupleFirstEngine(VersionedStorageEngine):
             self.bitmap_index.branch_bitmap(branch),
         )
 
-    def _flush_storage(self) -> None:
+    def _flush_storage(self, branch: str | None = None) -> None:
+        # Every branch's records share the one heap.
         self.heap.flush()
 
     def close(self) -> None:

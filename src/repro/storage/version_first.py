@@ -130,8 +130,15 @@ class VersionFirstEngine(VersionedStorageEngine):
         segment_id = self._head_segment[branch]
         return segment_id, self.segments.get(segment_id).record_count
 
-    def _flush_storage(self) -> None:
-        self.segments.flush()
+    def _flush_storage(self, branch: str | None = None) -> None:
+        # A branch reads its own segment and each ancestor behind its branch
+        # points.  An at-head fork's limit counts the parent head's
+        # unflushed records, so the fork flushes them too.
+        chain: list[str] | None = None
+        if branch is not None:
+            head = self._head(branch).segment_id
+            chain = [segment_id for segment_id, _ in self._chain(head, None)]
+        self.segments.flush(chain)
 
     def _load_storage(self) -> None:
         """Replay segment topology from the graph, then roll each branch

@@ -238,6 +238,35 @@ class _CrashWorkloads:
         assert_pk_index_agrees(reopened, "master")
         assert_pk_index_agrees(reopened, "dev")
 
+    def test_other_branch_pending_crash(self, tmp_path, engine, point):
+        """Dev holds unflushed, uncommitted writes while master's commit
+        dies: master reopens at its pre- or post-commit state and dev at its
+        last commit, and dev then writes and commits over intact rows."""
+        db = seed_database(tmp_path, engine)
+        rel = db.relation("t")
+        rel.branch("dev", from_branch="master")
+        rel.insert("dev", record(500, 5))
+        rel.update("dev", record(4, 44))
+        rel.delete("dev", 2)
+        txn = db.transactions("t").begin()
+        txn.insert("master", record(200, 2))
+        self._crash(point, txn)
+        reopened = Decibel.open(str(tmp_path), engine=engine)
+        baseline = set(range(10)) | {100}
+        master = baseline | {200} if self._committed(reopened, txn) else baseline
+        assert live_keys(reopened) == master
+        assert live_keys(reopened, "dev") == baseline, "uncommitted dev writes leaked"
+        txn = reopened.transactions("t").begin()
+        txn.insert("dev", record(600, 6))
+        txn.commit()
+        again = Decibel.open(str(tmp_path), engine=engine)
+        assert live_keys(again) == master
+        assert live_keys(again, "dev") == baseline | {600}
+        for branch in ("master", "dev"):
+            rows = {r.key(SCHEMA): r.values[1] for r in again.relation("t").scan(branch)}
+            assert all(rows[key] == key * 10 for key in range(10)), branch
+            assert_pk_index_agrees(again, branch)
+
     # -- helpers ----------------------------------------------------------
 
     def _crash(self, point, txn):
@@ -397,6 +426,26 @@ def test_create_branch_crash(tmp_path, point, engine, torn_bytes):
     assert_pk_index_agrees(again, "dev")
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fork_over_unflushed_writes_reopens(tmp_path, engine):
+    """A fork at a head holding unflushed, uncommitted writes makes every
+    record the new branch's event references durable (version-first's
+    branch point counts them): a process that dies right after the fork
+    reopens, in either recovery mode, with the two branches agreeing."""
+    db = seed_database(tmp_path, engine)
+    rel = db.relation("t")
+    rel.insert("master", record(500, 5))
+    rel.branch("dev", from_branch="master")
+    del db, rel  # dies without a flush or a close
+    reopened = Decibel.open(str(tmp_path), engine=engine)
+    assert reopened.last_recovery.notes == [], "a fork lost records it references"
+    baseline = set(range(10)) | {100}
+    assert live_keys(reopened) in (baseline, baseline | {500})
+    assert live_keys(reopened, "dev") == live_keys(reopened)
+    assert_pk_index_agrees(reopened, "master")
+    assert_pk_index_agrees(reopened, "dev")
+
+
 def segment_topology(engine):
     return [
         (segment.segment_id, segment.owner_branch, segment.frozen, segment.parents)
@@ -536,6 +585,50 @@ def test_merge_crash(tmp_path, point, engine, torn_bytes):
         r.key(SCHEMA) for r in again.relation("t").checkout(merge_head)
     } == merged
     assert_pk_index_agrees(again, "master")
+
+
+#: (point, engine, torn bytes) for a crash in the commit after a merge:
+#: the heap flush and the graph frame, each whole or torn as their own
+#: matrices tear them.
+AFTER_MERGE_CASES = [
+    (point, engine, torn)
+    for point, torns in (
+        ("heap-flush-pre-fsync", (0, 3, 4)),
+        ("graph-persist-pre-fsync", (0, 3)),
+    )
+    for torn in torns
+    for engine in ENGINES
+]
+
+
+@pytest.mark.parametrize(("point", "engine", "torn_bytes"), AFTER_MERGE_CASES)
+def test_merge_of_an_unflushed_source_survives_a_crash(
+    tmp_path, point, engine, torn_bytes
+):
+    """Dev's writes are neither committed nor flushed when dev merges into
+    master.  The merge commit makes the copies master now reads durable
+    (the bitmap engines share dev's copies rather than copy them), so a
+    crash in a later commit on another branch leaves master merged."""
+    db = seed_database(tmp_path, engine)
+    rel = db.relation("t")
+    rel.branch("dev", from_branch="master")
+    rel.branch("other", from_branch="master")
+    rel.insert("dev", record(300, 3))
+    rel.update("dev", record(5, 55))
+    rel.merge("master", "dev")
+    rel.insert("other", record(700, 7))
+    with pytest.raises(InjectedCrash):
+        with inject(FaultSchedule(point, torn_bytes=torn_bytes)):
+            rel.commit("other")
+    reopened = Decibel.open(str(tmp_path), engine=engine)
+    baseline = set(range(10)) | {100}
+    assert live_keys(reopened) == baseline | {300}
+    rows = {r.key(SCHEMA): r.values[1] for r in reopened.relation("t").scan("master")}
+    assert rows[5] == 55 and rows[300] == 3
+    assert live_keys(reopened, "dev") == baseline
+    assert live_keys(reopened, "other") in (baseline, baseline | {700})
+    assert_pk_index_agrees(reopened, "master")
+    assert_pk_index_agrees(reopened, "dev")
 
 
 @pytest.mark.parametrize("torn_bytes", [0, 3])

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from repro.core.buffer_pool import BufferPool
 from repro.core.durable import read_framed
+from repro.core.heapfile import HeapFile
 from repro.core.record import Record
 from repro.db.database import Decibel
 from repro.errors import CommitNotFoundError
@@ -211,6 +213,78 @@ class TestHybridCommits:
             assert {r.key(schema) for r in engine.scan_commit(emptied)} == {300}
             assert old_head not in engine.checkout_commit_bitmaps(emptied)
         assert {r.key(schema) for r in reopened.scan_branch("dev")} == {300}
+
+
+class TestHybridFlushScope:
+    """A commit forces only the segments its branch's state can reference;
+    other branches' pending appends stay in memory until their own commit
+    or a flush."""
+
+    @staticmethod
+    def twenty_pending_branches(tmp_path, schema):
+        """20 branches off master, each holding one unflushed insert."""
+        db = Decibel(str(tmp_path), engine="hybrid", page_size=SMALL_PAGE_SIZE)
+        rel = db.create_relation("t", schema)
+        rel.init(make_records(20))
+        names = [f"b{i:02d}" for i in range(20)]
+        for name in names:
+            rel.branch(name, from_branch="master")
+        for i, name in enumerate(names):
+            rel.insert(name, Record((100 + i, 0, 0, 0)))
+        return db, rel, names
+
+    @staticmethod
+    def head_path(engine, branch):
+        return engine.segments.get(engine._head_segment[branch]).heap.path
+
+    def test_direct_commit_forces_its_head_and_the_graph_frame(
+        self, tmp_path, schema, monkeypatch
+    ):
+        """With 20 branches pending, a direct commit on one of them fsyncs
+        its head segment and the graph frame, and flushes no heap outside
+        its branch's segments."""
+        db, rel, names = self.twenty_pending_branches(tmp_path, schema)
+        engine = rel.engine
+        fsyncs = []
+        flushed = []
+        real_fsync = os.fsync
+        real_flush = HeapFile.flush
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        def recording_flush(heap):
+            flushed.append(heap.path)
+            real_flush(heap)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        monkeypatch.setattr(HeapFile, "flush", recording_flush)
+        rel.commit("b07")
+        assert len(fsyncs) == 2
+        scope = {
+            engine.segments.get(segment_id).heap.path
+            for segment_id in engine._branch_scope("b07")
+        }
+        assert self.head_path(engine, "b07") in flushed
+        assert set(flushed) <= scope
+        assert len(scope) < len(engine.segments) // 10
+        for name in names:
+            size = os.path.getsize(self.head_path(engine, name))
+            assert (size > 0) is (name == "b07"), name
+
+    @pytest.mark.parametrize("how", ["flush", "close"])
+    def test_flush_and_close_write_every_tail(self, tmp_path, schema, how):
+        """Every branch's pending append is on disk after a flush or a
+        close, whichever branch committed last."""
+        db, rel, names = self.twenty_pending_branches(tmp_path, schema)
+        engine = rel.engine
+        rel.commit("b07")
+        paths = [self.head_path(engine, name) for name in names]
+        getattr(db, how)()
+        for path in paths:
+            written = HeapFile(path, schema, BufferPool(), page_size=SMALL_PAGE_SIZE)
+            assert written.num_records == 1, path
 
 
 class TestHybridMergeSharing:

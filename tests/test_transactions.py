@@ -8,6 +8,7 @@ from repro.core.schema import Schema
 from repro.core.transactions import TransactionManager, TransactionState
 from repro.db.database import Decibel
 from repro.errors import StorageError, TransactionError
+from repro.testing.faults import FaultSchedule, InjectedCrash, inject
 
 from tests.conftest import make_records
 
@@ -142,3 +143,88 @@ def test_failed_commit_leaves_the_head_unchanged(tmp_path, engine):
     assert rows(db) == expected
     db.close()
     assert rows(Decibel.open(str(tmp_path), engine=engine)) == expected
+
+
+def two_relation_database(directory, engine="hybrid"):
+    """Relations ``a`` and ``b`` sharing one database WAL, each seeded
+    with keys 0..4."""
+    db = Decibel(str(directory), engine=engine)
+    for name in ("a", "b"):
+        db.create_relation(name, Schema.of_ints(4)).init(make_records(5))
+    return db
+
+
+def test_transaction_ids_are_unique_across_relations(tmp_path):
+    """Interleaved begins on two relations sharing the log get distinct
+    ids: one id is one lock owner and one WAL identity."""
+    db = two_relation_database(tmp_path)
+    first = db.transactions("a").begin()
+    first.insert("master", Record((100, 1, 1, 1)))
+    first.commit()
+    ids = [
+        db.transactions(name).begin().transaction_id
+        for name in ("b", "a", "b", "a")
+    ]
+    assert len(set(ids + [first.transaction_id])) == 5
+    db.close()
+
+
+def test_relations_lock_their_own_branches(tmp_path):
+    """Transactions of two relations on a branch of the same name hold
+    distinct ids and do not wait for each other's branch lock."""
+    db = two_relation_database(tmp_path)
+    txn_a = db.transactions("a").begin()
+    txn_b = db.transactions("b").begin()
+    txn_a.insert("master", Record((100, 1, 1, 1)))
+    txn_b.insert("master", Record((200, 2, 2, 2)))
+    txn_b.commit()
+    txn_a.commit()
+    for name, key in (("a", 100), ("b", 200)):
+        assert db.relation(name).engine.branch_contains_key("master", key)
+    db.close()
+
+
+@pytest.mark.parametrize("engine", ["tuple-first", "version-first", "hybrid"])
+def test_recovery_redoes_only_the_committed_relation(
+    tmp_path, monkeypatch, engine
+):
+    """Relation ``a``'s transaction commits and dies before it is applied,
+    while relation ``b``'s is in flight (its BEGIN and WRITE frames are in
+    the log, its COMMIT never).  Recovery redoes ``a``'s writes, once, and
+    none of ``b``'s."""
+    db = two_relation_database(tmp_path, engine)
+    db.relation("b").branch("dev", from_branch="master")
+    txn_a = db.transactions("a").begin()
+    txn_b = db.transactions("b").begin()
+    txn_a.insert("master", Record((100, 1, 1, 1)))
+    txn_b.insert("dev", Record((200, 2, 2, 2)))
+    txn_b.insert("dev", Record((201, 2, 2, 2)))
+    engine_b = db.relation("b").engine
+    insert_b = engine_b.insert
+
+    def interleaved_insert(branch, record):
+        # Stands in for a second thread: ``a`` commits while ``b`` is
+        # between its first WRITE frame and its COMMIT.
+        if record.values[0] == 201:
+            txn_a.commit("committed, never applied")
+        insert_b(branch, record)
+
+    monkeypatch.setattr(engine_b, "insert", interleaved_insert)
+    with inject(FaultSchedule("graph-persist-pre-fsync")):
+        with pytest.raises(InjectedCrash):
+            txn_b.commit("in flight")
+    reopened = Decibel.open(str(tmp_path), engine=engine)
+    report = reopened.last_recovery
+    assert report.needs_redo == {txn_a.transaction_id}
+    assert txn_b.transaction_id in report.in_flight
+    keys_a = [r.values[0] for r in reopened.relation("a").scan("master")]
+    assert sorted(keys_a) == [0, 1, 2, 3, 4, 100]
+    for branch in ("master", "dev"):
+        keys_b = {r.values[0] for r in reopened.relation("b").scan(branch)}
+        assert keys_b == {0, 1, 2, 3, 4}
+    reopened.close()
+    again = Decibel.open(str(tmp_path), engine=engine)
+    assert again.last_recovery.needs_redo == set()
+    keys_a = [r.values[0] for r in again.relation("a").scan("master")]
+    assert sorted(keys_a) == [0, 1, 2, 3, 4, 100]
+    again.close()
