@@ -22,7 +22,6 @@ class BranchOrientedBitmapIndex(BitmapIndex):
 
     def __init__(self):
         self._bitmaps: dict[str, Bitmap] = {}
-        self._max_tuple = 0
 
     # -- branch management ----------------------------------------------------
 
@@ -51,39 +50,42 @@ class BranchOrientedBitmapIndex(BitmapIndex):
     # -- bit manipulation -----------------------------------------------------
 
     def set(self, tuple_index: int, branch: str) -> None:
-        self._require_branch(branch)
-        self._bitmaps[branch].set(tuple_index)
-        if tuple_index >= self._max_tuple:
-            self._max_tuple = tuple_index + 1
+        self.live_bitmap(branch).set(tuple_index)
+
+    def set_range(self, start: int, stop: int, branch: str) -> None:
+        self.live_bitmap(branch).set_many(range(start, stop))
 
     def clear(self, tuple_index: int, branch: str) -> None:
-        self._require_branch(branch)
-        self._bitmaps[branch].clear(tuple_index)
-        if tuple_index >= self._max_tuple:
-            self._max_tuple = tuple_index + 1
+        self.live_bitmap(branch).clear(tuple_index)
 
     def is_set(self, tuple_index: int, branch: str) -> bool:
-        self._require_branch(branch)
-        return self._bitmaps[branch].get(tuple_index)
+        return self.live_bitmap(branch).get(tuple_index)
 
     # -- whole-branch views ---------------------------------------------------
 
     def branch_bitmap(self, branch: str) -> Bitmap:
-        self._require_branch(branch)
-        return self._bitmaps[branch].copy()
+        return self.live_bitmap(branch).copy()
+
+    def live_bitmap(self, branch: str) -> Bitmap:
+        """``branch``'s bitmap itself, not a copy: a bit set or cleared
+        through it is set or cleared in the index.  A write path looks it up
+        once and writes through it."""
+        try:
+            return self._bitmaps[branch]
+        except KeyError:
+            self._require_branch(branch)  # raises BranchNotFoundError
+            raise
 
     def live_count(self, branch: str) -> int:
         """The branch bitmap's cached popcount, read in place (no copy)."""
-        self._require_branch(branch)
-        return self._bitmaps[branch].count()
+        return self.live_bitmap(branch).count()
 
     def restore_branch(self, branch: str, bitmap: Bitmap) -> None:
         self._require_branch(branch)
         self._bitmaps[branch] = bitmap.copy()
-        self._max_tuple = max(self._max_tuple, len(bitmap))
 
     def num_tuples(self) -> int:
-        return self._max_tuple
+        return max((len(bitmap) for bitmap in self._bitmaps.values()), default=0)
 
     def size_bytes(self) -> int:
         return sum(bitmap.size_bytes for bitmap in self._bitmaps.values())

@@ -11,9 +11,20 @@ token kinds::
 
 Runs shorter than :data:`MIN_RUN` are folded into literal tokens so the
 encoded form never grows by more than a few percent on incompressible input.
+
+The encoder makes every maximal run of at least :data:`MIN_RUN` equal bytes
+one run token and the bytes between two runs one literal token.  It finds
+the runs with two compiled regular expressions rather than a byte-at-a-time
+loop: one for the zero runs, which dominate a delta and which a pattern
+with a literal prefix skips between fast, and one for the runs of any byte
+in the spans between them.  Those are the tokens the byte loop that defined
+the format produced, so encoded deltas are unchanged byte for byte.
 """
 
 from __future__ import annotations
+
+import re
+from typing import Iterator
 
 from repro.errors import StorageError
 
@@ -22,6 +33,14 @@ MIN_RUN = 4
 
 _TOKEN_RUN = 0x00
 _TOKEN_LITERAL = 0x01
+
+#: A maximal run of zero bytes worth a run token.  Commit deltas are mostly
+#: zeros, and a literal-prefixed pattern skips ahead to the next one fast.
+_ZERO_RUNS = re.compile(b"\x00{%d,}" % MIN_RUN)
+
+#: A maximal run of any byte worth a run token, searched for only in the
+#: spans between zero runs.
+_RUNS = re.compile(rb"(.)\1{%d,}" % (MIN_RUN - 1), re.DOTALL)
 
 
 def _write_varint(value: int, out: bytearray) -> None:
@@ -51,33 +70,39 @@ def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
         shift += 7
 
 
+def _runs(data: bytes) -> Iterator[tuple[int, int]]:
+    """``(start, end)`` of every maximal run of at least :data:`MIN_RUN`
+    equal bytes, in order: the zero runs, then the runs in the spans
+    between them."""
+    position = 0
+    for zeros in _ZERO_RUNS.finditer(data):
+        for run in _RUNS.finditer(data, position, zeros.start()):
+            yield run.span()
+        yield zeros.span()
+        position = zeros.end()
+    for run in _RUNS.finditer(data, position):
+        yield run.span()
+
+
+def _write_literal(data: bytes, out: bytearray) -> None:
+    out.append(_TOKEN_LITERAL)
+    _write_varint(len(data), out)
+    out += data
+
+
 def rle_encode(data: bytes) -> bytes:
     """Compress ``data`` with run-length encoding."""
     out = bytearray()
-    literal = bytearray()
-    i = 0
-    n = len(data)
-    while i < n:
-        byte = data[i]
-        run = 1
-        while i + run < n and data[i + run] == byte:
-            run += 1
-        if run >= MIN_RUN:
-            if literal:
-                out.append(_TOKEN_LITERAL)
-                _write_varint(len(literal), out)
-                out.extend(literal)
-                literal.clear()
-            out.append(_TOKEN_RUN)
-            _write_varint(run, out)
-            out.append(byte)
-        else:
-            literal.extend(data[i : i + run])
-        i += run
-    if literal:
-        out.append(_TOKEN_LITERAL)
-        _write_varint(len(literal), out)
-        out.extend(literal)
+    position = 0
+    for start, end in _runs(data):
+        if start > position:
+            _write_literal(data[position:start], out)
+        out.append(_TOKEN_RUN)
+        _write_varint(end - start, out)
+        out.append(data[start])
+        position = end
+    if position < len(data):
+        _write_literal(data[position:], out)
     return bytes(out)
 
 
@@ -95,7 +120,8 @@ def rle_decode(data: bytes) -> bytes:
                 raise StorageError("truncated run token in RLE stream")
             if offset >= n:
                 raise StorageError("truncated run token in RLE stream")
-            out.extend(bytes([data[offset]]) * length)
+            byte = data[offset]
+            out += bytes(length) if byte == 0 else bytes((byte,)) * length
             offset += 1
         elif token == _TOKEN_LITERAL:
             length, offset = _read_varint(data, offset)

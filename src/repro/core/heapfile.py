@@ -20,9 +20,16 @@ schema check (:meth:`repro.core.record.RecordCodec.encode`).  A record the
 schema rejects raises before the heap changes, so it leaves no trace.  The
 bytes of an accepted record go straight into the tail page's image, which
 is kept compact (its header and records, no free space), and a flush writes
-the image's new records as they are.  The heap never holds a decoded row:
-readers decode the slots they ask for (:mod:`repro.core.page`), and a page
-that fills joins the buffer pool as its encoded image.
+the image's new records as they are.  An append returns the record's
+ordinal, its position in append order.  The heap never holds a decoded
+row: readers decode the slots they ask for (:mod:`repro.core.page`), and a
+page that fills joins the buffer pool as its encoded image.
+
+:meth:`HeapFile.append_many` is the bulk append a load uses: it encodes the
+whole batch first, so a batch holding a rejected record leaves no trace
+either, and then extends the tail one page slice at a time -- one slice
+append per page instead of one per record.  The file it leaves is byte for
+byte the one the same records appended one at a time would.
 
 A crash can tear a flush, leaving the tail's length out of step with its
 count.  Opening the file cuts the tail back to its whole records, up to the
@@ -36,11 +43,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.buffer_pool import BufferPool
 from repro.core.durable import add_recovery_note, strict_recovery
-from repro.core.page import DEFAULT_PAGE_SIZE, PAGE_HEADER, Page, PageId
+from repro.core.page import (
+    DEFAULT_PAGE_SIZE,
+    PAGE_HEADER,
+    Page,
+    PageId,
+    page_capacity,
+)
 from repro.core.record import Record, RecordCodec
 from repro.core.schema import Schema
 from repro.errors import CorruptionError, PageError, StorageError
@@ -90,6 +103,8 @@ class HeapFile:
         self.schema = schema
         self.codec = RecordCodec(schema)
         self.page_size = page_size
+        #: Number of records that fit on one page.
+        self.records_per_page = page_capacity(page_size, self.codec.record_size)
         self.buffer_pool = buffer_pool
         self._tail_page: Page | None = None
         self._num_full_pages = 0
@@ -187,11 +202,6 @@ class HeapFile:
         self._tail_written = whole
 
     @property
-    def records_per_page(self) -> int:
-        """Number of records that fit on one page."""
-        return (self.page_size - PAGE_HEADER.size) // self.codec.record_size
-
-    @property
     def num_records(self) -> int:
         """Total number of records ever appended (including tombstones)."""
         return self._num_records
@@ -207,15 +217,43 @@ class HeapFile:
 
     # -- writes ---------------------------------------------------------------
 
-    def append(self, record: Record) -> RecordId:
-        """Append ``record`` and return its :class:`RecordId`.
+    def append(self, record: Record) -> int:
+        """Append ``record`` and return its ordinal.
 
         The record is encoded here, before anything changes, so a record
         the schema rejects raises :class:`~repro.errors.SchemaError` and
         leaves the heap as it was.  The bytes go into the tail page's image
         and wait there for the next flush (or for the page to fill).
         """
-        data = self.codec.encode(record)
+        ordinal = self._num_records
+        self._extend_tail(self.codec.encode(record), 1)
+        return ordinal
+
+    def append_many(self, records: Iterable[Record]) -> int:
+        """Append ``records`` in order and return the first one's ordinal.
+
+        Every record is encoded before the heap changes, so a batch holding
+        a record the schema rejects raises and leaves no trace.  The bytes
+        then extend the tail one page slice at a time; each page that fills
+        is written and joins the pool, as in :meth:`append`.
+        """
+        encode = self.codec.encode
+        data = b"".join([encode(record) for record in records])
+        first = self._num_records
+        per_page, record_size = self.records_per_page, self.codec.record_size
+        remaining = len(data) // record_size
+        start = 0
+        while remaining:
+            count = min(remaining, per_page - self._num_records % per_page)
+            end = start + count * record_size
+            self._extend_tail(data[start:end], count)
+            start = end
+            remaining -= count
+        return first
+
+    def _extend_tail(self, data: bytes, count: int) -> None:
+        """Append ``count`` encoded records, which fit on the tail page, and
+        write out the page if they fill it."""
         tail = self._tail_page
         if tail is None:
             tail = self._tail_page = Page(
@@ -223,24 +261,19 @@ class HeapFile:
                 self.codec,
                 self.page_size,
             )
-        slot = tail.append_encoded(data)
-        record_id = RecordId(tail.page_id.page_number, slot)
-        self._num_records += 1
-        if tail.is_full:
-            fd = os.open(self.path, os.O_WRONLY)
-            try:
-                self._write_tail(tail, fd)
-            finally:
-                os.close(fd)
-            self.buffer_pool.put_page(tail)
-            self._num_full_pages += 1
-            self._tail_page = None
-            self._tail_written = 0
-        return record_id
-
-    def append_many(self, records: list[Record]) -> list[RecordId]:
-        """Append a batch of records, returning their ids in order."""
-        return [self.append(record) for record in records]
+        tail.append_encoded(data, count)
+        self._num_records += count
+        if self._num_records % self.records_per_page:
+            return
+        fd = os.open(self.path, os.O_WRONLY)
+        try:
+            self._write_tail(tail, fd)
+        finally:
+            os.close(fd)
+        self.buffer_pool.put_page(tail)
+        self._num_full_pages += 1
+        self._tail_page = None
+        self._tail_written = 0
 
     def flush(self) -> None:
         """Write the tail's new records (if any) and fsync everything
@@ -324,8 +357,8 @@ class HeapFile:
 
     def record_by_ordinal(self, ordinal: int) -> Record:
         """Fetch the ``ordinal``-th record in append order."""
-        per_page = self.records_per_page
-        return self.record_at(RecordId(ordinal // per_page, ordinal % per_page))
+        page_number, slot = divmod(ordinal, self.records_per_page)
+        return self._get_page(page_number).record_at(slot)
 
     def page(self, page_number: int, transient: bool = False) -> Page:
         """Fetch a whole page (through the buffer pool).

@@ -49,6 +49,11 @@ PAGE_HEADER_SIZE = PAGE_HEADER.size
 DEFAULT_PAGE_SIZE = 64 * 1024
 
 
+def page_capacity(page_size: int, record_size: int) -> int:
+    """How many records of ``record_size`` bytes fit on one page."""
+    return (page_size - PAGE_HEADER.size) // record_size
+
+
 @dataclass(frozen=True)
 class PageId:
     """Identity of a page: the owning file's name and the page's ordinal."""
@@ -83,6 +88,8 @@ class Page:
             )
         self.page_id = page_id
         self.page_size = page_size
+        #: Maximum number of records this page can hold.
+        self.capacity = page_capacity(page_size, codec.record_size)
         self._codec = codec
         self._columns: tuple | None = None
         self._columns_bytes = 0
@@ -112,11 +119,6 @@ class Page:
     # -- capacity -------------------------------------------------------------
 
     @property
-    def capacity(self) -> int:
-        """Maximum number of records this page can hold."""
-        return (self.page_size - PAGE_HEADER.size) // self._codec.record_size
-
-    @property
     def num_records(self) -> int:
         """Number of records currently stored on the page."""
         return self._count
@@ -132,26 +134,30 @@ class Page:
         """Append ``record`` and return its slot number within the page."""
         return self.append_encoded(self._codec.encode(record))
 
-    def append_encoded(self, data: bytes) -> int:
-        """Append one record already encoded by the page's codec and return
-        its slot number.
+    def append_encoded(self, data: bytes, count: int = 1) -> int:
+        """Append ``count`` records already encoded by the page's codec, as
+        the one byte string ``data``, and return the first one's slot.
 
         The bytes extend the image in place.  A page that fills freezes its
         image into its on-disk form, ``bytes`` padded to the page size: it
         takes no more appends, and the buffer pool holds it from then on
         just as a read from disk would.
         """
-        if self.is_full:
-            raise PageError(f"page {self.page_id} is full")
+        slot = self._count
+        total = slot + count
+        if total > self.capacity:
+            raise PageError(
+                f"page {self.page_id} holds {slot} of {self.capacity} records "
+                f"and cannot take {count} more"
+            )
         image = self._image
         if not isinstance(image, bytearray):
-            end = PAGE_HEADER.size + self._count * self._codec.record_size
+            end = PAGE_HEADER.size + slot * self._codec.record_size
             image = self._image = bytearray(image[:end])
         image += data
-        slot = self._count
-        self._count += 1
-        PAGE_HEADER.pack_into(image, 0, self._count)
-        if self.is_full:
+        self._count = total
+        PAGE_HEADER.pack_into(image, 0, total)
+        if total == self.capacity:
             image += bytes(self.page_size - len(image))
             self._image = bytes(image)
         # The column view no longer matches the image.

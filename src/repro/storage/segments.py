@@ -59,12 +59,19 @@ class Segment:
 
     def append(self, record: Record) -> int:
         """Append a record and return its ordinal within this segment."""
+        return self._writable_heap().append(record)
+
+    def append_many(self, records: Iterable[Record]) -> int:
+        """Append records in order and return the first one's ordinal
+        (:meth:`HeapFile.append_many`: a rejected record leaves no trace)."""
+        return self._writable_heap().append_many(records)
+
+    def _writable_heap(self) -> HeapFile:
         if self.frozen:
             raise StorageError(
                 f"segment {self.segment_id} is frozen and cannot accept writes"
             )
-        record_id = self.heap.append(record)
-        return record_id.ordinal(self.heap.records_per_page)
+        return self.heap
 
     def record_at(self, ordinal: int) -> Record:
         """Fetch the record at ``ordinal``."""
@@ -103,9 +110,9 @@ class SegmentSet:
         self.page_size = page_size
         self._segments: dict[str, Segment] = {}
         self._next_id = 0
-        #: True when segment files were created since the last flush, whose
-        #: directory entries the next flush makes durable.
-        self._created = False
+        #: Segments whose files were created (or recreated by a reopen)
+        #: since the directory's last fsync.
+        self._unsynced: set[str] = set()
         os.makedirs(directory, exist_ok=True)
 
     # -- creation and lookup -----------------------------------------------------
@@ -135,7 +142,7 @@ class SegmentSet:
         )
         if not reopen:
             heap.truncate_records(0)
-            self._created = True
+        self._unsynced.add(segment_id)
         segment = Segment(
             segment_id=segment_id,
             heap=heap,
@@ -165,16 +172,27 @@ class SegmentSet:
     # -- maintenance ----------------------------------------------------------------
 
     def flush(self, segment_ids: Iterable[str] | None = None) -> None:
-        """Flush the heap files of ``segment_ids`` (default: every segment),
-        and the directory entries of all segments created since the last
-        flush.  A segment left out keeps its unflushed records in memory."""
+        """Flush the heap files of ``segment_ids`` (default: every segment).
+        A segment left out keeps its unflushed records in memory.
+
+        The directory is fsynced only when a flushed segment holds records
+        and was created since the directory's last fsync.  An empty segment
+        needs no durable directory entry: a reopen recreates a missing file
+        empty, so a fork, which creates empty heads, costs no directory
+        fsync until its first flushed write.
+        """
         if segment_ids is None:
             segment_ids = self._segments
+        unsynced = self._unsynced
+        new_records = False
         for segment_id in segment_ids:
-            self._segments[segment_id].heap.flush()
-        if self._created:
+            heap = self._segments[segment_id].heap
+            heap.flush()
+            if segment_id in unsynced and heap.num_records:
+                new_records = True
+        if new_records:
             fsync_dir(self.directory)
-            self._created = False
+            unsynced.clear()
 
     def check_layout(self) -> None:
         """Refuse a directory holding any file but segment heaps, such as an

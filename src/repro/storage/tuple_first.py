@@ -169,6 +169,15 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.index_hook.applied(branch, key, record)
         self.stats.records_inserted += 1
 
+    def insert_many(self, branch: str, records: list[Record]) -> None:
+        first = self.heap.append_many(records)
+        self.bitmap_index.set_range(first, first + len(records), branch)
+        for ordinal, record in enumerate(records, first):
+            key = record.key(self.schema)
+            self.key_index.add(key, ordinal)
+            self.index_hook.applied(branch, key, record)
+        self.stats.records_inserted += len(records)
+
     def update(self, branch: str, record: Record) -> None:
         key = record.key(self.schema)
         previous = self.key_location(branch, key)
@@ -210,7 +219,7 @@ class TupleFirstEngine(VersionedStorageEngine):
 
     def _append(self, key: int, record: Record) -> int:
         """Append a new stored copy of ``key``; returns its heap ordinal."""
-        ordinal = self.heap.append(record).ordinal(self.heap.records_per_page)
+        ordinal = self.heap.append(record)
         self.key_index.add(key, ordinal)
         return ordinal
 

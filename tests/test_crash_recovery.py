@@ -17,6 +17,7 @@ delete / branch mixes) and checks recovered state against an in-memory
 model.
 """
 
+import glob
 import json
 import os
 
@@ -30,6 +31,7 @@ from repro.core.schema import Schema
 from repro.core.wal import LogRecord, LogRecordType
 from repro.db.database import Decibel
 from repro.errors import CorruptionError
+from repro.storage import segments as segments_module
 from repro.testing.faults import FaultSchedule, InjectedCrash, inject
 
 ENGINES = ["tuple-first", "version-first", "hybrid"]
@@ -444,6 +446,67 @@ def test_fork_over_unflushed_writes_reopens(tmp_path, engine):
     assert live_keys(reopened, "dev") == live_keys(reopened)
     assert_pk_index_agrees(reopened, "master")
     assert_pk_index_agrees(reopened, "dev")
+
+
+class LostDirectoryEntries:
+    """A crash model for segment files: a file created in the segments
+    directory since the directory's last fsync has no durable entry, so a
+    crash can lose it whole."""
+
+    def __init__(self, monkeypatch):
+        self.synced: dict[str, set[str]] = {}
+        real = segments_module.fsync_dir
+
+        def recording_fsync_dir(directory):
+            real(directory)
+            self.synced[os.path.abspath(directory)] = set(os.listdir(directory))
+
+        monkeypatch.setattr(segments_module, "fsync_dir", recording_fsync_dir)
+
+    def crash(self, root):
+        """Delete every segment file under ``root`` a crash could lose."""
+        lost = []
+        for directory in glob.glob(os.path.join(str(root), "*", "segments")):
+            durable = self.synced.get(os.path.abspath(directory), set())
+            for name in sorted(set(os.listdir(directory)) - durable):
+                os.remove(os.path.join(directory, name))
+                lost.append(name)
+        return lost
+
+
+@pytest.mark.parametrize("baseline", [0, 10])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fork_then_crash_before_any_write(tmp_path, engine, baseline, monkeypatch):
+    """A fork's empty heads are not worth a directory fsync.  A crash right
+    after the fork may lose their files; the reopen recreates them, and the
+    branch reads what its parent did at the fork (empty, for an empty
+    parent).  Its first later commit makes its head's entry durable, so it
+    survives a second crash."""
+    entries = LostDirectoryEntries(monkeypatch)
+    db = Decibel(str(tmp_path), engine=engine)
+    db.create_relation("t", SCHEMA).init(record(i, i * 10) for i in range(baseline))
+    db.relation("t").branch("dev", from_branch="master")
+    lost = entries.crash(tmp_path)
+    del db  # dies without a flush or a close
+    # Every empty segment file is lost: the fork's new heads (hybrid gives
+    # the parent one too), and an empty master's first segment.
+    if engine == "hybrid":
+        assert len(lost) == 2 + (baseline == 0)
+    elif engine == "version-first":
+        assert len(lost) == 1 + (baseline == 0)
+    reopened = Decibel.open(str(tmp_path), engine=engine)
+    assert reopened.last_recovery.notes == []
+    assert live_keys(reopened, "dev") == live_keys(reopened) == set(range(baseline))
+    txn = reopened.transactions("t").begin()
+    txn.insert("dev", record(300, 3))
+    txn.commit()
+    assert entries.crash(tmp_path) == []
+    del reopened
+    again = Decibel.open(str(tmp_path), engine=engine)
+    assert live_keys(again, "dev") == set(range(baseline)) | {300}
+    assert live_keys(again) == set(range(baseline))
+    assert_pk_index_agrees(again, "dev")
+    again.close()
 
 
 def segment_topology(engine):

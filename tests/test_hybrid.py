@@ -159,8 +159,12 @@ class TestHybridCommits:
             rel.branch(f"b{i}", from_branch="master")
         engine = rel.engine
         assert len(engine._branch_segments["master"]) >= 8
-        # A first transaction creates the WAL file (and fsyncs its directory).
+        # A first transaction creates the WAL file (and fsyncs its directory),
+        # and the first write into master's newest head fsyncs the segments
+        # directory, which its fork left for it.
         db.transactions("t").begin().commit()
+        rel.insert("master", Record((199, 0, 0, 0)))
+        rel.commit("master")
         fsyncs = []
         real_fsync = os.fsync
 
@@ -241,8 +245,9 @@ class TestHybridFlushScope:
         self, tmp_path, schema, monkeypatch
     ):
         """With 20 branches pending, a direct commit on one of them fsyncs
-        its head segment and the graph frame, and flushes no heap outside
-        its branch's segments."""
+        its head segment, the segments directory (the head's first records
+        since the forks created it) and the graph frame, and flushes no heap
+        outside its branch's segments."""
         db, rel, names = self.twenty_pending_branches(tmp_path, schema)
         engine = rel.engine
         fsyncs = []
@@ -261,7 +266,7 @@ class TestHybridFlushScope:
         monkeypatch.setattr(os, "fsync", counting_fsync)
         monkeypatch.setattr(HeapFile, "flush", recording_flush)
         rel.commit("b07")
-        assert len(fsyncs) == 2
+        assert len(fsyncs) == 3
         scope = {
             engine.segments.get(segment_id).heap.path
             for segment_id in engine._branch_scope("b07")

@@ -8,6 +8,7 @@ import pytest
 
 import repro.core.durable
 import repro.core.wal
+import repro.storage.segments
 from repro.core.buffer_pool import BufferPool
 from repro.core.record import Record
 from repro.core.schema import Schema
@@ -79,6 +80,33 @@ class TestSegmentSet:
             segment.append(record)
         segments.flush()
         assert segments.total_size_bytes() == 4 + 3 * segment.heap.codec.record_size
+
+    def test_directory_fsync_waits_for_a_new_segments_records(
+        self, segments, monkeypatch
+    ):
+        """An empty new segment costs no directory fsync; the first flush
+        that writes records into a segment created since the last one
+        does, once, and a segment a reopen recreates counts as new."""
+        synced = []
+        monkeypatch.setattr(
+            repro.storage.segments, "fsync_dir", lambda path: synced.append(path)
+        )
+        first = segments.create("master")
+        second = segments.create("dev")
+        segments.flush()
+        assert synced == []
+        second.append(Record((1, 0, 0, 0)))
+        segments.flush([first.segment_id])
+        assert synced == []
+        segments.flush([second.segment_id])
+        assert synced == [segments.directory]
+        first.append(Record((2, 0, 0, 0)))
+        segments.flush()
+        assert synced == [segments.directory]
+        replayed = segments.create("other", reopen=True)
+        replayed.append(Record((3, 0, 0, 0)))
+        segments.flush()
+        assert synced == [segments.directory] * 2
 
     def test_a_new_segment_over_a_leftover_file_starts_empty(
         self, schema, tmp_path
