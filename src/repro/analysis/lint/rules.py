@@ -624,7 +624,6 @@ class BoundedAwaitRule(LintRule):
 #: drift from storage and index scans return wrong answers.
 INDEX_MUTATION_METHODS = (
     "insert",
-    "insert_many",
     "update",
     "delete",
     "_apply_merge_change",

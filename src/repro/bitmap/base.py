@@ -51,11 +51,6 @@ class BitmapIndex(ABC):
     def set(self, tuple_index: int, branch: str) -> None:
         """Mark ``tuple_index`` live in ``branch``."""
 
-    def set_range(self, start: int, stop: int, branch: str) -> None:
-        """Mark tuples ``start`` to ``stop - 1`` live in ``branch``."""
-        for tuple_index in range(start, stop):
-            self.set(tuple_index, branch)
-
     @abstractmethod
     def clear(self, tuple_index: int, branch: str) -> None:
         """Mark ``tuple_index`` not live in ``branch``."""

@@ -49,36 +49,31 @@ class BranchOrientedBitmapIndex(BitmapIndex):
 
     # -- bit manipulation -----------------------------------------------------
 
-    def set(self, tuple_index: int, branch: str) -> None:
-        self.live_bitmap(branch).set(tuple_index)
-
-    def set_range(self, start: int, stop: int, branch: str) -> None:
-        self.live_bitmap(branch).set_many(range(start, stop))
-
-    def clear(self, tuple_index: int, branch: str) -> None:
-        self.live_bitmap(branch).clear(tuple_index)
-
-    def is_set(self, tuple_index: int, branch: str) -> bool:
-        return self.live_bitmap(branch).get(tuple_index)
-
-    # -- whole-branch views ---------------------------------------------------
-
-    def branch_bitmap(self, branch: str) -> Bitmap:
-        return self.live_bitmap(branch).copy()
-
-    def live_bitmap(self, branch: str) -> Bitmap:
-        """``branch``'s bitmap itself, not a copy: a bit set or cleared
-        through it is set or cleared in the index.  A write path looks it up
-        once and writes through it."""
+    def _bitmap(self, branch: str) -> Bitmap:
+        """``branch``'s bitmap itself, looked up once (no copy)."""
         try:
             return self._bitmaps[branch]
         except KeyError:
             self._require_branch(branch)  # raises BranchNotFoundError
             raise
 
+    def set(self, tuple_index: int, branch: str) -> None:
+        self._bitmap(branch).set(tuple_index)
+
+    def clear(self, tuple_index: int, branch: str) -> None:
+        self._bitmap(branch).clear(tuple_index)
+
+    def is_set(self, tuple_index: int, branch: str) -> bool:
+        return self._bitmap(branch).get(tuple_index)
+
+    # -- whole-branch views ---------------------------------------------------
+
+    def branch_bitmap(self, branch: str) -> Bitmap:
+        return self._bitmap(branch).copy()
+
     def live_count(self, branch: str) -> int:
         """The branch bitmap's cached popcount, read in place (no copy)."""
-        return self.live_bitmap(branch).count()
+        return self._bitmap(branch).count()
 
     def restore_branch(self, branch: str, bitmap: Bitmap) -> None:
         self._require_branch(branch)

@@ -14,17 +14,15 @@ encoded form never grows by more than a few percent on incompressible input.
 
 The encoder makes every maximal run of at least :data:`MIN_RUN` equal bytes
 one run token and the bytes between two runs one literal token.  It finds
-the runs with two compiled regular expressions rather than a byte-at-a-time
-loop: one for the zero runs, which dominate a delta and which a pattern
-with a literal prefix skips between fast, and one for the runs of any byte
-in the spans between them.  Those are the tokens the byte loop that defined
-the format produced, so encoded deltas are unchanged byte for byte.
+the runs with one compiled regular expression, scanned left to right over
+the whole input, rather than a byte-at-a-time loop.  Those are the tokens
+the byte loop that defined the format produced, so encoded deltas are
+unchanged byte for byte.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 from repro.errors import StorageError
 
@@ -34,12 +32,7 @@ MIN_RUN = 4
 _TOKEN_RUN = 0x00
 _TOKEN_LITERAL = 0x01
 
-#: A maximal run of zero bytes worth a run token.  Commit deltas are mostly
-#: zeros, and a literal-prefixed pattern skips ahead to the next one fast.
-_ZERO_RUNS = re.compile(b"\x00{%d,}" % MIN_RUN)
-
-#: A maximal run of any byte worth a run token, searched for only in the
-#: spans between zero runs.
+#: A maximal run of any byte worth a run token.
 _RUNS = re.compile(rb"(.)\1{%d,}" % (MIN_RUN - 1), re.DOTALL)
 
 
@@ -70,20 +63,6 @@ def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
         shift += 7
 
 
-def _runs(data: bytes) -> Iterator[tuple[int, int]]:
-    """``(start, end)`` of every maximal run of at least :data:`MIN_RUN`
-    equal bytes, in order: the zero runs, then the runs in the spans
-    between them."""
-    position = 0
-    for zeros in _ZERO_RUNS.finditer(data):
-        for run in _RUNS.finditer(data, position, zeros.start()):
-            yield run.span()
-        yield zeros.span()
-        position = zeros.end()
-    for run in _RUNS.finditer(data, position):
-        yield run.span()
-
-
 def _write_literal(data: bytes, out: bytearray) -> None:
     out.append(_TOKEN_LITERAL)
     _write_varint(len(data), out)
@@ -94,7 +73,8 @@ def rle_encode(data: bytes) -> bytes:
     """Compress ``data`` with run-length encoding."""
     out = bytearray()
     position = 0
-    for start, end in _runs(data):
+    for run in _RUNS.finditer(data):
+        start, end = run.span()
         if start > position:
             _write_literal(data[position:start], out)
         out.append(_TOKEN_RUN)

@@ -25,12 +25,6 @@ ordinal, its position in append order.  The heap never holds a decoded
 row: readers decode the slots they ask for (:mod:`repro.core.page`), and a
 page that fills joins the buffer pool as its encoded image.
 
-:meth:`HeapFile.append_many` is the bulk append a load uses: it encodes the
-whole batch first, so a batch holding a rejected record leaves no trace
-either, and then extends the tail one page slice at a time -- one slice
-append per page instead of one per record.  The file it leaves is byte for
-byte the one the same records appended one at a time would.
-
 A crash can tear a flush, leaving the tail's length out of step with its
 count.  Opening the file cuts the tail back to its whole records, up to the
 count, with a recovery note -- in strict and degraded mode alike, since the
@@ -43,7 +37,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.core.buffer_pool import BufferPool
 from repro.core.durable import add_recovery_note, strict_recovery
@@ -225,35 +219,7 @@ class HeapFile:
         leaves the heap as it was.  The bytes go into the tail page's image
         and wait there for the next flush (or for the page to fill).
         """
-        ordinal = self._num_records
-        self._extend_tail(self.codec.encode(record), 1)
-        return ordinal
-
-    def append_many(self, records: Iterable[Record]) -> int:
-        """Append ``records`` in order and return the first one's ordinal.
-
-        Every record is encoded before the heap changes, so a batch holding
-        a record the schema rejects raises and leaves no trace.  The bytes
-        then extend the tail one page slice at a time; each page that fills
-        is written and joins the pool, as in :meth:`append`.
-        """
-        encode = self.codec.encode
-        data = b"".join([encode(record) for record in records])
-        first = self._num_records
-        per_page, record_size = self.records_per_page, self.codec.record_size
-        remaining = len(data) // record_size
-        start = 0
-        while remaining:
-            count = min(remaining, per_page - self._num_records % per_page)
-            end = start + count * record_size
-            self._extend_tail(data[start:end], count)
-            start = end
-            remaining -= count
-        return first
-
-    def _extend_tail(self, data: bytes, count: int) -> None:
-        """Append ``count`` encoded records, which fit on the tail page, and
-        write out the page if they fill it."""
+        data = self.codec.encode(record)
         tail = self._tail_page
         if tail is None:
             tail = self._tail_page = Page(
@@ -261,19 +227,24 @@ class HeapFile:
                 self.codec,
                 self.page_size,
             )
-        tail.append_encoded(data, count)
-        self._num_records += count
-        if self._num_records % self.records_per_page:
-            return
-        fd = os.open(self.path, os.O_WRONLY)
-        try:
-            self._write_tail(tail, fd)
-        finally:
-            os.close(fd)
-        self.buffer_pool.put_page(tail)
-        self._num_full_pages += 1
-        self._tail_page = None
-        self._tail_written = 0
+        tail.append_encoded(data)
+        ordinal = self._num_records
+        self._num_records += 1
+        if tail.is_full:
+            fd = os.open(self.path, os.O_WRONLY)
+            try:
+                self._write_tail(tail, fd)
+            finally:
+                os.close(fd)
+            self.buffer_pool.put_page(tail)
+            self._num_full_pages += 1
+            self._tail_page = None
+            self._tail_written = 0
+        return ordinal
+
+    def append_many(self, records: list[Record]) -> list[int]:
+        """Append a batch of records, returning their ordinals in order."""
+        return [self.append(record) for record in records]
 
     def flush(self) -> None:
         """Write the tail's new records (if any) and fsync everything

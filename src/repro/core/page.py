@@ -134,9 +134,9 @@ class Page:
         """Append ``record`` and return its slot number within the page."""
         return self.append_encoded(self._codec.encode(record))
 
-    def append_encoded(self, data: bytes, count: int = 1) -> int:
-        """Append ``count`` records already encoded by the page's codec, as
-        the one byte string ``data``, and return the first one's slot.
+    def append_encoded(self, data: bytes) -> int:
+        """Append one record already encoded by the page's codec and return
+        its slot number.
 
         The bytes extend the image in place.  A page that fills freezes its
         image into its on-disk form, ``bytes`` padded to the page size: it
@@ -144,20 +144,16 @@ class Page:
         just as a read from disk would.
         """
         slot = self._count
-        total = slot + count
-        if total > self.capacity:
-            raise PageError(
-                f"page {self.page_id} holds {slot} of {self.capacity} records "
-                f"and cannot take {count} more"
-            )
+        if slot >= self.capacity:
+            raise PageError(f"page {self.page_id} is full")
         image = self._image
         if not isinstance(image, bytearray):
             end = PAGE_HEADER.size + slot * self._codec.record_size
             image = self._image = bytearray(image[:end])
         image += data
-        self._count = total
-        PAGE_HEADER.pack_into(image, 0, total)
-        if total == self.capacity:
+        count = self._count = slot + 1
+        PAGE_HEADER.pack_into(image, 0, count)
+        if count == self.capacity:
             image += bytes(self.page_size - len(image))
             self._image = bytes(image)
         # The column view no longer matches the image.

@@ -44,7 +44,7 @@ import threading
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.bitmap.bitmap import Bitmap
@@ -57,14 +57,14 @@ from repro.core.columns import (
 )
 from repro.core.durable import add_recovery_note, strict_recovery
 from repro.core.heapfile import HeapFile
-from repro.core.page import DEFAULT_PAGE_SIZE, PAGE_HEADER_SIZE, page_capacity
+from repro.core.page import DEFAULT_PAGE_SIZE, PAGE_HEADER_SIZE
 from repro.core.predicates import (
     Predicate,
     column_filter_columns,
     compile_column_filter,
     compile_predicate,
 )
-from repro.core.record import Record, RecordCodec
+from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import (
     BranchNotFoundError,
@@ -698,13 +698,8 @@ class VersionedStorageEngine(ABC):
             raise VersionError("engine is already initialized")
         self._prepare_master()
         commit = self.graph.init(message=message)
-        # A page of records at a time: one batched append fills one page,
-        # and no more than a page of pulled records is held in memory.
-        record_size = RecordCodec(self.schema).record_size
-        per_page = page_capacity(self.page_size, record_size)
-        source = iter(records)
-        while batch := list(islice(source, per_page)):
-            self.insert_many(MASTER_BRANCH, batch)
+        for record in records:
+            self.insert(MASTER_BRANCH, record)
         self._commit_durably(MASTER_BRANCH, commit.commit_id)
         return commit.commit_id
 
@@ -929,14 +924,6 @@ class VersionedStorageEngine(ABC):
     @abstractmethod
     def insert(self, branch: str, record: Record) -> None:
         """Insert a new record into ``branch``'s head."""
-
-    @abstractmethod
-    def insert_many(self, branch: str, records: list[Record]) -> None:
-        """Insert ``records``, in order, into ``branch``'s head.
-
-        Every record is encoded before anything changes, so a batch holding
-        a record the schema rejects raises and leaves no trace.
-        """
 
     @abstractmethod
     def update(self, branch: str, record: Record) -> None:

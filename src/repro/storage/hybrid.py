@@ -287,7 +287,7 @@ class HybridEngine(VersionedStorageEngine):
         # A head segment's local bitmaps hold its branch from its creation.
         segment_id = self._head_segment[branch]
         ordinal = self.segments.get(segment_id).append(record)
-        self._local_bitmaps[segment_id].live_bitmap(branch).set(ordinal)
+        self._local_bitmaps[segment_id].set(ordinal, branch)
         self._branch_segments[branch].add(segment_id)
         key = record.key(self.schema)
         self.key_index.add(
@@ -295,19 +295,6 @@ class HybridEngine(VersionedStorageEngine):
         )
         self.index_hook.applied(branch, key, record)
         self.stats.records_inserted += 1
-
-    def insert_many(self, branch: str, records: list[Record]) -> None:
-        segment_id = self._head_segment[branch]
-        first = self.segments.get(segment_id).append_many(records)
-        stop = first + len(records)
-        self._local_bitmaps[segment_id].set_range(first, stop, branch)
-        self._branch_segments[branch].add(segment_id)
-        location = self._segment_numbers[segment_id] << _ORDINAL_BITS | first
-        for offset, record in enumerate(records):
-            key = record.key(self.schema)
-            self.key_index.add(key, location + offset)
-            self.index_hook.applied(branch, key, record)
-        self.stats.records_inserted += len(records)
 
     def update(self, branch: str, record: Record) -> None:
         key = record.key(self.schema)

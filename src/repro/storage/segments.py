@@ -59,19 +59,11 @@ class Segment:
 
     def append(self, record: Record) -> int:
         """Append a record and return its ordinal within this segment."""
-        return self._writable_heap().append(record)
-
-    def append_many(self, records: Iterable[Record]) -> int:
-        """Append records in order and return the first one's ordinal
-        (:meth:`HeapFile.append_many`: a rejected record leaves no trace)."""
-        return self._writable_heap().append_many(records)
-
-    def _writable_heap(self) -> HeapFile:
         if self.frozen:
             raise StorageError(
                 f"segment {self.segment_id} is frozen and cannot accept writes"
             )
-        return self.heap
+        return self.heap.append(record)
 
     def record_at(self, ordinal: int) -> Record:
         """Fetch the record at ``ordinal``."""

@@ -169,15 +169,6 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.index_hook.applied(branch, key, record)
         self.stats.records_inserted += 1
 
-    def insert_many(self, branch: str, records: list[Record]) -> None:
-        first = self.heap.append_many(records)
-        self.bitmap_index.set_range(first, first + len(records), branch)
-        for ordinal, record in enumerate(records, first):
-            key = record.key(self.schema)
-            self.key_index.add(key, ordinal)
-            self.index_hook.applied(branch, key, record)
-        self.stats.records_inserted += len(records)
-
     def update(self, branch: str, record: Record) -> None:
         key = record.key(self.schema)
         previous = self.key_location(branch, key)

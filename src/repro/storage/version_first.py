@@ -213,15 +213,6 @@ class VersionFirstEngine(VersionedStorageEngine):
         self.index_hook.applied(branch, key, record)
         self.stats.records_inserted += 1
 
-    def insert_many(self, branch: str, records: list[Record]) -> None:
-        segment = self._head(branch)
-        first = segment.append_many(records)
-        for ordinal, record in enumerate(records, first):
-            key = record.key(self.schema)
-            self.pk_index.put(branch, key, (segment.segment_id, ordinal))
-            self.index_hook.applied(branch, key, record)
-        self.stats.records_inserted += len(records)
-
     def update(self, branch: str, record: Record) -> None:
         # Updates append a new copy with the same primary key; scans ignore
         # the earlier copy (paper Section 3.3, *Data Modification*).  The

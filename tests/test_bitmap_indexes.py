@@ -87,16 +87,6 @@ class TestBitmapIndexCommon:
         assert index.branches() == ["a", "b"]
         assert index.has_branch("a") and not index.has_branch("c")
 
-    def test_set_range_marks_each_tuple_in_one_branch(self, index):
-        index.add_branch("a")
-        index.add_branch("b")
-        index.set_range(5, 70, "a")
-        index.set_range(3, 3, "a")
-        assert list(index.branch_bitmap("a").iter_set_bits()) == list(range(5, 70))
-        assert index.live_count("b") == 0
-        with pytest.raises(BranchNotFoundError):
-            index.set_range(0, 4, "missing")
-
     def test_num_tuples_tracks_highest_bit(self, index):
         index.add_branch("a")
         index.set(99, "a")

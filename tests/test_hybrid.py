@@ -245,11 +245,13 @@ class TestHybridFlushScope:
         self, tmp_path, schema, monkeypatch
     ):
         """With 20 branches pending, a direct commit on one of them fsyncs
-        its head segment, the segments directory (the head's first records
-        since the forks created it) and the graph frame, and flushes no heap
-        outside its branch's segments."""
+        its head segment and the graph frame, and flushes no heap outside
+        its branch's segments."""
         db, rel, names = self.twenty_pending_branches(tmp_path, schema)
         engine = rel.engine
+        # The first commit of records into a segment the forks created
+        # fsyncs the segments directory; another branch pays it here.
+        rel.commit("b00")
         fsyncs = []
         flushed = []
         real_fsync = os.fsync
@@ -266,7 +268,7 @@ class TestHybridFlushScope:
         monkeypatch.setattr(os, "fsync", counting_fsync)
         monkeypatch.setattr(HeapFile, "flush", recording_flush)
         rel.commit("b07")
-        assert len(fsyncs) == 3
+        assert len(fsyncs) == 2
         scope = {
             engine.segments.get(segment_id).heap.path
             for segment_id in engine._branch_scope("b07")
@@ -276,7 +278,7 @@ class TestHybridFlushScope:
         assert len(scope) < len(engine.segments) // 10
         for name in names:
             size = os.path.getsize(self.head_path(engine, name))
-            assert (size > 0) is (name == "b07"), name
+            assert (size > 0) is (name in ("b00", "b07")), name
 
     @pytest.mark.parametrize("how", ["flush", "close"])
     def test_flush_and_close_write_every_tail(self, tmp_path, schema, how):

@@ -6,17 +6,9 @@ rejects raises :class:`SchemaError` before a page, a bitmap or a key index
 moves.  Transactions check each write when they buffer it, so a bad value
 never reaches the write-ahead log.  Later commits, ``close`` and
 ``Decibel.open`` then work, with the branch exactly as it was.
-
-``init`` loads through each engine's batched ``insert_many``, a page of
-records at a time; a batch encodes every record before it appends one, so
-a rejected batch leaves no trace either, and a batched load stores what
-per-record inserts would.
 """
 
 from __future__ import annotations
-
-import glob
-import os
 
 import pytest
 
@@ -160,117 +152,3 @@ def test_server_rejects_a_float_at_the_call(tmp_path):
     assert rows(reopened) == sorted(BASELINE + [(41, 41, 41), (42, 42, 42)])
     assert reopened.last_recovery.needs_redo == set()
     reopened.close()
-
-
-def batch_with_a_bad_record():
-    batch = [Record((50 + i, i, i)) for i in range(6)]
-    batch.insert(3, Record((60, 1 << 70, 0)))
-    return batch
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_rejected_batch_leaves_no_trace(tmp_path, engine):
-    db = Decibel(str(tmp_path), engine=engine)
-    rel = db.create_relation("t", SCHEMA)
-    rel.init([Record(values) for values in BASELINE])
-    before = state(db)
-    with pytest.raises(SchemaError):
-        rel.engine.insert_many("master", batch_with_a_bad_record())
-    assert state(db) == before
-    assert rel.engine.record_for_key("master", 50) is None
-    rel.insert("master", Record((70, 7, 7)))
-    rel.commit("master")
-    db.close()
-    reopened = Decibel.open(str(tmp_path), engine=engine)
-    assert rows(reopened) == sorted(BASELINE + [(70, 7, 7)])
-    reopened.close()
-
-
-#: A small page, so that a load spans several pages and a partial tail.
-SMALL_PAGE = 256
-
-LOAD = [Record((key, key * 3, key % 7)) for key in range(100)]
-
-
-def heaps(engine):
-    if hasattr(engine, "heap"):
-        return [engine.heap]
-    return [segment.heap for segment in engine.segments.all()]
-
-
-def key_copies(engine, key):
-    if hasattr(engine, "key_index"):
-        return list(engine.key_index.copies(key))
-    return engine.pk_index.get("master", key)
-
-
-def loaded_state(engine):
-    keys = [record.key(SCHEMA) for record in LOAD] + [1000]
-    return (
-        [record.values for record in engine.scan_branch("master")],
-        engine.count_branch("master"),
-        [engine.record_for_key("master", key) for key in keys],
-        [key_copies(engine, key) for key in keys],
-        engine.stats.records_inserted,
-    )
-
-
-def storage_bytes(directory):
-    paths = glob.glob(os.path.join(directory, "t", "**", "*.seg"), recursive=True)
-    paths += glob.glob(os.path.join(directory, "t", "**", "*.heap"), recursive=True)
-    out = {}
-    for path in sorted(paths):
-        with open(path, "rb") as handle:
-            out[os.path.relpath(path, directory)] = handle.read()
-    return out
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_batched_init_stores_what_single_inserts_would(tmp_path, engine):
-    results = []
-    for name in ("batched", "single"):
-        directory = str(tmp_path / name)
-        db = Decibel(directory, engine=engine, page_size=SMALL_PAGE)
-        rel = db.create_relation("t", SCHEMA)
-        if name == "single":
-            single = rel.engine
-
-            def insert_one_at_a_time(branch, records):
-                for record in records:
-                    single.insert(branch, record)
-
-            single.insert_many = insert_one_at_a_time
-        rel.init(LOAD)
-        live = loaded_state(rel.engine)
-        db.close()
-        reopened = Decibel.open(directory, engine=engine, page_size=SMALL_PAGE)
-        scanned = sorted(r.values for r in reopened.relation("t").scan("master"))
-        reopened.close()
-        results.append((live, scanned, storage_bytes(directory)))
-    batched, single = results
-    assert len(heaps(rel.engine)[0].codec.encode(LOAD[0])) * len(LOAD) > 3 * SMALL_PAGE
-    assert batched[0] == single[0]
-    assert batched[1] == single[1] == sorted(record.values for record in LOAD)
-    assert batched[2] == single[2] and batched[2]
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_init_holds_at_most_a_page_of_pulled_records(tmp_path, engine):
-    """``init`` appends each page of records before it pulls the next:
-    the records pulled from the source but not yet in a heap never exceed
-    one page."""
-    db = Decibel(str(tmp_path), engine=engine, page_size=SMALL_PAGE)
-    rel = db.create_relation("t", SCHEMA)
-    ahead = []
-
-    def source():
-        for pulled, record in enumerate(LOAD, 1):
-            ahead.append(pulled - stored_records(rel.engine))
-            yield record
-
-    rel.init(source())
-    per_page = heaps(rel.engine)[0].records_per_page
-    assert len(ahead) == len(LOAD) > 3 * per_page
-    assert max(ahead) <= per_page
-    assert sorted(r.values for r in rel.scan("master")) == [r.values for r in LOAD]
-    db.close()
