@@ -16,9 +16,16 @@ def test_table3_merge_throughput(benchmark, workdir, scale):
     assert [row[0] for row in table.rows] == ["VF", "TF", "HY"]
     rows = {row[0]: row[1:] for row in table.rows}
 
-    for engine, (two_way, three_way, merges) in rows.items():
+    for engine, (two_way, three_way, merges, *_) in rows.items():
         assert merges > 0, "the curation load performed no merges"
         assert two_way > 0 and three_way > 0
+
+    # Shape on counted work: the bitmap engines' three-way merges read only
+    # the keys where each head differs from the LCA and decode just the
+    # copies of keys both sides changed; version-first decodes both heads
+    # and the whole LCA commit.
+    decoded = {engine: values[4] for engine, values in rows.items()}
+    assert decoded["TF"] < decoded["VF"] and decoded["HY"] < decoded["VF"]
 
     # Shape: hybrid's three-way merge stays competitive (the paper has it
     # fastest by 2-3x; at this CPU-bound scale the gap narrows), and

@@ -71,13 +71,18 @@ class BenchmarkConfig:
 
 @dataclass
 class MergeTiming:
-    """Wall time and diff volume of one merge performed during the load."""
+    """Wall time, diff volume and counted work of one merge performed
+    during the load."""
 
     target: str
     source: str
     seconds: float
     diff_bytes: int
     conflicts: int
+    #: Keys the source changed, each applied to the target.
+    records_applied: int = 0
+    #: Records the merge built from stored bytes (``EngineStats``).
+    records_decoded: int = 0
 
 
 @dataclass
@@ -216,6 +221,7 @@ def _apply_operation(
         engine.graph.retire_branch(operation.branch)
         return
     if kind is OperationKind.MERGE:
+        decoded = engine.stats.records_decoded
         started = time.perf_counter()
         merge = engine.merge(
             operation.target,
@@ -231,6 +237,8 @@ def _apply_operation(
                 seconds=elapsed,
                 diff_bytes=merge.diff_bytes,
                 conflicts=merge.num_conflicts,
+                records_applied=merge.records_applied,
+                records_decoded=engine.stats.records_decoded - decoded,
             )
         )
         result.commit_ids.append(merge.commit_id)

@@ -51,6 +51,21 @@ class IndexMaintenance:
             if index.has_branch(branch):
                 index.put(branch, key, record.values[index.position])
 
+    def tracks(self, branch: str) -> bool:
+        """True if a secondary index is built for ``branch``: a write to it
+        must report the indexed values."""
+        for index in self.secondary.values():
+            if index.has_branch(branch):
+                return True
+        return False
+
+    def applied_encoded(self, branch: str, key: int, data: bytes, codec) -> None:
+        """As :meth:`applied`, for a row given as its encoded bytes (a
+        merge sharing a stored copy): only the indexed columns are decoded."""
+        for index in self.secondary.values():
+            if index.has_branch(branch):
+                index.put(branch, key, codec.decode_column(data, index.position)[0])
+
     def removed(self, branch: str, key: int) -> None:
         """A delete dropped ``key`` from ``branch``."""
         for index in self.secondary.values():

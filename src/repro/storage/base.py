@@ -24,21 +24,25 @@ A branch the version graph does not hold fails the same way on every
 engine, with :class:`~repro.errors.BranchNotFoundError`.
 
 Each engine has one diff, over two read states and by content
-(:meth:`~VersionedStorageEngine._diff_states`), and every comparison of two
-versions runs through it: Query 2 over live heads or pinned commits, and
-merge, which the paper defines in terms of diff.  A three-way merge diffs
-each head against the lowest common ancestor, a two-way merge the target
-against the source, so a merge gathers its inputs with the engine's diff
-I/O: bitmap differences that fetch only the changed tuples, page at a
-time, for tuple-first and hybrid; for version-first, full scans of both
-heads and the whole LCA commit -- the cost difference Table 3 measures.
-Applying the changes to the target is the same everywhere, so
-:meth:`~VersionedStorageEngine.merge` is a template method here.
+(:meth:`~VersionedStorageEngine._diff_states`): Query 2 over live heads or
+pinned commits.  A merge, which the paper defines in terms of diff,
+compares each head with the lowest common ancestor (three-way) or the
+target with the source (two-way).  Tuple-first and hybrid compare by
+position (:meth:`~VersionedStorageEngine._changed_copies`): the bitmaps
+name the copies whose liveness differs, and one pass over their pages
+decodes only the key column.  A key only the source changed is applied by
+moving the target's live bit onto the source's copy, so a conflict-free
+merge builds no record; only the copies of a key both sides changed are
+decoded.  Version-first diffs full scans of both heads and the whole LCA
+commit -- the cost difference Table 3 measures.  Both input paths feed one
+merge loop, so :meth:`~VersionedStorageEngine.merge` is a template method
+here.
 """
 from __future__ import annotations
 
 import enum
 import os
+import re
 import shutil
 import threading
 from abc import ABC, abstractmethod
@@ -64,7 +68,7 @@ from repro.core.predicates import (
     compile_column_filter,
     compile_predicate,
 )
-from repro.core.record import Record
+from repro.core.record import Record, RecordCodec
 from repro.core.schema import Schema
 from repro.errors import (
     BranchNotFoundError,
@@ -101,6 +105,9 @@ class EngineStats:
     records_updated: int = 0
     records_deleted: int = 0
     records_scanned: int = 0
+    #: Records built from stored bytes: row scans, diffs, keyed fetches
+    #: and the copies a merge decodes.
+    records_decoded: int = 0
     commits: int = 0
     branches_created: int = 0
     merges: int = 0
@@ -131,8 +138,18 @@ class MergeResult:
         return len(self.conflicts)
 
 
-#: A "changed record" map: primary key -> new record, or None for a delete.
-ChangeMap = dict[int, "Record | None"]
+#: One side of a merge: primary key -> (the side's copy, the other
+#: version's copy) for every key the two hold differently, either copy None
+#: where that version lacks the key.  On the positional path a copy is the
+#: location the engine's key-copy index uses (an ``int``,
+#: :meth:`VersionedStorageEngine._located`); on the diff path it is a
+#: decoded :class:`Record`.
+MergeChanges = dict[int, tuple[Any, Any]]
+
+#: A packed copy location holds the ordinal in its low bits and, in hybrid,
+#: the segment's number above them.
+ORDINAL_BITS = 32
+ORDINAL_MASK = (1 << ORDINAL_BITS) - 1
 
 #: Rows per batch yielded by the engines' column and multi-branch scans.
 DEFAULT_SCAN_BATCH_SIZE = 1024
@@ -149,13 +166,15 @@ def diff_heap_bitmaps(
     pk_position: int,
     stats: EngineStats,
 ) -> DiffResult:
-    """The bitmap diff shared by tuple-first and hybrid.
+    """The record diff of Query 2 on tuple-first and hybrid.
 
     ``pairs`` yields ``(heap, bitmap a, bitmap b)``.  Only the records live
-    in exactly one of a heap's two bitmaps are fetched, page at a time, to
-    the positive side (live in a) or the negative side (live in b).  Two
-    stored copies of one record differ in the bitmaps but not in content,
-    so each such pair is dropped again after the fetch.
+    in exactly one of a heap's two bitmaps are fetched, page at a time, and
+    decoded to the positive side (live in a) or the negative side (live in
+    b).  Two stored copies of one record differ in the bitmaps but not in
+    content, so each such pair is dropped again after the fetch.  A merge
+    needs no records for most of its keys, and reads the same copies by
+    position instead (:meth:`VersionedStorageEngine._changed_copies`).
     """
     scratch = Bitmap()  # one buffer reused for every one-sided difference
     for heap, bitmap_a, bitmap_b in pairs:
@@ -165,6 +184,7 @@ def diff_heap_bitmaps(
         ):
             records = list(live_heap_records(heap, ours.and_not_into(theirs, scratch)))
             stats.records_scanned += len(records)
+            stats.records_decoded += len(records)
             side.extend(records)
     _drop_identical_pairs(result, pk_position)
     return result
@@ -193,6 +213,10 @@ def _drop_identical_pairs(result: DiffResult, pk_position: int) -> None:
         ]
 
 
+#: Finds a bitmap's next nonzero byte: one C-level search over a dead span.
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
+
+
 def _live_page_masks(
     bitmap, per_page: int, whole: bool = False
 ) -> Iterator[tuple[int, int]]:
@@ -204,12 +228,17 @@ def _live_page_masks(
     neighbouring pages are shifted/masked off), so the whole extraction is
     O(total bits) rather than the O(pages x bits) a rolling whole-bitmap
     shift would cost, and unless ``whole``, a page with no live slot is
-    never fetched.
+    never fetched.  After a page with no live slot, one regex search finds
+    the next nonzero byte, so a sparse bitmap (a merge's one-sided
+    difference) costs its set pages, not its length in pages.
     """
     data = bitmap.to_bytes()
     page_mask = (1 << per_page) - 1
     num_bits = len(bitmap) if whole else len(data) * 8
-    for page_number in range((num_bits + per_page - 1) // per_page):
+    num_pages = (num_bits + per_page - 1) // per_page
+    search = _NONZERO_BYTE.search
+    page_number = 0
+    while page_number < num_pages:
         start = page_number * per_page
         chunk = int.from_bytes(
             data[start >> 3 : (start + per_page + 7) >> 3], "little"
@@ -217,6 +246,33 @@ def _live_page_masks(
         live = (chunk >> (start & 7)) & page_mask
         if live or whole:
             yield page_number, live
+        page_number += 1
+        if not live:
+            # Jump to the page of the next nonzero byte.  That byte may
+            # still hold bits of an earlier page, hence the max.
+            found = search(data, (start + per_page) >> 3)
+            following = (
+                num_pages
+                if found is None
+                else min(num_pages, max(page_number, found.start() * 8 // per_page))
+            )
+            if whole:
+                for skipped in range(page_number, following):
+                    yield skipped, 0
+            page_number = following
+
+
+#: Maps a binary digit's character to its value.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _word_slots(word: int) -> Iterable[int]:
+    """The set bit positions of a page's liveness word, ascending: the
+    word's binary digits, lowest first, select them at C speed."""
+    if not word & (word + 1):  # a fully live run from slot 0
+        return range(word.bit_length())
+    digits = bin(word)[:1:-1].encode().translate(_DIGIT_VALUES)
+    return list(compress(range(len(digits)), digits))
 
 
 def stored_pk_ordinals(heap, pk_position: int) -> Iterator[tuple[int, int]]:
@@ -306,11 +362,10 @@ def live_heap_records(heap, bitmap) -> Iterator[Record]:
             gathered.append(raw[PAGE_HEADER_SIZE:end])
             count += num_records
         else:
-            count += live.bit_count()
-            while live:
-                low = live & -live
-                live ^= low
-                offset = PAGE_HEADER_SIZE + (low.bit_length() - 1) * record_size
+            slots = _word_slots(live)
+            count += len(slots)
+            for slot in slots:
+                offset = PAGE_HEADER_SIZE + slot * record_size
                 gathered.append(raw[offset : offset + record_size])
         if count >= per_page:
             yield from codec.decode_batch(b"".join(gathered), 0, count)
@@ -554,12 +609,7 @@ def heap_page_column_hits(
             continue
         containers = page.columns_view()
         if predicate is None:
-            selection = []
-            keep = selection.append
-            while live:
-                low = live & -live
-                keep(low.bit_length() - 1)
-                live ^= low
+            selection = _word_slots(live)
         else:
             # Evaluate the predicate over the whole page, then intersect
             # with the live mask: dead slots hold well-typed decoded values,
@@ -671,6 +721,8 @@ class VersionedStorageEngine(ABC):
         self.buffer_pool = buffer_pool if buffer_pool is not None else BufferPool()
         self.graph = VersionGraph()
         self.stats = EngineStats()
+        #: Decodes the stored copies a merge reads (every heap shares it).
+        self.codec = RecordCodec(schema)
         #: The versioned index subsystem facade: every mutation path must
         #: notify it (lint rule REPRO011); it owns the declared secondary
         #: indexes and answers the optimizer's :class:`IndexScan` questions,
@@ -832,13 +884,21 @@ class VersionedStorageEngine(ABC):
         ``policy`` (default: :class:`ThreeWayPolicy` preferring the target).
         With ``three_way=False`` the merge uses whole-record precedence and
         never consults the ancestor, matching the paper's two-way mode.
+
+        One loop applies every key the source changed
+        (:meth:`_collect_merge_inputs`).  A key the target left alone takes
+        the source's copy as it is (:meth:`_apply_merge_change`), which on
+        tuple-first and hybrid moves live bits and reads no record.  Only a
+        key both sides changed has its copies decoded and compared field by
+        field.  ``diff_bytes`` counts the keys either side changed, the
+        diff volume Table 3 divides by.
         """
         if policy is None:
             policy = ThreeWayPolicy(prefer="a") if three_way else PrecedencePolicy(prefer="a")
         target_head = self.graph.head(target_branch)
         source_head = self.graph.head(source_branch)
         lca = self.graph.lowest_common_ancestor(target_head, source_head)
-        changed_target, changed_source, ancestors = self._collect_merge_inputs(
+        changed_target, changed_source, target_changes = self._collect_merge_inputs(
             target_branch, source_branch, lca, three_way=three_way
         )
         record_width = self.schema.record_width + 1
@@ -848,39 +908,44 @@ class VersionedStorageEngine(ABC):
             commit_id="",
             policy=policy.name,
             lca_commit=lca if three_way else None,
-            diff_bytes=(len(changed_target) + len(changed_source)) * record_width,
+            diff_bytes=(target_changes + len(changed_source)) * record_width,
         )
-        for key, source_record in changed_source.items():
-            # A key the target left alone still holds its ancestor content.
-            # In a two-way merge such a key is absent from the target: a
-            # record the target held for it would differ, and be a change.
-            current = (
-                changed_target[key] if key in changed_target else ancestors.get(key)
-            )
-            resolved = source_record
-            if key in changed_target:
-                conflict = detect_record_conflict(
-                    self.schema, key, current, source_record, ancestors.get(key)
-                )
-                if conflict.has_conflicts:
-                    result.conflicts.append(conflict)
-                    resolved, _ = policy.resolve(self.schema, conflict)
-                else:
-                    # Both sides changed the key compatibly; a three-way merge
-                    # of the field updates is still needed to combine them.
-                    resolved, _ = ThreeWayPolicy(prefer=policy.prefer if hasattr(policy, "prefer") else "a").resolve(
-                        self.schema, conflict
-                    )
+        record = self._merge_record
+        for key, (source, ancestor) in changed_source.items():
             result.records_applied += 1
+            if key not in changed_target:
+                # The target left the key alone, so it still holds the
+                # ancestor's content.  A two-way merge has no ancestor: a
+                # record the target held for the key would be a change.
+                self._apply_merge_change(
+                    target_branch, key, source, held=ancestor, shared=True
+                )
+                continue
+            held = changed_target[key][0]
+            current = record(held)
+            source_record = record(source)
+            conflict = detect_record_conflict(
+                self.schema, key, current, source_record, record(ancestor)
+            )
+            if conflict.has_conflicts:
+                result.conflicts.append(conflict)
+                resolved, _ = policy.resolve(self.schema, conflict)
+            else:
+                # Both sides changed the key compatibly; a three-way merge
+                # of the field updates is still needed to combine them.
+                resolved, _ = ThreeWayPolicy(prefer=policy.prefer if hasattr(policy, "prefer") else "a").resolve(
+                    self.schema, conflict
+                )
             if _values(resolved) != _values(current):
+                shared = resolved is not None and resolved.values == _values(
+                    source_record
+                )
                 self._apply_merge_change(
                     target_branch,
-                    source_branch,
                     key,
-                    resolved,
-                    in_target=current is not None,
-                    shared=resolved is not None
-                    and resolved.values == _values(source_record),
+                    source if shared else resolved,
+                    held=held,
+                    shared=shared,
                 )
         with self.commit_gate:
             merge_commit = self.graph.merge(
@@ -894,30 +959,75 @@ class VersionedStorageEngine(ABC):
     def _apply_merge_change(
         self,
         target_branch: str,
-        source_branch: str,
         key: int,
-        record: Record | None,
+        copy: int | Record | None,
         *,
-        in_target: bool,
+        held: int | Record | None,
         shared: bool,
     ) -> None:
         """Apply one resolved change to the target branch.
 
-        ``record`` differs from what the target holds for ``key``;
-        ``in_target`` says whether the target holds the key at all, and
-        ``shared`` whether ``record`` is the source branch's record.  Both
-        come from the merge inputs, so no record is read here.  The default
-        implementation copies the record into the target's head (a new
-        physical copy).  The bitmap-based engines override this to *share*
-        the source branch's existing tuple when ``shared`` is set, as the
-        paper's merge procedures do.
+        ``copy`` differs from what the target holds for ``key`` (None for a
+        delete).  ``held`` is the target's copy of the key, or one with the
+        same content (the ancestor's, for a key the target left alone), or
+        None when the target lacks the key; ``shared`` says whether
+        ``copy`` is the source branch's copy.  All come from the merge
+        inputs, so no record is read here.  A shared stored copy becomes
+        live in the target as it is (:meth:`_share_copy`), and only a
+        secondary index built for the target reads its bytes, to decode
+        the indexed column.  Otherwise the record is written to the
+        target's head as a new physical copy.
         """
+        if shared and type(copy) is int:
+            self._share_copy(target_branch, key, copy, held)
+            if self.index_hook.tracks(target_branch):
+                self.index_hook.applied_encoded(
+                    target_branch, key, self._stored_bytes(copy), self.codec
+                )
+            return
+        record = self._merge_record(copy)
         if record is None:
             self.delete(target_branch, key)
-        elif in_target:
+        elif held is not None:
             self.update(target_branch, record)
         else:
             self.insert(target_branch, record)
+
+    def _share_copy(
+        self, target_branch: str, key: int, location: int, held: int | None
+    ) -> None:
+        """Make the stored copy at ``location`` the target's live copy of
+        ``key`` without writing a new one, as the paper's bitmap merges do,
+        and retire the target's copy: ``held`` if it is live in the target,
+        else the one the key-copy index finds.  Engines that merge by
+        position implement it."""
+        raise NotImplementedError
+
+    def _located(self, location: int) -> tuple[Any, int]:
+        """``(read state key, ordinal)`` of a copy location.  Engines that
+        merge by position implement it, with :meth:`_location_base`."""
+        raise NotImplementedError
+
+    def _location_base(self, state_key: Any) -> int:
+        """The location of ordinal 0 of the heap a read state's key names."""
+        raise NotImplementedError
+
+    def _stored_bytes(self, location: int) -> bytes:
+        """The encoded bytes of the copy at ``location``, from its page."""
+        state_key, ordinal = self._located(location)
+        heap = self._state_heap(state_key)
+        page_number, slot = divmod(ordinal, heap.records_per_page)
+        size = self.codec.record_size
+        offset = PAGE_HEADER_SIZE + slot * size
+        return heap.page(page_number).raw_data()[offset : offset + size]
+
+    def _merge_record(self, copy: int | Record | None) -> Record | None:
+        """The record a merge input holds: a diff's record as it is, a
+        stored copy decoded from its page (counted in ``records_decoded``)."""
+        if type(copy) is not int:
+            return copy
+        self.stats.records_decoded += 1
+        return self.codec.decode(self._stored_bytes(copy))
 
     # -- data operations (branch heads only) --------------------------------------
 
@@ -984,6 +1094,7 @@ class VersionedStorageEngine(ABC):
                     pages.clear()  # bound page references per fetch
                 page = pages[(heap, page_number)] = heap.page(page_number)
             out.append(page.record_at(slot))
+        self.stats.records_decoded += len(out)
         return out
 
     # -- reads -----------------------------------------------------------------------
@@ -1166,9 +1277,11 @@ class VersionedStorageEngine(ABC):
     ) -> Iterator[Record]:
         """The reference row scan of a read state, heap by heap in state
         order, adding each record it visits to ``stats.records_scanned``."""
+        stats = self.stats
         for key, bitmap in state.items():
             for record in live_heap_records(self._state_heap(key), bitmap):
-                self.stats.records_scanned += 1
+                stats.records_scanned += 1
+                stats.records_decoded += 1
                 if predicate is None or predicate.evaluate(record, self.schema):
                     yield record
 
@@ -1263,54 +1376,158 @@ class VersionedStorageEngine(ABC):
 
     # -- merge inputs --------------------------------------------------------------
 
+    #: Whether a merge compares versions by position
+    #: (:meth:`_changed_copies`) rather than by the engine's diff
+    #: (:meth:`_merge_diff`).
+    merges_by_position = True
+
     def _merge_diff(self) -> Callable[..., DiffResult]:
-        """The state diff one merge gathers its inputs with."""
+        """The state diff a merge gathers its inputs with when it does not
+        compare by position."""
         return self._diff_states
 
     def _collect_merge_inputs(
         self, target_branch: str, source_branch: str, lca_commit: str, three_way: bool
-    ) -> tuple[ChangeMap, ChangeMap, dict[int, Record]]:
-        """Gather the records changed on each side, from the engine's diff.
+    ) -> tuple[MergeChanges, MergeChanges, int]:
+        """The keys each side changed: ``(target's, source's, number of
+        keys the target changed)``.
 
-        Returns ``(changed_in_target, changed_in_source, ancestor_records)``
-        where the change maps send a primary key to its new record (or None
-        for deletes) and ``ancestor_records`` holds the LCA-version record of
-        every key present in either change map (empty for two-way merges).
+        A three-way merge compares each head with the LCA commit, so each
+        key maps to ``(the head's copy, the ancestor's copy)``; a head's
+        copy of None is a delete.  A two-way merge compares the target with
+        the source: without the LCA, a key missing from one side cannot be
+        told apart between "deleted there" and "added here", so deletions
+        never propagate, and each side's changes are the copies it holds
+        that the other lacks or holds differently, with no ancestor.
 
-        A three-way merge diffs each head against the LCA commit: a key on
-        the positive side changed to that record, a key only on the negative
-        side was deleted, and the negative sides are the ancestor records.
-        A two-way merge diffs the target against the source: without the
-        LCA, a key missing from one side cannot be told apart between
-        "deleted there" and "added here", so deletions never propagate, and
-        each side's changes are the records it holds that the other lacks
-        or holds differently.
+        Tuple-first and hybrid compare by position and decode no record
+        (:meth:`_changed_copies`); of the target's changes they keep only
+        the keys the source changed too, the only ones the merge reads.
+        Version-first diffs full scans of the versions (:meth:`_merge_diff`).
         """
-        diff = self._merge_diff()
-        pk_position = self.schema.primary_key_index
         target = self._branch_state(target_branch)
         source = self._branch_state(source_branch)
+        if self.merges_by_position:
+            changed = self._changed_copies
+        else:
+            diff = self._merge_diff()
+            pk_position = self.schema.primary_key_index
+
+            def changed(head, base, keys=None) -> tuple[MergeChanges, int]:
+                result = diff(head, base)
+                changes = {r.values[pk_position]: (r, None) for r in result.positive}
+                for record in result.negative:
+                    key = record.values[pk_position]
+                    changes[key] = (changes.get(key, (None, None))[0], record)
+                return changes, len(changes)
+
         if not three_way:
-            both = diff(target, source)
-            return (
-                {record.values[pk_position]: record for record in both.positive},
-                {record.values[pk_position]: record for record in both.negative},
-                {},
-            )
+            both, _ = changed(target, source)
+            ours = {key: (copy, None) for key, (copy, _) in both.items() if copy is not None}
+            theirs = {key: (copy, None) for key, (_, copy) in both.items() if copy is not None}
+            return ours, theirs, len(ours)
         lca = self._commit_read_state(lca_commit)
-        changes: list[ChangeMap] = []
-        ancestors: dict[int, Record] = {}
-        for head in (target, source):
-            result = diff(head, lca)
-            changed: ChangeMap = {
-                record.values[pk_position]: record for record in result.positive
-            }
-            for record in result.negative:
-                key = record.values[pk_position]
-                ancestors[key] = record
-                changed.setdefault(key, None)
-            changes.append(changed)
-        return changes[0], changes[1], ancestors
+        changed_source, _ = changed(source, lca)
+        changed_target, target_changes = changed(target, lca, changed_source.keys())
+        return changed_target, changed_source, target_changes
+
+    def _changed_copies(
+        self,
+        head: dict[Any, Bitmap],
+        base: dict[Any, Bitmap],
+        keys: Iterable[int] | None = None,
+    ) -> tuple[MergeChanges, int]:
+        """``head``'s changes against ``base``, by position: the changes of
+        ``keys`` (all when None), and the number of keys changed in all.
+
+        Only the copies live in exactly one of a heap's two bitmaps are
+        visited, in one pass over the pages holding them, and of each page
+        only the key column is decoded, into a map from key to the copy's
+        location.  Copies of one key pair up across heaps; a pair whose
+        encodings are equal holds the same record twice (an identical
+        rewrite, a copied row) and is no change.  Where equal values can
+        differ in their bits (a FLOAT column,
+        :attr:`RecordCodec.bytes_identify_values`), the pair is decoded and
+        compared by value instead.
+        """
+        pk_position = self.schema.primary_key_index
+        size = self.codec.record_size
+        read_key = self.codec.key_reader()
+        empty = Bitmap()
+        scratch = Bitmap()  # one buffer reused for every one-sided difference
+        #: key -> location of the copy live only in ``head``, and only in
+        #: ``base``.
+        sides: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        #: per heap (by location base): records per page, and page images.
+        per_pages: dict[int, int] = {}
+        images: dict[tuple[int, int], bytes] = {}
+        for state_key in sorted(set(head) | set(base)):
+            heap = self._state_heap(state_key)
+            ours, theirs = head.get(state_key, empty), base.get(state_key, empty)
+            per_page = heap.records_per_page
+            location_base = self._location_base(state_key)
+            per_pages[location_base] = per_page
+            words: dict[int, list[int]] = {}
+            for side, (live, other) in enumerate(((ours, theirs), (theirs, ours))):
+                for page_number, word in _live_page_masks(
+                    live.and_not_into(other, scratch), per_page
+                ):
+                    words.setdefault(page_number, [0, 0])[side] = word
+            for page_number in sorted(words):
+                page = heap.page(page_number)
+                raw = images[location_base, page_number] = page.raw_data()
+                num_records = page.num_records
+                columns = page.cached_columns
+                page_keys = None if columns is None else columns[pk_position]
+                first = location_base + page_number * per_page
+                for locations, live in zip(sides, words[page_number]):
+                    if live >> num_records:
+                        raise StorageError(
+                            f"bitmap sets records past the end of page "
+                            f"{page_number} of {heap.path}"
+                        )
+                    slots = _word_slots(live)
+                    self.stats.records_scanned += len(slots)
+                    if page_keys is None and len(slots) * 4 < num_records:
+                        # A few copies: unpack their keys one by one.
+                        slot_keys = [
+                            read_key(raw, PAGE_HEADER_SIZE + slot * size)[0]
+                            for slot in slots
+                        ]
+                    else:
+                        if page_keys is None:
+                            page_keys = heap.codec.decode_column(
+                                raw, pk_position, PAGE_HEADER_SIZE, num_records
+                            )
+                        slot_keys = map(page_keys.__getitem__, slots)
+                    locations.update(zip(slot_keys, map(first.__add__, slots)))
+
+        def encoded(location: int) -> bytes:
+            location_base = location & ~ORDINAL_MASK
+            page_number, slot = divmod(
+                location & ORDINAL_MASK, per_pages[location_base]
+            )
+            offset = PAGE_HEADER_SIZE + slot * size
+            return images[location_base, page_number][offset : offset + size]
+
+        head_locations, base_locations = sides
+        exact = self.codec.bytes_identify_values
+        decode = self.codec.decode
+        for key in head_locations.keys() & base_locations.keys():
+            ours, theirs = encoded(head_locations[key]), encoded(base_locations[key])
+            if not exact:
+                self.stats.records_decoded += 2
+                ours, theirs = decode(ours).values, decode(theirs).values
+            if ours == theirs:
+                del head_locations[key], base_locations[key]
+        changed = head_locations.keys() | base_locations.keys()
+        if keys is None:  # page order: the head's copies, then its deletes
+            keys = [*head_locations, *(k for k in base_locations if k not in head_locations)]
+        return {
+            key: (head_locations.get(key), base_locations.get(key))
+            for key in keys
+            if key in changed
+        }, len(changed)
 
     # -- engine-specific hooks -----------------------------------------------------------
 

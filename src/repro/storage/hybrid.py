@@ -37,6 +37,8 @@ from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import StorageError
 from repro.storage.base import (
+    ORDINAL_BITS,
+    ORDINAL_MASK,
     StorageEngineKind,
     VersionedStorageEngine,
     stored_bitmap,
@@ -45,10 +47,6 @@ from repro.storage.base import (
 from repro.storage.pk_index import KeyCopyIndex
 from repro.storage.segments import SegmentSet
 from repro.versioning.version_graph import MASTER_BRANCH
-
-#: Low bits of a packed key-index location that hold the ordinal.
-_ORDINAL_BITS = 32
-_ORDINAL_MASK = (1 << _ORDINAL_BITS) - 1
 
 
 class HybridEngine(VersionedStorageEngine):
@@ -228,7 +226,7 @@ class HybridEngine(VersionedStorageEngine):
         """``(key, packed location)`` of every record of every segment."""
         pk_position = self.schema.primary_key_index
         for segment in self.segments.all():
-            base = self._segment_numbers[segment.segment_id] << _ORDINAL_BITS
+            base = self._segment_numbers[segment.segment_id] << ORDINAL_BITS
             for key, ordinal in stored_pk_ordinals(segment.heap, pk_position):
                 yield key, base | ordinal
 
@@ -242,8 +240,8 @@ class HybridEngine(VersionedStorageEngine):
         """
         numbered = self._numbered_segments
         for packed in reversed(self.key_index.copies(key)):
-            segment_id, local = numbered[packed >> _ORDINAL_BITS]
-            ordinal = packed & _ORDINAL_MASK
+            segment_id, local = numbered[packed >> ORDINAL_BITS]
+            ordinal = packed & ORDINAL_MASK
             if local.has_branch(branch) and local.is_set(ordinal, branch):
                 return segment_id, ordinal
         return None
@@ -253,6 +251,7 @@ class HybridEngine(VersionedStorageEngine):
         if location is None:
             return None
         segment_id, ordinal = location
+        self.stats.records_decoded += 1
         return self.segments.get(segment_id).record_at(ordinal)
 
     def records_for_keys(self, branch: str, keys) -> list[Record]:
@@ -291,7 +290,7 @@ class HybridEngine(VersionedStorageEngine):
         self._branch_segments[branch].add(segment_id)
         key = record.key(self.schema)
         self.key_index.add(
-            key, self._segment_numbers[segment_id] << _ORDINAL_BITS | ordinal
+            key, self._segment_numbers[segment_id] << ORDINAL_BITS | ordinal
         )
         self.index_hook.applied(branch, key, record)
         self.stats.records_inserted += 1
@@ -371,44 +370,43 @@ class HybridEngine(VersionedStorageEngine):
 
     # -- merge application -----------------------------------------------------------------------
 
-    def _apply_merge_change(
-        self,
-        target_branch: str,
-        source_branch: str,
-        key: int,
-        record: Record | None,
-        *,
-        in_target: bool,
-        shared: bool,
+    def _share_copy(
+        self, target_branch: str, key: int, location: int, held: int | None
     ) -> None:
         """Share the source branch's (segment, ordinal) instead of copying.
 
-        When the resolved record is the source branch's current copy, the
-        target branch simply gains a live bit in the source copy's segment
-        (creating a bitmap column for the target in that segment if needed)
-        and the branch-segment index is updated.  Only genuinely merged
-        records are appended to the target's head segment.
+        The target's copy (if any) loses its live bit, and the target
+        gains one in the source copy's segment (creating a bitmap column
+        for the target in that segment if needed); the branch-segment index
+        is updated.
         """
-        source_location = self.key_location(source_branch, key) if shared else None
-        if source_location is None:
-            super()._apply_merge_change(
-                target_branch, source_branch, key, record,
-                in_target=in_target, shared=shared,
-            )
-            return
-        target_location = self.key_location(target_branch, key)
-        if target_location is not None:
-            old_segment, old_ordinal = target_location
-            self._local_bitmaps[old_segment].clear(old_ordinal, target_branch)
+        if held is not None:
+            local = self._numbered_segments[held >> ORDINAL_BITS][1]
+            ordinal = held & ORDINAL_MASK
+            if local.has_branch(target_branch) and local.is_set(ordinal, target_branch):
+                local.clear(ordinal, target_branch)
+            else:
+                # The target holds a copy with the same content elsewhere.
+                target_location = self.key_location(target_branch, key)
+                if target_location is not None:
+                    old_segment, old_ordinal = target_location
+                    self._local_bitmaps[old_segment].clear(old_ordinal, target_branch)
         # The shared copy is already in the key index; only the target's
         # live bits move.
-        segment_id, ordinal = source_location
-        local = self._local_bitmaps[segment_id]
+        segment_id, local = self._numbered_segments[location >> ORDINAL_BITS]
         if not local.has_branch(target_branch):
             local.add_branch(target_branch)
-        local.set(ordinal, target_branch)
+        local.set(location & ORDINAL_MASK, target_branch)
         self._branch_segments[target_branch].add(segment_id)
-        self.index_hook.applied(target_branch, key, record)
+
+    def _located(self, location: int) -> tuple[str, int]:
+        return (
+            self._numbered_segments[location >> ORDINAL_BITS][0],
+            location & ORDINAL_MASK,
+        )
+
+    def _location_base(self, state_key: str) -> int:
+        return self._segment_numbers[state_key] << ORDINAL_BITS
 
     # -- sizes ----------------------------------------------------------------------------------
 

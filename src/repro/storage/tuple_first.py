@@ -199,6 +199,7 @@ class TupleFirstEngine(VersionedStorageEngine):
         ordinal = self.key_location(branch, key)
         if ordinal is None:
             return None
+        self.stats.records_decoded += 1
         return self.heap.record_by_ordinal(ordinal)
 
     def records_for_keys(self, branch: str, keys) -> list[Record]:
@@ -237,38 +238,27 @@ class TupleFirstEngine(VersionedStorageEngine):
 
     # -- merge application ---------------------------------------------------------------
 
-    def _apply_merge_change(
-        self,
-        target_branch: str,
-        source_branch: str,
-        key: int,
-        record: Record | None,
-        *,
-        in_target: bool,
-        shared: bool,
+    def _share_copy(
+        self, target_branch: str, key: int, location: int, held: int | None
     ) -> None:
-        """Prefer sharing the source branch's tuple over copying it.
-
-        When the resolved record is the source branch's current copy, the
-        merge only flips bits: the target's old copy (if any) is cleared and
-        the source's tuple becomes live in the target too.  Only records
-        whose resolved values match neither branch (field-level merges) are
-        physically appended.
-        """
-        source_ordinal = self.key_location(source_branch, key) if shared else None
-        if source_ordinal is None:
-            super()._apply_merge_change(
-                target_branch, source_branch, key, record,
-                in_target=in_target, shared=shared,
-            )
-            return
-        target_ordinal = self.key_location(target_branch, key)
-        if target_ordinal is not None:
-            self.bitmap_index.clear(target_ordinal, target_branch)
+        """Share the source branch's tuple instead of copying it: the merge
+        only flips bits.  The target's copy (if any) is cleared and the
+        source's tuple becomes live in the target too."""
+        if held is not None and not self.bitmap_index.is_set(held, target_branch):
+            # The target holds a copy with the same content elsewhere.
+            held = self.key_location(target_branch, key)
+        if held is not None:
+            self.bitmap_index.clear(held, target_branch)
         # The shared copy is already in the key index; only the target's
         # live bits move.
-        self.bitmap_index.set(source_ordinal, target_branch)
-        self.index_hook.applied(target_branch, key, record)
+        self.bitmap_index.set(location, target_branch)
+
+    def _located(self, location: int) -> tuple[None, int]:
+        # A location is the shared heap's ordinal.
+        return None, location
+
+    def _location_base(self, state_key: None) -> int:
+        return 0
 
     # -- sizes ------------------------------------------------------------------------------
 

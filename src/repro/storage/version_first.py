@@ -59,6 +59,9 @@ class VersionFirstEngine(VersionedStorageEngine):
     # superseded copies included (the cost its Figure 11 shows); the read
     # states' bitmaps only select the rows.
     reads_whole_heaps = True
+    # A merge diffs full scans of the versions, as the paper's does; it
+    # applies by copying, and has no key-copy index to share copies with.
+    merges_by_position = False
 
     def __init__(
         self,
@@ -246,6 +249,7 @@ class VersionFirstEngine(VersionedStorageEngine):
         if location is None:
             return None
         segment_id, ordinal = location
+        self.stats.records_decoded += 1
         return self.segments.get(segment_id).record_at(ordinal)
 
     def records_for_keys(self, branch: str, keys) -> list[Record]:

@@ -47,9 +47,10 @@ class TestExperimentRunnersSmoke:
     def test_table3_structure(self, tmp_path, tiny_scale):
         table = table3_merge_throughput(str(tmp_path), scale=tiny_scale)
         assert [row[0] for row in table.rows] == ["VF", "TF", "HY"]
-        for _, two_way, three_way, merges in table.rows:
+        for _, two_way, three_way, merges, *decoded in table.rows:
             assert merges >= 1
             assert two_way >= 0 and three_way >= 0
+            assert all(count >= 0 for count in decoded)
 
     def test_git_comparison_structure(self, tmp_path, tiny_scale):
         table = git_comparison(

@@ -1,10 +1,14 @@
-"""Tests for diff results and field-level conflict detection/resolution."""
+"""Tests for diff results, field-level conflict detection/resolution, and
+merges on every engine."""
 
 import pytest
 
+from repro.bench.driver import BenchmarkConfig, load_dataset
 from repro.bitmap.bitmap import Bitmap
-from repro.core.record import Record
-from repro.core.schema import Schema
+from repro.core.record import Record, RecordCodec
+from repro.core.schema import Column, ColumnType, Schema
+from repro.db.database import Decibel
+from repro.query.optimizer import set_index_selection
 from repro.versioning.conflicts import (
     ConflictResolution,
     PrecedencePolicy,
@@ -285,3 +289,231 @@ def test_merge_fetches_changed_copies_page_at_a_time(tmp_path, schema, kind):
     result = engine.merge("master", "dev")
     assert result.records_applied == 20
     assert calls <= changed_pages + result.records_applied
+
+
+# -- merges through reopen, historical forks, indexes and floats ----------------
+
+ENGINES = sorted(ENGINE_CLASSES)
+
+
+def master_rows(engine):
+    return sorted(record.values for record in engine.scan_branch("master"))
+
+
+def outcome(result):
+    return result.num_conflicts, result.records_applied, result.diff_bytes
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_merge_after_reopen(tmp_path, kind):
+    """A reopened engine merges from bitmaps restored from its commit
+    histories, with the key index still unbuilt, as a live one does."""
+    directory = str(tmp_path / kind)
+    engine = engine_factory(kind, Schema.of_ints(3), directory)
+    engine.init(BASE)
+    engine.create_branch("dev", from_branch="master")
+    engine.update("dev", Record((1, 11, 100)))
+    engine.insert("dev", Record((7, 70, 700)))
+    engine.delete("dev", 4)
+    engine.update("master", Record((2, 20, 999)))
+    engine.update("master", Record((1, 10, 111)))
+    engine.commit("dev")
+    engine.commit("master")
+    engine.close()
+    reopened = engine_factory(kind, Schema.of_ints(3), directory)
+    reopened.load_persistent_state()
+    if kind != "version-first":
+        assert not reopened.key_index.built
+    result = reopened.merge("master", "dev")
+    # Key 1 combines both sides' fields, key 4 is deleted, key 7 inserted.
+    merged = [(0, 0, 0), (1, 11, 111), (2, 20, 999), (3, 30, 300), (7, 70, 700)]
+    assert outcome(result) == (0, 3, 5 * WIDTH)
+    assert master_rows(reopened) == merged
+    reopened.close()
+    again = engine_factory(kind, Schema.of_ints(3), directory)
+    again.load_persistent_state()
+    assert master_rows(again) == merged
+    assert sorted(record.values for record in again.checkout(result.commit_id)) == merged
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_merge_of_branch_forked_from_a_historical_commit(tmp_path, kind):
+    engine = engine_factory(kind, Schema.of_ints(3), str(tmp_path / kind))
+    engine.init(BASE)
+    engine.update("master", Record((0, 1, 0)))
+    fork_point = engine.commit("master")
+    engine.update("master", Record((3, 31, 300)))
+    engine.commit("master")
+    engine.create_branch("fix", from_commit=fork_point)
+    engine.update("fix", Record((2, 21, 200)))
+    engine.update("fix", Record((3, 30, 333)))
+    engine.delete("fix", 4)
+    engine.commit("fix")
+    result = engine.merge("master", "fix")
+    assert result.lca_commit == fork_point
+    # The target changed only key 3 since the fork; the source keys 2-4.
+    assert outcome(result) == (0, 3, 4 * WIDTH)
+    assert master_rows(engine) == [(0, 1, 0), (1, 10, 100), (2, 21, 200), (3, 31, 333)]
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_merge_keeps_a_built_secondary_index_exact(tmp_path, kind):
+    """Copies a merge shares, writes and deletes reach the target's built
+    secondary index: index scans answer as full scans do."""
+    db = Decibel(str(tmp_path / kind), engine=kind)
+    relation = db.create_relation("R", Schema.of_ints(3), indexes=("c1",))
+    relation.init([Record((key, key % 10, key)) for key in range(60)])
+    relation.branch("dev", from_branch="master")
+    query = "SELECT * FROM R WHERE R.Version = 'master' AND R.c1 = {}"
+    assert "[index]" in db.explain(query.format(1))
+    db.query(query.format(1))  # builds master's index
+    assert relation.engine.index_hook.tracks("master")
+    relation.update("dev", Record((1, 2, 1)))  # shared: moves from 1 to 2
+    relation.insert("dev", Record((70, 1, 70)))  # shared: new under 1
+    relation.delete("dev", 11)  # leaves 1
+    relation.update("dev", Record((5, 1, 5)))  # conflicts with master's c1
+    relation.update("master", Record((5, 3, 55)))
+    relation.update("dev", Record((6, 1, 6)))  # merged with master's c2
+    relation.update("master", Record((6, 6, 66)))
+    relation.commit("dev")
+    relation.commit("master")
+    assert relation.merge("master", "dev").num_conflicts == 1
+    for value in range(10):
+        sql = query.format(value)
+        indexed = sorted(tuple(row) for row in db.query(sql).rows)
+        set_index_selection(False)
+        try:
+            scanned = sorted(tuple(row) for row in db.query(sql).rows)
+        finally:
+            set_index_selection(True)
+        assert indexed == scanned
+        expected = sorted(
+            record.values for record in relation.scan("master")
+            if record.values[1] == value
+        )
+        assert [tuple(row) for row in indexed] == expected
+    db.close()
+
+
+FLOAT_SCHEMA = Schema(
+    (Column("id", ColumnType.INT), Column("f", ColumnType.FLOAT), Column("c", ColumnType.INT))
+)
+
+
+def float_merge(tmp_path, kind, base, target_write, source_write):
+    engine = engine_factory(kind, FLOAT_SCHEMA, str(tmp_path / kind))
+    engine.init(base)
+    engine.create_branch("dev", from_branch="master")
+    engine.update("master", target_write)
+    engine.update("dev", source_write)
+    engine.commit("master")
+    engine.commit("dev")
+    result = engine.merge("master", "dev")
+    rows = sorted(tuple(map(repr, record.values)) for record in engine.scan_branch("master"))
+    return outcome(result), rows
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_float_rewrite_to_negative_zero_is_no_change(tmp_path, kind):
+    """``0.0 == -0.0``: the target's rewrite is no change, though its bytes
+    differ, so the source's update applies as it is."""
+    base = [Record((1, 0.0, 10)), Record((2, 2.5, 20))]
+    result, rows = float_merge(
+        tmp_path, kind, base, Record((1, -0.0, 10)), Record((1, 0.0, 11))
+    )
+    assert result == (0, 1, WIDTH)
+    assert rows == [("1", "0.0", "11"), ("2", "2.5", "20")]
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_float_rewrite_of_nan_is_a_change(tmp_path, kind):
+    """NaN is unequal to itself: rewriting it is a change, though its bytes
+    are equal, so both sides changed the key and field f conflicts.  (Only
+    the key both sides write holds a NaN: version-first's value diff would
+    see an untouched NaN row as changed on both sides.)"""
+    nan = float("nan")
+    base = [Record((1, 0.0, 10)), Record((2, nan, 20))]
+    result, rows = float_merge(
+        tmp_path, kind, base, Record((2, nan, 20)), Record((2, nan, 21))
+    )
+    assert result == (1, 1, 2 * WIDTH)
+    assert rows == [("1", "0.0", "10"), ("2", "nan", "21")]
+
+
+# -- counted work ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["tuple-first", "hybrid"])
+def test_conflict_free_merge_decodes_no_record(tmp_path, kind, monkeypatch):
+    """Keys only the source changed are applied by moving live bits: the
+    merge reads their keys and builds no record."""
+    engine = engine_factory(kind, Schema.of_ints(3), str(tmp_path / kind))
+    engine.init(Record((key, key, key)) for key in range(500))
+    engine.create_branch("dev", from_branch="master")
+    dev_updates = range(7, 500, 7)
+    dev_deletes = [key for key in range(3, 500, 50) if key % 7]
+    master_updates = [key for key in range(1, 500, 10) if key % 7]
+    for key in dev_updates:
+        engine.update("dev", Record((key, -key, key)))
+    for key in range(500, 520):
+        engine.insert("dev", Record((key, key, key)))
+    for key in dev_deletes:
+        engine.delete("dev", key)
+    for key in master_updates:
+        engine.update("master", Record((key, key, -key)))
+    engine.commit("dev")
+    engine.commit("master")
+    expected = {r.values[0]: r.values for r in engine.scan_branch("dev")}
+    expected.update((key, (key, key, -key)) for key in master_updates)
+    built = 0
+    decode, decode_batch = RecordCodec.decode, RecordCodec.decode_batch
+
+    def counting_decode(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return decode(self, *args, **kwargs)
+
+    def counting_decode_batch(self, *args, **kwargs):
+        nonlocal built
+        records = decode_batch(self, *args, **kwargs)
+        built += len(records)
+        return records
+
+    monkeypatch.setattr(RecordCodec, "decode", counting_decode)
+    monkeypatch.setattr(RecordCodec, "decode_batch", counting_decode_batch)
+    decoded = engine.stats.records_decoded
+    result = engine.merge("master", "dev")
+    assert (built, engine.stats.records_decoded - decoded) == (0, 0)
+    assert result.num_conflicts == 0
+    assert result.records_applied == len(dev_updates) + 20 + len(dev_deletes)
+    monkeypatch.undo()
+    assert {r.values[0]: r.values for r in engine.scan_branch("master")} == expected
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        pytest.param(
+            "version-first",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="version-first's merge diffs full scans of both heads "
+                "and the LCA commit, decoding every record of all three",
+            ),
+        ),
+        "tuple-first",
+        "hybrid",
+    ],
+)
+def test_curation_merges_decode_at_most_four_records_per_change(tmp_path, kind):
+    """On the paper's curation pattern (dev branches merged back into a
+    master that changes too, with conflicts), each merge decodes at most
+    four records per key it applies."""
+    config = BenchmarkConfig(
+        strategy="curation", engine=kind, num_branches=6, total_operations=800,
+        commit_interval=200, num_columns=6, seed=42,
+    )
+    timings = load_dataset(config, str(tmp_path)).merge_timings
+    assert timings and sum(timing.conflicts for timing in timings)
+    for timing in timings:
+        assert timing.records_decoded <= 4 * timing.records_applied

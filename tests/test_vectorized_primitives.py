@@ -23,7 +23,12 @@ from repro.core.predicates import (
 )
 from repro.core.record import Record, RecordCodec
 from repro.core.schema import Column, ColumnType, Schema
-from repro.storage.base import EngineStats, scan_heap_member_columns
+from repro.storage.base import (
+    EngineStats,
+    _live_page_masks,
+    _word_slots,
+    scan_heap_member_columns,
+)
 
 index_sets = st.sets(st.integers(min_value=0, max_value=2000), max_size=200)
 
@@ -278,3 +283,65 @@ class TestMemberColumns:
         got = self.scan(named_sets, predicate)
         assert len(got) > 1000
         assert got == self.naive(named_sets, predicate)
+
+
+def reference_page_masks(bitmap: Bitmap, per_page: int, whole: bool = False):
+    """The page-by-page loop ``_live_page_masks`` replaced: every page the
+    bitmap's bytes (or, with ``whole``, its length) span, one slice each."""
+    data = bitmap.to_bytes()
+    page_mask = (1 << per_page) - 1
+    num_bits = len(bitmap) if whole else len(data) * 8
+    for page_number in range((num_bits + per_page - 1) // per_page):
+        start = page_number * per_page
+        chunk = int.from_bytes(data[start >> 3 : (start + per_page + 7) >> 3], "little")
+        live = (chunk >> (start & 7)) & page_mask
+        if live or whole:
+            yield page_number, live
+
+
+def bitmaps_of(indices: st.SearchStrategy) -> st.SearchStrategy:
+    """Bitmaps setting ``indices``, some longer than their last set bit."""
+    return st.builds(
+        lambda bits, tail: Bitmap.from_indices(bits, max(bits, default=-1) + 1 + tail),
+        indices,
+        st.integers(min_value=0, max_value=300),
+    )
+
+
+class TestLivePageMasks:
+    """The span-skipping page walk yields exactly the reference loop's
+    ``(page, word)`` pairs."""
+
+    @given(
+        st.one_of(
+            # sparse: a few bits over a long bitmap, as a merge's one-sided
+            # differences are
+            bitmaps_of(st.sets(st.integers(0, 30_000), max_size=12)),
+            # dense: most bits of a short bitmap set
+            bitmaps_of(st.sets(st.integers(0, 600), min_size=300, max_size=600)),
+            # runs: whole pages set with dead spans between them
+            bitmaps_of(
+                st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 200)), max_size=6)
+                .map(lambda runs: {s + i for s, n in runs for i in range(n)})
+            ),
+            bitmaps_of(st.just(set())),  # empty, possibly with a length
+        ),
+        st.sampled_from([1, 3, 7, 8, 9, 50, 64, 65, 809]),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_loop(self, bitmap, per_page, whole):
+        assert list(_live_page_masks(bitmap, per_page, whole)) == list(
+            reference_page_masks(bitmap, per_page, whole)
+        )
+
+    def test_empty_bitmap_yields_no_page(self):
+        assert list(_live_page_masks(Bitmap(), 50)) == []
+        assert list(_live_page_masks(Bitmap(), 50, whole=True)) == []
+
+
+class TestWordSlots:
+    @given(st.sets(st.integers(0, 900), max_size=900))
+    def test_slots_are_the_set_bits(self, bits):
+        word = sum(1 << bit for bit in bits)
+        assert list(_word_slots(word)) == sorted(bits)
