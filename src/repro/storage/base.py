@@ -1496,7 +1496,7 @@ class VersionedStorageEngine(ABC):
                         ]
                     else:
                         if page_keys is None:
-                            page_keys = heap.codec.decode_column(
+                            page_keys = self.codec.decode_column(
                                 raw, pk_position, PAGE_HEADER_SIZE, num_records
                             )
                         slot_keys = map(page_keys.__getitem__, slots)
