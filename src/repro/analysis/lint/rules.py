@@ -627,6 +627,7 @@ INDEX_MUTATION_METHODS = (
     "update",
     "delete",
     "_apply_merge_change",
+    "_share_copy",
     "_materialize_branch",
 )
 

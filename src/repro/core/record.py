@@ -140,12 +140,6 @@ class RecordCodec:
             column.type in (ColumnType.INT, ColumnType.INT32)
             for column in schema.columns
         )
-        #: True when two encodings are equal exactly when the values they
-        #: decode to are: no FLOAT column, where ``0.0 == -0.0`` holds
-        #: across two bit patterns and NaN is unequal to its own bits.
-        self.bytes_identify_values = all(
-            column.type is not ColumnType.FLOAT for column in schema.columns
-        )
         #: Per column, the record format with every other field padded
         #: over, so a repeat of it unpacks that column alone.
         units = []
@@ -164,8 +158,6 @@ class RecordCodec:
             return "q"
         if column.type is ColumnType.INT32:
             return "i"
-        if column.type is ColumnType.FLOAT:
-            return "d"
         return f"{column.width}s"
 
     @property
@@ -355,12 +347,6 @@ class RecordCodec:
     def _column_struct(self, index: int, count: int) -> struct.Struct:
         """The process-wide format of column ``index`` of ``count`` records."""
         return compiled_format(self._column_units[index], count)
-
-    def key_reader(self) -> Callable[[bytes, int], tuple]:
-        """``read(data, offset)[0]`` is the primary key of the record at
-        ``offset``: one unpack of the key field alone, for a reader that
-        needs the keys of a few records of a page."""
-        return self._column_struct(self.schema.primary_key_index, 1).unpack_from
 
     def decode_column(
         self, data: bytes, index: int, offset: int = 0, count: int | None = None

@@ -25,8 +25,9 @@ class ColumnType(enum.Enum):
     ``INT`` is an 8-byte signed integer.  ``INT32`` is a 4-byte signed
     integer, matching the paper's 4-byte benchmark columns.  ``STRING`` is a
     fixed-width UTF-8 field padded with NUL bytes; its width is set per
-    column.  ``FLOAT`` is a double-precision float, stored as its 8 IEEE 754
-    bytes; ``avg`` aggregates emit it, and it cannot be a primary key.
+    column.  ``FLOAT`` is a double-precision float carried only by derived
+    schemas (``avg`` aggregates emit it); stored relations reject it as a
+    primary key and never encode it to disk.
     """
 
     INT = "int"

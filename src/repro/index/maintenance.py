@@ -20,7 +20,7 @@ is derived data, never persisted, and rebuilt from storage after a reopen.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.schema import ColumnType, Schema
 from repro.errors import SchemaError
@@ -51,19 +51,18 @@ class IndexMaintenance:
             if index.has_branch(branch):
                 index.put(branch, key, record.values[index.position])
 
-    def tracks(self, branch: str) -> bool:
-        """True if a secondary index is built for ``branch``: a write to it
-        must report the indexed values."""
+    def applied_stored(
+        self, branch: str, key: int, stored: Callable[[], bytes], codec
+    ) -> None:
+        """As :meth:`applied`, for a stored copy a merge made ``key``'s live
+        row in ``branch`` without decoding it.  ``stored()`` reads the
+        copy's encoded bytes; it is called only when a secondary index is
+        built for ``branch``, and only the indexed columns are decoded."""
+        data = None
         for index in self.secondary.values():
             if index.has_branch(branch):
-                return True
-        return False
-
-    def applied_encoded(self, branch: str, key: int, data: bytes, codec) -> None:
-        """As :meth:`applied`, for a row given as its encoded bytes (a
-        merge sharing a stored copy): only the indexed columns are decoded."""
-        for index in self.secondary.values():
-            if index.has_branch(branch):
+                if data is None:
+                    data = stored()
                 index.put(branch, key, codec.decode_column(data, index.position)[0])
 
     def removed(self, branch: str, key: int) -> None:

@@ -146,11 +146,6 @@ class MergeResult:
 #: decoded :class:`Record`.
 MergeChanges = dict[int, tuple[Any, Any]]
 
-#: A packed copy location holds the ordinal in its low bits and, in hybrid,
-#: the segment's number above them.
-ORDINAL_BITS = 32
-ORDINAL_MASK = (1 << ORDINAL_BITS) - 1
-
 #: Rows per batch yielded by the engines' column and multi-branch scans.
 DEFAULT_SCAN_BATCH_SIZE = 1024
 
@@ -362,10 +357,11 @@ def live_heap_records(heap, bitmap) -> Iterator[Record]:
             gathered.append(raw[PAGE_HEADER_SIZE:end])
             count += num_records
         else:
-            slots = _word_slots(live)
-            count += len(slots)
-            for slot in slots:
-                offset = PAGE_HEADER_SIZE + slot * record_size
+            count += live.bit_count()
+            while live:
+                low = live & -live
+                live ^= low
+                offset = PAGE_HEADER_SIZE + (low.bit_length() - 1) * record_size
                 gathered.append(raw[offset : offset + record_size])
         if count >= per_page:
             yield from codec.decode_batch(b"".join(gathered), 0, count)
@@ -609,7 +605,12 @@ def heap_page_column_hits(
             continue
         containers = page.columns_view()
         if predicate is None:
-            selection = _word_slots(live)
+            selection = []
+            keep = selection.append
+            while live:
+                low = live & -live
+                keep(low.bit_length() - 1)
+                live ^= low
         else:
             # Evaluate the predicate over the whole page, then intersect
             # with the live mask: dead slots hold well-typed decoded values,
@@ -973,17 +974,11 @@ class VersionedStorageEngine(ABC):
         None when the target lacks the key; ``shared`` says whether
         ``copy`` is the source branch's copy.  All come from the merge
         inputs, so no record is read here.  A shared stored copy becomes
-        live in the target as it is (:meth:`_share_copy`), and only a
-        secondary index built for the target reads its bytes, to decode
-        the indexed column.  Otherwise the record is written to the
-        target's head as a new physical copy.
+        live in the target as it is (:meth:`_share_copy`).  Otherwise the
+        record is written to the target's head as a new physical copy.
         """
         if shared and type(copy) is int:
             self._share_copy(target_branch, key, copy, held)
-            if self.index_hook.tracks(target_branch):
-                self.index_hook.applied_encoded(
-                    target_branch, key, self._stored_bytes(copy), self.codec
-                )
             return
         record = self._merge_record(copy)
         if record is None:
@@ -1000,7 +995,9 @@ class VersionedStorageEngine(ABC):
         ``key`` without writing a new one, as the paper's bitmap merges do,
         and retire the target's copy: ``held`` if it is live in the target,
         else the one the key-copy index finds.  Engines that merge by
-        position implement it."""
+        position implement it, and tell ``index_hook`` of the shared copy
+        (:meth:`~repro.index.maintenance.IndexMaintenance.applied_stored`):
+        only a secondary index built for the target reads its bytes."""
         raise NotImplementedError
 
     def _located(self, location: int) -> tuple[Any, int]:
@@ -1376,15 +1373,13 @@ class VersionedStorageEngine(ABC):
 
     # -- merge inputs --------------------------------------------------------------
 
-    #: Whether a merge compares versions by position
-    #: (:meth:`_changed_copies`) rather than by the engine's diff
-    #: (:meth:`_merge_diff`).
-    merges_by_position = True
-
-    def _merge_diff(self) -> Callable[..., DiffResult]:
-        """The state diff a merge gathers its inputs with when it does not
-        compare by position."""
-        return self._diff_states
+    def _merge_changes(self) -> Callable[..., tuple[MergeChanges, int]]:
+        """How a merge compares two read states: ``changed(head, base,
+        keys=None)`` returns ``head``'s changes against ``base`` (of
+        ``keys``, all when None) and the number of keys changed in all.
+        Tuple-first and hybrid compare by position
+        (:meth:`_changed_copies`)."""
+        return self._changed_copies
 
     def _collect_merge_inputs(
         self, target_branch: str, source_branch: str, lca_commit: str, three_way: bool
@@ -1403,24 +1398,11 @@ class VersionedStorageEngine(ABC):
         Tuple-first and hybrid compare by position and decode no record
         (:meth:`_changed_copies`); of the target's changes they keep only
         the keys the source changed too, the only ones the merge reads.
-        Version-first diffs full scans of the versions (:meth:`_merge_diff`).
+        Version-first diffs full scans of the versions.
         """
         target = self._branch_state(target_branch)
         source = self._branch_state(source_branch)
-        if self.merges_by_position:
-            changed = self._changed_copies
-        else:
-            diff = self._merge_diff()
-            pk_position = self.schema.primary_key_index
-
-            def changed(head, base, keys=None) -> tuple[MergeChanges, int]:
-                result = diff(head, base)
-                changes = {r.values[pk_position]: (r, None) for r in result.positive}
-                for record in result.negative:
-                    key = record.values[pk_position]
-                    changes[key] = (changes.get(key, (None, None))[0], record)
-                return changes, len(changes)
-
+        changed = self._merge_changes()
         if not three_way:
             both, _ = changed(target, source)
             ours = {key: (copy, None) for key, (copy, _) in both.items() if copy is not None}
@@ -1445,28 +1427,24 @@ class VersionedStorageEngine(ABC):
         only the key column is decoded, into a map from key to the copy's
         location.  Copies of one key pair up across heaps; a pair whose
         encodings are equal holds the same record twice (an identical
-        rewrite, a copied row) and is no change.  Where equal values can
-        differ in their bits (a FLOAT column,
-        :attr:`RecordCodec.bytes_identify_values`), the pair is decoded and
-        compared by value instead.
+        rewrite, a copied row) and is no change.  Equal bytes are equal
+        values for every storable column type (FLOAT is never stored).
         """
         pk_position = self.schema.primary_key_index
         size = self.codec.record_size
-        read_key = self.codec.key_reader()
         empty = Bitmap()
         scratch = Bitmap()  # one buffer reused for every one-sided difference
         #: key -> location of the copy live only in ``head``, and only in
         #: ``base``.
         sides: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        #: per heap (by location base): records per page, and page images.
-        per_pages: dict[int, int] = {}
-        images: dict[tuple[int, int], bytes] = {}
+        #: per read state key: records per page, and page images.
+        per_pages: dict[Any, int] = {}
+        images: dict[tuple[Any, int], bytes] = {}
         for state_key in sorted(set(head) | set(base)):
             heap = self._state_heap(state_key)
             ours, theirs = head.get(state_key, empty), base.get(state_key, empty)
-            per_page = heap.records_per_page
+            per_page = per_pages[state_key] = heap.records_per_page
             location_base = self._location_base(state_key)
-            per_pages[location_base] = per_page
             words: dict[int, list[int]] = {}
             for side, (live, other) in enumerate(((ours, theirs), (theirs, ours))):
                 for page_number, word in _live_page_masks(
@@ -1475,10 +1453,16 @@ class VersionedStorageEngine(ABC):
                     words.setdefault(page_number, [0, 0])[side] = word
             for page_number in sorted(words):
                 page = heap.page(page_number)
-                raw = images[location_base, page_number] = page.raw_data()
+                raw = images[state_key, page_number] = page.raw_data()
                 num_records = page.num_records
                 columns = page.cached_columns
-                page_keys = None if columns is None else columns[pk_position]
+                page_keys = (
+                    self.codec.decode_column(
+                        raw, pk_position, PAGE_HEADER_SIZE, num_records
+                    )
+                    if columns is None
+                    else columns[pk_position]
+                )
                 first = location_base + page_number * per_page
                 for locations, live in zip(sides, words[page_number]):
                     if live >> num_records:
@@ -1488,37 +1472,19 @@ class VersionedStorageEngine(ABC):
                         )
                     slots = _word_slots(live)
                     self.stats.records_scanned += len(slots)
-                    if page_keys is None and len(slots) * 4 < num_records:
-                        # A few copies: unpack their keys one by one.
-                        slot_keys = [
-                            read_key(raw, PAGE_HEADER_SIZE + slot * size)[0]
-                            for slot in slots
-                        ]
-                    else:
-                        if page_keys is None:
-                            page_keys = self.codec.decode_column(
-                                raw, pk_position, PAGE_HEADER_SIZE, num_records
-                            )
-                        slot_keys = map(page_keys.__getitem__, slots)
-                    locations.update(zip(slot_keys, map(first.__add__, slots)))
+                    locations.update(
+                        zip(map(page_keys.__getitem__, slots), map(first.__add__, slots))
+                    )
 
         def encoded(location: int) -> bytes:
-            location_base = location & ~ORDINAL_MASK
-            page_number, slot = divmod(
-                location & ORDINAL_MASK, per_pages[location_base]
-            )
+            state_key, ordinal = self._located(location)
+            page_number, slot = divmod(ordinal, per_pages[state_key])
             offset = PAGE_HEADER_SIZE + slot * size
-            return images[location_base, page_number][offset : offset + size]
+            return images[state_key, page_number][offset : offset + size]
 
         head_locations, base_locations = sides
-        exact = self.codec.bytes_identify_values
-        decode = self.codec.decode
         for key in head_locations.keys() & base_locations.keys():
-            ours, theirs = encoded(head_locations[key]), encoded(base_locations[key])
-            if not exact:
-                self.stats.records_decoded += 2
-                ours, theirs = decode(ours).values, decode(theirs).values
-            if ours == theirs:
+            if encoded(head_locations[key]) == encoded(base_locations[key]):
                 del head_locations[key], base_locations[key]
         changed = head_locations.keys() | base_locations.keys()
         if keys is None:  # page order: the head's copies, then its deletes

@@ -37,8 +37,6 @@ from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import StorageError
 from repro.storage.base import (
-    ORDINAL_BITS,
-    ORDINAL_MASK,
     StorageEngineKind,
     VersionedStorageEngine,
     stored_bitmap,
@@ -47,6 +45,10 @@ from repro.storage.base import (
 from repro.storage.pk_index import KeyCopyIndex
 from repro.storage.segments import SegmentSet
 from repro.versioning.version_graph import MASTER_BRANCH
+
+#: Low bits of a packed key-index location that hold the ordinal.
+_ORDINAL_BITS = 32
+_ORDINAL_MASK = (1 << _ORDINAL_BITS) - 1
 
 
 class HybridEngine(VersionedStorageEngine):
@@ -226,7 +228,7 @@ class HybridEngine(VersionedStorageEngine):
         """``(key, packed location)`` of every record of every segment."""
         pk_position = self.schema.primary_key_index
         for segment in self.segments.all():
-            base = self._segment_numbers[segment.segment_id] << ORDINAL_BITS
+            base = self._segment_numbers[segment.segment_id] << _ORDINAL_BITS
             for key, ordinal in stored_pk_ordinals(segment.heap, pk_position):
                 yield key, base | ordinal
 
@@ -240,8 +242,8 @@ class HybridEngine(VersionedStorageEngine):
         """
         numbered = self._numbered_segments
         for packed in reversed(self.key_index.copies(key)):
-            segment_id, local = numbered[packed >> ORDINAL_BITS]
-            ordinal = packed & ORDINAL_MASK
+            segment_id, local = numbered[packed >> _ORDINAL_BITS]
+            ordinal = packed & _ORDINAL_MASK
             if local.has_branch(branch) and local.is_set(ordinal, branch):
                 return segment_id, ordinal
         return None
@@ -290,7 +292,7 @@ class HybridEngine(VersionedStorageEngine):
         self._branch_segments[branch].add(segment_id)
         key = record.key(self.schema)
         self.key_index.add(
-            key, self._segment_numbers[segment_id] << ORDINAL_BITS | ordinal
+            key, self._segment_numbers[segment_id] << _ORDINAL_BITS | ordinal
         )
         self.index_hook.applied(branch, key, record)
         self.stats.records_inserted += 1
@@ -378,11 +380,12 @@ class HybridEngine(VersionedStorageEngine):
         The target's copy (if any) loses its live bit, and the target
         gains one in the source copy's segment (creating a bitmap column
         for the target in that segment if needed); the branch-segment index
-        is updated.
+        is updated, and a secondary index built for the target learns the
+        copy's indexed value.
         """
         if held is not None:
-            local = self._numbered_segments[held >> ORDINAL_BITS][1]
-            ordinal = held & ORDINAL_MASK
+            local = self._numbered_segments[held >> _ORDINAL_BITS][1]
+            ordinal = held & _ORDINAL_MASK
             if local.has_branch(target_branch) and local.is_set(ordinal, target_branch):
                 local.clear(ordinal, target_branch)
             else:
@@ -393,20 +396,23 @@ class HybridEngine(VersionedStorageEngine):
                     self._local_bitmaps[old_segment].clear(old_ordinal, target_branch)
         # The shared copy is already in the key index; only the target's
         # live bits move.
-        segment_id, local = self._numbered_segments[location >> ORDINAL_BITS]
+        segment_id, local = self._numbered_segments[location >> _ORDINAL_BITS]
         if not local.has_branch(target_branch):
             local.add_branch(target_branch)
-        local.set(location & ORDINAL_MASK, target_branch)
+        local.set(location & _ORDINAL_MASK, target_branch)
         self._branch_segments[target_branch].add(segment_id)
+        self.index_hook.applied_stored(
+            target_branch, key, lambda: self._stored_bytes(location), self.codec
+        )
 
     def _located(self, location: int) -> tuple[str, int]:
         return (
-            self._numbered_segments[location >> ORDINAL_BITS][0],
-            location & ORDINAL_MASK,
+            self._numbered_segments[location >> _ORDINAL_BITS][0],
+            location & _ORDINAL_MASK,
         )
 
     def _location_base(self, state_key: str) -> int:
-        return self._segment_numbers[state_key] << ORDINAL_BITS
+        return self._segment_numbers[state_key] << _ORDINAL_BITS
 
     # -- sizes ----------------------------------------------------------------------------------
 

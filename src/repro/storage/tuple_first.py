@@ -242,8 +242,9 @@ class TupleFirstEngine(VersionedStorageEngine):
         self, target_branch: str, key: int, location: int, held: int | None
     ) -> None:
         """Share the source branch's tuple instead of copying it: the merge
-        only flips bits.  The target's copy (if any) is cleared and the
-        source's tuple becomes live in the target too."""
+        only flips bits.  The target's copy (if any) is cleared, the
+        source's tuple becomes live in the target too, and a secondary
+        index built for the target learns the tuple's indexed value."""
         if held is not None and not self.bitmap_index.is_set(held, target_branch):
             # The target holds a copy with the same content elsewhere.
             held = self.key_location(target_branch, key)
@@ -252,6 +253,9 @@ class TupleFirstEngine(VersionedStorageEngine):
         # The shared copy is already in the key index; only the target's
         # live bits move.
         self.bitmap_index.set(location, target_branch)
+        self.index_hook.applied_stored(
+            target_branch, key, lambda: self._stored_bytes(location), self.codec
+        )
 
     def _located(self, location: int) -> tuple[None, int]:
         # A location is the shared heap's ordinal.

@@ -41,6 +41,7 @@ from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import CommitNotFoundError, CorruptionError, StorageError
 from repro.storage.base import (
+    MergeChanges,
     StorageEngineKind,
     VersionedStorageEngine,
     check_stored_records,
@@ -59,9 +60,6 @@ class VersionFirstEngine(VersionedStorageEngine):
     # superseded copies included (the cost its Figure 11 shows); the read
     # states' bitmaps only select the rows.
     reads_whole_heaps = True
-    # A merge diffs full scans of the versions, as the paper's does; it
-    # applies by copying, and has no key-copy index to share copies with.
-    merges_by_position = False
 
     def __init__(
         self,
@@ -453,6 +451,24 @@ class VersionFirstEngine(VersionedStorageEngine):
             )
 
         return diff
+
+    def _merge_changes(self) -> Callable[..., tuple[MergeChanges, int]]:
+        """A merge diffs full scans of the versions (:meth:`_merge_diff`),
+        as the paper's does: it applies by copying, and has no key-copy
+        index to share copies with.  Every changed key is returned, with
+        decoded records for its copies."""
+        diff = self._merge_diff()
+        pk_position = self.schema.primary_key_index
+
+        def changed(head, base, keys=None) -> tuple[MergeChanges, int]:
+            result = diff(head, base)
+            changes = {r.values[pk_position]: (r, None) for r in result.positive}
+            for record in result.negative:
+                key = record.values[pk_position]
+                changes[key] = (changes.get(key, (None, None))[0], record)
+            return changes, len(changes)
+
+        return changed
 
     # -- sizes -------------------------------------------------------------------------------------
 

@@ -8,6 +8,7 @@ from repro.bitmap.bitmap import Bitmap
 from repro.core.record import Record, RecordCodec
 from repro.core.schema import Column, ColumnType, Schema
 from repro.db.database import Decibel
+from repro.errors import RecordError
 from repro.query.optimizer import set_index_selection
 from repro.versioning.conflicts import (
     ConflictResolution,
@@ -291,7 +292,7 @@ def test_merge_fetches_changed_copies_page_at_a_time(tmp_path, schema, kind):
     assert calls <= changed_pages + result.records_applied
 
 
-# -- merges through reopen, historical forks, indexes and floats ----------------
+# -- merges through reopen, historical forks and indexes ----------------
 
 ENGINES = sorted(ENGINE_CLASSES)
 
@@ -367,7 +368,7 @@ def test_merge_keeps_a_built_secondary_index_exact(tmp_path, kind):
     query = "SELECT * FROM R WHERE R.Version = 'master' AND R.c1 = {}"
     assert "[index]" in db.explain(query.format(1))
     db.query(query.format(1))  # builds master's index
-    assert relation.engine.index_hook.tracks("master")
+    assert relation.engine.index_hook.secondary["c1"].has_branch("master")
     relation.update("dev", Record((1, 2, 1)))  # shared: moves from 1 to 2
     relation.insert("dev", Record((70, 1, 70)))  # shared: new under 1
     relation.delete("dev", 11)  # leaves 1
@@ -395,49 +396,15 @@ def test_merge_keeps_a_built_secondary_index_exact(tmp_path, kind):
     db.close()
 
 
-FLOAT_SCHEMA = Schema(
-    (Column("id", ColumnType.INT), Column("f", ColumnType.FLOAT), Column("c", ColumnType.INT))
-)
-
-
-def float_merge(tmp_path, kind, base, target_write, source_write):
-    engine = engine_factory(kind, FLOAT_SCHEMA, str(tmp_path / kind))
-    engine.init(base)
-    engine.create_branch("dev", from_branch="master")
-    engine.update("master", target_write)
-    engine.update("dev", source_write)
-    engine.commit("master")
-    engine.commit("dev")
-    result = engine.merge("master", "dev")
-    rows = sorted(tuple(map(repr, record.values)) for record in engine.scan_branch("master"))
-    return outcome(result), rows
-
-
 @pytest.mark.parametrize("kind", ENGINES)
-def test_float_rewrite_to_negative_zero_is_no_change(tmp_path, kind):
-    """``0.0 == -0.0``: the target's rewrite is no change, though its bytes
-    differ, so the source's update applies as it is."""
-    base = [Record((1, 0.0, 10)), Record((2, 2.5, 20))]
-    result, rows = float_merge(
-        tmp_path, kind, base, Record((1, -0.0, 10)), Record((1, 0.0, 11))
-    )
-    assert result == (0, 1, WIDTH)
-    assert rows == [("1", "0.0", "11"), ("2", "2.5", "20")]
-
-
-@pytest.mark.parametrize("kind", ENGINES)
-def test_float_rewrite_of_nan_is_a_change(tmp_path, kind):
-    """NaN is unequal to itself: rewriting it is a change, though its bytes
-    are equal, so both sides changed the key and field f conflicts.  (Only
-    the key both sides write holds a NaN: version-first's value diff would
-    see an untouched NaN row as changed on both sides.)"""
-    nan = float("nan")
-    base = [Record((1, 0.0, 10)), Record((2, nan, 20))]
-    result, rows = float_merge(
-        tmp_path, kind, base, Record((2, nan, 20)), Record((2, nan, 21))
-    )
-    assert result == (1, 1, 2 * WIDTH)
-    assert rows == [("1", "0.0", "10"), ("2", "nan", "21")]
+def test_float_column_cannot_be_stored(tmp_path, kind):
+    """A merge takes two copies with equal bytes for the same record, which
+    holds for every storable type.  FLOAT, where ``0.0 == -0.0`` spans two
+    bit patterns and NaN is unequal to its own bits, is never stored."""
+    schema = Schema((Column("id", ColumnType.INT), Column("f", ColumnType.FLOAT)))
+    engine = engine_factory(kind, schema, str(tmp_path / kind))
+    with pytest.raises(RecordError):
+        engine.init([Record((1, 0.0))])
 
 
 # -- counted work ---------------------------------------------------------------
