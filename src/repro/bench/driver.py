@@ -11,6 +11,7 @@ order.
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import time
@@ -222,14 +223,25 @@ def _apply_operation(
         return
     if kind is OperationKind.MERGE:
         decoded = engine.stats.records_decoded
-        started = time.perf_counter()
-        merge = engine.merge(
-            operation.target,
-            operation.source,
-            three_way=config.three_way_merges,
-            message=f"merge {operation.source} into {operation.target}",
-        )
-        elapsed = time.perf_counter() - started
+        # Timed with the collector paused, as ``timeit`` times: a merge
+        # takes milliseconds at test scale, and a full collection costs
+        # tens of them, set by every object the process holds rather than
+        # by the engine.  Where those collections fell decided Table 3's
+        # two-way/three-way ratio for version-first.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            merge = engine.merge(
+                operation.target,
+                operation.source,
+                three_way=config.three_way_merges,
+                message=f"merge {operation.source} into {operation.target}",
+            )
+            elapsed = time.perf_counter() - started
+        finally:
+            if collecting:
+                gc.enable()
         result.merge_timings.append(
             MergeTiming(
                 target=operation.target,

@@ -634,7 +634,7 @@ class GroupAggregate(Operator):
 
     An ungrouped aggregate of only ``count(*)`` is answered by the child's
     count mode (:meth:`Operator.count`), so a scan's engine-side counter
-    -- a bitmap popcount or primary-key index size, with no page read --
+    -- a popcount of live bitmaps, with no page read --
     does the work, and no row is decoded.
     """
 

@@ -268,36 +268,34 @@ class Decibel:
         return report
 
     def _verify_consistency(self) -> None:
-        """Cross-check each loaded version-first branch's pk map against
+        """Cross-check each built version-first branch's live bits against
         the chain walk
-        (:meth:`~repro.storage.version_first.VersionFirstEngine.chain_entries`).
+        (:meth:`~repro.storage.version_first.VersionFirstEngine.chain_state`).
 
-        Only version-first keeps a per-branch map whose size can disagree
-        with the branch's live records, and the chain walk reads them
-        without it.  Tuple-first and hybrid count live rows from the same
-        bitmaps their key lookups test, so the check would compare a number
-        with itself.
+        Only version-first derives its live bits: a reopen rebuilds them
+        from the segments, and the chain walk reads those without them.
+        Tuple-first's and hybrid's live bitmaps are the restored commit
+        snapshots themselves, so there is nothing to compare them with.
         """
         for name in self.relations():
             engine = self.relation(name).engine
             if engine.kind is not StorageEngineKind.VERSION_FIRST:
                 continue
-            pk_index = engine.pk_index
             for branch in engine.graph.branch_names():
-                if not pk_index.branch_loaded(branch):
-                    # Unloaded branches hydrate (and are verified against
-                    # storage) lazily on first touch; forcing a load here
-                    # would defeat lazy cold opens.
+                if not engine.live_bits_built(branch):
+                    # Unbuilt branches are built from the chain walk on
+                    # first touch; building them here would defeat lazy
+                    # cold opens.
                     continue
-                indexed = pk_index.live_count(branch)
-                live = len(engine.chain_entries(branch))
+                indexed = engine.live_state(branch)
+                live = engine.chain_state(branch)
                 if indexed != live:
                     raise CorruptionError(
                         engine.directory,
                         f"primary-key index of relation {name!r} branch "
                         f"{branch!r} disagrees with live records",
-                        expected=live,
-                        actual=indexed,
+                        expected=sum(bitmap.count() for bitmap in live.values()),
+                        actual=sum(bitmap.count() for bitmap in indexed.values()),
                     )
 
     def transactions(self, relation: str) -> TransactionManager:

@@ -10,12 +10,11 @@ path notifies it).  The facade owns:
   :meth:`lookup_keys`) behind :class:`~repro.query.logical.IndexScan`.
 
 Primary-key questions go to the engine, which owns its pk index.  The
-paper keeps a pk map per branch (Section 3.2); here only version-first
-does (:class:`~repro.storage.pk_index.PrimaryKeyIndex`).  Tuple-first and
-hybrid answer from one branch-independent
-:class:`~repro.storage.pk_index.KeyCopyIndex` plus the branch's live
-bitmap, so forking a branch copies no pk entries.  Either way the pk index
-is derived data, never persisted, and rebuilt from storage after a reopen.
+paper keeps a pk map per branch (Section 3.2); here every engine answers
+from one branch-independent :class:`~repro.storage.pk_index.KeyCopyIndex`
+plus the branch's live bitmaps, so forking a branch copies no pk entries.
+The pk index is derived data, never persisted, and rebuilt from storage
+after a reopen; version-first's live bits are too, from its chain walk.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from repro.storage.base import (
     StorageEngineKind,
     VersionedStorageEngine,
 )
-from repro.storage.pk_index import PrimaryKeyIndex
 from repro.storage.segments import Segment, SegmentSet
 from repro.storage.tuple_first import TupleFirstEngine
 from repro.storage.version_first import VersionFirstEngine
@@ -30,7 +29,6 @@ __all__ = [
     "MergeResult",
     "StorageEngineKind",
     "VersionedStorageEngine",
-    "PrimaryKeyIndex",
     "Segment",
     "SegmentSet",
     "TupleFirstEngine",

@@ -10,10 +10,10 @@ three layouts: an ordered ``dict`` from a storage key to the
 :class:`~repro.bitmap.bitmap.Bitmap` of the live ordinals of one heap.
 Tuple-first's state has one entry, for its one shared heap; hybrid's has one
 per segment with a record live in the version; version-first's has one per
-segment of the version's chain, derived from its primary-key index or its
-chain walk (paper Section 3.4 builds hybrid from exactly these two
-halves).  This base class is the one place that resolves a version to its
-state -- a branch's live head, a snapshot's pinned commit
+segment of the version's chain, read from its live bits or its chain walk
+(paper Section 3.4 builds hybrid from version-first's segments and
+tuple-first's bitmaps).  This base class is the one place that resolves a
+version to its state -- a branch's live head, a snapshot's pinned commit
 (:meth:`~VersionedStorageEngine._branch_state`), or a commit
 (:meth:`~VersionedStorageEngine._commit_read_state`) -- and the one place
 that reads a state: a reference row scan, a column scan, a scan of
@@ -273,8 +273,8 @@ def _word_slots(word: int) -> Iterable[int]:
 def stored_pk_ordinals(heap, pk_position: int) -> Iterator[tuple[int, int]]:
     """Yield ``(primary key, ordinal)`` for every record stored in ``heap``.
 
-    The key-copy index build shared by tuple-first and hybrid (the first
-    pk lookup after a reopen).  Only the key column is read, decoded from
+    The key-copy index build of all three engines (the first pk lookup
+    after a reopen).  Only the key column is read, decoded from
     each page's image (:meth:`RecordCodec.decode_column`).  Nothing is
     decoded into the page's caches, so a build does not grow the buffer
     pool's footprint.
@@ -1062,6 +1062,12 @@ class VersionedStorageEngine(ABC):
         decoded (late materialization), in the order ``keys`` arrive
         (:meth:`_fetch_located`).
         """
+
+    def _record_at(self, heap: HeapFile, ordinal: int) -> Record:
+        """The record at ``ordinal`` of ``heap``, counted in
+        ``records_decoded`` (a keyed fetch of :meth:`record_for_key`)."""
+        self.stats.records_decoded += 1
+        return heap.record_by_ordinal(ordinal)
 
     def _fetch_located(
         self,

@@ -20,18 +20,17 @@ one per segment whose bitmap the commit changed, so that one graph frame is
 the commit's only metadata write; a reopen rebuilds the histories from the
 graph.  The segments a commit covers are those whose history holds an entry
 at or before it.
+
+The segment numbering, the key-copy index and the pk lookups that test
+live bits are version-first's too
+(:class:`~repro.storage.segments.SegmentedEngine`).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Iterator
-
 from repro.bitmap import CommitHistory
 from repro.bitmap.bitmap import Bitmap
-from repro.bitmap.branch_bitmap import BranchOrientedBitmapIndex
 from repro.core.buffer_pool import BufferPool
-from repro.core.heapfile import HeapFile
 from repro.core.page import DEFAULT_PAGE_SIZE
 from repro.core.record import Record
 from repro.core.schema import Schema
@@ -40,18 +39,12 @@ from repro.storage.base import (
     StorageEngineKind,
     VersionedStorageEngine,
     stored_bitmap,
-    stored_pk_ordinals,
 )
-from repro.storage.pk_index import KeyCopyIndex
-from repro.storage.segments import SegmentSet
+from repro.storage.segments import ORDINAL_BITS, ORDINAL_MASK, SegmentedEngine
 from repro.versioning.version_graph import MASTER_BRANCH
 
-#: Low bits of a packed key-index location that hold the ordinal.
-_ORDINAL_BITS = 32
-_ORDINAL_MASK = (1 << _ORDINAL_BITS) - 1
 
-
-class HybridEngine(VersionedStorageEngine):
+class HybridEngine(SegmentedEngine):
     """Version-first segments with tuple-first style per-segment bitmaps."""
 
     kind = StorageEngineKind.HYBRID
@@ -68,33 +61,12 @@ class HybridEngine(VersionedStorageEngine):
         super().__init__(
             directory, schema, page_size=page_size, buffer_pool=buffer_pool
         )
-        self.segments = SegmentSet(
-            os.path.join(directory, "segments"),
-            schema,
-            self.buffer_pool,
-            page_size=page_size,
-        )
         self.commit_layer_interval = commit_layer_interval
-        #: Per-segment local bitmap indexes: segment id -> (branch -> bitmap).
-        self._local_bitmaps: dict[str, BranchOrientedBitmapIndex] = {}
         #: The branch-segment index: branch -> set of segment ids with records
         #: live in that branch.
         self._branch_segments: dict[str, set[str]] = {}
-        #: branch -> id of its current head segment.
-        self._head_segment: dict[str, str] = {}
         #: branch -> segment id -> commit history of that local bitmap column.
         self._histories: dict[str, dict[str, CommitHistory]] = {}
-        #: Segments numbered in registration order, with their local
-        #: bitmaps.  The key index stores a copy at ``ordinal`` of segment
-        #: number ``n`` as the one int ``n << 32 | ordinal``, which takes a
-        #: third of the memory of a ``(segment id, ordinal)`` tuple.
-        self._numbered_segments: list[tuple[str, BranchOrientedBitmapIndex]] = []
-        self._segment_numbers: dict[str, int] = {}
-        #: Every stored copy of each key as a packed location, for all
-        #: branches; a branch's copy is the one live in its local bitmaps.
-        self.key_index: KeyCopyIndex[int] = KeyCopyIndex(
-            self._stored_copies, self.write_mutex
-        )
 
     # -- engine hooks --------------------------------------------------------------
 
@@ -117,18 +89,6 @@ class HybridEngine(VersionedStorageEngine):
                 parent_branch, reopen
             )
         self._head_segment[name] = self._new_head_segment(name, reopen)
-
-    def _new_head_segment(self, branch: str, reopen: bool) -> str:
-        segment = self.segments.create(owner_branch=branch, reopen=reopen)
-        self._add_local_bitmaps(segment.segment_id).add_branch(branch)
-        return segment.segment_id
-
-    def _add_local_bitmaps(self, segment_id: str) -> BranchOrientedBitmapIndex:
-        """Create a segment's (empty) local bitmap index and number it."""
-        local = self._local_bitmaps[segment_id] = BranchOrientedBitmapIndex()
-        self._segment_numbers[segment_id] = len(self._numbered_segments)
-        self._numbered_segments.append((segment_id, local))
-        return local
 
     def _materialize_branch(
         self, name: str, parent_branch: str, from_commit: str, at_head: bool
@@ -224,48 +184,6 @@ class HybridEngine(VersionedStorageEngine):
         # The key index stays unbuilt: the first pk lookup reads it from
         # the segments.
 
-    def _stored_copies(self) -> Iterator[tuple[int, int]]:
-        """``(key, packed location)`` of every record of every segment."""
-        pk_position = self.schema.primary_key_index
-        for segment in self.segments.all():
-            base = self._segment_numbers[segment.segment_id] << _ORDINAL_BITS
-            for key, ordinal in stored_pk_ordinals(segment.heap, pk_position):
-                yield key, base | ordinal
-
-    def key_location(self, branch: str, key: int) -> tuple[str, int] | None:
-        """The ``(segment id, ordinal)`` of ``key``'s copy live in ``branch``.
-
-        Walks the key's stored copies, newest first, and tests each one's
-        live bit in its segment's local bitmap in place; at most one copy of
-        a key is live in a branch.  The cost is the key's copy count, not
-        the number of segments the branch spans.
-        """
-        numbered = self._numbered_segments
-        for packed in reversed(self.key_index.copies(key)):
-            segment_id, local = numbered[packed >> _ORDINAL_BITS]
-            ordinal = packed & _ORDINAL_MASK
-            if local.has_branch(branch) and local.is_set(ordinal, branch):
-                return segment_id, ordinal
-        return None
-
-    def record_for_key(self, branch: str, key: int) -> Record | None:
-        location = self.key_location(branch, key)
-        if location is None:
-            return None
-        segment_id, ordinal = location
-        self.stats.records_decoded += 1
-        return self.segments.get(segment_id).record_at(ordinal)
-
-    def records_for_keys(self, branch: str, keys) -> list[Record]:
-        def locate(key: int) -> tuple[HeapFile, int] | None:
-            location = self.key_location(branch, key)
-            if location is None:
-                return None
-            segment_id, ordinal = location
-            return self.segments.get(segment_id).heap, ordinal
-
-        return self._fetch_located(branch, keys, locate)
-
     def _branch_scope(self, branch: str) -> list[str]:
         """The segments ``branch``'s state can reference, in id order: its
         head and every segment where a record is live in it.  Each write
@@ -275,12 +193,6 @@ class HybridEngine(VersionedStorageEngine):
 
     def _flush_storage(self, branch: str | None = None) -> None:
         self.segments.flush(None if branch is None else self._branch_scope(branch))
-
-    def close(self) -> None:
-        """Flush, release cached pages and drop the derived key index,
-        which the next lookup rebuilds from storage."""
-        super().close()
-        self.key_index.drop()
 
     # -- data operations ----------------------------------------------------------------
 
@@ -292,7 +204,7 @@ class HybridEngine(VersionedStorageEngine):
         self._branch_segments[branch].add(segment_id)
         key = record.key(self.schema)
         self.key_index.add(
-            key, self._segment_numbers[segment_id] << _ORDINAL_BITS | ordinal
+            key, self._segment_numbers[segment_id] << ORDINAL_BITS | ordinal
         )
         self.index_hook.applied(branch, key, record)
         self.stats.records_inserted += 1
@@ -319,22 +231,17 @@ class HybridEngine(VersionedStorageEngine):
         self.index_hook.removed(branch, key)
         self.stats.records_deleted += 1
 
-    def branch_contains_key(self, branch: str, key: int) -> bool:
-        return self.key_location(branch, key) is not None
-
     # -- read states ---------------------------------------------------------------------
 
     # perf/trace.py patches these names through the class's own __dict__
-    # (ROADMAP item 9), so the base class's reads are bound here too.
+    # (ROADMAP item 9), so the base classes' methods are bound here too.
+    records_for_keys = SegmentedEngine.records_for_keys
     scan_branch_columns = VersionedStorageEngine.scan_branch_columns
     scan_commit_columns = VersionedStorageEngine.scan_commit_columns
     scan_branches_batched = VersionedStorageEngine.scan_branches_batched
     count_branch = VersionedStorageEngine.count_branch
     count_commit = VersionedStorageEngine.count_commit
     diff = VersionedStorageEngine.diff
-
-    def _state_heap(self, key: str) -> HeapFile:
-        return self.segments.get(key).heap
 
     def _head_state(self, branch: str) -> dict[str, Bitmap]:
         """``{segment id: bitmap}`` of ``branch``'s live local bitmaps, per
@@ -384,8 +291,8 @@ class HybridEngine(VersionedStorageEngine):
         copy's indexed value.
         """
         if held is not None:
-            local = self._numbered_segments[held >> _ORDINAL_BITS][1]
-            ordinal = held & _ORDINAL_MASK
+            local = self._numbered_segments[held >> ORDINAL_BITS][1]
+            ordinal = held & ORDINAL_MASK
             if local.has_branch(target_branch) and local.is_set(ordinal, target_branch):
                 local.clear(ordinal, target_branch)
             else:
@@ -396,28 +303,16 @@ class HybridEngine(VersionedStorageEngine):
                     self._local_bitmaps[old_segment].clear(old_ordinal, target_branch)
         # The shared copy is already in the key index; only the target's
         # live bits move.
-        segment_id, local = self._numbered_segments[location >> _ORDINAL_BITS]
+        segment_id, local = self._numbered_segments[location >> ORDINAL_BITS]
         if not local.has_branch(target_branch):
             local.add_branch(target_branch)
-        local.set(location & _ORDINAL_MASK, target_branch)
+        local.set(location & ORDINAL_MASK, target_branch)
         self._branch_segments[target_branch].add(segment_id)
         self.index_hook.applied_stored(
             target_branch, key, lambda: self._stored_bytes(location), self.codec
         )
 
-    def _located(self, location: int) -> tuple[str, int]:
-        return (
-            self._numbered_segments[location >> _ORDINAL_BITS][0],
-            location & _ORDINAL_MASK,
-        )
-
-    def _location_base(self, state_key: str) -> int:
-        return self._segment_numbers[state_key] << _ORDINAL_BITS
-
     # -- sizes ----------------------------------------------------------------------------------
-
-    def data_size_bytes(self) -> int:
-        return self.segments.total_size_bytes()
 
     def commit_metadata_bytes(self) -> int:
         return sum(
@@ -429,10 +324,6 @@ class HybridEngine(VersionedStorageEngine):
     def bitmap_index_bytes(self) -> int:
         """Combined footprint of all local bitmap indexes."""
         return sum(index.size_bytes() for index in self._local_bitmaps.values())
-
-    def segment_count(self) -> int:
-        """Number of segment files (exposed for tests and benchmarks)."""
-        return len(self.segments)
 
     def commit_history_count(self) -> int:
         """Number of (branch, segment) commit histories."""

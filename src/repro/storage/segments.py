@@ -17,6 +17,12 @@ owners, frozen flags and branch points -- follows from the branch events of
 the version-graph log, so no file records it: each engine replays those events
 on reopen, and since segment ids come from a counter, the replay allocates the
 same ids in the same order.
+
+Both engines also keep the same in-memory key structure
+(:class:`SegmentedEngine`): per segment a local bitmap index of each
+branch's live bits, and one engine-wide key-copy index of every stored
+copy's packed location.  A pk lookup walks the key's copies and tests each
+one's live bit in place.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from repro.bitmap.branch_bitmap import BranchOrientedBitmapIndex
 from repro.core.buffer_pool import BufferPool
 from repro.core.durable import fsync_dir
 from repro.core.heapfile import HeapFile
@@ -32,6 +39,12 @@ from repro.core.page import DEFAULT_PAGE_SIZE
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.errors import CorruptionError, StorageError
+from repro.storage.base import VersionedStorageEngine, stored_pk_ordinals
+from repro.storage.pk_index import KeyCopyIndex
+
+#: Low bits of a packed key-index location that hold the ordinal.
+ORDINAL_BITS = 32
+ORDINAL_MASK = (1 << ORDINAL_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -199,3 +212,134 @@ class SegmentSet:
     def total_size_bytes(self) -> int:
         """Combined on-disk size of all segments."""
         return sum(segment.size_bytes() for segment in self._segments.values())
+
+
+class SegmentedEngine(VersionedStorageEngine):
+    """The key structures version-first and hybrid share.
+
+    Segments are numbered in creation order, each with a local bitmap
+    index of the live bits of the branches that can see it.  The key index
+    stores a copy at ``ordinal`` of segment number ``n`` as the one int
+    ``n << 32 | ordinal``, which takes a third of the memory of a
+    ``(segment id, ordinal)`` tuple.
+    """
+
+    def __init__(
+        self,
+        directory: str,
+        schema: Schema,
+        *,
+        page_size: int = DEFAULT_PAGE_SIZE,
+        buffer_pool: BufferPool | None = None,
+    ):
+        super().__init__(
+            directory, schema, page_size=page_size, buffer_pool=buffer_pool
+        )
+        self.segments = SegmentSet(
+            os.path.join(directory, "segments"),
+            schema,
+            self.buffer_pool,
+            page_size=page_size,
+        )
+        #: branch -> id of the segment the branch currently writes to.
+        self._head_segment: dict[str, str] = {}
+        #: Per-segment local bitmap indexes: segment id -> (branch -> bitmap).
+        self._local_bitmaps: dict[str, BranchOrientedBitmapIndex] = {}
+        #: Segments in number order, with their local bitmaps.
+        self._numbered_segments: list[tuple[str, BranchOrientedBitmapIndex]] = []
+        self._segment_numbers: dict[str, int] = {}
+        #: Every stored copy of each key as a packed location, for all
+        #: branches; a branch's copy is the one live in its local bitmaps.
+        self.key_index: KeyCopyIndex[int] = KeyCopyIndex(
+            self._stored_copies, self.write_mutex
+        )
+
+    def _new_head_segment(
+        self,
+        branch: str,
+        reopen: bool = False,
+        parents: tuple[ParentPointer, ...] = (),
+    ) -> str:
+        """Create a head segment for ``branch``, with a live-bit column for
+        it; returns the segment's id."""
+        segment = self.segments.create(
+            owner_branch=branch, parents=parents, reopen=reopen
+        )
+        self._add_local_bitmaps(segment.segment_id).add_branch(branch)
+        return segment.segment_id
+
+    def _add_local_bitmaps(self, segment_id: str) -> BranchOrientedBitmapIndex:
+        """Create a segment's (empty) local bitmap index and number it."""
+        local = self._local_bitmaps[segment_id] = BranchOrientedBitmapIndex()
+        self._segment_numbers[segment_id] = len(self._numbered_segments)
+        self._numbered_segments.append((segment_id, local))
+        return local
+
+    def _stored_copies(self) -> Iterator[tuple[int, int]]:
+        """``(key, packed location)`` of every record of every segment."""
+        pk_position = self.schema.primary_key_index
+        for segment in self.segments.all():
+            base = self._segment_numbers[segment.segment_id] << ORDINAL_BITS
+            for key, ordinal in stored_pk_ordinals(segment.heap, pk_position):
+                yield key, base | ordinal
+
+    def key_location(self, branch: str, key: int) -> tuple[str, int] | None:
+        """The ``(segment id, ordinal)`` of ``key``'s copy live in ``branch``.
+
+        Walks the key's stored copies, newest first, and tests each one's
+        live bit in its segment's local bitmap in place; at most one copy of
+        a key is live in a branch.  The cost is the key's copy count, not
+        the number of segments the branch spans.
+        """
+        numbered = self._numbered_segments
+        for packed in reversed(self.key_index.copies(key)):
+            segment_id, local = numbered[packed >> ORDINAL_BITS]
+            ordinal = packed & ORDINAL_MASK
+            if local.has_branch(branch) and local.is_set(ordinal, branch):
+                return segment_id, ordinal
+        return None
+
+    def record_for_key(self, branch: str, key: int) -> Record | None:
+        location = self.key_location(branch, key)
+        if location is None:
+            return None
+        segment_id, ordinal = location
+        return self._record_at(self.segments.get(segment_id).heap, ordinal)
+
+    def records_for_keys(self, branch: str, keys) -> list[Record]:
+        def locate(key: int) -> tuple[HeapFile, int] | None:
+            location = self.key_location(branch, key)
+            if location is None:
+                return None
+            segment_id, ordinal = location
+            return self.segments.get(segment_id).heap, ordinal
+
+        return self._fetch_located(branch, keys, locate)
+
+    def branch_contains_key(self, branch: str, key: int) -> bool:
+        return self.key_location(branch, key) is not None
+
+    def close(self) -> None:
+        """Flush, release cached pages and drop the derived key index,
+        which the next lookup rebuilds from storage."""
+        super().close()
+        self.key_index.drop()
+
+    def _state_heap(self, key: str) -> HeapFile:
+        return self.segments.get(key).heap
+
+    def _located(self, location: int) -> tuple[str, int]:
+        return (
+            self._numbered_segments[location >> ORDINAL_BITS][0],
+            location & ORDINAL_MASK,
+        )
+
+    def _location_base(self, state_key: str) -> int:
+        return self._segment_numbers[state_key] << ORDINAL_BITS
+
+    def data_size_bytes(self) -> int:
+        return self.segments.total_size_bytes()
+
+    def segment_count(self) -> int:
+        """Number of segment files (exposed for tests and benchmarks)."""
+        return len(self.segments)

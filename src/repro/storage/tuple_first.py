@@ -199,8 +199,7 @@ class TupleFirstEngine(VersionedStorageEngine):
         ordinal = self.key_location(branch, key)
         if ordinal is None:
             return None
-        self.stats.records_decoded += 1
-        return self.heap.record_by_ordinal(ordinal)
+        return self._record_at(self.heap, ordinal)
 
     def records_for_keys(self, branch: str, keys) -> list[Record]:
         def locate(key: int) -> tuple[HeapFile, int] | None:

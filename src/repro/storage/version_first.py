@@ -9,18 +9,28 @@ its lineage, single-branch scans are cheap; operations that compare many
 branches (diff, Query 4) must resolve whole chains into per-branch key
 tables, which is the weakness the evaluation exposes.
 
-A version reads as in the other two engines (:mod:`repro.storage.base`): as
-one bitmap of live ordinals per segment of its chain.  Version-first derives
-those bitmaps rather than storing them.  A live head's, and a commit's still
-at its segment's head (a snapshot's pin, say), come from the branch's
-primary-key index; any other commit's come from the *chain walk*, which
+In memory, version-first keeps hybrid's key structures (paper Section 3.4
+builds hybrid from this layout plus tuple-first's live bitmaps;
+:class:`~repro.storage.segments.SegmentedEngine`): one key-copy index of
+every stored copy, tombstones included, and per segment the live bits of
+each branch whose chain holds it.  An insert sets a bit; an update sets the
+new copy's and clears the old one's, which may sit in an ancestor segment; a
+delete clears one and still appends its tombstone, which no live bit ever
+selects.  A pk lookup tests the live bit of each of the key's copies.
+Neither structure is on disk.  The *chain walk* (:meth:`_walk_chain`), which
 visits the chain leaf to root, newest record first, and decodes only each
-page's key column and record headers.  The chain walk is the
-index-independent reference: it rebuilds a reopened branch's index and
-verifies a loaded one.  The bitmaps only select rows: a column scan reads
-every segment of the chain whole, up to its visible limit, superseded copies
-included, as the paper's version-first scan does (:attr:`reads_whole_heaps`),
-so its cost grows with the data on the chain (Figure 11).
+page's key column and record headers, is the reference: it builds a
+reopened branch's live bits on the branch's first touch, and a fork's off a
+historical commit.
+
+A version reads as in the other two engines (:mod:`repro.storage.base`): as
+one bitmap of live ordinals per segment of its chain.  A live head's are
+its live bits, as are a commit's still at its segment's head (a snapshot's
+pin, say); any other commit's come from the chain walk.  The bitmaps only
+select rows: each spans its segment's records visible through the chain,
+and a column scan reads those whole, superseded copies included, as the
+paper's version-first scan does (:attr:`reads_whole_heaps`), so its cost
+grows with the data on the chain (Figure 11).
 
 Commits map a commit id to the byte position -- here, the record ordinal -- of
 the latest record active in the committing branch's segment file, stored in an
@@ -30,12 +40,10 @@ the version-graph log.
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.bitmap.bitmap import Bitmap
 from repro.core.buffer_pool import BufferPool
-from repro.core.heapfile import HeapFile
 from repro.core.page import DEFAULT_PAGE_SIZE, PAGE_HEADER_SIZE
 from repro.core.record import Record
 from repro.core.schema import Schema
@@ -43,16 +51,14 @@ from repro.errors import CommitNotFoundError, CorruptionError, StorageError
 from repro.storage.base import (
     MergeChanges,
     StorageEngineKind,
-    VersionedStorageEngine,
     check_stored_records,
 )
-from repro.storage.pk_index import PrimaryKeyIndex
-from repro.storage.segments import ParentPointer, SegmentSet
+from repro.storage.segments import ParentPointer, SegmentedEngine
 from repro.versioning.diff import DiffResult
 from repro.versioning.version_graph import MASTER_BRANCH
 
 
-class VersionFirstEngine(VersionedStorageEngine):
+class VersionFirstEngine(SegmentedEngine):
     """One segment file per branch, chained by branch points."""
 
     kind = StorageEngineKind.VERSION_FIRST
@@ -72,38 +78,22 @@ class VersionFirstEngine(VersionedStorageEngine):
         super().__init__(
             directory, schema, page_size=page_size, buffer_pool=buffer_pool
         )
-        self.segments = SegmentSet(
-            os.path.join(directory, "segments"),
-            schema,
-            self.buffer_pool,
-            page_size=page_size,
-        )
-        #: branch name -> id of the segment the branch currently writes to.
-        self._head_segment: dict[str, str] = {}
-        #: Per-branch primary-key index mapping each live key to the
-        #: ``(segment id, ordinal)`` of its newest copy, maintained
-        #: incrementally on every write.  An in-memory acceleration structure,
-        #: not part of the on-disk layout (the paper's version-first design
-        #: has no index): key lookups, live counts and the read states of a
-        #: live head, or of a commit still at its segment's head, read it
-        #: instead of walking the chain.  The chain walk
-        #: (:meth:`chain_entries`) stays the reference: reopened branches
-        #: rebuild their maps from it lazily, on first touch, and a reopen
-        #: verifies the loaded ones against it.
-        self.pk_index: PrimaryKeyIndex[tuple[str, int]] = PrimaryKeyIndex()
+        #: Branches whose live bits wait for their build from the chain
+        #: walk: after a reopen, each branch until its first touch.
+        self._unbuilt: set[str] = set()
 
     # -- engine hooks -------------------------------------------------------------
 
     def _prepare_master(self) -> None:
-        segment = self.segments.create(owner_branch=MASTER_BRANCH)
-        self._head_segment[MASTER_BRANCH] = segment.segment_id
-        self.pk_index.add_branch(MASTER_BRANCH)
+        self.key_index.start_empty()
+        self._head_segment[MASTER_BRANCH] = self._new_head_segment(MASTER_BRANCH)
         self.index_hook.branch_created(MASTER_BRANCH)
 
     def _materialize_branch(
         self, name: str, parent_branch: str, from_commit: str, at_head: bool
     ) -> int | None:
-        """Give the branch a segment chained to the parent's records.
+        """Give the branch a segment chained to the parent's records, and
+        live bits in every segment of that chain.
 
         Returns an at-head fork's limit, the parent head's record count now,
         which the graph cannot derive; a fork off an older commit takes the
@@ -111,18 +101,21 @@ class VersionFirstEngine(VersionedStorageEngine):
         if at_head:
             head = self._head(parent_branch)
             pointer = ParentPointer(head.segment_id, head.record_count)
-            # Every parent location is visible through the branch point, so
-            # the child's index is a straight clone.
-            self.pk_index.add_branch(name, clone_from=parent_branch)
+            # Every parent copy is visible through the branch point, so the
+            # child's live bits are a straight clone.
+            self._require_live(parent_branch)
+            for segment_id, _ in self._chain(head.segment_id, None):
+                self._local_bitmaps[segment_id].add_branch(
+                    name, clone_from=parent_branch
+                )
             self.index_hook.branch_created(name, clone_from=parent_branch)
         else:
             pointer = ParentPointer(*self._commit_location(from_commit))
-            self.pk_index.replace_branch(
+            self._restore_live_bits(
                 name, self._walk_chain(pointer.segment_id, pointer.limit)
             )
             self.index_hook.branch_rebuilt(name)
-        segment = self.segments.create(owner_branch=name, parents=(pointer,))
-        self._head_segment[name] = segment.segment_id
+        self._head_segment[name] = self._new_head_segment(name, parents=(pointer,))
         return pointer.limit if at_head else None
 
     def _record_commit_state(
@@ -159,8 +152,9 @@ class VersionFirstEngine(VersionedStorageEngine):
         than its floor lost committed ones: strict recovery refuses to open.
         """
         self.segments.check_layout()
-        master = self.segments.create(MASTER_BRANCH, reopen=True)
-        self._head_segment[MASTER_BRANCH] = master.segment_id
+        self._head_segment[MASTER_BRANCH] = self._new_head_segment(
+            MASTER_BRANCH, reopen=True
+        )
         for branch in self.graph.branches()[1:]:
             if branch.created_from is not None and not branch.at_head:
                 pointer = ParentPointer(*self._commit_location(branch.created_from))
@@ -171,8 +165,9 @@ class VersionFirstEngine(VersionedStorageEngine):
                 raise CorruptionError(
                     self._graph_path(), f"no branch-point limit for {branch.name!r}"
                 )
-            segment = self.segments.create(branch.name, (pointer,), reopen=True)
-            self._head_segment[branch.name] = segment.segment_id
+            self._head_segment[branch.name] = self._new_head_segment(
+                branch.name, reopen=True, parents=(pointer,)
+            )
         # Records each segment must hold: up to its child branch points'
         # limits and, for a head segment, its head commit's offset.
         needed: dict[str, int] = {}
@@ -194,71 +189,92 @@ class VersionFirstEngine(VersionedStorageEngine):
                 segment.heap.truncate_records(floor)
         for segment in self.segments.all():
             check_stored_records(segment.heap, needed.get(segment.segment_id, 0))
-        # Primary-key maps are rebuilt lazily, on a branch's first touch, by
-        # the chain walk.
-        self.pk_index.register_lazy(self.graph.branch_names(), self.chain_entries)
+        # Live bits are built lazily, on a branch's first touch, by the
+        # chain walk; the key index on the first pk lookup.
+        self._unbuilt = set(self.graph.branch_names())
 
-    def chain_entries(self, branch: str) -> dict[int, tuple[str, int]]:
-        """``branch``'s live head as the chain walk sees it (:meth:`_walk_chain`):
-        ``{key: (segment id, ordinal)}``, the reference its primary-key index
-        must equal."""
-        segment_id = self._head_segment.get(branch)
-        if segment_id is None:
-            return {}
-        return self._walk_chain(segment_id, None)
+    # -- live bits ------------------------------------------------------------------
+
+    def live_bits_built(self, branch: str) -> bool:
+        """False while ``branch``'s live bits wait for their first-touch
+        build (:meth:`_build_live_bits`)."""
+        return branch not in self._unbuilt
+
+    def chain_state(self, branch: str) -> dict[str, Bitmap]:
+        """``branch``'s live head as the chain walk reads it
+        (:meth:`_walk_chain`): the reference its live bits must equal."""
+        return self._walk_chain(self._head_segment[branch], None)
+
+    def _require_live(self, branch: str) -> None:
+        """Build ``branch``'s live bits if they wait for their first touch."""
+        if branch in self._unbuilt:
+            self._build_live_bits(branch)
+
+    def _build_live_bits(self, branch: str) -> None:
+        """Set ``branch``'s live bits to its chain walk.  Writers hold the
+        write mutex, so no copy is appended to the chain while it is read."""
+        with self.write_mutex:
+            if branch in self._unbuilt:  # unless another thread built it
+                self._restore_live_bits(branch, self.chain_state(branch))
+                self._unbuilt.discard(branch)
+
+    def _restore_live_bits(self, branch: str, state: dict[str, Bitmap]) -> None:
+        """Give ``branch`` the live bits of a read state, per segment."""
+        for segment_id, bitmap in state.items():
+            local = self._local_bitmaps[segment_id]
+            if not local.has_branch(branch):
+                local.add_branch(branch)
+            local.restore_branch(branch, bitmap)
+
+    def key_location(self, branch: str, key: int) -> tuple[str, int] | None:
+        self._require_live(branch)
+        return super().key_location(branch, key)
 
     # -- data operations -------------------------------------------------------------
 
     def insert(self, branch: str, record: Record) -> None:
-        key = self._append_live(branch, record)
+        key = record.key(self.schema)
+        self._append(branch, key, record, live=True)
         self.index_hook.applied(branch, key, record)
         self.stats.records_inserted += 1
 
     def update(self, branch: str, record: Record) -> None:
         # Updates append a new copy with the same primary key; scans ignore
         # the earlier copy (paper Section 3.3, *Data Modification*).  The
-        # index is repointed at the new copy.
-        key = self._append_live(branch, record)
+        # new copy's append comes first: a record the schema rejects raises
+        # there, before the old copy's live bit is touched.
+        key = record.key(self.schema)
+        previous = self.key_location(branch, key)
+        self._append(branch, key, record, live=True)
+        if previous is not None:
+            segment_id, ordinal = previous
+            self._local_bitmaps[segment_id].clear(ordinal, branch)
         self.index_hook.applied(branch, key, record)
         self.stats.records_updated += 1
 
-    def _append_live(self, branch: str, record: Record) -> int:
-        """Append ``record`` to the branch head and point its key there."""
-        segment = self._head(branch)
-        ordinal = segment.append(record)
-        key = record.key(self.schema)
-        self.pk_index.put(branch, key, (segment.segment_id, ordinal))
-        return key
-
     def delete(self, branch: str, key: int) -> None:
         self.schema.validate_key(key)
-        if not self.pk_index.contains(branch, key):
+        previous = self.key_location(branch, key)
+        if previous is None:
             raise StorageError(f"key {key} is not live in branch {branch!r}")
-        self._head(branch).append(Record.deleted(self.schema, key))
-        self.pk_index.remove(branch, key)
+        self._append(branch, key, Record.deleted(self.schema, key), live=False)
+        segment_id, ordinal = previous
+        self._local_bitmaps[segment_id].clear(ordinal, branch)
         self.index_hook.removed(branch, key)
         self.stats.records_deleted += 1
 
-    def branch_contains_key(self, branch: str, key: int) -> bool:
-        return self.pk_index.contains(branch, key)
+    def _append(self, branch: str, key: int, record: Record, live: bool) -> None:
+        """Append a stored copy of ``key`` to ``branch``'s head segment and
+        index it; a ``live`` copy gets its live bit, a tombstone none.
 
-    def record_for_key(self, branch: str, key: int) -> Record | None:
-        location = self.pk_index.get(branch, key)
-        if location is None:
-            return None
-        segment_id, ordinal = location
-        self.stats.records_decoded += 1
-        return self.segments.get(segment_id).record_at(ordinal)
-
-    def records_for_keys(self, branch: str, keys) -> list[Record]:
-        def locate(key: int) -> tuple[HeapFile, int] | None:
-            location = self.pk_index.get(branch, key)
-            if location is None:
-                return None
-            segment_id, ordinal = location
-            return self.segments.get(segment_id).heap, ordinal
-
-        return self._fetch_located(branch, keys, locate)
+        Every write appends before it moves a live bit, which
+        :meth:`_commit_read_state` relies on."""
+        self._require_live(branch)
+        segment = self._head(branch)
+        ordinal = segment.append(record)
+        self.key_index.add(key, self._location_base(segment.segment_id) | ordinal)
+        if live:
+            self._local_bitmaps[segment.segment_id].set(ordinal, branch)
 
     def _head(self, branch: str):
         try:
@@ -269,54 +285,53 @@ class VersionFirstEngine(VersionedStorageEngine):
 
     # -- chain traversal ----------------------------------------------------------------
 
-    def _chain(
-        self, segment_id: str, limit: int | None
-    ) -> list[tuple[str, int | None]]:
-        """Segments to visit (leaf to root) with their visibility limits.
+    def _chain(self, segment_id: str, limit: int | None) -> list[tuple[str, int]]:
+        """Segments to visit (leaf to root), each with its number of records
+        visible through the chain: those below its limit, or all it holds
+        (fewer where degraded recovery left it short of its limit).
 
         Segments reachable by multiple paths (after merges) are visited once,
         at the first -- highest precedence -- position they appear.
         """
-        order: list[tuple[str, int | None]] = []
+        order: list[tuple[str, int]] = []
         seen: set[str] = set()
 
         def visit(current_id: str, current_limit: int | None) -> None:
             if current_id in seen:
                 return
             seen.add(current_id)
-            order.append((current_id, current_limit))
             segment = self.segments.get(current_id)
+            visible = segment.record_count
+            if current_limit is not None:
+                visible = min(current_limit, visible)
+            order.append((current_id, visible))
             for pointer in segment.parents:
                 visit(pointer.segment_id, pointer.limit)
 
         visit(segment_id, limit)
         return order
 
-    def _walk_chain(
-        self, segment_id: str, limit: int | None
-    ) -> dict[int, tuple[str, int]]:
-        """The chain walk: ``{key: (segment id, ordinal)}`` of each key live
-        in the version ``(segment_id, limit)``, built without a row.
+    def _walk_chain(self, segment_id: str, limit: int | None) -> dict[str, Bitmap]:
+        """The chain walk: the read state of the version ``(segment_id,
+        limit)``, built without a row.
 
         Segments are visited leaf to root (:meth:`_chain`), each up to its
-        visibility limit and newest record first, because newer records
+        visible records and newest record first, because newer records
         shadow older copies of the same key: a key's first copy, or
         tombstone, hides the rest.  A page gives up only its key column
         (:meth:`RecordCodec.decode_column`) and its records' tombstone flags
-        (:meth:`RecordCodec.tombstones`).  A segment shorter than its limit
-        (degraded recovery left it short) reads the records it holds.
+        (:meth:`RecordCodec.tombstones`).  Each segment of the chain gets a
+        bitmap of its live ordinals spanning its visible records.
         """
         pk_position = self.schema.primary_key_index
         seen: set[int] = set()
-        live: dict[int, tuple[str, int]] = {}
-        for seg_id, seg_limit in self._chain(segment_id, limit):
+        state: dict[str, Bitmap] = {}
+        for seg_id, upto in self._chain(segment_id, limit):
             heap = self.segments.get(seg_id).heap
             codec = heap.codec
             per_page = heap.records_per_page
             transient = heap.scan_exceeds_pool()
-            upto = heap.num_records
-            if seg_limit is not None:
-                upto = min(seg_limit, upto)
+            live: list[int] = []
             for page_number in range((upto - 1) // per_page, -1, -1):
                 base = page_number * per_page
                 count = min(per_page, upto - base)
@@ -329,68 +344,50 @@ class VersionFirstEngine(VersionedStorageEngine):
                         continue
                     seen.add(key)
                     if not tombstones[slot]:
-                        live[key] = (seg_id, base + slot)
-        return live
+                        live.append(base + slot)
+            state[seg_id] = Bitmap.from_indices(live, upto)
+        return state
 
     # -- read states and diff ---------------------------------------------------------------
 
-    def _state_heap(self, key: str) -> HeapFile:
-        return self.segments.get(key).heap
+    def live_state(self, branch: str) -> dict[str, Bitmap]:
+        """``branch``'s live bits per segment of its chain, in chain order,
+        each spanning the segment's records visible through the chain,
+        which the column scans read whole (:attr:`reads_whole_heaps`): its
+        live head's read state."""
+        with self.write_mutex:  # an update moves two bits
+            self._require_live(branch)
+            return {
+                segment_id: self._local_bitmaps[segment_id]
+                .branch_bitmap(branch)
+                .prefix(visible)
+                for segment_id, visible in self._chain(
+                    self._head_segment[branch], None
+                )
+            }
 
-    def _head_state(self, branch: str) -> dict[str, Bitmap]:
-        """The live head's segment bitmaps, from the branch's primary-key
-        index (the paper's per-record chain walk collapses into one pass
-        over the index)."""
-        with self.write_mutex:  # writers hold it while they move the index
-            located = list(self.pk_index.locations(branch))
-        return self._chain_bitmaps(self._head_segment[branch], None, located)
+    _head_state = live_state
 
     def _commit_read_state(self, commit_id: str) -> dict[str, Bitmap]:
         """A commit's segment bitmaps.
 
         A commit whose segment nothing was appended to since (a snapshot's
-        pin, say) reads its segment owner's primary-key index, as a live
-        head does; any other commit is read by the chain walk up to its
-        recorded offset.
+        pin, say) reads its segment owner's live bits, as a live head does;
+        any other commit is read by the chain walk up to its recorded
+        offset.
         """
         segment_id, limit = self._commit_location(commit_id)
         segment = self.segments.get(segment_id)
-        located = None
+        state = None
         with self.write_mutex:
             if segment.record_count == limit:
-                located = list(self.pk_index.locations(segment.owner_branch))
-        # Every write appends before it moves the index, so a record count
-        # still at the limit after the index was read means the index holds
-        # the commit's keys.
-        if located is None or segment.record_count != limit:
-            located = self._walk_chain(segment_id, limit).values()
-        return self._chain_bitmaps(segment_id, limit, located)
-
-    def _chain_bitmaps(
-        self,
-        segment_id: str,
-        limit: int | None,
-        located: Iterable[tuple[str, int]],
-    ) -> dict[str, Bitmap]:
-        """``{segment id: bitmap}`` of the ``(segment id, ordinal)``
-        locations, for every segment of the chain of ``(segment_id,
-        limit)``, in chain order.  A bitmap spans its segment's records
-        visible through the chain, which the column scans read whole
-        (:attr:`reads_whole_heaps`)."""
-        by_segment: dict[str, list[int]] = {}
-        for seg_id, ordinal in located:
-            ordinals = by_segment.get(seg_id)
-            if ordinals is None:
-                by_segment[seg_id] = [ordinal]
-            else:
-                ordinals.append(ordinal)
-        bitmaps = {}
-        for seg_id, seg_limit in self._chain(segment_id, limit):
-            visible = self.segments.get(seg_id).record_count
-            if seg_limit is not None:
-                visible = min(seg_limit, visible)
-            bitmaps[seg_id] = Bitmap.from_indices(by_segment.get(seg_id, ()), visible)
-        return bitmaps
+                state = self._head_state(segment.owner_branch)
+        # Every write appends before it moves a live bit, so a record count
+        # still at the limit after the bits were read means they are the
+        # commit's.
+        if state is None or segment.record_count != limit:
+            state = self._walk_chain(segment_id, limit)
+        return state
 
     def _commit_location(self, commit_id: str) -> tuple[str, int]:
         """``(segment id, offset)``: the commit's recorded segment offset."""
@@ -403,8 +400,13 @@ class VersionFirstEngine(VersionedStorageEngine):
         return segment_id, offset
 
     def _live_count(self, branch: str) -> int:
-        # The primary-key index holds exactly the live keys.
-        return self.pk_index.live_count(branch)
+        # Popcounts of the branch's live bits, read in place.
+        self._require_live(branch)
+        local_bitmaps = self._local_bitmaps
+        return sum(
+            local_bitmaps[segment_id].live_count(branch)
+            for segment_id, _ in self._chain(self._head_segment[branch], None)
+        )
 
     def _diff_states(
         self,
@@ -454,9 +456,8 @@ class VersionFirstEngine(VersionedStorageEngine):
 
     def _merge_changes(self) -> Callable[..., tuple[MergeChanges, int]]:
         """A merge diffs full scans of the versions (:meth:`_merge_diff`),
-        as the paper's does: it applies by copying, and has no key-copy
-        index to share copies with.  Every changed key is returned, with
-        decoded records for its copies."""
+        as the paper's does, and applies them by copying.  Every changed key
+        is returned, with decoded records for its copies."""
         diff = self._merge_diff()
         pk_position = self.schema.primary_key_index
 
@@ -472,16 +473,9 @@ class VersionFirstEngine(VersionedStorageEngine):
 
     # -- sizes -------------------------------------------------------------------------------------
 
-    def data_size_bytes(self) -> int:
-        return self.segments.total_size_bytes()
-
     def commit_metadata_bytes(self) -> int:
         return sum(
             len(commit.commit_id) + len(location[0]) + 8
             for commit in self.graph.commits()
             if (location := self.graph.commit_state(commit.commit_id))
         )
-
-    def segment_count(self) -> int:
-        """Number of segment files (exposed for tests and benchmarks)."""
-        return len(self.segments)

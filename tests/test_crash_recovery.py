@@ -751,14 +751,15 @@ def test_crash_inside_redo_converges(tmp_path, point, engine, torn_bytes):
 
 
 def test_consistency_check_counts_the_chain_walk(tmp_path):
-    """A loaded version-first branch whose primary-key index lost a live
-    key fails the consistency check: the check counts the chain walk, not
-    the index it verifies."""
+    """A built version-first branch whose live bits lost a live key fails
+    the consistency check: the check reads the chain walk, not the bits it
+    verifies."""
     db = seed_database(tmp_path, "version-first")
-    pk_index = db.relation("t").engine.pk_index
-    assert pk_index.branch_loaded("master")
+    storage = db.relation("t").engine
+    assert storage.live_bits_built("master")
     db._verify_consistency()
-    pk_index.remove("master", 7)
+    segment_id, ordinal = storage.key_location("master", 7)
+    storage._local_bitmaps[segment_id].clear(ordinal, "master")
     with pytest.raises(CorruptionError, match="disagrees with live records"):
         db._verify_consistency()
 
@@ -825,7 +826,7 @@ class TestRecoveryDetails:
         assert live_keys(reopened) == set(range(10)) | {100}
 
     @pytest.mark.parametrize("crash", ["loser-commit", "create-branch"])
-    @pytest.mark.parametrize("engine", ["tuple-first", "hybrid"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_open_after_crash_builds_no_key_index(self, tmp_path, engine, crash):
         """Recovery with nothing to redo leaves the key index unbuilt; the
         first pk lookup builds it once."""

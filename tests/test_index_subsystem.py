@@ -7,10 +7,10 @@ Four layers under test:
   insert / update / delete / branch / merge interleavings, on all three
   engines (the index is an access path, never a second source of truth).
 * **Persistence** -- pk indexes are derived data: nothing is written under
-  ``index/`` and a cold open builds nothing.  Version-first rebuilds a
-  branch's map on its first touch; tuple-first and hybrid build one
+  ``index/`` and a cold open builds nothing.  Every engine builds one
   key-copy index on the first pk lookup, whatever branch it names, holding
-  one entry per stored copy however many branches exist.
+  one entry per stored copy however many branches exist; version-first
+  also builds a branch's live bits on that branch's first touch.
 * **Planning** -- the optimizer rewrites selective scans to
   :class:`IndexScan` (visible as ``[index]`` in EXPLAIN) only when the
   index covers the driving term, and the rewrite is toggleable.
@@ -82,9 +82,6 @@ def make_db(directory, engine, *, rows=50, distinct=10, indexes=("c1",)):
 
 
 ENGINES = ["tuple-first", "version-first", "hybrid"]
-
-#: The engines that keep one key-copy index instead of per-branch pk maps.
-KEY_COPY_ENGINES = ["tuple-first", "hybrid"]
 
 
 def assert_lookups_match_scan(storage, branch, probes):
@@ -234,26 +231,28 @@ class TestPersistence:
         assert not os.path.exists(tmp_path / "R" / "index")
 
     def test_first_touch_rebuilds_once(self, tmp_path):
+        """Version-first builds a reopened branch's live bits from the
+        chain walk on the branch's first touch, and only then."""
         engine = "version-first"
         db = make_db(tmp_path, engine)
         db.relation("R").branch("dev", from_branch="master")
         db.close()
         reopened = Decibel.open(str(tmp_path), engine=engine)
-        pk = reopened.relation("R").engine.pk_index
+        storage = reopened.relation("R").engine
         rebuilt = []
-        hydrate = pk._hydrator
+        build = storage._build_live_bits
 
         def counting(branch):
             rebuilt.append(branch)
-            return hydrate(branch)
+            return build(branch)
 
-        pk._hydrator = counting
+        storage._build_live_bits = counting
         for key in (7, 8, 49):
             rows = reopened.query(
                 f"SELECT * FROM R WHERE R.Version = 'master' AND R.id = {key}"
             ).rows
             assert [tuple(r) for r in rows] == [(key, key % 10, key * 10)]
-        assert rebuilt == ["master"], "the rebuilt map was not cached"
+        assert rebuilt == ["master"], "the built live bits were not cached"
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_leftover_index_files_are_ignored(self, tmp_path, engine):
@@ -289,15 +288,15 @@ class TestPersistence:
         db.relation("R").branch("dev", from_branch="master")
         db.close()
         reopened = Decibel.open(str(tmp_path), engine=engine)
-        pk = reopened.relation("R").engine.pk_index
-        assert not pk.branch_loaded("master")
-        assert not pk.branch_loaded("dev")
-        # Touching master hydrates master only.
+        storage = reopened.relation("R").engine
+        assert not storage.live_bits_built("master")
+        assert not storage.live_bits_built("dev")
+        # Touching master builds master's live bits only.
         reopened.query("SELECT * FROM R WHERE R.Version = 'master' AND R.id = 1")
-        assert pk.branch_loaded("master")
-        assert not pk.branch_loaded("dev")
+        assert storage.live_bits_built("master")
+        assert not storage.live_bits_built("dev")
 
-    @pytest.mark.parametrize("engine", KEY_COPY_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_first_lookup_builds_key_index_once(self, tmp_path, engine):
         """Open builds nothing; the first lookup builds the key index once,
         and a lookup on another branch builds nothing new."""
@@ -320,7 +319,7 @@ class TestPersistence:
         assert key_index.builds == 1
         assert len(key_index) == 50
 
-    @pytest.mark.parametrize("engine", KEY_COPY_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_close_drops_key_index(self, tmp_path, engine):
         """A closed engine holds no key copies; a reopen answers the same
         and builds the index once, on its first lookup."""
@@ -355,21 +354,22 @@ class TestPersistence:
         assert key_index.builds == 1
 
 
-# -- the key-copy index of tuple-first and hybrid -----------------------------
+# -- the key-copy index -------------------------------------------------------
 
 def stored_copies(storage):
-    """Number of records physically stored by a tuple-first/hybrid engine."""
+    """Number of records an engine physically stores (tombstones included)."""
     if hasattr(storage, "heap"):
         return storage.heap.num_records
     return sum(segment.record_count for segment in storage.segments.all())
 
 
 class TestKeyCopyIndex:
-    @pytest.mark.parametrize("engine", KEY_COPY_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_merged_copy_survives_source_update(self, tmp_path, engine):
-        """A merge shares the source's copy of key 60 with the target; the
-        source then updates 60 again, into the same head segment.  Each
-        branch must keep answering its own copy, before and after reopen."""
+        """A merge shares the source's copy of key 60 with the target
+        (version-first writes a copy of it instead); the source then updates
+        60 again, into the same head segment.  Each branch must keep
+        answering its own copy, before and after reopen."""
         db = make_db(tmp_path, engine, indexes=())
         rel = db.relation("R")
         rel.branch("dev", from_branch="master")
@@ -379,11 +379,12 @@ class TestKeyCopyIndex:
         txn.commit()
         rel.merge("master", "dev")
         shared = rel.engine.key_location("dev", 60)
-        assert rel.engine.key_location("master", 60) == shared
+        merged = rel.engine.key_location("master", 60)
+        assert (merged != shared) if engine == "version-first" else (merged == shared)
         txn = manager.begin()
         txn.update("dev", record(60, 2, 200))
         txn.commit()
-        if engine == "hybrid":
+        if engine != "tuple-first":
             assert rel.engine.key_location("dev", 60)[0] == shared[0]
         for current in (db, None):
             if current is None:
@@ -398,7 +399,7 @@ class TestKeyCopyIndex:
                     branch, 60
                 ).values == row
 
-    @pytest.mark.parametrize("engine", KEY_COPY_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_one_entry_per_stored_copy(self, tmp_path, engine):
         """Forks add no entries, and after a reopen that touches every one
         of 64 branches the index holds exactly one entry per stored copy."""
@@ -431,7 +432,7 @@ class TestKeyCopyIndex:
         assert storage.key_index.builds == 1
         assert len(storage.key_index) == stored_copies(storage) == 2008
 
-    @pytest.mark.parametrize("engine", KEY_COPY_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_lazy_build_races_writers(self, tmp_path, engine):
         """Readers that trigger the first build while writers append (under
         the engine's write mutex) never lose a copy."""

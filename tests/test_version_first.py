@@ -1,10 +1,16 @@
 """Tests specific to the version-first engine."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.core.heapfile import HeapFile
 from repro.core.predicates import ModuloPredicate
 from repro.core.record import Record, RecordCodec
+from repro.core.schema import Schema
 from repro.errors import CommitNotFoundError
+from repro.storage import create_engine
 from repro.storage.version_first import VersionFirstEngine
 
 from tests.conftest import (
@@ -204,3 +210,111 @@ class TestVersionFirstRowlessReads:
         assert {
             values: branches for values, branches in annotated_rows(heads)
         } == heads_oracle(engine, pins=pins)
+
+
+class TestVersionFirstLiveBits:
+    def test_column_scan_reads_every_visible_chain_page(self, vf_engine, monkeypatch):
+        """A branch's column scan, and its multi-branch scan, fetch every
+        page of every segment of its chain up to the segment's visible limit
+        -- pages holding only superseded copies or tombstones included,
+        pages past a branch point not -- and select exactly the row scan's
+        rows."""
+        engine = vf_engine
+        engine.init([Record((key, 0, 0, 0)) for key in range(400)])
+        for key in range(100):  # master's first page is all superseded
+            engine.update("master", Record((key, 1, 1, 1)))
+        for key in range(270, 400):  # and its last one all tombstones
+            engine.delete("master", key)
+        engine.create_branch("dev", from_branch="master")
+        for key in range(1000, 1200):  # past dev's branch point
+            engine.insert("master", Record((key, 0, 0, 0)))
+        for key in range(100, 150):
+            engine.update("dev", Record((key, 2, 2, 2)))
+        for key in range(150, 270):  # dev's last page is all tombstones
+            engine.delete("dev", key)
+        master = engine.segments.get(engine._head_segment["master"]).heap
+        dev = engine.segments.get(engine._head_segment["dev"]).heap
+        per_page = master.records_per_page
+        # The tombstone-only pages hold no record ever live, and the
+        # inserts past the branch point fill pages of their own.
+        assert -(-500 // per_page) < -(-630 // per_page) < master.num_pages
+        assert -(-50 // per_page) < -(-170 // per_page) == dev.num_pages
+
+        fetched = set()
+
+        def page(self, page_number, transient=False, _original=HeapFile.page):
+            fetched.add((self.path, page_number))
+            return _original(self, page_number, transient)
+
+        monkeypatch.setattr(HeapFile, "page", page)
+        columnar = [
+            row for batch in engine.scan_branch_columns("dev") for row in batch.rows()
+        ]
+        chain_pages = {(dev.path, number) for number in range(dev.num_pages)} | {
+            (master.path, number) for number in range(-(-630 // per_page))
+        }
+        assert fetched == chain_pages
+        fetched.clear()
+        list(engine.scan_branches_batched(["dev"]))  # Query 4 reads as much
+        monkeypatch.undo()
+        assert fetched == chain_pages
+        rows = [record.values for record in engine.scan_branch("dev")]
+        assert columnar == rows
+        assert sorted(rows) == sorted(
+            [(key, 1, 1, 1) for key in range(100)]
+            + [(key, 2, 2, 2) for key in range(100, 150)]
+        )
+
+    def test_forks_after_reopen_build_only_a_head_forks_parent(
+        self, tmp_path, schema
+    ):
+        """After a reopen, a fork at a head builds its parent's live bits to
+        clone them; a fork off a commit restores that commit's chain walk
+        and builds no branch."""
+        directory = str(tmp_path / "vf")
+        engine = VersionFirstEngine(directory, schema, page_size=SMALL_PAGE_SIZE)
+        base = engine.init(make_records(50))
+        engine.create_branch("dev", from_branch="master")
+        engine.update("dev", Record((3, 0, 0, 0)))
+        engine.delete("dev", 4)
+        engine.commit("dev")
+        engine.insert("master", Record((99, 0, 0, 0)))
+        engine.commit("master")
+        engine.close()
+        engine = VersionFirstEngine(directory, schema, page_size=SMALL_PAGE_SIZE)
+        engine.load_persistent_state()
+        engine.create_branch("old", from_commit=base)
+        assert not engine.live_bits_built("master")
+        assert not engine.live_bits_built("dev")
+        engine.create_branch("feature", from_branch="dev")
+        assert engine.live_bits_built("dev")
+        assert not engine.live_bits_built("master")
+        for branch, count in (("old", 50), ("feature", 49), ("dev", 49)):
+            assert engine.live_state(branch) == engine.chain_state(branch)
+            assert engine.count_branch(branch) == count
+        assert engine.record_for_key("feature", 3).values == (3, 0, 0, 0)
+        assert engine.record_for_key("old", 4).values == (4, 40, 400, 7)
+        assert not engine.branch_contains_key("feature", 4)
+
+    def test_forks_retain_at_most_twice_hybrids_heap(self, tmp_path):
+        """64 forks of a 5k-row base, each with one update and one commit,
+        retain at most twice the heap on version-first that they do on
+        hybrid: a fork clones live bits, not a map of every key."""
+
+        def retained(kind: str) -> int:
+            engine = create_engine(kind, str(tmp_path / kind), Schema.of_ints(3))
+            engine.init([Record((key, key, key)) for key in range(5000)])
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for i in range(64):
+                    engine.create_branch(f"b{i}", from_branch="master")
+                    engine.update(f"b{i}", Record((i, -1, -1)))
+                    engine.commit(f"b{i}")
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        assert retained("version-first") <= 2 * retained("hybrid")
