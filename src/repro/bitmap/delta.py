@@ -13,17 +13,15 @@ composite-by-composite and finishes with at most ``layer_interval - 1`` base
 deltas.
 
 Histories live in memory.  :meth:`CommitHistory.record_commit` returns the
-delta it recorded in a compact text form (the bit length and the base64 of
-the RLE bytes), which the engine puts in the commit's version-graph event;
-that CRC-framed event is the commit's only metadata write.  A reopen rebuilds
-each history by feeding the graph's commit states back, in commit order,
-through :meth:`CommitHistory.replay`; composites are rebuilt along the way and
-never written.
+delta it recorded as its bit length and RLE bytes, which the engine puts in
+the commit's version-graph event; that CRC-framed event is the commit's only
+metadata write.  A reopen rebuilds each history by feeding the graph's
+commit states back, in commit order, through :meth:`CommitHistory.replay`;
+composites are rebuilt along the way and never written.
 """
 
 from __future__ import annotations
 
-import base64
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -69,11 +67,14 @@ class CommitHistory:
 
     # -- writing --------------------------------------------------------------
 
-    def record_commit(self, sequence: int, snapshot: Bitmap) -> str | None:
+    def record_commit(
+        self, sequence: int, snapshot: Bitmap
+    ) -> tuple[int, bytes] | None:
         """Record ``snapshot`` as the bitmap state at commit ``sequence``.
 
-        Returns the recorded delta in its text form, or ``None`` when the
-        bitmap is unchanged since the previous entry (nothing is recorded).
+        Returns the recorded delta as ``(bit length, RLE bytes)``, or
+        ``None`` when the bitmap is unchanged since the previous entry
+        (nothing is recorded).
         """
         self._check_order(sequence)
         delta = snapshot ^ self._last_snapshot
@@ -82,15 +83,14 @@ class CommitHistory:
         payload = rle_encode(delta.to_bytes())
         self._append(sequence, payload, len(delta), delta)
         self._last_snapshot = snapshot.copy()
-        return f"{len(delta)}:{base64.b64encode(payload).decode('ascii')}"
+        return len(delta), payload
 
-    def replay(self, sequence: int, recorded: str) -> None:
+    def replay(self, sequence: int, recorded: tuple[int, bytes]) -> None:
         """Re-record a delta that :meth:`record_commit` returned."""
         self._check_order(sequence)
-        num_bits, _, text = recorded.partition(":")
-        payload = base64.b64decode(text, validate=True)
-        delta = Bitmap.from_bytes(rle_decode(payload), int(num_bits))
-        self._append(sequence, payload, int(num_bits), delta)
+        num_bits, payload = recorded
+        delta = Bitmap.from_bytes(rle_decode(payload), num_bits)
+        self._append(sequence, payload, num_bits, delta)
         self._last_snapshot = self._last_snapshot ^ delta
 
     def _check_order(self, sequence: int) -> None:

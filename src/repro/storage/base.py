@@ -1512,13 +1512,15 @@ class VersionedStorageEngine(ABC):
         self, name: str, parent_branch: str, from_commit: str, at_head: bool
     ) -> Any:
         """Create engine-side structures for a new branch; returns the
-        JSON-serializable state (or None) its graph event must carry."""
+        state (or None) its graph event must carry, in a shape the graph
+        log encodes (:meth:`VersionGraph.set_branch_state`)."""
 
     @abstractmethod
     def _record_commit_state(self, branch: str, commit_id: str) -> Any:
         """Snapshot whatever per-branch state a commit must preserve.
 
-        Returns the JSON-serializable state the graph stores with the commit.
+        Returns the state the graph stores with the commit, in a shape the
+        graph log encodes (:meth:`VersionGraph.set_commit_state`).
         """
 
     @abstractmethod

@@ -127,12 +127,12 @@ class HybridEngine(SegmentedEngine):
 
     def _record_commit_state(
         self, branch: str, commit_id: str
-    ) -> dict[str, str] | None:
-        """``{segment id: delta}`` for the segments whose bitmap of
+    ) -> dict[int, tuple[int, bytes]] | None:
+        """``{segment number: delta}`` for the segments whose bitmap of
         ``branch`` changed since its previous commit, or None if none did."""
         sequence = self.graph.get_commit(commit_id).sequence
         histories = self._histories.setdefault(branch, {})
-        deltas: dict[str, str] = {}
+        deltas: dict[int, tuple[int, bytes]] = {}
         for segment_id in self._branch_scope(branch):
             local = self._local_bitmaps[segment_id]
             snapshot = (
@@ -144,7 +144,7 @@ class HybridEngine(SegmentedEngine):
             delta = history.record_commit(sequence, snapshot)
             if delta is not None:
                 histories[segment_id] = history
-                deltas[segment_id] = delta
+                deltas[self._segment_numbers[segment_id]] = delta
         return deltas or None
 
     def _load_storage(self) -> None:
@@ -169,10 +169,12 @@ class HybridEngine(SegmentedEngine):
             self._branch_segments[branch.name] = set()
         # Rebuild every (branch, segment) history from the deltas the graph's
         # commit events carry, in commit order.
+        numbered = self._numbered_segments
         for commit in self.graph.commits():
             deltas = self.graph.commit_state(commit.commit_id) or {}
             histories = self._histories.setdefault(commit.branch, {})
-            for segment_id, delta in deltas.items():
+            for number, delta in deltas.items():
+                segment_id = numbered[number][0]
                 if segment_id not in histories:
                     histories[segment_id] = CommitHistory(self.commit_layer_interval)
                 histories[segment_id].replay(commit.sequence, delta)

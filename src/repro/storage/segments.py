@@ -78,17 +78,6 @@ class Segment:
             )
         return self.heap.append(record)
 
-    def record_at(self, ordinal: int) -> Record:
-        """Fetch the record at ``ordinal``."""
-        return self.heap.record_by_ordinal(ordinal)
-
-    def records(self, limit: int | None = None) -> Iterator[tuple[int, Record]]:
-        """Iterate ``(ordinal, record)`` pairs, optionally up to ``limit``."""
-        for ordinal, record in enumerate(self.heap.scan_records()):
-            if limit is not None and ordinal >= limit:
-                return
-            yield ordinal, record
-
     def freeze(self) -> None:
         """Seal the segment against further writes."""
         self.heap.flush()

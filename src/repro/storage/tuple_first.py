@@ -99,8 +99,11 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.bitmap_index.restore_branch(name, snapshot)
         self.index_hook.branch_rebuilt(name)
 
-    def _record_commit_state(self, branch: str, commit_id: str) -> str | None:
-        """The commit's bitmap delta, or None when the bitmap is unchanged."""
+    def _record_commit_state(
+        self, branch: str, commit_id: str
+    ) -> tuple[int, bytes] | None:
+        """The commit's bitmap delta, ``(bit length, RLE bytes)``, or None
+        when the bitmap is unchanged."""
         return self._histories[branch].record_commit(
             self.graph.get_commit(commit_id).sequence,
             self.bitmap_index.branch_bitmap(branch),

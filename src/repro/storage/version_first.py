@@ -120,9 +120,13 @@ class VersionFirstEngine(SegmentedEngine):
 
     def _record_commit_state(
         self, branch: str, commit_id: str
-    ) -> tuple[str, int]:
+    ) -> tuple[int, int]:
+        """``(segment number, record offset)`` of ``branch``'s head."""
         segment_id = self._head_segment[branch]
-        return segment_id, self.segments.get(segment_id).record_count
+        return (
+            self._segment_numbers[segment_id],
+            self.segments.get(segment_id).record_count,
+        )
 
     def _flush_storage(self, branch: str | None = None) -> None:
         # A branch reads its own segment and each ancestor behind its branch
@@ -150,6 +154,8 @@ class VersionFirstEngine(SegmentedEngine):
         pointer limit, so those records must survive even if the parent
         itself never committed past them.  A segment holding fewer records
         than its floor lost committed ones: strict recovery refuses to open.
+        Records a floor keeps above a branch's head commit are rolled back
+        for that branch by the records :meth:`_roll_back_to_head` appends.
         """
         self.segments.check_layout()
         self._head_segment[MASTER_BRANCH] = self._new_head_segment(
@@ -180,7 +186,8 @@ class VersionFirstEngine(SegmentedEngine):
             location = self.graph.commit_state(self.graph.head(branch_name))
             committed = (
                 location[1]
-                if location is not None and location[0] == segment_id
+                if location is not None
+                and location[0] == self._segment_numbers[segment_id]
                 else 0
             )
             floor = needed[segment_id] = max(committed, needed.get(segment_id, 0))
@@ -189,9 +196,49 @@ class VersionFirstEngine(SegmentedEngine):
                 segment.heap.truncate_records(floor)
         for segment in self.segments.all():
             check_stored_records(segment.heap, needed.get(segment.segment_id, 0))
+        for branch_name in self._head_segment:
+            self._roll_back_to_head(branch_name)
         # Live bits are built lazily, on a branch's first touch, by the
         # chain walk; the key index on the first pk lookup.
         self._unbuilt = set(self.graph.branch_names())
+
+    def _roll_back_to_head(self, branch: str) -> None:
+        """Make ``branch``'s chain read as its head commit does.
+
+        A child's branch point can keep records that were written, and
+        never committed, before the fork: in the parent's head segment
+        above its head commit, and reachable from the child's chain.  Both
+        branches reopen at their head commits, so the branch's head segment
+        gets a copy of each key's committed record, or a tombstone, where
+        the chain walk would read another; its own later records shadow the
+        kept ones.  Nothing is appended when the chain reaches exactly the
+        head commit's records, as it does unless a fork kept some.
+        """
+        head = self._head_segment[branch]
+        committed = self._commit_location(self.graph.head(branch))
+        if self._visible_chain(head, None) == self._visible_chain(*committed):
+            return
+        pk_position = self.schema.primary_key_index
+
+        def rows(state: dict[str, Bitmap]) -> dict[int, Record]:
+            return {
+                record.values[pk_position]: record
+                for record in self._scan_state(state, None)
+            }
+
+        wanted = rows(self._walk_chain(*committed))
+        current = rows(self._walk_chain(head, None))
+        segment = self.segments.get(head)
+        for key in sorted(current.keys() - wanted.keys()):
+            segment.append(Record.deleted(self.schema, key))
+        for key, record in sorted(wanted.items()):
+            held = current.get(key)
+            if held is None or held.values != record.values:
+                segment.append(record)
+
+    def _visible_chain(self, segment_id: str, limit: int | None) -> list:
+        """:meth:`_chain` without its segments that show no record."""
+        return [entry for entry in self._chain(segment_id, limit) if entry[1]]
 
     # -- live bits ------------------------------------------------------------------
 
@@ -396,8 +443,8 @@ class VersionFirstEngine(SegmentedEngine):
             raise CommitNotFoundError(
                 f"commit {commit_id!r} has no recorded segment offset"
             )
-        segment_id, offset = location
-        return segment_id, offset
+        number, offset = location
+        return self._numbered_segments[number][0], offset
 
     def _live_count(self, branch: str) -> int:
         # Popcounts of the branch's live bits, read in place.
@@ -474,8 +521,10 @@ class VersionFirstEngine(SegmentedEngine):
     # -- sizes -------------------------------------------------------------------------------------
 
     def commit_metadata_bytes(self) -> int:
-        return sum(
-            len(commit.commit_id) + len(location[0]) + 8
+        """24 bytes per commit: its sequence, segment number and record
+        offset, 8 bytes each."""
+        return 24 * sum(
+            1
             for commit in self.graph.commits()
-            if (location := self.graph.commit_state(commit.commit_id))
+            if self.graph.commit_state(commit.commit_id) is not None
         )

@@ -6,23 +6,28 @@ by modification, branching or merging (paper Section 2.2.2).  All three
 storage engines consult the same graph for branch heads, ancestry and
 lowest-common-ancestor queries.
 
-The graph is persisted as JSON alongside the data files on every branch or
-commit operation, as in the paper (Section 3, preamble), as a log of its own
-mutations: each mutator queues one JSON event naming itself and its
-arguments, :meth:`VersionGraph.save` appends the queued events to
-``version_graph.log`` as one CRC-framed record -- one write and one fsync,
-however large the graph -- and :meth:`VersionGraph.load` replays them through
-the same mutators.  A commit's event also carries the committing engine's
-state (:meth:`VersionGraph.set_commit_state`), so one frame commits both, and
-a branch creation's event carries whatever the engine's new storage needs
+The graph is persisted alongside the data files on every branch or commit
+operation, as in the paper (Section 3, preamble), as a log of its own
+mutations: each mutator queues one event naming itself and its arguments,
+:meth:`VersionGraph.save` appends the queued events to ``version_graph.log``
+as one CRC-framed record -- one write and one fsync, however large the graph
+-- and :meth:`VersionGraph.load` replays them through the same mutators.  A
+commit's event also carries the committing engine's state
+(:meth:`VersionGraph.set_commit_state`), so one frame commits both, and a
+branch creation's event carries whatever the engine's new storage needs
 beyond the event itself (:meth:`VersionGraph.set_branch_state`): an engine
 rebuilds its segment topology by replaying the branch events in order.
+
+Events are binary (:func:`encode_events`, :func:`decode_events`): an op byte,
+then the op's fields as compact unsigned integers and length-prefixed UTF-8
+names, then the engine state, if any.  A commit is named by its sequence
+number, so a commit frame costs about its state's bytes.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import struct
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -119,7 +124,7 @@ class VersionGraph:
         self, branch: str, parents: tuple[str, ...], message: str
     ) -> Commit:
         self._sequence += 1
-        commit_id = f"v{self._sequence:06d}"
+        commit_id = _commit_id(self._sequence)
         commit = Commit(
             commit_id=commit_id,
             branch=branch,
@@ -170,7 +175,7 @@ class VersionGraph:
         self._log(
             "create_branch",
             name=name,
-            from_commit=from_commit,
+            from_sequence=self._commits[from_commit].sequence,
             from_branch=parent_branch,
         )
         return branch
@@ -213,28 +218,35 @@ class VersionGraph:
         self._log("retire_branch", name=name)
 
     def set_commit_state(self, commit_id: str, state: Any) -> None:
-        """Attach an engine's JSON-serializable state to an unsaved commit.
+        """Attach an engine's state to an unsaved commit.
 
-        The state rides in the commit's own event, so it becomes durable in
-        the same log frame as the commit.  ``None`` records nothing.
+        A state is one of the shapes the log encodes: a bitmap delta
+        ``(bit length, RLE bytes)``, ``{segment number: delta}``, or a
+        ``(segment number, record offset)`` location.  It rides in the
+        commit's own event, so it becomes durable in the same log frame as
+        the commit, and reloads as it was set.  ``None`` records nothing.
         """
         if state is not None:
-            self._pending_event("id", commit_id)["state"] = state
+            _state_shape(state)
+            sequence = self.get_commit(commit_id).sequence
+            self._pending_event("sequence", sequence)["state"] = state
             self._states[commit_id] = state
 
     def commit_state(self, commit_id: str) -> Any:
-        """The state recorded with ``commit_id`` (as JSON once reloaded)."""
+        """The state recorded with ``commit_id``, or None."""
         return self._states.get(commit_id)
 
     def set_branch_state(self, name: str, state: Any) -> None:
-        """Attach an engine's JSON-serializable state to an unsaved branch
-        creation, as :meth:`set_commit_state` does to a commit; reloaded,
-        it is the branch's :attr:`Branch.state`.  ``None`` records nothing."""
+        """Attach an engine's state -- a record limit, a non-negative int --
+        to an unsaved branch creation, as :meth:`set_commit_state` does to a
+        commit; reloaded, it is the branch's :attr:`Branch.state`.  ``None``
+        records nothing."""
         if state is not None:
+            _state_shape(state)
             self._pending_event("name", name)["state"] = state
             self.branch(name).state = state
 
-    def _pending_event(self, key: str, value: str) -> dict:
+    def _pending_event(self, key: str, value: str | int) -> dict:
         """The newest unsaved event whose ``key`` is ``value``."""
         for event in reversed(self._pending):
             if event.get(key) == value:
@@ -386,8 +398,7 @@ class VersionGraph:
             return
         if self._pending[0]["op"] == "init" and os.path.exists(path):
             os.remove(path)
-        payload = json.dumps(self._pending, separators=(",", ":"))
-        append_framed(path, payload.encode("utf-8"), label="graph-persist")
+        append_framed(path, encode_events(self._pending), label="graph-persist")
         self._pending.clear()
 
     @classmethod
@@ -397,28 +408,31 @@ class VersionGraph:
         A torn final frame is truncated away (a crash mid-save: the graph
         lands on the commit before it).  Raises
         :class:`~repro.errors.CorruptionError` when a frame fails its
-        checksum with readable frames after it, or when an event does not
-        replay to the commit id it recorded (a lost or reordered frame).
+        checksum with readable frames after it, when a frame does not
+        decode, or when an event does not replay to the commit sequence it
+        recorded (a lost or reordered frame).
         """
         if not os.path.exists(path):
             raise VersionError(f"no version graph at {path!r}")
         graph = cls()
         for payload in read_framed(path, "version graph"):
             try:
-                events = json.loads(payload)
-                for event in events:
+                for event in decode_events(payload):
                     produced = graph._replay(event)
-                    if produced != event.get("id"):
+                    sequence = event.get("sequence")
+                    if produced is not None and produced.sequence != sequence:
                         raise CorruptionError(
                             path,
                             f"{event['op']} event replayed to another commit",
-                            expected=event.get("id"),
-                            actual=produced,
+                            expected=_commit_id(sequence),
+                            actual=produced.commit_id,
                         )
-                    if "state" in event and event["op"] == "create_branch":
+                    if "state" not in event:
+                        continue
+                    if produced is None:
                         graph._branches[event["name"]].state = event["state"]
-                    elif "state" in event:
-                        graph._states[produced] = event["state"]
+                    else:
+                        graph._states[produced.commit_id] = event["state"]
             except (ValueError, TypeError, KeyError, VersionError) as exc:
                 raise CorruptionError(
                     path, f"version graph event does not replay: {exc}"
@@ -430,13 +444,210 @@ class VersionGraph:
         """Queue the event for mutator ``op`` called with ``args``."""
         event = {"op": op, **args}
         if commit is not None:
-            event["id"] = commit.commit_id
+            event["sequence"] = commit.sequence
         self._pending.append(event)
 
-    def _replay(self, event: dict) -> str | None:
-        """Apply one logged event; returns the id of the commit it made."""
-        if event["op"] not in _LOGGED_OPS:
-            raise ValueError(f"unknown version graph event {event['op']!r}")
-        args = {k: v for k, v in event.items() if k not in ("op", "id", "state")}
+    def _replay(self, event: dict) -> Commit | None:
+        """Apply one decoded event; returns the commit it made, if any."""
+        args = {k: v for k, v in event.items() if k not in ("op", "sequence", "state")}
+        if "from_sequence" in args:
+            args["from_commit"] = _commit_id(args.pop("from_sequence"))
         produced = getattr(self, event["op"])(**args)
-        return produced.commit_id if isinstance(produced, Commit) else None
+        return produced if isinstance(produced, Commit) else None
+
+
+def _commit_id(sequence: int) -> str:
+    """The id of the commit with graph-wide sequence number ``sequence``."""
+    return f"v{sequence:06d}"
+
+
+# -- the event codec ---------------------------------------------------------------
+#
+# An event is one op byte -- the op's index in _LOGGED_OPS in its low three
+# bits, the shape of its engine state above them, and _HAS_PRECEDENCE on a
+# merge that names one -- followed by the op's fields in _FIELDS order and,
+# last, the state.  Integers are compact: a value below 0xFC is its own
+# byte; 0xFC, 0xFD and 0xFE prefix a 2-, 4- and 8-byte little-endian one.
+
+#: Each op's fields, in encoding order: ``uint`` or ``text``.
+_FIELDS: dict[str, tuple[tuple[str, str], ...]] = {
+    "init": (("sequence", "uint"), ("message", "text")),
+    "commit": (("sequence", "uint"), ("branch", "text"), ("message", "text")),
+    "create_branch": (
+        ("name", "text"),
+        ("from_sequence", "uint"),
+        ("from_branch", "text"),
+    ),
+    "merge": (
+        ("sequence", "uint"),
+        ("target_branch", "text"),
+        ("source_branch", "text"),
+        ("message", "text"),
+    ),
+    "retire_branch": (("name", "text"),),
+}
+
+#: State shapes (bits 3-5 of the op byte).  A segment is named by its
+#: number, a bitmap delta by its bit length and RLE bytes.
+_NO_STATE = 0
+_DELTA = 1  # tuple-first: (bit length, RLE bytes)
+_SEGMENT_DELTAS = 2  # hybrid: {segment number: (bit length, RLE bytes)}
+_LOCATION = 3  # version-first commit: (segment number, record offset)
+_LIMIT = 4  # version-first at-head fork: the branch point's record limit
+_STATE_SHIFT = 3
+_OP_MASK = (1 << _STATE_SHIFT) - 1
+_SHAPE_MASK = 0x07
+_HAS_PRECEDENCE = 0x80
+
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+
+
+def _state_shape(state: Any) -> int:
+    """The shape code of an engine state; raises for any other value."""
+    kind = type(state)
+    if kind is int and state >= 0:
+        return _LIMIT
+    if kind is dict:
+        return _SEGMENT_DELTAS
+    if kind is tuple and len(state) == 2 and type(state[0]) is int:
+        if type(state[1]) is bytes:
+            return _DELTA
+        if type(state[1]) is int:
+            return _LOCATION
+    raise VersionError(f"not a version-graph engine state: {state!r}")
+
+
+def _uint(value: int) -> bytes:
+    if value < 0xFC:
+        return bytes((value,))
+    if value < 1 << 16:
+        return b"\xfc" + _U16.pack(value)
+    if value < 1 << 32:
+        return b"\xfd" + _U32.pack(value)
+    return b"\xfe" + _U64.pack(value)
+
+
+def _text(value: str) -> bytes:
+    encoded = value.encode("utf-8")
+    return _uint(len(encoded)) + encoded
+
+
+def _delta(delta: tuple[int, bytes]) -> bytes:
+    num_bits, payload = delta
+    return _uint(num_bits) + _uint(len(payload)) + payload
+
+
+def _encode_event(event: dict) -> bytes:
+    op = event["op"]
+    state = event.get("state")
+    shape = _NO_STATE if state is None else _state_shape(state)
+    code = _LOGGED_OPS.index(op) | shape << _STATE_SHIFT
+    precedence = event.get("precedence")
+    if precedence is not None:
+        code |= _HAS_PRECEDENCE
+    parts = [bytes((code,))]
+    for name, kind in _FIELDS[op]:
+        parts.append(_uint(event[name]) if kind == "uint" else _text(event[name]))
+    if precedence is not None:
+        parts.append(_text(precedence))
+    if shape == _DELTA:
+        parts.append(_delta(state))
+    elif shape == _SEGMENT_DELTAS:
+        parts.append(_uint(len(state)))
+        for number, delta in state.items():
+            parts.append(_uint(number) + _delta(delta))
+    elif shape == _LOCATION:
+        parts.append(_uint(state[0]) + _uint(state[1]))
+    elif shape == _LIMIT:
+        parts.append(_uint(state))
+    return b"".join(parts)
+
+
+def encode_events(events: list[dict]) -> bytes:
+    """The binary form of ``events`` (dicts as :func:`decode_events` returns
+    them): one log frame's payload."""
+    return b"".join(_encode_event(event) for event in events)
+
+
+class _Reader:
+    """Reads the fields of encoded events from a payload, in order."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def uint(self) -> int:
+        data, pos = self.data, self.pos
+        head = data[pos]
+        if head < 0xFC:
+            self.pos = pos + 1
+            return head
+        if head == 0xFC:
+            self.pos = pos + 3
+            return _U16.unpack_from(data, pos + 1)[0]
+        if head == 0xFD:
+            self.pos = pos + 5
+            return _U32.unpack_from(data, pos + 1)[0]
+        if head == 0xFE:
+            self.pos = pos + 9
+            return _U64.unpack_from(data, pos + 1)[0]
+        raise ValueError(f"bad integer prefix {head:#x} at byte {pos}")
+
+    def blob(self) -> bytes:
+        size = self.uint()
+        start = self.pos
+        end = self.pos = start + size
+        if end > len(self.data):
+            raise ValueError(f"{size}-byte field overruns the event at byte {start}")
+        return self.data[start:end]
+
+    def text(self) -> str:
+        return self.blob().decode("utf-8")
+
+    def delta(self) -> tuple[int, bytes]:
+        num_bits = self.uint()
+        return num_bits, self.blob()
+
+
+def decode_events(payload: bytes) -> list[dict]:
+    """The events of one log frame's payload, each a dict of ``op``, its
+    fields (``sequence`` names a commit) and, when it has one, ``state``.
+
+    Raises :class:`ValueError` when the payload is not a run of whole
+    events.
+    """
+    reader = _Reader(payload)
+    events = []
+    try:
+        while reader.pos < len(payload):
+            code = payload[reader.pos]
+            reader.pos += 1
+            op_index, shape = code & _OP_MASK, code >> _STATE_SHIFT & _SHAPE_MASK
+            if op_index >= len(_LOGGED_OPS) or shape > _LIMIT or code & 0x40:
+                raise ValueError(f"unknown version graph event code {code:#x}")
+            op = _LOGGED_OPS[op_index]
+            event: dict[str, Any] = {"op": op}
+            for name, kind in _FIELDS[op]:
+                event[name] = reader.uint() if kind == "uint" else reader.text()
+            if op == "merge":
+                event["precedence"] = (
+                    reader.text() if code & _HAS_PRECEDENCE else None
+                )
+            elif code & _HAS_PRECEDENCE:
+                raise ValueError(f"{op} event names a precedence")
+            if shape == _DELTA:
+                event["state"] = reader.delta()
+            elif shape == _SEGMENT_DELTAS:
+                event["state"] = {
+                    reader.uint(): reader.delta() for _ in range(reader.uint())
+                }
+            elif shape == _LOCATION:
+                event["state"] = (reader.uint(), reader.uint())
+            elif shape == _LIMIT:
+                event["state"] = reader.uint()
+            events.append(event)
+    except (IndexError, struct.error) as exc:
+        raise ValueError(f"truncated version graph event: {exc}") from exc
+    return events

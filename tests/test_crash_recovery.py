@@ -18,7 +18,6 @@ model.
 """
 
 import glob
-import json
 import os
 
 import pytest
@@ -33,6 +32,7 @@ from repro.db.database import Decibel
 from repro.errors import CorruptionError
 from repro.storage import segments as segments_module
 from repro.testing.faults import FaultSchedule, InjectedCrash, inject
+from repro.versioning.version_graph import decode_events
 
 ENGINES = ["tuple-first", "version-first", "hybrid"]
 
@@ -566,9 +566,11 @@ def test_flipped_branch_frame_limit(tmp_path, strict, monkeypatch):
     path = tmp_path / "t" / "version_graph.log"
     payloads = read_framed(str(path))
     index = len(payloads) - 2
-    (event,) = json.loads(payloads[index])
+    (event,) = decode_events(payloads[index])
     assert event["op"] == "create_branch" and event["state"] == 11
-    flip_frame_byte(path, index, payloads[index].index(b'"state":') + 8)
+    # The limit is the event's last field, one byte.
+    assert payloads[index][-1] == 11
+    flip_frame_byte(path, index, len(payloads[index]) - 1)
     if strict == "1":
         with pytest.raises(CorruptionError):
             Decibel.open(str(tmp_path), engine="version-first")
@@ -581,6 +583,40 @@ def test_flipped_branch_frame_limit(tmp_path, strict, monkeypatch):
     assert rel.graph.head("master") == previous
     assert {r.values for r in rel.scan("master")} == baseline
     assert_pk_index_agrees(reopened)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_write_uncommitted_at_a_fork_does_not_survive_reopen(tmp_path, engine):
+    """An uncommitted insert on master, then a fork off master's head, then
+    close and reopen: both branches reopen at their head commits, without
+    the insert, and commits made after the reopen do not bring it back,
+    live or after a second reopen."""
+    db = Decibel(str(tmp_path), engine=engine)
+    rel = db.create_relation("t", SCHEMA)
+    rel.init([record(1)])
+    rel.insert("master", record(2))
+    rel.branch("child", from_branch="master")
+    db.close()
+
+    db = Decibel.open(str(tmp_path), engine=engine)
+    rel = db.relation("t")
+    assert live_keys(db, "master") == live_keys(db, "child") == {1}
+    rel.insert("master", record(3))
+    on_master = rel.commit("master")
+    rel.insert("child", record(4))
+    on_child = rel.commit("child")
+    # Later appends move both commits off their segments' heads.
+    rel.insert("master", record(5))
+    rel.insert("child", record(6))
+    assert {r.key(SCHEMA) for r in rel.checkout(on_master)} == {1, 3}
+    assert {r.key(SCHEMA) for r in rel.checkout(on_child)} == {1, 4}
+    db.close()
+
+    db = Decibel.open(str(tmp_path), engine=engine)
+    assert live_keys(db, "master") == {1, 3}
+    assert live_keys(db, "child") == {1, 4}
+    assert_pk_index_agrees(db, "master")
+    assert_pk_index_agrees(db, "child")
 
 
 @pytest.mark.parametrize(("point", "engine", "torn_bytes"), ENGINE_COMMIT_CASES)
@@ -915,9 +951,13 @@ class TestRecoveryDetails:
         payloads = read_framed(str(path))
         # The frame of the commit that inserted key 200: five frames follow.
         index = len(payloads) - 6
-        (event,) = json.loads(payloads[index])
+        (event,) = decode_events(payloads[index])
         assert event["branch"] == "master" and event["state"]
-        flip_frame_byte(path, index, payloads[index].index(b'"state":') + 12)
+        # The first byte of the RLE bytes that end the commit's state.
+        state = event["state"]
+        _, rle = state if isinstance(state, tuple) else list(state.values())[-1]
+        assert rle and payloads[index].endswith(rle)
+        flip_frame_byte(path, index, len(payloads[index]) - len(rle))
         with pytest.raises(CorruptionError):
             Decibel.open(str(tmp_path), engine=engine)
 

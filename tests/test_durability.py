@@ -7,7 +7,6 @@ missing frames; one frame per commit), CRC corruption detection (structured
 recovery modes, and the fault-injection harness itself.
 """
 
-import base64
 import json
 import os
 import zlib
@@ -33,7 +32,7 @@ from repro.db.database import Decibel
 from repro.errors import CorruptionError
 from repro.storage import create_engine
 from repro.testing.faults import FaultSchedule, InjectedCrash, crashpoint, inject
-from repro.versioning.version_graph import VersionGraph
+from repro.versioning.version_graph import VersionGraph, decode_events, encode_events
 
 
 @pytest.fixture(autouse=True)
@@ -614,8 +613,8 @@ class TestCommitStatesInTheGraph:
             deltas = [] if state is None else [state]
             if isinstance(state, dict):
                 deltas = list(state.values())
-            for delta in deltas:
-                payload_bytes += len(base64.b64decode(delta.partition(":")[2]))
+            for _, rle in deltas:
+                payload_bytes += len(rle)
         assert payload_bytes > 0
         assert rel.engine.commit_metadata_bytes() == payload_bytes
         reopened = Decibel.open(str(tmp_path), engine=engine).relation("t")
@@ -630,8 +629,9 @@ class TestCommitStatesInTheGraph:
         rel.init([Record((key, key)) for key in range(4000)])
         rel.delete("master", 1234)
         commit_id = rel.commit("master")
-        state = json.dumps(rel.graph.commit_state(commit_id))
-        assert len(state) < 60, state
+        (event,) = decode_events(read_framed(rel.engine._graph_path())[-1])
+        assert event["state"] == rel.graph.commit_state(commit_id)
+        assert len(encode_events([event])) < 40, event
 
 
 class TestFaultHarness:

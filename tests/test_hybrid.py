@@ -1,17 +1,17 @@
 """Tests specific to the hybrid engine."""
 
-import json
 import os
 
 import pytest
 
 from repro.core.buffer_pool import BufferPool
-from repro.core.durable import read_framed
+from repro.core.durable import FRAME_HEADER_SIZE, read_framed
 from repro.core.heapfile import HeapFile
 from repro.core.record import Record
 from repro.db.database import Decibel
 from repro.errors import CommitNotFoundError
 from repro.storage.hybrid import HybridEngine
+from repro.versioning.version_graph import decode_events
 
 from tests.conftest import SMALL_PAGE_SIZE, make_records
 
@@ -177,9 +177,26 @@ class TestHybridCommits:
         txn.insert("master", Record((200, 0, 0, 0)))
         (commit_id,) = txn.commit().values()
         assert len(fsyncs) <= 3
-        (event,) = json.loads(read_framed(engine._graph_path())[-1])
-        assert event["id"] == commit_id
-        assert list(event["state"]) == [engine._head_segment["master"]]
+        (event,) = decode_events(read_framed(engine._graph_path())[-1])
+        assert event["sequence"] == rel.graph.get_commit(commit_id).sequence
+        head = engine._head_segment["master"]
+        assert list(event["state"]) == [engine._segment_numbers[head]]
+
+    def test_one_segment_commit_frame_is_at_most_40_bytes(self, hy_loaded):
+        """A commit that sets 20 bits of one segment appends a frame of at
+        most 40 bytes, framing included: the event costs about its RLE
+        bytes."""
+        hy_loaded.create_branch("c112", from_branch="master")
+        hy_loaded.commit("c112")  # records the bits the fork inherited
+        for key in range(1000, 1020):
+            hy_loaded.insert("c112", Record((key, 0, 0, 0)))
+        hy_loaded.commit("c112")
+        payload = read_framed(hy_loaded._graph_path())[-1]
+        (event,) = decode_events(payload)
+        head = hy_loaded._segment_numbers[hy_loaded._head_segment["c112"]]
+        ((number, (num_bits, _)),) = event["state"].items()
+        assert (number, num_bits) == (head, 20)
+        assert FRAME_HEADER_SIZE + len(payload) <= 40, (len(payload), event)
 
     def test_unchanged_commit_carries_no_state(self, hy_loaded, schema):
         """A commit that changes no segment's bitmap records no delta, and
@@ -188,9 +205,12 @@ class TestHybridCommits:
         hy_loaded.insert("dev", Record((300, 0, 0, 0)))
         changed = hy_loaded.commit("dev")
         unchanged = hy_loaded.commit("dev")
+        numbers = hy_loaded._segment_numbers
         assert set(hy_loaded.graph.commit_state(changed)) == {
-            hy_loaded._head_segment["dev"]
-        } | hy_loaded._branch_segments["master"]
+            numbers[segment_id]
+            for segment_id in {hy_loaded._head_segment["dev"]}
+            | hy_loaded._branch_segments["master"]
+        }
         assert hy_loaded.graph.commit_state(unchanged) is None
         keys = {r.key(schema) for r in hy_loaded.scan_commit(unchanged)}
         assert keys == set(range(20)) | {300}
@@ -206,7 +226,8 @@ class TestHybridCommits:
         for key in range(20):
             hy_loaded.delete("dev", key)
         emptied = hy_loaded.commit("dev")
-        assert old_head in hy_loaded.graph.commit_state(emptied)
+        emptied_state = hy_loaded.graph.commit_state(emptied)
+        assert hy_loaded._segment_numbers[old_head] in emptied_state
         hy_loaded.close()
         reopened = HybridEngine(hy_loaded.directory, schema, page_size=SMALL_PAGE_SIZE)
         reopened.load_persistent_state()

@@ -30,18 +30,6 @@ class TestSegment:
         assert [segment.append(r) for r in make_records(4)] == [0, 1, 2, 3]
         assert segment.record_count == 4
 
-    def test_record_at(self, segments):
-        segment = segments.create("master")
-        segment.append(Record((9, 1, 2, 3)))
-        assert segment.record_at(0).values == (9, 1, 2, 3)
-
-    def test_records_with_limit(self, segments):
-        segment = segments.create("master")
-        for record in make_records(6):
-            segment.append(record)
-        limited = list(segment.records(limit=3))
-        assert [ordinal for ordinal, _ in limited] == [0, 1, 2]
-
     def test_freeze_blocks_writes(self, segments):
         segment = segments.create("master")
         segment.append(Record((1, 0, 0, 0)))
@@ -121,7 +109,6 @@ class TestSegmentSet:
         segment = fresh.create("master")
         assert segment.segment_id == leftover.segment_id
         assert segment.record_count == 0
-        assert list(segment.records()) == []
         assert segment.size_bytes() == 0
 
 

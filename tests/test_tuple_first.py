@@ -1,6 +1,5 @@
 """Tests specific to the tuple-first engine."""
 
-import json
 import os
 
 import pytest
@@ -11,6 +10,7 @@ from repro.core.record import Record
 from repro.db.database import Decibel
 from repro.errors import CommitNotFoundError
 from repro.storage.tuple_first import TupleFirstEngine
+from repro.versioning.version_graph import decode_events
 
 from tests.conftest import SMALL_PAGE_SIZE, make_records
 
@@ -101,8 +101,9 @@ class TestTupleFirstCommitHistory:
         tf_engine.insert("master", Record((400, 0, 0, 0)))
         changed = tf_engine.commit("master")
         unchanged = tf_engine.commit("master")
-        (event,) = json.loads(read_framed(tf_engine._graph_path())[-1])
-        assert event["id"] == unchanged and "state" not in event
+        (event,) = decode_events(read_framed(tf_engine._graph_path())[-1])
+        sequence = tf_engine.graph.get_commit(unchanged).sequence
+        assert event["sequence"] == sequence and "state" not in event
         assert tf_engine.graph.commit_state(changed) is not None
         assert len(tf_engine.commit_history("master")) == 2
         assert tf_engine.checkout_commit_bitmap(

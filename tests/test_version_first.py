@@ -83,7 +83,7 @@ class TestVersionFirstSegments:
         before = segment.record_count
         vf_loaded.delete("master", 5)
         assert segment.record_count == before + 1
-        last = segment.record_at(before)
+        last = segment.heap.record_by_ordinal(before)
         assert last.tombstone and last.key(schema) == 5
 
     def test_deleted_key_not_resurrected_from_ancestor(self, vf_loaded, schema):
@@ -103,9 +103,13 @@ class TestVersionFirstSegments:
 class TestVersionFirstCommits:
     def test_commit_records_offset(self, vf_loaded):
         commit_id = vf_loaded.commit("master")
-        segment_id, offset = vf_loaded.graph.commit_state(commit_id)
-        assert segment_id == vf_loaded._head_segment["master"]
+        number, offset = vf_loaded.graph.commit_state(commit_id)
+        assert number == vf_loaded._segment_numbers[vf_loaded._head_segment["master"]]
         assert offset == 20
+        assert vf_loaded._commit_location(commit_id) == (
+            vf_loaded._head_segment["master"],
+            20,
+        )
 
     def test_scan_commit_ignores_later_appends(self, vf_loaded, schema):
         commit_id = vf_loaded.commit("master")

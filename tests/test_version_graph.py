@@ -1,8 +1,10 @@
 """Tests for the version graph (commits, branches, ancestry, LCA)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.durable import append_framed
+from repro.core.durable import FRAME_HEADER_SIZE, append_framed, read_framed
 from repro.errors import (
     BranchExistsError,
     BranchNotFoundError,
@@ -10,7 +12,13 @@ from repro.errors import (
     CorruptionError,
     VersionError,
 )
-from repro.versioning.version_graph import MASTER_BRANCH, Commit, VersionGraph
+from repro.versioning.version_graph import (
+    MASTER_BRANCH,
+    Commit,
+    VersionGraph,
+    decode_events,
+    encode_events,
+)
 
 
 @pytest.fixture
@@ -203,6 +211,10 @@ def assert_same_graph(restored, graph):
         )
 
 
+#: A commit on master that replays as the second commit of a fresh graph.
+COMMIT_EVENT = {"op": "commit", "sequence": 2, "branch": MASTER_BRANCH, "message": ""}
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         """Saving after every mutation and replaying the log reproduces the
@@ -222,9 +234,7 @@ class TestPersistence:
         for op in ops:
             produced = op()
             if isinstance(produced, Commit):
-                graph.set_commit_state(
-                    produced.commit_id, ["seg00000", produced.sequence]
-                )
+                graph.set_commit_state(produced.commit_id, (0, produced.sequence))
             graph.save(path)
             restored = VersionGraph.load(path)
             assert_same_graph(restored, graph)
@@ -244,11 +254,11 @@ class TestPersistence:
         for i in range(100):
             graph.create_branch(f"b{i:03d}")
             commit = graph.commit(f"b{i:03d}", "work")
-            graph.set_commit_state(commit.commit_id, ["seg00001", i])
+            graph.set_commit_state(commit.commit_id, (1, i))
         graph.save(str(path))
         before = path.read_bytes()
         commit = graph.commit("b050", "one more")
-        graph.set_commit_state(commit.commit_id, ["seg00001", 500])
+        graph.set_commit_state(commit.commit_id, (1, 500))
         graph.save(str(path))
         after = path.read_bytes()
         assert after.startswith(before)
@@ -259,7 +269,7 @@ class TestPersistence:
     def test_state_of_a_saved_commit_is_fixed(self, graph, tmp_path):
         graph.save(str(tmp_path / "version_graph.log"))
         with pytest.raises(VersionError):
-            graph.set_commit_state(graph.head(MASTER_BRANCH), ["seg00000", 1])
+            graph.set_commit_state(graph.head(MASTER_BRANCH), (0, 1))
 
     def test_reinit_starts_a_fresh_log(self, graph, tmp_path):
         path = str(tmp_path / "version_graph.log")
@@ -287,12 +297,19 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "payload",
         [
-            b"not json",
-            b'{"op":"init"}',
-            b'[{"op":"drop_branch","name":"master"}]',
-            b'[{"op":"commit","branch":"ghost","message":"","id":"v000002"}]',
+            b"\x07",
+            encode_events([COMMIT_EVENT])[:-1],
+            b"\x2c\x06master",
+            encode_events([{**COMMIT_EVENT, "branch": "ghost"}]),
+            encode_events([{**COMMIT_EVENT, "sequence": 9}]),
         ],
-        ids=["not-json", "not-a-list", "unknown-op", "unknown-branch"],
+        ids=[
+            "unknown-op",
+            "truncated",
+            "unknown-state-shape",
+            "unknown-branch",
+            "wrong-sequence",
+        ],
     )
     def test_event_that_does_not_replay_raises(self, graph, tmp_path, payload):
         path = str(tmp_path / "version_graph.log")
@@ -304,3 +321,124 @@ class TestPersistence:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(VersionError):
             VersionGraph.load(str(tmp_path / "missing.log"))
+
+
+uints = st.integers(min_value=0, max_value=2**64 - 1)
+#: Names and messages: empty, non-ASCII and multi-byte ones included.
+texts = st.text(max_size=12)
+deltas = st.tuples(st.integers(min_value=0, max_value=2**40), st.binary(max_size=40))
+#: The engine states a commit carries: tuple-first's delta, hybrid's
+#: ``{segment number: delta}`` and version-first's (segment number, offset).
+commit_states = st.one_of(
+    st.none(),
+    deltas,
+    st.dictionaries(st.integers(min_value=0, max_value=2**33), deltas, max_size=40),
+    st.tuples(st.integers(min_value=0, max_value=2**33), uints),
+)
+
+
+def _event(op, state=None, **fields):
+    event = {"op": op, **fields}
+    if state is not None:
+        event["state"] = state
+    return event
+
+
+events = st.one_of(
+    st.builds(_event, st.just("init"), commit_states, sequence=uints, message=texts),
+    st.builds(
+        _event,
+        st.just("commit"),
+        commit_states,
+        sequence=uints,
+        branch=texts,
+        message=texts,
+    ),
+    st.builds(
+        _event,
+        st.just("create_branch"),
+        st.one_of(st.none(), uints),
+        name=texts,
+        from_sequence=uints,
+        from_branch=texts,
+    ),
+    st.builds(
+        _event,
+        st.just("merge"),
+        commit_states,
+        sequence=uints,
+        target_branch=texts,
+        source_branch=texts,
+        message=texts,
+        precedence=st.one_of(st.none(), texts),
+    ),
+    st.builds(_event, st.just("retire_branch"), name=texts),
+)
+
+
+class TestEventCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(events, min_size=1, max_size=6))
+    def test_round_trip(self, batch):
+        """Every op and state shape decodes to the event encoded, and a
+        payload cut short of a whole event does not decode."""
+        payload = encode_events(batch)
+        assert decode_events(payload) == batch
+        last = len(encode_events(batch[:-1]))
+        for end in range(last + 1, len(payload)):
+            with pytest.raises(ValueError):
+                decode_events(payload[:end])
+
+    def test_state_of_many_segments_round_trips(self):
+        state = {n: (5000 + n, bytes([n % 256]) * 3) for n in range(600)}
+        event = _event("commit", state, sequence=70_000, branch="c112", message="")
+        assert decode_events(encode_events([event])) == [event]
+
+    def test_a_commit_event_costs_its_state_bytes(self):
+        """A one-segment hybrid commit event spends about ten bytes beside
+        its RLE payload; version-first's location a few."""
+        payload = bytes(5)
+        hybrid = _event(
+            "commit", {224: (5012, payload)}, sequence=1105, branch="c112", message=""
+        )
+        assert len(encode_events([hybrid])) <= len(payload) + 16
+        located = _event(
+            "commit", (224, 5012), sequence=1105, branch="c112", message=""
+        )
+        assert len(encode_events([located])) <= 16
+
+    @pytest.mark.parametrize("state", [["seg00000", 1], (0, "1"), -1, 1.5, (1, 2, 3)])
+    def test_unencodable_state_is_refused_when_set(self, graph, state):
+        commit = graph.commit(MASTER_BRANCH)
+        with pytest.raises(VersionError):
+            graph.set_commit_state(commit.commit_id, state)
+
+    def test_saved_frames_decode_to_the_logged_events(self, graph, tmp_path):
+        """Each save is one frame holding the events it appended, a commit
+        named by its sequence number."""
+        path = str(tmp_path / "version_graph.log")
+        graph.save(path)
+        graph.create_branch("dév")
+        graph.set_branch_state("dév", 11)
+        commit = graph.commit("dév", "wörk")
+        graph.set_commit_state(commit.commit_id, (1, 3))
+        graph.save(path)
+        frames = read_framed(path)
+        assert len(frames) == 2
+        assert decode_events(frames[1]) == [
+            {
+                "op": "create_branch",
+                "name": "dév",
+                "from_sequence": 1,
+                "from_branch": MASTER_BRANCH,
+                "state": 11,
+            },
+            {
+                "op": "commit",
+                "sequence": commit.sequence,
+                "branch": "dév",
+                "message": "wörk",
+                "state": (1, 3),
+            },
+        ]
+        assert FRAME_HEADER_SIZE + len(frames[1]) < 40
