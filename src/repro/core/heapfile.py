@@ -81,6 +81,9 @@ class HeapFile:
         fills or on :meth:`flush`; a page that fills joins the pool.
     page_size:
         Page size in bytes.
+    codec:
+        The schema's record codec, when the caller shares one between its
+        heaps (a codec holds no per-file state); else the heap builds one.
     """
 
     def __init__(
@@ -89,13 +92,15 @@ class HeapFile:
         schema: Schema,
         buffer_pool: BufferPool,
         page_size: int = DEFAULT_PAGE_SIZE,
+        *,
+        codec: RecordCodec | None = None,
     ):
         #: Also the buffer-pool key of the file's pages: one pool serves
         #: every relation, and their directories hold files of the same
         #: names.
         self.path = path
         self.schema = schema
-        self.codec = RecordCodec(schema)
+        self.codec = codec if codec is not None else RecordCodec(schema)
         self.page_size = page_size
         #: Number of records that fit on one page.
         self.records_per_page = page_capacity(page_size, self.codec.record_size)

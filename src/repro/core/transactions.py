@@ -300,8 +300,9 @@ class TransactionManager:
         self.relation = relation
         #: Checks each write as it is buffered (the encode's bytes are
         #: dropped; the engine encodes the record again when it applies it)
-        #: and each logged write before recovery redoes it.
-        self.codec = RecordCodec(engine.schema)
+        #: and each logged write before recovery redoes it.  The engine's
+        #: own codec: a codec holds no per-use state.
+        self.codec = engine.codec
 
     def begin(self) -> Transaction:
         """Start a new transaction."""

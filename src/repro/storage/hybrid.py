@@ -10,7 +10,12 @@ scans skip irrelevant segments and multi-branch operations work per segment.
 Segments come in two classes: *head* segments receive fresh modifications of
 one branch; on a branch operation the parent's head is frozen into an
 *internal* segment (only its bitmaps may change afterwards) and two new head
-segments are created, one for the parent and one for the child.
+segments are created, one for the parent and one for the child.  A parent
+head that holds no record is not frozen: the parent keeps writing to it and
+only the child gets a new head.  The child has no bit column there, so the
+parent's later appends stay invisible to it.  The branch's graph event
+records that the head was kept (:data:`KEPT_HEAD`), since a reopen sees the
+head's final record count, not the count at the fork.
 
 Commits snapshot each (branch, segment) local bitmap into its own
 delta-compressed commit history.  The paper keeps these histories as many
@@ -19,7 +24,9 @@ small files, which is why its hybrid commit metadata is split across them
 one per segment whose bitmap the commit changed, so that one graph frame is
 the commit's only metadata write; a reopen rebuilds the histories from the
 graph.  The segments a commit covers are those whose history holds an entry
-at or before it.
+at or before it.  A commit compares only the segments where the branch's
+bits changed since its previous commit (its *dirty* segments), not its
+whole scope.
 
 The segment numbering, the key-copy index and the pk lookups that test
 live bits are version-first's too
@@ -42,6 +49,11 @@ from repro.storage.base import (
 )
 from repro.storage.segments import ORDINAL_BITS, ORDINAL_MASK, SegmentedEngine
 from repro.versioning.version_graph import MASTER_BRANCH
+
+#: The state a branch event carries when the fork kept its parent's empty
+#: head (:meth:`HybridEngine._fork_segments`): the head's record count at
+#: the fork.  An event with no state froze the head.
+KEPT_HEAD = 0
 
 
 class HybridEngine(SegmentedEngine):
@@ -67,6 +79,9 @@ class HybridEngine(SegmentedEngine):
         self._branch_segments: dict[str, set[str]] = {}
         #: branch -> segment id -> commit history of that local bitmap column.
         self._histories: dict[str, dict[str, CommitHistory]] = {}
+        #: branch -> the segments where its live bits changed since its
+        #: previous commit: the only ones its next commit compares.
+        self._dirty: dict[str, set[str]] = {}
 
     # -- engine hooks --------------------------------------------------------------
 
@@ -74,16 +89,23 @@ class HybridEngine(SegmentedEngine):
         self.key_index.start_empty()
         self._fork_segments(MASTER_BRANCH, None)
         self._branch_segments[MASTER_BRANCH] = set()
+        self._dirty[MASTER_BRANCH] = set()
         self.index_hook.branch_created(MASTER_BRANCH)
 
     def _fork_segments(
-        self, name: str, parent_branch: str | None, *, reopen: bool = False
+        self,
+        name: str,
+        parent_branch: str | None,
+        *,
+        keep_parent_head: bool = False,
+        reopen: bool = False,
     ) -> None:
         """The segments a branch operation creates (paper Section 3.4): a
         fork off ``parent_branch``'s head freezes it and gives the parent a
-        fresh head; the new branch always gets one.  The graph's branch
+        fresh head, unless ``keep_parent_head``, when the parent goes on
+        writing to it; the new branch always gets one.  The graph's branch
         events name every argument, so a reopen replays them."""
-        if parent_branch is not None:
+        if parent_branch is not None and not keep_parent_head:
             self.segments.get(self._head_segment[parent_branch]).freeze()
             self._head_segment[parent_branch] = self._new_head_segment(
                 parent_branch, reopen
@@ -92,16 +114,22 @@ class HybridEngine(SegmentedEngine):
 
     def _materialize_branch(
         self, name: str, parent_branch: str, from_commit: str, at_head: bool
-    ) -> None:
+    ) -> int | None:
+        """Returns :data:`KEPT_HEAD` for a fork at a head that holds no
+        record (an uncommitted append counts as one): freezing it would
+        keep no record local to a lineage, only add a segment."""
         self._branch_segments[name] = set()
-        if at_head:
-            self._fork_bitmaps(name, parent_branch)
-            self._fork_segments(name, parent_branch)
-            self.index_hook.branch_created(name, clone_from=parent_branch)
-        else:
+        self._dirty[name] = set()
+        if not at_head:
             self._restore_branch(name, from_commit)
             self._fork_segments(name, None)
             self.index_hook.branch_rebuilt(name)
+            return None
+        keep = not self.segments.get(self._head_segment[parent_branch]).record_count
+        self._fork_bitmaps(name, parent_branch)
+        self._fork_segments(name, parent_branch, keep_parent_head=keep)
+        self.index_hook.branch_created(name, clone_from=parent_branch)
+        return KEPT_HEAD if keep else None
 
     def _fork_bitmaps(self, name: str, parent_branch: str) -> None:
         """Fork the parent's liveness bits into a new column for the child
@@ -113,6 +141,7 @@ class HybridEngine(SegmentedEngine):
             local.add_branch(name, clone_from=parent_branch)
             if local.branch_bitmap(name).any():
                 self._branch_segments[name].add(segment_id)
+                self._dirty[name].add(segment_id)
 
     def _restore_branch(self, branch: str, commit_id: str) -> None:
         """Set ``branch``'s local bitmaps to the snapshots of ``commit_id``."""
@@ -124,20 +153,25 @@ class HybridEngine(SegmentedEngine):
             local.restore_branch(branch, snapshot)
             if snapshot.any():
                 self._branch_segments[branch].add(segment_id)
+                self._dirty[branch].add(segment_id)
 
     def _record_commit_state(
         self, branch: str, commit_id: str
     ) -> dict[int, tuple[int, bytes]] | None:
         """``{segment number: delta}`` for the segments whose bitmap of
-        ``branch`` changed since its previous commit, or None if none did."""
+        ``branch`` changed since its previous commit, or None if none did.
+
+        Only the dirty segments are compared: every other segment of the
+        branch's scope holds the bits its history last recorded.  A dirty
+        segment whose bits changed back records nothing."""
         sequence = self.graph.get_commit(commit_id).sequence
         histories = self._histories.setdefault(branch, {})
+        dirty, self._dirty[branch] = self._dirty[branch], set()
         deltas: dict[int, tuple[int, bytes]] = {}
-        for segment_id in self._branch_scope(branch):
-            local = self._local_bitmaps[segment_id]
-            snapshot = (
-                local.branch_bitmap(branch) if local.has_branch(branch) else Bitmap()
-            )
+        for segment_id in sorted(dirty):
+            # Every write that marks a segment dirty gives the branch a bit
+            # column there first.
+            snapshot = self._local_bitmaps[segment_id].branch_bitmap(branch)
             history = histories.get(segment_id)
             if history is None:
                 history = CommitHistory(self.commit_layer_interval)
@@ -152,21 +186,25 @@ class HybridEngine(SegmentedEngine):
         from its commit events, and restore each branch's local bitmaps.
 
         Each branch event, in creation order, recreates the segments its
-        branch operation made (:meth:`_fork_segments`).  Visibility in hybrid is bitmap-governed, so head segments are *not*
-        truncated on recovery: records appended by an uncommitted transaction
-        may survive as dead bytes in the head segment, but no restored bitmap
-        references them, making them invisible to every scan.  A segment
-        too short for a restored bitmap lost committed records: strict
-        recovery refuses to open.
+        branch operation made (:meth:`_fork_segments`); a fork whose event
+        carries :data:`KEPT_HEAD` kept its parent's head, and one with no
+        state froze it.  Visibility in hybrid is bitmap-governed, so head
+        segments are *not* truncated on recovery: records appended by an
+        uncommitted transaction may survive as dead bytes in the head
+        segment, but no restored bitmap references them, making them
+        invisible to every scan.  A segment too short for a restored bitmap
+        lost committed records: strict recovery refuses to open.
         """
         self.segments.check_layout()
         for branch in self.graph.branches():
             self._fork_segments(
                 branch.name,
                 branch.parent_branch if branch.at_head else None,
+                keep_parent_head=branch.state == KEPT_HEAD,
                 reopen=True,
             )
             self._branch_segments[branch.name] = set()
+            self._dirty[branch.name] = set()
         # Rebuild every (branch, segment) history from the deltas the graph's
         # commit events carry, in commit order.
         numbered = self._numbered_segments
@@ -181,8 +219,13 @@ class HybridEngine(SegmentedEngine):
         # Restore each branch's local bitmaps at its head commit.  The head
         # commit may live on an ancestor branch (for a branch with no commits
         # of its own); the snapshots come from the owning branch's histories.
+        # A head commit of the branch's own is where its histories end, so
+        # the restored bits leave no segment dirty.
         for name in self.graph.branch_names():
-            self._restore_branch(name, self.graph.head(name))
+            head = self.graph.head(name)
+            self._restore_branch(name, head)
+            if self.graph.get_commit(head).branch == name:
+                self._dirty[name].clear()
         # The key index stays unbuilt: the first pk lookup reads it from
         # the segments.
 
@@ -204,6 +247,7 @@ class HybridEngine(SegmentedEngine):
         ordinal = self.segments.get(segment_id).append(record)
         self._local_bitmaps[segment_id].set(ordinal, branch)
         self._branch_segments[branch].add(segment_id)
+        self._dirty[branch].add(segment_id)
         key = record.key(self.schema)
         self.key_index.add(
             key, self._segment_numbers[segment_id] << ORDINAL_BITS | ordinal
@@ -220,6 +264,7 @@ class HybridEngine(SegmentedEngine):
         if previous is not None:
             old_segment_id, old_ordinal = previous
             self._local_bitmaps[old_segment_id].clear(old_ordinal, branch)
+            self._dirty[branch].add(old_segment_id)
         self.stats.records_inserted -= 1
         self.stats.records_updated += 1
 
@@ -230,6 +275,7 @@ class HybridEngine(SegmentedEngine):
             raise StorageError(f"key {key} is not live in branch {branch!r}")
         segment_id, ordinal = previous
         self._local_bitmaps[segment_id].clear(ordinal, branch)
+        self._dirty[branch].add(segment_id)
         self.index_hook.removed(branch, key)
         self.stats.records_deleted += 1
 
@@ -292,17 +338,20 @@ class HybridEngine(SegmentedEngine):
         is updated, and a secondary index built for the target learns the
         copy's indexed value.
         """
+        dirty = self._dirty[target_branch]
         if held is not None:
-            local = self._numbered_segments[held >> ORDINAL_BITS][1]
+            held_segment, local = self._numbered_segments[held >> ORDINAL_BITS]
             ordinal = held & ORDINAL_MASK
             if local.has_branch(target_branch) and local.is_set(ordinal, target_branch):
                 local.clear(ordinal, target_branch)
+                dirty.add(held_segment)
             else:
                 # The target holds a copy with the same content elsewhere.
                 target_location = self.key_location(target_branch, key)
                 if target_location is not None:
                     old_segment, old_ordinal = target_location
                     self._local_bitmaps[old_segment].clear(old_ordinal, target_branch)
+                    dirty.add(old_segment)
         # The shared copy is already in the key index; only the target's
         # live bits move.
         segment_id, local = self._numbered_segments[location >> ORDINAL_BITS]
@@ -310,6 +359,7 @@ class HybridEngine(SegmentedEngine):
             local.add_branch(target_branch)
         local.set(location & ORDINAL_MASK, target_branch)
         self._branch_segments[target_branch].add(segment_id)
+        dirty.add(segment_id)
         self.index_hook.applied_stored(
             target_branch, key, lambda: self._stored_bytes(location), self.codec
         )

@@ -9,8 +9,8 @@ the branch are invisible to the child.
 
 A segment is a *head* segment while a branch is still writing to it and
 becomes *internal* (frozen) once superseded -- in hybrid this happens on every
-branch operation; in version-first a branch writes to the same segment for its
-whole life.
+fork at a head that holds records; in version-first a branch writes to the
+same segment for its whole life.
 
 Only heap files live on disk.  The topology -- which segments exist, their
 owners, frozen flags and branch points -- follows from the branch events of
@@ -36,7 +36,7 @@ from repro.core.buffer_pool import BufferPool
 from repro.core.durable import fsync_dir
 from repro.core.heapfile import HeapFile
 from repro.core.page import DEFAULT_PAGE_SIZE
-from repro.core.record import Record
+from repro.core.record import Record, RecordCodec
 from repro.core.schema import Schema
 from repro.errors import CorruptionError, StorageError
 from repro.storage.base import VersionedStorageEngine, stored_pk_ordinals
@@ -97,9 +97,13 @@ class SegmentSet:
         schema: Schema,
         buffer_pool: BufferPool,
         page_size: int = DEFAULT_PAGE_SIZE,
+        *,
+        codec: RecordCodec | None = None,
     ):
         self.directory = directory
         self.schema = schema
+        #: The one record codec every segment's heap shares.
+        self.codec = codec if codec is not None else RecordCodec(schema)
         self.buffer_pool = buffer_pool
         self.page_size = page_size
         self._segments: dict[str, Segment] = {}
@@ -133,6 +137,7 @@ class SegmentSet:
             self.schema,
             self.buffer_pool,
             page_size=self.page_size,
+            codec=self.codec,
         )
         if not reopen:
             heap.truncate_records(0)
@@ -229,6 +234,7 @@ class SegmentedEngine(VersionedStorageEngine):
             schema,
             self.buffer_pool,
             page_size=page_size,
+            codec=self.codec,
         )
         #: branch -> id of the segment the branch currently writes to.
         self._head_segment: dict[str, str] = {}

@@ -60,6 +60,7 @@ class TupleFirstEngine(VersionedStorageEngine):
             schema,
             self.buffer_pool,
             page_size=page_size,
+            codec=self.codec,
         )
         self.bitmap_index = make_bitmap_index(bitmap_orientation)
         #: Every stored copy of each key as a heap ordinal, for all

@@ -237,10 +237,11 @@ class VersionGraph:
         return self._states.get(commit_id)
 
     def set_branch_state(self, name: str, state: Any) -> None:
-        """Attach an engine's state -- a record limit, a non-negative int --
-        to an unsaved branch creation, as :meth:`set_commit_state` does to a
-        commit; reloaded, it is the branch's :attr:`Branch.state`.  ``None``
-        records nothing."""
+        """Attach an engine's state -- a record count, a non-negative int:
+        version-first's branch-point limit, or the empty head a hybrid fork
+        kept -- to an unsaved branch creation, as :meth:`set_commit_state`
+        does to a commit; reloaded, it is the branch's
+        :attr:`Branch.state`.  ``None`` records nothing."""
         if state is not None:
             _state_shape(state)
             self._pending_event("name", name)["state"] = state

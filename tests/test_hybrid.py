@@ -3,17 +3,22 @@
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.bitmap import CommitHistory
+from repro.bitmap.bitmap import Bitmap
 from repro.core.buffer_pool import BufferPool
-from repro.core.durable import FRAME_HEADER_SIZE, read_framed
+from repro.core.durable import FRAME_HEADER_SIZE, frame, read_framed
 from repro.core.heapfile import HeapFile
 from repro.core.record import Record
 from repro.db.database import Decibel
 from repro.errors import CommitNotFoundError
-from repro.storage.hybrid import HybridEngine
-from repro.versioning.version_graph import decode_events
+from repro.storage.hybrid import KEPT_HEAD, HybridEngine
+from repro.versioning.version_graph import decode_events, encode_events
 
 from tests.conftest import SMALL_PAGE_SIZE, make_records
+from tests.test_segments import topology
 
 
 @pytest.fixture
@@ -296,7 +301,9 @@ class TestHybridFlushScope:
         }
         assert self.head_path(engine, "b07") in flushed
         assert set(flushed) <= scope
-        assert len(scope) < len(engine.segments) // 10
+        # Its head and master's loaded segment, of 22: the forks kept
+        # master's empty head.
+        assert len(scope) == 2 and len(engine.segments) == 22
         for name in names:
             size = os.path.getsize(self.head_path(engine, name))
             assert (size > 0) is (name in ("b00", "b07")), name
@@ -330,3 +337,296 @@ class TestHybridMergeSharing:
 
     def test_bitmap_index_bytes(self, hy_loaded):
         assert hy_loaded.bitmap_index_bytes() > 0
+
+
+def reopen(engine, schema):
+    engine.close()
+    reopened = HybridEngine(engine.directory, schema, page_size=SMALL_PAGE_SIZE)
+    reopened.load_persistent_state()
+    return reopened
+
+
+def keys(engine, branch):
+    return {record.values[0] for record in engine.scan_branch(branch)}
+
+
+def sixty_four_forks(engine):
+    """64 forks of master; master writes and commits before every eighth,
+    so most forks find its head empty and some find it holding records."""
+    for i in range(64):
+        if i % 8 == 0:
+            engine.insert("master", Record((1000 + i, 0, 0, 0)))
+            engine.commit("master")
+        engine.create_branch(f"f{i:02d}", from_branch="master")
+        engine.insert(f"f{i:02d}", Record((2000 + i, 0, 0, 0)))
+        engine.commit(f"f{i:02d}")
+
+
+class TestKeptHead:
+    """A fork at a head that holds no record keeps it as the parent's head
+    and gives only the child a new one."""
+
+    def test_fork_off_an_empty_head_adds_one_segment(self, hy_loaded):
+        hy_loaded.create_branch("dev", from_branch="master")
+        empty_head = hy_loaded._head_segment["master"]
+        assert hy_loaded.graph.branch("dev").state is None  # froze a loaded head
+        before = hy_loaded.segment_count()
+        hy_loaded.create_branch("qa", from_branch="master")
+        assert hy_loaded.segment_count() == before + 1
+        assert hy_loaded._head_segment["master"] == empty_head
+        assert not hy_loaded.segments.get(empty_head).frozen
+        assert hy_loaded._head_segment["qa"] != empty_head
+        assert hy_loaded.graph.branch("qa").state == KEPT_HEAD
+
+    def test_an_uncommitted_append_freezes_the_head(self, hy_loaded):
+        hy_loaded.create_branch("dev", from_branch="master")
+        head = hy_loaded._head_segment["master"]
+        hy_loaded.insert("master", Record((300, 0, 0, 0)))
+        hy_loaded.create_branch("qa", from_branch="master")
+        assert hy_loaded.segments.get(head).frozen
+        assert hy_loaded.graph.branch("qa").state is None
+        assert keys(hy_loaded, "qa") == set(range(20)) | {300}
+
+    def test_parent_writes_into_the_kept_head_stay_invisible_to_the_child(
+        self, hy_loaded, schema
+    ):
+        """The parent inserts into, updates into and commits in the head it
+        kept; the child, which has no bit column there, never sees those
+        rows, live or after a close and reopen."""
+        hy_loaded.create_branch("dev", from_branch="master")
+        kept = hy_loaded._head_segment["master"]
+        hy_loaded.create_branch("qa", from_branch="master")
+        original = hy_loaded.record_for_key("master", 3)
+        hy_loaded.insert("master", Record((300, 0, 0, 0)))
+        hy_loaded.update("master", Record((3, 9, 9, 9)))
+        hy_loaded.commit("master")
+        assert hy_loaded.key_location("master", 300)[0] == kept
+        assert not hy_loaded._local_bitmaps[kept].has_branch("qa")
+        hy_loaded.insert("qa", Record((400, 0, 0, 0)))
+        hy_loaded.commit("qa")
+        engine = hy_loaded
+        for _ in range(2):
+            assert keys(engine, "qa") == set(range(20)) | {400}
+            assert engine.record_for_key("qa", 3) == original
+            assert engine.record_for_key("master", 3).values == (3, 9, 9, 9)
+            assert engine.record_for_key("qa", 300) is None
+            assert keys(engine, "master") == set(range(20)) | {300}
+            engine = reopen(engine, schema)
+        assert engine._head_segment["master"] == kept
+
+    def test_sixty_four_forks_replay_their_topology_and_share_one_codec(
+        self, tmp_path, schema
+    ):
+        engine = HybridEngine(str(tmp_path / "hy"), schema, page_size=SMALL_PAGE_SIZE)
+        engine.init(make_records(20))
+        sixty_four_forks(engine)
+        # The first fork of each run of eight froze master's head; the
+        # other 56 kept it.
+        assert engine.segment_count() == 1 + 8 + 64
+        before = topology(engine)
+        rows = {name: keys(engine, name) for name in engine.graph.branch_names()}
+        reopened = reopen(engine, schema)
+        assert topology(reopened) == before
+        assert {name: keys(reopened, name) for name in rows} == rows
+        assert {id(s.heap.codec) for s in reopened.segments.all()} == {
+            id(reopened.codec)
+        }
+
+    def test_a_log_whose_forks_all_froze_reopens_with_that_topology(
+        self, tmp_path, schema, monkeypatch
+    ):
+        """Branch events without a state froze the parent's head, as every
+        hybrid fork did before empty heads were kept: such a log reopens
+        with a frozen segment per fork."""
+        real = HybridEngine._fork_segments
+
+        def always_freeze(self, name, parent_branch, *, reopen=False, **_):
+            real(self, name, parent_branch, reopen=reopen)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(HybridEngine, "_fork_segments", always_freeze)
+            engine = HybridEngine(
+                str(tmp_path / "hy"), schema, page_size=SMALL_PAGE_SIZE
+            )
+            engine.init(make_records(20))
+            sixty_four_forks(engine)
+            before = topology(engine)
+            rows = {name: keys(engine, name) for name in engine.graph.branch_names()}
+            engine.close()
+        assert len(before) == 1 + 2 * 64
+        path = engine._graph_path()
+        payloads = []
+        for payload in read_framed(path):
+            events = decode_events(payload)
+            for event in events:
+                if event["op"] == "create_branch":
+                    event.pop("state", None)
+            payloads.append(encode_events(events))
+        with open(path, "wb") as handle:
+            handle.write(b"".join(frame(payload) for payload in payloads))
+        reopened = HybridEngine(engine.directory, schema, page_size=SMALL_PAGE_SIZE)
+        reopened.load_persistent_state()
+        assert topology(reopened) == before
+        assert {name: keys(reopened, name) for name in rows} == rows
+
+
+#: Steps of a generated hybrid history: (action, selector).
+hybrid_steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["insert", "update", "update", "rewrite", "delete", "commit",
+             "fork", "fork-commit", "merge", "merge", "reopen"]
+        ),
+        st.integers(min_value=0, max_value=60),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestDirtyCommits:
+    """A commit compares only the segments whose bits of its branch changed
+    since its previous commit."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(steps=hybrid_steps)
+    def test_each_commit_records_what_a_full_scope_pass_would(
+        self, tmp_path_factory, schema, steps
+    ):
+        """Every commit carries the deltas a pass over the branch's whole
+        scope records, in the same order, and at every commit each segment
+        of the scope checks out as the branch's live bits stood, live and
+        after reopens.  Updates and merges move bits in segments other than
+        the branch's head."""
+        directory = str(tmp_path_factory.mktemp("hy"))
+        engine = HybridEngine(directory, schema, page_size=SMALL_PAGE_SIZE)
+        engine.init(make_records(12))
+        #: The reference: branch -> segment id -> history of every commit.
+        reference: dict[str, dict[str, CommitHistory]] = {}
+        #: commit id -> (branch, segment id -> live bits at the commit).
+        committed: dict[str, tuple[str, dict[str, Bitmap]]] = {}
+
+        def after_commit(branch, commit_id):
+            sequence = engine.graph.get_commit(commit_id).sequence
+            histories = reference.setdefault(branch, {})
+            bits, expected = {}, {}
+            for segment_id in engine._branch_scope(branch):
+                local = engine._local_bitmaps[segment_id]
+                bits[segment_id] = (
+                    local.branch_bitmap(branch) if local.has_branch(branch) else Bitmap()
+                )
+                history = histories.setdefault(
+                    segment_id, CommitHistory(engine.commit_layer_interval)
+                )
+                delta = history.record_commit(sequence, bits[segment_id])
+                if delta is not None:
+                    expected[engine._segment_numbers[segment_id]] = delta
+            state = engine.graph.commit_state(commit_id)
+            assert list((state or {}).items()) == list(expected.items())
+            committed[commit_id] = (branch, bits)
+
+        def check_out_every_commit():
+            for commit_id, (branch, bits) in committed.items():
+                sequence = engine.graph.get_commit(commit_id).sequence
+                histories = engine._histories.get(branch, {})
+                for segment_id, live in bits.items():
+                    history = histories.get(segment_id)
+                    recorded = history.checkout(sequence) if history else Bitmap()
+                    assert recorded == live, (commit_id, segment_id)
+
+        after_commit("master", engine.graph.head("master"))
+        branches = ["master"]
+        key = 100
+        for action, n in steps:
+            branch = branches[n % len(branches)]
+            live = sorted(keys(engine, branch))
+            if action == "insert":
+                engine.insert(branch, Record((key, n, 0, 0)))
+                key += 1
+            elif action == "update" and live:
+                engine.update(branch, Record((live[n % len(live)], -n, 0, 0)))
+            elif action == "rewrite" and live:
+                # An identical copy: merges pair it with the one it replaced.
+                same = engine.record_for_key(branch, live[n % len(live)])
+                engine.update(branch, same)
+            elif action == "delete" and live:
+                engine.delete(branch, live[n % len(live)])
+            elif action == "commit":
+                after_commit(branch, engine.commit(branch))
+            elif action == "fork":
+                name = f"b{len(branches)}"
+                engine.create_branch(name, from_branch=branch)
+                branches.append(name)
+            elif action == "fork-commit":
+                name = f"b{len(branches)}"
+                commits = engine.graph.commits()
+                engine.create_branch(
+                    name, from_commit=commits[n % len(commits)].commit_id
+                )
+                branches.append(name)
+            elif action == "merge" and len(branches) > 1:
+                source = branches[(n + 1) % len(branches)]
+                if source != branch:
+                    result = engine.merge(branch, source)
+                    after_commit(branch, result.commit_id)
+            elif action == "reopen":
+                engine = reopen(engine, schema)
+                check_out_every_commit()
+        for branch in branches:
+            after_commit(branch, engine.commit(branch))
+        check_out_every_commit()
+        engine = reopen(engine, schema)
+        check_out_every_commit()
+
+    def test_a_merge_retiring_an_identical_copy_records_its_segment(
+        self, hy_loaded, schema
+    ):
+        """The target rewrote a key to the same values and committed; the
+        source changed the key.  The merge retires the target's rewritten
+        copy, in a head its last commit left clean, and the merge commit
+        records that head."""
+        hy_loaded.create_branch("dev", from_branch="master")
+        hy_loaded.update("master", hy_loaded.record_for_key("master", 5))
+        hy_loaded.commit("master")
+        head = hy_loaded._head_segment["master"]
+        hy_loaded.update("dev", Record((5, 1, 1, 1)))
+        hy_loaded.commit("dev")
+        merge = hy_loaded.merge("master", "dev")
+        assert hy_loaded._segment_numbers[head] in hy_loaded.graph.commit_state(
+            merge.commit_id
+        )
+        assert hy_loaded.checkout_commit_bitmaps(merge.commit_id).get(
+            head, Bitmap()
+        ) == hy_loaded._local_bitmaps[head].branch_bitmap("master")
+        engine = reopen(hy_loaded, schema)
+        assert engine.record_for_key("master", 5).values == (5, 1, 1, 1)
+        assert keys(engine, "master") == set(range(20))
+
+    def test_a_one_segment_commit_compares_one_segment(
+        self, tmp_path, schema, monkeypatch
+    ):
+        """After 64 forks with master advancing, master spans 9 segments; a
+        commit that changes one of them compares at most two, also as the
+        first commit after a reopen."""
+        engine = HybridEngine(str(tmp_path / "hy"), schema, page_size=SMALL_PAGE_SIZE)
+        engine.init(make_records(20))
+        sixty_four_forks(engine)
+        assert len(engine._branch_scope("master")) == 9
+        calls = []
+        real = CommitHistory.record_commit
+
+        def counting(history, sequence, snapshot):
+            calls.append(sequence)
+            return real(history, sequence, snapshot)
+
+        monkeypatch.setattr(CommitHistory, "record_commit", counting)
+        for value in (1, 2):
+            del calls[:]
+            engine.update("master", Record((1008, value, 1, 1)))
+            engine.commit("master")
+            assert 1 <= len(calls) <= 2
+            engine = reopen(engine, schema)
