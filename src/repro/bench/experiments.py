@@ -20,6 +20,7 @@ import random
 import statistics
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.bench.datagen import DataGenerator, GeneratorConfig
 from repro.bench.driver import (
@@ -40,6 +41,7 @@ from repro.bitmap.base import BitmapOrientation
 from repro.gitlike.engine import GitRecordFormat, GitStorageLayout, GitVersionedStore
 from repro.storage.hybrid import HybridEngine
 from repro.storage.tuple_first import TupleFirstEngine
+from repro.storage.version_first import VersionFirstEngine
 
 #: Engine kinds in the order the paper's figures list them.
 ENGINE_KINDS = ("version-first", "tuple-first", "hybrid")
@@ -227,10 +229,15 @@ def _per_strategy_query(
     query_name: str,
     runner,
     label_prefix: str,
+    counts: tuple[list[str], Callable[[list[LoadResult]], list]] | None = None,
 ) -> ResultTable:
+    """Best-of-five latencies per strategy and engine; with ``counts``, a
+    row's further columns and the function of its loads (in
+    :data:`ENGINE_KINDS` order) that gives their values."""
+    count_columns, count = counts if counts is not None else ([], None)
     table = ResultTable(
         f"{label_prefix}: {query_name} latency (seconds) by strategy",
-        ["strategy"] + [ENGINE_LABELS[e] for e in ENGINE_KINDS],
+        ["strategy"] + [ENGINE_LABELS[e] for e in ENGINE_KINDS] + count_columns,
     )
     for strategy_name in ("deep", "flat", "science", "curation"):
         results = [
@@ -252,7 +259,8 @@ def _per_strategy_query(
         for _ in range(5):
             for engine_samples, result in zip(samples, results):
                 engine_samples.append(runner(result))
-        table.add_row(strategy_name, *(min(s) for s in samples))
+        counted = count(results) if count is not None else []
+        table.add_row(strategy_name, *(min(s) for s in samples), *counted)
     return table
 
 
@@ -295,16 +303,37 @@ def figure9_query3(
 def figure10_query4(
     workdir: str, scale: ExperimentScale | None = None
 ) -> ResultTable:
-    """Figure 10: full head scan with a non-selective predicate."""
+    """Figure 10: full head scan with a non-selective predicate, with the
+    stored records each engine's scan reads (counted work, not time) and
+    the records version-first stores."""
     scale = scale or ExperimentScale()
 
     def run(result: LoadResult) -> float:
         return query4_head_scan(result.engine).seconds
 
-    table = _per_strategy_query(workdir, scale, "Query 4 (all heads)", run, "Figure 10")
+    def records_read(result: LoadResult) -> int:
+        stats = result.engine.stats
+        before = stats.records_read
+        query4_head_scan(result.engine)
+        return stats.records_read - before
+
+    def counted(results: list[LoadResult]) -> list[int]:
+        version_first = results[ENGINE_KINDS.index("version-first")].engine
+        assert isinstance(version_first, VersionFirstEngine)
+        stored = sum(segment.record_count for segment in version_first.segments.all())
+        return [records_read(result) for result in results] + [stored]
+
+    columns = [f"{ENGINE_LABELS[e]} read" for e in ENGINE_KINDS] + ["VF stored"]
+    table = _per_strategy_query(
+        workdir, scale, "Query 4 (all heads)", run, "Figure 10", (columns, counted)
+    )
     table.add_note(
         "paper: TF and HY scan each record once via bitmaps; VF needs multiple "
         "passes, worst under curation"
+    )
+    table.add_note(
+        "read: stored records on the pages a Q4 reads, live or not; VF reads "
+        "every segment of each chain whole, so it reads all it stores"
     )
     return table
 

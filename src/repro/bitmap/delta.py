@@ -12,12 +12,20 @@ each the XOR-aggregate of a run of base deltas, so checkout skips ahead
 composite-by-composite and finishes with at most ``layer_interval - 1`` base
 deltas.
 
+A history starts at its *base*: the state before its first delta, which a
+checkout before that delta returns.  The base is empty unless the engine
+gives one.  Hybrid gives a forked branch's history the segment's bits at
+the fork, the read state of the commit the branch was created from, so the
+first delta records only what the branch changed since.  Tuple-first's
+per-branch histories start empty.
+
 Histories live in memory.  :meth:`CommitHistory.record_commit` returns the
 delta it recorded as its bit length and RLE bytes, which the engine puts in
 the commit's version-graph event; that CRC-framed event is the commit's only
-metadata write.  A reopen rebuilds each history by feeding the graph's
-commit states back, in commit order, through :meth:`CommitHistory.replay`;
-composites are rebuilt along the way and never written.
+metadata write.  A reopen rebuilds each history from the same base by
+feeding the graph's commit states back, in commit order, through
+:meth:`CommitHistory.replay`; composites are rebuilt along the way and never
+written.
 """
 
 from __future__ import annotations
@@ -53,15 +61,22 @@ class CommitHistory:
         uses two layers and found checkout performance adequate; the interval
         is exposed so the ablation benchmark can compare against a flat chain
         (``layer_interval=0`` disables composites).
+    base:
+        The state before the first entry (default: empty).  It is shared,
+        not copied, so the caller must not change it afterwards.
     """
 
-    def __init__(self, layer_interval: int = DEFAULT_LAYER_INTERVAL):
+    def __init__(
+        self, layer_interval: int = DEFAULT_LAYER_INTERVAL, base: Bitmap | None = None
+    ):
         self.layer_interval = layer_interval
         self._sequences: list[int] = []
         self._deltas: list[_Delta] = []
         #: RLE of each composite; empty when its run of deltas cancels out.
         self._composites: list[bytes] = []
-        self._last_snapshot = Bitmap()
+        self._base = base if base is not None else Bitmap()
+        #: Replaced, never changed in place: it may be the base itself.
+        self._last_snapshot = self._base
         #: XOR of the base deltas not yet folded into a composite.
         self._pending = 0
 
@@ -122,22 +137,24 @@ class CommitHistory:
         return len(self._deltas)
 
     def latest_snapshot(self) -> Bitmap:
-        """The bitmap state at the most recent entry."""
-        return self._last_snapshot.copy()
+        """The bitmap state at the most recent entry (the base before any).
+
+        It is shared, not copied: the caller must not change it."""
+        return self._last_snapshot
 
     def checkout(self, sequence: int) -> Bitmap:
         """The bitmap state at commit ``sequence``.
 
-        That is the state at the latest entry at or before it; an empty
-        bitmap when the history has no such entry.  Composites covering a
-        full prefix of those deltas are applied first, the remaining base
-        deltas one by one.
+        That is the state at the latest entry at or before it; the base
+        when the history has no such entry.  Composites covering a full
+        prefix of those deltas are applied to the base first, the
+        remaining deltas one by one.
         """
         count = bisect_right(self._sequences, sequence)
         if not count:
-            return Bitmap()
+            return self._base.copy()
         covered = count // self.layer_interval if self.layer_interval else 0
-        state = 0
+        state = self._base._as_int()
         for composite in self._composites[:covered]:
             if composite:
                 state ^= int.from_bytes(rle_decode(composite), "little")

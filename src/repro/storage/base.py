@@ -105,6 +105,10 @@ class EngineStats:
     records_updated: int = 0
     records_deleted: int = 0
     records_scanned: int = 0
+    #: Stored records, live or not, on the pages a column scan reads: a
+    #: bitmap narrows a scan to whole pages, and a whole-heap scan reads
+    #: every page its bitmap spans.
+    records_read: int = 0
     #: Records built from stored bytes: row scans, diffs, keyed fetches
     #: and the copies a merge decodes.
     records_decoded: int = 0
@@ -404,7 +408,7 @@ def scan_heap_bitmap_columns(
     hits = heap_page_column_hits(
         heap,
         _counted_pages(
-            _live_page_masks(bitmap, heap.records_per_page, whole), stats
+            heap, _live_page_masks(bitmap, heap.records_per_page, whole), stats
         ),
         schema,
         predicate,
@@ -482,7 +486,7 @@ def scan_heap_member_columns(
 
     live_pages = ((number, pages[number][0]) for number in sorted(pages))
     for batch, ordinals in heap_page_column_hits(
-        heap, _counted_pages(live_pages, stats), schema, predicate
+        heap, _counted_pages(heap, live_pages, stats), schema, predicate
     ):
         if isinstance(ordinals, range):
             shared = pages[ordinals.start // per_page][1]
@@ -503,12 +507,16 @@ def _count_rows(batches: Iterable[ColumnBatch]) -> int:
 
 
 def _counted_pages(
-    live_pages: Iterable[tuple[int, int]], stats: EngineStats
+    heap, live_pages: Iterable[tuple[int, int]], stats: EngineStats
 ) -> Iterator[tuple[int, int]]:
-    """``live_pages``, adding each page's live records to
-    ``stats.records_scanned`` as it is visited."""
+    """``live_pages`` of ``heap``, adding each page's live records to
+    ``stats.records_scanned`` and all its records to ``stats.records_read``
+    as it is visited."""
+    per_page = heap.records_per_page
+    stored = heap.num_records
     for page_number, live in live_pages:
         stats.records_scanned += live.bit_count()
+        stats.records_read += min(per_page, stored - page_number * per_page)
         yield page_number, live
 
 
@@ -707,6 +715,11 @@ class VersionedStorageEngine(ABC):
     #: Whether the column scans read every page a state's bitmap spans, dead
     #: ones included, instead of only the pages holding a live record.
     reads_whole_heaps = False
+    #: Whether a branch's commit states record changes from its fork state
+    #: (the read state of the commit it was created from) rather than from
+    #: an empty state; its graph event says so
+    #: (:attr:`~repro.versioning.version_graph.Branch.fork_relative`).
+    fork_relative_histories = False
 
     def __init__(
         self,
@@ -819,7 +832,9 @@ class VersionedStorageEngine(ABC):
             state = self._materialize_branch(
                 name, parent_branch, from_commit, branch.at_head
             )
-            self.graph.set_branch_state(name, state)
+            self.graph.set_branch_state(
+                name, state, fork_relative=self.fork_relative_histories
+            )
             self.stats.branches_created += 1
             # The graph frame is the branch's commit point.
             self._flush_storage(name)

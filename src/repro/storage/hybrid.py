@@ -23,10 +23,20 @@ small files, which is why its hybrid commit metadata is split across them
 (Section 5.3).  Here a commit's deltas ride in its version-graph event instead,
 one per segment whose bitmap the commit changed, so that one graph frame is
 the commit's only metadata write; a reopen rebuilds the histories from the
-graph.  The segments a commit covers are those whose history holds an entry
-at or before it.  A commit compares only the segments where the branch's
-bits changed since its previous commit (its *dirty* segments), not its
-whole scope.
+graph.  A commit compares only the segments where the branch's bits changed
+since its previous commit (its *dirty* segments), not its whole scope.
+
+A branch's histories start at its *fork state*: the read state of the commit
+it was created from (:attr:`~repro.versioning.version_graph.Branch.created_from`),
+so a child records only the segments it changed, not every segment it
+inherited.  A fork at a head copies the parent's dirty set, the segments
+where the parent's live bits differ from that commit; a fork from an older
+commit starts clean.  A commit's state is therefore a chain walk: each
+segment reads from the first history along the branch, its fork commit's
+branch, and so on, that holds it, checked out at that branch's sequence.
+Each branch event marks this form (``fork_relative``).  A branch whose event
+lacks the mark, written before histories started at the fork, keeps
+histories that start empty, as they were recorded.
 
 The segment numbering, the key-copy index and the pk lookups that test
 live bits are version-first's too
@@ -60,6 +70,7 @@ class HybridEngine(SegmentedEngine):
     """Version-first segments with tuple-first style per-segment bitmaps."""
 
     kind = StorageEngineKind.HYBRID
+    fork_relative_histories = True
 
     def __init__(
         self,
@@ -82,6 +93,10 @@ class HybridEngine(SegmentedEngine):
         #: branch -> the segments where its live bits changed since its
         #: previous commit: the only ones its next commit compares.
         self._dirty: dict[str, set[str]] = {}
+        #: branch -> the commit whose read state its histories start at
+        #: (its fork commit), or None where they start empty: master's, and
+        #: those of a branch an older log created.
+        self._history_base: dict[str, str | None] = {}
 
     # -- engine hooks --------------------------------------------------------------
 
@@ -90,6 +105,7 @@ class HybridEngine(SegmentedEngine):
         self._fork_segments(MASTER_BRANCH, None)
         self._branch_segments[MASTER_BRANCH] = set()
         self._dirty[MASTER_BRANCH] = set()
+        self._history_base[MASTER_BRANCH] = None
         self.index_hook.branch_created(MASTER_BRANCH)
 
     def _fork_segments(
@@ -120,8 +136,9 @@ class HybridEngine(SegmentedEngine):
         keep no record local to a lineage, only add a segment."""
         self._branch_segments[name] = set()
         self._dirty[name] = set()
+        self._history_base[name] = from_commit
         if not at_head:
-            self._restore_branch(name, from_commit)
+            self._restore_branch(name, self._commit_read_state(from_commit))
             self._fork_segments(name, None)
             self.index_hook.branch_rebuilt(name)
             return None
@@ -133,19 +150,25 @@ class HybridEngine(SegmentedEngine):
 
     def _fork_bitmaps(self, name: str, parent_branch: str) -> None:
         """Fork the parent's liveness bits into a new column for the child
-        in every segment that holds records live in the parent's ancestry."""
+        in every segment that holds records live in the parent's ancestry.
+
+        The child's bits differ from its fork state, the parent's head
+        commit, where the parent's do: the child takes the parent's dirty
+        segments."""
+        parent_dirty = self._dirty[parent_branch]
         for segment_id in self._branch_segments[parent_branch]:
             local = self._local_bitmaps[segment_id]
             if local.has_branch(name):
                 continue
             local.add_branch(name, clone_from=parent_branch)
-            if local.branch_bitmap(name).any():
+            if local.live_count(name):
                 self._branch_segments[name].add(segment_id)
+            if segment_id in parent_dirty:
                 self._dirty[name].add(segment_id)
 
-    def _restore_branch(self, branch: str, commit_id: str) -> None:
-        """Set ``branch``'s local bitmaps to the snapshots of ``commit_id``."""
-        for segment_id, snapshot in self._commit_read_state(commit_id).items():
+    def _restore_branch(self, branch: str, state: dict[str, Bitmap]) -> None:
+        """Set ``branch``'s local bitmaps to the snapshots of a read state."""
+        for segment_id, snapshot in state.items():
             snapshot = stored_bitmap(self.segments.get(segment_id).heap, snapshot)
             local = self._local_bitmaps[segment_id]
             if not local.has_branch(branch):
@@ -153,7 +176,19 @@ class HybridEngine(SegmentedEngine):
             local.restore_branch(branch, snapshot)
             if snapshot.any():
                 self._branch_segments[branch].add(segment_id)
-                self._dirty[branch].add(segment_id)
+
+    def _base_bits(self, branch: str, segment_id: str) -> Bitmap | None:
+        """``branch``'s bits in ``segment_id`` at its history base, by the
+        chain walk: the first history of the segment along the fork
+        commits, checked out at the fork; None when none holds it."""
+        commit_id = self._history_base[branch]
+        while commit_id is not None:
+            commit = self.graph.get_commit(commit_id)
+            history = self._histories.get(commit.branch, {}).get(segment_id)
+            if history is not None:
+                return history.checkout(commit.sequence)
+            commit_id = self._history_base[commit.branch]
+        return None
 
     def _record_commit_state(
         self, branch: str, commit_id: str
@@ -162,8 +197,11 @@ class HybridEngine(SegmentedEngine):
         ``branch`` changed since its previous commit, or None if none did.
 
         Only the dirty segments are compared: every other segment of the
-        branch's scope holds the bits its history last recorded.  A dirty
-        segment whose bits changed back records nothing."""
+        branch's scope holds the bits of its previous commit, or of its fork
+        state before the first.  A segment's first delta is taken against
+        its fork state (:meth:`_base_bits`), so a child's first commit
+        records only the segments it changed.  A dirty segment whose bits
+        changed back records nothing."""
         sequence = self.graph.get_commit(commit_id).sequence
         histories = self._histories.setdefault(branch, {})
         dirty, self._dirty[branch] = self._dirty[branch], set()
@@ -174,7 +212,9 @@ class HybridEngine(SegmentedEngine):
             snapshot = self._local_bitmaps[segment_id].branch_bitmap(branch)
             history = histories.get(segment_id)
             if history is None:
-                history = CommitHistory(self.commit_layer_interval)
+                history = CommitHistory(
+                    self.commit_layer_interval, self._base_bits(branch, segment_id)
+                )
             delta = history.record_commit(sequence, snapshot)
             if delta is not None:
                 histories[segment_id] = history
@@ -188,14 +228,23 @@ class HybridEngine(SegmentedEngine):
         Each branch event, in creation order, recreates the segments its
         branch operation made (:meth:`_fork_segments`); a fork whose event
         carries :data:`KEPT_HEAD` kept its parent's head, and one with no
-        state froze it.  Visibility in hybrid is bitmap-governed, so head
-        segments are *not* truncated on recovery: records appended by an
-        uncommitted transaction may survive as dead bytes in the head
-        segment, but no restored bitmap references them, making them
-        invisible to every scan.  A segment too short for a restored bitmap
-        lost committed records: strict recovery refuses to open.
+        state froze it.  Histories are replayed in commit order, each from
+        its branch's fork state.  The replay keeps the read state of every
+        commit a branch was created from as it passes it, built from the
+        forking branch's fork state and its histories' latest states, so
+        each fork state is built once and the replay costs the deltas
+        recorded.  Each branch is restored from its head commit's state,
+        built the same way.
+
+        Visibility in hybrid is bitmap-governed, so head segments are *not*
+        truncated on recovery: records appended by an uncommitted
+        transaction may survive as dead bytes in the head segment, but no
+        restored bitmap references them, making them invisible to every
+        scan.  A segment too short for a restored bitmap lost committed
+        records: strict recovery refuses to open.
         """
         self.segments.check_layout()
+        forks = set()
         for branch in self.graph.branches():
             self._fork_segments(
                 branch.name,
@@ -205,29 +254,56 @@ class HybridEngine(SegmentedEngine):
             )
             self._branch_segments[branch.name] = set()
             self._dirty[branch.name] = set()
-        # Rebuild every (branch, segment) history from the deltas the graph's
-        # commit events carry, in commit order.
+            self._history_base[branch.name] = (
+                branch.created_from if branch.fork_relative else None
+            )
+            forks.add(branch.created_from)
+        #: commit id -> read state, for the commits a branch was created from.
+        states: dict[str | None, dict[str, Bitmap]] = {None: {}}
         numbered = self._numbered_segments
         for commit in self.graph.commits():
-            deltas = self.graph.commit_state(commit.commit_id) or {}
+            base = states[self._history_base[commit.branch]]
             histories = self._histories.setdefault(commit.branch, {})
+            deltas = self.graph.commit_state(commit.commit_id) or {}
             for number, delta in deltas.items():
                 segment_id = numbered[number][0]
-                if segment_id not in histories:
-                    histories[segment_id] = CommitHistory(self.commit_layer_interval)
-                histories[segment_id].replay(commit.sequence, delta)
-        # Restore each branch's local bitmaps at its head commit.  The head
-        # commit may live on an ancestor branch (for a branch with no commits
-        # of its own); the snapshots come from the owning branch's histories.
-        # A head commit of the branch's own is where its histories end, so
-        # the restored bits leave no segment dirty.
+                history = histories.get(segment_id)
+                if history is None:
+                    history = histories[segment_id] = CommitHistory(
+                        self.commit_layer_interval, base.get(segment_id)
+                    )
+                history.replay(commit.sequence, delta)
+            if commit.commit_id in forks:
+                states[commit.commit_id] = self._latest_state(commit.branch, base)
+        # A branch's head is its latest commit, or the commit it was created
+        # from.  Either way its restored bits are where its histories end
+        # (or start), so no segment is dirty -- except on a branch an older
+        # log created that has no commit yet: its first records them all.
         for name in self.graph.branch_names():
-            head = self.graph.head(name)
-            self._restore_branch(name, head)
-            if self.graph.get_commit(head).branch == name:
-                self._dirty[name].clear()
+            head = self.graph.get_commit(self.graph.head(name))
+            if head.branch == name:
+                state = self._latest_state(name, states[self._history_base[name]])
+            else:
+                state = states[head.commit_id]
+                if self._history_base[name] is None:
+                    self._dirty[name].update(state)
+            self._restore_branch(name, state)
         # The key index stays unbuilt: the first pk lookup reads it from
         # the segments.
+
+    def _latest_state(
+        self, branch: str, base: dict[str, Bitmap]
+    ) -> dict[str, Bitmap]:
+        """The read state at ``branch``'s latest commit: ``base``, its fork
+        state, under its histories' latest states."""
+        state = dict(base)
+        for segment_id, history in self._histories.get(branch, {}).items():
+            state[segment_id] = history.latest_snapshot()
+        return {
+            segment_id: bitmap
+            for segment_id, bitmap in sorted(state.items())
+            if bitmap.any()
+        }
 
     def _branch_scope(self, branch: str) -> list[str]:
         """The segments ``branch``'s state can reference, in id order: its
@@ -237,7 +313,13 @@ class HybridEngine(SegmentedEngine):
         return sorted(self._branch_segments[branch] | {self._head_segment[branch]})
 
     def _flush_storage(self, branch: str | None = None) -> None:
-        self.segments.flush(None if branch is None else self._branch_scope(branch))
+        """A branch's records outside its dirty segments and head were
+        flushed by the commit that made them live in it (or in the commit
+        it forked from), so only those are written."""
+        if branch is None:
+            self.segments.flush()
+        else:
+            self.segments.flush(self._dirty[branch] | {self._head_segment[branch]})
 
     # -- data operations ----------------------------------------------------------------
 
@@ -305,15 +387,31 @@ class HybridEngine(SegmentedEngine):
 
     def _commit_read_state(self, commit_id: str) -> dict[str, Bitmap]:
         """``{segment id: recorded bitmap}`` for a historical commit: every
-        non-empty state the committing branch's histories hold at it."""
+        non-empty state its histories hold at it, by a chain walk.
+
+        The committing branch's histories answer at the commit's sequence;
+        every other segment holds what it held at the branch's fork, which
+        the fork commit's branch answers the same way, up to a branch whose
+        histories start empty.  A segment reads from the first history
+        that holds it.  The walk visits the histories along one fork chain,
+        not the segments' deltas."""
         commit = self.graph.get_commit(commit_id)
-        histories = self._histories.get(commit.branch, {})
-        result = {}
-        for segment_id in sorted(histories):
-            bitmap = histories[segment_id].checkout(commit.sequence)
-            if bitmap.any():
-                result[segment_id] = bitmap
-        return result
+        branch, sequence = commit.branch, commit.sequence
+        result: dict[str, Bitmap] = {}
+        seen: set[str] = set()
+        while True:
+            # A copy: a concurrent commit may add a history.
+            for segment_id, history in list(self._histories.get(branch, {}).items()):
+                if segment_id not in seen:
+                    seen.add(segment_id)
+                    bitmap = history.checkout(sequence)
+                    if bitmap.any():
+                        result[segment_id] = bitmap
+            fork_id = self._history_base[branch]
+            if fork_id is None:
+                return dict(sorted(result.items()))
+            fork = self.graph.get_commit(fork_id)
+            branch, sequence = fork.branch, fork.sequence
 
     def _live_count(self, branch: str) -> int:
         # Sum of per-segment local bitmap popcounts, read in place; no
@@ -385,7 +483,8 @@ class HybridEngine(SegmentedEngine):
         """Reconstruct only the per-segment bitmap snapshots of a commit.
 
         This is the operation the paper's Table 2 times as "checkout": each
-        relevant (branch, segment) history replays its delta chain up to the
-        commit, without touching any segment heap file.
+        relevant (branch, segment) history along the commit's fork chain
+        replays its delta chain up to the commit or the fork, without
+        touching any segment heap file.
         """
         return self._commit_read_state(commit_id)

@@ -86,6 +86,10 @@ class Branch:
     at_head: bool = True
     #: The engine state recorded with the branch's creation.
     state: Any = None
+    #: True if the engine's commit states of this branch record changes
+    #: from the read state of :attr:`created_from` (its fork state), not
+    #: from an empty state.
+    fork_relative: bool = False
 
 
 class VersionGraph:
@@ -236,16 +240,23 @@ class VersionGraph:
         """The state recorded with ``commit_id``, or None."""
         return self._states.get(commit_id)
 
-    def set_branch_state(self, name: str, state: Any) -> None:
+    def set_branch_state(
+        self, name: str, state: Any, *, fork_relative: bool = False
+    ) -> None:
         """Attach an engine's state -- a record count, a non-negative int:
         version-first's branch-point limit, or the empty head a hybrid fork
         kept -- to an unsaved branch creation, as :meth:`set_commit_state`
         does to a commit; reloaded, it is the branch's
-        :attr:`Branch.state`.  ``None`` records nothing."""
+        :attr:`Branch.state`.  ``None`` records nothing.  With
+        ``fork_relative`` the event also marks the branch's commit states
+        as relative to its fork state (:attr:`Branch.fork_relative`)."""
         if state is not None:
             _state_shape(state)
             self._pending_event("name", name)["state"] = state
             self.branch(name).state = state
+        if fork_relative:
+            self._pending_event("name", name)["fork_relative"] = True
+            self.branch(name).fork_relative = True
 
     def _pending_event(self, key: str, value: str | int) -> dict:
         """The newest unsaved event whose ``key`` is ``value``."""
@@ -428,12 +439,13 @@ class VersionGraph:
                             expected=_commit_id(sequence),
                             actual=produced.commit_id,
                         )
-                    if "state" not in event:
-                        continue
-                    if produced is None:
-                        graph._branches[event["name"]].state = event["state"]
-                    else:
-                        graph._states[produced.commit_id] = event["state"]
+                    if produced is not None:
+                        if "state" in event:
+                            graph._states[produced.commit_id] = event["state"]
+                    elif event["op"] == "create_branch":
+                        branch = graph._branches[event["name"]]
+                        branch.state = event.get("state")
+                        branch.fork_relative = event.get("fork_relative", False)
             except (ValueError, TypeError, KeyError, VersionError) as exc:
                 raise CorruptionError(
                     path, f"version graph event does not replay: {exc}"
@@ -450,7 +462,11 @@ class VersionGraph:
 
     def _replay(self, event: dict) -> Commit | None:
         """Apply one decoded event; returns the commit it made, if any."""
-        args = {k: v for k, v in event.items() if k not in ("op", "sequence", "state")}
+        args = {
+            k: v
+            for k, v in event.items()
+            if k not in ("op", "sequence", "state", "fork_relative")
+        }
         if "from_sequence" in args:
             args["from_commit"] = _commit_id(args.pop("from_sequence"))
         produced = getattr(self, event["op"])(**args)
@@ -465,8 +481,9 @@ def _commit_id(sequence: int) -> str:
 # -- the event codec ---------------------------------------------------------------
 #
 # An event is one op byte -- the op's index in _LOGGED_OPS in its low three
-# bits, the shape of its engine state above them, and _HAS_PRECEDENCE on a
-# merge that names one -- followed by the op's fields in _FIELDS order and,
+# bits, the shape of its engine state above them, _FORK_RELATIVE on a branch
+# creation whose commit states start at its fork state, and _HAS_PRECEDENCE
+# on a merge that names one -- followed by the op's fields in _FIELDS order and,
 # last, the state.  Integers are compact: a value below 0xFC is its own
 # byte; 0xFC, 0xFD and 0xFE prefix a 2-, 4- and 8-byte little-endian one.
 
@@ -498,6 +515,7 @@ _LIMIT = 4  # version-first at-head fork: the branch point's record limit
 _STATE_SHIFT = 3
 _OP_MASK = (1 << _STATE_SHIFT) - 1
 _SHAPE_MASK = 0x07
+_FORK_RELATIVE = 0x40
 _HAS_PRECEDENCE = 0x80
 
 _U16 = struct.Struct("<H")
@@ -548,6 +566,8 @@ def _encode_event(event: dict) -> bytes:
     precedence = event.get("precedence")
     if precedence is not None:
         code |= _HAS_PRECEDENCE
+    if event.get("fork_relative"):
+        code |= _FORK_RELATIVE
     parts = [bytes((code,))]
     for name, kind in _FIELDS[op]:
         parts.append(_uint(event[name]) if kind == "uint" else _text(event[name]))
@@ -626,9 +646,11 @@ def decode_events(payload: bytes) -> list[dict]:
             code = payload[reader.pos]
             reader.pos += 1
             op_index, shape = code & _OP_MASK, code >> _STATE_SHIFT & _SHAPE_MASK
-            if op_index >= len(_LOGGED_OPS) or shape > _LIMIT or code & 0x40:
+            if op_index >= len(_LOGGED_OPS) or shape > _LIMIT:
                 raise ValueError(f"unknown version graph event code {code:#x}")
             op = _LOGGED_OPS[op_index]
+            if code & _FORK_RELATIVE and op != "create_branch":
+                raise ValueError(f"{op} event is marked fork-relative")
             event: dict[str, Any] = {"op": op}
             for name, kind in _FIELDS[op]:
                 event[name] = reader.uint() if kind == "uint" else reader.text()
@@ -638,6 +660,8 @@ def decode_events(payload: bytes) -> list[dict]:
                 )
             elif code & _HAS_PRECEDENCE:
                 raise ValueError(f"{op} event names a precedence")
+            if code & _FORK_RELATIVE:
+                event["fork_relative"] = True
             if shape == _DELTA:
                 event["state"] = reader.delta()
             elif shape == _SEGMENT_DELTAS:

@@ -605,6 +605,73 @@ def test_kept_head_writes_stay_invisible_to_the_child_after_a_crash(
     again.close()
 
 
+@pytest.mark.parametrize("victim", ["child", "grandchild"])
+@pytest.mark.parametrize("strict", ["1", "0"])
+@pytest.mark.parametrize("point", CRASHPOINTS)
+def test_fork_relative_commits_read_the_same_after_a_crash(
+    tmp_path, point, strict, victim, monkeypatch
+):
+    """Hybrid histories start at the fork.  Master holds uncommitted
+    writes when ``dev`` forks; ``dev`` commits them with its own, holds an
+    uncommitted insert when ``qa`` forks off it, and ``qa`` commits.  The
+    child's or the grandchild's first commit crashes: after the reopen, in
+    either recovery mode, every earlier commit reads as it did before the
+    crash, row for row and bit for bit; the crashed commit is all or
+    nothing, and a second reopen agrees."""
+    monkeypatch.setenv("REPRO_STRICT_RECOVERY", strict)
+    db = seed_database(tmp_path, "hybrid")
+    rel = db.relation("t")
+    manager = db.transactions("t")
+    rel.insert("master", record(200, 2))
+    rel.update("master", record(3, -3))
+    rel.branch("dev", from_branch="master")
+    branch, written, removed = "dev", (300, 3), (4, 40)
+    if victim == "grandchild":
+        txn = manager.begin()
+        txn.insert("dev", record(300, 3))
+        txn.delete("dev", 4)
+        txn.commit()
+        rel.insert("dev", record(301, 3))
+        rel.branch("qa", from_branch="dev")
+        branch, written, removed = "qa", (400, 4), (5, 50)
+    live = {r.values for r in rel.scan(branch)}
+    fork_commit = rel.graph.head(branch)
+    engine = rel.engine
+    before = {
+        commit.commit_id: (
+            {r.values for r in rel.checkout(commit.commit_id)},
+            engine.checkout_commit_bitmaps(commit.commit_id),
+        )
+        for commit in rel.graph.commits()
+    }
+    txn = manager.begin()
+    txn.insert(branch, record(*written))
+    txn.delete(branch, removed[0])
+    with pytest.raises(InjectedCrash):
+        with inject(FaultSchedule(point)):
+            txn.commit()
+
+    reopened = Decibel.open(str(tmp_path), engine="hybrid")
+    graph = reopened.relation("t").graph
+    expected = before[fork_commit][0]
+    if graph.get_commit(graph.head(branch)).message.startswith("recovered"):
+        # The redo replays the transaction's writes on the branch's last
+        # durable state, which never held the parent's uncommitted ones.
+        expected = expected - {removed} | {written}
+    elif txn.transaction_id in reopened.last_recovery.committed:
+        # The commit's graph frame survived: it holds the branch's live bits.
+        expected = live - {removed} | {written}
+    for again in (False, True):
+        db = Decibel.open(str(tmp_path), engine="hybrid") if again else reopened
+        rel = db.relation("t")
+        for commit_id, (rows, bitmaps) in before.items():
+            assert {r.values for r in rel.checkout(commit_id)} == rows, commit_id
+            assert rel.engine.checkout_commit_bitmaps(commit_id) == bitmaps
+        assert {r.values for r in rel.scan(branch)} == expected
+        assert_pk_index_agrees(db, branch)
+        db.close()
+
+
 @pytest.mark.parametrize("strict", ["1", "0"])
 def test_flipped_branch_frame_limit(tmp_path, strict, monkeypatch):
     """A flipped byte in the branch-point limit a version-first at-head

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from repro.bitmap import CommitHistory
 from repro.bitmap.bitmap import Bitmap
+from repro.bitmap.rle import rle_encode
 from repro.core.buffer_pool import BufferPool
 from repro.core.durable import FRAME_HEADER_SIZE, frame, read_framed
 from repro.core.heapfile import HeapFile
 from repro.core.record import Record
 from repro.db.database import Decibel
-from repro.errors import CommitNotFoundError
+from repro.errors import CommitNotFoundError, CorruptionError
 from repro.storage.hybrid import KEPT_HEAD, HybridEngine
 from repro.versioning.version_graph import decode_events, encode_events
 
@@ -205,16 +206,16 @@ class TestHybridCommits:
 
     def test_unchanged_commit_carries_no_state(self, hy_loaded, schema):
         """A commit that changes no segment's bitmap records no delta, and
-        it checks out through the histories' earlier entries."""
+        it checks out through the histories' earlier entries.  A child's
+        first commit records only its own head: its inherited segments
+        hold their fork state."""
         hy_loaded.create_branch("dev", from_branch="master")
         hy_loaded.insert("dev", Record((300, 0, 0, 0)))
         changed = hy_loaded.commit("dev")
         unchanged = hy_loaded.commit("dev")
         numbers = hy_loaded._segment_numbers
         assert set(hy_loaded.graph.commit_state(changed)) == {
-            numbers[segment_id]
-            for segment_id in {hy_loaded._head_segment["dev"]}
-            | hy_loaded._branch_segments["master"]
+            numbers[hy_loaded._head_segment["dev"]]
         }
         assert hy_loaded.graph.commit_state(unchanged) is None
         keys = {r.key(schema) for r in hy_loaded.scan_commit(unchanged)}
@@ -362,6 +363,47 @@ def sixty_four_forks(engine):
         engine.commit(f"f{i:02d}")
 
 
+def fork_chain_history(engine):
+    """A fork taken over master's uncommitted writes, a chain three forks
+    deep (``a``, ``b``, ``c``), a fork from ``a``'s first commit (``d``),
+    merges into two children and a fork that never commits (``e``).
+    Returns each commit's live bits: commit id -> the committing branch's
+    :meth:`HybridEngine._head_state` right after it."""
+    committed = {engine.graph.head("master"): engine._head_state("master")}
+
+    def commit(branch):
+        commit_id = engine.commit(branch)
+        committed[commit_id] = engine._head_state(branch)
+        return commit_id
+
+    engine.insert("master", Record((100, 0, 0, 0)))
+    engine.update("master", Record((3, 3, 3, 3)))
+    engine.create_branch("a", from_branch="master")
+    assert keys(engine, "a") == set(range(20)) | {100}
+    commit("master")
+    engine.delete("master", 4)
+    commit("master")
+    engine.delete("a", 5)
+    first_on_a = commit("a")
+    engine.insert("a", Record((101, 0, 0, 0)))
+    engine.create_branch("b", from_branch="a")
+    engine.update("b", Record((7, 7, 7, 7)))
+    commit("b")
+    engine.create_branch("c", from_branch="b")
+    engine.delete("c", 8)
+    engine.insert("c", Record((102, 0, 0, 0)))
+    commit("c")
+    commit("a")
+    engine.create_branch("d", from_commit=first_on_a)
+    engine.update("d", Record((9, 9, 9, 9)))
+    commit("d")
+    for target, source in (("c", "master"), ("b", "d")):
+        merge = engine.merge(target, source)
+        committed[merge.commit_id] = engine._head_state(target)
+    engine.create_branch("e", from_branch="c")
+    return committed
+
+
 class TestKeptHead:
     """A fork at a head that holds no record keeps it as the parent's head
     and gives only the child a new one."""
@@ -470,6 +512,92 @@ class TestKeptHead:
         assert {name: keys(reopened, name) for name in rows} == rows
 
 
+def rewrite_as_pre_fork_relative(engine):
+    """Rewrite a closed engine's graph log into the form written before
+    histories started at the fork: no branch event is marked
+    ``fork_relative``, and each commit carries its deltas against its
+    branch's previous commit, or against an empty state for the branch's
+    first, so a child's first commit carries every inherited segment's
+    bits.  The deltas come from the commits' read states."""
+    numbers = engine._segment_numbers
+    states, previous = {}, {}
+    for commit in engine.graph.commits():
+        before = previous.get(commit.branch, {})
+        after = previous[commit.branch] = engine._commit_read_state(commit.commit_id)
+        deltas = {}
+        for segment_id in sorted(set(before) | set(after)):
+            delta = before.get(segment_id, Bitmap()) ^ after.get(segment_id, Bitmap())
+            if delta.any():
+                deltas[numbers[segment_id]] = (len(delta), rle_encode(delta.to_bytes()))
+        states[commit.sequence] = deltas
+    path = engine._graph_path()
+    payloads = []
+    for payload in read_framed(path):
+        events = decode_events(payload)
+        for event in events:
+            event.pop("fork_relative", None)
+            if event["op"] in ("init", "commit", "merge"):
+                event.pop("state", None)
+                if states[event["sequence"]]:
+                    event["state"] = states[event["sequence"]]
+        payloads.append(encode_events(events))
+    with open(path, "wb") as handle:
+        handle.write(b"".join(frame(payload) for payload in payloads))
+
+
+class TestOlderLogs:
+    """A log written before histories started at the fork replays with its
+    own meaning: a branch whose event is not marked fork-relative keeps
+    histories that start empty."""
+
+    @pytest.mark.parametrize("strict", ["1", "0"])
+    def test_a_log_of_full_first_commits_reopens_with_the_same_answers(
+        self, tmp_path, schema, strict, monkeypatch
+    ):
+        """Every branch and every commit of the rewritten log reads as the
+        engine that wrote it did, in either recovery mode (a refusal
+        would raise :class:`CorruptionError`).  Writes, commits and forks
+        after the reopen, on branches of either form, read as their live
+        bits, across a second reopen of the mixed log."""
+        monkeypatch.setenv("REPRO_STRICT_RECOVERY", strict)
+        engine = HybridEngine(str(tmp_path / "hy"), schema, page_size=SMALL_PAGE_SIZE)
+        engine.init(make_records(20))
+        committed = fork_chain_history(engine)
+        rows = {name: keys(engine, name) for name in engine.graph.branch_names()}
+        engine.close()
+        old_form = os.path.getsize(engine._graph_path())
+        rewrite_as_pre_fork_relative(engine)
+        assert os.path.getsize(engine._graph_path()) > old_form
+        try:
+            engine = HybridEngine(engine.directory, schema, page_size=SMALL_PAGE_SIZE)
+            engine.load_persistent_state()
+        except CorruptionError:
+            return
+        assert not any(branch.fork_relative for branch in engine.graph.branches())
+        TestDirtyCommits.assert_reads_as_live(engine, committed)
+        assert {name: keys(engine, name) for name in rows} == rows
+        # "e" never committed: its first commit records every segment it
+        # holds, as its histories start empty.  "f" forked over its
+        # uncommitted insert and records only the segment holding it.
+        engine.insert("e", Record((500, 0, 0, 0)))
+        engine.delete("b", 1)
+        engine.create_branch("f", from_branch="e")
+        engine.create_branch("g", from_branch="b")
+        engine.update("g", Record((2, 2, 2, 2)))
+        for branch in ("e", "b", "f", "g", "master"):
+            commit_id = engine.commit(branch)
+            committed[commit_id] = engine._head_state(branch)
+        e_state = engine.graph.commit_state(engine.graph.head("e"))
+        assert len(e_state) == len(committed[engine.graph.head("e")])
+        assert list(engine.graph.commit_state(engine.graph.head("f"))) == [
+            engine._segment_numbers[engine.key_location("f", 500)[0]]
+        ]
+        rows = {name: keys(engine, name) for name in engine.graph.branch_names()}
+        engine = reopen(engine, schema)
+        TestDirtyCommits.assert_reads_as_live(engine, committed)
+        assert {name: keys(engine, name) for name in rows} == rows
+
+
 #: Steps of a generated hybrid history: (action, selector).
 hybrid_steps = st.lists(
     st.tuples(
@@ -486,7 +614,25 @@ hybrid_steps = st.lists(
 
 class TestDirtyCommits:
     """A commit compares only the segments whose bits of its branch changed
-    since its previous commit."""
+    since its previous commit, or since its fork: a branch's histories start
+    at its fork state."""
+
+    @staticmethod
+    def assert_reads_as_live(engine, committed):
+        """Every commit's read state, and its Table 2 checkout, equals the
+        live bits its branch held when it committed."""
+        for commit_id, live in committed.items():
+            assert engine._commit_read_state(commit_id) == live, commit_id
+            assert engine.checkout_commit_bitmaps(commit_id) == live, commit_id
+
+    @staticmethod
+    def changed_segments(engine, before, after):
+        """Numbers of the segments whose bits differ between two states."""
+        return {
+            engine._segment_numbers[segment_id]
+            for segment_id in set(before) | set(after)
+            if before.get(segment_id, Bitmap()) != after.get(segment_id, Bitmap())
+        }
 
     @settings(
         max_examples=40,
@@ -494,51 +640,29 @@ class TestDirtyCommits:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(steps=hybrid_steps)
-    def test_each_commit_records_what_a_full_scope_pass_would(
+    def test_each_commit_reads_as_its_live_bits(
         self, tmp_path_factory, schema, steps
     ):
-        """Every commit carries the deltas a pass over the branch's whole
-        scope records, in the same order, and at every commit each segment
-        of the scope checks out as the branch's live bits stood, live and
-        after reopens.  Updates and merges move bits in segments other than
-        the branch's head."""
+        """Each commit records the segments whose bits differ from the read
+        state of its branch's previous head, its last commit or its fork
+        commit, and nothing else; and each commit reads as the branch's live
+        bits stood, live and after every reopen.  Forks chain off any
+        branch, from heads holding uncommitted writes and from older
+        commits, and merges go into any branch."""
         directory = str(tmp_path_factory.mktemp("hy"))
         engine = HybridEngine(directory, schema, page_size=SMALL_PAGE_SIZE)
         engine.init(make_records(12))
-        #: The reference: branch -> segment id -> history of every commit.
-        reference: dict[str, dict[str, CommitHistory]] = {}
-        #: commit id -> (branch, segment id -> live bits at the commit).
-        committed: dict[str, tuple[str, dict[str, Bitmap]]] = {}
+        #: commit id -> the committing branch's live bits at the commit.
+        committed: dict[str, dict[str, Bitmap]] = {}
 
-        def after_commit(branch, commit_id):
-            sequence = engine.graph.get_commit(commit_id).sequence
-            histories = reference.setdefault(branch, {})
-            bits, expected = {}, {}
-            for segment_id in engine._branch_scope(branch):
-                local = engine._local_bitmaps[segment_id]
-                bits[segment_id] = (
-                    local.branch_bitmap(branch) if local.has_branch(branch) else Bitmap()
-                )
-                history = histories.setdefault(
-                    segment_id, CommitHistory(engine.commit_layer_interval)
-                )
-                delta = history.record_commit(sequence, bits[segment_id])
-                if delta is not None:
-                    expected[engine._segment_numbers[segment_id]] = delta
-            state = engine.graph.commit_state(commit_id)
-            assert list((state or {}).items()) == list(expected.items())
-            committed[commit_id] = (branch, bits)
+        def commit(branch, make_commit):
+            before = engine._commit_read_state(engine.graph.head(branch))
+            commit_id = make_commit()
+            live = committed[commit_id] = engine._head_state(branch)
+            state = engine.graph.commit_state(commit_id) or {}
+            assert set(state) == self.changed_segments(engine, before, live)
 
-        def check_out_every_commit():
-            for commit_id, (branch, bits) in committed.items():
-                sequence = engine.graph.get_commit(commit_id).sequence
-                histories = engine._histories.get(branch, {})
-                for segment_id, live in bits.items():
-                    history = histories.get(segment_id)
-                    recorded = history.checkout(sequence) if history else Bitmap()
-                    assert recorded == live, (commit_id, segment_id)
-
-        after_commit("master", engine.graph.head("master"))
+        committed[engine.graph.head("master")] = engine._head_state("master")
         branches = ["master"]
         key = 100
         for action, n in steps:
@@ -556,7 +680,7 @@ class TestDirtyCommits:
             elif action == "delete" and live:
                 engine.delete(branch, live[n % len(live)])
             elif action == "commit":
-                after_commit(branch, engine.commit(branch))
+                commit(branch, lambda: engine.commit(branch))
             elif action == "fork":
                 name = f"b{len(branches)}"
                 engine.create_branch(name, from_branch=branch)
@@ -571,16 +695,54 @@ class TestDirtyCommits:
             elif action == "merge" and len(branches) > 1:
                 source = branches[(n + 1) % len(branches)]
                 if source != branch:
-                    result = engine.merge(branch, source)
-                    after_commit(branch, result.commit_id)
+                    commit(branch, lambda: engine.merge(branch, source).commit_id)
             elif action == "reopen":
                 engine = reopen(engine, schema)
-                check_out_every_commit()
+                self.assert_reads_as_live(engine, committed)
         for branch in branches:
-            after_commit(branch, engine.commit(branch))
-        check_out_every_commit()
+            commit(branch, lambda: engine.commit(branch))
+        self.assert_reads_as_live(engine, committed)
         engine = reopen(engine, schema)
-        check_out_every_commit()
+        self.assert_reads_as_live(engine, committed)
+
+    def test_fork_chains_read_as_their_live_bits(self, hy_loaded, schema):
+        """A fork taken over a parent's uncommitted writes, a chain three
+        forks deep, a fork from an older commit and merges into children:
+        every commit reads as its branch's live bits, live and after two
+        reopens, and each branch reopens with the rows it held."""
+        engine = hy_loaded
+        committed = fork_chain_history(engine)
+        rows = {name: keys(engine, name) for name in engine.graph.branch_names()}
+        assert rows["a"] == (set(range(20)) | {100, 101}) - {5}
+        assert rows["d"] == (set(range(20)) | {100}) - {5}
+        for _ in range(3):
+            self.assert_reads_as_live(engine, committed)
+            assert {name: keys(engine, name) for name in rows} == rows
+            engine = reopen(engine, schema)
+
+    def test_a_childs_first_insert_commit_records_one_segment(
+        self, tmp_path, schema, monkeypatch
+    ):
+        """After 64 forks of master, a new child that only inserted commits
+        with one ``record_commit`` call and one delta: its head's."""
+        engine = HybridEngine(str(tmp_path / "hy"), schema, page_size=SMALL_PAGE_SIZE)
+        engine.init(make_records(20))
+        sixty_four_forks(engine)
+        engine.create_branch("child", from_branch="master")
+        engine.insert("child", Record((3000, 0, 0, 0)))
+        calls = []
+        real = CommitHistory.record_commit
+
+        def counting(history, sequence, snapshot):
+            calls.append(sequence)
+            return real(history, sequence, snapshot)
+
+        monkeypatch.setattr(CommitHistory, "record_commit", counting)
+        commit_id = engine.commit("child")
+        assert len(calls) == 1
+        head = engine._segment_numbers[engine._head_segment["child"]]
+        assert list(engine.graph.commit_state(commit_id)) == [head]
+        assert keys(engine, "child") == keys(engine, "master") | {3000}
 
     def test_a_merge_retiring_an_identical_copy_records_its_segment(
         self, hy_loaded, schema

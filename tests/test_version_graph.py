@@ -344,6 +344,13 @@ def _event(op, state=None, **fields):
     return event
 
 
+def _branch_event(state, fork_relative, **fields):
+    event = _event("create_branch", state, **fields)
+    if fork_relative:
+        event["fork_relative"] = True
+    return event
+
+
 events = st.one_of(
     st.builds(_event, st.just("init"), commit_states, sequence=uints, message=texts),
     st.builds(
@@ -355,9 +362,9 @@ events = st.one_of(
         message=texts,
     ),
     st.builds(
-        _event,
-        st.just("create_branch"),
+        _branch_event,
         st.one_of(st.none(), uints),
+        st.booleans(),
         name=texts,
         from_sequence=uints,
         from_branch=texts,
@@ -406,6 +413,27 @@ class TestEventCodec:
             "commit", (224, 5012), sequence=1105, branch="c112", message=""
         )
         assert len(encode_events([located])) <= 16
+
+    def test_the_fork_relative_mark_is_one_bit_of_a_branch_event(self, graph, tmp_path):
+        """A branch event marked fork-relative differs from an unmarked one
+        in its op byte only, and reloads onto the branch; no other event
+        may carry the mark."""
+        fields = dict(name="dev", from_sequence=1, from_branch=MASTER_BRANCH)
+        plain = encode_events([_event("create_branch", 0, **fields)])
+        marked = encode_events([_branch_event(0, True, **fields)])
+        assert len(marked) == len(plain) and marked[1:] == plain[1:]
+        assert marked[0] != plain[0]
+        commit = encode_events([COMMIT_EVENT])
+        with pytest.raises(ValueError):
+            decode_events(bytes([commit[0] | marked[0] ^ plain[0]]) + commit[1:])
+        path = str(tmp_path / "version_graph.log")
+        graph.create_branch("dev")
+        graph.set_branch_state("dev", None, fork_relative=True)
+        graph.create_branch("qa")
+        graph.save(path)
+        loaded = VersionGraph.load(path)
+        assert loaded.branch("dev").fork_relative
+        assert not loaded.branch("qa").fork_relative
 
     @pytest.mark.parametrize("state", [["seg00000", 1], (0, "1"), -1, 1.5, (1, 2, 3)])
     def test_unencodable_state_is_refused_when_set(self, graph, state):
