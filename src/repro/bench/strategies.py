@@ -121,10 +121,6 @@ class BranchingStrategy(ABC):
     def multi_scan_pair(self, rng: random.Random | None = None) -> tuple[str, str]:
         """The branch pair Queries 2 and 3 should compare."""
 
-    def head_branches(self) -> list[str]:
-        """Branches whose heads Query 4 scans (all branches ever created)."""
-        return list(self.all_branches)
-
     def query1_targets(self) -> dict[str, str]:
         """Named Query 1 scan targets, as labelled in the paper's Figure 7."""
         return {self.name: self.single_scan_branch(random.Random(0))}

@@ -307,7 +307,3 @@ class TransactionManager:
     def begin(self) -> Transaction:
         """Start a new transaction."""
         return Transaction(self.wal.allocate_transaction_id(), self)
-
-    def active_transaction(self) -> Transaction:
-        """Alias of :meth:`begin` kept for API symmetry with sessions."""
-        return self.begin()

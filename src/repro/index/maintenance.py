@@ -103,10 +103,6 @@ class IndexMaintenance:
             )
         self.secondary[column] = SecondaryIndex(column, self.schema.index_of(column))
 
-    def declared_columns(self) -> tuple[str, ...]:
-        """The declared secondary-index columns, in declaration order."""
-        return tuple(self.secondary)
-
     def has_index(self, column: str) -> bool:
         """True if ``column`` is the primary key or has a declared index."""
         return column == self.schema.primary_key or column in self.secondary

@@ -46,6 +46,7 @@ import re
 import shutil
 import threading
 from abc import ABC, abstractmethod
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
@@ -274,8 +275,9 @@ def _word_slots(word: int) -> Iterable[int]:
     return list(compress(range(len(digits)), digits))
 
 
-def stored_pk_ordinals(heap, pk_position: int) -> Iterator[tuple[int, int]]:
-    """Yield ``(primary key, ordinal)`` for every record stored in ``heap``.
+def stored_pk_ordinals(heap, pk_position: int) -> Iterator[tuple[array, int]]:
+    """Yield ``(key column, first ordinal)`` for each page of ``heap``: the
+    column's ``i``-th key is the primary key of record ``first + i``.
 
     The key-copy index build of all three engines (the first pk lookup
     after a reopen).  Only the key column is read, decoded from
@@ -291,9 +293,7 @@ def stored_pk_ordinals(heap, pk_position: int) -> Iterator[tuple[int, int]]:
         keys = codec.decode_column(
             page.raw_data(), pk_position, PAGE_HEADER_SIZE, page.num_records
         )
-        start = page_number * per_page
-        for slot, key in enumerate(keys):
-            yield key, start + slot
+        yield keys, page_number * per_page
 
 
 def check_stored_records(heap, needed: int) -> bool:

@@ -28,6 +28,7 @@ one's live bit in place.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -245,7 +246,7 @@ class SegmentedEngine(VersionedStorageEngine):
         self._segment_numbers: dict[str, int] = {}
         #: Every stored copy of each key as a packed location, for all
         #: branches; a branch's copy is the one live in its local bitmaps.
-        self.key_index: KeyCopyIndex[int] = KeyCopyIndex(
+        self.key_index: KeyCopyIndex = KeyCopyIndex(
             self._stored_copies, self.write_mutex
         )
 
@@ -270,13 +271,14 @@ class SegmentedEngine(VersionedStorageEngine):
         self._numbered_segments.append((segment_id, local))
         return local
 
-    def _stored_copies(self) -> Iterator[tuple[int, int]]:
-        """``(key, packed location)`` of every record of every segment."""
+    def _stored_copies(self) -> Iterator[tuple[array, int]]:
+        """``(key column, first packed location)`` of every page of every
+        segment (see :func:`stored_pk_ordinals`)."""
         pk_position = self.schema.primary_key_index
         for segment in self.segments.all():
             base = self._segment_numbers[segment.segment_id] << ORDINAL_BITS
-            for key, ordinal in stored_pk_ordinals(segment.heap, pk_position):
-                yield key, base | ordinal
+            for keys, first in stored_pk_ordinals(segment.heap, pk_position):
+                yield keys, base | first
 
     def key_location(self, branch: str, key: int) -> tuple[str, int] | None:
         """The ``(segment id, ordinal)`` of ``key``'s copy live in ``branch``.

@@ -65,7 +65,7 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.bitmap_index = make_bitmap_index(bitmap_orientation)
         #: Every stored copy of each key as a heap ordinal, for all
         #: branches; a branch's copy is the one live in its bitmap.
-        self.key_index: KeyCopyIndex[int] = KeyCopyIndex(
+        self.key_index: KeyCopyIndex = KeyCopyIndex(
             lambda: stored_pk_ordinals(self.heap, self.schema.primary_key_index),
             self.write_mutex,
         )

@@ -223,11 +223,6 @@ class SnapshotManager:
                     if self._pin_counts[key] <= 0:
                         del self._pin_counts[key]
 
-    def pinned_commits(self) -> dict[tuple[str, str], int]:
-        """Live pin counts: ``(relation, commit id) -> reader count``."""
-        with self._lock:
-            return dict(self._pin_counts)
-
     @property
     def active(self) -> int:
         """Number of snapshots currently held."""
