@@ -135,17 +135,6 @@ def _predicate_terms(
         yield predicate
 
 
-def _value_compatible(column: Column, value: object) -> bool:
-    """True if ``value`` can meaningfully compare against ``column``."""
-    if isinstance(value, bool):
-        return False
-    if column.type in _INT_TYPES:
-        return isinstance(value, int)
-    if column.type is ColumnType.FLOAT:
-        return isinstance(value, (int, float))
-    return isinstance(value, str)
-
-
 def _columns_match(declared: Schema, expected: Schema) -> bool:
     """Structural schema equality: same names and types, in order."""
     return [(c.name, c.type) for c in declared.columns] == [
@@ -224,7 +213,7 @@ def _check_scan_predicate(
                     f"modulo predicate on non-integer column {term.column!r} "
                     f"({column.type.value})",
                 )
-        elif not _value_compatible(column, term.value):
+        elif not column.compares_with(term.value):
             _fail(
                 "type-compat",
                 node,
@@ -377,7 +366,7 @@ def _check_schema(node: LogicalNode) -> None:
                     f"(columns: {', '.join(child.schema.column_names)})",
                 )
             column = child.schema.column(term.column)
-            if not _value_compatible(column, term.value):
+            if not column.compares_with(term.value):
                 _fail(
                     "type-compat",
                     node,

@@ -98,6 +98,18 @@ class Column:
         """On-disk width of one value of this column."""
         return self.width
 
+    def compares_with(self, value: object) -> bool:
+        """True if a predicate may compare this column with literal
+        ``value``: an int for an integer column, an int or float for a
+        FLOAT one, a string for a STRING one (never a bool)."""
+        if isinstance(value, bool):
+            return False
+        if self.type in (ColumnType.INT, ColumnType.INT32):
+            return isinstance(value, int)
+        if self.type is ColumnType.FLOAT:
+            return isinstance(value, (int, float))
+        return isinstance(value, str)
+
     def validate(self, value: object) -> None:
         """Raise :class:`SchemaError` if ``value`` does not fit this column."""
         if self.type in (ColumnType.INT, ColumnType.INT32):

@@ -65,8 +65,10 @@ class VersionedRelation:
     # -- versioning -------------------------------------------------------------
 
     def init(self, records: Iterable[Record] = (), message: str = "init") -> str:
-        """Create the master branch and load the initial records."""
-        return self.engine.init(records, message=message)
+        """Create the master branch and load the initial records (or
+        plain value tuples).  All or nothing: a record the schema rejects
+        leaves the relation uninitialized, so the init can be retried."""
+        return self.engine.init(map(self._coerce, records), message=message)
 
     def branch(self, name: str, from_branch: str | None = None, from_commit: str | None = None) -> None:
         """Create a branch off a branch head or a historical commit."""

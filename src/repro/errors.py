@@ -311,6 +311,43 @@ class PlanInvariantError(QueryError):
         )
 
 
+class LiteralTypeError(QueryError):
+    """A predicate compares a column with a literal of another type.
+
+    Raised while the query is lowered, whether or not plans are verified,
+    so a mistyped literal never reaches a scan or an index probe.
+    """
+
+    code = "literal-type"
+
+    def __init__(self, column: str, column_type: str, literal: object):
+        super().__init__(
+            f"predicate compares {column_type} column {column!r} with "
+            f"{literal!r} ({type(literal).__name__}); cast the literal or "
+            "fix the column reference"
+        )
+        self.column = column
+        self.column_type = column_type
+        self.literal = literal
+
+    def _wire_fields(self) -> dict[str, Any]:
+        return {
+            "column": self.column,
+            "column_type": self.column_type,
+            "literal": self.literal,
+        }
+
+    @classmethod
+    def _from_wire_fields(
+        cls, message: str, fields: dict[str, Any]
+    ) -> "LiteralTypeError":
+        return cls(
+            str(fields.get("column", "?")),
+            str(fields.get("column_type", "?")),
+            fields.get("literal"),
+        )
+
+
 class BenchmarkError(DecibelError):
     """The benchmark driver was configured inconsistently."""
 

@@ -27,6 +27,7 @@ from repro.index.secondary import SUPPORTED_OPS, SecondaryIndex
 
 if TYPE_CHECKING:
     from repro.storage.base import VersionedStorageEngine
+    from repro.versioning.snapshots import SnapshotEngineView
 
 #: Column types a secondary index may be declared on.
 INDEXABLE_TYPES = (ColumnType.INT, ColumnType.INT32, ColumnType.STRING)
@@ -36,7 +37,9 @@ class IndexMaintenance:
     """Owns one engine's secondary indexes; asks the engine about keys."""
 
     def __init__(
-        self, schema: Schema, engine: "VersionedStorageEngine | None" = None
+        self,
+        schema: Schema,
+        engine: "VersionedStorageEngine | SnapshotEngineView | None" = None,
     ):
         self.schema = schema
         self.secondary: dict[str, SecondaryIndex] = {}
@@ -170,7 +173,7 @@ class IndexMaintenance:
         index = self.ensure_secondary(branch, column)
         return sorted(index.lookup(branch, op, value))
 
-    def _bound_engine(self) -> "VersionedStorageEngine":
+    def _bound_engine(self) -> "VersionedStorageEngine | SnapshotEngineView":
         if self._engine is None:  # pragma: no cover - engine bug
             raise RuntimeError("index hook is not bound to an engine")
         return self._engine

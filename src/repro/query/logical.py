@@ -32,7 +32,7 @@ from repro.core.predicates import (
     Predicate,
 )
 from repro.core.schema import Column, Schema
-from repro.errors import QueryError
+from repro.errors import LiteralTypeError, QueryError
 from repro.query.parser import (
     ColumnComparison,
     OrderKey,
@@ -715,6 +715,11 @@ def _apply_filter(
             if comparison.column not in schema.column_names:
                 raise QueryError(
                     f"unknown column {comparison.column!r} in predicate"
+                )
+            column = schema.column(comparison.column)
+            if not column.compares_with(comparison.value):
+                raise LiteralTypeError(
+                    comparison.column, column.type.value, comparison.value
                 )
     return Filter(plan, query.column_comparisons)
 

@@ -3,8 +3,11 @@
 An asyncio socket server speaking the length-prefixed JSON protocol of
 :mod:`repro.server.protocol`.  Each connection is a *session* with its own
 branch context and per-relation open transactions; blocking engine work
-runs on a bounded worker-thread pool so the event loop only ever shuffles
-frames.
+runs on a :class:`WorkerSet` of at most ``worker_threads`` threads, so the
+event loop only ever shuffles frames.  A worker thread starts only when a
+request arrives and every started worker is busy, so the thread count
+follows the concurrency the server actually sees: two lock-step sessions
+keep two workers, whatever the cap.
 
 The robustness envelope, in one place:
 
@@ -24,7 +27,9 @@ The robustness envelope, in one place:
 * **Snapshot-isolated reads** -- queries run against a
   :class:`~repro.versioning.snapshots.Snapshot`, never the live heads, so
   readers see pre-commit or post-commit states only and never block
-  writers.
+  writers.  A primary-key point query plans an index scan through the
+  snapshot as it does embedded: the engine's key-copy index finds the
+  key's copies and the pinned commit's live bits pick the one it holds.
 * **Group commit** -- every transaction's COMMIT record goes through
   :meth:`~repro.core.wal.WriteAheadLog.append_group`, so concurrent
   session committers share WAL fsyncs (leader syncs the batch, followers
@@ -47,7 +52,9 @@ import functools
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from collections import deque
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -196,6 +203,120 @@ class ServerStats:
         }
 
 
+#: Worker sets whose threads may still be running (:func:`_stop_at_exit`).
+_live_worker_sets: "weakref.WeakSet[WorkerSet]" = weakref.WeakSet()
+
+
+def _stop_at_exit() -> None:
+    """Shut every worker set down, as the interpreter begins to exit.
+
+    The workers are not daemon threads, so the interpreter then joins
+    them: a request still running finishes its engine work rather than
+    being killed partway, as with ``ThreadPoolExecutor``'s own exit hook.
+    """
+    for workers in list(_live_worker_sets):
+        workers.shutdown(wait=False)
+
+
+threading._register_atexit(_stop_at_exit)  # type: ignore[attr-defined]
+
+
+class WorkerSet(Executor):
+    """The server's worker threads, each started only when it is needed.
+
+    ``submit`` starts a thread only when the queued requests outnumber the
+    idle workers, up to ``max_workers``; a started worker serves requests
+    until :meth:`shutdown`.  A worker counts itself idle *before* it
+    delivers its result, so a client that answers each response with its
+    next request always finds that worker idle.  (A ``ThreadPoolExecutor``
+    counts a worker idle only after the result is delivered, so a busy
+    lock-step session keeps starting threads up to the cap, each with its
+    own malloc arena.)
+
+    The executor contract is the standard one: an exception of any kind,
+    :class:`~repro.testing.faults.InjectedCrash` included, reaches the
+    future; work queued before a shutdown still runs; ``submit`` after it
+    raises ``RuntimeError``.  The workers are not daemon threads: at
+    interpreter exit every worker set is shut down and its workers are
+    joined, so ``shutdown(wait=False)`` never cuts a running request short.
+    """
+
+    def __init__(self, max_workers: int, thread_name_prefix: str = "worker"):
+        if max_workers < 1:
+            raise ValueError("max_workers must be at least 1")
+        self._max_workers = max_workers
+        self._prefix = thread_name_prefix
+        self._ready = threading.Condition(threading.Lock())
+        self._work: deque[tuple[Future, Callable[[], Any]]] = deque()
+        #: Started workers not running a request (some may be about to
+        #: take a queued one).
+        self._idle = 0
+        self._threads: list[threading.Thread] = []
+        self._shutdown = False
+        _live_worker_sets.add(self)
+
+    @property
+    def started(self) -> int:
+        """Number of worker threads started so far."""
+        return len(self._threads)
+
+    def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future:
+        future: Future = Future()
+        with self._ready:
+            if self._shutdown:
+                raise RuntimeError("cannot schedule new futures after shutdown")
+            self._work.append((future, functools.partial(fn, *args, **kwargs)))
+            if len(self._work) > self._idle and len(self._threads) < self._max_workers:
+                self._idle += 1  # the new worker takes the request
+                thread = threading.Thread(
+                    target=self._serve,
+                    name=f"{self._prefix}_{len(self._threads)}",
+                )
+                self._threads.append(thread)
+                thread.start()
+            else:
+                self._ready.notify()
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        with self._ready:
+            self._shutdown = True
+            if cancel_futures:
+                while self._work:
+                    self._work.popleft()[0].cancel()
+            self._ready.notify_all()
+        if wait:
+            for thread in self._threads:
+                thread.join()
+
+    def _serve(self) -> None:
+        while True:
+            with self._ready:
+                while not self._work and not self._shutdown:
+                    self._ready.wait()
+                if not self._work:
+                    return
+                future, call = self._work.popleft()
+                self._idle -= 1
+            if future.set_running_or_notify_cancel():
+                try:
+                    result = call()
+                except BaseException as exc:
+                    self._idle_again()
+                    future.set_exception(exc)
+                else:
+                    self._idle_again()
+                    future.set_result(result)
+                    del result
+            else:
+                self._idle_again()
+            del future, call  # hold no request while waiting for the next
+
+    def _idle_again(self) -> None:
+        with self._ready:
+            self._idle += 1
+
+
 @dataclass
 class _Session:
     """Per-connection state: branch context and open transactions."""
@@ -224,9 +345,8 @@ class DecibelServer:
         self.stats = ServerStats()
         self._own_db = own_db
         self._server: asyncio.base_events.Server | None = None
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.worker_threads,
-            thread_name_prefix="decibel-worker",
+        self._pool = WorkerSet(
+            self.config.worker_threads, thread_name_prefix="decibel-worker"
         )
         self._sessions: dict[int, _Session] = {}
         self._session_ids = iter(range(1, 1 << 62))
@@ -583,6 +703,7 @@ class DecibelServer:
             "inflight": self._inflight,
             "draining": self._draining,
             "snapshots_active": self.db.snapshot_manager.active,
+            "workers_started": self._pool.started,
             "wal_fsyncs": wal.fsync_count,
             "wal_group_batches": wal.group_batches,
             "op_latency": self.stats.latency_snapshot(),

@@ -49,6 +49,7 @@ from abc import ABC, abstractmethod
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress
 from typing import Any, Callable, Iterable, Iterator
 
@@ -78,6 +79,7 @@ from repro.errors import (
     VersionError,
 )
 from repro.index.maintenance import IndexMaintenance
+from repro.storage.pk_index import KeyCopyIndex
 from repro.versioning.conflicts import (
     MergePolicy,
     PrecedencePolicy,
@@ -711,6 +713,9 @@ class VersionedStorageEngine(ABC):
     """Base class for the tuple-first, version-first and hybrid engines."""
 
     kind: StorageEngineKind
+    #: Every stored copy of each key, whatever branch wrote it: the pk
+    #: index all three engines share (:mod:`repro.storage.pk_index`).
+    key_index: KeyCopyIndex
 
     #: Whether the column scans read every page a state's bitmap spans, dead
     #: ones included, instead of only the pages holding a live record.
@@ -751,6 +756,9 @@ class VersionedStorageEngine(ABC):
         #: snapshot acquirer never observes a head commit whose bitmap
         #: snapshot has not been recorded yet.
         self.commit_gate = threading.RLock()
+        #: branch -> (commit id, read state): the pinned commit a snapshot
+        #: last read the branch at (:meth:`_branch_state`).
+        self._pinned_states: dict[str, tuple[str, Any]] = {}
         os.makedirs(directory, exist_ok=True)
 
     # -- lifecycle --------------------------------------------------------------
@@ -764,10 +772,26 @@ class VersionedStorageEngine(ABC):
             raise VersionError("engine is already initialized")
         self._prepare_master()
         commit = self.graph.init(message=message)
-        for record in records:
-            self.insert(MASTER_BRANCH, record)
+        try:
+            for record in records:
+                self.insert(MASTER_BRANCH, record)
+        except Exception:
+            # All or nothing: a record the schema rejects leaves the engine
+            # uninitialized, with no trace of the records before it.  (An
+            # injected crash is not caught: a dead process undoes nothing,
+            # and nothing of this init is durable before its commit.)
+            self._discard_master()
+            self.graph = VersionGraph()
+            self._pinned_states.clear()  # commit ids restart with the graph
+            raise
         self._commit_durably(MASTER_BRANCH, commit.commit_id)
         return commit.commit_id
+
+    @abstractmethod
+    def _discard_master(self) -> None:
+        """Undo :meth:`_prepare_master` and the writes since: empty every
+        heap it created and forget every structure, so the next
+        :meth:`init` starts as on a fresh engine."""
 
     def has_persistent_state(self) -> bool:
         """True if this engine's directory holds a persisted version graph."""
@@ -1055,56 +1079,53 @@ class VersionedStorageEngine(ABC):
     def delete(self, branch: str, key: int) -> None:
         """Delete the record with primary key ``key`` from ``branch``'s head."""
 
-    @abstractmethod
-    def branch_contains_key(self, branch: str, key: int) -> bool:
-        """True if ``key`` is live in ``branch``'s head."""
+    def branch_contains_key(
+        self, branch: str, key: int, pins: dict[str, str] | None = None
+    ) -> bool:
+        """True if ``key`` is live in ``branch``'s head, or with ``pins`` in
+        its pinned commit."""
+        if pins is None:
+            return self._live_copy(branch, key) is not None
+        return self._state_copy(self._branch_state(branch, pins), key) is not None
 
-    @abstractmethod
     def record_for_key(self, branch: str, key: int) -> Record | None:
         """The live record with primary key ``key`` in ``branch``'s head.
 
         Returns ``None`` when the key is absent.  WAL redo uses this to make
         replayed writes idempotent.
         """
+        copy = self._live_copy(branch, key)
+        if copy is None:
+            return None
+        self.stats.records_decoded += 1
+        heap, ordinal = copy
+        return heap.record_by_ordinal(ordinal)
 
-    @abstractmethod
     def records_for_keys(
-        self, branch: str, keys: Iterable[int]
+        self,
+        branch: str,
+        keys: Iterable[int],
+        pins: dict[str, str] | None = None,
     ) -> list[Record]:
         """The live records for ``keys`` in ``branch``, skipping absent keys.
 
         The index-scan fetch path: only the matched keys' records are ever
-        decoded (late materialization), in the order ``keys`` arrive
-        (:meth:`_fetch_located`).
+        decoded (late materialization), in the order ``keys`` arrive, each
+        touched page fetched once.  With ``pins`` (a snapshot's pinned
+        heads) the records ``branch``'s pinned commit holds.
         """
-
-    def _record_at(self, heap: HeapFile, ordinal: int) -> Record:
-        """The record at ``ordinal`` of ``heap``, counted in
-        ``records_decoded`` (a keyed fetch of :meth:`record_for_key`)."""
-        self.stats.records_decoded += 1
-        return heap.record_by_ordinal(ordinal)
-
-    def _fetch_located(
-        self,
-        branch: str,
-        keys: Iterable[int],
-        locate: Callable[[int], tuple[Any, int] | None],
-    ) -> list[Record]:
-        """The records ``locate`` finds for ``keys``, each touched page
-        fetched once.
-
-        ``locate`` maps a key to the ``(heap, ordinal)`` of its copy live in
-        ``branch``, or None.  Runs of keys on one page share the fetch; at
-        most 64 page references are held at a time.
-        """
-        self._require_branch(branch)
+        if pins is None:
+            self._require_branch(branch)
+            locate = partial(self._live_copy, branch)
+        else:
+            locate = partial(self._state_copy, self._branch_state(branch, pins))
         out: list[Record] = []
-        pages: dict[tuple[Any, int], Any] = {}
+        pages: dict[tuple[HeapFile, int], Any] = {}
         for key in keys:
-            location = locate(key)
-            if location is None:
+            copy = locate(key)
+            if copy is None:
                 continue
-            heap, ordinal = location
+            heap, ordinal = copy
             page_number, slot = divmod(ordinal, heap.records_per_page)
             page = pages.get((heap, page_number))
             if page is None:
@@ -1114,6 +1135,25 @@ class VersionedStorageEngine(ABC):
             out.append(page.record_at(slot))
         self.stats.records_decoded += len(out)
         return out
+
+    @abstractmethod
+    def _live_copy(self, branch: str, key: int) -> tuple[HeapFile, int] | None:
+        """The ``(heap, ordinal)`` of ``key``'s copy live in ``branch``'s
+        head, from the engine's pk index and live bits."""
+
+    def _state_copy(self, state: Any, key: int) -> tuple[HeapFile, int] | None:
+        """The ``(heap, ordinal)`` of ``key``'s copy a read state holds.
+
+        Walks the key's stored copies in the engine-wide key-copy index,
+        newest first, and tests each one's bit in the state.  The index is
+        append-only, so it holds every copy any commit can hold, and a
+        state holds at most one copy of a key."""
+        for location in reversed(self.key_index.copies(key)):
+            state_key, ordinal = self._located(location)
+            bitmap = state.get(state_key)
+            if bitmap is not None and bitmap.get(ordinal):
+                return self._state_heap(state_key), ordinal
+        return None
 
     # -- reads -----------------------------------------------------------------------
     #
@@ -1272,9 +1312,21 @@ class VersionedStorageEngine(ABC):
     def _branch_state(self, branch: str, pins: dict[str, str] | None = None) -> Any:
         """The read state of ``branch``: its live head's
         (:meth:`_head_state`), or with ``pins`` its pinned commit's
-        (:meth:`pinned_commit`)."""
+        (:meth:`pinned_commit`).
+
+        A commit's read state never changes and no read changes one, so a
+        branch's pinned state is kept until a snapshot pins the branch at
+        another commit: the reads of one snapshot, and of every snapshot
+        taken while the head has not moved, share one resolution.
+        """
         if pins is not None:
-            return self._commit_read_state(self.pinned_commit(branch, pins))
+            commit_id = self.pinned_commit(branch, pins)
+            last = self._pinned_states.get(branch)
+            if last is not None and last[0] == commit_id:
+                return last[1]
+            state = self._commit_read_state(commit_id)
+            self._pinned_states[branch] = (commit_id, state)
+            return state
         self._require_branch(branch)
         return self._head_state(branch)
 

@@ -108,6 +108,13 @@ class HybridEngine(SegmentedEngine):
         self._history_base[MASTER_BRANCH] = None
         self.index_hook.branch_created(MASTER_BRANCH)
 
+    def _discard_master(self) -> None:
+        super()._discard_master()
+        self._branch_segments.clear()
+        self._histories.clear()
+        self._dirty.clear()
+        self._history_base.clear()
+
     def _fork_segments(
         self,
         name: str,

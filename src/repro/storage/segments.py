@@ -194,6 +194,16 @@ class SegmentSet:
             fsync_dir(self.directory)
             unsynced.clear()
 
+    def discard_all(self) -> None:
+        """Empty and forget every segment and restart the ids, as a failed
+        init requires: the next :meth:`create` reuses the first id, whose
+        file it empties anyway."""
+        for segment in self._segments.values():
+            segment.heap.truncate_records(0)
+        self._segments.clear()
+        self._unsynced.clear()
+        self._next_id = 0
+
     def check_layout(self) -> None:
         """Refuse a directory holding any file but segment heaps, such as an
         older layout's topology file: its branch events do not describe it."""
@@ -271,6 +281,14 @@ class SegmentedEngine(VersionedStorageEngine):
         self._numbered_segments.append((segment_id, local))
         return local
 
+    def _discard_master(self) -> None:
+        self.segments.discard_all()
+        self._head_segment.clear()
+        self._local_bitmaps.clear()
+        self._numbered_segments.clear()
+        self._segment_numbers.clear()
+        self.key_index.drop()
+
     def _stored_copies(self) -> Iterator[tuple[array, int]]:
         """``(key column, first packed location)`` of every page of every
         segment (see :func:`stored_pk_ordinals`)."""
@@ -296,25 +314,12 @@ class SegmentedEngine(VersionedStorageEngine):
                 return segment_id, ordinal
         return None
 
-    def record_for_key(self, branch: str, key: int) -> Record | None:
+    def _live_copy(self, branch: str, key: int) -> tuple[HeapFile, int] | None:
         location = self.key_location(branch, key)
         if location is None:
             return None
         segment_id, ordinal = location
-        return self._record_at(self.segments.get(segment_id).heap, ordinal)
-
-    def records_for_keys(self, branch: str, keys) -> list[Record]:
-        def locate(key: int) -> tuple[HeapFile, int] | None:
-            location = self.key_location(branch, key)
-            if location is None:
-                return None
-            segment_id, ordinal = location
-            return self.segments.get(segment_id).heap, ordinal
-
-        return self._fetch_located(branch, keys, locate)
-
-    def branch_contains_key(self, branch: str, key: int) -> bool:
-        return self.key_location(branch, key) is not None
+        return self.segments.get(segment_id).heap, ordinal
 
     def close(self) -> None:
         """Flush, release cached pages and drop the derived key index,

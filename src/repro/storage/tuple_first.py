@@ -80,6 +80,12 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.key_index.start_empty()
         self._add_branch_structures(MASTER_BRANCH, clone_from=None)
 
+    def _discard_master(self) -> None:
+        self.heap.truncate_records(0)
+        self.bitmap_index = type(self.bitmap_index)()
+        self._histories.clear()
+        self.key_index.drop()
+
     def _add_branch_structures(self, branch: str, clone_from: str | None) -> None:
         self.bitmap_index.add_branch(branch, clone_from=clone_from)
         self.index_hook.branch_created(branch, clone_from=clone_from)
@@ -196,21 +202,9 @@ class TupleFirstEngine(VersionedStorageEngine):
         self.index_hook.removed(branch, key)
         self.stats.records_deleted += 1
 
-    def branch_contains_key(self, branch: str, key: int) -> bool:
-        return self.key_location(branch, key) is not None
-
-    def record_for_key(self, branch: str, key: int) -> Record | None:
+    def _live_copy(self, branch: str, key: int) -> tuple[HeapFile, int] | None:
         ordinal = self.key_location(branch, key)
-        if ordinal is None:
-            return None
-        return self._record_at(self.heap, ordinal)
-
-    def records_for_keys(self, branch: str, keys) -> list[Record]:
-        def locate(key: int) -> tuple[HeapFile, int] | None:
-            ordinal = self.key_location(branch, key)
-            return None if ordinal is None else (self.heap, ordinal)
-
-        return self._fetch_located(branch, keys, locate)
+        return None if ordinal is None else (self.heap, ordinal)
 
     def _append(self, key: int, record: Record) -> int:
         """Append a new stored copy of ``key``; returns its heap ordinal."""

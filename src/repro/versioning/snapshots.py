@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Iterator
 from repro.core.predicates import Predicate
 from repro.core.record import Record
 from repro.errors import BranchNotFoundError
+from repro.index.maintenance import IndexMaintenance
 from repro.versioning.diff import DiffResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,13 +48,17 @@ class SnapshotEngineView:
 
     Exposes exactly the surface the query pipeline uses (``schema``,
     ``graph``, the branch, commit and multi-branch scans, the counts,
-    ``diff``).  Each branch read is the engine's own branch read with the
-    snapshot's pins, so the engine resolves a pinned branch to its pinned
-    commit's state; commit reads pass straight through, since history is
-    immutable.  A branch the snapshot does not hold raises
+    ``diff``, the pk lookups and an ``index_hook``).  Each branch read is
+    the engine's own branch read with the snapshot's pins, so the engine
+    resolves a pinned branch to its pinned commit's state; commit reads
+    pass straight through, since history is immutable.  A branch the
+    snapshot does not hold raises
     :class:`~repro.errors.BranchNotFoundError`.  Plans built against the
     view keep their ``kind == "branch"`` scans, so they run through the
-    same columnar execution path as head reads.
+    same columnar execution path as head reads, and a pk point query plans
+    the same index scan: the engine finds the key's copies in its
+    append-only key-copy index and tests each against the pinned commit's
+    bits.
     """
 
     def __init__(self, engine: "VersionedStorageEngine", pins: dict[str, str]):
@@ -73,6 +78,14 @@ class SnapshotEngineView:
         self.scan_commit = engine.scan_commit
         self.scan_commit_columns = engine.scan_commit_columns
         self.count_commit = engine.count_commit
+        self.branch_contains_key = partial(engine.branch_contains_key, pins=self.pins)
+        self.records_for_keys = partial(engine.records_for_keys, pins=self.pins)
+        # The planner's questions about the pinned commits.  The pk index
+        # answers for any commit, through the pinned lookups above.  A
+        # secondary index follows its branch's live head, uncommitted
+        # writes included, so it is not exact for a pinned commit and is
+        # left out: its column keeps the scan.
+        self.index_hook = IndexMaintenance(engine.schema, self)
 
     def diff(self, branch_a: str, branch_b: str) -> DiffResult:
         """The engine's diff of the two branches' pinned commits."""

@@ -21,6 +21,7 @@ from repro.errors import (
     DatabaseClosedError,
     DeadlineExceededError,
     DecibelError,
+    LiteralTypeError,
     MergeConflictError,
     OverloadedError,
     PageError,
@@ -90,6 +91,7 @@ class TestRegistry:
             "merge-conflict",
             "query",
             "plan-invariant",
+            "literal-type",
             "benchmark",
             "protocol",
             "unavailable",
@@ -142,6 +144,18 @@ class TestRoundTrip:
         assert rebuilt.rule == "mode"
         assert rebuilt.node == "Project"
         assert rebuilt.detail == "batched child in columnar plan"
+
+    def test_literal_type_error_preserves_column_and_literal(self):
+        exc = LiteralTypeError("id", "int", "x")
+        rebuilt = roundtrip(exc)
+        assert isinstance(rebuilt, LiteralTypeError)
+        assert isinstance(rebuilt, QueryError)
+        assert (rebuilt.column, rebuilt.column_type, rebuilt.literal) == (
+            "id",
+            "int",
+            "x",
+        )
+        assert str(rebuilt) == str(exc)
 
     def test_corruption_error_preserves_forensics(self):
         exc = CorruptionError(

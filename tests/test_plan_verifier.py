@@ -23,6 +23,7 @@ from repro.core.predicates import ColumnPredicate
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.db.database import Decibel
+from repro.errors import LiteralTypeError
 from repro.query.executor import plan_query
 from repro.query.logical import (
     BRANCH_COLUMN,
@@ -166,6 +167,38 @@ class TestTypeCompat:
             verify_plan(plan)
         assert exc.value.rule == "type-compat"
         assert "Filter" in exc.value.node
+
+
+MISTYPED = [
+    "SELECT * FROM R WHERE R.Version = 'master' AND R.id = 'x'",
+    "SELECT * FROM R WHERE R.Version = 'master' AND R.c1 < 'x'",
+    "SELECT id FROM R WHERE R.Version = 'master' AND R.c3 = true",
+    "SELECT * FROM R WHERE R.Version = 'dev' AND R.id NOT IN "
+    "(SELECT id FROM R WHERE R.Version = 'master' AND R.c2 = 'x')",
+]
+
+
+@pytest.mark.parametrize("engine", ["hybrid", "tuple-first", "version-first"])
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("sql", MISTYPED)
+def test_mistyped_literal_is_rejected_while_lowering(tmp_path, engine, verify, sql):
+    """Verification on or off, a literal of the wrong type raises one
+    structured error before any plan exists (the type-compat check above
+    stays the backstop for a planner that builds such a predicate)."""
+    database = Decibel(str(tmp_path / "db"), engine=engine)
+    relation = database.create_relation("R", Schema.of_ints(4))
+    relation.init([Record((i, i % 5, i * 10, 0)) for i in range(50)])
+    relation.branch("dev", from_branch="master")
+    previous = default_verify()
+    set_default_verify(verify)
+    try:
+        with pytest.raises(LiteralTypeError) as exc:
+            database.query(sql)
+    finally:
+        set_default_verify(previous)
+    assert exc.value.column_type == "int"
+    assert exc.value.literal in ("x", True)
+    assert "cast the literal" in str(exc.value)
 
 
 class TestRewriteLegality:

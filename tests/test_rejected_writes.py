@@ -5,7 +5,9 @@ the first change an ``insert`` or ``update`` makes, so a value the schema
 rejects raises :class:`SchemaError` before a page, a bitmap or a key index
 moves.  Transactions check each write when they buffer it, so a bad value
 never reaches the write-ahead log.  Later commits, ``close`` and
-``Decibel.open`` then work, with the branch exactly as it was.
+``Decibel.open`` then work, with the branch exactly as it was.  An ``init``
+is all or nothing: a record it rejects leaves the relation uninitialized,
+with none of the records before it stored, so the init can be retried.
 """
 
 from __future__ import annotations
@@ -122,6 +124,40 @@ def test_rejected_tombstone_key_leaves_no_trace(tmp_path, engine):
     txn.commit()
     assert rows(db) == BASELINE
     db.close()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(("column", "value"), BAD_VALUES[:2] + BAD_VALUES[4:])
+@pytest.mark.parametrize("before", [5, 600])
+def test_rejected_init_leaves_the_relation_uninitialized(
+    tmp_path, engine, column, value, before
+):
+    """``before`` good rows (600 fill pages), then one the schema rejects:
+    nothing of that init survives a retry, a commit or a reopen."""
+    db = Decibel(str(tmp_path), engine=engine)
+    rel = db.create_relation("t", SCHEMA)
+    good = [(1000 + i, i, i) for i in range(before)]
+    with pytest.raises(SchemaError):
+        rel.init(iter(good + [bad_record("insert", column, value).values]))
+    assert not rel.graph.initialized
+    assert stored_records(rel.engine) == 0
+    # A retry, with plain tuples from a generator, as ``insert`` takes them.
+    rel.init(values for values in BASELINE)
+    rel.insert("master", (70, 7, 7))
+    rel.commit("master")
+    rel.branch("dev", from_branch="master")
+    expected = sorted(BASELINE + [(70, 7, 7)])
+    assert rows(db) == expected
+    count = "SELECT COUNT(*) FROM t WHERE t.Version = '{}'"
+    assert db.query(count.format("master")).rows == [(len(expected),)]
+    assert db.query(count.format("dev")).rows == [(len(expected),)]
+    assert db.relation("t").engine.record_for_key("master", 1000) is None
+    db.close()
+    reopened = Decibel.open(str(tmp_path), engine=engine)
+    assert rows(reopened) == expected
+    assert sorted(r.values for r in reopened.relation("t").scan("dev")) == expected
+    assert reopened.relation("t").engine.record_for_key("master", 1000) is None
+    reopened.close()
 
 
 def test_server_rejects_a_float_at_the_call(tmp_path):

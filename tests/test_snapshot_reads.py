@@ -12,7 +12,10 @@ both build sides and their build-key probe filters read pinned commits
 through the snapshot view.  The datasets hold the cases where stored
 copies and content disagree: a record two branches wrote identically, and
 rows a merge copied.  A snapshot's diff is the engine's diff of the
-pinned commits.
+pinned commits.  A pk point query plans an index scan through a snapshot
+too, and answers as the scan does at the pinned commits, for keys updated,
+deleted and inserted after the pin; a literal of the wrong type is
+rejected the same way embedded and served.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from repro.core.predicates import ColumnPredicate
 from repro.core.record import Record
 from repro.core.schema import Schema
 from repro.db.database import Decibel
-from repro.errors import BranchNotFoundError
+from repro.errors import BranchNotFoundError, LiteralTypeError
+from repro.query.executor import explain_query
+from repro.query.optimizer import set_index_selection
 from repro.server import DecibelClient, ServerConfig, ServerThread
 from tests.conftest import ENGINE_CLASSES, SMALL_PAGE_SIZE, heads_oracle
 
@@ -211,3 +216,130 @@ def test_snapshot_diff_is_the_pinned_engine_diff(database):
             assert sides(view.diff(*pair)) == expected
         with pytest.raises(BranchNotFoundError):
             view.diff("a", "c")
+
+
+POINT = "SELECT * FROM R WHERE R.Version = '{}' AND R.id = {}"
+
+
+def scan_answer(db, sql):
+    """``sql``'s rows with index selection off: the sequential scan's."""
+    set_index_selection(False)
+    try:
+        return db.query(sql).rows
+    finally:
+        set_index_selection(True)
+
+
+def test_snapshot_point_lookups_use_the_index(database):
+    relation = database.create_relation("R", Schema.of_ints(3))
+    relation.init([Record((key, key, key)) for key in range(30)])
+    relation.branch("dev", from_branch="master")
+    relation.update("dev", Record((4, 40, 40)))
+    relation.delete("dev", 6)
+    relation.insert("dev", Record((31, 1, 1)))
+    for branch in relation.graph.branch_names():
+        relation.commit(branch)
+    pinned = {
+        branch: {r.values[0]: r.values for r in relation.scan(branch)}
+        for branch in ("master", "dev")
+    }
+    with database.snapshot() as snap:
+        # After the pin: an update, a delete and an insert on each branch,
+        # committed on dev and left uncommitted on master.
+        for branch in ("dev", "master"):
+            relation.update(branch, Record((3, 33, 33)))
+            relation.update(branch, Record((4, 44, 44)))
+            relation.delete(branch, 5)
+            relation.insert(branch, Record((32, 2, 2)))
+        relation.commit("dev")
+        for branch, rows in pinned.items():
+            plan = explain_query(snap.database, POINT.format(branch, 3))
+            assert "IndexScan" in plan and "[index]" in plan, plan
+            for key in range(-1, 34):
+                sql = POINT.format(branch, key)
+                expected = [rows[key]] if key in rows else []
+                assert snap.database.query(sql).rows == expected, sql
+                assert scan_answer(snap.database, sql) == expected, sql
+        assert snap.database.query(POINT.format("dev", 3)).rows != (
+            database.query(POINT.format("dev", 3)).rows
+        )
+    # A later snapshot pins the new head.
+    with database.snapshot() as snap:
+        for key in (3, 4, 5, 6, 31, 32):
+            sql = POINT.format("dev", key)
+            assert snap.database.query(sql).rows == database.query(sql).rows, sql
+
+
+def test_served_point_lookups_match_embedded(database):
+    relation = database.create_relation("R", Schema.of_ints(3))
+    relation.init([Record((key, key, key)) for key in range(10)])
+    relation.branch("dev", from_branch="master")
+    relation.update("dev", Record((2, 7, 7)))
+    relation.delete("dev", 3)
+    relation.commit("dev")
+    server = ServerThread(database, ServerConfig(worker_threads=2))
+    host, port = server.start()
+    try:
+        with DecibelClient(host, port) as client:
+            client.connect()
+            for branch in ("master", "dev"):
+                for key in range(-1, 11):
+                    sql = POINT.format(branch, key)
+                    assert client.query(sql).rows == database.query(sql).rows, sql
+            mistyped = "SELECT * FROM R WHERE R.Version = 'master' AND R.id = 'x'"
+            with pytest.raises(LiteralTypeError) as served:
+                client.query(mistyped)
+            with pytest.raises(LiteralTypeError) as embedded:
+                database.query(mistyped)
+            assert str(served.value) == str(embedded.value)
+            assert served.value.column == "id"
+            assert served.value.literal == "x"
+    finally:
+        server.stop()
+
+
+def test_secondary_index_columns_keep_the_scan_through_a_snapshot(database):
+    """A secondary index follows the live head, so a snapshot does not use
+    it: the pinned answer stays the pinned commit's."""
+    relation = database.create_relation("R", Schema.of_ints(3), indexes=("c1",))
+    relation.init([Record((key, key % 10, key)) for key in range(100)])
+    relation.commit("master")
+    sql = "SELECT * FROM R WHERE R.Version = 'master' AND R.c1 = 3"
+    assert "[index]" in database.explain(sql)
+    expected = database.query(sql).rows
+    with database.snapshot() as snap:
+        relation.update("master", Record((3, 4, 3)))
+        relation.insert("master", Record((200, 3, 3)))
+        plan = explain_query(snap.database, sql)
+        assert "[index]" not in plan and "VersionScan" in plan, plan
+        assert snap.database.query(sql).rows == expected
+    assert database.query(sql).rows != expected
+
+
+def test_pinned_states_are_resolved_once_per_pinned_commit(database, monkeypatch):
+    """A point query counts, tests and fetches its key; through a snapshot
+    the three share one resolution of the pinned commit's read state, and
+    so do later snapshots while the branch's head has not moved."""
+    relation = database.create_relation("R", Schema.of_ints(3))
+    relation.init([Record((key, key, key)) for key in range(30)])
+    relation.update("master", Record((3, 33, 33)))  # uncommitted
+    engine = relation.engine
+    resolved: list[str] = []
+    resolve = engine._commit_read_state
+
+    def counted(commit_id):
+        resolved.append(commit_id)
+        return resolve(commit_id)
+
+    monkeypatch.setattr(engine, "_commit_read_state", counted)
+    sql = POINT.format("master", 3)
+    with database.snapshot() as snap:
+        assert snap.database.query(sql).rows == [(3, 3, 3)]
+        assert snap.database.query(sql).rows == [(3, 3, 3)]
+    with database.snapshot() as snap:
+        assert snap.database.query(sql).rows == [(3, 3, 3)]
+    assert len(resolved) == 1
+    relation.commit("master")
+    with database.snapshot() as snap:
+        assert snap.database.query(sql).rows == [(3, 33, 33)]
+    assert len(resolved) == 2 and resolved[1] != resolved[0]
